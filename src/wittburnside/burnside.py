@@ -29,10 +29,8 @@ Witt universal polynomials on those coordinates.
 """
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DomainError,
@@ -51,7 +49,16 @@ from .groups import (
     subgroup_classes,
     subgroup_group,
 )
-from .rings import MultiPoly, RingSpec, RingValue, ZZ, parse_ring
+from .rings import RingSpec, RingValue, ZZ, parse_ring
+from .universal import (
+    MEMO,
+    GhostSystem,
+    UniversalSet,
+    check_op,
+    derive,
+    evaluate,
+    ghost_values,
+)
 
 WITT = "Witt"
 NECKLACE = "Necklace"
@@ -168,27 +175,24 @@ def _check_same(x: IndexedVector, y: IndexedVector):
 # ghost maps
 
 
+@lru_cache(maxsize=None)
+def _ghost_table(G: FiniteGroup):
+    """Ghost rows (V, mark m(V, U), (G:U)/(G:V), 0) of each class U."""
+    ct = subgroup_classes(G)
+    zeta = marks_matrix(G).zeta
+    return tuple(
+        tuple((v, zeta.entry(v, u), ct.classes[u].index // ct.classes[v].index, 0)
+              for v in range(u + 1) if zeta.entry(v, u))
+        for u in range(len(ct))
+    )
+
+
 def wg_ghost(alpha: IndexedVector) -> IndexedVector:
     """Fixed-point ghost of a Witt vector: sums of marks times power maps."""
     if alpha.flavor != WITT:
         raise ValueError("wg_ghost expects a Witt vector")
-    G = alpha.group
-    ct = subgroup_classes(G)
-    mm = marks_matrix(G)
-    R = alpha.ring
-    xs = alpha.payloads()
-    out = []
-    for u in range(len(ct)):
-        iu = ct.classes[u].index
-        s = R.zero()
-        for v in range(u + 1):
-            m = mm.zeta.entry(v, u)
-            if m == 0:
-                continue
-            e = iu // ct.classes[v].index
-            s = R.add(s, R.mul(R.from_int(m), R.pow(xs[v], e)))
-        out.append(s)
-    return IndexedVector.from_payloads(G, GHOST, R, out)
+    out = ghost_values(_ghost_table(alpha.group), alpha.ring, alpha.payloads())
+    return IndexedVector.from_payloads(alpha.group, GHOST, alpha.ring, out)
 
 
 def nr_ghost(x: IndexedVector) -> IndexedVector:
@@ -306,160 +310,13 @@ def ap_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
 # ---------------------------------------------------------------------------
 # universal polynomials for the Witt flavor
 
-
-class UniversalPolySet:
-    """Integer polynomial formulas for one Witt-flavor ring operation."""
-
-    __slots__ = ("group", "op", "vars", "polys", "compiled")
-
-    def __init__(self, group, op, vars, polys):
-        self.group = group
-        self.op = op
-        self.vars = tuple(vars)
-        self.polys = tuple(polys)
-        self.compiled = tuple(
-            tuple((int(c), factors) for c, factors in p.compiled()) for p in self.polys
-        )
+_UNIVERSAL_CACHE = MEMO  # the one in-process memo of every model
 
 
-_OPS = ("sum", "prod", "neg")
-_UNIVERSAL_CACHE: dict = {}
-
-
-def _group_key(G: FiniteGroup) -> str:
-    blob = repr(G.elements).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _cache_path(G, op):
-    root = os.environ.get("WB_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, f"wg-{_group_key(G)}-{op}.json")
-
-
-def _ghost_polys(G, vars, offset, nvars):
-    """Symbolic ghost components: one MultiPoly per class in the given variables."""
-    ct = subgroup_classes(G)
-    mm = marks_matrix(G)
-    out = []
-    for u in range(len(ct)):
-        iu = ct.classes[u].index
-        p = MultiPoly(vars)
-        for v in range(u + 1):
-            m = mm.zeta.entry(v, u)
-            if m == 0:
-                continue
-            e = [0] * nvars
-            e[offset + v] = iu // ct.classes[v].index
-            p = p + MultiPoly(vars, {tuple(e): Fraction(m)})
-        out.append(p)
-    return out
-
-
-def derive_universal(G: FiniteGroup, op: str) -> UniversalPolySet:
+def derive_universal(G: FiniteGroup, op: str) -> UniversalSet:
     """Solve the ghost equations symbolically; coefficients must come out integral."""
-    if op not in _OPS:
-        raise ValueError(f"op must be one of {_OPS}")
-    key = (G, op)
-    if key in _UNIVERSAL_CACHE:
-        return _UNIVERSAL_CACHE[key]
-    cached = _cache_read(G, op)
-    if cached is not None:
-        _UNIVERSAL_CACHE[key] = cached
-        return cached
-
-    ct = subgroup_classes(G)
-    labels = ct.labels()
-    avars = tuple(f"a_{l}" for l in labels)
-    bvars = tuple(f"b_{l}" for l in labels) if op != "neg" else ()
-    vars = avars + bvars
-    n = len(labels)
-    nv = len(vars)
-    ga = _ghost_polys(G, vars, 0, nv)
-    if op == "sum":
-        gb = _ghost_polys(G, vars, n, nv)
-        targets = [x + y for x, y in zip(ga, gb)]
-    elif op == "prod":
-        gb = _ghost_polys(G, vars, n, nv)
-        targets = [x * y for x, y in zip(ga, gb)]
-    else:
-        targets = [-x for x in ga]
-
-    mm = marks_matrix(G)
-    solved = []
-    for u in range(n):
-        iu = ct.classes[u].index
-        acc = targets[u]
-        for v in range(u):
-            m = mm.zeta.entry(v, u)
-            if m == 0:
-                continue
-            e = iu // ct.classes[v].index
-            acc = acc - Fraction(m) * solved[v] ** e
-        p = acc * Fraction(1, mm.zeta.entry(u, u))
-        if not p.is_integral():
-            raise IntegralityViolation(
-                f"universal {op} polynomial at class {labels[u]} of {G.name} "
-                "has fractional coefficients"
-            )
-        solved.append(p)
-    ups = UniversalPolySet(G, op, vars, solved)
-    _UNIVERSAL_CACHE[key] = ups
-    _cache_write(G, op, ups)
-    return ups
-
-
-def _cache_read(G, op):
-    path = _cache_path(G, op)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        vars = tuple(data["vars"])
-        polys = []
-        for terms in data["polys"]:
-            d = {}
-            for coeff, exps in terms:
-                d[tuple(exps)] = Fraction(coeff)
-            polys.append(MultiPoly(vars, d))
-        return UniversalPolySet(G, op, vars, polys)
-    except (OSError, KeyError, ValueError, TypeError):
-        return None  # treat a bad cache entry as a miss
-
-
-def _cache_write(G, op, ups: UniversalPolySet):
-    path = _cache_path(G, op)
-    if not path:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        data = {
-            "vars": list(ups.vars),
-            "polys": [
-                [[int(c), list(e)] for e, c in p.sorted_terms()] for p in ups.polys
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
-    except OSError:
-        pass
-
-
-def _eval_compiled(compiled, R: RingSpec, payloads):
-    powcache = {}
-    total = R.zero()
-    for coeff, factors in compiled:
-        term = R.from_int(coeff)
-        for vi, e in factors:
-            p = powcache.get((vi, e))
-            if p is None:
-                p = R.pow(payloads[vi], e)
-                powcache[(vi, e)] = p
-            term = R.mul(term, p)
-        total = R.add(total, term)
-    return total
+    check_op(op)
+    return derive(G, op, lambda: GhostSystem(G, subgroup_classes(G).labels(), _ghost_table(G), op))
 
 
 def wg_op(op: str, a: IndexedVector, b: IndexedVector | None = None) -> IndexedVector:
@@ -473,7 +330,7 @@ def wg_op(op: str, a: IndexedVector, b: IndexedVector | None = None) -> IndexedV
     ups = derive_universal(a.group, op)
     env = a.payloads() + (b.payloads() if b is not None else ())
     R = a.ring
-    out = [_eval_compiled(c, R, env) for c in ups.compiled]
+    out = [evaluate(c, R, env) for c in ups.compiled]
     return IndexedVector.from_payloads(a.group, WITT, R, out)
 
 
@@ -564,15 +421,7 @@ def exp_M(G: FiniteGroup, r: RingValue) -> IndexedVector:
         )
     Rq = R.rationalized()
     vals = _exp_M_payloads(G, R.to_rationalized(r.payload), Rq)
-    out = []
-    for v, cls in zip(vals, subgroup_classes(G).classes):
-        w = R.from_rationalized(v)
-        if w is None:
-            raise IntegralityViolation(
-                f"exponential scalar escaped {R.name} at class {cls.label}"
-            )
-        out.append(w)
-    return IndexedVector.from_payloads(G, NECKLACE, R, out)
+    return _pull_back(IndexedVector.from_payloads(G, NECKLACE, Rq, vals), R, "exponential scalar")
 
 
 def exp_S(G: FiniteGroup, r: RingValue) -> IndexedVector:
@@ -612,18 +461,9 @@ def teichmuller(alpha: IndexedVector) -> IndexedVector:
     Rq = R.rationalized()
     lifted = [R.to_rationalized(p) for p in alpha.payloads()]
     vals = _teichmuller_payloads(alpha.group, lifted, Rq)
-    if _is_binomial(R):
-        out = []
-        for v, cls in zip(vals, subgroup_classes(alpha.group).classes):
-            w = R.from_rationalized(v)
-            if w is None:
-                raise IntegralityViolation(
-                    f"teichmuller escaped {R.name} at class {cls.label}"
-                )
-            out.append(w)
-        return IndexedVector.from_payloads(alpha.group, NECKLACE, R, out)
+    image = IndexedVector.from_payloads(alpha.group, NECKLACE, Rq, vals)
     # torsion-free but not binomial: the image lives in the rationalisation
-    return IndexedVector.from_payloads(alpha.group, NECKLACE, Rq, vals)
+    return _pull_back(image, R, "teichmuller") if _is_binomial(R) else image
 
 
 def teichmuller_inv(x: IndexedVector) -> IndexedVector:
@@ -807,22 +647,26 @@ def _pull_back(vec: IndexedVector, R: RingSpec, what: str) -> IndexedVector:
     return IndexedVector.from_payloads(vec.group, vec.flavor, R, out)
 
 
+def _through_teichmuller(nr_map, alpha: IndexedVector, what: str) -> IndexedVector:
+    """A necklace map nr_map conjugated through teichmuller, on Witt coordinates."""
+    R = alpha.ring
+    strat = _strategy(R)
+    if strat == "qalgebra":
+        return teichmuller_inv(nr_map(teichmuller(alpha)))
+    if strat == "quotient":
+        m = R.modulus
+        lifted = alpha.map_ring(ZZ, lambda p: p)
+        return _through_teichmuller(nr_map, lifted, what).map_ring(R, lambda p: p % m)
+    vec, _ = _to_rational_vector(alpha)
+    return _pull_back(teichmuller_inv(nr_map(teichmuller(vec))), R, what)
+
+
 def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
     """Verschiebung-type map on Witt coordinates, conjugated through teichmuller."""
     _require_subgroup_vector(G, ci, alpha)
     if alpha.flavor != WITT:
         raise ValueError("witt_v expects a Witt vector")
-    R = alpha.ring
-    strat = _strategy(R)
-    if strat == "qalgebra":
-        return teichmuller_inv(ind_nr(G, ci, teichmuller(alpha)))
-    if strat == "quotient":
-        m = R.modulus
-        lifted = alpha.map_ring(ZZ, lambda p: p)
-        return witt_v(G, ci, lifted).map_ring(R, lambda p: p % m)
-    vec, _ = _to_rational_vector(alpha)
-    res = teichmuller_inv(ind_nr(G, ci, teichmuller(vec)))
-    return _pull_back(res, R, "induced Witt vector")
+    return _through_teichmuller(lambda x: ind_nr(G, ci, x), alpha, "induced Witt vector")
 
 
 def witt_f(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
@@ -831,17 +675,7 @@ def witt_f(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
         raise ValueError("witt_f expects a Witt vector")
     if alpha.group != G:
         raise ValueError("vector is not indexed by the parent group's classes")
-    R = alpha.ring
-    strat = _strategy(R)
-    if strat == "qalgebra":
-        return teichmuller_inv(res_nr(G, ci, teichmuller(alpha)))
-    if strat == "quotient":
-        m = R.modulus
-        lifted = alpha.map_ring(ZZ, lambda p: p)
-        return witt_f(G, ci, lifted).map_ring(R, lambda p: p % m)
-    vec, _ = _to_rational_vector(alpha)
-    res = teichmuller_inv(res_nr(G, ci, teichmuller(vec)))
-    return _pull_back(res, R, "restricted Witt vector")
+    return _through_teichmuller(lambda x: res_nr(G, ci, x), alpha, "restricted Witt vector")
 
 
 def ghost_nu(G: FiniteGroup, ci: int, b: IndexedVector) -> IndexedVector:

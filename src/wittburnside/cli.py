@@ -144,6 +144,15 @@ def _check_flavor(doc, path, allowed):
     return flavor
 
 
+def _build_group(descriptor):
+    """A group descriptor, or Base.label[.label...] for a subgroup class (as res writes)."""
+    base, *labels = descriptor.split(".")
+    G = build_group(base)
+    for label in labels:
+        G = subgroup_group(G, subgroup_classes(G).index_of_label(label))
+    return G
+
+
 def _read_group_vector(path, ring_flag=None, allowed=None, group=None):
     doc = _load(path)
     gf = doc.get("group")
@@ -152,7 +161,7 @@ def _read_group_vector(path, ring_flag=None, allowed=None, group=None):
     if not isinstance(gf, str):
         raise SchemaError(f"{path}: group must be a descriptor string")
     if group is None:
-        group = build_group(gf)
+        group = _build_group(gf)
     elif gf != group.name:
         raise SchemaError(f"{path}: group {gf!r} does not match expected {group.name}")
     flavor = _check_flavor(doc, path, allowed)
@@ -266,7 +275,7 @@ def _truncation(args, default=None):
 
 
 def cmd_group_info(args):
-    G = build_group(args.group)
+    G = _build_group(args.group)
     mm = marks_matrix(G)
     ct = mm.table
     k = len(ct.classes)
@@ -348,7 +357,7 @@ def _class_index(G, label):
 
 
 def cmd_ind(args):
-    G = build_group(args.group)
+    G = _build_group(args.group)
     ci = _class_index(G, args.cls)
     U = subgroup_group(G, ci)
     x = _read_group_vector(args.input, args.ring, None, group=U)
@@ -358,7 +367,7 @@ def cmd_ind(args):
 
 
 def cmd_res(args):
-    G = build_group(args.group)
+    G = _build_group(args.group)
     ci = _class_index(G, args.cls)
     x = _read_group_vector(args.input, args.ring, None, group=G)
     fn = {WITT: witt_f, NECKLACE: res_nr, APERIODIC: res_ap, GHOST: ghost_F}[x.flavor]
@@ -367,7 +376,7 @@ def cmd_res(args):
 
 
 def cmd_universal(args):
-    G = build_group(args.group)
+    G = _build_group(args.group)
     uni = derive_universal(G, args.op)
     labels = list(subgroup_classes(G).labels())
     _emit(
@@ -421,10 +430,17 @@ def cmd_cyclic_theta(args):
     return 0
 
 
+def _operator_index(args):
+    if args.r < 1:
+        raise SchemaError(f"--r must be a positive integer, got {args.r}")
+    return args.r
+
+
 def cmd_cyclic_operator(args):
+    r = _operator_index(args)
     x = _read_cyclic_vector(args.input, args.ring)
     fn = cyc_frobenius if args.operator == "frobenius" else cyc_verschiebung
-    _emit(_cyclic_doc(fn(args.r, x)))
+    _emit(_cyclic_doc(fn(r, x)))
     return 0
 
 
@@ -517,11 +533,12 @@ def cmd_qwitt_theta(args):
 
 
 def cmd_qwitt_operator(args):
+    r = _operator_index(args)
     x = _read_cyclic_vector(args.input, args.ring)
     if args.operator == "frobenius":
-        out = q_frobenius(_qcontext(args), args.r, x)
+        out = q_frobenius(_qcontext(args), r, x)
     else:
-        out = q_verschiebung(args.r, x)
+        out = q_verschiebung(r, x)
     _emit(_cyclic_doc(out))
     return 0
 

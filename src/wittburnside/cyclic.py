@@ -14,22 +14,20 @@ characterised by the ghost shift n -> rn; Verschiebung reindexes by r.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 from fractions import Fraction
+from functools import lru_cache
 
-from .burnside import APERIODIC, FLAVORS, GHOST, NECKLACE, WITT, _eval_compiled
+from .burnside import APERIODIC, FLAVORS, GHOST, NECKLACE, WITT
 from .errors import (
-    IntegralityViolation,
     NotBinomial,
     NotInImage,
     NotInvertibleIndex,
     SchemaError,
     TruncationTooSmall,
 )
-from .rings import MultiPoly, RingSpec, RingValue, divisors, mobius
+from .rings import RingSpec, RingValue, divisors, mobius
+from .universal import GhostSystem, UniversalSet, check_op, derive, evaluate, ghost_values
 
 
 class TruncationSet:
@@ -38,7 +36,12 @@ class TruncationSet:
     __slots__ = ("members", "_pos")
 
     def __init__(self, members):
-        ms = sorted(set(int(n) for n in members))
+        try:
+            ms = sorted(set(members))
+        except TypeError:
+            ms = None
+        if ms is None or not all(type(n) is int for n in ms):
+            raise SchemaError(f"truncation set must be a collection of integers, not {members!r}")
         if not ms or ms[0] < 1:
             raise SchemaError("truncation set must contain positive integers")
         if 1 not in ms:
@@ -180,18 +183,20 @@ def _require_components(x: CyclicVector):
 # ghosts
 
 
+@lru_cache(maxsize=None)
+def _ghost_table(T: TruncationSet, q: bool = False):
+    """Ghost rows (d, d, n/d, n/d - 1 in the q-model else 0) of each n in T."""
+    return tuple(
+        tuple((T.position(d), d, n // d, n // d - 1 if q else 0) for d in divisors(n))
+        for n in T
+    )
+
+
 def cyc_witt_ghost(a: CyclicVector) -> CyclicVector:
     if a.flavor != WITT:
         raise ValueError("cyc_witt_ghost expects a Witt vector")
-    R = a.ring
-    T = a.truncation
-    out = []
-    for n in T:
-        s = R.zero()
-        for d in divisors(n):
-            s = R.add(s, R.mul(R.from_int(d), R.pow(a.component(d).payload, n // d)))
-        out.append(s)
-    return CyclicVector.from_payloads(T, GHOST, R, out)
+    out = ghost_values(_ghost_table(a.truncation), a.ring, a.payloads())
+    return CyclicVector.from_payloads(a.truncation, GHOST, a.ring, out)
 
 
 def cyc_ghost(x: CyclicVector) -> CyclicVector:
@@ -256,136 +261,27 @@ def cyc_ghost_inv(b: CyclicVector, flavor: str) -> CyclicVector:
 # universal polynomials and the Witt operations
 
 
-class CyclicUniversal:
-    __slots__ = ("truncation", "op", "vars", "polys", "compiled")
-
-    def __init__(self, truncation, op, vars, polys):
-        self.truncation = truncation
-        self.op = op
-        self.vars = tuple(vars)
-        self.polys = tuple(polys)
-        self.compiled = tuple(
-            tuple((int(c), f) for c, f in p.compiled()) for p in self.polys
-        )
+CyclicUniversal = UniversalSet
 
 
-_OPS = ("sum", "prod", "neg")
-_CYC_CACHE: dict = {}
+def _truncation_universal(T: TruncationSet, op: str, q: bool = False, r: int | None = None):
+    """The universal set of a ring op over T, or with r (op "frob<r>") of f_r."""
+    tag = ("q" if q else "") + op
+
+    def system():
+        shift, Tout = None, T
+        if r is not None:
+            Tout = TruncationSet([n for n in T if r * n in T])
+            shift = (_ghost_table(Tout, q), [T.position(r * n) for n in Tout])
+        return GhostSystem(Tout, T.members, _ghost_table(T, q), tag if r else op, q, shift)
+
+    return derive(T, tag, system)
 
 
-def _trunc_key(T: TruncationSet) -> str:
-    blob = repr(T.members).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _cyc_cache_path(T, tag):
-    root = os.environ.get("WB_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, f"cyc-{_trunc_key(T)}-{tag}.json")
-
-
-def _cyc_cache_read(T, tag, vars_expected):
-    path = _cyc_cache_path(T, tag)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        vars = tuple(data["vars"])
-        if vars != vars_expected:
-            return None
-        polys = []
-        for terms in data["polys"]:
-            d = {}
-            for coeff, exps in terms:
-                d[tuple(exps)] = Fraction(coeff)
-            polys.append(MultiPoly(vars, d))
-        return polys
-    except (OSError, KeyError, ValueError, TypeError):
-        return None
-
-
-def _cyc_cache_write(T, tag, vars, polys):
-    path = _cyc_cache_path(T, tag)
-    if not path:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        data = {
-            "vars": list(vars),
-            "polys": [
-                [[int(c), list(e)] for e, c in p.sorted_terms()] for p in polys
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
-    except OSError:
-        pass
-
-
-def _symbolic_ghost(T, vars, offset, nvars):
-    out = {}
-    for n in T:
-        p = MultiPoly(vars)
-        for d in divisors(n):
-            e = [0] * nvars
-            e[offset + T.position(d)] = n // d
-            p = p + MultiPoly(vars, {tuple(e): Fraction(d)})
-        out[n] = p
-    return out
-
-
-def _solve_ghost_system(T, targets, vars, what):
-    """Triangular solve of w_n(s) = target_n; integer coefficients asserted."""
-    solved = {}
-    out = []
-    for n in T:
-        acc = targets[n]
-        for d in divisors(n):
-            if d == n:
-                continue
-            acc = acc - Fraction(d) * solved[d] ** (n // d)
-        p = acc * Fraction(1, n)
-        if not p.is_integral():
-            raise IntegralityViolation(
-                f"{what} polynomial at index {n} has fractional coefficients"
-            )
-        solved[n] = p
-        out.append(p)
-    return out
-
-
-def cyc_universal(T: TruncationSet, op: str) -> CyclicUniversal:
+def cyc_universal(T: TruncationSet, op: str) -> UniversalSet:
     """Integer universal polynomials for one truncated-Witt ring operation."""
-    if op not in _OPS:
-        raise ValueError(f"op must be one of {_OPS}")
-    key = (T, op)
-    if key in _CYC_CACHE:
-        return _CYC_CACHE[key]
-    avars = tuple(f"a_{n}" for n in T)
-    bvars = tuple(f"b_{n}" for n in T) if op != "neg" else ()
-    vars = avars + bvars
-    cached = _cyc_cache_read(T, op, vars)
-    if cached is not None:
-        cu = CyclicUniversal(T, op, vars, cached)
-        _CYC_CACHE[key] = cu
-        return cu
-    nv = len(vars)
-    ga = _symbolic_ghost(T, vars, 0, nv)
-    if op == "sum":
-        gb = _symbolic_ghost(T, vars, len(T), nv)
-        targets = {n: ga[n] + gb[n] for n in T}
-    elif op == "prod":
-        gb = _symbolic_ghost(T, vars, len(T), nv)
-        targets = {n: ga[n] * gb[n] for n in T}
-    else:
-        targets = {n: -ga[n] for n in T}
-    polys = _solve_ghost_system(T, targets, vars, f"universal {op}")
-    cu = CyclicUniversal(T, op, vars, polys)
-    _CYC_CACHE[key] = cu
-    _cyc_cache_write(T, op, vars, polys)
-    return cu
+    check_op(op)
+    return _truncation_universal(T, op)
 
 
 def cyc_witt_op(op: str, a: CyclicVector, b: CyclicVector | None = None) -> CyclicVector:
@@ -398,7 +294,7 @@ def cyc_witt_op(op: str, a: CyclicVector, b: CyclicVector | None = None) -> Cycl
     cu = cyc_universal(a.truncation, op)
     env = a.payloads() + (b.payloads() if b is not None else ())
     R = a.ring
-    out = [_eval_compiled(c, R, env) for c in cu.compiled]
+    out = [evaluate(c, R, env) for c in cu.compiled]
     return CyclicVector.from_payloads(a.truncation, WITT, R, out)
 
 
@@ -522,18 +418,29 @@ def aperiodic_poly(r: RingValue, n: int) -> RingValue:
 
 
 def cyc_theta(x: CyclicVector) -> CyclicVector:
+    return _theta(_require_components(x))
+
+
+def cyc_theta_inv(y: CyclicVector) -> CyclicVector:
+    return _theta_inv(_require_components(y))
+
+
+def _theta(x: CyclicVector) -> CyclicVector:
+    """theta(x)_n = n x_n; a coordinate-backed vector is only retagged."""
     if x.flavor != NECKLACE:
-        raise ValueError("cyc_theta expects a Necklace vector")
-    _require_components(x)
+        raise ValueError("theta expects a Necklace vector")
+    if x.coord_form:
+        return x.retag(APERIODIC)
     R = x.ring
     out = [R.mul(R.from_int(n), x.component(n).payload) for n in x.truncation]
     return CyclicVector.from_payloads(x.truncation, APERIODIC, R, out)
 
 
-def cyc_theta_inv(y: CyclicVector) -> CyclicVector:
+def _theta_inv(y: CyclicVector) -> CyclicVector:
     if y.flavor != APERIODIC:
-        raise ValueError("cyc_theta_inv expects an Aperiodic vector")
-    _require_components(y)
+        raise ValueError("theta inverse expects an Aperiodic vector")
+    if y.coord_form:
+        return y.retag(NECKLACE)
     R = y.ring
     out = []
     for n in y.truncation:
@@ -555,50 +462,32 @@ def cyc_verschiebung(r: int, x: CyclicVector) -> CyclicVector:
     moved component by r.  Only positions {m : rm in T} of the input are
     read, matching the truncated-Witt convention.
     """
+    return _dilate(r, _require_components(x))
+
+
+def _dilate(r: int, x: CyclicVector) -> CyclicVector:
+    """V_r on any flavor but Ghost; coordinate-backed vectors move unscaled."""
     if r < 1:
         raise ValueError("verschiebung index must be positive")
     if x.flavor == GHOST:
         raise ValueError("verschiebung acts on Witt/Necklace/Aperiodic vectors")
-    _require_components(x)
-    T = x.truncation
     R = x.ring
     out = []
-    for n in T:
+    for n in x.truncation:
         if n % r == 0:
             p = x.component(n // r).payload
-            if x.flavor == APERIODIC:
+            if x.flavor == APERIODIC and not x.coord_form:
                 p = R.mul(R.from_int(r), p)
-            out.append(p)
+            out.append(RingValue(R, p))
         else:
-            out.append(R.zero())
-    return CyclicVector.from_payloads(T, x.flavor, R, out)
-
-
-_FROB_CACHE: dict = {}
+            out.append(RingValue(R, R.zero()))
+    return x.with_components(out)
 
 
 def _frobenius_universal(T: TruncationSet, r: int):
     """Integer polynomials for f_r on Witt coordinates, via the ghost shift."""
-    key = (T, r)
-    if key in _FROB_CACHE:
-        return _FROB_CACHE[key]
-    Tout = TruncationSet([n for n in T if r * n in T])
-    vars = tuple(f"a_{n}" for n in T)
-    tag = f"frob{r}"
-    cached = _cyc_cache_read(T, tag, vars)
-    if cached is not None:
-        result = (Tout, CyclicUniversal(Tout, tag, vars, cached))
-        _FROB_CACHE[key] = result
-        return result
-    nv = len(vars)
-    ghost = _symbolic_ghost(T, vars, 0, nv)
-    targets = {n: ghost[r * n] for n in Tout}
-    polys = _solve_ghost_system(Tout, targets, vars, f"frobenius({r})")
-    cu = CyclicUniversal(Tout, tag, vars, polys)
-    _cyc_cache_write(T, tag, vars, polys)
-    result = (Tout, cu)
-    _FROB_CACHE[key] = result
-    return result
+    cu = _truncation_universal(T, f"frob{r}", r=r)
+    return cu.truncation, cu
 
 
 def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:
@@ -612,17 +501,13 @@ def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:
             f"frobenius({r}) needs {r} in the truncation set {list(T.members)}"
         )
     R = x.ring
-    if x.flavor == GHOST:
-        Tout = TruncationSet([n for n in T if r * n in T])
-        return CyclicVector(
-            Tout, GHOST, R, [x.component(r * n) for n in Tout]
-        )
     if x.flavor == WITT:
         Tout, cu = _frobenius_universal(T, r)
-        env = x.payloads()
-        out = [_eval_compiled(c, R, env) for c in cu.compiled]
+        out = [evaluate(c, R, x.payloads()) for c in cu.compiled]
         return CyclicVector.from_payloads(Tout, WITT, R, out)
     Tout = TruncationSet([n for n in T if r * n in T])
+    if x.flavor == GHOST:
+        return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
     out = []
     if x.flavor == NECKLACE:
         for n in Tout:

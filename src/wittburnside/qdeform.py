@@ -17,9 +17,7 @@ transport is not well defined mod m.
 """
 from __future__ import annotations
 
-import json
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,21 +25,23 @@ from .burnside import APERIODIC, GHOST, NECKLACE, WITT, _is_binomial, _strategy
 from .cyclic import (
     CyclicVector,
     TruncationSet,
-    _cyc_cache_path,
+    _dilate,
+    _ghost_table,
+    _theta,
+    _theta_inv,
+    _truncation_universal,
     necklace_poly,
 )
 from .errors import (
     DomainError,
     NonExactDivision,
     NotInImage,
-    NotInvertibleIndex,
     NumericalityViolation,
     SchemaError,
     TruncationTooSmall,
 )
 from .rings import (
     QQ_Q,
-    MultiPoly,
     QPolynomial,
     RingSpec,
     RingValue,
@@ -49,6 +49,7 @@ from .rings import (
     divisors,
     mobius,
 )
+from .universal import UniversalSet, check_op, evaluate, ghost_values
 
 
 class QContext:
@@ -203,15 +204,8 @@ def q_witt_ghost(ctx: QContext, a: CyclicVector) -> CyclicVector:
     if a.flavor != WITT:
         raise ValueError("q_witt_ghost expects a Witt vector")
     R = a.ring
-    qv = ctx.q_payload(R)
-    out = []
-    for n in a.truncation:
-        s = R.zero()
-        for d in divisors(n):
-            e = n // d
-            term = R.mul(R.from_int(d), R.mul(R.pow(qv, e - 1), R.pow(a.component(d).payload, e)))
-            s = R.add(s, term)
-        out.append(s)
+    table = _ghost_table(a.truncation, True)
+    out = ghost_values(table, R, a.payloads(), ctx.q_payload(R))
     return CyclicVector.from_payloads(a.truncation, GHOST, R, out)
 
 
@@ -303,169 +297,25 @@ def q_ghost_inv(ctx: QContext, b: CyclicVector, flavor: str) -> CyclicVector:
 #
 # The structure polynomials live in Q[q][a, b] with every grouped coefficient
 # a numerical polynomial in q (the product already needs (q^2-q)/2), so the
-# compiled form pairs each a/b-monomial with its Q[q] coefficient: concrete
-# integer q turns those into plain integers, the indeterminate keeps them.
+# compiled form pairs each a/b-monomial with its Q[q] coefficient: a concrete
+# integer q turns those into plain integers once per (set, q), the
+# indeterminate keeps them.
+
+QUniversal = UniversalSet
 
 
-_OPS = ("sum", "prod", "neg")
-_Q_CACHE: dict = {}
-_QFROB_CACHE: dict = {}
-
-
-def _q_compile(p: MultiPoly):
-    """Group a poly in ("q", x_1, ...) by x-monomial; coefficients must be numerical."""
-    groups: dict = {}
-    for e, c in p.terms.items():
-        mono = tuple((i - 1, ee) for i, ee in enumerate(e) if i > 0 and ee)
-        poly = groups.get(mono, QPolynomial())
-        groups[mono] = poly + QPolynomial.monomial(c, e[0])
-    out = []
-    for mono, poly in sorted(groups.items()):
-        if poly.is_zero():
-            continue
-        if not poly.is_numerical():
-            raise NumericalityViolation(
-                f"structure coefficient {poly.format()} is not numerical"
-            )
-        out.append((poly, mono))
-    return tuple(out)
-
-
-class QUniversal:
-    """Universal q-operation polynomials over one truncation set.
-
-    polys are MultiPoly in ("q", a_..., b_...); compiled pairs each variable
-    monomial with its numerical q-coefficient, ready for any coefficient ring.
-    """
-
-    __slots__ = ("truncation", "op", "vars", "polys", "compiled")
-
-    def __init__(self, truncation, op, vars, polys):
-        self.truncation = truncation
-        self.op = op
-        self.vars = tuple(vars)
-        self.polys = tuple(polys)
-        self.compiled = tuple(_q_compile(p) for p in self.polys)
-
-
-def _eval_q_compiled(ctx: QContext, compiled, R: RingSpec, payloads):
-    powcache = {}
-    total = R.zero()
-    for qpoly, factors in compiled:
-        term = _int_scalar(ctx, R, qpoly, "structure constant")
-        for vi, e in factors:
-            p = powcache.get((vi, e))
-            if p is None:
-                p = R.pow(payloads[vi], e)
-                powcache[(vi, e)] = p
-            term = R.mul(term, p)
-        total = R.add(total, term)
-    return total
-
-
-def _q_cache_read(T, tag, vars_expected):
-    path = _cyc_cache_path(T, tag)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        vars = tuple(data["vars"])
-        if vars != vars_expected:
-            return None
-        polys = []
-        for terms in data["polys"]:
-            d = {}
-            for num, den, exps in terms:
-                d[tuple(exps)] = Fraction(num, den)
-            polys.append(MultiPoly(vars, d))
-        return polys
-    except (OSError, KeyError, ValueError, TypeError):
-        return None
-
-
-def _q_cache_write(T, tag, vars, polys):
-    path = _cyc_cache_path(T, tag)
-    if not path:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        data = {
-            "vars": list(vars),
-            "polys": [
-                [[c.numerator, c.denominator, list(e)] for e, c in p.sorted_terms()]
-                for p in polys
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
-    except OSError:
-        pass
-
-
-def _q_symbolic_ghost(T, vars, offset, nvars):
-    """Phi^q over the polynomial ring; vars[0] is q itself."""
-    out = {}
-    for n in T:
-        p = MultiPoly(vars)
-        for d in divisors(n):
-            e = [0] * nvars
-            e[0] = n // d - 1
-            e[offset + T.position(d)] = n // d
-            p = p + MultiPoly(vars, {tuple(e): Fraction(d)})
-        out[n] = p
-    return out
-
-
-def _solve_q_ghost_system(Tout, T, targets, vars):
-    # numericality of the grouped coefficients is asserted when compiling
-    solved = {}
-    out = []
-    qmono = {n: MultiPoly(vars, {(n,) + (0,) * (len(vars) - 1): Fraction(1)})
-             for n in range(max(T.members))}
-    for n in Tout:
-        acc = targets[n]
-        for d in divisors(n):
-            if d == n or d not in solved:
-                continue
-            acc = acc - Fraction(d) * qmono[n // d - 1] * solved[d] ** (n // d)
-        p = acc * Fraction(1, n)
-        solved[n] = p
-        out.append(p)
-    return out
-
-
-def q_universal(T: TruncationSet, op: str) -> QUniversal:
+def q_universal(T: TruncationSet, op: str) -> UniversalSet:
     """Universal q-Witt operation polynomials with numerical coefficients."""
-    if op not in _OPS:
-        raise ValueError(f"op must be one of {_OPS}")
-    key = (T, op)
-    if key in _Q_CACHE:
-        return _Q_CACHE[key]
-    avars = tuple(f"a_{n}" for n in T)
-    bvars = tuple(f"b_{n}" for n in T) if op != "neg" else ()
-    vars = ("q",) + avars + bvars
-    tag = f"q{op}"
-    cached = _q_cache_read(T, tag, vars)
-    if cached is not None:
-        cu = QUniversal(T, op, vars, cached)
-        _Q_CACHE[key] = cu
-        return cu
-    nv = len(vars)
-    ga = _q_symbolic_ghost(T, vars, 1, nv)
-    if op == "sum":
-        gb = _q_symbolic_ghost(T, vars, 1 + len(T), nv)
-        targets = {n: ga[n] + gb[n] for n in T}
-    elif op == "prod":
-        gb = _q_symbolic_ghost(T, vars, 1 + len(T), nv)
-        targets = {n: ga[n] * gb[n] for n in T}
-    else:
-        targets = {n: -ga[n] for n in T}
-    polys = _solve_q_ghost_system(T, T, targets, vars)
-    cu = QUniversal(T, op, vars, polys)
-    _Q_CACHE[key] = cu
-    _q_cache_write(T, tag, vars, polys)
-    return cu
+    check_op(op)
+    return _truncation_universal(T, op, q=True)
+
+
+def _q_terms(ctx: QContext, R: RingSpec, cu: UniversalSet):
+    """cu's compiled terms at ctx's q: integer coefficients, or Q[q] ones over Q[q]."""
+    if ctx.q is None:
+        ctx.q_payload(R)  # the indeterminate lives in the Q[q] ring only
+        return cu.compiled
+    return cu.at(ctx.q)
 
 
 def q_witt_op(ctx: QContext, op: str, a: CyclicVector, b: CyclicVector | None = None) -> CyclicVector:
@@ -479,7 +329,7 @@ def q_witt_op(ctx: QContext, op: str, a: CyclicVector, b: CyclicVector | None = 
     cu = q_universal(a.truncation, op)
     R = a.ring
     env = a.payloads() + (b.payloads() if b is not None else ())
-    out = [_eval_q_compiled(ctx, c, R, env) for c in cu.compiled]
+    out = [evaluate(c, R, env) for c in _q_terms(ctx, R, cu)]
     return CyclicVector.from_payloads(a.truncation, WITT, R, out)
 
 
@@ -706,28 +556,11 @@ def q_teichmuller_inv(ctx: QContext, x: CyclicVector) -> CyclicVector:
 
 def theta_q(x: CyclicVector) -> CyclicVector:
     """theta^q(x)_n = n x_n (q-independent); coordinates pass through."""
-    if x.flavor != NECKLACE:
-        raise ValueError("theta_q expects a Necklace vector")
-    if x.coord_form:
-        return x.retag(APERIODIC)
-    R = x.ring
-    out = [R.mul(R.from_int(n), x.component(n).payload) for n in x.truncation]
-    return CyclicVector.from_payloads(x.truncation, APERIODIC, R, out)
+    return _theta(x)
 
 
 def theta_q_inv(y: CyclicVector) -> CyclicVector:
-    if y.flavor != APERIODIC:
-        raise ValueError("theta_q_inv expects an Aperiodic vector")
-    if y.coord_form:
-        return y.retag(NECKLACE)
-    R = y.ring
-    out = []
-    for n in y.truncation:
-        v = R.try_div(y.component(n).payload, R.from_int(n))
-        if v is None:
-            raise NotInvertibleIndex(str(n))
-        out.append(v)
-    return CyclicVector.from_payloads(y.truncation, NECKLACE, R, out)
+    return _theta_inv(y)
 
 
 # ---------------------------------------------------------------------------
@@ -736,44 +569,12 @@ def theta_q_inv(y: CyclicVector) -> CyclicVector:
 
 def q_verschiebung(r: int, x: CyclicVector) -> CyclicVector:
     """Index dilation, independent of q; aperiodic components pick up r."""
-    if r < 1:
-        raise ValueError("verschiebung index must be positive")
-    if x.flavor == GHOST:
-        raise ValueError("verschiebung acts on Witt/Necklace/Aperiodic vectors")
-    T = x.truncation
-    R = x.ring
-    out = []
-    for n in T:
-        if n % r == 0:
-            p = x.component(n // r).payload
-            if x.flavor == APERIODIC and not x.coord_form:
-                p = R.mul(R.from_int(r), p)
-            out.append(p)
-        else:
-            out.append(R.zero())
-    return CyclicVector(T, x.flavor, R, [RingValue(R, p) for p in out], x.coord_form)
+    return _dilate(r, x)
 
 
 def _q_frobenius_universal(T: TruncationSet, r: int):
-    key = (T, r)
-    if key in _QFROB_CACHE:
-        return _QFROB_CACHE[key]
-    Tout = TruncationSet([n for n in T if r * n in T])
-    vars = ("q",) + tuple(f"a_{n}" for n in T)
-    tag = f"qfrob{r}"
-    cached = _q_cache_read(T, tag, vars)
-    if cached is not None:
-        result = (Tout, QUniversal(Tout, tag, vars, cached))
-        _QFROB_CACHE[key] = result
-        return result
-    ghost = _q_symbolic_ghost(T, vars, 1, len(vars))
-    targets = {n: ghost[r * n] for n in Tout}
-    polys = _solve_q_ghost_system(Tout, T, targets, vars)
-    cu = QUniversal(Tout, tag, vars, polys)
-    _q_cache_write(T, tag, vars, polys)
-    result = (Tout, cu)
-    _QFROB_CACHE[key] = result
-    return result
+    cu = _truncation_universal(T, f"frob{r}", q=True, r=r)
+    return cu.truncation, cu
 
 
 def _q_frob_coeff(r: int, n: int, d: int) -> QPolynomial:
@@ -802,7 +603,7 @@ def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:
         return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
     if x.flavor == WITT or x.coord_form:
         Tout, cu = _q_frobenius_universal(T, r)
-        out = [_eval_q_compiled(ctx, c, R, x.payloads()) for c in cu.compiled]
+        out = [evaluate(c, R, x.payloads()) for c in _q_terms(ctx, R, cu)]
         return CyclicVector(Tout, x.flavor, R,
                             [RingValue(R, p) for p in out], x.coord_form)
     aperiodic = x.flavor == APERIODIC

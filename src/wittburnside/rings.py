@@ -172,10 +172,12 @@ class QPolynomial:
         return QPolynomial(out)
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
+        # Horner over the common denominator: integer arithmetic at an integer x
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        num = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            num = num * x + c.numerator * (den // c.denominator)
+        return Fraction(num, den)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)

@@ -1,0 +1,329 @@
+"""Universal polynomials of every Witt-type ring, from one ghost table.
+
+The Witt-Burnside ring of a finite group, the truncated big Witt vectors and
+their q-deformation are each the unique ring structure that makes a
+unitriangular ghost map a homomorphism.  A ghost table describes that map:
+row u lists the entries (v, weight, exponent, qpower) of
+
+    w_u(x) = sum of weight * q^qpower * x_v^exponent,
+
+and ends with its diagonal entry (u, weight, 1, 0).  Only the tables differ
+between the models:
+
+    groups        marks m(V, U) and the index ratios (G:U)/(G:V)
+    truncations   d and n/d for d | n
+    q-deformed    d q^(n/d - 1) and n/d
+
+The sum, product and negation polynomials solve w(s) = w(a) + w(b),
+w(a) w(b) and -w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a).  One
+triangular solve serves all of them.  Results are memoised in process and,
+when WB_CACHE_DIR is set, kept on disk; a disk entry is used only after it
+passes validation, and any other entry counts as a miss and is rewritten.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import re
+import tempfile
+from fractions import Fraction
+
+from .errors import DomainError, IntegralityViolation, NumericalityViolation
+from .groups import FiniteGroup, subgroup_classes
+from .rings import ZZ, MultiPoly, QPolynomial
+
+OPS = ("sum", "prod", "neg")
+FORMAT = "u2"  # on-disk format tag; part of every cache file name
+MEMO: dict = {}  # (group or truncation set, op tag) -> UniversalSet
+
+_SPOT_Q = 2  # q at the ghost-identity spot check of a disk entry
+_FRACTION = re.compile(r"-?[0-9]+/[0-9]+")
+
+
+def check_op(op: str):
+    if op not in OPS:
+        raise ValueError(f"op must be one of {OPS}")
+
+
+class UniversalSet:
+    """Universal polynomials of one operation over a group or truncation set.
+
+    `structure` is the group or truncation set whose index set labels polys
+    (for a Frobenius, the set of n with r n in the input set).  polys are
+    MultiPoly in `vars`; in the q-model vars[0] is q itself.
+    compiled pairs each monomial in the other variables, given as
+    ((var_index, exp), ...), with its coefficient: an int, or in the q-model
+    a numerical QPolynomial.  Construction refuses fractional coefficients
+    and non-numerical q-coefficients.
+    """
+
+    __slots__ = ("structure", "op", "vars", "polys", "compiled", "_at")
+
+    def __init__(self, structure, op, vars, polys):
+        self.structure = structure
+        self.op = op
+        self.vars = tuple(vars)
+        self.polys = tuple(polys)
+        compile_ = _compile_q if self.vars[:1] == ("q",) else _compile_int
+        self.compiled = tuple(compile_(op, p) for p in self.polys)
+        self._at = {}
+
+    # the names the group and the truncation-set models read structure by
+    group = property(lambda self: self.structure)
+    truncation = property(lambda self: self.structure)
+
+    def at(self, q: int):
+        """The compiled terms with every q-coefficient evaluated at the integer q."""
+        terms = self._at.get(q)
+        if terms is None:
+            terms = self._at[q] = tuple(_specialise(c, q) for c in self.compiled)
+        return terms
+
+
+def _compile_int(op, p: MultiPoly):
+    # a solve reports the failing row itself; this guards entries read from disk
+    if not p.is_integral():
+        raise IntegralityViolation(f"universal {op} polynomial has fractional coefficients")
+    return tuple((c.numerator, f) for c, f in p.compiled())
+
+
+def _compile_q(op, p: MultiPoly):
+    """Group a poly in ("q", x_1, ...) by x-monomial; coefficients must be numerical."""
+    groups: dict = {}
+    for e, c in p.terms.items():
+        mono = tuple((i - 1, ee) for i, ee in enumerate(e) if i > 0 and ee)
+        groups[mono] = groups.get(mono, QPolynomial()) + QPolynomial.monomial(c, e[0])
+    out = []
+    for mono, poly in sorted(groups.items()):
+        if poly.is_zero():
+            continue
+        if not poly.is_numerical():
+            raise NumericalityViolation(f"structure coefficient {poly.format()} is not numerical")
+        out.append((poly, mono))
+    return tuple(out)
+
+
+def _specialise(terms, q: int):
+    out = []
+    for poly, mono in terms:
+        v = poly(q)
+        if v.denominator != 1:
+            raise NumericalityViolation(f"structure constant evaluates to {v} at q={q}")
+        if v:
+            out.append((v.numerator, mono))
+    return tuple(out)
+
+
+def evaluate(terms, R, payloads):
+    """One compiled polynomial at the given payloads, computed in R.
+
+    A coefficient is an int, or (the q-model at the indeterminate q) already
+    an element of R.
+    """
+    powcache = {}
+    total = R.zero()
+    for coeff, factors in terms:
+        term = R.from_int(coeff) if type(coeff) is int else coeff
+        for vi, e in factors:
+            p = powcache.get((vi, e))
+            if p is None:
+                p = powcache[(vi, e)] = R.pow(payloads[vi], e)
+            term = R.mul(term, p)
+        total = R.add(total, term)
+    return total
+
+
+def ghost_values(table, R, xs, qv=None):
+    """The ghost w(x) of payloads xs in R; qv is the payload of q in the q-model."""
+    out = []
+    for row in table:
+        s = R.zero()
+        for v, weight, exp, qpow in row:
+            term = R.mul(R.from_int(weight), R.pow(xs[v], exp))
+            if qpow:
+                term = R.mul(R.pow(qv, qpow), term)
+            s = R.add(s, term)
+        out.append(s)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the ghost equations of one operation
+
+
+class GhostSystem:
+    """The equations w(s) = target(a, b) of one operation.
+
+    `table` gives the ghost of the inputs, labelled by `labels`.  A Frobenius
+    passes `shift`, a pair (table of the unknowns' index set, input row
+    whose ghost each unknown's ghost equals); the ring operations solve over
+    the input index set itself.  `structure` indexes the solution, as in
+    UniversalSet.
+    """
+
+    def __init__(self, structure, labels, table, op, q=False, shift=None):
+        self.structure = structure
+        self.table = table
+        self.op = op
+        self.q = q
+        self.out_table, self.rows = shift if shift else (table, None)
+        avars = tuple(f"a_{l}" for l in labels)
+        bvars = tuple(f"b_{l}" for l in labels) if op in ("sum", "prod") else ()
+        self.vars = ("q",) * q + avars + bvars
+
+    def targets(self, ghost):
+        """Target ghost components, given ghost(offset) of the inputs at an offset."""
+        ga = ghost(0)
+        if self.rows is not None:
+            return [ga[i] for i in self.rows]
+        if self.op == "neg":
+            return [-x for x in ga]
+        gb = ghost(len(self.table))
+        if self.op == "sum":
+            return [x + y for x, y in zip(ga, gb)]
+        return [x * y for x, y in zip(ga, gb)]
+
+    def solve(self):
+        """The universal polynomials, by a triangular solve of the symbolic ghost."""
+        vars, q = self.vars, self.q
+        nv = len(vars)
+
+        def ghost(offset):
+            out = []
+            for row in self.table:
+                terms = {}
+                for v, weight, exp, qpow in row:
+                    e = [0] * nv
+                    e[q + offset + v] = exp
+                    if q:
+                        e[0] = qpow
+                    terms[tuple(e)] = weight
+                out.append(MultiPoly(vars, terms))
+            return out
+
+        solved = []
+        for u, (row, acc) in enumerate(zip(self.out_table, self.targets(ghost))):
+            for v, weight, exp, qpow in row[:-1]:
+                scale = Fraction(weight)
+                if q:
+                    scale = MultiPoly(vars, {(qpow,) + (0,) * (nv - 1): scale})
+                acc = acc - scale * solved[v] ** exp
+            p = acc * Fraction(1, row[-1][1])
+            # q-model coefficients are only numerical; UniversalSet checks them
+            if not q and not p.is_integral():
+                raise IntegralityViolation(
+                    f"universal {self.op} polynomial at {self._where(u)} "
+                    "has fractional coefficients"
+                )
+            solved.append(p)
+        return solved
+
+    def _where(self, u):
+        S = self.structure
+        if isinstance(S, FiniteGroup):
+            return f"class {subgroup_classes(S).labels()[u]} of {S.name}"
+        return f"index {S.members[u]}"
+
+    def holds(self, ups: UniversalSet) -> bool:
+        """Does the ghost identity hold for `ups` at one fixed integer point?"""
+        point = list(range(3, 3 + len(self.vars) - self.q))
+        terms = ups.at(_SPOT_Q) if self.q else ups.compiled
+        s = [evaluate(t, ZZ, point) for t in terms]
+        want = self.targets(lambda offset: ghost_values(self.table, ZZ, point[offset:], _SPOT_Q))
+        return ghost_values(self.out_table, ZZ, s, _SPOT_Q) == want
+
+
+# ---------------------------------------------------------------------------
+# memo and disk cache
+
+
+def derive(structure, tag, system) -> UniversalSet:
+    """Operation `tag` over a group or truncation set, from WB_CACHE_DIR or solved.
+
+    Memoised under (structure, tag).  `system` is a callable returning the
+    GhostSystem, called on a memo miss only.
+    """
+    key = (structure, tag)
+    ups = MEMO.get(key)
+    if ups is not None:
+        return ups
+    eqs = system()
+    path = _cache_path(structure, tag)
+    ups = _cache_read(path, eqs) if path else None
+    if ups is None:
+        ups = UniversalSet(eqs.structure, eqs.op, eqs.vars, eqs.solve())
+        if path:
+            _cache_write(path, ups)
+    MEMO[key] = ups
+    return ups
+
+
+def _cache_path(structure, tag):
+    root = os.environ.get("WB_CACHE_DIR")
+    if not root:
+        return None
+    # named by what equality compares: a group's elements, a truncation set's members
+    if isinstance(structure, FiniteGroup):
+        kind, identity = "wg", structure.elements
+    else:
+        kind, identity = "cyc", structure.members
+    digest = hashlib.sha256(repr(identity).encode()).hexdigest()[:16]
+    return os.path.join(root, f"{kind}-{digest}-{tag}-{FORMAT}.json")
+
+
+def _cache_read(path, system: GhostSystem):
+    """The validated entry at `path`, or None (missing or rejected)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError, RecursionError):
+        return None
+    vars = system.vars
+    nv = len(vars)
+    # no universal exponent exceeds twice the largest ghost exponent and q-power
+    bound = 2 * max(max(e, k) for row in system.table for _, _, e, k in row) + 2
+    try:
+        if data["vars"] != list(vars) or len(data["polys"]) != len(system.out_table):
+            return None
+        polys = []
+        for terms in data["polys"]:
+            d = {}
+            for c, e in terms:
+                # a coefficient is a JSON integer or an "n/d" string
+                # a non-integer exponent fails when the spot check raises to it
+                if (type(c) is not int and not (type(c) is str and _FRACTION.fullmatch(c))
+                        or type(e) is not list or len(e) != nv
+                        or e and (min(e) < 0 or max(e) > bound)):
+                    return None
+                d[tuple(e)] = Fraction(c)
+            polys.append(MultiPoly(vars, d))
+        ups = UniversalSet(system.structure, system.op, vars, polys)
+        return ups if system.holds(ups) else None
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, DomainError):
+        return None
+
+
+def _cache_write(path, ups: UniversalSet):
+    """Write atomically: a temp file in the same directory, then os.replace."""
+    data = {
+        "vars": list(ups.vars),
+        "polys": [
+            [[c.numerator if c.denominator == 1 else str(c), list(e)]
+             for e, c in p.sorted_terms()]
+            for p in ups.polys
+        ],
+    }
+    try:
+        root = os.path.dirname(path)
+        os.makedirs(root, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=root, prefix=".tmp-", suffix=".json")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(data, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError:
+        pass

@@ -1,0 +1,159 @@
+"""WB_CACHE_DIR: every disk entry is validated, and a rejected one is a miss.
+
+The CLI cases run in fresh processes, so the in-process memo cannot hide
+what a process reads from disk.
+"""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from wittburnside import (
+    TruncationSet,
+    build_group,
+    cyc_universal,
+    derive_universal,
+    q_universal,
+)
+from wittburnside.burnside import _UNIVERSAL_CACHE
+from wittburnside.qdeform import _q_frobenius_universal
+
+
+def run_cli(cache, *argv):
+    env = dict(os.environ, WB_CACHE_DIR=str(cache))
+    return subprocess.run(
+        [sys.executable, "-m", "wittburnside", *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def write_vec(path, group, components, labels):
+    doc = {"schema_version": 1, "group": group, "flavor": "Witt", "ring": "Z",
+           "components": components, "labels": labels}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def only_file(cache, pattern):
+    names = [n for n in os.listdir(cache) if pattern(n)]
+    assert len(names) == 1, names
+    return cache / names[0]
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    monkeypatch.setenv("WB_CACHE_DIR", str(root))
+    _UNIVERSAL_CACHE.clear()
+    yield root
+    _UNIVERSAL_CACHE.clear()
+
+
+def test_fractional_coefficient_is_rejected_and_rewritten(tmp_path):
+    cache = tmp_path / "cache"
+    a = write_vec(tmp_path / "a.json", "C2", ["3", "5"], ["G", "1"])
+    b = write_vec(tmp_path / "b.json", "C2", ["4", "-2"], ["G", "1"])
+    first = run_cli(cache, "witt", "mul", a, b)
+    assert first.returncode == 0, first.stderr
+    path = only_file(cache, lambda n: n.startswith("wg-") and "prod" in n)
+    good = path.read_bytes()
+    data = json.loads(good)
+    data["polys"][1][0][0] = "1/2"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    second = run_cli(cache, "witt", "mul", a, b)
+    assert second.returncode == 0, second.stderr
+    assert second.stdout == first.stdout
+    assert path.read_bytes() == good
+
+
+def test_truncated_poly_list_is_rejected_and_rewritten(tmp_path):
+    cache = tmp_path / "cache"
+    trunc = {"cyclic_trunc": [1, 2, 3, 6]}
+    a = write_vec(tmp_path / "a.json", trunc, ["2", "-1", "3", "0"], [1, 2, 3, 6])
+    b = write_vec(tmp_path / "b.json", trunc, ["1", "4", "-2", "5"], [1, 2, 3, 6])
+    first = run_cli(cache, "cyclic", "witt", "mul", a, b)
+    assert first.returncode == 0, first.stderr
+    path = only_file(cache, lambda n: n.startswith("cyc-") and "prod" in n)
+    good = path.read_bytes()
+    data = json.loads(good)
+    data["polys"] = data["polys"][:-1]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    second = run_cli(cache, "cyclic", "witt", "mul", a, b)
+    assert second.returncode == 0, second.stderr
+    assert second.stdout == first.stdout
+    assert path.read_bytes() == good
+
+
+def test_hit_writes_nothing_and_names_carry_the_format(cache):
+    from wittburnside.universal import FORMAT
+
+    first = derive_universal(build_group("C4"), "prod")
+    names = sorted(os.listdir(cache))
+    assert len(names) == 1 and names[0].endswith(f"-{FORMAT}.json")
+    before = (cache / names[0]).stat().st_mtime_ns
+    _UNIVERSAL_CACHE.clear()
+    second = derive_universal(build_group("C4"), "prod")
+    assert second.polys == first.polys and second is not first
+    assert sorted(os.listdir(cache)) == names
+    assert (cache / names[0]).stat().st_mtime_ns == before
+
+
+def corrupt_and_rederive(cache, derive, edit):
+    good = derive()
+    path = only_file(cache, lambda n: True)
+    original = path.read_bytes()
+    data = json.loads(original)
+    path.write_text(edit(data), encoding="utf-8")
+    _UNIVERSAL_CACHE.clear()
+    again = derive()
+    assert again.polys == good.polys
+    assert path.read_bytes() == original
+
+
+def bump_first_coefficient(data):
+    terms = data["polys"][-1]
+    k = next(i for i, (c, _) in enumerate(terms) if isinstance(c, int))
+    terms[k][0] += 1
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: "{not json",
+    lambda data: json.dumps([1, 2, 3]),
+    lambda data: json.dumps(dict(data, vars=data["vars"][::-1])),
+    lambda data: json.dumps(dict(data, polys=[[[1, [0]]]] * len(data["polys"]))),
+    lambda data: json.dumps(dict(data, polys=[[["x", e] for _, e in p] for p in data["polys"]])),
+    lambda data: json.dumps(dict(data, polys=[[[c, [10 ** 9] * len(e)] for c, e in p]
+                                              for p in data["polys"]])),
+    bump_first_coefficient,
+])
+def test_cyclic_entry_rejections(cache, edit):
+    T = TruncationSet.div(6)
+    corrupt_and_rederive(cache, lambda: cyc_universal(T, "sum"), edit)
+
+
+def test_q_entry_failing_the_ghost_spot_check(cache):
+    # a numerical but wrong q-coefficient only the ghost identity catches
+    T = TruncationSet.div(4)
+    corrupt_and_rederive(cache, lambda: q_universal(T, "prod"), bump_first_coefficient)
+
+
+def test_q_entry_with_non_numerical_coefficient(cache):
+    def halve(data):
+        data["polys"][0][0][0] = "1/2"
+        return json.dumps(data)
+    T = TruncationSet.div(4)
+    corrupt_and_rederive(cache, lambda: _q_frobenius_universal(T, 2)[1], halve)
+
+
+def test_unwritable_cache_dir_still_derives(tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("WB_CACHE_DIR", str(blocker / "sub"))
+    _UNIVERSAL_CACHE.clear()
+    try:
+        assert derive_universal(build_group("C2"), "sum").polys
+    finally:
+        _UNIVERSAL_CACHE.clear()

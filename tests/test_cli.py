@@ -301,3 +301,55 @@ def test_coord_form_travels_through_files(capsys, tmp_path):
     code, out, _ = run_main(capsys, "teichmuller", "--inverse", str(tau))
     assert code == 0
     assert json.loads(out)["components"] == ["3", "5"]
+
+
+def test_subgroup_document_round_trips_through_ghost(capsys, tmp_path):
+    a = write_vec(
+        tmp_path,
+        "a.json",
+        group="S3",
+        flavor="Witt",
+        ring="Z",
+        components=["1", "-2", "3", "5"],
+        labels=["G", "3a", "2a", "1"],
+    )
+    code, out, _ = run_main(capsys, "res", "--group", "S3", "--class", "3a", a)
+    assert code == 0 and json.loads(out)["group"] == "S3.3a"
+    sub = tmp_path / "sub.json"
+    sub.write_text(out, encoding="utf-8")
+    code, out, err = run_main(capsys, "ghost", str(sub))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["group"] == "S3.3a" and doc["flavor"] == "Ghost"
+    assert doc["labels"] == ["G", "1"]
+    # a subgroup descriptor also names the ambient group of a further restriction
+    code, out, err = run_main(capsys, "res", "--group", "S3.3a", "--class", "1", str(sub))
+    assert code == 0, err
+    assert json.loads(out)["group"] == "S3.3a.1"
+
+
+@pytest.mark.parametrize(
+    "argv,trunc",
+    [
+        (("cyclic", "frobenius", "--r", "0"), [1, 2, 3, 6]),
+        (("qwitt", "frobenius", "--q", "2", "--r", "0"), [1, 2, 3, 6]),
+        (("cyclic", "verschiebung", "--r", "-1"), [1, 2, 3, 6]),
+        (("qwitt", "verschiebung", "--r", "0"), [1, 2, 3, 6]),
+        (("cyclic", "ghost"), "abc"),
+        (("cyclic", "ghost"), 5),
+        (("cyclic", "ghost"), [1, None]),
+        (("qwitt", "ghost", "--q", "2"), [1, 2.5]),
+    ],
+)
+def test_bad_operator_index_or_truncation_exits_2(capsys, tmp_path, argv, trunc):
+    cyc = write_vec(
+        tmp_path,
+        "cyc.json",
+        group={"cyclic_trunc": trunc},
+        flavor="Witt",
+        ring="Z",
+        components=["2", "-1", "3", "0"],
+        labels=[1, 2, 3, 6],
+    )
+    code, _, err = run_main(capsys, *argv, cyc)
+    assert code == 2 and "SchemaError" in err, err
