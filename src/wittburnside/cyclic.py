@@ -30,6 +30,87 @@ from .rings import RingSpec, RingValue, divisors, mobius
 from .universal import GhostSystem, UniversalSet, check_op, derive, evaluate, ghost_values
 
 
+# Miller-Rabin with these bases is exact below 3.3e24 (Sorenson-Webster 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality; in time independent of sqrt(n) below 3.3e24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    # a strong probable prime to every base: proven prime below the bound,
+    # decided by trial division above it
+    return n < _MR_EXACT_BELOW or divisors(n) == (1, n)
+
+
+def _factor(n: int) -> int:
+    """A nontrivial factor of the composite n (Pollard's rho)."""
+    if n % 2 == 0:
+        return 2
+    c = 1
+    while True:
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+        c += 1
+
+
+def _missing_divisor(n: int, members, have) -> int | None:
+    """A divisor of n missing from `have`, or None when all are there.
+
+    `members` is `have` ascending, and every member below n must already be
+    known divisor-closed.  n is closed iff n/p is a member for each prime
+    p | n.  Those primes are found by trial division by members only: when
+    the smaller members are closed, the smallest member above 1 dividing a
+    cofactor is its smallest prime factor.
+    """
+    m = n
+    for p in members[1:]:
+        if p * p > m:
+            break
+        if m % p == 0:
+            if n // p not in have:
+                return n // p
+            while m % p == 0:
+                m //= p
+    if m == 1:
+        return None
+    if m < n:
+        # no member up to sqrt(m) divides m: a member m is prime, else m is missing
+        if m not in have:
+            return m
+        return None if n // m in have else n // m
+    if _is_prime(n):
+        return None
+    # no member up to sqrt(n) divides n, so a member factor d is above sqrt(n)
+    # and then n/d, below it, is missing
+    d = _factor(n)
+    return n // d if d in have else d
+
+
 class TruncationSet:
     """Finite divisor-closed set of positive integers containing 1."""
 
@@ -48,9 +129,9 @@ class TruncationSet:
             raise SchemaError("truncation set must contain 1")
         have = set(ms)
         for n in ms:
-            for d in divisors(n):
-                if d not in have:
-                    raise SchemaError(f"truncation set not divisor-closed: {d} | {n} missing")
+            d = _missing_divisor(n, ms, have)
+            if d is not None:
+                raise SchemaError(f"truncation set not divisor-closed: {d} | {n} missing")
         self.members = tuple(ms)
         self._pos = {n: i for i, n in enumerate(self.members)}
 

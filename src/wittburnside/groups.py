@@ -211,7 +211,8 @@ def build_group(descriptor: str) -> "FiniteGroup":
         gens = [parse_cycles(p) for p in _split_generators(text)]
         deg = max(len(g) for g in gens)
         gens = [g + tuple(range(len(g), deg)) for g in gens]
-        return closure(gens, name="custom")
+        # named by the descriptor itself, so documents over the group read back
+        return closure(gens, name=text)
     raise SchemaError(f"unknown group descriptor {descriptor!r}")
 
 

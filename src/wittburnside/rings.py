@@ -16,6 +16,7 @@ use at API boundaries.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -67,31 +68,80 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _exact(x):
+    """x as a stored coefficient: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _canon(x):
+    """A sum or product of stored coefficients, stored again (int when integral)."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _ratio(num: int, den: int):
+    """num/den as a stored coefficient; exact, through Fraction."""
+    if den == 1:
+        return num
+    return _canon(Fraction(num, den))
+
+
+def _over_common_denominator(coeffs):
+    """(den, ints) with ints[i] == coeffs[i] * den, den the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return 1, coeffs
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def power(mul, base, n: int, one):
+    """base ** n by square-and-multiply, where mul(a, b) is the product.
+
+    Squares only while bits of n remain: n.bit_length() - 1 squarings and
+    popcount(n) - 1 further products; n == 0 gives `one` without a product.
+    """
+    if n < 0:
+        raise ValueError("negative exponent")
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return one if result is None else result
+        base = mul(base, base)
+
+
 class QPolynomial:
-    """Dense univariate polynomial over Q, used for the q-weighted lattice scalars."""
+    """Dense univariate polynomial over Q, used for the q-weighted lattice scalars.
+
+    coeffs[i] is the coefficient of q^i: an int when integral, else a Fraction.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
     def constant(cls, c):
-        return cls((_as_fraction(c),))
+        return cls((c,))
 
     @classmethod
     def variable(cls):
-        return cls((Fraction(0), Fraction(1)))
+        return cls((0, 1))
 
     @classmethod
     def monomial(cls, c, e: int):
-        c = _as_fraction(c)
-        if c == 0:
-            return cls()
-        return cls((Fraction(0),) * e + (c,))
+        return cls((0,) * e + (c,))
 
     @property
     def degree(self) -> int:
@@ -127,27 +177,21 @@ class QPolynomial:
             other = QPolynomial.constant(other)
         if self.is_zero() or other.is_zero():
             return QPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPolynomial(out)
+        # integer products over each operand's common denominator
+        da, xs = _over_common_denominator(self.coeffs)
+        db, ys = _over_common_denominator(other.coeffs)
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, a in enumerate(xs):
+            if a:
+                for j, b in enumerate(ys, i):
+                    out[j] += a * b
+        den = da * db
+        return QPolynomial(out if den == 1 else [_ratio(c, den) for c in out])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = QPolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(operator.mul, self, n, QPolynomial.constant(1))
 
     def divexact(self, other) -> "QPolynomial":
         """Exact polynomial division; raises NonExactDivision on a remainder."""
@@ -158,12 +202,12 @@ class QPolynomial:
         rem = list(self.coeffs)
         d = other.degree
         lead = other.coeffs[-1]
-        out = [Fraction(0)] * max(len(rem) - d, 0)
+        out = [0] * max(len(rem) - d, 0)
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            f = c / lead
+            f = _canon(Fraction(c) / lead)
             out[i - d] = f
             for j, b in enumerate(other.coeffs):
                 rem[i - d + j] -= f * b
@@ -222,10 +266,11 @@ def _parse_coeff(text: str) -> Fraction:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients.
 
-    terms maps exponent tuples (aligned with `vars`) to nonzero coefficients.
-    All operands of an arithmetic operation must share the same variable tuple.
+    terms maps exponent tuples (aligned with `vars`) to nonzero coefficients,
+    each an int when integral and a Fraction otherwise.  All operands of an
+    arithmetic operation must share the same variable tuple.
     """
 
     __slots__ = ("vars", "terms")
@@ -235,10 +280,18 @@ class MultiPoly:
         clean = {}
         if terms:
             for exps, c in terms.items():
-                c = _as_fraction(c)
-                if c != 0:
+                c = _exact(c)
+                if c:
                     clean[tuple(exps)] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, vars, terms):
+        """Wrap terms that are already clean (tuple keys, nonzero stored coefficients)."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, vars):
@@ -247,7 +300,7 @@ class MultiPoly:
     @classmethod
     def constant(cls, vars, c):
         vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): _as_fraction(c)})
+        return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
     def variable(cls, vars, name):
@@ -255,7 +308,7 @@ class MultiPoly:
         i = vars.index(name)
         e = [0] * len(vars)
         e[i] = 1
-        return cls(vars, {tuple(e): Fraction(1)})
+        return cls(vars, {tuple(e): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -278,68 +331,70 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = _canon(s)
             else:
-                out[e] = s
-        return MultiPoly(self.vars, out)
+                del out[e]
+        return MultiPoly._of(self.vars, out)
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            if other == 0:
-                return MultiPoly(self.vars)
-            return MultiPoly(self.vars, {e: c * other for e, c in self.terms.items()})
+            k = _exact(other)
+            return MultiPoly._of(
+                self.vars, {e: _canon(c * k) for e, c in self.terms.items()} if k else {}
+            )
         self._check(other)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return MultiPoly._of(self.vars, {})
+        # Pack each exponent tuple into one int, one bit field per variable,
+        # wide enough for the exponents of the product: a monomial product is
+        # then one int add (Monagan-Pearce packed exponent vectors).
+        top = max(map(operator.add, map(max, zip(*a)), map(max, zip(*b))), default=0)
+        width = top.bit_length()
+        shifts = [width * i for i in range(len(self.vars))]
+        da, xs = _over_common_denominator(a.values())
+        db, ys = _over_common_denominator(b.values())
+        pb = [(sum(map(operator.lshift, e, shifts)), y) for e, y in zip(b, ys)]
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(self.vars, out)
+        get = out.get
+        for e, x in zip(a, xs):
+            ka = sum(map(operator.lshift, e, shifts))
+            for kb, y in pb:
+                k = ka + kb
+                out[k] = get(k, 0) + x * y
+        mask = (1 << width) - 1
+        den = da * db
+        terms = {}
+        for k, c in out.items():
+            if c:
+                terms[tuple([k >> s & mask for s in shifts])] = c if den == 1 else _ratio(c, den)
+        return MultiPoly._of(self.vars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(operator.mul, self, n, MultiPoly.constant(self.vars, 1))
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        return all(type(c) is int for c in self.terms.values())
 
     def substitute_scalar(self, name: str, value) -> "MultiPoly":
         """Plug a rational constant in for one variable, dropping it."""
-        value = _as_fraction(value)
+        value = _exact(value)
         i = self.vars.index(name)
         new_vars = self.vars[:i] + self.vars[i + 1:]
         out = {}
         for e, c in self.terms.items():
-            scaled = c * value ** e[i]
             ne = e[:i] + e[i + 1:]
-            s = out.get(ne, Fraction(0)) + scaled
-            if s == 0:
-                out.pop(ne, None)
-            else:
-                out[ne] = s
+            out[ne] = out.get(ne, 0) + c * value ** e[i]
         return MultiPoly(new_vars, out)
 
     def total_degree(self) -> int:
@@ -450,16 +505,7 @@ class RingSpec:
         raise NotImplementedError
 
     def pow(self, a, n: int):
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return power(self.mul, a, n, self.one())
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
@@ -556,7 +602,7 @@ class RationalRing(RingSpec):
     def try_div(self, a, b):
         if b == 0:
             return None
-        return a / b
+        return _as_fraction(a) / b
 
     def parse_value(self, text):
         try:
@@ -711,8 +757,7 @@ class PolyRing(RingSpec):
         if b.is_zero():
             return None
         if list(b.terms.keys()) == [(0,) * len(self.vars)]:
-            c = b.terms[(0,) * len(self.vars)]
-            out = MultiPoly(self.vars, {e: k / c for e, k in a.terms.items()})
+            out = a * (1 / _as_fraction(b.terms[(0,) * len(self.vars)]))
             if not self.rational and not out.is_integral():
                 return None
             return out

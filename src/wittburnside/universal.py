@@ -205,9 +205,7 @@ class GhostSystem:
         solved = []
         for u, (row, acc) in enumerate(zip(self.out_table, self.targets(ghost))):
             for v, weight, exp, qpow in row[:-1]:
-                scale = Fraction(weight)
-                if q:
-                    scale = MultiPoly(vars, {(qpow,) + (0,) * (nv - 1): scale})
+                scale = MultiPoly(vars, {(qpow,) + (0,) * (nv - 1): weight}) if q else weight
                 acc = acc - scale * solved[v] ** exp
             p = acc * Fraction(1, row[-1][1])
             # q-model coefficients are only numerical; UniversalSet checks them

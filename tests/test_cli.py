@@ -8,6 +8,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -353,3 +354,49 @@ def test_bad_operator_index_or_truncation_exits_2(capsys, tmp_path, argv, trunc)
     )
     code, _, err = run_main(capsys, *argv, cyc)
     assert code == 2 and "SchemaError" in err, err
+
+
+def test_cycle_notation_documents_round_trip(capsys, tmp_path):
+    a = write_vec(
+        tmp_path,
+        "a.json",
+        group="(1 2)",
+        flavor="Witt",
+        ring="Z",
+        components=["3", "5"],
+        labels=["G", "1"],
+    )
+    code, out, err = run_main(capsys, "witt", "neg", a)
+    assert code == 0, err
+    assert json.loads(out)["group"] == "(1 2)"
+    neg = tmp_path / "neg.json"
+    neg.write_text(out, encoding="utf-8")
+    code, out, err = run_main(capsys, "witt", "neg", str(neg))
+    assert code == 0, err
+    assert json.loads(out)["components"] == ["3", "5"]
+    # the second file's group must read as the first one's
+    code, out, err = run_main(capsys, "witt", "add", a, a)
+    assert code == 0, err
+    c2 = c2vec(tmp_path, "c2.json", "Witt", ["3", "5"])
+    code, want, _ = run_main(capsys, "witt", "add", c2, c2)
+    assert code == 0 and json.loads(out)["components"] == json.loads(want)["components"]
+
+
+def test_huge_truncation_members_exit_2_fast(capsys, tmp_path):
+    cyc = write_vec(
+        tmp_path,
+        "cyc.json",
+        group={"cyclic_trunc": [1, 10 ** 18]},
+        flavor="Witt",
+        ring="Z",
+        components=["2", "-1"],
+        labels=[1, 10 ** 18],
+    )
+    for argv in (
+        ("cyclic", "ghost", cyc),
+        ("quniversal", "--op", "sum", "--trunc-set", "1,1000000000000000000"),
+    ):
+        start = time.perf_counter()
+        code, _, err = run_main(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and "not divisor-closed" in err, err

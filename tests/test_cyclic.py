@@ -5,6 +5,8 @@ formulas) were frozen by hand before the module was written.
 """
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -81,6 +83,54 @@ def test_truncation_set_validation():
     with pytest.raises(SchemaError):
         TruncationSet([])
     assert 6 in D12 and 5 not in D12
+
+
+def _missing_divisor_named(members, err):
+    """The rejection names a divisor d | n of a member n that is not a member."""
+    m = re.search(r"not divisor-closed: (\d+) \| (\d+) missing", str(err))
+    d, n = int(m.group(1)), int(m.group(2))
+    return n in members and n % d == 0 and d not in members
+
+
+def test_truncation_set_closure_matches_divisor_enumeration():
+    # every subset of 1..16 containing 1, against the full divisor lists
+    for bits in range(1 << 15):
+        members = [1] + [n for n in range(2, 17) if bits >> (n - 2) & 1]
+        closed = all(d in members for n in members for d in divisors(n))
+        try:
+            TruncationSet(members)
+        except SchemaError as err:
+            assert not closed, members
+            assert _missing_divisor_named(members, err), (members, err)
+        else:
+            assert closed, members
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        [1, 10 ** 18],
+        [1, 10 ** 14],
+        [1, 5, 15],  # only a member above sqrt(15) divides 15
+        [1, 7, 11, 385],
+        [1, 1000003, 1000003 * 999999000001],  # two large prime factors
+        [1, 3825123056546413051],  # a strong pseudoprime to the bases 2..23
+    ],
+)
+def test_truncation_set_rejects_large_members_fast(members):
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        TruncationSet(members)
+    assert time.perf_counter() - start < 2.0
+    assert _missing_divisor_named(members, err.value), err.value
+
+
+def test_truncation_set_accepts_large_primes_fast():
+    start = time.perf_counter()
+    for p in (2 ** 61 - 1, 10 ** 18 + 9, 1000003):
+        assert TruncationSet([1, p]).members == (1, p)
+    assert TruncationSet([1, 2, 2 ** 61 - 1, 2 ** 62 - 2]).members[-1] == 2 ** 62 - 2
+    assert time.perf_counter() - start < 2.0
 
 
 def test_witt_ghost_examples():
