@@ -3,7 +3,7 @@
 Vectors are indexed by the subgroup classes of a fixed group, with values in
 one coefficient ring.  Four flavors share the container:
 
-    Witt       ring operations through derived integer universal polynomials
+    Witt       ring operations solved on the ghost table
     Necklace   componentwise addition, double-coset structure constants
     Aperiodic  componentwise addition, index-weighted structure constants
     Ghost      componentwise everything (the product target of ghost maps)
@@ -25,7 +25,7 @@ polynomial rings results that need denominators are returned over the
 rationalised ring; over Z/m the necklace/aperiodic images of Witt vectors
 have no canonical component form at all, so they are carried as their Witt
 coordinates (`coord_form=True`) and all ring operations delegate to the
-Witt universal polynomials on those coordinates.
+Witt operations on those coordinates.
 """
 from __future__ import annotations
 
@@ -56,7 +56,6 @@ from .universal import (
     UniversalSet,
     check_op,
     derive,
-    evaluate,
     ghost_values,
 )
 
@@ -308,7 +307,7 @@ def ap_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
 
 
 # ---------------------------------------------------------------------------
-# universal polynomials for the Witt flavor
+# the Witt flavor: universal polynomials and the ring operations
 
 _UNIVERSAL_CACHE = MEMO  # the one in-process memo of every model
 
@@ -320,18 +319,16 @@ def derive_universal(G: FiniteGroup, op: str) -> UniversalSet:
 
 
 def wg_op(op: str, a: IndexedVector, b: IndexedVector | None = None) -> IndexedVector:
-    """Witt-flavor ring operation via the universal polynomials."""
+    """Witt-flavor ring operation, solved on the ghost table."""
     if a.flavor != WITT:
         raise ValueError("wg_op expects Witt vectors")
     if (b is None) != (op == "neg"):
         raise ValueError("binary ops need two operands, neg exactly one")
     if b is not None:
         _check_same(a, b)
-    ups = derive_universal(a.group, op)
     env = a.payloads() + (b.payloads() if b is not None else ())
-    R = a.ring
-    out = [evaluate(c, R, env) for c in ups.compiled]
-    return IndexedVector.from_payloads(a.group, WITT, R, out)
+    out = derive_universal(a.group, op).system.apply(a.ring, env)
+    return IndexedVector.from_payloads(a.group, WITT, a.ring, out)
 
 
 # ---------------------------------------------------------------------------

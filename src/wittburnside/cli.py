@@ -625,8 +625,8 @@ def _parser():
     th.add_argument("--inverse", action="store_true")
     th.set_defaults(fn=cmd_theta)
 
-    for name, fn in (("ind", cmd_ind), ("res", cmd_res)):
-        ir = sub.add_parser(name, help=f"{name}uction along a subgroup class")
+    for name, fn, what in (("ind", cmd_ind, "induction"), ("res", cmd_res, "restriction")):
+        ir = sub.add_parser(name, help=f"{what} along a subgroup class")
         ir.add_argument("--group", required=True, help="ambient group")
         ir.add_argument("--class", dest="cls", required=True, help="subgroup class label")
         _add_vector_io(ir, False)

@@ -27,7 +27,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .rings import RingSpec, RingValue, divisors, mobius
-from .universal import GhostSystem, UniversalSet, check_op, derive, evaluate, ghost_values
+from .universal import GhostSystem, UniversalSet, check_op, derive, ghost_values
 
 
 # Miller-Rabin with these bases is exact below 3.3e24 (Sorenson-Webster 2017)
@@ -372,11 +372,9 @@ def cyc_witt_op(op: str, a: CyclicVector, b: CyclicVector | None = None) -> Cycl
         raise ValueError("binary ops need two operands, neg exactly one")
     if b is not None:
         _check_same(a, b)
-    cu = cyc_universal(a.truncation, op)
     env = a.payloads() + (b.payloads() if b is not None else ())
-    R = a.ring
-    out = [evaluate(c, R, env) for c in cu.compiled]
-    return CyclicVector.from_payloads(a.truncation, WITT, R, out)
+    out = cyc_universal(a.truncation, op).system.apply(a.ring, env)
+    return CyclicVector.from_payloads(a.truncation, WITT, a.ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +582,7 @@ def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:
     R = x.ring
     if x.flavor == WITT:
         Tout, cu = _frobenius_universal(T, r)
-        out = [evaluate(c, R, x.payloads()) for c in cu.compiled]
+        out = cu.system.apply(R, x.payloads())
         return CyclicVector.from_payloads(Tout, WITT, R, out)
     Tout = TruncationSet([n for n in T if r * n in T])
     if x.flavor == GHOST:

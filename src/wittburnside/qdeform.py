@@ -3,10 +3,10 @@
 Everything rests on the one-parameter formal group law
 F_q(X, Y) = X + Y - q X Y.  The divisor-lattice scalars zeta^q/mu^q produce
 the numerical polynomials P_{n,i,j}(q) deforming the necklace structure
-constants, and the Witt-side operations come from universal polynomials
-with coefficients in Z[q], derived once per truncation set by solving the
-q-ghost system symbolically.  q is carried as an extra polynomial variable,
-so one compiled form serves both concrete integers and the indeterminate.
+constants, and the Witt-side operations solve the q-ghost system at their
+payloads, at a concrete integer q or the indeterminate.  Their universal
+polynomials, with numerical coefficients in Q[q] (q an extra variable), are
+derived once per truncation set by the same solve.
 
 A QContext fixes q: a concrete integer works over every coefficient ring
 (structure constants are integers by numericality), while the indeterminate
@@ -49,7 +49,7 @@ from .rings import (
     divisors,
     mobius,
 )
-from .universal import UniversalSet, check_op, evaluate, ghost_values
+from .universal import GhostSystem, UniversalSet, check_op, ghost_values
 
 
 class QContext:
@@ -296,10 +296,9 @@ def q_ghost_inv(ctx: QContext, b: CyclicVector, flavor: str) -> CyclicVector:
 # q-universal polynomials and the q-Witt operations
 #
 # The structure polynomials live in Q[q][a, b] with every grouped coefficient
-# a numerical polynomial in q (the product already needs (q^2-q)/2), so the
-# compiled form pairs each a/b-monomial with its Q[q] coefficient: a concrete
-# integer q turns those into plain integers once per (set, q), the
-# indeterminate keeps them.
+# a numerical polynomial in q (the product already needs (q^2-q)/2).  That
+# numericality is what keeps the operations' q-ghost solve at an integer q,
+# and at Z/m payloads lifted to Z, inside Z.
 
 QUniversal = UniversalSet
 
@@ -310,12 +309,10 @@ def q_universal(T: TruncationSet, op: str) -> UniversalSet:
     return _truncation_universal(T, op, q=True)
 
 
-def _q_terms(ctx: QContext, R: RingSpec, cu: UniversalSet):
-    """cu's compiled terms at ctx's q: integer coefficients, or Q[q] ones over Q[q]."""
-    if ctx.q is None:
-        ctx.q_payload(R)  # the indeterminate lives in the Q[q] ring only
-        return cu.compiled
-    return cu.at(ctx.q)
+def _q_apply(ctx: QContext, system: GhostSystem, R: RingSpec, xs):
+    """The q-operation at payloads xs in R: at ctx's integer q, or the indeterminate."""
+    qv = ctx.q_payload(R)  # the indeterminate lives in the Q[q] ring only
+    return system.apply(R, xs, qv if ctx.q is None else ctx.q)
 
 
 def q_witt_op(ctx: QContext, op: str, a: CyclicVector, b: CyclicVector | None = None) -> CyclicVector:
@@ -326,11 +323,9 @@ def q_witt_op(ctx: QContext, op: str, a: CyclicVector, b: CyclicVector | None = 
     if b is not None and (a.truncation != b.truncation or a.ring != b.ring
                           or b.flavor != WITT):
         raise ValueError("operands live in different truncations/rings/flavors")
-    cu = q_universal(a.truncation, op)
-    R = a.ring
     env = a.payloads() + (b.payloads() if b is not None else ())
-    out = [evaluate(c, R, env) for c in _q_terms(ctx, R, cu)]
-    return CyclicVector.from_payloads(a.truncation, WITT, R, out)
+    out = _q_apply(ctx, q_universal(a.truncation, op).system, a.ring, env)
+    return CyclicVector.from_payloads(a.truncation, WITT, a.ring, out)
 
 
 def try_one(ctx: QContext, T: TruncationSet, R: RingSpec) -> CyclicVector | None:
@@ -603,7 +598,7 @@ def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:
         return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
     if x.flavor == WITT or x.coord_form:
         Tout, cu = _q_frobenius_universal(T, r)
-        out = [evaluate(c, R, x.payloads()) for c in _q_terms(ctx, R, cu)]
+        out = _q_apply(ctx, cu.system, R, x.payloads())
         return CyclicVector(Tout, x.flavor, R,
                             [RingValue(R, p) for p in out], x.coord_form)
     aperiodic = x.flavor == APERIODIC

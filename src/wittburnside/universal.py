@@ -1,4 +1,4 @@
-"""Universal polynomials of every Witt-type ring, from one ghost table.
+"""Every Witt-type operation, solved on one ghost table.
 
 The Witt-Burnside ring of a finite group, the truncated big Witt vectors and
 their q-deformation are each the unique ring structure that makes a
@@ -14,11 +14,15 @@ between the models:
     truncations   d and n/d for d | n
     q-deformed    d q^(n/d - 1) and n/d
 
-The sum, product and negation polynomials solve w(s) = w(a) + w(b),
-w(a) w(b) and -w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a).  One
-triangular solve serves all of them.  Results are memoised in process and,
-when WB_CACHE_DIR is set, kept on disk; a disk entry is used only after it
-passes validation, and any other entry counts as a miss and is rewritten.
+The sum, product and negation solve w(s) = w(a) + w(b), w(a) w(b) and
+-w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a).  One triangular solve
+serves all of them: at the payloads of an operation (over Z/m lifted to Z
+and reduced), and at the variables themselves for the universal
+polynomials.  Those are derived once per structure and operation; their
+integral (in the q-model numerical) coefficients certify that the solve
+stays in the ring.  They are memoised in process and, when WB_CACHE_DIR is
+set, kept on disk; a disk entry is used only after it passes validation,
+and any other entry counts as a miss and is rewritten.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from fractions import Fraction
 
 from .errors import DomainError, IntegralityViolation, NumericalityViolation
 from .groups import FiniteGroup, subgroup_classes
-from .rings import ZZ, MultiPoly, QPolynomial
+from .rings import ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing
 
 OPS = ("sum", "prod", "neg")
 FORMAT = "u2"  # on-disk format tag; part of every cache file name
@@ -47,45 +51,40 @@ def check_op(op: str):
 
 
 class UniversalSet:
-    """Universal polynomials of one operation over a group or truncation set.
+    """Universal polynomials of one operation: the solution of a GhostSystem.
 
-    `structure` is the group or truncation set whose index set labels polys
-    (for a Frobenius, the set of n with r n in the input set).  polys are
-    MultiPoly in `vars`; in the q-model vars[0] is q itself.
-    compiled pairs each monomial in the other variables, given as
-    ((var_index, exp), ...), with its coefficient: an int, or in the q-model
-    a numerical QPolynomial.  Construction refuses fractional coefficients
-    and non-numerical q-coefficients.
+    `structure` (the system's) is the group or truncation set whose index set
+    labels polys (for a Frobenius, the set of n with r n in the input set).
+    polys are MultiPoly in `vars`; in the q-model vars[0] is q itself.
+    Construction refuses fractional coefficients and non-numerical
+    q-coefficients.  `compiled` pairs each monomial in the other variables,
+    given as ((var_index, exp), ...), with its coefficient: an int, or in the
+    q-model a numerical QPolynomial.
     """
 
-    __slots__ = ("structure", "op", "vars", "polys", "compiled", "_at")
+    __slots__ = ("system", "polys")
 
-    def __init__(self, structure, op, vars, polys):
-        self.structure = structure
-        self.op = op
-        self.vars = tuple(vars)
+    def __init__(self, system, polys):
+        self.system = system
         self.polys = tuple(polys)
-        compile_ = _compile_q if self.vars[:1] == ("q",) else _compile_int
-        self.compiled = tuple(compile_(op, p) for p in self.polys)
-        self._at = {}
+        # a solve reports a failing row itself; this guards entries read from disk
+        if system.q:
+            self.compiled  # grouping by monomial checks numericality
+        elif not all(p.is_integral() for p in self.polys):
+            raise IntegralityViolation(f"universal {self.op} polynomial has fractional coefficients")
 
+    structure = property(lambda self: self.system.structure)
+    op = property(lambda self: self.system.op)
+    vars = property(lambda self: self.system.vars)
     # the names the group and the truncation-set models read structure by
-    group = property(lambda self: self.structure)
-    truncation = property(lambda self: self.structure)
+    group = structure
+    truncation = structure
 
-    def at(self, q: int):
-        """The compiled terms with every q-coefficient evaluated at the integer q."""
-        terms = self._at.get(q)
-        if terms is None:
-            terms = self._at[q] = tuple(_specialise(c, q) for c in self.compiled)
-        return terms
-
-
-def _compile_int(op, p: MultiPoly):
-    # a solve reports the failing row itself; this guards entries read from disk
-    if not p.is_integral():
-        raise IntegralityViolation(f"universal {op} polynomial has fractional coefficients")
-    return tuple((c.numerator, f) for c, f in p.compiled())
+    @property
+    def compiled(self):
+        if self.system.q:
+            return tuple(_compile_q(self.op, p) for p in self.polys)
+        return tuple(p.compiled() for p in self.polys)
 
 
 def _compile_q(op, p: MultiPoly):
@@ -104,43 +103,46 @@ def _compile_q(op, p: MultiPoly):
     return tuple(out)
 
 
-def _specialise(terms, q: int):
-    out = []
-    for poly, mono in terms:
-        v = poly(q)
-        if v.denominator != 1:
-            raise NumericalityViolation(f"structure constant evaluates to {v} at q={q}")
-        if v:
-            out.append((v.numerator, mono))
-    return tuple(out)
-
-
 def evaluate(terms, R, payloads):
     """One compiled polynomial at the given payloads, computed in R.
 
     A coefficient is an int, or (the q-model at the indeterminate q) already
     an element of R.
     """
-    powcache = {}
+    cache = {}
     total = R.zero()
     for coeff, factors in terms:
         term = R.from_int(coeff) if type(coeff) is int else coeff
         for vi, e in factors:
-            p = powcache.get((vi, e))
-            if p is None:
-                p = powcache[(vi, e)] = R.pow(payloads[vi], e)
-            term = R.mul(term, p)
+            term = R.mul(term, _pow(R, payloads, vi, e, cache))
         total = R.add(total, term)
     return total
+
+
+def _pow(R, xs, v, e, cache):
+    """xs[v] ** e in R (e >= 1), by squarings and products that `cache` shares."""
+    p = cache.get((v, e))
+    if p is None:
+        if e == 1:
+            p = xs[v]
+        elif e % 2:
+            p = R.mul(_pow(R, xs, v, e - 1, cache), xs[v])
+        else:
+            h = _pow(R, xs, v, e // 2, cache)
+            p = R.mul(h, h)
+        cache[v, e] = p
+    return p
 
 
 def ghost_values(table, R, xs, qv=None):
     """The ghost w(x) of payloads xs in R; qv is the payload of q in the q-model."""
     out = []
+    cache = {}
     for row in table:
         s = R.zero()
         for v, weight, exp, qpow in row:
-            term = R.mul(R.from_int(weight), R.pow(xs[v], exp))
+            # an int scales every payload; R.add below reduces it in Z/m
+            term = weight * _pow(R, xs, v, exp, cache)
             if qpow:
                 term = R.mul(R.pow(qv, qpow), term)
             s = R.add(s, term)
@@ -172,49 +174,52 @@ class GhostSystem:
         bvars = tuple(f"b_{l}" for l in labels) if op in ("sum", "prod") else ()
         self.vars = ("q",) * q + avars + bvars
 
-    def targets(self, ghost):
-        """Target ghost components, given ghost(offset) of the inputs at an offset."""
-        ga = ghost(0)
+    def targets(self, R, xs, qv=None):
+        """Target ghost components at the payloads xs in R (a's, then b's)."""
+        ga = ghost_values(self.table, R, xs, qv)
         if self.rows is not None:
             return [ga[i] for i in self.rows]
         if self.op == "neg":
             return [-x for x in ga]
-        gb = ghost(len(self.table))
+        gb = ghost_values(self.table, R, xs[len(self.table):], qv)
         if self.op == "sum":
             return [x + y for x, y in zip(ga, gb)]
         return [x * y for x, y in zip(ga, gb)]
 
     def solve(self):
-        """The universal polynomials, by a triangular solve of the symbolic ghost."""
-        vars, q = self.vars, self.q
-        nv = len(vars)
+        """The universal polynomials: the solve at the variables themselves."""
+        # q-model coefficients are only numerical; UniversalSet checks them
+        R = PolyRing(self.vars, rational=bool(self.q))
+        gens = [R.variable(v) for v in self.vars]
+        return self.apply(R, gens[self.q:], gens[0] if self.q else None)
 
-        def ghost(offset):
-            out = []
-            for row in self.table:
-                terms = {}
-                for v, weight, exp, qpow in row:
-                    e = [0] * nv
-                    e[q + offset + v] = exp
-                    if q:
-                        e[0] = qpow
-                    terms[tuple(e)] = weight
-                out.append(MultiPoly(vars, terms))
-            return out
+    def apply(self, R, xs, q=None):
+        """The operation at payloads xs in R (a's, then b's), by the ghost route.
 
+        q is the q-model's q: an int, or the indeterminate as a payload of R.
+        A residue ring's payloads are lifted to Z, solved with the integer q
+        itself and reduced; the integral (numerical) universal polynomials
+        make that exact.  The triangular solve uses the payloads' own
+        operators, so an integer weight (times a power of an integer q)
+        scales a payload as a scalar.
+        """
+        if isinstance(R, ResidueRing):
+            return [R.from_int(s) for s in self.apply(ZZ, xs, q)]
+        want = self.targets(R, xs, R.from_int(q) if type(q) is int else q)
         solved = []
-        for u, (row, acc) in enumerate(zip(self.out_table, self.targets(ghost))):
+        powers = {}
+        for u, (row, acc) in enumerate(zip(self.out_table, want)):
             for v, weight, exp, qpow in row[:-1]:
-                scale = MultiPoly(vars, {(qpow,) + (0,) * (nv - 1): weight}) if q else weight
-                acc = acc - scale * solved[v] ** exp
-            p = acc * Fraction(1, row[-1][1])
-            # q-model coefficients are only numerical; UniversalSet checks them
-            if not q and not p.is_integral():
-                raise IntegralityViolation(
-                    f"universal {self.op} polynomial at {self._where(u)} "
-                    "has fractional coefficients"
-                )
-            solved.append(p)
+                p = _pow(R, solved, v, exp, powers)
+                acc = acc - (weight * q ** qpow if qpow else weight) * p
+            d = row[-1][1]
+            if d != 1:
+                acc = R.try_div(acc, R.from_int(d))
+                if acc is None:
+                    raise IntegralityViolation(
+                        f"{self.op} has fractional coefficients at {self._where(u)} over {R.name}"
+                    )
+            solved.append(acc)
         return solved
 
     def _where(self, u):
@@ -226,10 +231,10 @@ class GhostSystem:
     def holds(self, ups: UniversalSet) -> bool:
         """Does the ghost identity hold for `ups` at one fixed integer point?"""
         point = list(range(3, 3 + len(self.vars) - self.q))
-        terms = ups.at(_SPOT_Q) if self.q else ups.compiled
-        s = [evaluate(t, ZZ, point) for t in terms]
-        want = self.targets(lambda offset: ghost_values(self.table, ZZ, point[offset:], _SPOT_Q))
-        return ghost_values(self.out_table, ZZ, s, _SPOT_Q) == want
+        # numerical coefficients take integer values at the integer q
+        polys = [p.substitute_scalar("q", _SPOT_Q) for p in ups.polys] if self.q else ups.polys
+        # the ghost map is injective over Z: the identity holds iff the values solve it
+        return [evaluate(p.compiled(), ZZ, point) for p in polys] == self.apply(ZZ, point, _SPOT_Q)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +245,8 @@ def derive(structure, tag, system) -> UniversalSet:
     """Operation `tag` over a group or truncation set, from WB_CACHE_DIR or solved.
 
     Memoised under (structure, tag).  `system` is a callable returning the
-    GhostSystem, called on a memo miss only.
+    GhostSystem, called on a memo miss only; the result hands it back as
+    `.system`, whose `apply` the operations evaluate by.
     """
     key = (structure, tag)
     ups = MEMO.get(key)
@@ -250,7 +256,7 @@ def derive(structure, tag, system) -> UniversalSet:
     path = _cache_path(structure, tag)
     ups = _cache_read(path, eqs) if path else None
     if ups is None:
-        ups = UniversalSet(eqs.structure, eqs.op, eqs.vars, eqs.solve())
+        ups = UniversalSet(eqs, eqs.solve())
         if path:
             _cache_write(path, ups)
     MEMO[key] = ups
@@ -296,7 +302,7 @@ def _cache_read(path, system: GhostSystem):
                     return None
                 d[tuple(e)] = Fraction(c)
             polys.append(MultiPoly(vars, d))
-        ups = UniversalSet(system.structure, system.op, vars, polys)
+        ups = UniversalSet(system, polys)
         return ups if system.holds(ups) else None
     except (KeyError, TypeError, ValueError, ZeroDivisionError, DomainError):
         return None

@@ -7,10 +7,11 @@ early tests warm the in-process universal-polynomial caches that later
 tests reuse, keeping the whole file well under the five-minute budget.
 
 Polynomial-coefficient cells (the 2-variable integer-polynomial ring)
-run at a reduced triple count: one exact Witt product of bivariate
-polynomials on the 8-class dihedral group costs ~0.5 s, so the full
-scalar-ring count would alone exceed the runtime budget.  Every cell is
-still exercised, with zero tolerance.
+run at a reduced triple count, 50 instead of 200: one exact Witt product
+of sparse bivariate polynomials on the 8-class dihedral group costs about
+5 ms (2-vCPU Xeon, Python 3.11), but the nested products of the
+associativity checks grow fast.  Every cell is still exercised, with zero
+tolerance.
 """
 import json
 import math
@@ -177,7 +178,7 @@ CELLS = (
     ("Z", ZZ, 200, -9, 9),
     ("Q", QQ, 200, -9, 9),
     ("Z/8", Z8, 200, 0, 7),
-    ("ZPoly(x,y)", ZXY, 10, -3, 3),
+    ("ZPoly(x,y)", ZXY, 50, -3, 3),
 )
 
 
