@@ -106,8 +106,7 @@ def _compile_q(op, p: MultiPoly):
 def evaluate(terms, R, payloads):
     """One compiled polynomial at the given payloads, computed in R.
 
-    A coefficient is an int, or (the q-model at the indeterminate q) already
-    an element of R.
+    A coefficient is an int, or already an element of R.
     """
     cache = {}
     total = R.zero()
