@@ -68,6 +68,42 @@ def test_golden_outputs(argv, golden):
     assert proc.stdout == (GOLDENS / golden).read_text(encoding="utf-8")
 
 
+INPUTS = GOLDENS / "inputs"
+
+
+def _inp(name):
+    return str(INPUTS / name)
+
+
+# byte-exact outputs pinned from the library: one call per handler family of
+# the group, cyclic and q-deformed models
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (("witt", "mul", _inp("witt_D4_a.json"), _inp("witt_D4_b.json")), "witt_mul_D4.json"),
+        (("necklace", "mul", _inp("necklace_S3_a.json"), _inp("necklace_S3_b.json")),
+         "necklace_mul_S3.json"),
+        (("ghost", _inp("witt_D4_a.json")), "ghost_D4.json"),
+        (("theta", _inp("necklace_S3_a.json")), "theta_S3.json"),
+        (("cyclic", "witt", "mul", _inp("witt_div12_a.json"), _inp("witt_div12_b.json")),
+         "cyclic_witt_mul_div12.json"),
+        (("cyclic", "frobenius", "--r", "2", _inp("witt_div12_a.json")),
+         "cyclic_frobenius_2_div12.json"),
+        (("qwitt", "mul", "--q", "2", _inp("witt_1to8_a.json"), _inp("witt_1to8_b.json")),
+         "qwitt_mul_q2_1to8.json"),
+        (("qwitt", "mul", "--q", "q", _inp("witt_div6_qq_a.json"), _inp("witt_div6_qq_b.json")),
+         "qwitt_mul_qq_div6.json"),
+        (("qwitt", "teichmuller", "--q", "2", _inp("witt_1to8_a.json")),
+         "qwitt_teichmuller_q2_1to8.json"),
+        (("teichmuller", _inp("witt_D4_z8.json")), "teichmuller_D4_z8.json"),
+    ],
+)
+def test_golden_vector_outputs(argv, golden):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDENS / golden).read_text(encoding="utf-8")
+
+
 def test_goldens_are_deterministic():
     a = run_cli("group", "info", "--group", "S3")
     b = run_cli("group", "info", "--group", "S3")
