@@ -1,7 +1,11 @@
 """Witt-Burnside, necklace and aperiodic rings of a finite group.
 
-Vectors are indexed by the subgroup classes of a fixed group, with values in
-one coefficient ring.  Four flavors share the container:
+A vector is a function on classes of open subgroups, with values in one
+coefficient ring.  One class, IndexedVector, serves every model: its index is
+a finite group (the vector lives on its subgroup classes) or a truncation set
+(the indices n of open subgroups of the profinite cyclic group, see
+`cyclic`).  This module holds the group model.  Four flavors share the
+container:
 
     Witt       ring operations solved on the ghost table
     Necklace   componentwise addition, double-coset structure constants
@@ -57,6 +61,7 @@ from .universal import (
     check_op,
     derive,
     ghost_values,
+    index_labels,
 )
 
 WITT = "Witt"
@@ -68,66 +73,76 @@ FLAVORS = (WITT, NECKLACE, APERIODIC, GHOST)
 
 
 class IndexedVector:
-    """A vector of ring values indexed by the subgroup classes of a group."""
+    """Ring values on an index set, tagged with a flavor.
 
-    __slots__ = ("group", "flavor", "ring", "components", "coord_form")
+    The index is a FiniteGroup (one component per subgroup class) or a
+    TruncationSet (one per member); `group` and `truncation` are read-only
+    names of it.  coord_form marks a Necklace/Aperiodic vector stored through
+    its Witt coordinates (the residue-ring presentation of the transports).
+    """
 
-    def __init__(self, group, flavor, ring, components, coord_form=False):
+    __slots__ = ("index", "flavor", "ring", "components", "coord_form")
+
+    def __init__(self, index, flavor, ring, components, coord_form=False):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
+        if coord_form and flavor not in (NECKLACE, APERIODIC):
+            raise ValueError("coordinate form applies to Necklace/Aperiodic flavors only")
         comps = tuple(components)
-        n = len(subgroup_classes(group))
+        n = len(index_labels(index))
         if len(comps) != n:
-            raise ValueError(f"expected {n} components for {group.name}, got {len(comps)}")
+            raise ValueError(f"expected {n} components on {index!r}, got {len(comps)}")
         for c in comps:
             if not isinstance(c, RingValue) or c.spec != ring:
                 raise ValueError("components must be RingValues over the declared ring")
-        if coord_form and flavor not in (NECKLACE, APERIODIC):
-            raise ValueError("coordinate form applies to Necklace/Aperiodic flavors only")
-        self.group = group
+        self.index = index
         self.flavor = flavor
         self.ring = ring
         self.components = comps
-        self.coord_form = coord_form
+        self.coord_form = bool(coord_form)
+
+    group = truncation = property(lambda self: self.index)
 
     @classmethod
-    def from_payloads(cls, group, flavor, ring, payloads, coord_form=False):
-        return cls(group, flavor, ring, [RingValue(ring, p) for p in payloads], coord_form)
+    def from_payloads(cls, index, flavor, ring, payloads, coord_form=False):
+        return cls(index, flavor, ring, [RingValue(ring, p) for p in payloads], coord_form)
 
     @classmethod
-    def from_ints(cls, group, flavor, ring, ints, coord_form=False):
+    def from_ints(cls, index, flavor, ring, ints, coord_form=False):
         return cls(
-            group, flavor, ring, [RingValue.from_int(ring, n) for n in ints], coord_form
+            index, flavor, ring, [RingValue.from_int(ring, n) for n in ints], coord_form
         )
 
     @classmethod
-    def zero(cls, group, flavor, ring):
-        n = len(subgroup_classes(group))
-        return cls.from_ints(group, flavor, ring, [0] * n)
+    def zero(cls, index, flavor, ring):
+        return cls.from_ints(index, flavor, ring, [0] * len(index_labels(index)))
 
     @classmethod
-    def one(cls, group, flavor, ring):
-        # the class of the one-point G-set: 1 at the whole-group class
-        n = len(subgroup_classes(group))
-        return cls.from_ints(group, flavor, ring, [1] + [0] * (n - 1))
+    def one(cls, index, flavor, ring):
+        # 1 at the whole group: the one-point G-set, or the index 1
+        return cls.from_ints(index, flavor, ring, [1] + [0] * (len(index_labels(index)) - 1))
 
     def payloads(self):
         return tuple(c.payload for c in self.components)
 
     def labels(self):
-        return subgroup_classes(self.group).labels()
+        return index_labels(self.index)
+
+    def component(self, n: int):
+        """The component at the member n of a truncation set."""
+        return self.components[self.index.position(n)]
 
     def retag(self, flavor, coord_form=None):
         cf = self.coord_form if coord_form is None else coord_form
-        return IndexedVector(self.group, flavor, self.ring, self.components, cf)
+        return IndexedVector(self.index, flavor, self.ring, self.components, cf)
 
     def with_components(self, components):
-        return IndexedVector(self.group, self.flavor, self.ring, components, self.coord_form)
+        return IndexedVector(self.index, self.flavor, self.ring, components, self.coord_form)
 
     def map_ring(self, target: RingSpec, fn):
         """Componentwise morphism into another ring (fn acts on payloads)."""
         return IndexedVector(
-            self.group,
+            self.index,
             self.flavor,
             target,
             [RingValue(target, fn(c.payload)) for c in self.components],
@@ -137,7 +152,7 @@ class IndexedVector:
     def __eq__(self, other):
         return (
             isinstance(other, IndexedVector)
-            and self.group == other.group
+            and self.index == other.index
             and self.flavor == other.flavor
             and self.ring == other.ring
             and self.coord_form == other.coord_form
@@ -147,7 +162,7 @@ class IndexedVector:
     def __repr__(self):
         vals = ", ".join(c.format() for c in self.components)
         tag = "#coords" if self.coord_form else ""
-        return f"<{self.flavor}{tag} over {self.ring.name} [{vals}]>"
+        return f"<{self.flavor}{tag} over {self.ring.name} on {self.index!r} [{vals}]>"
 
 
 def _strategy(ring: RingSpec) -> str:
@@ -163,11 +178,31 @@ def _is_binomial(ring: RingSpec) -> bool:
     return ring == ZZ
 
 
-def _check_same(x: IndexedVector, y: IndexedVector):
-    if x.group != y.group or x.ring != y.ring or x.flavor != y.flavor:
-        raise ValueError("operands live in different rings/groups/flavors")
-    if x.coord_form != y.coord_form:
-        raise ValueError("operands mix coordinate and component forms")
+def _check_operands(name, flavor, op, x, y=None):
+    """x, and y for a binary op, are operands of the ring operation op of flavor."""
+    if x.flavor != flavor:
+        raise ValueError(f"{name} expects {flavor} vectors")
+    if (y is None) != (op == "neg"):
+        raise ValueError("binary ops need two operands, neg exactly one")
+    if y is not None and (x.index != y.index or x.ring != y.ring or x.flavor != y.flavor
+                          or x.coord_form != y.coord_form):
+        raise ValueError("operands live in different index sets/rings/flavors/forms")
+
+
+def _flavor_op(op, x, y, witt_op, mul):
+    """A Necklace/Aperiodic ring operation: sum and neg componentwise, prod by
+    mul(x, y); a coordinate-backed vector applies witt_op to its coordinates."""
+    if x.coord_form:
+        out = witt_op(op, x.retag(WITT, coord_form=False),
+                      y.retag(WITT, coord_form=False) if y is not None else None)
+        return out.retag(x.flavor, coord_form=True)
+    if op == "neg":
+        return x.with_components([-c for c in x.components])
+    if op == "sum":
+        return x.with_components([c + d for c, d in zip(x.components, y.components)])
+    if op != "prod":
+        raise ValueError(f"unknown op {op!r}")
+    return mul(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +350,12 @@ _UNIVERSAL_CACHE = MEMO  # the one in-process memo of every model
 def derive_universal(G: FiniteGroup, op: str) -> UniversalSet:
     """Solve the ghost equations symbolically; coefficients must come out integral."""
     check_op(op)
-    return derive(G, op, lambda: GhostSystem(G, subgroup_classes(G).labels(), _ghost_table(G), op))
+    return derive(G, op, lambda: GhostSystem(G, index_labels(G), _ghost_table(G), op))
 
 
 def wg_op(op: str, a: IndexedVector, b: IndexedVector | None = None) -> IndexedVector:
     """Witt-flavor ring operation, solved on the ghost table."""
-    if a.flavor != WITT:
-        raise ValueError("wg_op expects Witt vectors")
-    if (b is None) != (op == "neg"):
-        raise ValueError("binary ops need two operands, neg exactly one")
-    if b is not None:
-        _check_same(a, b)
+    _check_operands("wg_op", WITT, op, a, b)
     env = a.payloads() + (b.payloads() if b is not None else ())
     out = derive_universal(a.group, op).system.apply(a.ring, env)
     return IndexedVector.from_payloads(a.group, WITT, a.ring, out)
@@ -335,28 +365,13 @@ def wg_op(op: str, a: IndexedVector, b: IndexedVector | None = None) -> IndexedV
 # necklace and aperiodic operations
 
 
-def _componentwise(op, x, y=None):
-    if op == "neg":
-        return x.with_components([-c for c in x.components])
-    return x.with_components([c + d for c, d in zip(x.components, y.components)])
-
-
 def nr_op(op: str, x: IndexedVector, y: IndexedVector | None = None) -> IndexedVector:
     """Necklace ring operation; multiplication uses the double-coset constants."""
-    if x.flavor != NECKLACE:
-        raise ValueError("nr_op expects Necklace vectors")
-    if (y is None) != (op == "neg"):
-        raise ValueError("binary ops need two operands, neg exactly one")
-    if y is not None:
-        _check_same(x, y)
-    if x.coord_form:
-        out = wg_op(op, x.retag(WITT, coord_form=False),
-                    y.retag(WITT, coord_form=False) if y is not None else None)
-        return out.retag(NECKLACE, coord_form=True)
-    if op in ("sum", "neg"):
-        return _componentwise(op, x, y)
-    if op != "prod":
-        raise ValueError(f"unknown op {op!r}")
+    _check_operands("nr_op", NECKLACE, op, x, y)
+    return _flavor_op(op, x, y, wg_op, _nr_mul)
+
+
+def _nr_mul(x, y):
     R = x.ring
     xs, ys = x.payloads(), y.payloads()
     out = [R.zero() for _ in xs]
@@ -370,20 +385,11 @@ def nr_op(op: str, x: IndexedVector, y: IndexedVector | None = None) -> IndexedV
 
 def ap_op(op: str, x: IndexedVector, y: IndexedVector | None = None) -> IndexedVector:
     """Aperiodic ring operation; constants are index-weighted double-coset counts."""
-    if x.flavor != APERIODIC:
-        raise ValueError("ap_op expects Aperiodic vectors")
-    if (y is None) != (op == "neg"):
-        raise ValueError("binary ops need two operands, neg exactly one")
-    if y is not None:
-        _check_same(x, y)
-    if x.coord_form:
-        out = wg_op(op, x.retag(WITT, coord_form=False),
-                    y.retag(WITT, coord_form=False) if y is not None else None)
-        return out.retag(APERIODIC, coord_form=True)
-    if op in ("sum", "neg"):
-        return _componentwise(op, x, y)
-    if op != "prod":
-        raise ValueError(f"unknown op {op!r}")
+    _check_operands("ap_op", APERIODIC, op, x, y)
+    return _flavor_op(op, x, y, wg_op, _ap_mul)
+
+
+def _ap_mul(x, y):
     R = x.ring
     xs, ys = x.payloads(), y.payloads()
     out = [R.zero() for _ in xs]
@@ -555,11 +561,23 @@ def _require_subgroup_vector(G, ci, x):
     return U
 
 
+def _on_coordinates(witt_map, G, ci, x):
+    """ind/res of a coordinate-backed vector: witt_v/witt_f on its coordinates.
+
+    The necklace maps commute with teichmuller and the aperiodic ones with
+    gamma, so this is the plain map wherever both apply.
+    """
+    out = witt_map(G, ci, x.retag(WITT, coord_form=False))
+    return out.retag(x.flavor, coord_form=True)
+
+
 def ind_nr(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
     """Necklace induction: push classes of the subgroup along class fusion."""
     _require_subgroup_vector(G, ci, x)
     if x.flavor != NECKLACE:
         raise ValueError("ind_nr expects a Necklace vector")
+    if x.coord_form:
+        return _on_coordinates(witt_v, G, ci, x)
     R = x.ring
     n = len(subgroup_classes(G))
     out = [R.zero()] * n
@@ -573,6 +591,8 @@ def ind_ap(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
     _require_subgroup_vector(G, ci, x)
     if x.flavor != APERIODIC:
         raise ValueError("ind_ap expects an Aperiodic vector")
+    if x.coord_form:
+        return _on_coordinates(witt_v, G, ci, x)
     R = x.ring
     idx = subgroup_classes(G).classes[ci].index
     n = len(subgroup_classes(G))
@@ -588,6 +608,8 @@ def res_nr(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
         raise ValueError("res_nr expects a Necklace vector")
     if x.group != G:
         raise ValueError("vector is not indexed by the parent group's classes")
+    if x.coord_form:
+        return _on_coordinates(witt_f, G, ci, x)
     U = subgroup_group(G, ci)
     R = x.ring
     nu = len(subgroup_classes(U))
@@ -606,6 +628,8 @@ def res_ap(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
         raise ValueError("res_ap expects an Aperiodic vector")
     if x.group != G:
         raise ValueError("vector is not indexed by the parent group's classes")
+    if x.coord_form:
+        return _on_coordinates(witt_f, G, ci, x)
     ct = subgroup_classes(G)
     U = subgroup_group(G, ci)
     ut = subgroup_classes(U)

@@ -9,9 +9,11 @@ Vector files are JSON documents::
      "ring": "Z" | "Q" | "Z/8" | "ZPoly(x,y)" | ...,
      "components": ["3", "-1/2", ...],
      "labels": ["G", "2a", ...]  |  [1, 2, 3, 6],
-     "coord_form": true}            # optional, coordinate-backed transports
+     "coord_form": true}            # optional: Necklace/Aperiodic in Witt coordinates
 
-All output is JSON with sorted keys; byte-for-byte deterministic given the
+A document is read into the one vector type, indexed by the group's subgroup
+classes or by the truncation set; one reader, one writer and one handler per
+verb kind serve the group, `cyclic` and `qwitt` verbs alike.  All output is JSON with sorted keys; byte-for-byte deterministic given the
 inputs, flags and seed.  Exit codes: 0 success, 1 verification failures,
 2 schema/input errors, 3 domain errors (the message names the error class).
 """
@@ -19,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 from .burnside import (
     APERIODIC,
@@ -47,7 +50,6 @@ from .burnside import (
     witt_v,
 )
 from .cyclic import (
-    CyclicVector,
     TruncationSet,
     cyc_ap_op,
     cyc_frobenius,
@@ -83,10 +85,12 @@ from .qdeform import (
     try_one,
 )
 from .rings import RingValue, divisors, parse_ring
+from .universal import index_labels
 from .verify import SUITES, run_suite
 
 _OPWORD = {"add": "sum", "mul": "prod", "neg": "neg"}
 _FAMILY = {"witt": WITT, "necklace": NECKLACE, "aperiodic": APERIODIC}
+_RING_FLAVORS = (WITT, NECKLACE, APERIODIC)
 
 
 def _emit(doc):
@@ -153,66 +157,61 @@ def _build_group(descriptor):
     return G
 
 
-def _read_group_vector(path, ring_flag=None, allowed=None, group=None):
+def _read_vector(path, model, ring_flag=None, allowed=None, index=None):
+    """The vector document at path, for a verb of model "group", "cyclic" or "qwitt".
+
+    index, when given, is the group or truncation set the document must name
+    (a second operand's, or the subgroup or ambient group of ind/res).
+    """
     doc = _load(path)
     gf = doc.get("group")
-    if isinstance(gf, dict):
-        raise SchemaError(f"{path}: expected a group vector, found a cyclic one")
-    if not isinstance(gf, str):
-        raise SchemaError(f"{path}: group must be a descriptor string")
-    if group is None:
-        group = _build_group(gf)
-    elif gf != group.name:
-        raise SchemaError(f"{path}: group {gf!r} does not match expected {group.name}")
+    if model == "group":
+        if isinstance(gf, dict):
+            raise SchemaError(f"{path}: expected a group vector, found a cyclic one")
+        if not isinstance(gf, str):
+            raise SchemaError(f"{path}: group must be a descriptor string")
+        if index is None:
+            index = _build_group(gf)
+        elif gf != index.name:
+            raise SchemaError(f"{path}: group {gf!r} does not match expected {index.name}")
+        order = "the class order"
+    else:
+        if not (isinstance(gf, dict) and "cyclic_trunc" in gf):
+            raise SchemaError(f"{path}: expected a cyclic vector with a cyclic_trunc group")
+        T = TruncationSet(gf["cyclic_trunc"])
+        if index is not None and T != index:
+            raise SchemaError("input files use different truncation sets")
+        index, order = T, "the truncation set"
     flavor = _check_flavor(doc, path, allowed)
     ring = _check_ring(doc, ring_flag, path)
-    labels = list(subgroup_classes(group).labels())
+    labels = list(index_labels(index))
     if doc.get("labels") != labels:
-        raise SchemaError(f"{path}: labels do not match the class order {labels}")
+        raise SchemaError(f"{path}: labels do not match {order} {labels}")
     comps = _parse_components(doc, ring, path)
     if len(comps) != len(labels):
         raise SchemaError(f"{path}: expected {len(labels)} components")
-    return IndexedVector(group, flavor, ring, comps, bool(doc.get("coord_form")))
+    coord_form = doc.get("coord_form", False)
+    if type(coord_form) is not bool:
+        raise SchemaError(f"{path}: coord_form must be true or false, not {coord_form!r}")
+    if coord_form and flavor not in (NECKLACE, APERIODIC):
+        raise SchemaError(f"{path}: coord_form applies to Necklace/Aperiodic vectors only")
+    if coord_form and model == "cyclic":
+        raise SchemaError(
+            f"{path}: the cyclic verbs take component vectors; use qwitt for coord_form"
+        )
+    return IndexedVector(index, flavor, ring, comps, coord_form)
 
 
-def _read_cyclic_vector(path, ring_flag=None, allowed=None):
-    doc = _load(path)
-    gf = doc.get("group")
-    if not (isinstance(gf, dict) and "cyclic_trunc" in gf):
-        raise SchemaError(f"{path}: expected a cyclic vector with a cyclic_trunc group")
-    T = TruncationSet(gf["cyclic_trunc"])
-    flavor = _check_flavor(doc, path, allowed)
-    ring = _check_ring(doc, ring_flag, path)
-    if doc.get("labels") != list(T.members):
-        raise SchemaError(f"{path}: labels do not match the truncation set {list(T.members)}")
-    comps = _parse_components(doc, ring, path)
-    if len(comps) != len(T.members):
-        raise SchemaError(f"{path}: expected {len(T.members)} components")
-    return CyclicVector(T, flavor, ring, comps, bool(doc.get("coord_form")))
-
-
-def _group_doc(vec):
+def _vector_doc(vec):
+    labels = list(index_labels(vec.index))
+    cyclic = isinstance(vec.index, TruncationSet)
     doc = {
         "schema_version": 1,
-        "group": vec.group.name,
+        "group": {"cyclic_trunc": labels} if cyclic else vec.index.name,
         "flavor": vec.flavor,
         "ring": vec.ring.name,
         "components": [c.format() for c in vec.components],
-        "labels": list(subgroup_classes(vec.group).labels()),
-    }
-    if vec.coord_form:
-        doc["coord_form"] = True
-    return doc
-
-
-def _cyclic_doc(vec):
-    doc = {
-        "schema_version": 1,
-        "group": {"cyclic_trunc": list(vec.truncation.members)},
-        "flavor": vec.flavor,
-        "ring": vec.ring.name,
-        "components": [c.format() for c in vec.components],
-        "labels": list(vec.truncation.members),
+        "labels": labels,
     }
     if vec.coord_form:
         doc["coord_form"] = True
@@ -303,52 +302,71 @@ def cmd_group_info(args):
     return 0
 
 
+def _qwitt_context(args):
+    """The q of a qwitt verb, read before its input files; None for the other models."""
+    return _qcontext(args) if args.model == "qwitt" else None
+
+
 def cmd_flavor_op(args):
-    flavor = _FAMILY[args.family]
-    op = _OPWORD[args.op]
-    x = _read_group_vector(args.input, args.ring, (flavor,))
+    model, op, family = args.model, _OPWORD[args.op], getattr(args, "family", None)
+    ctx = _qwitt_context(args)
+    x = _read_vector(args.input, model, args.ring, (_FAMILY[family],) if family else _RING_FLAVORS)
     y = None
     if op != "neg":
         if args.other is None:
-            raise SchemaError(f"{args.family} {args.op} needs two input files")
-        y = _read_group_vector(args.other, args.ring, (flavor,), group=x.group)
+            words = (None if model == "group" else model, family, args.op)
+            raise SchemaError(f"{' '.join(w for w in words if w)} needs two input files")
+        y = _read_vector(args.other, model, args.ring, (x.flavor,), x.index)
         if y.ring != x.ring:
             raise SchemaError("input files use different rings")
         if y.coord_form != x.coord_form:
             raise SchemaError("cannot mix coordinate-backed and plain vectors")
-    fn = {WITT: wg_op, NECKLACE: nr_op, APERIODIC: ap_op}[flavor]
+    if model == "group":
+        fn = {WITT: wg_op, NECKLACE: nr_op, APERIODIC: ap_op}[x.flavor]
+    elif model == "cyclic":
+        fn = {WITT: cyc_witt_op, NECKLACE: cyc_nr_op, APERIODIC: cyc_ap_op}[x.flavor]
+    else:
+        fn = partial({WITT: q_witt_op, NECKLACE: q_nr_op, APERIODIC: q_ap_op}[x.flavor], ctx)
     out = fn(op, x) if y is None else fn(op, x, y)
-    _emit(_group_doc(out))
+    _emit(_vector_doc(out))
     return 0
 
 
 def cmd_ghost(args):
-    allowed = (args.flavor,) if args.flavor else (WITT, NECKLACE, APERIODIC)
-    x = _read_group_vector(args.input, args.ring, allowed)
-    fn = {WITT: wg_ghost, NECKLACE: nr_ghost, APERIODIC: ap_ghost}[x.flavor]
-    _emit(_group_doc(fn(x)))
+    ctx = _qwitt_context(args)
+    flavor = getattr(args, "flavor", None)
+    x = _read_vector(args.input, args.model, args.ring, (flavor,) if flavor else _RING_FLAVORS)
+    if args.model == "group":
+        out = {WITT: wg_ghost, NECKLACE: nr_ghost, APERIODIC: ap_ghost}[x.flavor](x)
+    elif args.model == "cyclic":
+        out = cyc_witt_ghost(x) if x.flavor == WITT else cyc_ghost(x)
+    else:
+        out = q_witt_ghost(ctx, x) if x.flavor == WITT else q_ghost(ctx, x)
+    _emit(_vector_doc(out))
     return 0
 
 
 def cmd_teichmuller(args):
-    if args.inverse:
-        x = _read_group_vector(args.input, args.ring, (NECKLACE,))
-        out = teichmuller_inv(x)
+    ctx = _qwitt_context(args)
+    x = _read_vector(args.input, args.model, args.ring, (NECKLACE,) if args.inverse else (WITT,))
+    if args.model == "group":
+        out = teichmuller_inv(x) if args.inverse else teichmuller(x)
     else:
-        x = _read_group_vector(args.input, args.ring, (WITT,))
-        out = teichmuller(x)
-    _emit(_group_doc(out))
+        out = q_teichmuller_inv(ctx, x) if args.inverse else q_teichmuller(ctx, x)
+    _emit(_vector_doc(out))
     return 0
 
 
 def cmd_theta(args):
-    if args.inverse:
-        x = _read_group_vector(args.input, args.ring, (APERIODIC,))
-        out = theta_inv(x)
+    x = _read_vector(args.input, args.model, args.ring,
+                     (APERIODIC,) if args.inverse else (NECKLACE,))
+    if args.model == "group":
+        out = theta_inv(x) if args.inverse else theta(x)
+    elif args.model == "cyclic":
+        out = cyc_theta_inv(x) if args.inverse else cyc_theta(x)
     else:
-        x = _read_group_vector(args.input, args.ring, (NECKLACE,))
-        out = theta(x)
-    _emit(_group_doc(out))
+        out = theta_q_inv(x) if args.inverse else theta_q(x)
+    _emit(_vector_doc(out))
     return 0
 
 
@@ -360,18 +378,18 @@ def cmd_ind(args):
     G = _build_group(args.group)
     ci = _class_index(G, args.cls)
     U = subgroup_group(G, ci)
-    x = _read_group_vector(args.input, args.ring, None, group=U)
+    x = _read_vector(args.input, "group", args.ring, None, U)
     fn = {WITT: witt_v, NECKLACE: ind_nr, APERIODIC: ind_ap, GHOST: ghost_nu}[x.flavor]
-    _emit(_group_doc(fn(G, ci, x)))
+    _emit(_vector_doc(fn(G, ci, x)))
     return 0
 
 
 def cmd_res(args):
     G = _build_group(args.group)
     ci = _class_index(G, args.cls)
-    x = _read_group_vector(args.input, args.ring, None, group=G)
+    x = _read_vector(args.input, "group", args.ring, None, G)
     fn = {WITT: witt_f, NECKLACE: res_nr, APERIODIC: res_ap, GHOST: ghost_F}[x.flavor]
-    _emit(_group_doc(fn(G, ci, x)))
+    _emit(_vector_doc(fn(G, ci, x)))
     return 0
 
 
@@ -390,57 +408,21 @@ def cmd_universal(args):
     return 0
 
 
-def cmd_cyclic_op(args):
-    flavor = _FAMILY[args.family]
-    op = _OPWORD[args.op]
-    x = _read_cyclic_vector(args.input, args.ring, (flavor,))
-    y = None
-    if op != "neg":
-        if args.other is None:
-            raise SchemaError(f"cyclic {args.family} {args.op} needs two input files")
-        y = _read_cyclic_vector(args.other, args.ring, (flavor,))
-        if y.truncation.members != x.truncation.members:
-            raise SchemaError("input files use different truncation sets")
-        if y.ring != x.ring:
-            raise SchemaError("input files use different rings")
-        if y.coord_form != x.coord_form:
-            raise SchemaError("cannot mix coordinate-backed and plain vectors")
-    fn = {WITT: cyc_witt_op, NECKLACE: cyc_nr_op, APERIODIC: cyc_ap_op}[flavor]
-    out = fn(op, x) if y is None else fn(op, x, y)
-    _emit(_cyclic_doc(out))
-    return 0
-
-
-def cmd_cyclic_ghost(args):
-    allowed = (args.flavor,) if args.flavor else (WITT, NECKLACE, APERIODIC)
-    x = _read_cyclic_vector(args.input, args.ring, allowed)
-    out = cyc_witt_ghost(x) if x.flavor == WITT else cyc_ghost(x)
-    _emit(_cyclic_doc(out))
-    return 0
-
-
-def cmd_cyclic_theta(args):
-    if args.inverse:
-        x = _read_cyclic_vector(args.input, args.ring, (APERIODIC,))
-        out = cyc_theta_inv(x)
-    else:
-        x = _read_cyclic_vector(args.input, args.ring, (NECKLACE,))
-        out = cyc_theta(x)
-    _emit(_cyclic_doc(out))
-    return 0
-
-
 def _operator_index(args):
     if args.r < 1:
         raise SchemaError(f"--r must be a positive integer, got {args.r}")
     return args.r
 
 
-def cmd_cyclic_operator(args):
+def cmd_operator(args):
     r = _operator_index(args)
-    x = _read_cyclic_vector(args.input, args.ring)
-    fn = cyc_frobenius if args.operator == "frobenius" else cyc_verschiebung
-    _emit(_cyclic_doc(fn(r, x)))
+    frobenius = args.operator == "frobenius"
+    x = _read_vector(args.input, args.model, args.ring, None if frobenius else _RING_FLAVORS)
+    if args.model == "cyclic":
+        out = cyc_frobenius(r, x) if frobenius else cyc_verschiebung(r, x)
+    else:
+        out = q_frobenius(_qcontext(args), r, x) if frobenius else q_verschiebung(r, x)
+    _emit(_vector_doc(out))
     return 0
 
 
@@ -480,69 +462,6 @@ def cmd_quniversal(args):
     return 0
 
 
-def cmd_qwitt_op(args):
-    ctx = _qcontext(args)
-    op = _OPWORD[args.op]
-    x = _read_cyclic_vector(args.input, args.ring, (WITT, NECKLACE, APERIODIC))
-    y = None
-    if op != "neg":
-        if args.other is None:
-            raise SchemaError(f"qwitt {args.op} needs two input files")
-        y = _read_cyclic_vector(args.other, args.ring, (x.flavor,))
-        if y.truncation.members != x.truncation.members:
-            raise SchemaError("input files use different truncation sets")
-        if y.ring != x.ring:
-            raise SchemaError("input files use different rings")
-        if y.coord_form != x.coord_form:
-            raise SchemaError("cannot mix coordinate-backed and plain vectors")
-    fn = {WITT: q_witt_op, NECKLACE: q_nr_op, APERIODIC: q_ap_op}[x.flavor]
-    out = fn(ctx, op, x) if y is None else fn(ctx, op, x, y)
-    _emit(_cyclic_doc(out))
-    return 0
-
-
-def cmd_qwitt_ghost(args):
-    ctx = _qcontext(args)
-    x = _read_cyclic_vector(args.input, args.ring, (WITT, NECKLACE, APERIODIC))
-    out = q_witt_ghost(ctx, x) if x.flavor == WITT and not x.coord_form else q_ghost(ctx, x)
-    _emit(_cyclic_doc(out))
-    return 0
-
-
-def cmd_qwitt_teichmuller(args):
-    ctx = _qcontext(args)
-    if args.inverse:
-        x = _read_cyclic_vector(args.input, args.ring, (NECKLACE,))
-        out = q_teichmuller_inv(ctx, x)
-    else:
-        x = _read_cyclic_vector(args.input, args.ring, (WITT,))
-        out = q_teichmuller(ctx, x)
-    _emit(_cyclic_doc(out))
-    return 0
-
-
-def cmd_qwitt_theta(args):
-    if args.inverse:
-        x = _read_cyclic_vector(args.input, args.ring, (APERIODIC,))
-        out = theta_q_inv(x)
-    else:
-        x = _read_cyclic_vector(args.input, args.ring, (NECKLACE,))
-        out = theta_q(x)
-    _emit(_cyclic_doc(out))
-    return 0
-
-
-def cmd_qwitt_operator(args):
-    r = _operator_index(args)
-    x = _read_cyclic_vector(args.input, args.ring)
-    if args.operator == "frobenius":
-        out = q_frobenius(_qcontext(args), r, x)
-    else:
-        out = q_verschiebung(r, x)
-    _emit(_cyclic_doc(out))
-    return 0
-
-
 def cmd_qwitt_tryone(args):
     ctx = _qcontext(args)
     T = _truncation(args)
@@ -551,7 +470,7 @@ def cmd_qwitt_tryone(args):
     if one is None:
         _emit({"exists": False, "trunc": list(T.members), "ring": R.name})
     else:
-        doc = _cyclic_doc(one)
+        doc = _vector_doc(one)
         doc["exists"] = True
         _emit(doc)
     return 0
@@ -562,9 +481,13 @@ def cmd_artinhasse(args):
     if args.inverse:
         curve = _read_curve(args.input, args.ring)
         T = _truncation(args, TruncationSet(range(1, curve.degree + 1)))
-        _emit(_cyclic_doc(artin_hasse_inv(ctx, curve, T)))
+        if curve.degree != T.members[-1]:
+            raise SchemaError(
+                f"{args.input}: curve degree {curve.degree} does not match max(T) = {T.members[-1]}"
+            )
+        _emit(_vector_doc(artin_hasse_inv(ctx, curve, T)))
     else:
-        x = _read_cyclic_vector(args.input, args.ring, (WITT,))
+        x = _read_vector(args.input, "qwitt", args.ring, (WITT,))
         _emit(_curve_doc(artin_hasse(ctx, x), ctx.q))
     return 0
 
@@ -608,22 +531,22 @@ def _parser():
         for op in ("add", "mul", "neg"):
             op_p = fsub.add_parser(op)
             _add_vector_io(op_p, op != "neg")
-            op_p.set_defaults(fn=cmd_flavor_op, family=family, op=op)
+            op_p.set_defaults(fn=cmd_flavor_op, family=family, op=op, model="group")
 
     gh = sub.add_parser("ghost", help="ghost map of a group vector file")
     _add_vector_io(gh, False)
-    gh.add_argument("--flavor", choices=(WITT, NECKLACE, APERIODIC))
-    gh.set_defaults(fn=cmd_ghost)
+    gh.add_argument("--flavor", choices=_RING_FLAVORS)
+    gh.set_defaults(fn=cmd_ghost, model="group")
 
     tm = sub.add_parser("teichmuller", help="Witt -> necklace transport")
     _add_vector_io(tm, False)
     tm.add_argument("--inverse", action="store_true")
-    tm.set_defaults(fn=cmd_teichmuller)
+    tm.set_defaults(fn=cmd_teichmuller, model="group")
 
     th = sub.add_parser("theta", help="necklace -> aperiodic rescaling")
     _add_vector_io(th, False)
     th.add_argument("--inverse", action="store_true")
-    th.set_defaults(fn=cmd_theta)
+    th.set_defaults(fn=cmd_theta, model="group")
 
     for name, fn, what in (("ind", cmd_ind, "induction"), ("res", cmd_res, "restriction")):
         ir = sub.add_parser(name, help=f"{what} along a subgroup class")
@@ -645,20 +568,20 @@ def _parser():
         for op in ("add", "mul", "neg"):
             op_p = fsub.add_parser(op)
             _add_vector_io(op_p, op != "neg")
-            op_p.set_defaults(fn=cmd_cyclic_op, family=family, op=op)
+            op_p.set_defaults(fn=cmd_flavor_op, family=family, op=op, model="cyclic")
     cgh = csub.add_parser("ghost")
     _add_vector_io(cgh, False)
-    cgh.add_argument("--flavor", choices=(WITT, NECKLACE, APERIODIC))
-    cgh.set_defaults(fn=cmd_cyclic_ghost)
+    cgh.add_argument("--flavor", choices=_RING_FLAVORS)
+    cgh.set_defaults(fn=cmd_ghost, model="cyclic")
     cth = csub.add_parser("theta")
     _add_vector_io(cth, False)
     cth.add_argument("--inverse", action="store_true")
-    cth.set_defaults(fn=cmd_cyclic_theta)
+    cth.set_defaults(fn=cmd_theta, model="cyclic")
     for op_name in ("frobenius", "verschiebung"):
         cop = csub.add_parser(op_name)
         cop.add_argument("--r", type=int, required=True)
         _add_vector_io(cop, False)
-        cop.set_defaults(fn=cmd_cyclic_operator, operator=op_name)
+        cop.set_defaults(fn=cmd_operator, operator=op_name, model="cyclic")
 
     qp = sub.add_parser("qpoly", help="q-weighted lattice polynomials")
     qp.add_argument("kind", choices=("P", "tau"))
@@ -677,29 +600,29 @@ def _parser():
         op_p = qsub.add_parser(op)
         op_p.add_argument("--q", required=True, help="integer or the symbol q")
         _add_vector_io(op_p, op != "neg")
-        op_p.set_defaults(fn=cmd_qwitt_op, op=op)
+        op_p.set_defaults(fn=cmd_flavor_op, op=op, model="qwitt")
     qgh = qsub.add_parser("ghost")
     qgh.add_argument("--q", required=True)
     _add_vector_io(qgh, False)
-    qgh.set_defaults(fn=cmd_qwitt_ghost)
+    qgh.set_defaults(fn=cmd_ghost, model="qwitt")
     qtm = qsub.add_parser("teichmuller")
     qtm.add_argument("--q", required=True)
     qtm.add_argument("--inverse", action="store_true")
     _add_vector_io(qtm, False)
-    qtm.set_defaults(fn=cmd_qwitt_teichmuller)
+    qtm.set_defaults(fn=cmd_teichmuller, model="qwitt")
     qth = qsub.add_parser("theta")
     qth.add_argument("--inverse", action="store_true")
     _add_vector_io(qth, False)
-    qth.set_defaults(fn=cmd_qwitt_theta)
+    qth.set_defaults(fn=cmd_theta, model="qwitt")
     qfr = qsub.add_parser("frobenius")
     qfr.add_argument("--q", required=True)
     qfr.add_argument("--r", type=int, required=True)
     _add_vector_io(qfr, False)
-    qfr.set_defaults(fn=cmd_qwitt_operator, operator="frobenius")
+    qfr.set_defaults(fn=cmd_operator, operator="frobenius", model="qwitt")
     qvs = qsub.add_parser("verschiebung")
     qvs.add_argument("--r", type=int, required=True)
     _add_vector_io(qvs, False)
-    qvs.set_defaults(fn=cmd_qwitt_operator, operator="verschiebung")
+    qvs.set_defaults(fn=cmd_operator, operator="verschiebung", model="qwitt")
     qon = qsub.add_parser("tryone")
     qon.add_argument("--q", required=True)
     qon.add_argument("--trunc", type=int)

@@ -1,9 +1,10 @@
 """Classical (cyclic/profinite) Witt, necklace and aperiodic vectors.
 
-Components are indexed by a finite divisor-closed truncation set T: the
-index n stands for the open subgroup of index n of the profinite cyclic
-group, so T = div(N) reproduces the finite cyclic group of order N
-component-for-component.
+The vectors are the group model's IndexedVector (CyclicVector is a second
+name of that class) with a finite divisor-closed truncation set T as their
+index: the member n stands for the open subgroup of index n of the
+profinite cyclic group, so T = div(N) reproduces the finite cyclic group of
+order N component-for-component.
 
 The flavor dictionary matches the group-indexed module: Witt coordinates
 with ghost w_n = sum_{d|n} d a_d^{n/d}, the necklace ring with
@@ -18,7 +19,15 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .burnside import APERIODIC, FLAVORS, GHOST, NECKLACE, WITT
+from .burnside import (
+    APERIODIC,
+    GHOST,
+    NECKLACE,
+    WITT,
+    IndexedVector,
+    _check_operands,
+    _flavor_op,
+)
 from .errors import (
     NotBinomial,
     NotInImage,
@@ -27,7 +36,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .rings import RingSpec, RingValue, divisors, mobius
-from .universal import GhostSystem, UniversalSet, check_op, derive, ghost_values
+from .universal import GhostSystem, UniversalSet, check_op, derive, ghost_values, index_labels
 
 
 # Miller-Rabin with these bases is exact below 3.3e24 (Sorenson-Webster 2017)
@@ -163,96 +172,11 @@ class TruncationSet:
         return f"TruncationSet({list(self.members)})"
 
 
-class CyclicVector:
-    """Ring values indexed by a truncation set, tagged with a flavor.
-
-    coord_form marks a Necklace/Aperiodic vector stored through its Witt
-    coordinates (the quotient-ring presentation used by the q-deformed
-    transports); the componentwise operations below refuse such vectors.
-    """
-
-    __slots__ = ("truncation", "flavor", "ring", "components", "coord_form")
-
-    def __init__(self, truncation, flavor, ring, components, coord_form=False):
-        if flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        if coord_form and flavor not in (NECKLACE, APERIODIC):
-            raise ValueError("coordinate form only tags Necklace/Aperiodic vectors")
-        comps = tuple(components)
-        if len(comps) != len(truncation):
-            raise ValueError("one component per truncation member required")
-        for c in comps:
-            if not isinstance(c, RingValue) or c.spec != ring:
-                raise ValueError("components must be RingValues over the declared ring")
-        self.truncation = truncation
-        self.flavor = flavor
-        self.ring = ring
-        self.components = comps
-        self.coord_form = bool(coord_form)
-
-    @classmethod
-    def from_payloads(cls, truncation, flavor, ring, payloads):
-        return cls(truncation, flavor, ring, [RingValue(ring, p) for p in payloads])
-
-    @classmethod
-    def from_ints(cls, truncation, flavor, ring, ints):
-        return cls(truncation, flavor, ring,
-                   [RingValue.from_int(ring, n) for n in ints])
-
-    @classmethod
-    def zero(cls, truncation, flavor, ring):
-        return cls.from_ints(truncation, flavor, ring, [0] * len(truncation))
-
-    @classmethod
-    def one(cls, truncation, flavor, ring):
-        return cls.from_ints(truncation, flavor, ring,
-                             [1] + [0] * (len(truncation) - 1))
-
-    def payloads(self):
-        return tuple(c.payload for c in self.components)
-
-    def component(self, n: int):
-        return self.components[self.truncation.position(n)]
-
-    def retag(self, flavor, coord_form=None):
-        cf = self.coord_form if coord_form is None else coord_form
-        return CyclicVector(self.truncation, flavor, self.ring, self.components, cf)
-
-    def with_components(self, components):
-        return CyclicVector(self.truncation, self.flavor, self.ring, components,
-                            self.coord_form)
-
-    def map_ring(self, target: RingSpec, fn):
-        return CyclicVector(
-            self.truncation, self.flavor, target,
-            [RingValue(target, fn(c.payload)) for c in self.components],
-            self.coord_form,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicVector)
-            and self.truncation == other.truncation
-            and self.flavor == other.flavor
-            and self.ring == other.ring
-            and self.coord_form == other.coord_form
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        vals = ", ".join(c.format() for c in self.components)
-        tag = " coords" if self.coord_form else ""
-        return (f"<cyclic {self.flavor}{tag} over {self.ring.name}"
-                f" T={list(self.truncation)} [{vals}]>")
-
-
-def _check_same(x: CyclicVector, y: CyclicVector):
-    if (x.truncation != y.truncation or x.ring != y.ring or x.flavor != y.flavor
-            or x.coord_form != y.coord_form):
-        raise ValueError("operands live in different truncations/rings/flavors")
+CyclicVector = IndexedVector
 
 
 def _require_components(x: CyclicVector):
+    """The classical model's operations refuse coordinate-backed vectors."""
     if x.coord_form:
         raise ValueError(
             "vector is stored in Witt coordinates; use the q-deformed operations"
@@ -354,7 +278,7 @@ def _truncation_universal(T: TruncationSet, op: str, q: bool = False, r: int | N
         if r is not None:
             Tout = TruncationSet([n for n in T if r * n in T])
             shift = (_ghost_table(Tout, q), [T.position(r * n) for n in Tout])
-        return GhostSystem(Tout, T.members, _ghost_table(T, q), tag if r else op, q, shift)
+        return GhostSystem(Tout, index_labels(T), _ghost_table(T, q), tag if r else op, q, shift)
 
     return derive(T, tag, system)
 
@@ -366,12 +290,7 @@ def cyc_universal(T: TruncationSet, op: str) -> UniversalSet:
 
 
 def cyc_witt_op(op: str, a: CyclicVector, b: CyclicVector | None = None) -> CyclicVector:
-    if a.flavor != WITT:
-        raise ValueError("cyc_witt_op expects Witt vectors")
-    if (b is None) != (op == "neg"):
-        raise ValueError("binary ops need two operands, neg exactly one")
-    if b is not None:
-        _check_same(a, b)
+    _check_operands("cyc_witt_op", WITT, op, a, b)
     env = a.payloads() + (b.payloads() if b is not None else ())
     out = cyc_universal(a.truncation, op).system.apply(a.ring, env)
     return CyclicVector.from_payloads(a.truncation, WITT, a.ring, out)
@@ -381,12 +300,9 @@ def cyc_witt_op(op: str, a: CyclicVector, b: CyclicVector | None = None) -> Cycl
 # necklace / aperiodic operations
 
 
-def cyc_nr_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
-    """(x y)_n = sum over lcm(i, j) = n of gcd(i, j) x_i y_j."""
-    if x.flavor != NECKLACE:
-        raise ValueError("cyc_nr_mul expects Necklace vectors")
+def _lcm_mul(x: CyclicVector, y: CyclicVector, weighted: bool) -> CyclicVector:
+    """(x y)_n = sum over lcm(i, j) = n of x_i y_j, weighted by gcd(i, j) if weighted."""
     _require_components(x)
-    _check_same(x, y)
     R = x.ring
     T = x.truncation
     out = [R.zero() for _ in T]
@@ -401,63 +317,34 @@ def cyc_nr_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
             yj = y.component(j).payload
             if R.is_zero(yj):
                 continue
-            term = R.mul(R.from_int(math.gcd(i, j)), R.mul(xi, yj))
+            term = R.mul(xi, yj)
+            if weighted:
+                term = R.mul(R.from_int(math.gcd(i, j)), term)
             k = T.position(n)
             out[k] = R.add(out[k], term)
-    return CyclicVector.from_payloads(T, NECKLACE, R, out)
+    return CyclicVector.from_payloads(T, x.flavor, R, out)
+
+
+def cyc_nr_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
+    """(x y)_n = sum over lcm(i, j) = n of gcd(i, j) x_i y_j."""
+    _check_operands("cyc_nr_mul", NECKLACE, "prod", x, y)
+    return _lcm_mul(x, y, True)
 
 
 def cyc_ap_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over lcm(i, j) = n of x_i y_j, valid over every ring."""
-    if x.flavor != APERIODIC:
-        raise ValueError("cyc_ap_mul expects Aperiodic vectors")
-    _require_components(x)
-    _check_same(x, y)
-    R = x.ring
-    T = x.truncation
-    out = [R.zero() for _ in T]
-    for i in T:
-        xi = x.component(i).payload
-        if R.is_zero(xi):
-            continue
-        for j in T:
-            n = math.lcm(i, j)
-            if n not in T:
-                continue
-            yj = y.component(j).payload
-            if R.is_zero(yj):
-                continue
-            k = T.position(n)
-            out[k] = R.add(out[k], R.mul(xi, yj))
-    return CyclicVector.from_payloads(T, APERIODIC, R, out)
-
-
-def _cyc_componentwise(op, x, y):
-    _require_components(x)
-    if op == "neg":
-        return x.with_components([-c for c in x.components])
-    _check_same(x, y)
-    return x.with_components([c + d for c, d in zip(x.components, y.components)])
+    _check_operands("cyc_ap_mul", APERIODIC, "prod", x, y)
+    return _lcm_mul(x, y, False)
 
 
 def cyc_nr_op(op: str, x: CyclicVector, y: CyclicVector | None = None) -> CyclicVector:
-    if x.flavor != NECKLACE:
-        raise ValueError("cyc_nr_op expects Necklace vectors")
-    if op in ("sum", "neg"):
-        return _cyc_componentwise(op, x, y)
-    if op == "prod":
-        return cyc_nr_mul(x, y)
-    raise ValueError(f"unknown op {op!r}")
+    _check_operands("cyc_nr_op", NECKLACE, op, x, y)
+    return _flavor_op(op, _require_components(x), y, None, cyc_nr_mul)
 
 
 def cyc_ap_op(op: str, x: CyclicVector, y: CyclicVector | None = None) -> CyclicVector:
-    if x.flavor != APERIODIC:
-        raise ValueError("cyc_ap_op expects Aperiodic vectors")
-    if op in ("sum", "neg"):
-        return _cyc_componentwise(op, x, y)
-    if op == "prod":
-        return cyc_ap_mul(x, y)
-    raise ValueError(f"unknown op {op!r}")
+    _check_operands("cyc_ap_op", APERIODIC, op, x, y)
+    return _flavor_op(op, _require_components(x), y, None, cyc_ap_mul)
 
 
 # ---------------------------------------------------------------------------

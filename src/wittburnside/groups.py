@@ -245,18 +245,19 @@ class SubgroupClassTable:
     i <= j.
     """
 
-    __slots__ = ("group", "classes", "class_of")
+    __slots__ = ("group", "classes", "class_of", "_labels")
 
     def __init__(self, group, classes, class_of):
         self.group = group
         self.classes = classes
         self.class_of = class_of
+        self._labels = tuple(c.label for c in classes)
 
     def __len__(self):
         return len(self.classes)
 
     def labels(self):
-        return tuple(c.label for c in self.classes)
+        return self._labels
 
     def index_of_label(self, label):
         for i, c in enumerate(self.classes):

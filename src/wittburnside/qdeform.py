@@ -21,7 +21,16 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .burnside import APERIODIC, GHOST, NECKLACE, WITT, _is_binomial, _strategy
+from .burnside import (
+    APERIODIC,
+    GHOST,
+    NECKLACE,
+    WITT,
+    _is_binomial,
+    _strategy,
+    _check_operands,
+    _flavor_op,
+)
 from .cyclic import (
     CyclicVector,
     TruncationSet,
@@ -216,7 +225,7 @@ def q_ghost(ctx: QContext, x: CyclicVector) -> CyclicVector:
     if x.flavor == GHOST:
         raise ValueError("vector is already a Ghost vector")
     if x.coord_form:
-        return q_witt_ghost(ctx, CyclicVector(x.truncation, WITT, x.ring, x.components))
+        return q_witt_ghost(ctx, x.retag(WITT, coord_form=False))
     R = x.ring
     qv = ctx.q_payload(R)
     weighted = x.flavor == NECKLACE
@@ -316,13 +325,7 @@ def _q_apply(ctx: QContext, system: GhostSystem, R: RingSpec, xs):
 
 
 def q_witt_op(ctx: QContext, op: str, a: CyclicVector, b: CyclicVector | None = None) -> CyclicVector:
-    if a.flavor != WITT:
-        raise ValueError("q_witt_op expects Witt vectors")
-    if (b is None) != (op == "neg"):
-        raise ValueError("binary ops need two operands, neg exactly one")
-    if b is not None and (a.truncation != b.truncation or a.ring != b.ring
-                          or b.flavor != WITT):
-        raise ValueError("operands live in different truncations/rings/flavors")
+    _check_operands("q_witt_op", WITT, op, a, b)
     env = a.payloads() + (b.payloads() if b is not None else ())
     out = _q_apply(ctx, q_universal(a.truncation, op).system, a.ring, env)
     return CyclicVector.from_payloads(a.truncation, WITT, a.ring, out)
@@ -386,61 +389,35 @@ def _q_mul(ctx: QContext, x: CyclicVector, y: CyclicVector, aperiodic: bool) -> 
     return CyclicVector.from_payloads(T, x.flavor, R, out)
 
 
-def _q_check_pair(x, y, flavor, name):
-    if x.flavor != flavor:
-        raise ValueError(f"{name} expects {flavor} vectors")
-    if (x.truncation != y.truncation or x.ring != y.ring or x.flavor != y.flavor
-            or x.coord_form != y.coord_form):
-        raise ValueError("operands live in different truncations/rings/flavors")
+def _q_flavor_op(ctx: QContext, op, x, y, mul):
+    """_flavor_op with the q-Witt operation at ctx's q for coordinate-backed vectors."""
+    return _flavor_op(op, x, y, lambda op, a, b: q_witt_op(ctx, op, a, b), mul)
 
 
 def q_nr_mul(ctx: QContext, x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over [i,j] | n of (i,j) P_{n,i,j}(q) x_i y_j."""
-    _q_check_pair(x, y, NECKLACE, "q_nr_mul")
-    if x.coord_form:
-        return q_witt_op(ctx, "prod", x.retag(WITT, coord_form=False),
-                         y.retag(WITT, coord_form=False)).retag(NECKLACE, coord_form=True)
-    return _q_mul(ctx, x, y, aperiodic=False)
+    _check_operands("q_nr_mul", NECKLACE, "prod", x, y)
+    return _q_flavor_op(ctx, "prod", x, y, lambda x, y: _q_mul(ctx, x, y, aperiodic=False))
 
 
 def q_ap_mul(ctx: QContext, x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over [i,j] | n of (n/[i,j]) P_{n,i,j}(q) x_i y_j."""
-    _q_check_pair(x, y, APERIODIC, "q_ap_mul")
-    if x.coord_form:
-        return q_witt_op(ctx, "prod", x.retag(WITT, coord_form=False),
-                         y.retag(WITT, coord_form=False)).retag(APERIODIC, coord_form=True)
-    return _q_mul(ctx, x, y, aperiodic=True)
-
-
-def _q_componentwise(ctx, op, x, y, flavor, name):
-    if op == "neg":
-        if x.flavor != flavor:
-            raise ValueError(f"{name} expects {flavor} vectors")
-        if x.coord_form:
-            return q_witt_op(ctx, "neg", x.retag(WITT, coord_form=False)
-                             ).retag(flavor, coord_form=True)
-        return x.with_components([-c for c in x.components])
-    _q_check_pair(x, y, flavor, name)
-    if x.coord_form:
-        return q_witt_op(ctx, "sum", x.retag(WITT, coord_form=False),
-                         y.retag(WITT, coord_form=False)).retag(flavor, coord_form=True)
-    return x.with_components([c + d for c, d in zip(x.components, y.components)])
+    _check_operands("q_ap_mul", APERIODIC, "prod", x, y)
+    return _q_flavor_op(ctx, "prod", x, y, lambda x, y: _q_mul(ctx, x, y, aperiodic=True))
 
 
 def q_nr_op(ctx: QContext, op: str, x: CyclicVector, y: CyclicVector | None = None) -> CyclicVector:
-    if op in ("sum", "neg"):
-        return _q_componentwise(ctx, op, x, y, NECKLACE, "q_nr_op")
     if op == "prod":
         return q_nr_mul(ctx, x, y)
-    raise ValueError(f"unknown op {op!r}")
+    _check_operands("q_nr_op", NECKLACE, op, x, y)
+    return _q_flavor_op(ctx, op, x, y, None)
 
 
 def q_ap_op(ctx: QContext, op: str, x: CyclicVector, y: CyclicVector | None = None) -> CyclicVector:
-    if op in ("sum", "neg"):
-        return _q_componentwise(ctx, op, x, y, APERIODIC, "q_ap_op")
     if op == "prod":
         return q_ap_mul(ctx, x, y)
-    raise ValueError(f"unknown op {op!r}")
+    _check_operands("q_ap_op", APERIODIC, op, x, y)
+    return _q_flavor_op(ctx, op, x, y, None)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +468,7 @@ def q_teichmuller(ctx: QContext, a: CyclicVector) -> CyclicVector:
         raise ValueError("q_teichmuller expects a Witt vector")
     R = a.ring
     if _strategy(R) == "quotient":
-        return CyclicVector(a.truncation, NECKLACE, R, a.components, coord_form=True)
+        return a.retag(NECKLACE, coord_form=True)
     if R.is_qalgebra or _is_binomial(R):
         work = a
     else:
@@ -516,7 +493,7 @@ def q_teichmuller_inv(ctx: QContext, x: CyclicVector) -> CyclicVector:
         raise ValueError("q_teichmuller_inv expects a Necklace vector")
     R = x.ring
     if x.coord_form:
-        return CyclicVector(x.truncation, WITT, R, x.components)
+        return x.retag(WITT, coord_form=False)
     if _strategy(R) == "quotient":
         raise DomainError(
             f"componentwise Necklace vectors over {R.name} have no canonical "
@@ -599,8 +576,7 @@ def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:
     if x.flavor == WITT or x.coord_form:
         Tout, cu = _q_frobenius_universal(T, r)
         out = _q_apply(ctx, cu.system, R, x.payloads())
-        return CyclicVector(Tout, x.flavor, R,
-                            [RingValue(R, p) for p in out], x.coord_form)
+        return CyclicVector.from_payloads(Tout, x.flavor, R, out, x.coord_form)
     aperiodic = x.flavor == APERIODIC
     if not aperiodic and x.flavor != NECKLACE:
         raise ValueError(f"unknown flavor {x.flavor!r}")

@@ -50,6 +50,14 @@ def check_op(op: str):
         raise ValueError(f"op must be one of {OPS}")
 
 
+def index_labels(index):
+    """The labels of an index set: a group's subgroup classes (strings), or a
+    truncation set's members (integers)."""
+    if isinstance(index, FiniteGroup):
+        return subgroup_classes(index).labels()
+    return index.members
+
+
 class UniversalSet:
     """Universal polynomials of one operation: the solution of a GhostSystem.
 
@@ -156,15 +164,16 @@ def ghost_values(table, R, xs, qv=None):
 class GhostSystem:
     """The equations w(s) = target(a, b) of one operation.
 
-    `table` gives the ghost of the inputs, labelled by `labels`.  A Frobenius
-    passes `shift`, a pair (table of the unknowns' index set, input row
-    whose ghost each unknown's ghost equals); the ring operations solve over
-    the input index set itself.  `structure` indexes the solution, as in
-    UniversalSet.
+    `table` gives the ghost of the inputs, labelled by `labels` (the
+    index_labels of the input index set).  A Frobenius passes `shift`, a pair
+    (table of the unknowns' index set, input row whose ghost each unknown's
+    ghost equals); the ring operations solve over the input index set itself.
+    `structure` indexes the solution, as in UniversalSet.
     """
 
     def __init__(self, structure, labels, table, op, q=False, shift=None):
         self.structure = structure
+        self.labels = labels
         self.table = table
         self.op = op
         self.q = q
@@ -222,10 +231,8 @@ class GhostSystem:
         return solved
 
     def _where(self, u):
-        S = self.structure
-        if isinstance(S, FiniteGroup):
-            return f"class {subgroup_classes(S).labels()[u]} of {S.name}"
-        return f"index {S.members[u]}"
+        label = index_labels(self.structure)[u]
+        return f"index {label}" if type(label) is int else f"class {label} of {self.structure.name}"
 
     def holds(self, ups: UniversalSet) -> bool:
         """Does the ghost identity hold for `ups` at one fixed integer point?"""
@@ -252,7 +259,7 @@ def derive(structure, tag, system) -> UniversalSet:
     if ups is not None:
         return ups
     eqs = system()
-    path = _cache_path(structure, tag)
+    path = _cache_path(structure, eqs.labels, tag)
     ups = _cache_read(path, eqs) if path else None
     if ups is None:
         ups = UniversalSet(eqs, eqs.solve())
@@ -262,15 +269,13 @@ def derive(structure, tag, system) -> UniversalSet:
     return ups
 
 
-def _cache_path(structure, tag):
+def _cache_path(structure, labels, tag):
     root = os.environ.get("WB_CACHE_DIR")
     if not root:
         return None
-    # named by what equality compares: a group's elements, a truncation set's members
-    if isinstance(structure, FiniteGroup):
-        kind, identity = "wg", structure.elements
-    else:
-        kind, identity = "cyc", structure.members
+    # named by what equality compares: a truncation set's members (its integer
+    # labels), a group's elements
+    kind, identity = ("cyc", labels) if type(labels[0]) is int else ("wg", structure.elements)
     digest = hashlib.sha256(repr(identity).encode()).hexdigest()[:16]
     return os.path.join(root, f"{kind}-{digest}-{tag}-{FORMAT}.json")
 

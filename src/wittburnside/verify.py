@@ -44,7 +44,6 @@ from .burnside import (
     witt_v,
 )
 from .cyclic import (
-    CyclicVector,
     TruncationSet,
     aperiodic_poly,
     cyc_ap_mul,
@@ -84,6 +83,7 @@ from .qdeform import (
     try_one,
 )
 from .rings import QQ, QPolynomial, RingValue, ZZ, divisors, parse_ring
+from .universal import index_labels
 
 SUITES = (
     "rings",
@@ -110,7 +110,7 @@ def _G(name):
 
 
 def _show(v):
-    if isinstance(v, (IndexedVector, CyclicVector)):
+    if isinstance(v, IndexedVector):
         return "[" + ", ".join(c.format() for c in v.components) + "]"
     if isinstance(v, RingValue):
         return v.format()
@@ -161,13 +161,8 @@ def _rand_val(R, rng, lo=-9, hi=9):
     return v
 
 
-def _rand_gvec(G, flavor, R, rng, lo=-9, hi=9):
-    k = len(subgroup_classes(G))
-    return IndexedVector(G, flavor, R, [_rand_val(R, rng, lo, hi) for _ in range(k)])
-
-
-def _rand_cvec(T, flavor, R, rng, lo=-9, hi=9):
-    return CyclicVector(T, flavor, R, [_rand_val(R, rng, lo, hi) for _ in range(len(T))])
+def _rand_vec(index, flavor, R, rng, lo=-9, hi=9):
+    return IndexedVector(index, flavor, R, [_rand_val(R, rng, lo, hi) for _ in index_labels(index)])
 
 
 # --- suite: rings ------------------------------------------------------------
@@ -191,9 +186,9 @@ def _suite_rings(run):
                 op = ops[flavor]
                 for t in range(run.size):
                     tag = f"rings/{gname}/{rname_use}/{flavor}/{t}"
-                    x = _rand_gvec(G, flavor, R_use, rng)
-                    y = _rand_gvec(G, flavor, R_use, rng)
-                    z = _rand_gvec(G, flavor, R_use, rng)
+                    x = _rand_vec(G, flavor, R_use, rng)
+                    y = _rand_vec(G, flavor, R_use, rng)
+                    z = _rand_vec(G, flavor, R_use, rng)
                     run.check(f"{tag}/sum-comm", op("sum", x, y), op("sum", y, x))
                     run.check(
                         f"{tag}/sum-assoc",
@@ -239,8 +234,8 @@ def _suite_ghosts(run):
         G = _G(gname)
         for t in range(2 * run.size):
             tag = f"ghosts/{gname}/{R.name}/{t}"
-            a = _rand_gvec(G, WITT, R, rng)
-            b = _rand_gvec(G, WITT, R, rng)
+            a = _rand_vec(G, WITT, R, rng)
+            b = _rand_vec(G, WITT, R, rng)
             ga, gb = wg_ghost(a), wg_ghost(b)
             run.check(
                 f"{tag}/witt-sum",
@@ -252,8 +247,8 @@ def _suite_ghosts(run):
                 wg_ghost(wg_op("prod", a, b)).payloads(),
                 _componentwise(ga, gb, lambda u, v: u * v),
             )
-            x = _rand_gvec(G, NECKLACE, R, rng)
-            y = _rand_gvec(G, NECKLACE, R, rng)
+            x = _rand_vec(G, NECKLACE, R, rng)
+            y = _rand_vec(G, NECKLACE, R, rng)
             gx, gy = nr_ghost(x), nr_ghost(y)
             run.check(
                 f"{tag}/nr-prod",
@@ -261,8 +256,8 @@ def _suite_ghosts(run):
                 _componentwise(gx, gy, lambda u, v: u * v),
             )
             Ra = R if (G.is_abelian() or R.is_qalgebra) else QQ
-            u = _rand_gvec(G, APERIODIC, Ra, rng)
-            v = _rand_gvec(G, APERIODIC, Ra, rng)
+            u = _rand_vec(G, APERIODIC, Ra, rng)
+            v = _rand_vec(G, APERIODIC, Ra, rng)
             gu, gv = ap_ghost(u), ap_ghost(v)
             run.check(
                 f"{tag}/ap-prod",
@@ -272,24 +267,24 @@ def _suite_ghosts(run):
     T = TruncationSet.div(12)
     for t in range(3 * run.size):
         tag = f"ghosts/cyclic-div12/{t}"
-        a = _rand_cvec(T, WITT, ZZ, rng)
-        b = _rand_cvec(T, WITT, ZZ, rng)
+        a = _rand_vec(T, WITT, ZZ, rng)
+        b = _rand_vec(T, WITT, ZZ, rng)
         ga, gb = cyc_witt_ghost(a), cyc_witt_ghost(b)
         run.check(
             f"{tag}/witt-prod",
             cyc_witt_ghost(cyc_witt_op("prod", a, b)).payloads(),
             _componentwise(ga, gb, lambda u, v: u * v),
         )
-        x = _rand_cvec(T, NECKLACE, ZZ, rng)
-        y = _rand_cvec(T, NECKLACE, ZZ, rng)
+        x = _rand_vec(T, NECKLACE, ZZ, rng)
+        y = _rand_vec(T, NECKLACE, ZZ, rng)
         gx, gy = cyc_ghost(x), cyc_ghost(y)
         run.check(
             f"{tag}/nr-mul",
             cyc_ghost(cyc_nr_mul(x, y)).payloads(),
             _componentwise(gx, gy, lambda u, v: u * v),
         )
-        u = _rand_cvec(T, APERIODIC, ZZ, rng)
-        v = _rand_cvec(T, APERIODIC, ZZ, rng)
+        u = _rand_vec(T, APERIODIC, ZZ, rng)
+        v = _rand_vec(T, APERIODIC, ZZ, rng)
         gu, gv = cyc_ghost(u), cyc_ghost(v)
         run.check(
             f"{tag}/ap-mul",
@@ -309,7 +304,7 @@ def _suite_diagrams(run):
         for R in (ZZ, QQ):
             for t in range(2 * run.size):
                 tag = f"diagrams/{gname}/{R.name}/{t}"
-                a = _rand_gvec(G, WITT, R, rng)
+                a = _rand_vec(G, WITT, R, rng)
                 tau = teichmuller(a)
                 run.check(f"{tag}/tau-roundtrip", teichmuller_inv(tau), a)
                 run.check(f"{tag}/gamma-roundtrip", gamma_inv(gamma(a)), a)
@@ -333,8 +328,8 @@ def _suite_diagrams(run):
     # coordinate-backed transports over a residue ring
     for t in range(2 * run.size):
         tag = f"diagrams/coord-Z8/{t}"
-        a = _rand_gvec(_G("C4"), WITT, Z8, rng, 0, 7)
-        b = _rand_gvec(_G("C4"), WITT, Z8, rng, 0, 7)
+        a = _rand_vec(_G("C4"), WITT, Z8, rng, 0, 7)
+        b = _rand_vec(_G("C4"), WITT, Z8, rng, 0, 7)
         ta, tb = teichmuller(a), teichmuller(b)
         run.check(f"{tag}/tau-roundtrip", teichmuller_inv(ta), a)
         run.check(
@@ -345,8 +340,8 @@ def _suite_diagrams(run):
     T = TruncationSet.div(12)
     for t in range(2 * run.size):
         tag = f"diagrams/cyclic-div12/{t}"
-        x = _rand_cvec(T, NECKLACE, QQ, rng)
-        y = _rand_cvec(T, NECKLACE, QQ, rng)
+        x = _rand_vec(T, NECKLACE, QQ, rng)
+        y = _rand_vec(T, NECKLACE, QQ, rng)
         run.check(
             f"{tag}/theta-intertwines",
             cyc_theta(cyc_nr_mul(x, y)),
@@ -356,7 +351,7 @@ def _suite_diagrams(run):
         run.check(
             f"{tag}/nr-ghost-roundtrip", cyc_ghost_inv(cyc_ghost(x), NECKLACE), x
         )
-        u = _rand_cvec(T, APERIODIC, ZZ, rng)
+        u = _rand_vec(T, APERIODIC, ZZ, rng)
         run.check(
             f"{tag}/ap-ghost-roundtrip", cyc_ghost_inv(cyc_ghost(u), APERIODIC), u
         )
@@ -374,7 +369,7 @@ def _suite_indres(run):
             U = subgroup_group(G, ci)
             for t in range(run.size):
                 tag = f"indres/{gname}/class{ci}/{t}"
-                au = _rand_gvec(U, WITT, QQ, rng)
+                au = _rand_vec(U, WITT, QQ, rng)
                 run.check(
                     f"{tag}/ind-tau",
                     ind_nr(G, ci, teichmuller(au)),
@@ -385,57 +380,57 @@ def _suite_indres(run):
                     ind_ap(G, ci, gamma(au)),
                     gamma(witt_v(G, ci, au)),
                 )
-                xu = _rand_gvec(U, NECKLACE, QQ, rng)
+                xu = _rand_vec(U, NECKLACE, QQ, rng)
                 run.check(
                     f"{tag}/ind-theta",
                     ind_ap(G, ci, theta(xu)),
                     theta(ind_nr(G, ci, xu)),
                 )
-                ag = _rand_gvec(G, WITT, QQ, rng)
+                ag = _rand_vec(G, WITT, QQ, rng)
                 run.check(
                     f"{tag}/res-tau",
                     res_nr(G, ci, teichmuller(ag)),
                     teichmuller(witt_f(G, ci, ag)),
                 )
-                xg = _rand_gvec(G, NECKLACE, QQ, rng)
+                xg = _rand_vec(G, NECKLACE, QQ, rng)
                 run.check(
                     f"{tag}/res-theta",
                     res_ap(G, ci, theta(xg)),
                     theta(res_nr(G, ci, xg)),
                 )
-                yu = _rand_gvec(U, NECKLACE, QQ, rng)
+                yu = _rand_vec(U, NECKLACE, QQ, rng)
                 run.check(
                     f"{tag}/ind-additive",
                     ind_nr(G, ci, nr_op("sum", xu, yu)),
                     nr_op("sum", ind_nr(G, ci, xu), ind_nr(G, ci, yu)),
                 )
-                yg = _rand_gvec(G, NECKLACE, QQ, rng)
+                yg = _rand_vec(G, NECKLACE, QQ, rng)
                 run.check(
                     f"{tag}/res-multiplicative",
                     res_nr(G, ci, nr_op("prod", xg, yg)),
                     nr_op("prod", res_nr(G, ci, xg), res_nr(G, ci, yg)),
                 )
-                aw = _rand_gvec(G, WITT, ZZ, rng)
-                bw = _rand_gvec(G, WITT, ZZ, rng)
+                aw = _rand_vec(G, WITT, ZZ, rng)
+                bw = _rand_vec(G, WITT, ZZ, rng)
                 run.check(
                     f"{tag}/frobenius-hom",
                     witt_f(G, ci, wg_op("prod", aw, bw)),
                     wg_op("prod", witt_f(G, ci, aw), witt_f(G, ci, bw)),
                 )
-                cu = _rand_gvec(U, WITT, ZZ, rng)
-                du = _rand_gvec(U, WITT, ZZ, rng)
+                cu = _rand_vec(U, WITT, ZZ, rng)
+                du = _rand_vec(U, WITT, ZZ, rng)
                 run.check(
                     f"{tag}/verschiebung-additive",
                     witt_v(G, ci, wg_op("sum", cu, du)),
                     wg_op("sum", witt_v(G, ci, cu), witt_v(G, ci, du)),
                 )
-                xn = _rand_gvec(U, NECKLACE, ZZ, rng, 0, 9)
+                xn = _rand_vec(U, NECKLACE, ZZ, rng, 0, 9)
                 run.check(
                     f"{tag}/ghost-nu",
                     ghost_nu(G, ci, nr_ghost(xn)),
                     nr_ghost(ind_nr(G, ci, xn)),
                 )
-                yn = _rand_gvec(G, NECKLACE, ZZ, rng, 0, 9)
+                yn = _rand_vec(G, NECKLACE, ZZ, rng, 0, 9)
                 run.check(
                     f"{tag}/ghost-F",
                     ghost_F(G, ci, nr_ghost(yn)),
@@ -500,8 +495,8 @@ def _suite_qpolys(run):
     ctx1 = QContext(1)
     for t in range(3 * run.size):
         tag = f"qpolys/q1-matches-classical/{t}"
-        a = _rand_cvec(T, WITT, ZZ, rng)
-        b = _rand_cvec(T, WITT, ZZ, rng)
+        a = _rand_vec(T, WITT, ZZ, rng)
+        b = _rand_vec(T, WITT, ZZ, rng)
         for op in ("sum", "prod"):
             run.check(
                 f"{tag}/{op}",
@@ -535,8 +530,8 @@ def _suite_qrings(run):
         for R, lo, hi in ((ZZ, -6, 6), (Z8, 0, 7)):
             for t in range(run.size):
                 tag = f"qrings/ghost-hom/q{q0}/{R.name}/{t}"
-                a = _rand_cvec(T6, WITT, R, rng, lo, hi)
-                b = _rand_cvec(T6, WITT, R, rng, lo, hi)
+                a = _rand_vec(T6, WITT, R, rng, lo, hi)
+                b = _rand_vec(T6, WITT, R, rng, lo, hi)
                 ga = q_witt_ghost(ctx, a)
                 gb = q_witt_ghost(ctx, b)
                 run.check(
@@ -553,7 +548,7 @@ def _suite_qrings(run):
         ctx = QContext(q0)
         for t in range(run.size):
             tag = f"qrings/transport/q{q0}/{t}"
-            a = _rand_cvec(T12, WITT, QQ, rng)
+            a = _rand_vec(T12, WITT, QQ, rng)
             tau = q_teichmuller(ctx, a)
             run.check(
                 f"{tag}/ghost-through-tau",
@@ -568,7 +563,7 @@ def _suite_qrings(run):
                 q_ghost(ctx, tau).payloads(),
             )
             run.check(f"{tag}/theta-roundtrip", theta_q_inv(ap), tau)
-            x = _rand_cvec(T12, NECKLACE, ZZ, rng, -6, 6)
+            x = _rand_vec(T12, NECKLACE, ZZ, rng, -6, 6)
             for r in (2, 3):
                 run.check(
                     f"{tag}/theta-transports-V{r}",
@@ -580,8 +575,8 @@ def _suite_qrings(run):
                     theta_q(q_frobenius(ctx, r, x)),
                     q_frobenius(ctx, r, theta_q(x)),
                 )
-            aw = _rand_cvec(T12, WITT, ZZ, rng, -6, 6)
-            bw = _rand_cvec(T12, WITT, ZZ, rng, -6, 6)
+            aw = _rand_vec(T12, WITT, ZZ, rng, -6, 6)
+            bw = _rand_vec(T12, WITT, ZZ, rng, -6, 6)
             for r in (2, 3):
                 run.check(
                     f"{tag}/frobenius{r}-hom",
@@ -607,7 +602,7 @@ def _suite_qrings(run):
     T2 = TruncationSet.div(2)
 
     def mq(val):
-        return CyclicVector(
+        return IndexedVector(
             T2,
             NECKLACE,
             QQ,
@@ -638,7 +633,7 @@ def _suite_qrings(run):
         (1, -1),
     )
     oneq = try_one(ctx2, T6, QQ)
-    x = _rand_cvec(T6, WITT, QQ, rng)
+    x = _rand_vec(T6, WITT, QQ, rng)
     run.check(
         "qrings/try-one/identity-law",
         None if oneq is None else q_witt_op(ctx2, "prod", oneq, x).payloads(),
@@ -658,14 +653,14 @@ def _suite_artinhasse(run):
         for R, lo, hi in ((ZZ, -6, 6), (QQ, -9, 9)):
             for t in range(run.size):
                 tag = f"artinhasse/q{q0}/{R.name}/{t}"
-                a = _rand_cvec(T8, WITT, R, rng, lo, hi)
+                a = _rand_vec(T8, WITT, R, rng, lo, hi)
                 c = artin_hasse(ctx, a)
                 run.check(f"{tag}/roundtrip", artin_hasse_inv(ctx, c, T8), a)
                 x1, x2, x3, x4 = (a.components[k].payload for k in range(4))
                 run.check(f"{tag}/t1", c.coefficient(1).payload, x1)
                 run.check(f"{tag}/t3", c.coefficient(3).payload, x3 - q0 * x1 * x2)
                 run.check(f"{tag}/t4", c.coefficient(4).payload, x4 - q0 * x1 * x3)
-                b = _rand_cvec(T8, WITT, R, rng, lo, hi)
+                b = _rand_vec(T8, WITT, R, rng, lo, hi)
                 run.check(
                     f"{tag}/additivity",
                     artin_hasse(ctx, q_witt_op(ctx, "sum", a, b)),
@@ -687,7 +682,7 @@ def _suite_artinhasse(run):
     ctx = QContext(2)
     T4 = TruncationSet.div(4)
     for t in range(run.size):
-        a = _rand_cvec(T4, WITT, ZZ, rng, -5, 5)
+        a = _rand_vec(T4, WITT, ZZ, rng, -5, 5)
         c = artin_hasse(ctx, a)
         run.check(
             f"artinhasse/div4-roundtrip/{t}", artin_hasse_inv(ctx, c, T4), a
@@ -727,16 +722,16 @@ def _suite_cyclic_identities(run):
     T = TruncationSet.div(12)
     for t in range(2 * run.size):
         tag = f"cyclic-identities/ghost-inverse-products/{t}"
-        a = _rand_cvec(T, GHOST, QQ, rng)
-        b = _rand_cvec(T, GHOST, QQ, rng)
+        a = _rand_vec(T, GHOST, QQ, rng)
+        b = _rand_vec(T, GHOST, QQ, rng)
         prod = a.with_components([u * v for u, v in zip(a.components, b.components)])
         run.check(
             f"{tag}/necklace",
             cyc_ghost_inv(prod, NECKLACE),
             cyc_nr_mul(cyc_ghost_inv(a, NECKLACE), cyc_ghost_inv(b, NECKLACE)),
         )
-        ai = _rand_cvec(T, GHOST, ZZ, rng)
-        bi = _rand_cvec(T, GHOST, ZZ, rng)
+        ai = _rand_vec(T, GHOST, ZZ, rng)
+        bi = _rand_vec(T, GHOST, ZZ, rng)
         prod_i = ai.with_components(
             [u * v for u, v in zip(ai.components, bi.components)]
         )
@@ -755,8 +750,8 @@ def _suite_cyclic_identities(run):
             ys = [rng.randint(-9, 9) for _ in T]
             gw = IndexedVector.from_ints(G, WITT, ZZ, xs)
             hw = IndexedVector.from_ints(G, WITT, ZZ, ys)
-            cw = CyclicVector.from_ints(T, WITT, ZZ, xs)
-            dw = CyclicVector.from_ints(T, WITT, ZZ, ys)
+            cw = IndexedVector.from_ints(T, WITT, ZZ, xs)
+            dw = IndexedVector.from_ints(T, WITT, ZZ, ys)
             run.check(
                 f"{tag}/ghost",
                 wg_ghost(gw).payloads(),
@@ -802,7 +797,7 @@ def _suite_cyclic_identities(run):
             xs = [0] * len(T)
             for pos, n in enumerate(Tu):
                 xs[T.position(n)] = alphas[pos]
-            cx = CyclicVector.from_ints(T, WITT, ZZ, xs)
+            cx = IndexedVector.from_ints(T, WITT, ZZ, xs)
             run.check(
                 f"{tag}/verschiebung",
                 witt_v(G, ci, au).payloads(),
@@ -810,7 +805,7 @@ def _suite_cyclic_identities(run):
             )
             ys = [rng.randint(-9, 9) for _ in T]
             ag = IndexedVector.from_ints(G, WITT, ZZ, ys)
-            cg = CyclicVector.from_ints(T, WITT, ZZ, ys)
+            cg = IndexedVector.from_ints(T, WITT, ZZ, ys)
             run.check(
                 f"{tag}/frobenius",
                 witt_f(G, ci, ag).payloads(),

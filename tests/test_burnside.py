@@ -417,6 +417,32 @@ def test_witt_v_f_commute_with_mod_m_reduction():
                 assert got.payloads() == tuple(p % 8 for p in f.payloads())
 
 
+
+def _ind_res_transports(R, rng, lo, hi, aperiodic=True):
+    """The ind/res maps against witt_v/witt_f through teichmuller (and gamma), on D4."""
+    for ci in range(len(subgroup_classes(D4))):
+        U = subgroup_group(D4, ci)
+        a = rand_vec(D4, WITT, ZZ, rng, lo, hi).map_ring(R, lambda p: p)
+        b = rand_vec(U, WITT, ZZ, rng, lo, hi).map_ring(R, lambda p: p)
+        assert res_nr(D4, ci, teichmuller(a)) == teichmuller(witt_f(D4, ci, a))
+        assert ind_nr(D4, ci, teichmuller(b)) == teichmuller(witt_v(D4, ci, b))
+        if aperiodic:
+            assert res_ap(D4, ci, gamma(a)) == gamma(witt_f(D4, ci, a))
+            assert ind_ap(D4, ci, gamma(b)) == gamma(witt_v(D4, ci, b))
+
+
+def test_ind_res_of_coordinate_backed_vectors():
+    # over Z/8 the transports carry Witt coordinates; ind/res must act on them
+    _ind_res_transports(Z8, random.Random(31), 0, 7)
+    x = teichmuller(rand_vec(D4, WITT, ZZ, random.Random(32), 0, 7).map_ring(Z8, lambda p: p))
+    out = res_nr(D4, 0, x)
+    assert out.coord_form and out.flavor == NECKLACE and out.ring == Z8
+
+
+def test_ind_res_plain_path_over_z():
+    # the aperiodic restriction needs rational constants, so over Z only the necklace maps
+    _ind_res_transports(ZZ, random.Random(33), -4, 4, aperiodic=False)
+
 def test_ghost_level_companions():
     rng = random.Random(13)
     for G, R in ((C6, ZZ), (C6, Z8), (S3, ZZ), (S3, QQ), (D4, ZZ)):

@@ -436,3 +436,57 @@ def test_huge_truncation_members_exit_2_fast(capsys, tmp_path):
         code, _, err = run_main(capsys, *argv)
         assert time.perf_counter() - start < 2.0
         assert code == 2 and "not divisor-closed" in err, err
+
+
+def _input_doc(tmp_path, kind):
+    """The file of one rejected-input case; every one is well formed JSON."""
+    s3 = {"group": "S3", "labels": ["G", "3a", "2a", "1"], "components": ["1", "2", "3", "4"]}
+    t6 = {"group": {"cyclic_trunc": [1, 2, 3, 6]}, "labels": [1, 2, 3, 6],
+          "components": ["2", "-1", "3", "0"]}
+    if kind == "curve3":
+        return write_vec(tmp_path, "curve.json", kind="curve", q=2, ring="Z", degree=3,
+                         coefficients=["1", "2", "3"])
+    fields = {
+        "group_witt_coords": dict(s3, flavor="Witt", coord_form=True),
+        "cyclic_witt_coords": dict(t6, flavor="Witt", coord_form=True),
+        "cyclic_necklace_coords": dict(t6, flavor="Necklace", coord_form=True),
+        "cyclic_ghost": dict(t6, flavor="Ghost"),
+    }[kind]
+    return write_vec(tmp_path, f"{kind}.json", ring="Z", **fields)
+
+
+# each case escaped as a ValueError traceback with exit 1, the verify-failure code
+@pytest.mark.parametrize(
+    "argv,kind,count",
+    [
+        (("witt", "neg"), "group_witt_coords", 1),
+        (("ghost",), "group_witt_coords", 1),
+        (("res", "--group", "S3", "--class", "2a"), "group_witt_coords", 1),
+        (("cyclic", "witt", "neg"), "cyclic_witt_coords", 1),
+        (("qwitt", "neg", "--q", "2"), "cyclic_witt_coords", 1),
+        (("qwitt", "ghost", "--q", "2"), "cyclic_witt_coords", 1),
+        (("qwitt", "frobenius", "--q", "2", "--r", "2"), "cyclic_witt_coords", 1),
+        (("cyclic", "theta"), "cyclic_necklace_coords", 1),
+        (("cyclic", "ghost"), "cyclic_necklace_coords", 1),
+        (("cyclic", "frobenius", "--r", "2"), "cyclic_necklace_coords", 1),
+        (("cyclic", "necklace", "add"), "cyclic_necklace_coords", 2),
+        (("cyclic", "verschiebung", "--r", "2"), "cyclic_ghost", 1),
+        (("qwitt", "verschiebung", "--r", "2"), "cyclic_ghost", 1),
+        (("artinhasse", "--q", "2", "--inverse", "--trunc-set", "1,2"), "curve3", 1),
+    ],
+)
+def test_unusable_input_exits_2(capsys, tmp_path, argv, kind, count):
+    path = _input_doc(tmp_path, kind)
+    code, out, err = run_main(capsys, *argv, *[path] * count)
+    assert code == 2 and "SchemaError" in err and out == "", err
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_non_boolean_coord_form_exits_2(capsys, tmp_path, value):
+    # a truthy non-boolean once read as coordinate-backed, and theta then
+    # returned the components unscaled
+    a = write_vec(tmp_path, "a.json", group="S3", flavor="Necklace", ring="Z",
+                  components=["1", "2", "3", "4"], labels=["G", "3a", "2a", "1"],
+                  coord_form=value)
+    code, out, err = run_main(capsys, "theta", a)
+    assert code == 2 and "coord_form" in err and out == "", err
