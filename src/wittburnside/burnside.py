@@ -14,18 +14,25 @@ container:
 
 Transports between the flavors:
 
-    wg_ghost   Witt      -> Ghost     exponent-weighted fixed-point sums
-    nr_ghost   Necklace  -> Ghost     marks transpose (integer, invertible
-                                      by a triangular solve)
-    ap_ghost   Aperiodic -> Ghost     marks transpose scaled by 1/index
-    teichmuller Witt     -> Necklace  exponential sums over subgroup lattices
-    theta      Necklace  -> Aperiodic componentwise scaling by the index
-    gamma      Witt      -> Aperiodic theta after teichmuller
+    wg_ghost    Witt      -> Ghost     exponent-weighted fixed-point sums
+    nr_ghost    Necklace  -> Ghost     marks transpose (integer, invertible
+                                       by a triangular solve)
+    ap_ghost    Aperiodic -> Ghost     marks transpose scaled by 1/index
+    teichmuller Witt      -> Necklace  the necklace solve of the Witt ghost
+    teichmuller_inv                    the Witt solve of the necklace ghost
+    theta       Necklace  -> Aperiodic componentwise scaling by the index
+    gamma       Witt      -> Aperiodic theta after teichmuller
+    witt_f      Witt on G -> Witt on U the Witt solve on U of the restricted
+                                       ghost (a shifted ghost system)
+    witt_v      Witt on U -> Witt on G the Witt solve on G of ghost_nu
 
-Coefficient strategy: over a Q-algebra every map is computed directly; over
-Z the rational computation is pulled back and integrality asserted (Z is a
-binomial ring, so the pullback is a theorem, not a hope); over integer
-polynomial rings results that need denominators are returned over the
+Every transport is determined by its ghost map (Dress-Siebeneicher), so each
+one is a triangular solve (`universal.solve_triangular`) on the ghost tables
+the Witt operations use, the necklace table being the Witt table with every
+exponent 1.  Coefficient strategy: over a Q-algebra every solve stays in the
+ring; over Z every division is exact (Z is a binomial ring, so that is a
+theorem, not a hope; a failing row raises); over integer polynomial rings
+teichmuller, whose image needs denominators, is returned over the
 rationalised ring; over Z/m the necklace/aperiodic images of Witt vectors
 have no canonical component form at all, so they are carried as their Witt
 coordinates (`coord_form=True`) and all ring operations delegate to the
@@ -62,6 +69,8 @@ from .universal import (
     derive,
     ghost_values,
     index_labels,
+    linear_table,
+    solve_triangular,
 )
 
 WITT = "Witt"
@@ -221,6 +230,18 @@ def _ghost_table(G: FiniteGroup):
     )
 
 
+@lru_cache(maxsize=None)
+def _necklace_table(G: FiniteGroup):
+    """nr_ghost's rows: the ghost table with every exponent 1."""
+    return linear_table(_ghost_table(G))
+
+
+def _escaped(what: str, G: FiniteGroup):
+    """fail(u, R) of a solve on G's classes whose result must stay in R."""
+    labels = index_labels(G)
+    return lambda u, R: IntegralityViolation(f"{what} escaped {R.name} at class {labels[u]}")
+
+
 def wg_ghost(alpha: IndexedVector) -> IndexedVector:
     """Fixed-point ghost of a Witt vector: sums of marks times power maps."""
     if alpha.flavor != WITT:
@@ -235,20 +256,8 @@ def nr_ghost(x: IndexedVector) -> IndexedVector:
         raise ValueError("nr_ghost expects a Necklace vector")
     if x.coord_form:
         return wg_ghost(x.retag(WITT, coord_form=False))
-    G = x.group
-    mm = marks_matrix(G)
-    R = x.ring
-    xs = x.payloads()
-    n = len(xs)
-    out = []
-    for u in range(n):
-        s = R.zero()
-        for v in range(u + 1):
-            m = mm.zeta.entry(v, u)
-            if m:
-                s = R.add(s, R.mul(R.from_int(m), xs[v]))
-        out.append(s)
-    return IndexedVector.from_payloads(G, GHOST, R, out)
+    out = ghost_values(_necklace_table(x.group), x.ring, x.payloads())
+    return IndexedVector.from_payloads(x.group, GHOST, x.ring, out)
 
 
 def nr_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
@@ -256,24 +265,14 @@ def nr_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
     if b.flavor != GHOST:
         raise ValueError("nr_ghost_inv expects a Ghost vector")
     G = group or b.group
-    mm = marks_matrix(G)
     R = b.ring
-    bs = b.payloads()
-    xs = []
-    for u in range(len(bs)):
-        acc = bs[u]
-        for v in range(u):
-            m = mm.zeta.entry(v, u)
-            if m:
-                acc = R.sub(acc, R.mul(R.from_int(m), xs[v]))
-        q = R.try_div(acc, R.from_int(mm.zeta.entry(u, u)))
-        if q is None:
-            raise NotInImage(
-                f"ghost vector is not a necklace ghost over {R.name} at class "
-                f"{subgroup_classes(G).classes[u].label}"
-            )
-        xs.append(q)
-    return IndexedVector.from_payloads(G, NECKLACE, R, xs)
+    labels = index_labels(G)
+    out = solve_triangular(
+        _necklace_table(G), b.payloads(), R,
+        fail=lambda u, R: NotInImage(
+            f"ghost vector is not a necklace ghost over {R.name} at class {labels[u]}"),
+    )
+    return IndexedVector.from_payloads(G, NECKLACE, R, out)
 
 
 def _ap_coeff(R: RingSpec, f: Fraction, context: str):
@@ -405,26 +404,16 @@ def _ap_mul(x, y):
 # exponential scalars and the flavor transports
 
 
-def _exp_M_payloads(G: FiniteGroup, r, Rq: RingSpec):
-    """(M_G(r, V))_V over a Q-algebra: Mobius inversion of the power ghost."""
-    ct = subgroup_classes(G)
-    ghost = [Rq.pow(r, c.index) for c in ct.classes]
-    vec = IndexedVector.from_payloads(G, GHOST, Rq, ghost)
-    return nr_ghost_inv(vec, group=G).payloads()
-
-
 def exp_M(G: FiniteGroup, r: RingValue) -> IndexedVector:
-    """Necklace coordinates of the multiplicative lift of a single scalar."""
+    """Necklace coordinates of the multiplicative lift of a single scalar:
+    the teichmuller image of the Witt vector (r, 0, ..., 0)."""
     R = r.spec
-    if R.is_qalgebra:
-        return IndexedVector.from_payloads(G, NECKLACE, R, _exp_M_payloads(G, r.payload, R))
-    if not _is_binomial(R):
+    if not (R.is_qalgebra or _is_binomial(R)):
         raise NotBinomial(
             f"exponential scalars over {R.name} need a rational algebra or Z"
         )
-    Rq = R.rationalized()
-    vals = _exp_M_payloads(G, R.to_rationalized(r.payload), Rq)
-    return _pull_back(IndexedVector.from_payloads(G, NECKLACE, Rq, vals), R, "exponential scalar")
+    lift = [r.payload] + [R.zero()] * (len(subgroup_classes(G)) - 1)
+    return teichmuller(IndexedVector.from_payloads(G, WITT, R, lift))
 
 
 def exp_S(G: FiniteGroup, r: RingValue) -> IndexedVector:
@@ -432,25 +421,9 @@ def exp_S(G: FiniteGroup, r: RingValue) -> IndexedVector:
     return theta(exp_M(G, r))
 
 
-def _teichmuller_payloads(G, alphas, Rq):
-    """Necklace image of a Witt vector over a Q-algebra, by lattice exponentials."""
-    ct = subgroup_classes(G)
-    n = len(ct)
-    out = [Rq.zero()] * n
-    for ci in range(n):
-        r = alphas[ci]
-        if Rq.is_zero(r):
-            continue
-        U = subgroup_group(G, ci)
-        vals = _exp_M_payloads(U, r, Rq)
-        fuse = ind_class_map(G, ci)
-        for pos, w in enumerate(fuse):
-            out[w] = Rq.add(out[w], vals[pos])
-    return out
-
-
 def teichmuller(alpha: IndexedVector) -> IndexedVector:
-    """Witt -> Necklace transport (a ring isomorphism onto its image)."""
+    """Witt -> Necklace transport (a ring isomorphism onto its image): the
+    necklace ghost solve of the Witt ghost, nr_ghost_inv(wg_ghost(alpha))."""
     if alpha.flavor != WITT:
         raise ValueError("teichmuller expects a Witt vector")
     R = alpha.ring
@@ -458,19 +431,19 @@ def teichmuller(alpha: IndexedVector) -> IndexedVector:
     if strat == "quotient":
         # no canonical component form exists mod m; carry Witt coordinates
         return alpha.retag(NECKLACE, coord_form=True)
-    if strat == "qalgebra":
-        vals = _teichmuller_payloads(alpha.group, alpha.payloads(), R)
-        return IndexedVector.from_payloads(alpha.group, NECKLACE, R, vals)
-    Rq = R.rationalized()
-    lifted = [R.to_rationalized(p) for p in alpha.payloads()]
-    vals = _teichmuller_payloads(alpha.group, lifted, Rq)
-    image = IndexedVector.from_payloads(alpha.group, NECKLACE, Rq, vals)
-    # torsion-free but not binomial: the image lives in the rationalisation
-    return _pull_back(image, R, "teichmuller") if _is_binomial(R) else image
+    if strat == "torsionfree" and not _is_binomial(R):
+        # torsion-free but not binomial: the image lives in the rationalisation
+        alpha = alpha.map_ring(R.rationalized(), R.to_rationalized)
+        R = alpha.ring
+    G = alpha.group
+    want = ghost_values(_ghost_table(G), R, alpha.payloads())
+    out = solve_triangular(_necklace_table(G), want, R, fail=_escaped("teichmuller", G))
+    return IndexedVector.from_payloads(G, NECKLACE, R, out)
 
 
 def teichmuller_inv(x: IndexedVector) -> IndexedVector:
-    """Recover Witt coordinates from a necklace vector in the teichmuller image."""
+    """Recover Witt coordinates from a necklace vector in the teichmuller
+    image: the Witt ghost solve of nr_ghost(x)."""
     if x.flavor != NECKLACE:
         raise ValueError("teichmuller_inv expects a Necklace vector")
     if x.coord_form:
@@ -481,34 +454,15 @@ def teichmuller_inv(x: IndexedVector) -> IndexedVector:
             "coordinates; only coordinate-backed vectors invert"
         )
     G = x.group
-    R = x.ring
-    Rq = R.rationalized()
-    ct = subgroup_classes(G)
-    n = len(ct)
-    target = [R.to_rationalized(p) for p in x.payloads()]
-    residue = list(target)
-    alphas = []
-    for ci in range(n):
-        a = residue[ci]
-        alphas.append(a)
-        if Rq.is_zero(a):
-            continue
-        U = subgroup_group(G, ci)
-        vals = _exp_M_payloads(U, a, Rq)
-        fuse = ind_class_map(G, ci)
-        for pos, w in enumerate(fuse):
-            residue[w] = Rq.sub(residue[w], vals[pos])
-    if any(not Rq.is_zero(residue[i]) for i in range(n)):
-        raise IntegralityViolation("teichmuller inverse did not close; solver bug")
-    out = []
-    for v, cls in zip(alphas, ct.classes):
-        w = R.from_rationalized(v)
-        if w is None:
-            raise NotInImage(
-                f"vector is not a teichmuller image over {R.name} at class {cls.label}"
-            )
-        out.append(w)
-    return IndexedVector.from_payloads(G, WITT, R, out)
+    labels = index_labels(G)
+    want = ghost_values(_necklace_table(G), x.ring, x.payloads())
+    out = solve_triangular(
+        _ghost_table(G), want, x.ring,
+        fail=lambda u, R: NotInImage(
+            f"vector is not a teichmuller image over {R.name} at class {labels[u]}"
+        ),
+    )
+    return IndexedVector.from_payloads(G, WITT, x.ring, out)
 
 
 def theta(x: IndexedVector) -> IndexedVector:
@@ -651,52 +605,44 @@ def res_ap(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
 # Frobenius/Verschiebung on Witt coordinates, ghost-level companions
 
 
-def _to_rational_vector(x: IndexedVector):
-    Rq = x.ring.rationalized()
-    return IndexedVector.from_payloads(
-        x.group, x.flavor, Rq, [x.ring.to_rationalized(p) for p in x.payloads()]
-    ), Rq
-
-
-def _pull_back(vec: IndexedVector, R: RingSpec, what: str) -> IndexedVector:
-    out = []
-    for p, cls in zip(vec.payloads(), subgroup_classes(vec.group).classes):
-        w = R.from_rationalized(p)
-        if w is None:
-            raise IntegralityViolation(f"{what} escaped {R.name} at class {cls.label}")
-        out.append(w)
-    return IndexedVector.from_payloads(vec.group, vec.flavor, R, out)
-
-
-def _through_teichmuller(nr_map, alpha: IndexedVector, what: str) -> IndexedVector:
-    """A necklace map nr_map conjugated through teichmuller, on Witt coordinates."""
-    R = alpha.ring
-    strat = _strategy(R)
-    if strat == "qalgebra":
-        return teichmuller_inv(nr_map(teichmuller(alpha)))
-    if strat == "quotient":
-        m = R.modulus
-        lifted = alpha.map_ring(ZZ, lambda p: p)
-        return _through_teichmuller(nr_map, lifted, what).map_ring(R, lambda p: p % m)
-    vec, _ = _to_rational_vector(alpha)
-    return _pull_back(teichmuller_inv(nr_map(teichmuller(vec))), R, what)
+@lru_cache(maxsize=None)
+def _restriction_system(G: FiniteGroup, ci: int) -> GhostSystem:
+    """witt_f's equations: U's ghost of the result at each class W of U is
+    G's ghost of the input at the class W fuses to."""
+    U = subgroup_group(G, ci)
+    shift = (_ghost_table(U), ind_class_map(G, ci))
+    return GhostSystem(U, index_labels(G), _ghost_table(G), "res", shift=shift)
 
 
 def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
-    """Verschiebung-type map on Witt coordinates, conjugated through teichmuller."""
+    """Verschiebung-type map on Witt coordinates: the Witt solve on G of the
+    induced ghost nr_ghost(ind_nr(teichmuller(alpha))), which is
+    ghost_nu(G, ci, wg_ghost(alpha))."""
     _require_subgroup_vector(G, ci, alpha)
     if alpha.flavor != WITT:
         raise ValueError("witt_v expects a Witt vector")
-    return _through_teichmuller(lambda x: ind_nr(G, ci, x), alpha, "induced Witt vector")
+    R = alpha.ring
+    if _strategy(R) == "quotient":
+        # necklace coordinates need a torsion-free ring: solve over Z, then reduce
+        return witt_v(G, ci, alpha.map_ring(ZZ, int)).map_ring(R, R.from_int)
+    # over a ring that is not binomial the image lives in the rationalisation
+    image = ind_nr(G, ci, teichmuller(alpha))
+    want = ghost_values(_necklace_table(G), image.ring, image.payloads())
+    out = solve_triangular(_ghost_table(G), want, R, fail=_escaped("induced Witt vector", G))
+    return IndexedVector.from_payloads(G, WITT, R, out)
 
 
 def witt_f(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
-    """Frobenius-type map on Witt coordinates, conjugated through teichmuller."""
+    """Frobenius-type map on Witt coordinates: the solve on U's ghost table of
+    the restricted ghost (over Z/m lifted to Z and reduced)."""
     if alpha.flavor != WITT:
         raise ValueError("witt_f expects a Witt vector")
     if alpha.group != G:
         raise ValueError("vector is not indexed by the parent group's classes")
-    return _through_teichmuller(lambda x: res_nr(G, ci, x), alpha, "restricted Witt vector")
+    system = _restriction_system(G, ci)
+    fail = _escaped("restricted Witt vector", system.structure)
+    out = system.apply(alpha.ring, alpha.payloads(), fail=fail)
+    return IndexedVector.from_payloads(system.structure, WITT, alpha.ring, out)
 
 
 def ghost_nu(G: FiniteGroup, ci: int, b: IndexedVector) -> IndexedVector:
@@ -725,7 +671,7 @@ def ghost_nu(G: FiniteGroup, ci: int, b: IndexedVector) -> IndexedVector:
         raise NonIntegralConstant(
             "ghost-level induction over a residue ring needs an abelian group"
         )
-    vec, _ = _to_rational_vector(b)
+    vec = b.map_ring(R.rationalized(), R.to_rationalized)
     res = nr_ghost(ind_nr(G, ci, nr_ghost_inv(vec, group=U)))
     out = []
     for p, cls in zip(res.payloads(), ct.classes):
@@ -757,7 +703,7 @@ def delta_membership(x: IndexedVector, target: RingSpec) -> bool:
         raise ValueError("delta_membership expects a Necklace vector")
     if _strategy(x.ring) == "quotient":
         raise DomainError("membership testing needs a torsion-free coefficient ring")
-    vec, _ = _to_rational_vector(x)
+    vec = x.map_ring(x.ring.rationalized(), x.ring.to_rationalized)
     try:
         alpha = teichmuller_inv(vec)
     except NotInImage:

@@ -9,7 +9,8 @@ Vector files are JSON documents::
      "ring": "Z" | "Q" | "Z/8" | "ZPoly(x,y)" | ...,
      "components": ["3", "-1/2", ...],
      "labels": ["G", "2a", ...]  |  [1, 2, 3, 6],
-     "coord_form": true}            # optional: Necklace/Aperiodic in Witt coordinates
+     "coord_form": true,            # optional: Necklace/Aperiodic in Witt coordinates
+     "q": 2 | "q"}                  # the q of a coordinate-backed qwitt vector
 
 A document is read into the one vector type, indexed by the group's subgroup
 classes or by the truncation set; one reader, one writer and one handler per
@@ -157,11 +158,14 @@ def _build_group(descriptor):
     return G
 
 
-def _read_vector(path, model, ring_flag=None, allowed=None, index=None):
+def _read_vector(path, model, ring_flag=None, allowed=None, index=None, ctx=None):
     """The vector document at path, for a verb of model "group", "cyclic" or "qwitt".
 
     index, when given, is the group or truncation set the document must name
-    (a second operand's, or the subgroup or ambient group of ind/res).
+    (a second operand's, or the subgroup or ambient group of ind/res).  A
+    coordinate-backed qwitt document must record the q it was made at, and
+    a recorded q must be ctx's: Witt coordinates read at another q would
+    name another necklace vector.
     """
     doc = _load(path)
     gf = doc.get("group")
@@ -199,10 +203,32 @@ def _read_vector(path, model, ring_flag=None, allowed=None, index=None):
         raise SchemaError(
             f"{path}: the cyclic verbs take component vectors; use qwitt for coord_form"
         )
+    if model == "qwitt" and (coord_form or "q" in doc):
+        q = _recorded_q(doc, path)
+        if ctx is not None and q != ctx.q:
+            raise SchemaError(
+                f"{path}: the vector was made at q = {_q_text(q)}, not at --q {_q_text(ctx.q)}"
+            )
     return IndexedVector(index, flavor, ring, comps, coord_form)
 
 
-def _vector_doc(vec):
+def _q_text(q):
+    return "q" if q is None else q
+
+
+def _recorded_q(doc, path):
+    """The q a document records: an integer, or None for "q", the indeterminate."""
+    if "q" not in doc:
+        raise SchemaError(f"{path}: a coordinate-backed qwitt vector must record its q")
+    q = doc["q"]
+    if q != "q" and type(q) is not int:
+        raise SchemaError(f'{path}: q must be an integer or "q", not {q!r}')
+    return None if q == "q" else q
+
+
+def _vector_doc(vec, ctx=None):
+    """The document of vec; a coordinate-backed vector on a truncation set
+    records ctx's q."""
     labels = list(index_labels(vec.index))
     cyclic = isinstance(vec.index, TruncationSet)
     doc = {
@@ -215,6 +241,8 @@ def _vector_doc(vec):
     }
     if vec.coord_form:
         doc["coord_form"] = True
+        if cyclic:
+            doc["q"] = _q_text(ctx.q)
     return doc
 
 
@@ -222,7 +250,7 @@ def _curve_doc(curve, q):
     return {
         "schema_version": 1,
         "kind": "curve",
-        "q": "q" if q is None else q,
+        "q": _q_text(q),
         "ring": curve.ring.name,
         "degree": curve.degree,
         "coefficients": [c.format() for c in curve.components],
@@ -303,20 +331,28 @@ def cmd_group_info(args):
 
 
 def _qwitt_context(args):
-    """The q of a qwitt verb, read before its input files; None for the other models."""
-    return _qcontext(args) if args.model == "qwitt" else None
+    """The q of a qwitt verb, read before its input files: --q, or for a verb
+    without it (theta, verschiebung) the q its input file records, if any;
+    None for the other models."""
+    if args.model != "qwitt":
+        return None
+    if hasattr(args, "q"):
+        return _qcontext(args)
+    doc = _load(args.input)
+    return QContext(_recorded_q(doc, args.input)) if "q" in doc else None
 
 
 def cmd_flavor_op(args):
     model, op, family = args.model, _OPWORD[args.op], getattr(args, "family", None)
     ctx = _qwitt_context(args)
-    x = _read_vector(args.input, model, args.ring, (_FAMILY[family],) if family else _RING_FLAVORS)
+    x = _read_vector(args.input, model, args.ring, (_FAMILY[family],) if family else _RING_FLAVORS,
+                     ctx=ctx)
     y = None
     if op != "neg":
         if args.other is None:
             words = (None if model == "group" else model, family, args.op)
             raise SchemaError(f"{' '.join(w for w in words if w)} needs two input files")
-        y = _read_vector(args.other, model, args.ring, (x.flavor,), x.index)
+        y = _read_vector(args.other, model, args.ring, (x.flavor,), x.index, ctx)
         if y.ring != x.ring:
             raise SchemaError("input files use different rings")
         if y.coord_form != x.coord_form:
@@ -328,14 +364,15 @@ def cmd_flavor_op(args):
     else:
         fn = partial({WITT: q_witt_op, NECKLACE: q_nr_op, APERIODIC: q_ap_op}[x.flavor], ctx)
     out = fn(op, x) if y is None else fn(op, x, y)
-    _emit(_vector_doc(out))
+    _emit(_vector_doc(out, ctx))
     return 0
 
 
 def cmd_ghost(args):
     ctx = _qwitt_context(args)
     flavor = getattr(args, "flavor", None)
-    x = _read_vector(args.input, args.model, args.ring, (flavor,) if flavor else _RING_FLAVORS)
+    x = _read_vector(args.input, args.model, args.ring, (flavor,) if flavor else _RING_FLAVORS,
+                     ctx=ctx)
     if args.model == "group":
         out = {WITT: wg_ghost, NECKLACE: nr_ghost, APERIODIC: ap_ghost}[x.flavor](x)
     elif args.model == "cyclic":
@@ -348,25 +385,27 @@ def cmd_ghost(args):
 
 def cmd_teichmuller(args):
     ctx = _qwitt_context(args)
-    x = _read_vector(args.input, args.model, args.ring, (NECKLACE,) if args.inverse else (WITT,))
+    x = _read_vector(args.input, args.model, args.ring, (NECKLACE,) if args.inverse else (WITT,),
+                     ctx=ctx)
     if args.model == "group":
         out = teichmuller_inv(x) if args.inverse else teichmuller(x)
     else:
         out = q_teichmuller_inv(ctx, x) if args.inverse else q_teichmuller(ctx, x)
-    _emit(_vector_doc(out))
+    _emit(_vector_doc(out, ctx))
     return 0
 
 
 def cmd_theta(args):
+    ctx = _qwitt_context(args)
     x = _read_vector(args.input, args.model, args.ring,
-                     (APERIODIC,) if args.inverse else (NECKLACE,))
+                     (APERIODIC,) if args.inverse else (NECKLACE,), ctx=ctx)
     if args.model == "group":
         out = theta_inv(x) if args.inverse else theta(x)
     elif args.model == "cyclic":
         out = cyc_theta_inv(x) if args.inverse else cyc_theta(x)
     else:
         out = theta_q_inv(x) if args.inverse else theta_q(x)
-    _emit(_vector_doc(out))
+    _emit(_vector_doc(out, ctx))
     return 0
 
 
@@ -417,12 +456,14 @@ def _operator_index(args):
 def cmd_operator(args):
     r = _operator_index(args)
     frobenius = args.operator == "frobenius"
-    x = _read_vector(args.input, args.model, args.ring, None if frobenius else _RING_FLAVORS)
+    ctx = _qwitt_context(args)
+    x = _read_vector(args.input, args.model, args.ring, None if frobenius else _RING_FLAVORS,
+                     ctx=ctx)
     if args.model == "cyclic":
         out = cyc_frobenius(r, x) if frobenius else cyc_verschiebung(r, x)
     else:
-        out = q_frobenius(_qcontext(args), r, x) if frobenius else q_verschiebung(r, x)
-    _emit(_vector_doc(out))
+        out = q_frobenius(ctx, r, x) if frobenius else q_verschiebung(r, x)
+    _emit(_vector_doc(out, ctx))
     return 0
 
 
@@ -487,7 +528,7 @@ def cmd_artinhasse(args):
             )
         _emit(_vector_doc(artin_hasse_inv(ctx, curve, T)))
     else:
-        x = _read_vector(args.input, "qwitt", args.ring, (WITT,))
+        x = _read_vector(args.input, "qwitt", args.ring, (WITT,), ctx=ctx)
         _emit(_curve_doc(artin_hasse(ctx, x), ctx.q))
     return 0
 

@@ -36,7 +36,16 @@ from .errors import (
     TruncationTooSmall,
 )
 from .rings import RingSpec, RingValue, divisors, mobius
-from .universal import GhostSystem, UniversalSet, check_op, derive, ghost_values, index_labels
+from .universal import (
+    GhostSystem,
+    UniversalSet,
+    check_op,
+    derive,
+    ghost_values,
+    index_labels,
+    linear_table,
+    solve_triangular,
+)
 
 
 # Miller-Rabin with these bases is exact below 3.3e24 (Sorenson-Webster 2017)
@@ -197,6 +206,13 @@ def _ghost_table(T: TruncationSet, q: bool = False):
     )
 
 
+@lru_cache(maxsize=None)
+def _flavor_table(T: TruncationSet, q: bool, flavor: str):
+    """The ghost rows over T of the necklace flavor (weights d) or the
+    aperiodic one (weights 1), times q^(n/d - 1) in the q-model."""
+    return linear_table(_ghost_table(T, q), flavor == NECKLACE)
+
+
 def cyc_witt_ghost(a: CyclicVector) -> CyclicVector:
     if a.flavor != WITT:
         raise ValueError("cyc_witt_ghost expects a Witt vector")
@@ -209,57 +225,25 @@ def cyc_ghost(x: CyclicVector) -> CyclicVector:
     _require_components(x)
     if x.flavor == WITT:
         return cyc_witt_ghost(x)
-    R = x.ring
-    T = x.truncation
-    out = []
-    if x.flavor == NECKLACE:
-        for n in T:
-            s = R.zero()
-            for d in divisors(n):
-                s = R.add(s, R.mul(R.from_int(d), x.component(d).payload))
-            out.append(s)
-    elif x.flavor == APERIODIC:
-        for n in T:
-            s = R.zero()
-            for d in divisors(n):
-                s = R.add(s, x.component(d).payload)
-            out.append(s)
-    else:
+    if x.flavor == GHOST:
         raise ValueError("vector is already a Ghost vector")
-    return CyclicVector.from_payloads(T, GHOST, R, out)
+    out = ghost_values(_flavor_table(x.truncation, False, x.flavor), x.ring, x.payloads())
+    return CyclicVector.from_payloads(x.truncation, GHOST, x.ring, out)
 
 
 def cyc_ghost_inv(b: CyclicVector, flavor: str) -> CyclicVector:
-    """Mobius inversion of the necklace/aperiodic ghost."""
+    """Invert the necklace/aperiodic ghost by a triangular solve."""
     if b.flavor != GHOST:
         raise ValueError("cyc_ghost_inv expects a Ghost vector")
-    R = b.ring
-    T = b.truncation
-    out = []
-    if flavor == NECKLACE:
-        for n in T:
-            s = R.zero()
-            for d in divisors(n):
-                m = mobius(n // d)
-                if m:
-                    s = R.add(s, R.mul(R.from_int(m), b.component(d).payload))
-            q = R.try_div(s, R.from_int(n))
-            if q is None:
-                raise NotInImage(
-                    f"ghost vector is not a necklace ghost over {R.name} at index {n}"
-                )
-            out.append(q)
-    elif flavor == APERIODIC:
-        for n in T:
-            s = R.zero()
-            for d in divisors(n):
-                m = mobius(n // d)
-                if m:
-                    s = R.add(s, R.mul(R.from_int(m), b.component(d).payload))
-            out.append(s)
-    else:
+    if flavor not in (NECKLACE, APERIODIC):
         raise ValueError("cyc_ghost_inv recovers Necklace or Aperiodic vectors")
-    return CyclicVector.from_payloads(T, flavor, R, out)
+    T = b.truncation
+    out = solve_triangular(
+        _flavor_table(T, False, flavor), b.payloads(), b.ring,
+        fail=lambda u, R: NotInImage(
+            f"ghost vector is not a necklace ghost over {R.name} at index {T.members[u]}"),
+    )
+    return CyclicVector.from_payloads(T, flavor, b.ring, out)
 
 
 # ---------------------------------------------------------------------------

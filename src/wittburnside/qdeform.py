@@ -35,6 +35,7 @@ from .cyclic import (
     CyclicVector,
     TruncationSet,
     _dilate,
+    _flavor_table,
     _ghost_table,
     _theta,
     _theta_inv,
@@ -43,7 +44,7 @@ from .cyclic import (
 )
 from .errors import (
     DomainError,
-    NonExactDivision,
+    IntegralityViolation,
     NotInImage,
     NumericalityViolation,
     SchemaError,
@@ -52,13 +53,19 @@ from .errors import (
 from .rings import (
     QQ_Q,
     QPolynomial,
+    ResidueRing,
     RingSpec,
     RingValue,
     UniTriMatrix,
     divisors,
     mobius,
 )
-from .universal import GhostSystem, UniversalSet, check_op, ghost_values
+from .universal import (
+    UniversalSet,
+    check_op,
+    ghost_values,
+    solve_triangular,
+)
 
 
 class QContext:
@@ -227,78 +234,30 @@ def q_ghost(ctx: QContext, x: CyclicVector) -> CyclicVector:
     if x.coord_form:
         return q_witt_ghost(ctx, x.retag(WITT, coord_form=False))
     R = x.ring
-    qv = ctx.q_payload(R)
-    weighted = x.flavor == NECKLACE
-    out = []
-    for n in x.truncation:
-        s = R.zero()
-        for d in divisors(n):
-            term = R.mul(R.pow(qv, n // d - 1), x.component(d).payload)
-            if weighted:
-                term = R.mul(R.from_int(d), term)
-            s = R.add(s, term)
-        out.append(s)
+    table = _flavor_table(x.truncation, True, x.flavor)
+    out = ghost_values(table, R, x.payloads(), ctx.q_payload(R))
     return CyclicVector.from_payloads(x.truncation, GHOST, R, out)
 
 
 def q_ghost_inv(ctx: QContext, b: CyclicVector, flavor: str) -> CyclicVector:
-    """Invert the necklace/aperiodic q-ghost via mu^q on each divisor lattice."""
+    """Invert the necklace/aperiodic q-ghost by a triangular solve.
+
+    The aperiodic rows have diagonal 1, so that inverse exists over every
+    ring; the necklace rows divide by n.
+    """
     if b.flavor != GHOST:
         raise ValueError("q_ghost_inv expects a Ghost vector")
-    R = b.ring
-    T = b.truncation
-    if flavor == APERIODIC:
-        # mu^q(d,n) n/d is numerical, so the inverse is defined over every ring
-        out = []
-        for n in T:
-            data = zeta_mu_q(n)
-            s = R.zero()
-            for d in divisors(n):
-                c = data.mu_entry(d, n) * Fraction(n, d)
-                if c.is_zero():
-                    continue
-                if not c.is_numerical():
-                    raise NumericalityViolation(
-                        f"mu^q({d},{n})*{n}/{d} is not numerical: {c.format()}"
-                    )
-                s = R.add(s, R.mul(_int_scalar(ctx, R, c, "aperiodic ghost inverse"),
-                                   b.component(d).payload))
-            out.append(s)
-        return CyclicVector.from_payloads(T, APERIODIC, R, out)
-    if flavor != NECKLACE:
+    if flavor not in (NECKLACE, APERIODIC):
         raise ValueError("q_ghost_inv recovers Necklace or Aperiodic vectors")
-    # necklace inverse has genuinely fractional scalars mu^q(d,n)/d
-    if R.is_qalgebra:
-        out = []
-        for n in T:
-            data = zeta_mu_q(n)
-            s = R.zero()
-            for d in divisors(n):
-                c = data.mu_entry(d, n) * Fraction(1, d)
-                if c.is_zero():
-                    continue
-                s = R.add(s, R.mul(_exact_scalar(ctx, R, c), b.component(d).payload))
-            out.append(s)
-        return CyclicVector.from_payloads(T, NECKLACE, R, out)
-    RQ = R.rationalized()
-    ys = [R.to_rationalized(c.payload) for c in b.components]
-    out = []
-    try:
-        for n in T:
-            data = zeta_mu_q(n)
-            s = RQ.zero()
-            for d in divisors(n):
-                c = data.mu_entry(d, n) * Fraction(1, d)
-                if c.is_zero():
-                    continue
-                s = RQ.add(s, RQ.mul(_exact_scalar(ctx, RQ, c), ys[T.position(d)]))
-            back = R.from_rationalized(s)
-            if back is None:
-                raise NotInImage(f"ghost vector leaves {R.name} at index {n}")
-            out.append(back)
-    except NonExactDivision as exc:
-        raise NotInImage(f"ghost vector has no necklace preimage over {R.name}") from exc
-    return CyclicVector.from_payloads(T, NECKLACE, R, out)
+    R, T = b.ring, b.truncation
+
+    def fail(u, R):
+        if isinstance(R, ResidueRing):
+            return NotInImage(f"ghost vector has no necklace preimage over {R.name}")
+        return NotInImage(f"ghost vector leaves {R.name} at index {T.members[u]}")
+
+    out = solve_triangular(_flavor_table(T, True, flavor), b.payloads(), R, fail, _q_arg(ctx, R))
+    return CyclicVector.from_payloads(T, flavor, R, out)
 
 
 # ---------------------------------------------------------------------------
@@ -318,39 +277,33 @@ def q_universal(T: TruncationSet, op: str) -> UniversalSet:
     return _truncation_universal(T, op, q=True)
 
 
-def _q_apply(ctx: QContext, system: GhostSystem, R: RingSpec, xs):
-    """The q-operation at payloads xs in R: at ctx's integer q, or the indeterminate."""
+def _q_arg(ctx: QContext, R: RingSpec):
+    """The q a ghost solve in R takes: ctx's integer q, or the indeterminate."""
     qv = ctx.q_payload(R)  # the indeterminate lives in the Q[q] ring only
-    return system.apply(R, xs, qv if ctx.q is None else ctx.q)
+    return qv if ctx.q is None else ctx.q
 
 
 def q_witt_op(ctx: QContext, op: str, a: CyclicVector, b: CyclicVector | None = None) -> CyclicVector:
     _check_operands("q_witt_op", WITT, op, a, b)
     env = a.payloads() + (b.payloads() if b is not None else ())
-    out = _q_apply(ctx, q_universal(a.truncation, op).system, a.ring, env)
+    out = q_universal(a.truncation, op).system.apply(a.ring, env, _q_arg(ctx, a.ring))
     return CyclicVector.from_payloads(a.truncation, WITT, a.ring, out)
 
 
 def try_one(ctx: QContext, T: TruncationSet, R: RingSpec) -> CyclicVector | None:
     """The multiplicative identity of the q-Witt ring, when it exists in R.
 
-    Solves sum_{d|n} d q^(n/d-1) a_d^(n/d) = 1 triangularly; each step needs
-    an exact division by n, so the identity may be absent (None).
+    Solves sum_{d|n} d q^(n/d-1) a_d^(n/d) = 1 on the q-ghost table; each
+    row needs an exact division by n, so the identity may be absent (None).
     """
-    qv = ctx.q_payload(R)
-    comps = []
-    for n in T:
-        s = R.one()
-        for d in divisors(n):
-            if d == n:
-                continue
-            e = n // d
-            t = R.mul(R.from_int(d), R.mul(R.pow(qv, e - 1), R.pow(comps[T.position(d)], e)))
-            s = R.add(s, R.neg(t))
-        v = R.try_div(s, R.from_int(n))
-        if v is None:
-            return None
-        comps.append(v)
+    try:
+        comps = solve_triangular(
+            _ghost_table(T, True), [R.one()] * len(T), R,
+            lambda u, R: NotInImage(f"no q-Witt identity over {R.name} at index {T.members[u]}"),
+            _q_arg(ctx, R),
+        )
+    except NotInImage:
+        return None
     return CyclicVector.from_payloads(T, WITT, R, comps)
 
 
@@ -463,32 +416,38 @@ def q_aperiodic_poly(ctx: QContext, r: RingValue, n: int) -> RingValue:
 
 
 def q_teichmuller(ctx: QContext, a: CyclicVector) -> CyclicVector:
-    """T^q(a)_m = sum_{n|m} M^q(a_n, m/n); quotient rings keep coordinates."""
+    """T^q(a): the necklace q-ghost solve of Phi^q(a), so q_ghost(T^q(a)) =
+    Phi^q(a); it equals sum_{n|m} M^q(a_n, m/n) at m.
+
+    Over Z every division is exact (the M^q are numerical); an integer
+    polynomial ring, which is not binomial, is rationalised first; quotient
+    rings keep Witt coordinates.
+    """
     if a.flavor != WITT:
         raise ValueError("q_teichmuller expects a Witt vector")
     R = a.ring
     if _strategy(R) == "quotient":
         return a.retag(NECKLACE, coord_form=True)
-    if R.is_qalgebra or _is_binomial(R):
-        work = a
-    else:
-        RQ = R.rationalized()
-        work = a.map_ring(RQ, R.to_rationalized)
-    Rw = work.ring
-    T = work.truncation
-    out = []
-    for m in T:
-        s = Rw.zero()
-        for n in divisors(m):
-            if n not in T:
-                continue
-            s = Rw.add(s, q_necklace_poly(ctx, work.component(n), m // n).payload)
-        out.append(s)
-    return CyclicVector.from_payloads(T, NECKLACE, Rw, out)
+    if not (R.is_qalgebra or _is_binomial(R)):
+        a = a.map_ring(R.rationalized(), R.to_rationalized)
+        R = a.ring
+    T = a.truncation
+    want = ghost_values(_ghost_table(T, True), R, a.payloads(), ctx.q_payload(R))
+    out = solve_triangular(
+        _flavor_table(T, True, NECKLACE), want, R,
+        lambda u, R: IntegralityViolation(
+            f"q-teichmuller escaped {R.name} at index {T.members[u]}"),
+        _q_arg(ctx, R),
+    )
+    return CyclicVector.from_payloads(T, NECKLACE, R, out)
 
 
 def q_teichmuller_inv(ctx: QContext, x: CyclicVector) -> CyclicVector:
-    """Triangular inverse of T^q; subtract-only, so binomial rings are closed."""
+    """The inverse of T^q: the Witt q-ghost solve of q_ghost(x).
+
+    Over a binomial ring such as Z every necklace vector has a preimage;
+    over an integer polynomial ring a row leaving the ring raises NotInImage.
+    """
     if x.flavor != NECKLACE:
         raise ValueError("q_teichmuller_inv expects a Necklace vector")
     R = x.ring
@@ -500,29 +459,13 @@ def q_teichmuller_inv(ctx: QContext, x: CyclicVector) -> CyclicVector:
             "coordinate lift; only coordinate-backed images are invertible"
         )
     T = x.truncation
-    if R.is_qalgebra or _is_binomial(R):
-        Rw = R
-        targets = [c.payload for c in x.components]
-    else:
-        Rw = R.rationalized()
-        targets = [R.to_rationalized(c.payload) for c in x.components]
-    solved = []
-    for pos, m in enumerate(T):
-        acc = targets[pos]
-        for n in divisors(m):
-            if n == m or n not in T:
-                continue
-            prior = RingValue(Rw, solved[T.position(n)])
-            acc = Rw.add(acc, Rw.neg(q_necklace_poly(ctx, prior, m // n).payload))
-        solved.append(acc)
-    if Rw is R:
-        return CyclicVector.from_payloads(T, WITT, R, solved)
-    out = []
-    for m, payload in zip(T, solved):
-        back = R.from_rationalized(payload)
-        if back is None:
-            raise NotInImage(f"vector has no q-Witt preimage over {R.name} at index {m}")
-        out.append(back)
+    want = ghost_values(_flavor_table(T, True, NECKLACE), R, x.payloads(), ctx.q_payload(R))
+    out = solve_triangular(
+        _ghost_table(T, True), want, R,
+        lambda u, R: NotInImage(
+            f"vector has no q-Witt preimage over {R.name} at index {T.members[u]}"),
+        _q_arg(ctx, R),
+    )
     return CyclicVector.from_payloads(T, WITT, R, out)
 
 
@@ -575,7 +518,7 @@ def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:
         return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
     if x.flavor == WITT or x.coord_form:
         Tout, cu = _q_frobenius_universal(T, r)
-        out = _q_apply(ctx, cu.system, R, x.payloads())
+        out = cu.system.apply(R, x.payloads(), _q_arg(ctx, R))
         return CyclicVector.from_payloads(Tout, x.flavor, R, out, x.coord_form)
     aperiodic = x.flavor == APERIODIC
     if not aperiodic and x.flavor != NECKLACE:

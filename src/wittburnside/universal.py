@@ -15,14 +15,17 @@ between the models:
     q-deformed    d q^(n/d - 1) and n/d
 
 The sum, product and negation solve w(s) = w(a) + w(b), w(a) w(b) and
--w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a).  One triangular solve
-serves all of them: at the payloads of an operation (over Z/m lifted to Z
-and reduced), and at the variables themselves for the universal
-polynomials.  Those are derived once per structure and operation; their
-integral (in the q-model numerical) coefficients certify that the solve
-stays in the ring.  They are memoised in process and, when WB_CACHE_DIR is
-set, kept on disk; a disk entry is used only after it passes validation,
-and any other entry counts as a miss and is rewritten.
+-w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a).  One triangular solve,
+`solve_triangular`, serves all of them: at the payloads of an operation
+(over Z/m lifted to Z and reduced), and at the variables themselves for the
+universal polynomials.  Those are derived once per structure and operation,
+when first read (an operation reads only its system); their integral (in
+the q-model numerical) coefficients certify that the solve stays in the
+ring.  They are memoised in process and, when WB_CACHE_DIR is set, kept on
+disk; a disk entry is used only after it passes validation, and any other
+entry counts as a miss and is rewritten.  The transports between the
+flavors solve on the same tables: with every exponent 1 (`linear_table`) a
+table is the ghost of the necklace flavor.
 """
 from __future__ import annotations
 
@@ -63,23 +66,37 @@ class UniversalSet:
 
     `structure` (the system's) is the group or truncation set whose index set
     labels polys (for a Frobenius, the set of n with r n in the input set).
-    polys are MultiPoly in `vars`; in the q-model vars[0] is q itself.
-    Construction refuses fractional coefficients and non-numerical
-    q-coefficients.  `compiled` pairs each monomial in the other variables,
+    polys are MultiPoly in `vars`; in the q-model vars[0] is q itself.  They
+    are given (a disk entry) or solved for when first read: an operation
+    reads only `system`.  Either way fractional coefficients and
+    non-numerical q-coefficients are refused.  `compiled` pairs each
+    monomial in the other variables,
     given as ((var_index, exp), ...), with its coefficient: an int, or in the
     q-model a numerical QPolynomial.
     """
 
-    __slots__ = ("system", "polys")
+    __slots__ = ("system", "_polys")
 
-    def __init__(self, system, polys):
+    def __init__(self, system, polys=None):
         self.system = system
-        self.polys = tuple(polys)
-        # a solve reports a failing row itself; this guards entries read from disk
-        if system.q:
-            self.compiled  # grouping by monomial checks numericality
-        elif not all(p.is_integral() for p in self.polys):
+        self._polys = None if polys is None else self._checked(polys)
+
+    @property
+    def polys(self):
+        if self._polys is None:
+            self._polys = self._checked(self.system.solve())
+        return self._polys
+
+    def _checked(self, polys):
+        polys = tuple(polys)
+        # an integral solve reports a failing row itself; this guards entries
+        # read from disk, and the q-model's numerical coefficients
+        if self.system.q:
+            for p in polys:
+                _compile_q(self.op, p)  # grouping by monomial checks numericality
+        elif not all(p.is_integral() for p in polys):
             raise IntegralityViolation(f"universal {self.op} polynomial has fractional coefficients")
+        return polys
 
     structure = property(lambda self: self.system.structure)
     op = property(lambda self: self.system.op)
@@ -141,6 +158,13 @@ def _pow(R, xs, v, e, cache):
     return p
 
 
+def linear_table(table, weighted=True):
+    """The table with every exponent 1: the ghost of the necklace flavor; with
+    every weight 1 too (weighted false), of a truncation set's aperiodic flavor."""
+    return tuple(tuple((v, weight if weighted else 1, 1, qpow) for v, weight, _, qpow in row)
+                 for row in table)
+
+
 def ghost_values(table, R, xs, qv=None):
     """The ghost w(x) of payloads xs in R; qv is the payload of q in the q-model."""
     out = []
@@ -148,6 +172,8 @@ def ghost_values(table, R, xs, qv=None):
     for row in table:
         s = R.zero()
         for v, weight, exp, qpow in row:
+            if not xs[v]:  # a zero int or Fraction adds nothing; polynomials are never falsy
+                continue
             # an int scales every payload; R.add below reduces it in Z/m
             term = weight * _pow(R, xs, v, exp, cache)
             if qpow:
@@ -155,6 +181,36 @@ def ghost_values(table, R, xs, qv=None):
             s = R.add(s, term)
         out.append(s)
     return out
+
+
+def solve_triangular(table, want, R, fail, q=None):
+    """The payloads s in R with w(s) = want, row by row.
+
+    Row u subtracts the terms of its earlier entries from want[u], using the
+    payloads' own operators (an integer weight times a power of an integer q
+    scales a payload as a scalar), and divides by its diagonal weight.  q is
+    the q-model's q: an int, or the indeterminate as a payload of R.  When a
+    division has no quotient in R, the exception fail(u, R) is raised, so
+    each caller names the failing class or index in its own terms.  Residues
+    are reduced at the end.
+    """
+    solved = []
+    powers = {}
+    for u, (row, acc) in enumerate(zip(table, want)):
+        for v, weight, exp, qpow in row[:-1]:
+            if not solved[v]:  # a zero int or Fraction adds nothing; polynomials are never falsy
+                continue
+            p = solved[v] if exp == 1 else _pow(R, solved, v, exp, powers)
+            acc = acc - (weight * q ** qpow if qpow else weight) * p
+        d = row[-1][1]
+        if d != 1:
+            acc = R.try_div(acc, R.from_int(d))
+            if acc is None:
+                raise fail(u, R)
+        solved.append(acc)
+    if isinstance(R, ResidueRing):
+        return [R.from_int(s) for s in solved]
+    return solved
 
 
 # ---------------------------------------------------------------------------
@@ -201,34 +257,22 @@ class GhostSystem:
         gens = [R.variable(v) for v in self.vars]
         return self.apply(R, gens[self.q:], gens[0] if self.q else None)
 
-    def apply(self, R, xs, q=None):
+    def apply(self, R, xs, q=None, fail=None):
         """The operation at payloads xs in R (a's, then b's), by the ghost route.
 
         q is the q-model's q: an int, or the indeterminate as a payload of R.
         A residue ring's payloads are lifted to Z, solved with the integer q
         itself and reduced; the integral (numerical) universal polynomials
-        make that exact.  The triangular solve uses the payloads' own
-        operators, so an integer weight (times a power of an integer q)
-        scales a payload as a scalar.
+        make that exact.  fail(u, R) is the exception for a row u that leaves
+        the ring R solved in (Z for a residue ring); by default an
+        IntegralityViolation naming the operation.
         """
         if isinstance(R, ResidueRing):
-            return [R.from_int(s) for s in self.apply(ZZ, xs, q)]
+            return [R.from_int(s) for s in self.apply(ZZ, xs, q, fail)]
         want = self.targets(R, xs, R.from_int(q) if type(q) is int else q)
-        solved = []
-        powers = {}
-        for u, (row, acc) in enumerate(zip(self.out_table, want)):
-            for v, weight, exp, qpow in row[:-1]:
-                p = _pow(R, solved, v, exp, powers)
-                acc = acc - (weight * q ** qpow if qpow else weight) * p
-            d = row[-1][1]
-            if d != 1:
-                acc = R.try_div(acc, R.from_int(d))
-                if acc is None:
-                    raise IntegralityViolation(
-                        f"{self.op} has fractional coefficients at {self._where(u)} over {R.name}"
-                    )
-            solved.append(acc)
-        return solved
+        return solve_triangular(self.out_table, want, R, fail or (
+            lambda u, R: IntegralityViolation(
+                f"{self.op} has fractional coefficients at {self._where(u)} over {R.name}")), q)
 
     def _where(self, u):
         label = index_labels(self.structure)[u]
@@ -252,7 +296,9 @@ def derive(structure, tag, system) -> UniversalSet:
 
     Memoised under (structure, tag).  `system` is a callable returning the
     GhostSystem, called on a memo miss only; the result hands it back as
-    `.system`, whose `apply` the operations evaluate by.
+    `.system`, whose `apply` the operations evaluate by.  Its polynomials are
+    solved for when first read, which with WB_CACHE_DIR set is at once, to
+    write them.
     """
     key = (structure, tag)
     ups = MEMO.get(key)
@@ -262,7 +308,7 @@ def derive(structure, tag, system) -> UniversalSet:
     path = _cache_path(structure, eqs.labels, tag)
     ups = _cache_read(path, eqs) if path else None
     if ups is None:
-        ups = UniversalSet(eqs, eqs.solve())
+        ups = UniversalSet(eqs)
         if path:
             _cache_write(path, ups)
     MEMO[key] = ups

@@ -340,6 +340,60 @@ def test_coord_form_travels_through_files(capsys, tmp_path):
     assert json.loads(out)["components"] == ["3", "5"]
 
 
+def _qcoords(tmp_path, capsys, q="2"):
+    """`qwitt teichmuller --q q` of the Witt vector (2, 7, 3, 1) over Z/8 on div(6)."""
+    w = write_vec(tmp_path, "w.json", group={"cyclic_trunc": [1, 2, 3, 6]}, flavor="Witt",
+                  ring="Z/8", components=["2", "7", "3", "1"], labels=[1, 2, 3, 6])
+    code, out, err = run_main(capsys, "qwitt", "teichmuller", "--q", q, w)
+    assert code == 0, err
+    path = tmp_path / f"tau{q}.json"
+    path.write_text(out, encoding="utf-8")
+    return json.loads(out), str(path)
+
+
+def test_coordinate_backed_qwitt_document_records_its_q(capsys, tmp_path):
+    doc, tau = _qcoords(tmp_path, capsys)
+    assert doc["coord_form"] is True and doc["q"] == 2
+    # the chain at another q once exited 0 with the coordinates unchanged
+    code, out, err = run_main(capsys, "qwitt", "teichmuller", "--q", "3", "--inverse", tau)
+    assert code == 2 and "SchemaError" in err and "q = 2" in err and out == "", err
+    code, out, _ = run_main(capsys, "qwitt", "teichmuller", "--q", "2", "--inverse", tau)
+    assert code == 0 and json.loads(out)["components"] == ["2", "7", "3", "1"]
+    # the q-free verbs carry the recorded q into their output
+    for argv in (("qwitt", "theta"), ("qwitt", "verschiebung", "--r", "2")):
+        code, out, err = run_main(capsys, *argv, tau)
+        assert code == 0 and json.loads(out)["q"] == 2, err
+    _, sym = _qcoords(tmp_path, capsys, "q")
+    assert json.loads(pathlib.Path(sym).read_text())["q"] == "q"
+    # two operands made at different q
+    _, tau3 = _qcoords(tmp_path, capsys, "3")
+    code, out, err = run_main(capsys, "qwitt", "mul", "--q", "2", tau, tau3)
+    assert code == 2 and "q = 3" in err and out == "", err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qwitt", "neg", "--q", "2"),
+        ("qwitt", "ghost", "--q", "2"),
+        ("qwitt", "teichmuller", "--q", "2", "--inverse"),
+        ("qwitt", "theta"),
+        ("qwitt", "frobenius", "--q", "2", "--r", "2"),
+        ("qwitt", "verschiebung", "--r", "2"),
+    ],
+)
+@pytest.mark.parametrize("q", [None, "2", True, 2.0, [2]])
+def test_coordinate_backed_qwitt_document_without_a_valid_q_exits_2(capsys, tmp_path, argv, q):
+    doc, _ = _qcoords(tmp_path, capsys)
+    if q is None:
+        del doc["q"]
+    else:
+        doc["q"] = q
+    path = write_vec(tmp_path, "bad.json", **doc)
+    code, out, err = run_main(capsys, *argv, path)
+    assert code == 2 and "SchemaError" in err and "q" in err and out == "", err
+
+
 def test_subgroup_document_round_trips_through_ghost(capsys, tmp_path):
     a = write_vec(
         tmp_path,

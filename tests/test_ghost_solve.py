@@ -30,7 +30,8 @@ from wittburnside.qdeform import (
     q_universal,
     q_witt_op,
 )
-from wittburnside.rings import QQ_Q, parse_ring
+from wittburnside.rings import QQ_Q, ZZ, parse_ring
+from wittburnside.universal import MEMO
 
 GROUPS = ("C6", "S3", "D4", "Q8", "C12", "D6")
 RINGS = ("Z", "Q", "Z/8", "ZPoly(x,y)", "QPoly(x,y)")
@@ -193,3 +194,17 @@ def test_q_witt_ops_and_frobenius_match_at_indeterminate_q(tname):
     for r in (2, 3):
         Tout, fu = _q_frobenius_universal(T, r)
         assert list(q_frobenius(ctx, r, a).payloads()) == reference(fu, QQ_Q, xs)
+
+
+def test_operations_leave_the_universal_polynomials_unsolved(monkeypatch):
+    # an operation reads only the ghost system; the polynomials are solved for
+    # when read, so a process that only computes holds none of them
+    monkeypatch.delenv("WB_CACHE_DIR", raising=False)
+    G = build_group("D6")
+    monkeypatch.delitem(MEMO, (G, "prod"), raising=False)
+    a = IndexedVector.from_ints(G, WITT, parse_ring("Z"), range(len(subgroup_classes(G))))
+    wg_op("prod", a, a)
+    ups = MEMO[(G, "prod")]
+    assert ups._polys is None
+    assert list(wg_op("prod", a, a).payloads()) == reference(ups, ZZ, list(a.payloads()) * 2)
+    assert ups._polys is not None
