@@ -12,6 +12,9 @@ container:
     Aperiodic  componentwise addition, index-weighted structure constants
     Ghost      componentwise everything (the product target of ghost maps)
 
+Every necklace and aperiodic product, here and in the cyclic and q models,
+is one loop (`_table_mul`) over a sparse table of structure constants.
+
 Transports between the flavors:
 
     wg_ghost    Witt      -> Ghost     exponent-weighted fixed-point sums
@@ -214,6 +217,24 @@ def _flavor_op(op, x, y, witt_op, mul):
     return mul(x, y)
 
 
+def _table_mul(x, y, table):
+    """(x y)_k = sum of c x_i y_j over the entries (i, j, k): c of a sparse table;
+    c is an int, a Fraction (refused outside a Q-algebra unless integral) or
+    a payload of x's ring."""
+    R = x.ring
+    xs, ys = x.payloads(), y.payloads()
+    out = [R.zero() for _ in xs]
+    for (i, j, k), c in table.items():
+        if R.is_zero(xs[i]) or R.is_zero(ys[j]):
+            continue
+        if type(c) is Fraction:
+            c = _ap_coeff(R, c, "aperiodic product")
+        term = R.mul(xs[i], ys[j])
+        # an int scales every payload; R.add reduces it in Z/m
+        out[k] = R.add(out[k], c * term if type(c) is int else R.mul(c, term))
+    return IndexedVector.from_payloads(x.index, x.flavor, R, out)
+
+
 # ---------------------------------------------------------------------------
 # ghost maps
 
@@ -367,37 +388,15 @@ def wg_op(op: str, a: IndexedVector, b: IndexedVector | None = None) -> IndexedV
 def nr_op(op: str, x: IndexedVector, y: IndexedVector | None = None) -> IndexedVector:
     """Necklace ring operation; multiplication uses the double-coset constants."""
     _check_operands("nr_op", NECKLACE, op, x, y)
-    return _flavor_op(op, x, y, wg_op, _nr_mul)
-
-
-def _nr_mul(x, y):
-    R = x.ring
-    xs, ys = x.payloads(), y.payloads()
-    out = [R.zero() for _ in xs]
-    for (i, j, k), c in structure_constants(x.group).p.items():
-        if R.is_zero(xs[i]) or R.is_zero(ys[j]):
-            continue
-        term = R.mul(R.from_int(c), R.mul(xs[i], ys[j]))
-        out[k] = R.add(out[k], term)
-    return IndexedVector.from_payloads(x.group, NECKLACE, R, out)
+    return _flavor_op(op, x, y, wg_op,
+                      lambda x, y: _table_mul(x, y, structure_constants(x.group).p))
 
 
 def ap_op(op: str, x: IndexedVector, y: IndexedVector | None = None) -> IndexedVector:
     """Aperiodic ring operation; constants are index-weighted double-coset counts."""
     _check_operands("ap_op", APERIODIC, op, x, y)
-    return _flavor_op(op, x, y, wg_op, _ap_mul)
-
-
-def _ap_mul(x, y):
-    R = x.ring
-    xs, ys = x.payloads(), y.payloads()
-    out = [R.zero() for _ in xs]
-    for (i, j, k), f in structure_constants(x.group).a.items():
-        if R.is_zero(xs[i]) or R.is_zero(ys[j]):
-            continue
-        c = _ap_coeff(R, f, "aperiodic product")
-        out[k] = R.add(out[k], R.mul(c, R.mul(xs[i], ys[j])))
-    return IndexedVector.from_payloads(x.group, APERIODIC, R, out)
+    return _flavor_op(op, x, y, wg_op,
+                      lambda x, y: _table_mul(x, y, structure_constants(x.group).a))
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +697,17 @@ def ghost_F(G: FiniteGroup, ci: int, c: IndexedVector) -> IndexedVector:
 
 
 def delta_membership(x: IndexedVector, target: RingSpec) -> bool:
-    """Does a rational necklace vector have Witt coordinates inside `target`?"""
+    """Does a rational necklace vector have Witt coordinates inside `target`,
+    a ring with the rationalisation of x's ring (else DomainError)?"""
     if x.flavor != NECKLACE:
         raise ValueError("delta_membership expects a Necklace vector")
     if _strategy(x.ring) == "quotient":
         raise DomainError("membership testing needs a torsion-free coefficient ring")
-    vec = x.map_ring(x.ring.rationalized(), x.ring.to_rationalized)
+    Rq = x.ring.rationalized()
+    if target.rationalized() != Rq:
+        raise DomainError(f"membership in {target.name} needs a ring whose rationalisation "
+                          f"is {Rq.name}, like that of {x.ring.name}")
+    vec = x.map_ring(Rq, x.ring.to_rationalized)
     try:
         alpha = teichmuller_inv(vec)
     except NotInImage:

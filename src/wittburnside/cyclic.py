@@ -9,12 +9,14 @@ order N component-for-component.
 The flavor dictionary matches the group-indexed module: Witt coordinates
 with ghost w_n = sum_{d|n} d a_d^{n/d}, the necklace ring with
 (x y)_n = sum_{[i,j]=n} (i,j) x_i y_j, and the aperiodic ring with the same
-sum without the gcd weight.  Frobenius operators use integer closed
-formulas (so they are defined over every coefficient ring) and are
-characterised by the ghost shift n -> rn; Verschiebung reindexes by r.
+sum without the gcd weight, each a constant table.  Frobenius operators
+are characterised by the ghost shift n -> rn; on those two flavors they are
+integer linear tables (so defined over every coefficient ring).
+Verschiebung reindexes by r.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +29,7 @@ from .burnside import (
     IndexedVector,
     _check_operands,
     _flavor_op,
+    _table_mul,
 )
 from .errors import (
     NotBinomial,
@@ -171,6 +174,14 @@ class TruncationSet:
     def position(self, n: int) -> int:
         return self._pos[n]
 
+    def divisors(self, n: int) -> tuple[int, ...]:
+        """The members dividing n, ascending: for a member n all its divisors,
+        found in pairs (d, n/d) with d <= sqrt(n)."""
+        if n not in self._pos:  # then a cofactor n/d need not be a member
+            return tuple(d for d in self.members if d <= n and n % d == 0)
+        small = [d for d in itertools.takewhile(lambda d: d * d <= n, self.members) if n % d == 0]
+        return tuple(small + [n // d for d in reversed(small) if d * d != n])
+
     def __eq__(self, other):
         return isinstance(other, TruncationSet) and self.members == other.members
 
@@ -201,7 +212,7 @@ def _require_components(x: CyclicVector):
 def _ghost_table(T: TruncationSet, q: bool = False):
     """Ghost rows (d, d, n/d, n/d - 1 in the q-model else 0) of each n in T."""
     return tuple(
-        tuple((T.position(d), d, n // d, n // d - 1 if q else 0) for d in divisors(n))
+        tuple((T.position(d), d, n // d, n // d - 1 if q else 0) for d in T.divisors(n))
         for n in T
     )
 
@@ -284,41 +295,25 @@ def cyc_witt_op(op: str, a: CyclicVector, b: CyclicVector | None = None) -> Cycl
 # necklace / aperiodic operations
 
 
-def _lcm_mul(x: CyclicVector, y: CyclicVector, weighted: bool) -> CyclicVector:
-    """(x y)_n = sum over lcm(i, j) = n of x_i y_j, weighted by gcd(i, j) if weighted."""
-    _require_components(x)
-    R = x.ring
-    T = x.truncation
-    out = [R.zero() for _ in T]
-    for i in T:
-        xi = x.component(i).payload
-        if R.is_zero(xi):
-            continue
-        for j in T:
-            n = math.lcm(i, j)
-            if n not in T:
-                continue
-            yj = y.component(j).payload
-            if R.is_zero(yj):
-                continue
-            term = R.mul(xi, yj)
-            if weighted:
-                term = R.mul(R.from_int(math.gcd(i, j)), term)
-            k = T.position(n)
-            out[k] = R.add(out[k], term)
-    return CyclicVector.from_payloads(T, x.flavor, R, out)
+@lru_cache(maxsize=None)
+def _mul_table(T: TruncationSet, flavor: str):
+    """The product constants {(i, j, n): c} over T (as positions): c = (i, j)
+    for the necklace flavor, 1 for the aperiodic one, wherever [i, j] = n."""
+    pos = T.position
+    return {(pos(i), pos(j), pos(n)): math.gcd(i, j) if flavor == NECKLACE else 1
+            for n in T for i in T.divisors(n) for j in T.divisors(n) if math.lcm(i, j) == n}
 
 
 def cyc_nr_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over lcm(i, j) = n of gcd(i, j) x_i y_j."""
     _check_operands("cyc_nr_mul", NECKLACE, "prod", x, y)
-    return _lcm_mul(x, y, True)
+    return _table_mul(_require_components(x), y, _mul_table(x.truncation, NECKLACE))
 
 
 def cyc_ap_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over lcm(i, j) = n of x_i y_j, valid over every ring."""
     _check_operands("cyc_ap_mul", APERIODIC, "prod", x, y)
-    return _lcm_mul(x, y, False)
+    return _table_mul(_require_components(x), y, _mul_table(x.truncation, APERIODIC))
 
 
 def cyc_nr_op(op: str, x: CyclicVector, y: CyclicVector | None = None) -> CyclicVector:
@@ -440,6 +435,16 @@ def _frobenius_universal(T: TruncationSet, r: int):
     return cu.truncation, cu
 
 
+@lru_cache(maxsize=None)
+def _frobenius_table(T: TruncationSet, r: int, flavor: str):
+    """f_r's linear rows over {n : rn in T}: x_d for each d with [r, d] = rn,
+    weighted (r, d) in the necklace flavor and 1 in the aperiodic one."""
+    return tuple(
+        tuple((T.position(d), math.gcd(r, d) if flavor == NECKLACE else 1, 1, 0)
+              for d in T.divisors(r * n) if math.lcm(r, d) == r * n)
+        for n in T if r * n in T)
+
+
 def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:
     """The operator with ghost behaviour n -> rn, on truncation {n : rn in T}."""
     if r < 1:
@@ -458,24 +463,5 @@ def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:
     Tout = TruncationSet([n for n in T if r * n in T])
     if x.flavor == GHOST:
         return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
-    out = []
-    if x.flavor == NECKLACE:
-        for n in Tout:
-            s = R.zero()
-            for d in divisors(r * n):
-                if math.lcm(r, d) != r * n:
-                    continue
-                p = x.component(d).payload
-                if R.is_zero(p):
-                    continue
-                s = R.add(s, R.mul(R.from_int(math.gcd(r, d)), p))
-            out.append(s)
-    else:
-        for n in Tout:
-            s = R.zero()
-            for d in divisors(r * n):
-                if math.lcm(r, d) != r * n:
-                    continue
-                s = R.add(s, x.component(d).payload)
-            out.append(s)
+    out = ghost_values(_frobenius_table(T, r, x.flavor), R, x.payloads())
     return CyclicVector.from_payloads(Tout, x.flavor, R, out)

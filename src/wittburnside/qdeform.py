@@ -3,10 +3,11 @@
 Everything rests on the one-parameter formal group law
 F_q(X, Y) = X + Y - q X Y.  The divisor-lattice scalars zeta^q/mu^q produce
 the numerical polynomials P_{n,i,j}(q) deforming the necklace structure
-constants, and the Witt-side operations solve the q-ghost system at their
-payloads, at a concrete integer q or the indeterminate.  Their universal
-polynomials, with numerical coefficients in Q[q] (q an extra variable), are
-derived once per truncation set by the same solve.
+constants, tabulated once per truncation set, flavor and q like the
+Frobenius weights; the Witt-side operations solve the q-ghost system at
+their payloads, at a concrete integer q or the indeterminate.  Their
+universal polynomials, with numerical coefficients in Q[q] (q an extra
+variable), are derived once per truncation set by the same solve.
 
 A QContext fixes q: a concrete integer works over every coefficient ring
 (structure constants are integers by numericality), while the indeterminate
@@ -30,6 +31,7 @@ from .burnside import (
     _strategy,
     _check_operands,
     _flavor_op,
+    _table_mul,
 )
 from .cyclic import (
     CyclicVector,
@@ -311,66 +313,66 @@ def try_one(ctx: QContext, T: TruncationSet, R: RingSpec) -> CyclicVector | None
 # q-necklace / q-aperiodic multiplication
 
 
-def _q_mul(ctx: QContext, x: CyclicVector, y: CyclicVector, aperiodic: bool) -> CyclicVector:
-    R = x.ring
-    T = x.truncation
-    out = [R.zero() for _ in T]
-    for i in T:
-        xi = x.component(i).payload
-        if R.is_zero(xi):
-            continue
-        for j in T:
-            yj = y.component(j).payload
-            if R.is_zero(yj):
-                continue
-            l = math.lcm(i, j)
-            if l not in T:
-                continue
-            xy = R.mul(xi, yj)
-            for n in T:
-                if n % l != 0:
-                    continue
-                w = (n // l) if aperiodic else math.gcd(i, j)
-                c = p_poly(n, i, j) * w
-                if c.is_zero():
-                    continue
-                payload = _int_scalar(ctx, R, c, f"P weight at ({n},{i},{j})")
-                if R.is_zero(payload):
-                    continue
-                k = T.position(n)
-                out[k] = R.add(out[k], R.mul(payload, xy))
-    return CyclicVector.from_payloads(T, x.flavor, R, out)
+def _at(c: QPolynomial, q):
+    """A numerical weight at q, or None where it vanishes: an int, or at the
+    indeterminate (None) c itself."""
+    if q is None:
+        return None if c.is_zero() else c
+    return c(q).numerator or None
 
 
-def _q_flavor_op(ctx: QContext, op, x, y, mul):
-    """_flavor_op with the q-Witt operation at ctx's q for coordinate-backed vectors."""
+@lru_cache(maxsize=None)
+def _mul_table(T: TruncationSet, q, flavor: str):
+    """The product constants over T at q, as in `cyclic._mul_table`: (i, j) P_{n,i,j}
+    (necklace) or (n/[i, j]) P_{n,i,j} (aperiodic) wherever [i, j] | n; ints, or
+    Q[q] payloads at the indeterminate (None); zeros are dropped."""
+    table = {}
+    for n in T:
+        for i in T.divisors(n):
+            for j in T.divisors(n):
+                l = math.lcm(i, j)
+                if n % l == 0:
+                    w = n // l if flavor == APERIODIC else math.gcd(i, j)
+                    c = _at(p_poly(n, i, j) * w, q)
+                    if c is not None:
+                        table[T.position(i), T.position(j), T.position(n)] = c
+    return table
+
+
+def _q_flavor_op(ctx: QContext, op, x, y):
+    """_flavor_op at ctx's q: the q-Witt operation for coordinate-backed vectors,
+    the product through the constant table at q."""
+    def mul(x, y):
+        ctx.q_payload(x.ring)  # at the indeterminate the constants are Q[q] payloads
+        return _table_mul(x, y, _mul_table(x.truncation, ctx.q, x.flavor))
+
     return _flavor_op(op, x, y, lambda op, a, b: q_witt_op(ctx, op, a, b), mul)
 
 
 def q_nr_mul(ctx: QContext, x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over [i,j] | n of (i,j) P_{n,i,j}(q) x_i y_j."""
     _check_operands("q_nr_mul", NECKLACE, "prod", x, y)
-    return _q_flavor_op(ctx, "prod", x, y, lambda x, y: _q_mul(ctx, x, y, aperiodic=False))
+    return _q_flavor_op(ctx, "prod", x, y)
 
 
 def q_ap_mul(ctx: QContext, x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over [i,j] | n of (n/[i,j]) P_{n,i,j}(q) x_i y_j."""
     _check_operands("q_ap_mul", APERIODIC, "prod", x, y)
-    return _q_flavor_op(ctx, "prod", x, y, lambda x, y: _q_mul(ctx, x, y, aperiodic=True))
+    return _q_flavor_op(ctx, "prod", x, y)
 
 
 def q_nr_op(ctx: QContext, op: str, x: CyclicVector, y: CyclicVector | None = None) -> CyclicVector:
     if op == "prod":
         return q_nr_mul(ctx, x, y)
     _check_operands("q_nr_op", NECKLACE, op, x, y)
-    return _q_flavor_op(ctx, op, x, y, None)
+    return _q_flavor_op(ctx, op, x, y)
 
 
 def q_ap_op(ctx: QContext, op: str, x: CyclicVector, y: CyclicVector | None = None) -> CyclicVector:
     if op == "prod":
         return q_ap_mul(ctx, x, y)
     _check_operands("q_ap_op", APERIODIC, op, x, y)
-    return _q_flavor_op(ctx, op, x, y, None)
+    return _q_flavor_op(ctx, op, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +494,33 @@ def _q_frobenius_universal(T: TruncationSet, r: int):
     return cu.truncation, cu
 
 
-def _q_frob_coeff(r: int, n: int, d: int) -> QPolynomial:
-    """r tau^q(rn/[r,d], rn/d): the integer-valued Frobenius weight."""
-    l = math.lcm(r, d)
-    c = tau_q(r * n // l, r * n // d) * r
-    if not c.is_numerical():
-        raise NumericalityViolation(
-            f"{r} tau^q({r * n // l},{r * n // d}) is not numerical: {c.format()}"
-        )
-    return c
+@lru_cache(maxsize=None)
+def _frobenius_table(T: TruncationSet, r: int, q, flavor: str):
+    """f_r's linear rows over {n : rn in T} at q: x_d for each d | rn, weighted
+    r tau^q(rn/[r,d], rn/d), times n/d in the aperiodic flavor."""
+    rows = []
+    for n in T:
+        if r * n not in T:
+            continue
+        row = []
+        for d in T.divisors(r * n):
+            l = math.lcm(r, d)
+            c = tau_q(r * n // l, r * n // d) * r
+            if not c.is_numerical():
+                raise NumericalityViolation(
+                    f"{r} tau^q({r * n // l},{r * n // d}) is not numerical: {c.format()}"
+                )
+            if flavor == APERIODIC:
+                c = c * Fraction(n, d)
+                if not c.is_numerical():
+                    raise NumericalityViolation(
+                        f"aperiodic frobenius weight at ({r},{n},{d}) is not numerical"
+                    )
+            c = _at(c, q)
+            if c is not None:
+                row.append((T.position(d), c, 1, 0))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:
@@ -520,27 +540,8 @@ def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:
         Tout, cu = _q_frobenius_universal(T, r)
         out = cu.system.apply(R, x.payloads(), _q_arg(ctx, R))
         return CyclicVector.from_payloads(Tout, x.flavor, R, out, x.coord_form)
-    aperiodic = x.flavor == APERIODIC
-    if not aperiodic and x.flavor != NECKLACE:
-        raise ValueError(f"unknown flavor {x.flavor!r}")
-    out = []
-    for n in Tout:
-        s = R.zero()
-        for d in divisors(r * n):
-            p = x.component(d).payload
-            if R.is_zero(p):
-                continue
-            c = _q_frob_coeff(r, n, d)
-            if aperiodic:
-                c = c * Fraction(n, d)
-                if not c.is_numerical():
-                    raise NumericalityViolation(
-                        f"aperiodic frobenius weight at ({r},{n},{d}) is not numerical"
-                    )
-            if c.is_zero():
-                continue
-            s = R.add(s, R.mul(_int_scalar(ctx, R, c, "frobenius weight"), p))
-        out.append(s)
+    ctx.q_payload(R)  # at the indeterminate the weights are Q[q] payloads
+    out = ghost_values(_frobenius_table(T, r, ctx.q, x.flavor), R, x.payloads())
     return CyclicVector.from_payloads(Tout, x.flavor, R, out)
 
 

@@ -229,9 +229,12 @@ class QPolynomial:
     def is_numerical(self) -> bool:
         """True when the polynomial takes integer values on all integers.
 
-        Integer values at degree+1 consecutive integers force integrality
-        everywhere (finite differences), so only those points are tested.
+        An integral polynomial does at once.  Otherwise integer values at
+        degree+1 consecutive integers force integrality everywhere (finite
+        differences), so only those points are tested.
         """
+        if self.is_integral():
+            return True
         return all(self(k).denominator == 1 for k in range(self.degree + 2))
 
     def format(self, var: str = "q") -> str:

@@ -336,6 +336,27 @@ def test_delta_membership():
     assert not delta_membership(shifted, ZZ)
 
 
+# the targets with the rationalisation of the vector's ring, and the answer
+MEMBERSHIP = {"Z": {"Z": True, "Q": True},
+              "ZPoly(x,y)": {"ZPoly(x,y)": False, "QPoly(x,y)": True}}
+
+
+@pytest.mark.parametrize("source", sorted(MEMBERSHIP))
+@pytest.mark.parametrize("target", ("Z", "Q", "Z/8", "ZPoly(x,y)", "QPoly(x,y)", "Q[q]"))
+def test_delta_membership_needs_the_rationalisation_of_the_vector_ring(source, target):
+    # (3, 5) over Z and (x, y) over ZPoly(x,y); any other target once raised
+    # TypeError or AttributeError, or answered True
+    R = parse_ring(source)
+    values = ("3", "5") if R == ZZ else ("x", "y")
+    x = IndexedVector.from_payloads(C2, NECKLACE, R, [R.parse_value(v) for v in values])
+    want = MEMBERSHIP[source].get(target)
+    if want is None:
+        with pytest.raises(DomainError, match="rationalisation"):
+            delta_membership(x, parse_ring(target))
+    else:
+        assert delta_membership(x, parse_ring(target)) is want
+
+
 # --- induction / restriction / operator families ---------------------------
 
 

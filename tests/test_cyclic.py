@@ -133,6 +133,23 @@ def test_truncation_set_accepts_large_primes_fast():
     assert time.perf_counter() - start < 2.0
 
 
+def test_truncation_set_divisors_are_the_members_dividing_n():
+    for T in (D12, TruncationSet(range(1, 25))):
+        for n in T:
+            assert T.divisors(n) == divisors(n)
+        assert T.divisors(5) == tuple(d for d in (1, 5) if d in T)
+    assert TruncationSet([1, 5]).divisors(15) == (1, 5)  # a member above sqrt(15)
+    assert TruncationSet([1, 10 ** 18 + 9]).divisors(10 ** 18 + 9) == (1, 10 ** 18 + 9)
+
+
+def test_ghost_on_a_large_member_reads_divisors_off_the_set():
+    # trial division up to sqrt(n) once stalled here
+    start = time.perf_counter()
+    x = CyclicVector.from_ints(TruncationSet([1, 10 ** 18 + 9]), NECKLACE, ZZ, [3, 5])
+    assert [c.payload for c in cyc_ghost(x).components] == [3, 5000000000000000048]
+    assert time.perf_counter() - start < 2.0
+
+
 def test_witt_ghost_examples():
     one = TruncationSet.div(1)
     assert cyc_witt_ghost(cvec(one, WITT, ZZ, [7])).payloads() == (7,)

@@ -88,6 +88,10 @@ def test_numericality_binomial_polynomial():
     assert all(p(k).denominator == 1 for k in range(-50, 51))
     assert not (p + QPolynomial.constant(Fraction(1, 2))).is_numerical()
     assert is_numerical(p)
+    # integer coefficients: numerical at once, whatever the degree
+    integral = QPolynomial([3, -1] + [0] * 500 + [7])
+    assert integral.is_integral() and integral.is_numerical()
+    assert all(integral(k).denominator == 1 for k in range(-5, 6))
 
 
 # -- MultiPoly ---------------------------------------------------------------
