@@ -3,6 +3,7 @@
 The CLI cases run in fresh processes, so the in-process memo cannot hide
 what a process reads from disk.
 """
+import hashlib
 import json
 import os
 import subprocess
@@ -157,3 +158,23 @@ def test_unwritable_cache_dir_still_derives(tmp_path, monkeypatch):
         assert derive_universal(build_group("C2"), "sum").polys
     finally:
         _UNIVERSAL_CACHE.clear()
+
+
+# the name and sha256 of the entry each derivation writes; the q entry has
+# "n/d" coefficient strings
+ENTRIES = [
+    (lambda: derive_universal(build_group("C4"), "prod"), "wg-031f409039ede13a-prod-u2.json",
+     "619d651569188d2362e0dd0af281eb1629ff250f953e296f9ecbac2b4a5b5ba3"),
+    (lambda: cyc_universal(TruncationSet.div(6), "sum"), "cyc-188a55c6ac41b9a9-sum-u2.json",
+     "d2a9224bdb74e113bd64fe49734e67c77755697f9fa6e8dc93d2fbce661f980f"),
+    (lambda: q_universal(TruncationSet.div(6), "prod"), "cyc-188a55c6ac41b9a9-qprod-u2.json",
+     "a68b2375ac6d69d7cade3db27c529ca5af6ca6321a708b4f7365d81db5c49113"),
+]
+
+
+@pytest.mark.parametrize("derive,name,digest", ENTRIES, ids=["C4-prod", "div6-sum", "q-div6-prod"])
+def test_entry_bytes_are_pinned(cache, derive, name, digest):
+    derive()
+    path = only_file(cache, lambda n: True)
+    assert path.name == name
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
