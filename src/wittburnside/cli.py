@@ -14,7 +14,11 @@ Vector files are JSON documents::
 
 A document is read into the one vector type, indexed by the group's subgroup
 classes or by the truncation set; one reader, one writer and one handler per
-verb kind serve the group, `cyclic` and `qwitt` verbs alike.  All output is JSON with sorted keys; byte-for-byte deterministic given the
+verb kind serve the group, `cyclic` and `qwitt` verbs alike.  A process
+builds only the parser of the verb it runs: every verb is registered, so the
+top-level help and errors list them all, but only the verb the command line
+names gets its arguments and sub-parsers (all of them when it names none).
+All output is JSON with sorted keys; byte-for-byte deterministic given the
 inputs, flags and seed.  Exit codes: 0 success, 1 verification failures,
 2 schema/input errors, 3 domain errors (the message names the error class).
 """
@@ -285,13 +289,13 @@ def _qcontext(args):
 
 
 def _truncation(args, default=None):
-    if getattr(args, "trunc_set", None):
+    if getattr(args, "trunc_set", None) is not None:
         try:
             members = [int(p) for p in args.trunc_set.split(",")]
         except ValueError:
             raise SchemaError(f"--trunc-set must be a comma list of integers")
         return TruncationSet(members)
-    if getattr(args, "trunc", None):
+    if getattr(args, "trunc", None) is not None:
         return TruncationSet.div(args.trunc)
     if default is not None:
         return default
@@ -534,6 +538,8 @@ def cmd_artinhasse(args):
 
 
 def cmd_verify(args):
+    if args.size < 1:
+        raise SchemaError("--size must be a positive integer")
     report = run_suite(args.suite, args.seed, args.size, args.inject_fault)
     _emit(report)
     return 1 if report["failures"] else 0
@@ -553,90 +559,74 @@ def _add_vector_io(p, binary):
     _add_ring_flag(p)
 
 
-def _parser():
-    ap = argparse.ArgumentParser(
-        prog="wittburnside",
-        description="Exact Witt-Burnside / necklace / aperiodic ring arithmetic.",
-    )
-    sub = ap.add_subparsers(dest="verb", required=True)
+def _flavor_ops(p, model, family):
+    fsub = p.add_subparsers(dest="op", required=True)
+    for op in ("add", "mul", "neg"):
+        op_p = fsub.add_parser(op)
+        _add_vector_io(op_p, op != "neg")
+        op_p.set_defaults(fn=cmd_flavor_op, family=family, op=op, model=model)
 
-    g = sub.add_parser("group", help="group inspection")
-    gsub = g.add_subparsers(dest="groupverb", required=True)
+
+def _group_verb(p):
+    gsub = p.add_subparsers(dest="groupverb", required=True)
     gi = gsub.add_parser("info", help="classes, marks and Moebius matrix")
     gi.add_argument("--group", required=True)
     gi.set_defaults(fn=cmd_group_info)
 
+
+def _ghost_verb(p, model="group"):
+    _add_vector_io(p, False)
+    p.add_argument("--flavor", choices=_RING_FLAVORS)
+    p.set_defaults(fn=cmd_ghost, model=model)
+
+
+def _inverse_verb(p, fn, model="group"):
+    _add_vector_io(p, False)
+    p.add_argument("--inverse", action="store_true")
+    p.set_defaults(fn=fn, model=model)
+
+
+def _subgroup_verb(p, fn):
+    p.add_argument("--group", required=True, help="ambient group")
+    p.add_argument("--class", dest="cls", required=True, help="subgroup class label")
+    _add_vector_io(p, False)
+    p.set_defaults(fn=fn)
+
+
+def _universal_verb(p):
+    p.add_argument("--group", required=True)
+    p.add_argument("--op", required=True, choices=("sum", "prod", "neg"))
+    p.set_defaults(fn=cmd_universal)
+
+
+def _cyclic_verb(p):
+    csub = p.add_subparsers(dest="cyclicverb", required=True)
     for family in ("witt", "necklace", "aperiodic"):
-        fp = sub.add_parser(family, help=f"{family} ring ops on group vector files")
-        fsub = fp.add_subparsers(dest="op", required=True)
-        for op in ("add", "mul", "neg"):
-            op_p = fsub.add_parser(op)
-            _add_vector_io(op_p, op != "neg")
-            op_p.set_defaults(fn=cmd_flavor_op, family=family, op=op, model="group")
-
-    gh = sub.add_parser("ghost", help="ghost map of a group vector file")
-    _add_vector_io(gh, False)
-    gh.add_argument("--flavor", choices=_RING_FLAVORS)
-    gh.set_defaults(fn=cmd_ghost, model="group")
-
-    tm = sub.add_parser("teichmuller", help="Witt -> necklace transport")
-    _add_vector_io(tm, False)
-    tm.add_argument("--inverse", action="store_true")
-    tm.set_defaults(fn=cmd_teichmuller, model="group")
-
-    th = sub.add_parser("theta", help="necklace -> aperiodic rescaling")
-    _add_vector_io(th, False)
-    th.add_argument("--inverse", action="store_true")
-    th.set_defaults(fn=cmd_theta, model="group")
-
-    for name, fn, what in (("ind", cmd_ind, "induction"), ("res", cmd_res, "restriction")):
-        ir = sub.add_parser(name, help=f"{what} along a subgroup class")
-        ir.add_argument("--group", required=True, help="ambient group")
-        ir.add_argument("--class", dest="cls", required=True, help="subgroup class label")
-        _add_vector_io(ir, False)
-        ir.set_defaults(fn=fn)
-
-    un = sub.add_parser("universal", help="universal operation polynomials")
-    un.add_argument("--group", required=True)
-    un.add_argument("--op", required=True, choices=("sum", "prod", "neg"))
-    un.set_defaults(fn=cmd_universal)
-
-    cy = sub.add_parser("cyclic", help="truncation-set model")
-    csub = cy.add_subparsers(dest="cyclicverb", required=True)
-    for family in ("witt", "necklace", "aperiodic"):
-        fp = csub.add_parser(family)
-        fsub = fp.add_subparsers(dest="op", required=True)
-        for op in ("add", "mul", "neg"):
-            op_p = fsub.add_parser(op)
-            _add_vector_io(op_p, op != "neg")
-            op_p.set_defaults(fn=cmd_flavor_op, family=family, op=op, model="cyclic")
-    cgh = csub.add_parser("ghost")
-    _add_vector_io(cgh, False)
-    cgh.add_argument("--flavor", choices=_RING_FLAVORS)
-    cgh.set_defaults(fn=cmd_ghost, model="cyclic")
-    cth = csub.add_parser("theta")
-    _add_vector_io(cth, False)
-    cth.add_argument("--inverse", action="store_true")
-    cth.set_defaults(fn=cmd_theta, model="cyclic")
+        _flavor_ops(csub.add_parser(family), "cyclic", family)
+    _ghost_verb(csub.add_parser("ghost"), "cyclic")
+    _inverse_verb(csub.add_parser("theta"), cmd_theta, "cyclic")
     for op_name in ("frobenius", "verschiebung"):
         cop = csub.add_parser(op_name)
         cop.add_argument("--r", type=int, required=True)
         _add_vector_io(cop, False)
         cop.set_defaults(fn=cmd_operator, operator=op_name, model="cyclic")
 
-    qp = sub.add_parser("qpoly", help="q-weighted lattice polynomials")
-    qp.add_argument("kind", choices=("P", "tau"))
-    qp.add_argument("--n", type=int, required=True)
-    qp.set_defaults(fn=cmd_qpoly)
 
-    qu = sub.add_parser("quniversal", help="q-deformed universal polynomials")
-    qu.add_argument("--op", required=True, choices=("sum", "prod", "neg"))
-    qu.add_argument("--trunc", type=int)
-    qu.add_argument("--trunc-set")
-    qu.set_defaults(fn=cmd_quniversal)
+def _qpoly_verb(p):
+    p.add_argument("kind", choices=("P", "tau"))
+    p.add_argument("--n", type=int, required=True)
+    p.set_defaults(fn=cmd_qpoly)
 
-    qw = sub.add_parser("qwitt", help="q-deformed cyclic model")
-    qsub = qw.add_subparsers(dest="qverb", required=True)
+
+def _quniversal_verb(p):
+    p.add_argument("--op", required=True, choices=("sum", "prod", "neg"))
+    p.add_argument("--trunc", type=int)
+    p.add_argument("--trunc-set")
+    p.set_defaults(fn=cmd_quniversal)
+
+
+def _qwitt_verb(p):
+    qsub = p.add_subparsers(dest="qverb", required=True)
     for op in ("add", "mul", "neg"):
         op_p = qsub.add_parser(op)
         op_p.add_argument("--q", required=True, help="integer or the symbol q")
@@ -671,26 +661,64 @@ def _parser():
     qon.add_argument("--ring", default="Z")
     qon.set_defaults(fn=cmd_qwitt_tryone)
 
-    ah = sub.add_parser("artinhasse", help="Artin-Hasse-type curve of a Witt vector")
-    ah.add_argument("--q", required=True)
-    ah.add_argument("--inverse", action="store_true")
-    ah.add_argument("--trunc", type=int)
-    ah.add_argument("--trunc-set")
-    _add_vector_io(ah, False)
-    ah.set_defaults(fn=cmd_artinhasse)
 
-    vf = sub.add_parser("verify", help="run a verification suite")
-    vf.add_argument("--suite", default="all", choices=SUITES + ("all",))
-    vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--size", type=int, default=1)
-    vf.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    vf.set_defaults(fn=cmd_verify)
+def _artinhasse_verb(p):
+    p.add_argument("--q", required=True)
+    p.add_argument("--inverse", action="store_true")
+    p.add_argument("--trunc", type=int)
+    p.add_argument("--trunc-set")
+    _add_vector_io(p, False)
+    p.set_defaults(fn=cmd_artinhasse)
 
+
+def _verify_verb(p):
+    p.add_argument("--suite", default="all", choices=SUITES + ("all",))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--size", type=int, default=1)
+    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+    p.set_defaults(fn=cmd_verify)
+
+
+# verb -> (help, builder of its arguments and sub-parsers)
+_VERBS = {
+    "group": ("group inspection", _group_verb),
+    **{family: (f"{family} ring ops on group vector files",
+                partial(_flavor_ops, model="group", family=family))
+       for family in ("witt", "necklace", "aperiodic")},
+    "ghost": ("ghost map of a group vector file", _ghost_verb),
+    "teichmuller": ("Witt -> necklace transport", partial(_inverse_verb, fn=cmd_teichmuller)),
+    "theta": ("necklace -> aperiodic rescaling", partial(_inverse_verb, fn=cmd_theta)),
+    "ind": ("induction along a subgroup class", partial(_subgroup_verb, fn=cmd_ind)),
+    "res": ("restriction along a subgroup class", partial(_subgroup_verb, fn=cmd_res)),
+    "universal": ("universal operation polynomials", _universal_verb),
+    "cyclic": ("truncation-set model", _cyclic_verb),
+    "qpoly": ("q-weighted lattice polynomials", _qpoly_verb),
+    "quniversal": ("q-deformed universal polynomials", _quniversal_verb),
+    "qwitt": ("q-deformed cyclic model", _qwitt_verb),
+    "artinhasse": ("Artin-Hasse-type curve of a Witt vector", _artinhasse_verb),
+    "verify": ("run a verification suite", _verify_verb),
+}
+
+
+def _parser(argv=()):
+    """The parser of argv: every verb is registered, but only the verb argv[0]
+    names is filled in; every verb when argv[0] names none (help, a typo)."""
+    ap = argparse.ArgumentParser(
+        prog="wittburnside",
+        description="Exact Witt-Burnside / necklace / aperiodic ring arithmetic.",
+    )
+    sub = ap.add_subparsers(dest="verb", required=True)
+    named = argv[0] if argv and argv[0] in _VERBS else None
+    for verb, (text, build) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        if named in (None, verb):
+            build(p)
     return ap
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except SchemaError as e:

@@ -29,7 +29,6 @@ table is the ghost of the necklace flavor.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -319,6 +318,8 @@ def _cache_path(structure, labels, tag):
     root = os.environ.get("WB_CACHE_DIR")
     if not root:
         return None
+    import hashlib  # loading OpenSSL costs every process; only a cache names a file
+
     # named by what equality compares: a truncation set's members (its integer
     # labels), a group's elements
     kind, identity = ("cyc", labels) if type(labels[0]) is int else ("wg", structure.elements)
@@ -374,7 +375,8 @@ def _cache_write(path, ups: UniversalSet):
         fd, tmp = tempfile.mkstemp(dir=root, prefix=".tmp-", suffix=".json")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, sort_keys=True)
+                # one-shot dumps runs the C encoder; json.dump, the pure-Python one
+                fh.write(json.dumps(data, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -544,3 +544,31 @@ def test_non_boolean_coord_form_exits_2(capsys, tmp_path, value):
                   coord_form=value)
     code, out, err = run_main(capsys, "theta", a)
     assert code == 2 and "coord_form" in err and out == "", err
+
+
+# a zero or empty flag was once read as absent: `--trunc 0` fell through to
+# "required" (artinhasse --inverse used its default set), `--trunc-set ""` too
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("quniversal", "--op", "sum", "--trunc", "0"), "div(N) needs N >= 1"),
+        (("quniversal", "--op", "sum", "--trunc", "-3"), "div(N) needs N >= 1"),
+        (("quniversal", "--op", "sum", "--trunc-set", ""), "--trunc-set must be a comma list of integers"),
+        (("qwitt", "tryone", "--q", "2", "--trunc", "0"), "div(N) needs N >= 1"),
+        (("qwitt", "tryone", "--q", "2", "--trunc-set", ""), "--trunc-set must be a comma list of integers"),
+        (("artinhasse", "--q", "2", "--inverse", "--trunc", "0"), "div(N) needs N >= 1"),
+    ],
+)
+def test_zero_or_empty_truncation_flag_exits_2(capsys, tmp_path, argv, message):
+    curve = write_vec(tmp_path, "curve.json", kind="curve", q=2, ring="Z", degree=3,
+                      coefficients=["1", "2", "3"])
+    extra = (curve,) if argv[0] == "artinhasse" else ()
+    code, out, err = run_main(capsys, *argv, *extra)
+    assert (code, out, err) == (2, "", f"SchemaError: {message}\n")
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_verify_size_must_be_positive(capsys, size):
+    # it once ran size 1 silently and exited 0
+    code, out, err = run_main(capsys, "verify", "--suite", "diagrams", "--size", size)
+    assert (code, out, err) == (2, "", "SchemaError: --size must be a positive integer\n")

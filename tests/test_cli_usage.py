@@ -9,13 +9,14 @@ recorded them.  To re-record after a deliberate change to the parser:
 
     PYTHONPATH=src python tests/test_cli_usage.py
 """
+import argparse
 import json
 import pathlib
 import sys
 
 import pytest
 
-from wittburnside.cli import main
+from wittburnside.cli import _parser, main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "goldens" / "cli_usage.json"
 COLUMNS = "80"
@@ -77,6 +78,71 @@ def test_usage_text_is_pinned(golden, argv, capsys, monkeypatch):
     code = _run(argv)
     out = capsys.readouterr()
     assert {"code": code, "stdout": out.out, "stderr": out.err} == golden[" ".join(argv)]
+
+
+# one valid command line per leaf parser; the files need not exist to parse
+LEAVES = (
+    ("group", "info", "--group", "S3"),
+    *((f, op, "a.json", "b.json") for f in _FAMILIES for op in ("add", "mul")),
+    *((f, "neg", "a.json", "--ring", "Z") for f in _FAMILIES),
+    ("ghost", "a.json", "--flavor", "Witt"),
+    ("teichmuller", "--inverse", "a.json"),
+    ("theta", "a.json", "--ring", "Q"),
+    ("ind", "--group", "D6", "--class", "6a", "a.json"),
+    ("res", "--class", "2a", "--group", "S3", "a.json"),
+    ("universal", "--group", "D4", "--op", "prod"),
+    *(("cyclic", f, "add", "a.json", "b.json") for f in _FAMILIES),
+    *(("cyclic", f, "mul", "a.json") for f in _FAMILIES),
+    *(("cyclic", f, "neg", "a.json") for f in _FAMILIES),
+    ("cyclic", "ghost", "a.json", "--flavor", "Necklace"),
+    ("cyclic", "theta", "--inverse", "a.json"),
+    ("cyclic", "frobenius", "--r", "2", "a.json"),
+    ("cyclic", "verschiebung", "--r", "3", "a.json"),
+    ("qpoly", "tau", "--n", "6"),
+    ("quniversal", "--op", "sum", "--trunc", "6"),
+    ("qwitt", "add", "--q", "2", "a.json", "b.json"),
+    ("qwitt", "mul", "--q", "q", "a.json", "b.json", "--ring", "Q[q]"),
+    ("qwitt", "neg", "--q", "-1", "a.json"),
+    ("qwitt", "ghost", "--q", "2", "a.json"),
+    ("qwitt", "teichmuller", "--q", "2", "--inverse", "a.json"),
+    ("qwitt", "theta", "a.json"),
+    ("qwitt", "frobenius", "--q", "3", "--r", "2", "a.json"),
+    ("qwitt", "verschiebung", "--r", "2", "a.json"),
+    ("qwitt", "tryone", "--q", "2", "--trunc-set", "1,2,4"),
+    ("artinhasse", "--q", "2", "--inverse", "--trunc", "4", "c.json"),
+    ("verify", "--suite", "diagrams", "--seed", "7", "--size", "2", "--inject-fault"),
+)
+
+
+def _path(argv):
+    return max((p for p in PATHS if argv[:len(p)] == p), key=len)
+
+
+def test_every_leaf_parser_has_a_command_line():
+    leaves = {p for p in PATHS if not any(q[:len(p)] == p and q != p for q in PATHS)}
+    assert sorted(map(_path, LEAVES)) == sorted(leaves)
+
+
+@pytest.mark.parametrize("argv", LEAVES, ids=" ".join)
+def test_verb_parser_parses_like_the_full_one(argv):
+    assert vars(_parser(argv).parse_args(argv)) == vars(_parser().parse_args(argv))
+
+
+def _verb_parsers(ap):
+    action = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("verb", ["witt", "cyclic", "qwitt", "verify"])
+def test_only_the_named_verb_is_filled_in(verb):
+    verbs = _verb_parsers(_parser([verb, "--help"]))
+    full = _verb_parsers(_parser())
+    assert list(verbs) == list(full)
+    for name, p in verbs.items():
+        if name == verb:
+            assert p.format_help() == full[name].format_help()
+        else:
+            assert [a.dest for a in p._actions] == ["help"], name
 
 
 def _record():
