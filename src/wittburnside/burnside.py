@@ -20,10 +20,14 @@ Transports between the flavors:
     wg_ghost    Witt      -> Ghost     exponent-weighted fixed-point sums
     nr_ghost    Necklace  -> Ghost     marks transpose (integer, invertible
                                        by a triangular solve)
-    ap_ghost    Aperiodic -> Ghost     marks transpose scaled by 1/index
+    ap_ghost    Aperiodic -> Ghost     the nr_ghost table with each weight
+                                       over the index (G:V): a Fraction, which
+                                       needs a Q-algebra, in the column of a
+                                       class V that is not normal
     teichmuller Witt      -> Necklace  the necklace solve of the Witt ghost
     teichmuller_inv                    the Witt solve of the necklace ghost
     theta       Necklace  -> Aperiodic componentwise scaling by the index
+                                       (G:V), or n on a truncation set
     gamma       Witt      -> Aperiodic theta after teichmuller
     witt_f      Witt on G -> Witt on U the Witt solve on U of the restricted
                                        ghost (a shifted ghost system)
@@ -32,14 +36,18 @@ Transports between the flavors:
 Every transport is determined by its ghost map (Dress-Siebeneicher), so each
 one is a triangular solve (`universal.solve_triangular`) on the ghost tables
 the Witt operations use, the necklace table being the Witt table with every
-exponent 1.  Coefficient strategy: over a Q-algebra every solve stays in the
-ring; over Z every division is exact (Z is a binomial ring, so that is a
-theorem, not a hope; a failing row raises); over integer polynomial rings
-teichmuller, whose image needs denominators, is returned over the
-rationalised ring; over Z/m the necklace/aperiodic images of Witt vectors
-have no canonical component form at all, so they are carried as their Witt
-coordinates (`coord_form=True`) and all ring operations delegate to the
-Witt operations on those coordinates.
+exponent 1 and the aperiodic table that one over the index
+(`universal.linear_table`).  Induction, restriction and ghost_nu on an
+abelian group are linear tables too, run by `universal.ghost_values`.
+
+Coefficient strategy: over a Q-algebra every solve stays in the ring; over
+Z every division is exact (Z is a binomial ring, so that is a theorem, not
+a hope; a failing row raises); over integer polynomial rings teichmuller,
+whose image needs denominators, is returned over the rationalised ring;
+over Z/m the necklace/aperiodic images of Witt vectors have no canonical
+component form at all, so they are carried as their Witt coordinates
+(`coord_form=True`) and all ring operations delegate to the Witt
+operations on those coordinates.
 """
 from __future__ import annotations
 
@@ -73,7 +81,9 @@ from .universal import (
     ghost_values,
     index_labels,
     linear_table,
+    rational_weight,
     solve_triangular,
+    subgroup_indices,
 )
 
 WITT = "Witt"
@@ -228,7 +238,7 @@ def _table_mul(x, y, table):
         if R.is_zero(xs[i]) or R.is_zero(ys[j]):
             continue
         if type(c) is Fraction:
-            c = _ap_coeff(R, c, "aperiodic product")
+            c = rational_weight(R, c, "aperiodic product")
         term = R.mul(xs[i], ys[j])
         # an int scales every payload; R.add reduces it in Z/m
         out[k] = R.add(out[k], c * term if type(c) is int else R.mul(c, term))
@@ -252,9 +262,35 @@ def _ghost_table(G: FiniteGroup):
 
 
 @lru_cache(maxsize=None)
-def _necklace_table(G: FiniteGroup):
-    """nr_ghost's rows: the ghost table with every exponent 1."""
-    return linear_table(_ghost_table(G))
+def _flavor_table(G: FiniteGroup, flavor: str):
+    """The ghost rows of the necklace flavor (the ghost table with every
+    exponent 1) or of the aperiodic one (each weight over the index (G:V))."""
+    return linear_table(_ghost_table(G), subgroup_indices(G) if flavor == APERIODIC else None)
+
+
+@lru_cache(maxsize=None)
+def _ind_table(G: FiniteGroup, ci: int, flavor: str):
+    """Induction's rows over G's classes: each class of U = rep(ci) at the
+    class it fuses to, weighted (G:U) in the aperiodic flavor."""
+    fuse = ind_class_map(G, ci)
+    weight = subgroup_indices(G)[ci] if flavor == APERIODIC else 1
+    return tuple(tuple((pos, weight, 1, 0) for pos, w in enumerate(fuse) if w == k)
+                 for k in range(len(subgroup_classes(G))))
+
+
+@lru_cache(maxsize=None)
+def _res_table(G: FiniteGroup, ci: int, flavor: str):
+    """Restriction's rows over the classes W of U = rep(ci): the number m of
+    U-orbits on each G/V with stabilizers in W; in the aperiodic flavor
+    m (U:W) over the index (G:V)."""
+    U = subgroup_group(G, ci)
+    u_index = subgroup_indices(U)
+    rows = [[] for _ in u_index]
+    for cj in range(len(subgroup_classes(G))):
+        for w, m in res_orbit_data(G, ci, cj):
+            rows[w].append((cj, m if flavor == NECKLACE else m * u_index[w], 1, 0))
+    table = tuple(map(tuple, rows))
+    return table if flavor == NECKLACE else linear_table(table, subgroup_indices(G))
 
 
 def _escaped(what: str, G: FiniteGroup):
@@ -277,7 +313,7 @@ def nr_ghost(x: IndexedVector) -> IndexedVector:
         raise ValueError("nr_ghost expects a Necklace vector")
     if x.coord_form:
         return wg_ghost(x.retag(WITT, coord_form=False))
-    out = ghost_values(_necklace_table(x.group), x.ring, x.payloads())
+    out = ghost_values(_flavor_table(x.group, NECKLACE), x.ring, x.payloads())
     return IndexedVector.from_payloads(x.group, GHOST, x.ring, out)
 
 
@@ -289,76 +325,35 @@ def nr_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
     R = b.ring
     labels = index_labels(G)
     out = solve_triangular(
-        _necklace_table(G), b.payloads(), R,
+        _flavor_table(G, NECKLACE), b.payloads(), R,
         fail=lambda u, R: NotInImage(
             f"ghost vector is not a necklace ghost over {R.name} at class {labels[u]}"),
     )
     return IndexedVector.from_payloads(G, NECKLACE, R, out)
 
 
-def _ap_coeff(R: RingSpec, f: Fraction, context: str):
-    if f.denominator == 1:
-        return R.from_int(f.numerator)
-    if R.is_qalgebra:
-        return R.from_fraction(f)
-    raise NonIntegralConstant(f"{context}: constant {f} needs rational coefficients in {R.name}")
-
-
 def ap_ghost(x: IndexedVector) -> IndexedVector:
-    """Aperiodic ghost: marks transpose with each column scaled by 1/(G:V)."""
+    """Aperiodic ghost: the necklace ghost with each class scaled by 1/(G:V)."""
     if x.flavor != APERIODIC:
         raise ValueError("ap_ghost expects an Aperiodic vector")
     if x.coord_form:
         return wg_ghost(x.retag(WITT, coord_form=False))
-    G = x.group
-    ct = subgroup_classes(G)
-    mm = marks_matrix(G)
-    R = x.ring
-    xs = x.payloads()
-    out = []
-    for u in range(len(xs)):
-        s = R.zero()
-        for v in range(u + 1):
-            m = mm.zeta.entry(v, u)
-            if m == 0 or R.is_zero(xs[v]):
-                continue
-            c = _ap_coeff(R, Fraction(m, ct.classes[v].index), "aperiodic ghost")
-            s = R.add(s, R.mul(c, xs[v]))
-        out.append(s)
-    return IndexedVector.from_payloads(G, GHOST, R, out)
+    out = ghost_values(_flavor_table(x.group, APERIODIC), x.ring, x.payloads(),
+                       context="aperiodic ghost")
+    return IndexedVector.from_payloads(x.group, GHOST, x.ring, out)
 
 
 def ap_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
     if b.flavor != GHOST:
         raise ValueError("ap_ghost_inv expects a Ghost vector")
     G = group or b.group
-    ct = subgroup_classes(G)
-    mm = marks_matrix(G)
-    R = b.ring
-    bs = b.payloads()
-    xs = []
-    for u in range(len(bs)):
-        acc = bs[u]
-        for v in range(u):
-            m = mm.zeta.entry(v, u)
-            if m == 0 or R.is_zero(xs[v]):
-                continue
-            c = _ap_coeff(R, Fraction(m, ct.classes[v].index), "aperiodic ghost inverse")
-            acc = R.sub(acc, R.mul(c, xs[v]))
-        diag = Fraction(mm.zeta.entry(u, u), ct.classes[u].index)
-        if diag.denominator == 1:
-            q = R.try_div(acc, R.from_int(diag.numerator))
-        elif R.is_qalgebra:
-            q = R.try_div(acc, R.from_fraction(diag))
-        else:
-            q = None
-        if q is None:
-            raise NotInImage(
-                f"ghost vector is not an aperiodic ghost over {R.name} at class "
-                f"{ct.classes[u].label}"
-            )
-        xs.append(q)
-    return IndexedVector.from_payloads(G, APERIODIC, R, xs)
+    labels = index_labels(G)
+    out = solve_triangular(
+        _flavor_table(G, APERIODIC), b.payloads(), b.ring,
+        fail=lambda u, R: NotInImage(
+            f"ghost vector is not an aperiodic ghost over {R.name} at class {labels[u]}"),
+    )
+    return IndexedVector.from_payloads(G, APERIODIC, b.ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +431,7 @@ def teichmuller(alpha: IndexedVector) -> IndexedVector:
         R = alpha.ring
     G = alpha.group
     want = ghost_values(_ghost_table(G), R, alpha.payloads())
-    out = solve_triangular(_necklace_table(G), want, R, fail=_escaped("teichmuller", G))
+    out = solve_triangular(_flavor_table(G, NECKLACE), want, R, fail=_escaped("teichmuller", G))
     return IndexedVector.from_payloads(G, NECKLACE, R, out)
 
 
@@ -454,7 +449,7 @@ def teichmuller_inv(x: IndexedVector) -> IndexedVector:
         )
     G = x.group
     labels = index_labels(G)
-    want = ghost_values(_necklace_table(G), x.ring, x.payloads())
+    want = ghost_values(_flavor_table(G, NECKLACE), x.ring, x.payloads())
     out = solve_triangular(
         _ghost_table(G), want, x.ring,
         fail=lambda u, R: NotInImage(
@@ -465,15 +460,15 @@ def teichmuller_inv(x: IndexedVector) -> IndexedVector:
 
 
 def theta(x: IndexedVector) -> IndexedVector:
-    """Necklace -> Aperiodic: scale each class by its index."""
+    """Necklace -> Aperiodic: scale each component by its subgroup's index,
+    (G:V) or n; a coordinate-backed vector is only retagged."""
     if x.flavor != NECKLACE:
         raise ValueError("theta expects a Necklace vector")
     if x.coord_form:
         return x.retag(APERIODIC)
-    ct = subgroup_classes(x.group)
     R = x.ring
-    out = [R.mul(R.from_int(c.index), p) for c, p in zip(ct.classes, x.payloads())]
-    return IndexedVector.from_payloads(x.group, APERIODIC, R, out)
+    out = [R.mul(R.from_int(i), p) for i, p in zip(subgroup_indices(x.index), x.payloads())]
+    return IndexedVector.from_payloads(x.index, APERIODIC, R, out)
 
 
 def theta_inv(y: IndexedVector) -> IndexedVector:
@@ -481,15 +476,14 @@ def theta_inv(y: IndexedVector) -> IndexedVector:
         raise ValueError("theta_inv expects an Aperiodic vector")
     if y.coord_form:
         return y.retag(NECKLACE)
-    ct = subgroup_classes(y.group)
     R = y.ring
     out = []
-    for c, p in zip(ct.classes, y.payloads()):
-        q = R.try_div(p, R.from_int(c.index))
+    for label, i, p in zip(y.labels(), subgroup_indices(y.index), y.payloads()):
+        q = R.try_div(p, R.from_int(i))
         if q is None:
-            raise NotInvertibleIndex(c.label)
+            raise NotInvertibleIndex(str(label))
         out.append(q)
-    return IndexedVector.from_payloads(y.group, NECKLACE, R, out)
+    return IndexedVector.from_payloads(y.index, NECKLACE, R, out)
 
 
 def gamma(alpha: IndexedVector) -> IndexedVector:
@@ -531,12 +525,8 @@ def ind_nr(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
         raise ValueError("ind_nr expects a Necklace vector")
     if x.coord_form:
         return _on_coordinates(witt_v, G, ci, x)
-    R = x.ring
-    n = len(subgroup_classes(G))
-    out = [R.zero()] * n
-    for pos, w in enumerate(ind_class_map(G, ci)):
-        out[w] = R.add(out[w], x.payloads()[pos])
-    return IndexedVector.from_payloads(G, NECKLACE, R, out)
+    out = ghost_values(_ind_table(G, ci, NECKLACE), x.ring, x.payloads())
+    return IndexedVector.from_payloads(G, NECKLACE, x.ring, out)
 
 
 def ind_ap(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
@@ -546,13 +536,8 @@ def ind_ap(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
         raise ValueError("ind_ap expects an Aperiodic vector")
     if x.coord_form:
         return _on_coordinates(witt_v, G, ci, x)
-    R = x.ring
-    idx = subgroup_classes(G).classes[ci].index
-    n = len(subgroup_classes(G))
-    out = [R.zero()] * n
-    for pos, w in enumerate(ind_class_map(G, ci)):
-        out[w] = R.add(out[w], R.mul(R.from_int(idx), x.payloads()[pos]))
-    return IndexedVector.from_payloads(G, APERIODIC, R, out)
+    out = ghost_values(_ind_table(G, ci, APERIODIC), x.ring, x.payloads())
+    return IndexedVector.from_payloads(G, APERIODIC, x.ring, out)
 
 
 def res_nr(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
@@ -563,16 +548,8 @@ def res_nr(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
         raise ValueError("vector is not indexed by the parent group's classes")
     if x.coord_form:
         return _on_coordinates(witt_f, G, ci, x)
-    U = subgroup_group(G, ci)
-    R = x.ring
-    nu = len(subgroup_classes(U))
-    out = [R.zero()] * nu
-    for cj, p in enumerate(x.payloads()):
-        if R.is_zero(p):
-            continue
-        for (w, m) in res_orbit_data(G, ci, cj):
-            out[w] = R.add(out[w], R.mul(R.from_int(m), p))
-    return IndexedVector.from_payloads(U, NECKLACE, R, out)
+    out = ghost_values(_res_table(G, ci, NECKLACE), x.ring, x.payloads())
+    return IndexedVector.from_payloads(subgroup_group(G, ci), NECKLACE, x.ring, out)
 
 
 def res_ap(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
@@ -583,21 +560,9 @@ def res_ap(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
         raise ValueError("vector is not indexed by the parent group's classes")
     if x.coord_form:
         return _on_coordinates(witt_f, G, ci, x)
-    ct = subgroup_classes(G)
-    U = subgroup_group(G, ci)
-    ut = subgroup_classes(U)
-    R = x.ring
-    out = [R.zero()] * len(ut)
-    for cj, p in enumerate(x.payloads()):
-        if R.is_zero(p):
-            continue
-        gv = ct.classes[cj].index
-        for (w, m) in res_orbit_data(G, ci, cj):
-            uw = U.order // ut.classes[w].order
-            f = Fraction(m * uw, gv)
-            c = _ap_coeff(R, f, "aperiodic restriction")
-            out[w] = R.add(out[w], R.mul(c, p))
-    return IndexedVector.from_payloads(U, APERIODIC, R, out)
+    out = ghost_values(_res_table(G, ci, APERIODIC), x.ring, x.payloads(),
+                       context="aperiodic restriction")
+    return IndexedVector.from_payloads(subgroup_group(G, ci), APERIODIC, x.ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +591,7 @@ def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
         return witt_v(G, ci, alpha.map_ring(ZZ, int)).map_ring(R, R.from_int)
     # over a ring that is not binomial the image lives in the rationalisation
     image = ind_nr(G, ci, teichmuller(alpha))
-    want = ghost_values(_necklace_table(G), image.ring, image.payloads())
+    want = ghost_values(_flavor_table(G, NECKLACE), image.ring, image.payloads())
     out = solve_triangular(_ghost_table(G), want, R, fail=_escaped("induced Witt vector", G))
     return IndexedVector.from_payloads(G, WITT, R, out)
 
@@ -649,20 +614,12 @@ def ghost_nu(G: FiniteGroup, ci: int, b: IndexedVector) -> IndexedVector:
     _require_subgroup_vector(G, ci, b)
     if b.flavor != GHOST:
         raise ValueError("ghost_nu expects a Ghost vector")
+    if G.is_abelian():
+        # fusion is injective, so the map is aperiodic induction, in any ring
+        out = ghost_values(_ind_table(G, ci, APERIODIC), b.ring, b.payloads())
+        return IndexedVector.from_payloads(G, GHOST, b.ring, out)
     R = b.ring
     ct = subgroup_classes(G)
-    if G.is_abelian():
-        # fusion is injective, so the map is a scaled reindexing in any ring
-        idx = R.from_int(ct.classes[ci].index)
-        fuse = ind_class_map(G, ci)
-        back = {w: pos for pos, w in enumerate(fuse)}
-        out = []
-        for w in range(len(ct)):
-            if w in back:
-                out.append(R.mul(idx, b.payloads()[back[w]]))
-            else:
-                out.append(R.zero())
-        return IndexedVector.from_payloads(G, GHOST, R, out)
     U = subgroup_group(G, ci)
     if R.is_qalgebra:
         return nr_ghost(ind_nr(G, ci, nr_ghost_inv(b, group=U)))

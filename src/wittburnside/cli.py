@@ -538,8 +538,6 @@ def cmd_artinhasse(args):
 
 
 def cmd_verify(args):
-    if args.size < 1:
-        raise SchemaError("--size must be a positive integer")
     report = run_suite(args.suite, args.seed, args.size, args.inject_fault)
     _emit(report)
     return 1 if report["failures"] else 0

@@ -30,11 +30,12 @@ from .burnside import (
     _check_operands,
     _flavor_op,
     _table_mul,
+    theta,
+    theta_inv,
 )
 from .errors import (
     NotBinomial,
     NotInImage,
-    NotInvertibleIndex,
     SchemaError,
     TruncationTooSmall,
 )
@@ -220,8 +221,9 @@ def _ghost_table(T: TruncationSet, q: bool = False):
 @lru_cache(maxsize=None)
 def _flavor_table(T: TruncationSet, q: bool, flavor: str):
     """The ghost rows over T of the necklace flavor (weights d) or the
-    aperiodic one (weights 1), times q^(n/d - 1) in the q-model."""
-    return linear_table(_ghost_table(T, q), flavor == NECKLACE)
+    aperiodic one (weights d over the index d: 1), times q^(n/d - 1) in the
+    q-model."""
+    return linear_table(_ghost_table(T, q), T.members if flavor == APERIODIC else None)
 
 
 def cyc_witt_ghost(a: CyclicVector) -> CyclicVector:
@@ -363,37 +365,12 @@ def aperiodic_poly(r: RingValue, n: int) -> RingValue:
 
 
 def cyc_theta(x: CyclicVector) -> CyclicVector:
-    return _theta(_require_components(x))
+    """theta(x)_n = n x_n."""
+    return theta(_require_components(x))
 
 
 def cyc_theta_inv(y: CyclicVector) -> CyclicVector:
-    return _theta_inv(_require_components(y))
-
-
-def _theta(x: CyclicVector) -> CyclicVector:
-    """theta(x)_n = n x_n; a coordinate-backed vector is only retagged."""
-    if x.flavor != NECKLACE:
-        raise ValueError("theta expects a Necklace vector")
-    if x.coord_form:
-        return x.retag(APERIODIC)
-    R = x.ring
-    out = [R.mul(R.from_int(n), x.component(n).payload) for n in x.truncation]
-    return CyclicVector.from_payloads(x.truncation, APERIODIC, R, out)
-
-
-def _theta_inv(y: CyclicVector) -> CyclicVector:
-    if y.flavor != APERIODIC:
-        raise ValueError("theta inverse expects an Aperiodic vector")
-    if y.coord_form:
-        return y.retag(NECKLACE)
-    R = y.ring
-    out = []
-    for n in y.truncation:
-        q = R.try_div(y.component(n).payload, R.from_int(n))
-        if q is None:
-            raise NotInvertibleIndex(str(n))
-        out.append(q)
-    return CyclicVector.from_payloads(y.truncation, NECKLACE, R, out)
+    return theta_inv(_require_components(y))
 
 
 # ---------------------------------------------------------------------------

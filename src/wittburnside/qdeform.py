@@ -32,6 +32,8 @@ from .burnside import (
     _check_operands,
     _flavor_op,
     _table_mul,
+    theta,
+    theta_inv,
 )
 from .cyclic import (
     CyclicVector,
@@ -39,8 +41,6 @@ from .cyclic import (
     _dilate,
     _flavor_table,
     _ghost_table,
-    _theta,
-    _theta_inv,
     _truncation_universal,
     necklace_poly,
 )
@@ -473,11 +473,11 @@ def q_teichmuller_inv(ctx: QContext, x: CyclicVector) -> CyclicVector:
 
 def theta_q(x: CyclicVector) -> CyclicVector:
     """theta^q(x)_n = n x_n (q-independent); coordinates pass through."""
-    return _theta(x)
+    return theta(x)
 
 
 def theta_q_inv(y: CyclicVector) -> CyclicVector:
-    return _theta_inv(y)
+    return theta_inv(y)
 
 
 # ---------------------------------------------------------------------------

@@ -400,9 +400,6 @@ class MultiPoly:
             out[ne] = out.get(ne, 0) + c * value ** e[i]
         return MultiPoly(new_vars, out)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
@@ -978,32 +975,6 @@ class UniTriMatrix:
                     s = R.add(s, R.mul(self.rows[i][k], inv[k][j]))
                 inv[i][j] = R.neg(R.mul(diag_inv[i], s))
         return UniTriMatrix(self.labels, R, inv)
-
-    def apply(self, xs):
-        """Matrix-vector product (M x)_i = sum_j M[i][j] x_j."""
-        R = self.ring
-        n = self.size()
-        out = []
-        for i in range(n):
-            s = R.zero()
-            for j in range(i, n):
-                if not R.is_zero(self.rows[i][j]):
-                    s = R.add(s, R.mul(self.rows[i][j], xs[j]))
-            out.append(s)
-        return tuple(out)
-
-    def apply_transpose(self, xs):
-        """(M^t x)_j = sum_i M[i][j] x_i."""
-        R = self.ring
-        n = self.size()
-        out = []
-        for j in range(n):
-            s = R.zero()
-            for i in range(j + 1):
-                if not R.is_zero(self.rows[i][j]):
-                    s = R.add(s, R.mul(self.rows[i][j], xs[i]))
-            out.append(s)
-        return tuple(out)
 
     def __eq__(self, other):
         return (

@@ -23,9 +23,18 @@ when first read (an operation reads only its system); their integral (in
 the q-model numerical) coefficients certify that the solve stays in the
 ring.  They are memoised in process and, when WB_CACHE_DIR is set, kept on
 disk; a disk entry is used only after it passes validation, and any other
-entry counts as a miss and is rewritten.  The transports between the
-flavors solve on the same tables: with every exponent 1 (`linear_table`) a
-table is the ghost of the necklace flavor.
+entry counts as a miss and is rewritten.
+
+The transports between the flavors solve on the same tables.  With every
+exponent 1 (`linear_table`) a table is the ghost of the necklace flavor;
+with each weight then divided by the index of its entry's subgroup ((G:V),
+or d itself on a truncation set) it is the ghost of the aperiodic flavor,
+as theta multiplies each component by that index (Dress-Siebeneicher).  A
+weight stays an int where that quotient is integral and is a Fraction
+elsewhere.  A Fraction weight scales by its image in a Q-algebra; outside
+one `ghost_values` refuses it on a non-zero payload (NonIntegralConstant,
+naming the caller's context) and `solve_triangular` raises its caller's
+`fail` for the row.
 """
 from __future__ import annotations
 
@@ -35,7 +44,12 @@ import re
 import tempfile
 from fractions import Fraction
 
-from .errors import DomainError, IntegralityViolation, NumericalityViolation
+from .errors import (
+    DomainError,
+    IntegralityViolation,
+    NonIntegralConstant,
+    NumericalityViolation,
+)
 from .groups import FiniteGroup, subgroup_classes
 from .rings import ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing
 
@@ -57,6 +71,14 @@ def index_labels(index):
     truncation set's members (integers)."""
     if isinstance(index, FiniteGroup):
         return subgroup_classes(index).labels()
+    return index.members
+
+
+def subgroup_indices(index):
+    """The index of the subgroup each label stands for: (G:V) for a group's
+    classes, n itself for a truncation set's members."""
+    if isinstance(index, FiniteGroup):
+        return tuple(c.index for c in subgroup_classes(index).classes)
     return index.members
 
 
@@ -157,15 +179,49 @@ def _pow(R, xs, v, e, cache):
     return p
 
 
-def linear_table(table, weighted=True):
-    """The table with every exponent 1: the ghost of the necklace flavor; with
-    every weight 1 too (weighted false), of a truncation set's aperiodic flavor."""
-    return tuple(tuple((v, weight if weighted else 1, 1, qpow) for v, weight, _, qpow in row)
+def linear_table(table, indices=None):
+    """The table with every exponent 1: the ghost of the necklace flavor.  With
+    the subgroup indices of its index set (`subgroup_indices`), each weight
+    is divided by the index of its entry's subgroup: the ghost of the
+    aperiodic flavor, since theta scales each component by that index.  A
+    quotient stays an int where it is integral and is a Fraction elsewhere."""
+    return tuple(tuple((v, weight if indices is None else _quotient(weight, indices[v]), 1, qpow)
+                       for v, weight, _, qpow in row)
                  for row in table)
 
 
-def ghost_values(table, R, xs, qv=None):
-    """The ghost w(x) of payloads xs in R; qv is the payload of q in the q-model."""
+def _quotient(a: int, b: int):
+    return a // b if a % b == 0 else Fraction(a, b)
+
+
+def rational_weight(R, f: Fraction, context: str):
+    """The payload of a rational weight f in R.  Outside a Q-algebra only an
+    integral f has one; any other is refused, naming the caller's context."""
+    if f.denominator == 1:
+        return R.from_int(f.numerator)
+    if R.is_qalgebra:
+        return R.from_fraction(f)
+    raise _refused(R, f, context)
+
+
+def _refused(R, f, context):
+    return NonIntegralConstant(f"{context}: constant {f} needs rational coefficients in {R.name}")
+
+
+def _first_fraction(table, R, xs):
+    """The Fraction weight on a non-zero payload met first with the input
+    positions outermost, then the rows: the one a loop over the inputs meets."""
+    return min((v, u, w) for u, row in enumerate(table) for v, w, _, _ in row
+               if type(w) is Fraction and not R.is_zero(xs[v]))[2]
+
+
+def ghost_values(table, R, xs, qv=None, context=None):
+    """The ghost w(x) of payloads xs in R; qv is the payload of q in the q-model.
+
+    A Fraction weight on a non-zero payload needs a Q-algebra; elsewhere it
+    raises NonIntegralConstant, naming `context` and the constant that
+    `_first_fraction` picks.
+    """
     out = []
     cache = {}
     for row in table:
@@ -173,8 +229,11 @@ def ghost_values(table, R, xs, qv=None):
         for v, weight, exp, qpow in row:
             if not xs[v]:  # a zero int or Fraction adds nothing; polynomials are never falsy
                 continue
+            term = _pow(R, xs, v, exp, cache)
+            if type(weight) is Fraction and not (R.is_qalgebra or R.is_zero(term)):
+                raise _refused(R, _first_fraction(table, R, xs), context)
             # an int scales every payload; R.add below reduces it in Z/m
-            term = weight * _pow(R, xs, v, exp, cache)
+            term = weight * term
             if qpow:
                 term = R.mul(R.pow(qv, qpow), term)
             s = R.add(s, term)
@@ -190,8 +249,9 @@ def solve_triangular(table, want, R, fail, q=None):
     scales a payload as a scalar), and divides by its diagonal weight.  q is
     the q-model's q: an int, or the indeterminate as a payload of R.  When a
     division has no quotient in R, the exception fail(u, R) is raised, so
-    each caller names the failing class or index in its own terms.  Residues
-    are reduced at the end.
+    each caller names the failing class or index in its own terms; so is a
+    Fraction weight outside a Q-algebra, off the diagonal only on a
+    non-zero payload.  Residues are reduced at the end.
     """
     solved = []
     powers = {}
@@ -200,9 +260,15 @@ def solve_triangular(table, want, R, fail, q=None):
             if not solved[v]:  # a zero int or Fraction adds nothing; polynomials are never falsy
                 continue
             p = solved[v] if exp == 1 else _pow(R, solved, v, exp, powers)
+            if type(weight) is Fraction and not (R.is_qalgebra or R.is_zero(p)):
+                raise fail(u, R)
             acc = acc - (weight * q ** qpow if qpow else weight) * p
         d = row[-1][1]
-        if d != 1:
+        if type(d) is Fraction:
+            if not R.is_qalgebra:
+                raise fail(u, R)
+            acc = acc * (1 / d)
+        elif d != 1:
             acc = R.try_div(acc, R.from_int(d))
             if acc is None:
                 raise fail(u, R)

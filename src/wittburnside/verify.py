@@ -58,6 +58,7 @@ from .cyclic import (
     cyc_witt_op,
     necklace_poly,
 )
+from .errors import SchemaError
 from .groups import build_group, subgroup_classes, subgroup_group
 from .qdeform import (
     QContext,
@@ -827,12 +828,12 @@ _SUITE_FNS = {
 
 def run_suite(suite, seed=0, size=1, inject_fault=False):
     """Run one suite (or "all") and return the JSON-ready report dict."""
+    if size < 1:
+        raise SchemaError("--size must be a positive integer")
     if suite != "all" and suite not in _SUITE_FNS:
-        from .errors import SchemaError
-
         raise SchemaError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
     t0 = time.perf_counter()
-    run = _Run(seed, max(1, size), inject_fault)
+    run = _Run(seed, size, inject_fault)
     names = SUITES if suite == "all" else (suite,)
     for name in names:
         _SUITE_FNS[name](run)

@@ -13,6 +13,8 @@ import time
 import pytest
 
 from wittburnside.cli import main
+from wittburnside.errors import SchemaError
+from wittburnside.verify import run_suite
 
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
 
@@ -572,3 +574,10 @@ def test_verify_size_must_be_positive(capsys, size):
     # it once ran size 1 silently and exited 0
     code, out, err = run_main(capsys, "verify", "--suite", "diagrams", "--size", size)
     assert (code, out, err) == (2, "", "SchemaError: --size must be a positive integer\n")
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_run_suite_refuses_a_size_below_1(size):
+    # the library once clamped it to 1 and ran 101 diagram cases
+    with pytest.raises(SchemaError, match="^--size must be a positive integer$"):
+        run_suite("diagrams", 7, size)

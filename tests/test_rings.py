@@ -224,13 +224,6 @@ def test_unitriangular_rejects_lower_entries():
         UniTriMatrix(("u", "v"), ZZ, [[1, 0], [5, 1]])
 
 
-def test_apply_and_transpose_orientation():
-    M = UniTriMatrix(("G", "1"), ZZ, [[1, 1], [0, 2]])
-    # apply: rows dot vector; transpose: columns dot vector
-    assert M.apply((3, 4)) == (7, 8)
-    assert M.apply_transpose((3, 4)) == (3, 11)
-
-
 def test_unitriangular_over_qpoly_ring():
     q = QPolynomial.variable()
     one = QPolynomial.constant(1)
