@@ -9,7 +9,8 @@ recorded them.  To re-record after a deliberate change to the parser:
 
     PYTHONPATH=src python tests/test_cli_usage.py
 """
-import argparse
+import contextlib
+import io
 import json
 import pathlib
 import sys
@@ -42,6 +43,9 @@ PATHS = (
 MALFORMED = (
     ("bogus",), ("--bogus",), ("Witt",), ("wit",), ("-h", "witt"), ("witt", "-h", "mul"),
     ("witt", "mul"), ("cyclic", "bogus"),
+    # a top-level error after a named verb prints the usage with every verb
+    ("witt", "mul", "A", "B", "--bogus"), ("cyclic", "witt", "mul", "A", "B", "--bogus"),
+    ("qwitt", "ghost", "--q", "2", "A", "--bogus"),
 )
 
 # a bare `verify` runs the suite instead of failing, so it has no usage case
@@ -128,26 +132,23 @@ def test_verb_parser_parses_like_the_full_one(argv):
     assert vars(_parser(argv).parse_args(argv)) == vars(_parser().parse_args(argv))
 
 
-def _verb_parsers(ap):
-    action = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
+def _help(ap, argv):
+    """What parsing argv with ap prints to stdout (argv asks for help)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        ap.parse_args(argv)
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("verb", ["witt", "cyclic", "qwitt", "verify"])
-def test_only_the_named_verb_is_filled_in(verb):
-    verbs = _verb_parsers(_parser([verb, "--help"]))
-    full = _verb_parsers(_parser())
-    assert list(verbs) == list(full)
-    for name, p in verbs.items():
-        if name == verb:
-            assert p.format_help() == full[name].format_help()
-        else:
-            assert [a.dest for a in p._actions] == ["help"], name
+def test_named_verb_parser_prints_the_full_help_and_usage(verb, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    argv = [verb, "--help"]
+    assert _parser(argv).format_usage() == _parser().format_usage()
+    assert _help(_parser(argv), argv) == _help(_parser(), argv)
 
 
 def _record():
-    import contextlib
-    import io
     import os
 
     os.environ["COLUMNS"] = COLUMNS
