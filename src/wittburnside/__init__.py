@@ -12,217 +12,58 @@ The package computes, over any of its supported coefficient rings:
 * inductions, restrictions, Frobenius and Verschiebung operators;
 * the cyclic/profinite specialisation over truncation sets, together with
   its full q-deformation and Artin-Hasse style curve isomorphism.
+
+The public names below load their module on first access (PEP 562), so
+`import wittburnside` itself loads no submodule.
 """
+from importlib import import_module
 
-from .errors import DomainError, SchemaError
-from .rings import (
-    MultiPoly,
-    QPolynomial,
-    RingSpec,
-    RingValue,
-    UniTriMatrix,
-    divisors,
-    is_integral,
-    is_numerical,
-    mobius,
-    parse_ring,
-)
-from .groups import (
-    FiniteGroup,
-    build_group,
-    marks_matrix,
-    structure_constants,
-    subgroup_classes,
-    subgroup_group,
-)
-from .burnside import (
-    APERIODIC,
-    GHOST,
-    NECKLACE,
-    WITT,
-    IndexedVector,
-    ap_ghost,
-    ap_ghost_inv,
-    ap_op,
-    delta_membership,
-    delta_reduce,
-    derive_universal,
-    exp_M,
-    exp_S,
-    gamma,
-    gamma_inv,
-    ghost_F,
-    ghost_nu,
-    ind_ap,
-    ind_nr,
-    nr_ghost,
-    nr_ghost_inv,
-    nr_op,
-    res_ap,
-    res_nr,
-    teichmuller,
-    teichmuller_inv,
-    theta,
-    theta_inv,
-    wg_ghost,
-    wg_op,
-    witt_f,
-    witt_v,
-)
+# module -> the public names it defines
+_EXPORTS = {
+    "errors": ("DomainError", "SchemaError"),
+    "rings": (
+        "MultiPoly", "QPolynomial", "RingSpec", "RingValue", "UniTriMatrix", "divisors",
+        "is_integral", "is_numerical", "mobius", "parse_ring",
+    ),
+    "groups": (
+        "FiniteGroup", "build_group", "marks_matrix", "structure_constants",
+        "subgroup_classes", "subgroup_group",
+    ),
+    "burnside": (
+        "APERIODIC", "GHOST", "NECKLACE", "WITT", "IndexedVector", "ap_ghost",
+        "ap_ghost_inv", "ap_op", "delta_membership", "delta_reduce", "derive_universal",
+        "exp_M", "exp_S", "gamma", "gamma_inv", "ghost_F", "ghost_nu", "ind_ap", "ind_nr",
+        "nr_ghost", "nr_ghost_inv", "nr_op", "res_ap", "res_nr", "teichmuller",
+        "teichmuller_inv", "theta", "theta_inv", "wg_ghost", "wg_op", "witt_f", "witt_v",
+    ),
+    "cyclic": (
+        "CyclicUniversal", "CyclicVector", "TruncationSet", "aperiodic_poly", "cyc_ap_mul",
+        "cyc_ap_op", "cyc_frobenius", "cyc_ghost", "cyc_ghost_inv", "cyc_nr_mul",
+        "cyc_nr_op", "cyc_theta", "cyc_theta_inv", "cyc_universal", "cyc_verschiebung",
+        "cyc_witt_ghost", "cyc_witt_op", "necklace_poly",
+    ),
+    "qdeform": (
+        "QContext", "QMatrixData", "QUniversal", "TruncatedCurve", "artin_hasse",
+        "artin_hasse_inv", "curve_add", "curve_mul", "curve_neg", "p_poly", "q_ap_mul",
+        "q_ap_op", "q_aperiodic_poly", "q_frobenius", "q_ghost", "q_ghost_inv",
+        "q_necklace_poly", "q_nr_mul", "q_nr_op", "q_teichmuller", "q_teichmuller_inv",
+        "q_universal", "q_verschiebung", "q_witt_ghost", "q_witt_op", "tau_q", "theta_q",
+        "theta_q_inv", "try_one", "zeta_mu_q",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-from .cyclic import (
-    CyclicUniversal,
-    CyclicVector,
-    TruncationSet,
-    aperiodic_poly,
-    cyc_ap_mul,
-    cyc_ap_op,
-    cyc_frobenius,
-    cyc_ghost,
-    cyc_ghost_inv,
-    cyc_nr_mul,
-    cyc_nr_op,
-    cyc_theta,
-    cyc_theta_inv,
-    cyc_universal,
-    cyc_verschiebung,
-    cyc_witt_ghost,
-    cyc_witt_op,
-    necklace_poly,
-)
-
-from .qdeform import (
-    QContext,
-    QMatrixData,
-    QUniversal,
-    TruncatedCurve,
-    artin_hasse,
-    artin_hasse_inv,
-    curve_add,
-    curve_mul,
-    curve_neg,
-    p_poly,
-    q_ap_mul,
-    q_ap_op,
-    q_aperiodic_poly,
-    q_frobenius,
-    q_ghost,
-    q_ghost_inv,
-    q_necklace_poly,
-    q_nr_mul,
-    q_nr_op,
-    q_teichmuller,
-    q_teichmuller_inv,
-    q_universal,
-    q_verschiebung,
-    q_witt_ghost,
-    q_witt_op,
-    tau_q,
-    theta_q,
-    theta_q_inv,
-    try_one,
-    zeta_mu_q,
-)
-
-__all__ = [
-    "DomainError",
-    "SchemaError",
-    "MultiPoly",
-    "QPolynomial",
-    "RingSpec",
-    "RingValue",
-    "UniTriMatrix",
-    "divisors",
-    "is_integral",
-    "is_numerical",
-    "mobius",
-    "parse_ring",
-    "FiniteGroup",
-    "build_group",
-    "marks_matrix",
-    "structure_constants",
-    "subgroup_classes",
-    "subgroup_group",
-    "APERIODIC",
-    "GHOST",
-    "NECKLACE",
-    "WITT",
-    "IndexedVector",
-    "ap_ghost",
-    "ap_ghost_inv",
-    "ap_op",
-    "delta_membership",
-    "delta_reduce",
-    "derive_universal",
-    "exp_M",
-    "exp_S",
-    "gamma",
-    "gamma_inv",
-    "ghost_F",
-    "ghost_nu",
-    "ind_ap",
-    "ind_nr",
-    "nr_ghost",
-    "nr_ghost_inv",
-    "nr_op",
-    "res_ap",
-    "res_nr",
-    "teichmuller",
-    "teichmuller_inv",
-    "theta",
-    "theta_inv",
-    "wg_ghost",
-    "wg_op",
-    "witt_f",
-    "witt_v",
-    "CyclicUniversal",
-    "CyclicVector",
-    "TruncationSet",
-    "aperiodic_poly",
-    "cyc_ap_mul",
-    "cyc_ap_op",
-    "cyc_frobenius",
-    "cyc_ghost",
-    "cyc_ghost_inv",
-    "cyc_nr_mul",
-    "cyc_nr_op",
-    "cyc_theta",
-    "cyc_theta_inv",
-    "cyc_universal",
-    "cyc_verschiebung",
-    "cyc_witt_ghost",
-    "cyc_witt_op",
-    "necklace_poly",
-    "QContext",
-    "QMatrixData",
-    "QUniversal",
-    "TruncatedCurve",
-    "artin_hasse",
-    "artin_hasse_inv",
-    "curve_add",
-    "curve_mul",
-    "curve_neg",
-    "p_poly",
-    "q_ap_mul",
-    "q_ap_op",
-    "q_aperiodic_poly",
-    "q_frobenius",
-    "q_ghost",
-    "q_ghost_inv",
-    "q_necklace_poly",
-    "q_nr_mul",
-    "q_nr_op",
-    "q_teichmuller",
-    "q_teichmuller_inv",
-    "q_universal",
-    "q_verschiebung",
-    "q_witt_ghost",
-    "q_witt_op",
-    "tau_q",
-    "theta_q",
-    "theta_q_inv",
-    "try_one",
-    "zeta_mu_q",
-]
-
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

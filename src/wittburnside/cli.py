@@ -15,14 +15,18 @@ Vector files are JSON documents::
 A document is read into the one vector type, indexed by the group's subgroup
 classes or by the truncation set; one reader, one writer and one handler per
 verb kind serve the group, `cyclic` and `qwitt` verbs alike.  A process
-builds only the parser of the verb it runs: every verb is registered, so the
-top-level help and errors list them all, but only the verb the command line
-names gets its arguments and sub-parsers (all of them when it names none).
+pays only for the verb it runs.  It builds only that verb's parser (every
+verb's when the command line names none), while the top-level usage and
+errors still list every verb.  The truncation-set and q models and the
+verification suites run their module code only when a verb uses them.  An
+arithmetic verb never reads a WB_CACHE_DIR entry; only `universal`,
+`quniversal` and `verify` read the polynomials an entry holds.
 All output is JSON with sorted keys; byte-for-byte deterministic given the
 inputs, flags and seed.  Exit codes: 0 success, 1 verification failures,
 2 schema/input errors, 3 domain errors (the message names the error class).
 """
 import argparse
+import importlib.util
 import json
 import math
 import sys
@@ -54,44 +58,31 @@ from .burnside import (
     witt_f,
     witt_v,
 )
-from .cyclic import (
-    TruncationSet,
-    cyc_ap_op,
-    cyc_frobenius,
-    cyc_ghost,
-    cyc_nr_op,
-    cyc_theta,
-    cyc_theta_inv,
-    cyc_verschiebung,
-    cyc_witt_ghost,
-    cyc_witt_op,
-)
 from .errors import DomainError, SchemaError
-from .groups import build_group, marks_matrix, subgroup_classes, subgroup_group
-from .qdeform import (
-    QContext,
-    TruncatedCurve,
-    artin_hasse,
-    artin_hasse_inv,
-    p_poly,
-    q_ap_op,
-    q_frobenius,
-    q_ghost,
-    q_nr_op,
-    q_teichmuller,
-    q_teichmuller_inv,
-    q_universal,
-    q_verschiebung,
-    q_witt_ghost,
-    q_witt_op,
-    tau_q,
-    theta_q,
-    theta_q_inv,
-    try_one,
-)
+from .groups import FiniteGroup, build_group, marks_matrix, subgroup_classes, subgroup_group
 from .rings import RingValue, divisors, parse_ring
 from .universal import index_labels
-from .verify import SUITES, run_suite
+
+
+def _deferred(name):
+    """The module wittburnside.<name>, whose code runs on its first attribute
+    access (importlib's LazyLoader).  It is in sys.modules at once, where
+    bench/spans.py looks for the modules whose functions it wraps."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# the truncation-set and q models, and the verification suites
+cyclic = _deferred("cyclic")
+qdeform = _deferred("qdeform")
+verify = _deferred("verify")
 
 _OPWORD = {"add": "sum", "mul": "prod", "neg": "neg"}
 _FAMILY = {"witt": WITT, "necklace": NECKLACE, "aperiodic": APERIODIC}
@@ -186,7 +177,7 @@ def _read_vector(path, model, ring_flag=None, allowed=None, index=None, ctx=None
     else:
         if not (isinstance(gf, dict) and "cyclic_trunc" in gf):
             raise SchemaError(f"{path}: expected a cyclic vector with a cyclic_trunc group")
-        T = TruncationSet(gf["cyclic_trunc"])
+        T = cyclic.TruncationSet(gf["cyclic_trunc"])
         if index is not None and T != index:
             raise SchemaError("input files use different truncation sets")
         index, order = T, "the truncation set"
@@ -234,10 +225,10 @@ def _vector_doc(vec, ctx=None):
     """The document of vec; a coordinate-backed vector on a truncation set
     records ctx's q."""
     labels = list(index_labels(vec.index))
-    cyclic = isinstance(vec.index, TruncationSet)
+    on_group = isinstance(vec.index, FiniteGroup)
     doc = {
         "schema_version": 1,
-        "group": {"cyclic_trunc": labels} if cyclic else vec.index.name,
+        "group": vec.index.name if on_group else {"cyclic_trunc": labels},
         "flavor": vec.flavor,
         "ring": vec.ring.name,
         "components": [c.format() for c in vec.components],
@@ -245,7 +236,7 @@ def _vector_doc(vec, ctx=None):
     }
     if vec.coord_form:
         doc["coord_form"] = True
-        if cyclic:
+        if not on_group:
             doc["q"] = _q_text(ctx.q)
     return doc
 
@@ -275,15 +266,15 @@ def _read_curve(path, ring_flag=None):
             vals.append(RingValue.parse(ring, str(c)))
         except (ValueError, KeyError, SchemaError) as e:
             raise SchemaError(f"{path}: coefficient {c!r} does not parse: {e}")
-    return TruncatedCurve(ring, vals)
+    return qdeform.TruncatedCurve(ring, vals)
 
 
 def _qcontext(args):
     raw = getattr(args, "q", None)
     if raw is None or raw == "q":
-        return QContext(None)
+        return qdeform.QContext(None)
     try:
-        return QContext(int(raw))
+        return qdeform.QContext(int(raw))
     except ValueError:
         raise SchemaError(f"--q must be an integer or the symbol q, got {raw!r}")
 
@@ -294,9 +285,9 @@ def _truncation(args, default=None):
             members = [int(p) for p in args.trunc_set.split(",")]
         except ValueError:
             raise SchemaError(f"--trunc-set must be a comma list of integers")
-        return TruncationSet(members)
+        return cyclic.TruncationSet(members)
     if getattr(args, "trunc", None) is not None:
-        return TruncationSet.div(args.trunc)
+        return cyclic.TruncationSet.div(args.trunc)
     if default is not None:
         return default
     raise SchemaError("a truncation set is required (--trunc N or --trunc-set a,b,c)")
@@ -343,7 +334,7 @@ def _qwitt_context(args):
     if hasattr(args, "q"):
         return _qcontext(args)
     doc = _load(args.input)
-    return QContext(_recorded_q(doc, args.input)) if "q" in doc else None
+    return qdeform.QContext(_recorded_q(doc, args.input)) if "q" in doc else None
 
 
 def cmd_flavor_op(args):
@@ -364,9 +355,11 @@ def cmd_flavor_op(args):
     if model == "group":
         fn = {WITT: wg_op, NECKLACE: nr_op, APERIODIC: ap_op}[x.flavor]
     elif model == "cyclic":
-        fn = {WITT: cyc_witt_op, NECKLACE: cyc_nr_op, APERIODIC: cyc_ap_op}[x.flavor]
+        fn = {WITT: cyclic.cyc_witt_op, NECKLACE: cyclic.cyc_nr_op,
+              APERIODIC: cyclic.cyc_ap_op}[x.flavor]
     else:
-        fn = partial({WITT: q_witt_op, NECKLACE: q_nr_op, APERIODIC: q_ap_op}[x.flavor], ctx)
+        fn = partial({WITT: qdeform.q_witt_op, NECKLACE: qdeform.q_nr_op,
+                      APERIODIC: qdeform.q_ap_op}[x.flavor], ctx)
     out = fn(op, x) if y is None else fn(op, x, y)
     _emit(_vector_doc(out, ctx))
     return 0
@@ -380,9 +373,9 @@ def cmd_ghost(args):
     if args.model == "group":
         out = {WITT: wg_ghost, NECKLACE: nr_ghost, APERIODIC: ap_ghost}[x.flavor](x)
     elif args.model == "cyclic":
-        out = cyc_witt_ghost(x) if x.flavor == WITT else cyc_ghost(x)
+        out = cyclic.cyc_witt_ghost(x) if x.flavor == WITT else cyclic.cyc_ghost(x)
     else:
-        out = q_witt_ghost(ctx, x) if x.flavor == WITT else q_ghost(ctx, x)
+        out = qdeform.q_witt_ghost(ctx, x) if x.flavor == WITT else qdeform.q_ghost(ctx, x)
     _emit(_vector_doc(out))
     return 0
 
@@ -394,7 +387,7 @@ def cmd_teichmuller(args):
     if args.model == "group":
         out = teichmuller_inv(x) if args.inverse else teichmuller(x)
     else:
-        out = q_teichmuller_inv(ctx, x) if args.inverse else q_teichmuller(ctx, x)
+        out = (qdeform.q_teichmuller_inv if args.inverse else qdeform.q_teichmuller)(ctx, x)
     _emit(_vector_doc(out, ctx))
     return 0
 
@@ -406,9 +399,9 @@ def cmd_theta(args):
     if args.model == "group":
         out = theta_inv(x) if args.inverse else theta(x)
     elif args.model == "cyclic":
-        out = cyc_theta_inv(x) if args.inverse else cyc_theta(x)
+        out = cyclic.cyc_theta_inv(x) if args.inverse else cyclic.cyc_theta(x)
     else:
-        out = theta_q_inv(x) if args.inverse else theta_q(x)
+        out = qdeform.theta_q_inv(x) if args.inverse else qdeform.theta_q(x)
     _emit(_vector_doc(out, ctx))
     return 0
 
@@ -464,9 +457,9 @@ def cmd_operator(args):
     x = _read_vector(args.input, args.model, args.ring, None if frobenius else _RING_FLAVORS,
                      ctx=ctx)
     if args.model == "cyclic":
-        out = cyc_frobenius(r, x) if frobenius else cyc_verschiebung(r, x)
+        out = cyclic.cyc_frobenius(r, x) if frobenius else cyclic.cyc_verschiebung(r, x)
     else:
-        out = q_frobenius(ctx, r, x) if frobenius else q_verschiebung(r, x)
+        out = qdeform.q_frobenius(ctx, r, x) if frobenius else qdeform.q_verschiebung(r, x)
     _emit(_vector_doc(out, ctx))
     return 0
 
@@ -480,14 +473,14 @@ def cmd_qpoly(args):
         for i in divisors(n):
             for j in divisors(n):
                 if n % math.lcm(i, j) == 0:
-                    polys[f"({i},{j})"] = p_poly(n, i, j).format()
+                    polys[f"({i},{j})"] = qdeform.p_poly(n, i, j).format()
         _emit({"kind": "P", "n": n, "polys": polys})
     else:
         _emit(
             {
                 "kind": "tau",
                 "n": n,
-                "polys": {str(i): tau_q(i, n).format() for i in divisors(n)},
+                "polys": {str(i): qdeform.tau_q(i, n).format() for i in divisors(n)},
             }
         )
     return 0
@@ -495,7 +488,7 @@ def cmd_qpoly(args):
 
 def cmd_quniversal(args):
     T = _truncation(args)
-    uni = q_universal(T, args.op)
+    uni = qdeform.q_universal(T, args.op)
     _emit(
         {
             "op": uni.op,
@@ -511,7 +504,7 @@ def cmd_qwitt_tryone(args):
     ctx = _qcontext(args)
     T = _truncation(args)
     R = parse_ring(args.ring or "Z")
-    one = try_one(ctx, T, R)
+    one = qdeform.try_one(ctx, T, R)
     if one is None:
         _emit({"exists": False, "trunc": list(T.members), "ring": R.name})
     else:
@@ -525,20 +518,20 @@ def cmd_artinhasse(args):
     ctx = _qcontext(args)
     if args.inverse:
         curve = _read_curve(args.input, args.ring)
-        T = _truncation(args, TruncationSet(range(1, curve.degree + 1)))
+        T = _truncation(args, cyclic.TruncationSet(range(1, curve.degree + 1)))
         if curve.degree != T.members[-1]:
             raise SchemaError(
                 f"{args.input}: curve degree {curve.degree} does not match max(T) = {T.members[-1]}"
             )
-        _emit(_vector_doc(artin_hasse_inv(ctx, curve, T)))
+        _emit(_vector_doc(qdeform.artin_hasse_inv(ctx, curve, T)))
     else:
         x = _read_vector(args.input, "qwitt", args.ring, (WITT,), ctx=ctx)
-        _emit(_curve_doc(artin_hasse(ctx, x), ctx.q))
+        _emit(_curve_doc(qdeform.artin_hasse(ctx, x), ctx.q))
     return 0
 
 
 def cmd_verify(args):
-    report = run_suite(args.suite, args.seed, args.size, args.inject_fault)
+    report = verify.run_suite(args.suite, args.seed, args.size, args.inject_fault)
     _emit(report)
     return 1 if report["failures"] else 0
 
@@ -670,7 +663,7 @@ def _artinhasse_verb(p):
 
 
 def _verify_verb(p):
-    p.add_argument("--suite", default="all", choices=SUITES + ("all",))
+    p.add_argument("--suite", default="all", choices=verify.SUITES + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=1)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
@@ -699,18 +692,19 @@ _VERBS = {
 
 
 def _parser(argv=()):
-    """The parser of argv: every verb is registered, but only the verb argv[0]
-    names is filled in; every verb when argv[0] names none (help, a typo)."""
+    """The parser of argv: only the verb argv[0] names gets a parser, every
+    verb when argv[0] names none (help, a typo)."""
     ap = argparse.ArgumentParser(
         prog="wittburnside",
         description="Exact Witt-Burnside / necklace / aperiodic ring arithmetic.",
     )
-    sub = ap.add_subparsers(dest="verb", required=True)
     named = argv[0] if argv and argv[0] in _VERBS else None
+    # the usage line of an error after a named verb still lists every verb
+    sub = ap.add_subparsers(dest="verb", required=True,
+                            metavar="{" + ",".join(_VERBS) + "}" if named else None)
     for verb, (text, build) in _VERBS.items():
-        p = sub.add_parser(verb, help=text)
         if named in (None, verb):
-            build(p)
+            build(sub.add_parser(verb, help=text))
     return ap
 
 

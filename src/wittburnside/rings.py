@@ -624,6 +624,9 @@ class ResidueRing(RingSpec):
     def zero(self):
         return 0
 
+    def is_zero(self, a) -> bool:
+        return a % self.modulus == 0  # a solve carries unreduced ints
+
     def from_int(self, n):
         return n % self.modulus
 

@@ -22,8 +22,10 @@ universal polynomials.  Those are derived once per structure and operation,
 when first read (an operation reads only its system); their integral (in
 the q-model numerical) coefficients certify that the solve stays in the
 ring.  They are memoised in process and, when WB_CACHE_DIR is set, kept on
-disk; a disk entry is used only after it passes validation, and any other
-entry counts as a miss and is rewritten.
+disk.  An operation only makes sure its entry exists (solving and writing
+it if not) and never reads it; where the polynomials themselves are read
+(`universal`, `quniversal`, the integrality checks) an entry is used only
+after it passes validation, and a rejected one is solved and rewritten.
 
 The transports between the flavors solve on the same tables.  With every
 exponent 1 (`linear_table`) a table is the ghost of the necklace flavor;
@@ -88,36 +90,32 @@ class UniversalSet:
     `structure` (the system's) is the group or truncation set whose index set
     labels polys (for a Frobenius, the set of n with r n in the input set).
     polys are MultiPoly in `vars`; in the q-model vars[0] is q itself.  They
-    are given (a disk entry) or solved for when first read: an operation
-    reads only `system`.  Either way fractional coefficients and
+    are read when first read: from the disk entry at `path` if it passes
+    validation, else solved for (and written to `path`, if any).  An
+    operation reads only `system`.  Fractional coefficients and
     non-numerical q-coefficients are refused.  `compiled` pairs each
     monomial in the other variables,
     given as ((var_index, exp), ...), with its coefficient: an int, or in the
     q-model a numerical QPolynomial.
     """
 
-    __slots__ = ("system", "_polys")
+    __slots__ = ("system", "path", "_polys")
 
-    def __init__(self, system, polys=None):
+    def __init__(self, system, path=None):
         self.system = system
-        self._polys = None if polys is None else self._checked(polys)
+        self.path = path
+        self._polys = None
 
     @property
     def polys(self):
         if self._polys is None:
-            self._polys = self._checked(self.system.solve())
+            polys = _cache_read(self.path, self.system) if self.path else None
+            if polys is None:
+                polys = _certified(self.system, self.system.solve())
+                if self.path:
+                    _cache_write(self.path, self.vars, polys)
+            self._polys = polys
         return self._polys
-
-    def _checked(self, polys):
-        polys = tuple(polys)
-        # an integral solve reports a failing row itself; this guards entries
-        # read from disk, and the q-model's numerical coefficients
-        if self.system.q:
-            for p in polys:
-                _compile_q(self.op, p)  # grouping by monomial checks numericality
-        elif not all(p.is_integral() for p in polys):
-            raise IntegralityViolation(f"universal {self.op} polynomial has fractional coefficients")
-        return polys
 
     structure = property(lambda self: self.system.structure)
     op = property(lambda self: self.system.op)
@@ -131,6 +129,19 @@ class UniversalSet:
         if self.system.q:
             return tuple(_compile_q(self.op, p) for p in self.polys)
         return tuple(p.compiled() for p in self.polys)
+
+
+def _certified(system, polys):
+    """polys as a tuple, once their coefficients are integral (numerical in
+    the q-model).  An integral solve reports a failing row itself; this
+    guards entries read from disk, and the q-model's coefficients."""
+    polys = tuple(polys)
+    if system.q:
+        for p in polys:
+            _compile_q(system.op, p)  # grouping by monomial checks numericality
+    elif not all(p.is_integral() for p in polys):
+        raise IntegralityViolation(f"universal {system.op} polynomial has fractional coefficients")
+    return polys
 
 
 def _compile_q(op, p: MultiPoly):
@@ -241,17 +252,19 @@ def ghost_values(table, R, xs, qv=None, context=None):
     return out
 
 
-def solve_triangular(table, want, R, fail, q=None):
+def solve_triangular(table, want, R, fail, q=None, context=None):
     """The payloads s in R with w(s) = want, row by row.
 
     Row u subtracts the terms of its earlier entries from want[u], using the
     payloads' own operators (an integer weight times a power of an integer q
     scales a payload as a scalar), and divides by its diagonal weight.  q is
-    the q-model's q: an int, or the indeterminate as a payload of R.  When a
-    division has no quotient in R, the exception fail(u, R) is raised, so
-    each caller names the failing class or index in its own terms; so is a
-    Fraction weight outside a Q-algebra, off the diagonal only on a
-    non-zero payload.  Residues are reduced at the end.
+    the q-model's q: an int, or the indeterminate as a payload of R.  Outside
+    a Q-algebra a Fraction diagonal a/b divides as a product by b and a
+    division by a.  When a division has no quotient in R, the exception
+    fail(u, R) is raised, so each caller names the failing class or index in
+    its own terms.  A Fraction weight off the diagonal on a non-zero payload
+    outside a Q-algebra raises NonIntegralConstant naming `context`, as in
+    `ghost_values`.  Residues are reduced at the end.
     """
     solved = []
     powers = {}
@@ -261,13 +274,18 @@ def solve_triangular(table, want, R, fail, q=None):
                 continue
             p = solved[v] if exp == 1 else _pow(R, solved, v, exp, powers)
             if type(weight) is Fraction and not (R.is_qalgebra or R.is_zero(p)):
-                raise fail(u, R)
+                raise _refused(R, weight, context)
             acc = acc - (weight * q ** qpow if qpow else weight) * p
         d = row[-1][1]
-        if type(d) is Fraction:
-            if not R.is_qalgebra:
-                raise fail(u, R)
+        if type(d) is Fraction and R.is_qalgebra:
             acc = acc * (1 / d)
+        elif type(d) is Fraction:
+            # dividing by a/b is multiplying by b, then dividing by a
+            acc = acc * d.denominator
+            if d.numerator != 1:
+                acc = R.try_div(acc, R.from_int(d.numerator))
+                if acc is None:
+                    raise fail(u, R)
         elif d != 1:
             acc = R.try_div(acc, R.from_int(d))
             if acc is None:
@@ -343,11 +361,11 @@ class GhostSystem:
         label = index_labels(self.structure)[u]
         return f"index {label}" if type(label) is int else f"class {label} of {self.structure.name}"
 
-    def holds(self, ups: UniversalSet) -> bool:
-        """Does the ghost identity hold for `ups` at one fixed integer point?"""
+    def holds(self, polys) -> bool:
+        """Does the ghost identity hold for `polys` at one fixed integer point?"""
         point = list(range(3, 3 + len(self.vars) - self.q))
         # numerical coefficients take integer values at the integer q
-        polys = [p.substitute_scalar("q", _SPOT_Q) for p in ups.polys] if self.q else ups.polys
+        polys = [p.substitute_scalar("q", _SPOT_Q) for p in polys] if self.q else polys
         # the ghost map is injective over Z: the identity holds iff the values solve it
         return [evaluate(p.compiled(), ZZ, point) for p in polys] == self.apply(ZZ, point, _SPOT_Q)
 
@@ -357,26 +375,24 @@ class GhostSystem:
 
 
 def derive(structure, tag, system) -> UniversalSet:
-    """Operation `tag` over a group or truncation set, from WB_CACHE_DIR or solved.
+    """Operation `tag` over a group or truncation set.
 
     Memoised under (structure, tag).  `system` is a callable returning the
     GhostSystem, called on a memo miss only; the result hands it back as
     `.system`, whose `apply` the operations evaluate by.  Its polynomials are
-    solved for when first read, which with WB_CACHE_DIR set is at once, to
-    write them.
+    read when first read (see UniversalSet); with WB_CACHE_DIR set, a memo
+    miss only checks that the entry exists, and solves and writes it at
+    once if it does not.
     """
     key = (structure, tag)
     ups = MEMO.get(key)
-    if ups is not None:
-        return ups
-    eqs = system()
-    path = _cache_path(structure, eqs.labels, tag)
-    ups = _cache_read(path, eqs) if path else None
     if ups is None:
-        ups = UniversalSet(eqs)
-        if path:
-            _cache_write(path, ups)
-    MEMO[key] = ups
+        eqs = system()
+        path = _cache_path(structure, eqs.labels, tag)
+        ups = UniversalSet(eqs, path)
+        if path and not os.path.exists(path):
+            ups.polys  # the first read solves and writes the entry
+        MEMO[key] = ups
     return ups
 
 
@@ -394,7 +410,8 @@ def _cache_path(structure, labels, tag):
 
 
 def _cache_read(path, system: GhostSystem):
-    """The validated entry at `path`, or None (missing or rejected)."""
+    """The polynomials of the validated entry at `path`, or None (missing or
+    rejected)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -419,20 +436,20 @@ def _cache_read(path, system: GhostSystem):
                     return None
                 d[tuple(e)] = Fraction(c)
             polys.append(MultiPoly(vars, d))
-        ups = UniversalSet(system, polys)
-        return ups if system.holds(ups) else None
+        polys = _certified(system, polys)
+        return polys if system.holds(polys) else None
     except (KeyError, TypeError, ValueError, ZeroDivisionError, DomainError):
         return None
 
 
-def _cache_write(path, ups: UniversalSet):
+def _cache_write(path, vars, polys):
     """Write atomically: a temp file in the same directory, then os.replace."""
     data = {
-        "vars": list(ups.vars),
+        "vars": list(vars),
         "polys": [
             [[c.numerator if c.denominator == 1 else str(c), list(e)]
              for e, c in p.sorted_terms()]
-            for p in ups.polys
+            for p in polys
         ],
     }
     try:

@@ -1,4 +1,5 @@
-"""WB_CACHE_DIR: every disk entry is validated, and a rejected one is a miss.
+"""WB_CACHE_DIR: every disk entry is validated where it is read, and a
+rejected one is a miss.  An operation only writes a missing entry.
 
 The CLI cases run in fresh processes, so the in-process memo cannot hide
 what a process reads from disk.
@@ -28,6 +29,11 @@ def run_cli(cache, *argv):
         [sys.executable, "-m", "wittburnside", *argv],
         capture_output=True, text=True, env=env,
     )
+
+
+def run_python(cache, code):
+    env = dict(os.environ, WB_CACHE_DIR=str(cache))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
 
 
 def write_vec(path, group, components, labels):
@@ -63,9 +69,17 @@ def test_fractional_coefficient_is_rejected_and_rewritten(tmp_path):
     data = json.loads(good)
     data["polys"][1][0][0] = "1/2"
     path.write_text(json.dumps(data), encoding="utf-8")
+    bad = path.read_bytes()
+    # arithmetic never reads an entry, so it neither trips over nor mends this one
     second = run_cli(cache, "witt", "mul", a, b)
     assert second.returncode == 0, second.stderr
     assert second.stdout == first.stdout
+    assert path.read_bytes() == bad
+    # the universal polynomials are read: the entry is rejected and rewritten
+    forms = run_cli(cache, "universal", "--group", "C2", "--op", "prod")
+    assert forms.returncode == 0, forms.stderr
+    assert forms.stdout == run_cli(tmp_path / "fresh", "universal", "--group", "C2",
+                                   "--op", "prod").stdout
     assert path.read_bytes() == good
 
 
@@ -81,9 +95,17 @@ def test_truncated_poly_list_is_rejected_and_rewritten(tmp_path):
     data = json.loads(good)
     data["polys"] = data["polys"][:-1]
     path.write_text(json.dumps(data), encoding="utf-8")
+    bad = path.read_bytes()
     second = run_cli(cache, "cyclic", "witt", "mul", a, b)
     assert second.returncode == 0, second.stderr
     assert second.stdout == first.stdout
+    assert path.read_bytes() == bad
+    # a fresh process that reads the polynomials rejects and rewrites the entry
+    read = ("from wittburnside import TruncationSet, cyc_universal; "
+            "print([p.format() for p in cyc_universal(TruncationSet.div(6), 'prod').polys])")
+    forms = run_python(cache, read)
+    assert forms.returncode == 0, forms.stderr
+    assert forms.stdout == run_python(tmp_path / "fresh", read).stdout
     assert path.read_bytes() == good
 
 

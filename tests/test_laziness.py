@@ -1,8 +1,16 @@
 """The package's public names, and what a process loads to use them.
 
 `PUBLIC` is `sorted(wittburnside.__all__)`: `from wittburnside import *`
-and `dir(wittburnside)` must give these names.
+and `dir(wittburnside)` must give these names.  A fresh interpreter runs
+the code of a module only when something it does uses it: `import
+wittburnside` runs none, and a CLI verb only the models it computes in.
 """
+import ast
+import json
+import os
+import subprocess
+import sys
+
 import wittburnside
 
 PUBLIC = (
@@ -40,3 +48,57 @@ def test_star_import_gives_the_public_names():
 
 def test_dir_lists_the_public_names():
     assert set(PUBLIC) <= set(dir(wittburnside))
+
+
+# --- what a fresh process loads --------------------------------------------------
+
+# the package's modules whose code has run: a module that importlib's
+# LazyLoader registered stays a subclass of ModuleType until it is first used
+RAN = ("sorted(n for n, m in sys.modules.items() "
+       "if n.startswith('wittburnside.') and type(m) is types.ModuleType)")
+
+
+def fresh(code):
+    out = subprocess.run([sys.executable, "-c", f"import sys, types\n{code}\nprint({RAN})"],
+                         capture_output=True, text=True, env=dict(os.environ, WB_CACHE_DIR=""))
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    assert fresh("import wittburnside") == []
+    assert fresh("import wittburnside\nassert set(dir(wittburnside)) >= set(%r)" % (PUBLIC,)) == []
+
+
+def test_a_name_loads_its_module_and_what_that_imports():
+    assert fresh("from wittburnside import parse_ring") == ["wittburnside.errors",
+                                                            "wittburnside.rings"]
+
+
+def run_cli(*argv):
+    """`python -m wittburnside ARGV` in a fresh interpreter: its stdout and
+    the modules whose code ran."""
+    code = ("import runpy\n"
+            f"sys.argv = ['wittburnside', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('wittburnside', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as e:\n"
+            "    assert e.code == 0, e.code")
+    return fresh(code)
+
+
+def test_group_verbs_load_no_other_model(tmp_path):
+    doc = {"schema_version": 1, "group": "C6", "flavor": "Witt", "ring": "Z",
+           "components": ["3", "5", "-2", "1"], "labels": ["G", "3a", "2a", "1"]}
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (("group", "info", "--group", "C6"), ("witt", "mul", str(path), str(path))):
+        ran = run_cli(*argv)
+        assert "wittburnside.burnside" in ran
+        for name in ("verify", "cyclic", "qdeform"):
+            assert f"wittburnside.{name}" not in ran, (argv, name)
+
+
+def test_a_cyclic_verb_loads_its_model_but_not_the_q_model_or_verify():
+    ran = run_cli("quniversal", "--op", "neg", "--trunc", "2")
+    assert "wittburnside.qdeform" in ran and "wittburnside.verify" not in ran

@@ -116,7 +116,8 @@ def ref_ap_ghost_inv(b, group=None):
         elif R.is_qalgebra:
             q = R.try_div(acc, R.from_fraction(diag))
         else:
-            q = None
+            # dividing by a/b is multiplying by b, then dividing by a
+            q = R.try_div(R.mul(R.from_int(diag.denominator), acc), R.from_int(diag.numerator))
         if q is None:
             raise NotInImage(
                 f"ghost vector is not an aperiodic ghost over {R.name} at class "
@@ -341,6 +342,24 @@ def test_aperiodic_ghost_and_inverse_match_marks_loops(gname, rname):
     if R.name.startswith("Z/"):
         x = coordinate_backed(G, R, rng).retag(APERIODIC)
         same(ap_ghost, ref_ap_ghost, x)
+
+
+@pytest.mark.parametrize("gname", ("S3", "D4", "D6"))
+@pytest.mark.parametrize("rname", ("Z", "Z/8"))
+def test_aperiodic_ghost_inverse_undoes_an_integral_ghost(gname, rname):
+    # a vector supported on normal subgroups meets only integral weights; its
+    # ghost solve still divides by the fractional diagonal 1/(G:N(V)) of
+    # every class V that is not normal
+    G, R = build_group(gname), parse_ring(rname)
+    normal = [c.normalizer_index == 1 for c in subgroup_classes(G).classes]
+    assert not all(normal)
+    rng = random.Random(f"ap round trip:{gname}:{rname}")
+    vectors = [IndexedVector.one(G, APERIODIC, R), IndexedVector.zero(G, APERIODIC, R)]
+    for _ in range(8):
+        vectors.append(IndexedVector.from_ints(
+            G, APERIODIC, R, [rng.randint(-9, 9) if n else 0 for n in normal]))
+    for x in vectors:
+        assert ap_ghost_inv(ap_ghost(x)) == x
 
 
 @pytest.mark.parametrize("gname", GROUPS)
