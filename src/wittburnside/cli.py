@@ -550,110 +550,138 @@ def _add_vector_io(p, binary):
     _add_ring_flag(p)
 
 
-def _flavor_ops(p, model, family):
-    fsub = p.add_subparsers(dest="op", required=True)
-    for op in ("add", "mul", "neg"):
-        op_p = fsub.add_parser(op)
-        _add_vector_io(op_p, op != "neg")
-        op_p.set_defaults(fn=cmd_flavor_op, family=family, op=op, model=model)
+def _verbs(p, dest, rest, verbs):
+    """Fill in p's sub-parsers `dest` from verbs {name: (help or None, build)};
+    build(parser, rest) fills in a parser, given the words after its name.
+    Only the verb rest[0] names is built, every one when it names none (help,
+    a typo).  A parser built for one verb alone still lists every verb in its
+    usage line, which an error after that verb prints."""
+    named = rest[0] if rest and rest[0] in verbs else None
+    sub = p.add_subparsers(dest=dest, required=True,
+                           metavar="{" + ",".join(verbs) + "}" if named else None)
+    for name, (text, build) in verbs.items():
+        if named in (None, name):
+            build(sub.add_parser(name, **({} if text is None else {"help": text})), rest[1:])
 
 
-def _group_verb(p):
-    gsub = p.add_subparsers(dest="groupverb", required=True)
-    gi = gsub.add_parser("info", help="classes, marks and Moebius matrix")
-    gi.add_argument("--group", required=True)
-    gi.set_defaults(fn=cmd_group_info)
+def _flavor_ops(p, rest, model, family):
+    _verbs(p, "op", rest, {op: (None, partial(_flavor_op, model=model, family=family, op=op))
+                           for op in _OPWORD})
 
 
-def _ghost_verb(p, model="group"):
+def _flavor_op(p, rest, model, family, op):
+    if model == "qwitt":
+        p.add_argument("--q", required=True, help="integer or the symbol q")
+    _add_vector_io(p, op != "neg")
+    p.set_defaults(fn=cmd_flavor_op, family=family, op=op, model=model)
+
+
+def _group_verb(p, rest):
+    _verbs(p, "groupverb", rest, {"info": ("classes, marks and Moebius matrix", _group_info)})
+
+
+def _group_info(p, rest):
+    p.add_argument("--group", required=True)
+    p.set_defaults(fn=cmd_group_info)
+
+
+def _ghost_verb(p, rest, model="group"):
     _add_vector_io(p, False)
     p.add_argument("--flavor", choices=_RING_FLAVORS)
     p.set_defaults(fn=cmd_ghost, model=model)
 
 
-def _inverse_verb(p, fn, model="group"):
+def _inverse_verb(p, rest, fn, model="group"):
     _add_vector_io(p, False)
     p.add_argument("--inverse", action="store_true")
     p.set_defaults(fn=fn, model=model)
 
 
-def _subgroup_verb(p, fn):
+def _subgroup_verb(p, rest, fn):
     p.add_argument("--group", required=True, help="ambient group")
     p.add_argument("--class", dest="cls", required=True, help="subgroup class label")
     _add_vector_io(p, False)
     p.set_defaults(fn=fn)
 
 
-def _universal_verb(p):
+def _universal_verb(p, rest):
     p.add_argument("--group", required=True)
     p.add_argument("--op", required=True, choices=("sum", "prod", "neg"))
     p.set_defaults(fn=cmd_universal)
 
 
-def _cyclic_verb(p):
-    csub = p.add_subparsers(dest="cyclicverb", required=True)
-    for family in ("witt", "necklace", "aperiodic"):
-        _flavor_ops(csub.add_parser(family), "cyclic", family)
-    _ghost_verb(csub.add_parser("ghost"), "cyclic")
-    _inverse_verb(csub.add_parser("theta"), cmd_theta, "cyclic")
-    for op_name in ("frobenius", "verschiebung"):
-        cop = csub.add_parser(op_name)
-        cop.add_argument("--r", type=int, required=True)
-        _add_vector_io(cop, False)
-        cop.set_defaults(fn=cmd_operator, operator=op_name, model="cyclic")
+def _operator_verb(p, rest, operator, model):
+    if model == "qwitt" and operator == "frobenius":
+        p.add_argument("--q", required=True)
+    p.add_argument("--r", type=int, required=True)
+    _add_vector_io(p, False)
+    p.set_defaults(fn=cmd_operator, operator=operator, model=model)
 
 
-def _qpoly_verb(p):
+def _cyclic_verb(p, rest):
+    _verbs(p, "cyclicverb", rest, {
+        **{family: (None, partial(_flavor_ops, model="cyclic", family=family))
+           for family in _FAMILY},
+        "ghost": (None, partial(_ghost_verb, model="cyclic")),
+        "theta": (None, partial(_inverse_verb, fn=cmd_theta, model="cyclic")),
+        **{operator: (None, partial(_operator_verb, operator=operator, model="cyclic"))
+           for operator in ("frobenius", "verschiebung")},
+    })
+
+
+def _qpoly_verb(p, rest):
     p.add_argument("kind", choices=("P", "tau"))
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=cmd_qpoly)
 
 
-def _quniversal_verb(p):
+def _quniversal_verb(p, rest):
     p.add_argument("--op", required=True, choices=("sum", "prod", "neg"))
     p.add_argument("--trunc", type=int)
     p.add_argument("--trunc-set")
     p.set_defaults(fn=cmd_quniversal)
 
 
-def _qwitt_verb(p):
-    qsub = p.add_subparsers(dest="qverb", required=True)
-    for op in ("add", "mul", "neg"):
-        op_p = qsub.add_parser(op)
-        op_p.add_argument("--q", required=True, help="integer or the symbol q")
-        _add_vector_io(op_p, op != "neg")
-        op_p.set_defaults(fn=cmd_flavor_op, op=op, model="qwitt")
-    qgh = qsub.add_parser("ghost")
-    qgh.add_argument("--q", required=True)
-    _add_vector_io(qgh, False)
-    qgh.set_defaults(fn=cmd_ghost, model="qwitt")
-    qtm = qsub.add_parser("teichmuller")
-    qtm.add_argument("--q", required=True)
-    qtm.add_argument("--inverse", action="store_true")
-    _add_vector_io(qtm, False)
-    qtm.set_defaults(fn=cmd_teichmuller, model="qwitt")
-    qth = qsub.add_parser("theta")
-    qth.add_argument("--inverse", action="store_true")
-    _add_vector_io(qth, False)
-    qth.set_defaults(fn=cmd_theta, model="qwitt")
-    qfr = qsub.add_parser("frobenius")
-    qfr.add_argument("--q", required=True)
-    qfr.add_argument("--r", type=int, required=True)
-    _add_vector_io(qfr, False)
-    qfr.set_defaults(fn=cmd_operator, operator="frobenius", model="qwitt")
-    qvs = qsub.add_parser("verschiebung")
-    qvs.add_argument("--r", type=int, required=True)
-    _add_vector_io(qvs, False)
-    qvs.set_defaults(fn=cmd_operator, operator="verschiebung", model="qwitt")
-    qon = qsub.add_parser("tryone")
-    qon.add_argument("--q", required=True)
-    qon.add_argument("--trunc", type=int)
-    qon.add_argument("--trunc-set")
-    qon.add_argument("--ring", default="Z")
-    qon.set_defaults(fn=cmd_qwitt_tryone)
+def _qwitt_verb(p, rest):
+    _verbs(p, "qverb", rest, {
+        **{op: (None, partial(_flavor_op, model="qwitt", family=None, op=op)) for op in _OPWORD},
+        "ghost": (None, _qwitt_ghost),
+        "teichmuller": (None, _qwitt_teichmuller),
+        "theta": (None, _qwitt_theta),
+        **{operator: (None, partial(_operator_verb, operator=operator, model="qwitt"))
+           for operator in ("frobenius", "verschiebung")},
+        "tryone": (None, _qwitt_tryone),
+    })
 
 
-def _artinhasse_verb(p):
+def _qwitt_ghost(p, rest):
+    p.add_argument("--q", required=True)
+    _add_vector_io(p, False)
+    p.set_defaults(fn=cmd_ghost, model="qwitt")
+
+
+def _qwitt_teichmuller(p, rest):
+    p.add_argument("--q", required=True)
+    p.add_argument("--inverse", action="store_true")
+    _add_vector_io(p, False)
+    p.set_defaults(fn=cmd_teichmuller, model="qwitt")
+
+
+def _qwitt_theta(p, rest):
+    p.add_argument("--inverse", action="store_true")
+    _add_vector_io(p, False)
+    p.set_defaults(fn=cmd_theta, model="qwitt")
+
+
+def _qwitt_tryone(p, rest):
+    p.add_argument("--q", required=True)
+    p.add_argument("--trunc", type=int)
+    p.add_argument("--trunc-set")
+    p.add_argument("--ring", default="Z")
+    p.set_defaults(fn=cmd_qwitt_tryone)
+
+
+def _artinhasse_verb(p, rest):
     p.add_argument("--q", required=True)
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--trunc", type=int)
@@ -662,7 +690,7 @@ def _artinhasse_verb(p):
     p.set_defaults(fn=cmd_artinhasse)
 
 
-def _verify_verb(p):
+def _verify_verb(p, rest):
     p.add_argument("--suite", default="all", choices=verify.SUITES + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=1)
@@ -675,7 +703,7 @@ _VERBS = {
     "group": ("group inspection", _group_verb),
     **{family: (f"{family} ring ops on group vector files",
                 partial(_flavor_ops, model="group", family=family))
-       for family in ("witt", "necklace", "aperiodic")},
+       for family in _FAMILY},
     "ghost": ("ghost map of a group vector file", _ghost_verb),
     "teichmuller": ("Witt -> necklace transport", partial(_inverse_verb, fn=cmd_teichmuller)),
     "theta": ("necklace -> aperiodic rescaling", partial(_inverse_verb, fn=cmd_theta)),
@@ -692,19 +720,13 @@ _VERBS = {
 
 
 def _parser(argv=()):
-    """The parser of argv: only the verb argv[0] names gets a parser, every
-    verb when argv[0] names none (help, a typo)."""
+    """The parser of argv: at each level only the verb argv names is built
+    (see _verbs)."""
     ap = argparse.ArgumentParser(
         prog="wittburnside",
         description="Exact Witt-Burnside / necklace / aperiodic ring arithmetic.",
     )
-    named = argv[0] if argv and argv[0] in _VERBS else None
-    # the usage line of an error after a named verb still lists every verb
-    sub = ap.add_subparsers(dest="verb", required=True,
-                            metavar="{" + ",".join(_VERBS) + "}" if named else None)
-    for verb, (text, build) in _VERBS.items():
-        if named in (None, verb):
-            build(sub.add_parser(verb, help=text))
+    _verbs(ap, "verb", list(argv), _VERBS)
     return ap
 
 

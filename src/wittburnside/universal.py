@@ -400,12 +400,17 @@ def _cache_path(structure, labels, tag):
     root = os.environ.get("WB_CACHE_DIR")
     if not root:
         return None
-    import hashlib  # loading OpenSSL costs every process; only a cache names a file
+    # hashlib loads OpenSSL (about 5 ms); CPython's own SHA-256 module, which
+    # hashlib falls back on, gives the same digest without it
+    try:
+        from _sha256 import sha256
+    except ImportError:  # renamed _sha2 in Python 3.12
+        from hashlib import sha256
 
     # named by what equality compares: a truncation set's members (its integer
     # labels), a group's elements
     kind, identity = ("cyc", labels) if type(labels[0]) is int else ("wg", structure.elements)
-    digest = hashlib.sha256(repr(identity).encode()).hexdigest()[:16]
+    digest = sha256(repr(identity).encode()).hexdigest()[:16]
     return os.path.join(root, f"{kind}-{digest}-{tag}-{FORMAT}.json")
 
 

@@ -21,6 +21,7 @@ from wittburnside import (
 )
 from wittburnside.burnside import _UNIVERSAL_CACHE
 from wittburnside.qdeform import _q_frobenius_universal
+from wittburnside.universal import index_labels
 
 
 def run_cli(cache, *argv):
@@ -200,3 +201,15 @@ def test_entry_bytes_are_pinned(cache, derive, name, digest):
     path = only_file(cache, lambda n: True)
     assert path.name == name
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["_sha256", "hashlib"])
+def test_entry_names_do_not_depend_on_the_sha256_module(tmp_path, monkeypatch, builtin):
+    from wittburnside.universal import _cache_path
+
+    monkeypatch.setenv("WB_CACHE_DIR", str(tmp_path))
+    if not builtin:
+        monkeypatch.setitem(sys.modules, "_sha256", None)  # its import then fails
+    G, T = build_group("C4"), TruncationSet.div(6)
+    assert os.path.basename(_cache_path(G, index_labels(G), "prod")) == ENTRIES[0][1]
+    assert os.path.basename(_cache_path(T, T.members, "sum")) == ENTRIES[1][1]

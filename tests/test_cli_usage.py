@@ -140,10 +140,11 @@ def _help(ap, argv):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("verb", ["witt", "cyclic", "qwitt", "verify"])
+@pytest.mark.parametrize("verb", ["witt", "cyclic", "qwitt", "verify", "cyclic witt",
+                                  "qwitt mul", "group info"])
 def test_named_verb_parser_prints_the_full_help_and_usage(verb, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
-    argv = [verb, "--help"]
+    argv = verb.split() + ["--help"]
     assert _parser(argv).format_usage() == _parser().format_usage()
     assert _help(_parser(argv), argv) == _help(_parser(), argv)
 
