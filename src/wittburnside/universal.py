@@ -90,7 +90,7 @@ class UniversalSet:
     `structure` (the system's) is the group or truncation set whose index set
     labels polys (for a Frobenius, the set of n with r n in the input set).
     polys are MultiPoly in `vars`; in the q-model vars[0] is q itself.  They
-    are read when first read: from the disk entry at `path` if it passes
+    are loaded on first access: from the disk entry at `path` if it passes
     validation, else solved for (and written to `path`, if any).  An
     operation reads only `system`.  Fractional coefficients and
     non-numerical q-coefficients are refused.  `compiled` pairs each
@@ -281,11 +281,9 @@ def solve_triangular(table, want, R, fail, q=None, context=None):
             acc = acc * (1 / d)
         elif type(d) is Fraction:
             # dividing by a/b is multiplying by b, then dividing by a
-            acc = acc * d.denominator
-            if d.numerator != 1:
-                acc = R.try_div(acc, R.from_int(d.numerator))
-                if acc is None:
-                    raise fail(u, R)
+            acc = R.try_div(acc * d.denominator, R.from_int(d.numerator))
+            if acc is None:
+                raise fail(u, R)
         elif d != 1:
             acc = R.try_div(acc, R.from_int(d))
             if acc is None:
@@ -380,7 +378,7 @@ def derive(structure, tag, system) -> UniversalSet:
     Memoised under (structure, tag).  `system` is a callable returning the
     GhostSystem, called on a memo miss only; the result hands it back as
     `.system`, whose `apply` the operations evaluate by.  Its polynomials are
-    read when first read (see UniversalSet); with WB_CACHE_DIR set, a memo
+    loaded on first access (see UniversalSet); with WB_CACHE_DIR set, a memo
     miss only checks that the entry exists, and solves and writes it at
     once if it does not.
     """
