@@ -76,8 +76,8 @@ def test_a_name_loads_its_module_and_what_that_imports():
 
 
 def run_cli(*argv):
-    """`python -m wittburnside ARGV` in a fresh interpreter: its stdout and
-    the modules whose code ran."""
+    """The modules whose code ran in `python -m wittburnside ARGV`, run in a
+    fresh interpreter."""
     code = ("import runpy\n"
             f"sys.argv = ['wittburnside', *{argv!r}]\n"
             "try:\n"
@@ -99,6 +99,6 @@ def test_group_verbs_load_no_other_model(tmp_path):
             assert f"wittburnside.{name}" not in ran, (argv, name)
 
 
-def test_a_cyclic_verb_loads_its_model_but_not_the_q_model_or_verify():
+def test_a_q_verb_loads_the_q_model_but_not_verify():
     ran = run_cli("quniversal", "--op", "neg", "--trunc", "2")
     assert "wittburnside.qdeform" in ran and "wittburnside.verify" not in ran
