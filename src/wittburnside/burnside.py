@@ -352,7 +352,6 @@ def ap_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
         _flavor_table(G, APERIODIC), b.payloads(), b.ring,
         fail=lambda u, R: NotInImage(
             f"ghost vector is not an aperiodic ghost over {R.name} at class {labels[u]}"),
-        context="aperiodic ghost inverse",
     )
     return IndexedVector.from_payloads(G, APERIODIC, b.ring, out)
 

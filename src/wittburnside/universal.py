@@ -252,19 +252,20 @@ def ghost_values(table, R, xs, qv=None, context=None):
     return out
 
 
-def solve_triangular(table, want, R, fail, q=None, context=None):
+def solve_triangular(table, want, R, fail, q=None):
     """The payloads s in R with w(s) = want, row by row.
 
     Row u subtracts the terms of its earlier entries from want[u], using the
     payloads' own operators (an integer weight times a power of an integer q
     scales a payload as a scalar), and divides by its diagonal weight.  q is
     the q-model's q: an int, or the indeterminate as a payload of R.  Outside
-    a Q-algebra a Fraction diagonal a/b divides as a product by b and a
-    division by a.  When a division has no quotient in R, the exception
-    fail(u, R) is raised, so each caller names the failing class or index in
-    its own terms.  A Fraction weight off the diagonal on a non-zero payload
-    outside a Q-algebra raises NonIntegralConstant naming `context`, as in
-    `ghost_values`.  Residues are reduced at the end.
+    a Q-algebra a Fraction diagonal admits only the zero payload, the one
+    payload `ghost_values` takes under that weight, so its row is solved only
+    when what remains of want[u] is zero.  When a row has no solution in R,
+    the exception fail(u, R) is raised, so each caller names the failing
+    class or index in its own terms; so is a Fraction weight outside a
+    Q-algebra off the diagonal on a non-zero payload.  Residues are reduced
+    at the end.
     """
     solved = []
     powers = {}
@@ -274,16 +275,17 @@ def solve_triangular(table, want, R, fail, q=None, context=None):
                 continue
             p = solved[v] if exp == 1 else _pow(R, solved, v, exp, powers)
             if type(weight) is Fraction and not (R.is_qalgebra or R.is_zero(p)):
-                raise _refused(R, weight, context)
+                raise fail(u, R)
             acc = acc - (weight * q ** qpow if qpow else weight) * p
         d = row[-1][1]
         if type(d) is Fraction and R.is_qalgebra:
             acc = acc * (1 / d)
         elif type(d) is Fraction:
-            # dividing by a/b is multiplying by b, then dividing by a
-            acc = R.try_div(acc * d.denominator, R.from_int(d.numerator))
-            if acc is None:
+            # ghost_values refuses this weight on a non-zero payload, so zero
+            # is the only payload that can solve the row
+            if not R.is_zero(acc):
                 raise fail(u, R)
+            acc = R.zero()
         elif d != 1:
             acc = R.try_div(acc, R.from_int(d))
             if acc is None:
