@@ -13,8 +13,9 @@ The package computes, over any of its supported coefficient rings:
 * the cyclic/profinite specialisation over truncation sets, together with
   its full q-deformation and Artin-Hasse style curve isomorphism.
 
-The public names below load their module on first access (PEP 562), so
-`import wittburnside` itself loads no submodule.
+The public names below, and the submodules named in `_SUBMODULES`, load
+on first access (PEP 562), so `import wittburnside` itself loads no
+submodule.
 """
 from importlib import import_module
 
@@ -52,12 +53,16 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# the submodules that are attributes of the package, loaded on first access too
+_SUBMODULES = (*_EXPORTS, "universal")
 
 __all__ = list(_HOME)
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)  # the import binds it here
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f".{_HOME[name]}", __name__), name)
@@ -66,4 +71,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

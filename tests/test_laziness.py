@@ -70,6 +70,15 @@ def test_import_loads_no_submodule():
     assert fresh("import wittburnside\nassert set(dir(wittburnside)) >= set(%r)" % (PUBLIC,)) == []
 
 
+def test_submodules_are_attributes_loaded_on_first_access():
+    names = ("burnside", "cyclic", "errors", "groups", "qdeform", "rings", "universal")
+    assert set(names) <= set(dir(wittburnside))
+    code = "import wittburnside\nassert wittburnside.rings.ZZ.name == 'Z'"
+    assert fresh(code) == ["wittburnside.errors", "wittburnside.rings"]
+    code = "import wittburnside\n" + "".join(f"wittburnside.{n}.__name__\n" for n in names)
+    assert set(fresh(code)) >= {f"wittburnside.{n}" for n in names}
+
+
 def test_a_name_loads_its_module_and_what_that_imports():
     assert fresh("from wittburnside import parse_ring") == ["wittburnside.errors",
                                                             "wittburnside.rings"]
