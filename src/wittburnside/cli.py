@@ -570,8 +570,6 @@ def _flavor_ops(p, rest, model, family):
 
 
 def _flavor_op(p, rest, model, family, op):
-    if model == "qwitt":
-        p.add_argument("--q", required=True, help="integer or the symbol q")
     _add_vector_io(p, op != "neg")
     p.set_defaults(fn=cmd_flavor_op, family=family, op=op, model=model)
 
@@ -611,8 +609,6 @@ def _universal_verb(p, rest):
 
 
 def _operator_verb(p, rest, operator, model):
-    if model == "qwitt" and operator == "frobenius":
-        p.add_argument("--q", required=True)
     p.add_argument("--r", type=int, required=True)
     _add_vector_io(p, False)
     p.set_defaults(fn=cmd_operator, operator=operator, model=model)
@@ -644,14 +640,19 @@ def _quniversal_verb(p, rest):
 
 def _qwitt_verb(p, rest):
     _verbs(p, "qverb", rest, {
-        **{op: (None, partial(_flavor_op, model="qwitt", family=None, op=op)) for op in _OPWORD},
+        **{op: (None, partial(_qwitt_op, op=op)) for op in _OPWORD},
         "ghost": (None, _qwitt_ghost),
         "teichmuller": (None, _qwitt_teichmuller),
         "theta": (None, _qwitt_theta),
-        **{operator: (None, partial(_operator_verb, operator=operator, model="qwitt"))
-           for operator in ("frobenius", "verschiebung")},
+        "frobenius": (None, _qwitt_frobenius),
+        "verschiebung": (None, partial(_operator_verb, operator="verschiebung", model="qwitt")),
         "tryone": (None, _qwitt_tryone),
     })
+
+
+def _qwitt_op(p, rest, op):
+    p.add_argument("--q", required=True, help="integer or the symbol q")
+    _flavor_op(p, rest, model="qwitt", family=None, op=op)
 
 
 def _qwitt_ghost(p, rest):
@@ -671,6 +672,11 @@ def _qwitt_theta(p, rest):
     p.add_argument("--inverse", action="store_true")
     _add_vector_io(p, False)
     p.set_defaults(fn=cmd_theta, model="qwitt")
+
+
+def _qwitt_frobenius(p, rest):
+    p.add_argument("--q", required=True)
+    _operator_verb(p, rest, operator="frobenius", model="qwitt")
 
 
 def _qwitt_tryone(p, rest):
