@@ -15,6 +15,7 @@ use at API boundaries.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -115,6 +116,45 @@ def power(mul, base, n: int, one):
         if not n:
             return one if result is None else result
         base = mul(base, base)
+
+
+def cached_power(R, xs, v, e, cache):
+    """xs[v] ** e in R (e >= 1), by squarings and products that `cache` shares."""
+    p = cache.get((v, e))
+    if p is None:
+        if e == 1:
+            p = xs[v]
+        elif e % 2:
+            p = R.mul(cached_power(R, xs, v, e - 1, cache), xs[v])
+        else:
+            h = cached_power(R, xs, v, e // 2, cache)
+            p = R.mul(h, h)
+        cache[v, e] = p
+    return p
+
+
+def _divide_terms(terms, d: int, rational: bool):
+    """{e: c / d} over the non-zero coefficients c of terms, stored; None when
+    a quotient is not an integer and `rational` is false.  Integers divide by
+    divmod; a Fraction is built only for a non-integral quotient."""
+    if d == 1:
+        return {e: _canon(c) for e, c in terms.items() if c}
+    out = {}
+    for e, c in terms.items():
+        if not c:
+            continue
+        if type(c) is int:
+            q, r = divmod(c, d)
+            if r:
+                if not rational:
+                    return None
+                q = Fraction(c, d)
+        else:
+            q = _canon(c / d)
+            if type(q) is not int and not rational:
+                return None
+        out[e] = q
+    return out
 
 
 class QPolynomial:
@@ -268,6 +308,14 @@ def _parse_coeff(text: str) -> Fraction:
         raise SchemaError(f"bad coefficient {text!r}") from exc
 
 
+# A product goes through Kronecker substitution when its operands have
+# n_a * n_b >= _DENSE_BOX * box + _DENSE_PAIRS monomial pairs for the `box`
+# slots of its exponent box: dense operands, whose pairs outnumber the slots
+# the unpacking visits, with enough pairs to repay the packing.
+_DENSE_BOX = 2
+_DENSE_PAIRS = 64
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -357,11 +405,15 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return MultiPoly._of(self.vars, {})
-        # Pack each exponent tuple into one int, one bit field per variable,
-        # wide enough for the exponents of the product: a monomial product is
-        # then one int add (Monagan-Pearce packed exponent vectors).
-        top = max(map(operator.add, map(max, zip(*a)), map(max, zip(*b))), default=0)
-        width = top.bit_length()
+        top_a, top_b = list(map(max, zip(*a))), list(map(max, zip(*b)))
+        # the product's exponent box, sized before anything is allocated
+        dims = [x + y + 1 for x, y in zip(top_a, top_b)]
+        if _DENSE_BOX * math.prod(dims) + _DENSE_PAIRS <= len(a) * len(b):
+            return self._kronecker(other, dims, top_a, top_b)
+        # Sparse operands: pack each exponent tuple into one int, one bit field
+        # per variable, wide enough for the exponents of the product, so a
+        # monomial product is one int add (Monagan-Pearce packed exponents).
+        width = (max(dims, default=1) - 1).bit_length()
         shifts = [width * i for i in range(len(self.vars))]
         da, xs = _over_common_denominator(a.values())
         db, ys = _over_common_denominator(b.values())
@@ -379,6 +431,50 @@ class MultiPoly:
         for k, c in out.items():
             if c:
                 terms[tuple([k >> s & mask for s in shifts])] = c if den == 1 else _ratio(c, den)
+        return MultiPoly._of(self.vars, terms)
+
+    def _kronecker(self, other, dims, top_a, top_b):
+        """The product of dense operands by Kronecker substitution (Harvey 2009).
+
+        A monomial's slot is its mixed-radix index in the product's exponent
+        box `dims` (last variable fastest), so slots add as exponents do.  Each
+        operand's integer coefficients over their common denominator become
+        n-byte digits of one integer, offset by half = 2^(8n-1) while packed
+        and unpacked; half exceeds every product coefficient's absolute value,
+        at most min(n_a, n_b) max|x| max|y|.  One big-int multiply (a square
+        for a * a) then computes every coefficient.
+        """
+        strides = []
+        size = 1
+        for d in reversed(dims):
+            strides.append(size)
+            size *= d
+        strides.reverse()
+        da, xs = _over_common_denominator(self.terms.values())
+        db, ys = (da, xs) if self is other else _over_common_denominator(other.terms.values())
+        bound = min(len(xs), len(ys)) * max(map(abs, xs)) * max(map(abs, ys))
+        n = bound.bit_length() // 8 + 1
+        half = 1 << (8 * n - 1)
+        digit = half.to_bytes(n, "little")
+
+        def pack(terms, cs, top):
+            slots = sum(map(operator.mul, top, strides)) + 1
+            buf = bytearray(digit * slots)
+            for e, c in zip(terms, cs):
+                i = sum(map(operator.mul, e, strides)) * n
+                buf[i:i + n] = (c + half).to_bytes(n, "little")
+            return int.from_bytes(buf, "little") - int.from_bytes(digit * slots, "little")
+
+        x = pack(self.terms, xs, top_a)
+        c = x * x if self is other else x * pack(other.terms, ys, top_b)
+        raw = (c + int.from_bytes(digit * size, "little")).to_bytes(n * size, "little")
+        den = da * db
+        terms = {}
+        for e, i in zip(itertools.product(*map(range, dims)), range(0, n * size, n)):
+            s = raw[i:i + n]
+            if s != digit:
+                c = int.from_bytes(s, "little") - half
+                terms[e] = c if den == 1 else _ratio(c, den)
         return MultiPoly._of(self.vars, terms)
 
     __rmul__ = __mul__
@@ -513,6 +609,26 @@ class RingSpec:
     def try_div(self, a, b):
         """Unique x with b*x == a, or None when absent/ambiguous."""
         raise NotImplementedError
+
+    def row_sum(self, acc, sign, entries, xs, powers, q, refuse, divisor=1):
+        """(acc + sign * the sum of weight * q^qpow * xs[v]^exp) / divisor, over
+        the ghost-table entries (v, weight, exp, qpow); None when the int
+        divisor leaves no quotient in the ring.
+
+        powers caches the powers of xs (see cached_power); q is an int or a
+        payload.  A Fraction weight on a non-zero power needs a Q-algebra;
+        elsewhere refuse() is raised.  Each entry is added in turn with the
+        payloads' own operators, so a residue is left unreduced.
+        """
+        for v, weight, exp, qpow in entries:
+            if not xs[v]:  # a zero int or Fraction adds nothing
+                continue
+            p = xs[v] if exp == 1 else cached_power(self, xs, v, exp, powers)
+            if type(weight) is Fraction and not (self.is_qalgebra or self.is_zero(p)):
+                raise refuse()
+            k = weight * q ** qpow if qpow else weight
+            acc = acc + k * p if sign > 0 else acc - k * p
+        return acc if divisor == 1 else self.try_div(acc, self.from_int(divisor))
 
     # -- textual form ----------------------------------------------------------
     def parse_value(self, text: str):
@@ -757,14 +873,35 @@ class PolyRing(RingSpec):
 
     def try_div(self, a, b):
         # supports only the scalar divisions the solvers need
-        if b.is_zero():
+        one = (0,) * len(self.vars)
+        if list(b.terms) != [one]:
             return None
-        if list(b.terms.keys()) == [(0,) * len(self.vars)]:
-            out = a * (1 / _as_fraction(b.terms[(0,) * len(self.vars)]))
-            if not self.rational and not out.is_integral():
-                return None
-            return out
-        return None
+        d = b.terms[one]
+        if type(d) is int:
+            terms = _divide_terms(a.terms, d, self.rational)
+            return None if terms is None else MultiPoly._of(self.vars, terms)
+        out = a * (1 / d)
+        return out if self.rational or out.is_integral() else None
+
+    def row_sum(self, acc, sign, entries, xs, powers, q, refuse, divisor=1):
+        # one pass over a coefficient dict, and one MultiPoly for the row
+        out = dict(acc.terms)
+        get = out.get
+        for v, weight, exp, qpow in entries:
+            p = xs[v] if exp == 1 else cached_power(self, xs, v, exp, powers)
+            if not p.terms:
+                continue
+            if type(weight) is Fraction and not self.rational:
+                raise refuse()
+            k = weight if sign > 0 else -weight
+            if qpow and type(q) is int:
+                k *= q ** qpow
+            elif qpow:  # q is a polynomial: the indeterminate of a universal solve
+                p = p * q ** qpow
+            for e, c in p.terms.items():
+                out[e] = get(e, 0) + k * c
+        terms = _divide_terms(out, divisor, self.rational)
+        return None if terms is None else MultiPoly._of(self.vars, terms)
 
     def parse_value(self, text):
         terms = _parse_poly_terms(text, self.vars)

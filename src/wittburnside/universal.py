@@ -53,7 +53,7 @@ from .errors import (
     NumericalityViolation,
 )
 from .groups import FiniteGroup, subgroup_classes
-from .rings import ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing
+from .rings import ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing, cached_power
 
 OPS = ("sum", "prod", "neg")
 FORMAT = "u2"  # on-disk format tag; part of every cache file name
@@ -170,24 +170,9 @@ def evaluate(terms, R, payloads):
     for coeff, factors in terms:
         term = R.from_int(coeff) if type(coeff) is int else coeff
         for vi, e in factors:
-            term = R.mul(term, _pow(R, payloads, vi, e, cache))
+            term = R.mul(term, cached_power(R, payloads, vi, e, cache))
         total = R.add(total, term)
     return total
-
-
-def _pow(R, xs, v, e, cache):
-    """xs[v] ** e in R (e >= 1), by squarings and products that `cache` shares."""
-    p = cache.get((v, e))
-    if p is None:
-        if e == 1:
-            p = xs[v]
-        elif e % 2:
-            p = R.mul(_pow(R, xs, v, e - 1, cache), xs[v])
-        else:
-            h = _pow(R, xs, v, e // 2, cache)
-            p = R.mul(h, h)
-        cache[v, e] = p
-    return p
 
 
 def linear_table(table, indices=None):
@@ -229,66 +214,56 @@ def _first_fraction(table, R, xs):
 def ghost_values(table, R, xs, qv=None, context=None):
     """The ghost w(x) of payloads xs in R; qv is the payload of q in the q-model.
 
-    A Fraction weight on a non-zero payload needs a Q-algebra; elsewhere it
-    raises NonIntegralConstant, naming `context` and the constant that
-    `_first_fraction` picks.
+    Each row is one `R.row_sum`.  A Fraction weight on a non-zero payload
+    needs a Q-algebra; elsewhere it raises NonIntegralConstant, naming
+    `context` and the constant that `_first_fraction` picks.
     """
-    out = []
     cache = {}
-    for row in table:
-        s = R.zero()
-        for v, weight, exp, qpow in row:
-            if not xs[v]:  # a zero int or Fraction adds nothing; polynomials are never falsy
-                continue
-            term = _pow(R, xs, v, exp, cache)
-            if type(weight) is Fraction and not (R.is_qalgebra or R.is_zero(term)):
-                raise _refused(R, _first_fraction(table, R, xs), context)
-            # an int scales every payload; R.add below reduces it in Z/m
-            term = weight * term
-            if qpow:
-                term = R.mul(R.pow(qv, qpow), term)
-            s = R.add(s, term)
-        out.append(s)
-    return out
+    zero = R.zero()
+
+    def refuse():
+        return _refused(R, _first_fraction(table, R, xs), context)
+
+    out = [R.row_sum(zero, 1, row, xs, cache, qv, refuse) for row in table]
+    return [R.from_int(s) for s in out] if isinstance(R, ResidueRing) else out
 
 
 def solve_triangular(table, want, R, fail, q=None):
     """The payloads s in R with w(s) = want, row by row.
 
-    Row u subtracts the terms of its earlier entries from want[u], using the
-    payloads' own operators (an integer weight times a power of an integer q
-    scales a payload as a scalar), and divides by its diagonal weight.  q is
-    the q-model's q: an int, or the indeterminate as a payload of R.  Outside
-    a Q-algebra a Fraction diagonal admits only the zero payload, the one
-    payload `ghost_values` takes under that weight, so its row is solved only
-    when what remains of want[u] is zero.  When a row has no solution in R,
-    the exception fail(u, R) is raised, so each caller names the failing
-    class or index in its own terms; so is a Fraction weight outside a
-    Q-algebra off the diagonal on a non-zero payload.  Residues are reduced
-    at the end.
+    Row u subtracts the terms of its earlier entries from want[u] and
+    divides by its diagonal weight, in one `R.row_sum` when that weight is an
+    int (an integer weight times a power of an integer q scales a payload as
+    a scalar).  q is the q-model's q: an int, or the indeterminate as a
+    payload of R.  Outside a Q-algebra a Fraction diagonal admits only the
+    zero payload, the one payload `ghost_values` takes under that weight, so
+    its row is solved only when what remains of want[u] is zero.  When a row
+    has no solution in R, the exception fail(u, R) is raised, so each caller
+    names the failing class or index in its own terms; so is a Fraction
+    weight outside a Q-algebra off the diagonal on a non-zero payload.
+    Residues are reduced at the end.
     """
     solved = []
     powers = {}
+
+    def refuse():
+        return fail(u, R)
+
     for u, (row, acc) in enumerate(zip(table, want)):
-        for v, weight, exp, qpow in row[:-1]:
-            if not solved[v]:  # a zero int or Fraction adds nothing; polynomials are never falsy
-                continue
-            p = solved[v] if exp == 1 else _pow(R, solved, v, exp, powers)
-            if type(weight) is Fraction and not (R.is_qalgebra or R.is_zero(p)):
-                raise fail(u, R)
-            acc = acc - (weight * q ** qpow if qpow else weight) * p
         d = row[-1][1]
-        if type(d) is Fraction and R.is_qalgebra:
-            acc = acc * (1 / d)
-        elif type(d) is Fraction:
-            # ghost_values refuses this weight on a non-zero payload, so zero
-            # is the only payload that can solve the row
-            if not R.is_zero(acc):
-                raise fail(u, R)
-            acc = R.zero()
-        elif d != 1:
-            acc = R.try_div(acc, R.from_int(d))
+        if type(d) is int:
+            acc = R.row_sum(acc, -1, row[:-1], solved, powers, q, refuse, d)
             if acc is None:
+                raise fail(u, R)
+        else:
+            acc = R.row_sum(acc, -1, row[:-1], solved, powers, q, refuse)
+            if R.is_qalgebra:
+                acc = acc * (1 / d)
+            elif R.is_zero(acc):
+                # ghost_values refuses this weight on a non-zero payload, so
+                # zero is the only payload that can solve the row
+                acc = R.zero()
+            else:
                 raise fail(u, R)
         solved.append(acc)
     if isinstance(R, ResidueRing):
