@@ -464,10 +464,17 @@ def cmd_operator(args):
     return 0
 
 
+# `qpoly P` computes P_{n,i,j} for every pair of divisors, at a cost that
+# grows steeply with n: about 1 s at n = 120, 42 s at n = 720
+QPOLY_N_BOUND = 120
+
+
 def cmd_qpoly(args):
     n = args.n
     if n < 1:
         raise SchemaError("--n must be a positive integer")
+    if n > QPOLY_N_BOUND:
+        raise DomainError(f"--n {n} exceeds supported bound {QPOLY_N_BOUND}")
     if args.kind == "P":
         polys = {}
         for i in divisors(n):

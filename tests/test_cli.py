@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from wittburnside.cli import main
+from wittburnside.cli import QPOLY_N_BOUND, main
 from wittburnside.errors import SchemaError
 from wittburnside.verify import run_suite
 
@@ -133,6 +133,16 @@ def test_domain_error_exits_3(capsys, tmp_path):
     code, _, err = run_main(capsys, "theta", "--inverse", a)
     assert code == 3
     assert "NotInvertibleIndex" in err
+
+
+def test_qpoly_beyond_its_bound_exits_3(capsys):
+    code, out, err = run_main(capsys, "qpoly", "P", "--n", str(QPOLY_N_BOUND + 1))
+    assert (code, out) == (3, "")
+    assert err == f"DomainError: --n {QPOLY_N_BOUND + 1} exceeds supported bound {QPOLY_N_BOUND}\n"
+    code, _, err = run_main(capsys, "qpoly", "tau", "--n", "100000")
+    assert code == 3 and "DomainError" in err
+    code, out, _ = run_main(capsys, "qpoly", "tau", "--n", str(QPOLY_N_BOUND))
+    assert code == 0 and json.loads(out)["n"] == QPOLY_N_BOUND
 
 
 def test_flavor_mismatch_exits_2(capsys, tmp_path):

@@ -2,14 +2,20 @@
 
 MultiPoly and QPolynomial store an integral coefficient as an int and keep
 a Fraction only for a non-integral one; their products, sums and powers
-must equal the reference on seeded random inputs.  The shared power
+must equal the reference on seeded random inputs, on both product paths:
+the packed-exponent loop for sparse operands and Kronecker substitution
+for dense ones.  A polynomial ring's one-pass row sum must equal the
+per-entry loop every other ring runs, and its exact division by an integer
+constant the product with that constant's inverse.  The shared power
 routine squares only while bits of the exponent remain.
 """
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from wittburnside.errors import NonIntegralConstant
 from wittburnside.rings import (
     QQ,
     MultiPoly,
@@ -149,6 +155,80 @@ def test_multipoly_cancellation_and_zero(nv):
     check_mp(h * h * 4, {(0,) * nv: 1})
 
 
+def rand_dense(rng, nv, deg, big=False):
+    """Most monomials with every exponent <= deg, each with a random coefficient."""
+    terms = {}
+    for e in itertools.product(range(deg + 1), repeat=nv):
+        if rng.random() < 0.9:
+            c = rand_coeff(rng) or 1
+            if big:  # near 10^40, of either sign
+                c = rng.choice((-1, 1)) * 10 ** 40 + c * rng.randint(1, 10 ** 6)
+            terms[e] = Fraction(c)
+    return ref_clean(terms)
+
+
+@pytest.fixture
+def kronecker_calls(monkeypatch):
+    """Counts the products that take the dense path."""
+    calls = []
+    dense = MultiPoly._kronecker
+
+    def counted(self, *args):
+        calls.append(len(self.vars))
+        return dense(self, *args)
+
+    monkeypatch.setattr(MultiPoly, "_kronecker", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_dense_products_match_schoolbook_reference(seed, kronecker_calls):
+    rng = random.Random(2000 + seed)
+    nv = 1 + seed % 3
+    deg = rng.randint(*((12, 24), (4, 12), (3, 5))[nv - 1])
+    big = seed % 4 == 3
+    vars = tuple("xyz"[:nv])
+    a, b = rand_dense(rng, nv, deg, big), rand_dense(rng, nv, rng.randint(deg // 2, deg), big)
+    pa, pb = mp(vars, a), mp(vars, b)
+    check_mp(pa * pb, ref_mul(a, b))
+    check_mp(pb * pa, ref_mul(a, b))
+    n = 3 if nv == 1 else 2
+    check_mp(pb ** n, ref_pow(b, n, nv))
+    before = len(kronecker_calls)
+    check_mp(pa * pa, ref_mul(a, a))
+    assert len(kronecker_calls) == before + 1
+
+
+@pytest.mark.parametrize("nv", (1, 2, 3))
+def test_dense_products_that_cancel(nv, kronecker_calls):
+    # a(x) * a(-x) is even: every slot of odd total degree cancels to zero
+    rng = random.Random(3000 + nv)
+    vars = tuple("xyz"[:nv])
+    for scale in (1, Fraction(-1, 2), 10 ** 40, Fraction(3, 10 ** 40)):
+        a = {e: c * scale for e, c in rand_dense(rng, nv, (16, 8, 3)[nv - 1]).items()}
+        b = {e: -c if sum(e) % 2 else c for e, c in a.items()}
+        got = mp(vars, a) * mp(vars, b)
+        check_mp(got, ref_mul(a, b))
+        assert got.terms and all(sum(e) % 2 == 0 for e in got.terms)
+    assert kronecker_calls.count(nv) == 4
+
+
+def test_sparse_products_allocate_no_box(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a sparse product took the dense path")
+
+    monkeypatch.setattr(MultiPoly, "_kronecker", refused)
+    vars = ("x", "y")
+    x, y = MultiPoly.variable(vars, "x"), MultiPoly.variable(vars, "y")
+    one = MultiPoly.constant(vars, 1)
+    got = (x ** 10 ** 9 + one) * (y - one)
+    assert got.terms == {(10 ** 9, 1): 1, (10 ** 9, 0): -1, (0, 1): 1, (0, 0): -1}
+    # many variables and few terms, as in a universal solve
+    many = tuple(f"a_{i}" for i in range(12))
+    p = MultiPoly(many, {tuple(3 * (i == j) for j in range(12)): 2 + i for i in range(12)})
+    check_mp(p * p, ref_mul(p.terms, p.terms))
+
+
 def test_multipoly_input_coefficients_are_stored_int_first():
     p = MultiPoly(("x",), {(1,): Fraction(4, 2), (2,): Fraction(1, 3), (3,): True, (4,): 0})
     assert p.terms == {(1,): 2, (2,): Fraction(1, 3), (3,): 1}
@@ -215,6 +295,71 @@ def test_try_div_is_exact():
     got = Z.try_div(Z.mul(Z.from_int(6), Z.variable("x")), Z.from_int(3))
     assert got.terms == {(1,): 2} and type(got.terms[(1,)]) is int
     assert QQ.try_div(6, 4) == Fraction(3, 2) and type(QQ.try_div(6, 4)) is Fraction
+
+
+@pytest.mark.parametrize("name", ("ZPoly(x,y)", "QPoly(x,y)"))
+def test_try_div_by_an_integer_constant_equals_the_inverse_scaling(name):
+    # the quotient the solves, theta_inv and UniTriMatrix.invert read: equal,
+    # in value and stored type, to the product with 1/d, and None over ZPoly
+    # exactly when that product has a fractional coefficient
+    R = parse_ring(name)
+    rng = random.Random(f"try_div:{name}")
+    polys = [R.zero(), R.one(), R.from_int(-12)]
+    for _ in range(12):
+        terms = rand_terms(rng, 2)
+        if not R.is_qalgebra:
+            terms = {e: Fraction(c.numerator) for e, c in terms.items()}
+        polys.append(mp(R.vars, terms))
+    for a in polys:
+        for d in (1, -1, 2, -2, 3, -6, 7, 10 ** 30):
+            got = R.try_div(a, R.from_int(d))
+            want = a * Fraction(1, d)
+            if not R.is_qalgebra and not want.is_integral():
+                want = None
+            assert got == want, (a, d)
+            if got is not None:
+                check_mp(got, want.terms)
+        assert R.try_div(a, R.zero()) is None
+    assert R.try_div(R.zero(), R.from_int(-5)).terms == {}
+    x = R.variable("x")
+    assert R.try_div(x, x) is None  # only constant divisors are supported
+
+
+def refused():
+    return NonIntegralConstant("refused")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonIntegralConstant as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ("ZPoly(x,y)", "QPoly(x,y)"))
+def test_polynomial_row_sum_matches_the_per_entry_loop(name):
+    # PolyRing.row_sum against the RingSpec default that the scalar rings run
+    R = parse_ring(name)
+    rng = random.Random(f"row_sum:{name}")
+    for _ in range(60):
+        xs = []
+        for _ in range(4):
+            terms = rand_terms(rng, 2) if rng.random() < 0.8 else {}
+            if not R.is_qalgebra:
+                terms = {e: Fraction(c.numerator) for e, c in terms.items()}
+            xs.append(mp(R.vars, terms))
+        entries = [(rng.randrange(4), rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-3, 4))),
+                    rng.randint(1, 3), rng.choice((0, 0, 1, 2)))
+                   for _ in range(rng.randint(0, 5))]
+        q = rng.choice((2, -3, R.variable("y")))
+        acc = xs[rng.randrange(4)]
+        sign = rng.choice((1, -1))
+        divisor = rng.choice((1, 1, 2, -3, 6))
+        got = outcome(R.row_sum, acc, sign, entries, xs, {}, q, refused, divisor)
+        want = outcome(RingSpec.row_sum, R, acc, sign, entries, xs, {}, q, refused, divisor)
+        assert got == want, (entries, q, sign, divisor)
+        if isinstance(got, MultiPoly):
+            check_mp(got, want.terms)
 
 
 # -- the power routine ----------------------------------------------------------------
