@@ -233,8 +233,8 @@ def solve_triangular(table, want, R, fail, q=None):
 
     Row u subtracts the terms of its earlier entries from want[u] and
     divides by its diagonal weight, in one `R.row_sum` when that weight is an
-    int (an integer weight times a power of an integer q scales a payload as
-    a scalar).  q is the q-model's q: an int, or the indeterminate as a
+    int; an integer weight times a power of an integer q scales a payload as
+    a scalar.  q is the q-model's q: an int, or the indeterminate as a
     payload of R.  Outside a Q-algebra a Fraction diagonal admits only the
     zero payload, the one payload `ghost_values` takes under that weight, so
     its row is solved only when what remains of want[u] is zero.  When a row
@@ -251,20 +251,18 @@ def solve_triangular(table, want, R, fail, q=None):
 
     for u, (row, acc) in enumerate(zip(table, want)):
         d = row[-1][1]
-        if type(d) is int:
-            acc = R.row_sum(acc, -1, row[:-1], solved, powers, q, refuse, d)
-            if acc is None:
+        acc = R.row_sum(acc, -1, row[:-1], solved, powers, q, refuse,
+                        1 if type(d) is Fraction else d)
+        if acc is None:
+            raise fail(u, R)
+        if type(d) is Fraction and R.is_qalgebra:
+            acc = acc * (1 / d)
+        elif type(d) is Fraction:
+            # ghost_values refuses this weight on a non-zero payload, so zero
+            # is the only payload that can solve the row
+            if not R.is_zero(acc):
                 raise fail(u, R)
-        else:
-            acc = R.row_sum(acc, -1, row[:-1], solved, powers, q, refuse)
-            if R.is_qalgebra:
-                acc = acc * (1 / d)
-            elif R.is_zero(acc):
-                # ghost_values refuses this weight on a non-zero payload, so
-                # zero is the only payload that can solve the row
-                acc = R.zero()
-            else:
-                raise fail(u, R)
+            acc = R.zero()
         solved.append(acc)
     if isinstance(R, ResidueRing):
         return [R.from_int(s) for s in solved]
