@@ -185,7 +185,7 @@ def kronecker_calls(monkeypatch):
 def test_dense_products_match_schoolbook_reference(seed, kronecker_calls):
     rng = random.Random(2000 + seed)
     nv = 1 + seed % 3
-    deg = rng.randint(*((12, 24), (4, 12), (3, 5))[nv - 1])
+    deg = rng.randint(*((12, 24), (4, 10), (3, 4))[nv - 1])
     big = seed % 4 == 3
     vars = tuple("xyz"[:nv])
     a, b = rand_dense(rng, nv, deg, big), rand_dense(rng, nv, rng.randint(deg // 2, deg), big)
