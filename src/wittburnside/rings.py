@@ -86,15 +86,17 @@ def _canon(x):
 
 
 def _ratio(num: int, den: int):
-    """num/den as a stored coefficient; exact, through Fraction."""
-    if den == 1:
-        return num
-    return _canon(Fraction(num, den))
+    """num/den as a stored coefficient; a Fraction only when not integral."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+_denominator = operator.attrgetter("denominator")
 
 
 def _over_common_denominator(coeffs):
     """(den, ints) with ints[i] == coeffs[i] * den, den the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in coeffs))
+    den = math.lcm(*map(_denominator, coeffs))
     if den == 1:
         return 1, coeffs
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
@@ -397,17 +399,41 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return MultiPoly._of(self.vars, {})
-        top_a, top_b = list(map(max, zip(*a))), list(map(max, zip(*b)))
-        # The product's exponent box, sized before anything is allocated.
-        # Kronecker substitution pays off once the operands' monomial pairs
-        # exceed 1.5 times the box's slots, which its unpacking visits, plus
-        # 32 for its fixed cost (measured on 1-3 variables, degrees 1-24).
-        dims = [x + y + 1 for x, y in zip(top_a, top_b)]
-        if 3 * math.prod(dims) + 64 <= 2 * len(a) * len(b):
-            return self._kronecker(other, dims, top_a, top_b)
-        # Sparse operands: pack each exponent tuple into one int, one bit field
-        # per variable, wide enough for the exponents of the product, so a
-        # monomial product is one int add (Monagan-Pearce packed exponents).
+        # Three routes.  Kronecker substitution pays off once the operands'
+        # monomial pairs exceed 1.5 times the product's exponent box, whose
+        # slots its unpacking visits, plus 32 for its fixed cost (measured on
+        # 1-3 variables, degrees 1-24): 3 * box + 64 <= 2 * pairs.  No box
+        # meets that below 34 pairs, so a smaller product skips sizing it and
+        # adds exponent tuples, which costs the least set-up; a larger sparse
+        # one packs its exponents into ints, whose one int add per pair wins
+        # once the pairs outweigh packing and unpacking the terms.
+        pairs = len(a) * len(b)
+        if pairs >= 34:
+            top_a, top_b = list(map(max, zip(*a))), list(map(max, zip(*b)))
+            dims = [x + y + 1 for x, y in zip(top_a, top_b)]
+            if 3 * math.prod(dims) + 64 <= 2 * pairs:
+                return self._kronecker(other, dims, top_a, top_b)
+            return self._packed(other, dims)
+        da, xs = _over_common_denominator(a.values())
+        db, ys = (da, xs) if a is b else _over_common_denominator(b.values())
+        pb = list(zip(b, ys))
+        out = {}
+        get = out.get
+        add = operator.add
+        for e, x in zip(a, xs):
+            for f, y in pb:
+                k = tuple(map(add, e, f))
+                out[k] = get(k, 0) + x * y
+        den = da * db
+        return MultiPoly._of(
+            self.vars, {k: c if den == 1 else _ratio(c, den) for k, c in out.items() if c})
+
+    def _packed(self, other, dims):
+        """The product of sparse operands of 34 pairs or more: each exponent
+        tuple packed into one int, one bit field per variable wide enough for
+        the product's exponents `dims`, so a monomial product is one int add
+        (Monagan-Pearce packed exponents)."""
+        a, b = self.terms, other.terms
         width = (max(dims, default=1) - 1).bit_length()
         shifts = [width * i for i in range(len(self.vars))]
         da, xs = _over_common_denominator(a.values())
@@ -611,9 +637,11 @@ class RingSpec:
         divisor leaves no quotient in the ring.
 
         powers caches the powers of xs (see cached_power); q is an int or a
-        payload.  A Fraction weight on a non-zero power needs a Q-algebra;
-        elsewhere refuse() is raised.  Each entry is added in turn with the
-        payloads' own operators, so a residue is left unreduced.
+        payload.  A weight is an int or a Fraction, or in the q-model at
+        symbolic q a Q[q] payload (a Frobenius weight).  A Fraction weight on
+        a non-zero power needs a Q-algebra; elsewhere refuse() is raised.
+        Each entry is added in turn with the payloads' own operators, so a
+        residue is left unreduced.
         """
         for v, weight, exp, qpow in entries:
             if not xs[v]:  # a zero int or Fraction adds nothing
@@ -807,6 +835,38 @@ class QPolyRing(RingSpec):
             return a.divexact(b)
         except NonExactDivision:
             return None
+
+    def row_sum(self, acc, sign, entries, xs, powers, q, refuse, divisor=1):
+        # one pass over a coefficient list, and one QPolynomial for the row
+        out = list(acc.coeffs)
+        shift = False
+        if type(q) is QPolynomial:
+            if q.coeffs == (0, 1):  # the indeterminate shifts coefficients
+                shift = True
+            elif len(q.coeffs) < 2:  # a constant scales the weight
+                q = q.coeffs[0] if q.coeffs else 0
+        for v, weight, exp, qpow in entries:
+            p = xs[v] if exp == 1 else cached_power(self, xs, v, exp, powers)
+            if not p.coeffs:
+                continue
+            k = weight if sign > 0 else -weight
+            at = 0
+            if qpow and shift:
+                at = qpow
+            elif qpow and type(q) is QPolynomial:
+                p = p * q ** qpow
+            elif qpow:
+                k = k * q ** qpow
+            if type(k) is QPolynomial:  # a Frobenius weight at symbolic q
+                p, k = k * p, 1
+            cs = p.coeffs
+            if len(out) < at + len(cs):
+                out.extend([0] * (at + len(cs) - len(out)))
+            for i, c in enumerate(cs, at):
+                out[i] += k * c
+        if divisor != 1:
+            out = [_ratio(c, divisor) if type(c) is int else c / divisor for c in out]
+        return QPolynomial(out)
 
     def parse_value(self, text):
         terms = _parse_poly_terms(text, ("q",))

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from wittburnside.cli import QPOLY_N_BOUND, main
+from wittburnside.cli import QPOLY_N_BOUND, QUNIVERSAL_N_BOUND, main
 from wittburnside.errors import SchemaError
 from wittburnside.verify import run_suite
 
@@ -143,6 +143,22 @@ def test_qpoly_beyond_its_bound_exits_3(capsys):
     assert code == 3 and "DomainError" in err
     code, out, _ = run_main(capsys, "qpoly", "tau", "--n", str(QPOLY_N_BOUND))
     assert code == 0 and json.loads(out)["n"] == QPOLY_N_BOUND
+
+
+def test_quniversal_beyond_its_bound_exits_3(capsys):
+    over = QUNIVERSAL_N_BOUND + 1
+    code, out, err = run_main(capsys, "quniversal", "--op", "prod", "--trunc", str(over))
+    assert (code, out) == (3, "")
+    assert err == (f"DomainError: truncation set member {over} exceeds supported bound "
+                   f"{QUNIVERSAL_N_BOUND}\n")
+    code, _, err = run_main(capsys, "quniversal", "--op", "sum", "--trunc-set", f"1,{over}")
+    assert code == 3 and "DomainError" in err
+    start = time.perf_counter()  # refused before div(N) factors N
+    code, _, err = run_main(capsys, "quniversal", "--op", "sum", "--trunc", str(10 ** 18))
+    assert code == 3 and "DomainError" in err
+    assert time.perf_counter() - start < 2.0
+    code, out, _ = run_main(capsys, "quniversal", "--op", "neg", "--trunc", str(QUNIVERSAL_N_BOUND))
+    assert code == 0 and json.loads(out)["trunc"][-1] == QUNIVERSAL_N_BOUND
 
 
 def test_flavor_mismatch_exits_2(capsys, tmp_path):

@@ -2,11 +2,13 @@
 
 MultiPoly and QPolynomial store an integral coefficient as an int and keep
 a Fraction only for a non-integral one; their products, sums and powers
-must equal the reference on seeded random inputs, on both product paths:
-the packed-exponent loop for sparse operands and Kronecker substitution
-for dense ones.  A polynomial ring's one-pass row sum must equal the
-per-entry loop every other ring runs, and its exact division by an integer
-constant the product with that constant's inverse.  The shared power
+must equal the reference on seeded random inputs, on each of the three
+product routes: a loop over exponent tuples below 34 monomial pairs, and
+from there Kronecker substitution for dense operands and the
+packed-exponent loop for sparse ones.  The one-pass row sums of the
+polynomial rings and of Q[q] must equal the per-entry loop the scalar
+rings run, and a polynomial ring's exact division by an integer constant
+the product with that constant's inverse.  The shared power
 routine squares only while bits of the exponent remain.
 """
 import itertools
@@ -18,6 +20,7 @@ import pytest
 from wittburnside.errors import NonIntegralConstant
 from wittburnside.rings import (
     QQ,
+    QQ_Q,
     MultiPoly,
     QPolynomial,
     RingSpec,
@@ -181,6 +184,27 @@ def kronecker_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def routed(monkeypatch):
+    """routed(a, b) is (a * b, the route it took): "dense", "packed", or
+    "tuples" when neither of those methods ran."""
+    taken = []
+    for name, route in (("_kronecker", "dense"), ("_packed", "packed")):
+        def counted(self, *args, _method=getattr(MultiPoly, name), _route=route):
+            taken.append(_route)
+            return _method(self, *args)
+
+        monkeypatch.setattr(MultiPoly, name, counted)
+
+    def product(a, b):
+        before = len(taken)
+        got = a * b
+        assert len(taken) <= before + 1
+        return got, taken[before] if len(taken) > before else "tuples"
+
+    return product
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_dense_products_match_schoolbook_reference(seed, kronecker_calls):
     rng = random.Random(2000 + seed)
@@ -281,6 +305,69 @@ def test_qpolynomial_stores_int_first():
     check_qp(QPolynomial([3, 0, 6]).divexact(QPolynomial([2])), [Fraction(3, 2), 0, 3])
 
 
+def rand_sparse(rng, nv, n, top):
+    """n terms with distinct exponents in 0..top, at most 3 variables each."""
+    terms = {}
+    while len(terms) < n:
+        e = [0] * nv
+        for i in rng.sample(range(nv), min(nv, 3)):
+            e[i] = rng.randint(0, top)
+        terms[tuple(e)] = Fraction(rand_coeff(rng) or rng.choice((1, -1)))
+    return terms
+
+
+# (n_a, n_b): 33 pairs, one short of the cut, then 34 and more
+SPARSE_SHAPES = ((3, 11), (1, 33), (11, 3), (2, 17), (34, 1), (6, 6), (9, 9))
+
+
+@pytest.mark.parametrize("nv", (1, 2, 3, 6, 17))
+@pytest.mark.parametrize("shape", SPARSE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_sparse_products_match_schoolbook_reference(nv, shape, routed):
+    rng = random.Random(f"sparse:{nv}:{shape}")
+    vars = tuple(f"v{i}" for i in range(nv))
+    n_a, n_b = shape
+    want_route = "tuples" if n_a * n_b < 34 else "packed"
+    for trial in range(4):
+        a, b = rand_sparse(rng, nv, n_a, 60), rand_sparse(rng, nv, n_b, 60)
+        if trial == 1:  # integer coefficients only, negatives among them
+            a = {e: Fraction(c.numerator) for e, c in a.items()}
+            b = {e: -Fraction(c.numerator) for e, c in b.items()}
+        if trial == 2:  # b(v) = a(-v) on the shared terms: odd cross terms cancel
+            b = {e: -c if sum(e) % 2 else c for e, c in a.items()} if n_a == n_b else b
+        pa, pb = mp(vars, a), mp(vars, b)
+        got, route = routed(pa, pb)
+        check_mp(got, ref_mul(a, b))
+        assert route == want_route
+        got, route = routed(pb, pa)
+        check_mp(got, ref_mul(a, b))
+        assert route == want_route
+    # a * a: the packed route from 6 terms (36 pairs), the tuple route below
+    for n in (5, 6):
+        a = rand_sparse(rng, nv, n, 60)
+        pa = mp(vars, a)
+        got, route = routed(pa, pa)
+        check_mp(got, ref_mul(a, a))
+        assert route == ("tuples" if n * n < 34 else "packed")
+
+
+@pytest.mark.parametrize("nv", (1, 2, 3, 6, 17))
+def test_sparse_products_that_cancel(nv, routed):
+    # (u - v)(u + v) = u^2 - v^2 on both sides of the cut; the cross terms
+    # cancel to zero and must leave no stored zero behind
+    rng = random.Random(f"cancel:{nv}")
+    vars = tuple(f"v{i}" for i in range(nv))
+    for n in (1, 2, 3, 5):
+        items = list(rand_sparse(rng, nv, 2 * n, 60).items())
+        u, v = dict(items[:n]), dict(items[n:])
+        pu, pv = mp(vars, u), mp(vars, v)
+        got, route = routed(pu - pv, pu + pv)
+        check_mp(got, ref_add(ref_mul(u, u), {e: -c for e, c in ref_mul(v, v).items()}))
+        assert route == ("tuples" if (2 * n) ** 2 < 34 else "packed")
+        x = mp(vars, {e: c * 10 ** 30 for e, c in u.items()})
+        got, _ = routed(x, -x)
+        check_mp(got, {e: -c for e, c in ref_mul(x.terms, x.terms).items()})
+
+
 # -- exact division ----------------------------------------------------------------
 
 
@@ -360,6 +447,46 @@ def test_polynomial_row_sum_matches_the_per_entry_loop(name):
         assert got == want, (entries, q, sign, divisor)
         if isinstance(got, MultiPoly):
             check_mp(got, want.terms)
+
+
+def never_refused():
+    raise AssertionError("Q[q] is a Q-algebra and refuses no weight")
+
+
+def test_qpoly_row_sum_matches_the_per_entry_loop():
+    # QPolyRing.row_sum against the RingSpec default: q an int, a constant
+    # payload, the indeterminate or another payload; int, Fraction and Q[q]
+    # weights; both signs; divisors that leave integer coefficients and ones
+    # that do not
+    rng = random.Random("row_sum:Q[q]")
+    qs = (2, -3, 0, QPolynomial.constant(5), QPolynomial.constant(Fraction(-1, 2)),
+          QPolynomial(), QPolynomial.variable(), QPolynomial((1, 1)), QPolynomial((0, 2)))
+    integral = 0
+    for t in range(270):
+        q = qs[t % len(qs)]
+        divides = t % 3 == 0  # integer data scaled by the divisor
+        divisor = rng.choice((1, 2, -3, 6))
+        scale = divisor if divides else 1
+        xs = []
+        for _ in range(4):
+            cs = rand_coeffs(rng) if rng.random() < 0.85 else []
+            xs.append(QPolynomial([Fraction(c).numerator for c in cs] if divides else cs))
+        weights = ((1, -2, 3) if divides else
+                   (1, -2, 3, Fraction(1, 2), Fraction(-3, 4), QPolynomial(rand_coeffs(rng))))
+        entries = [(rng.randrange(4), rng.choice(weights) * scale, rng.randint(1, 3),
+                    rng.choice((0, 0, 1, 2, 3)))
+                   for _ in range(rng.randint(0, 5))]
+        acc = xs[rng.randrange(4)] * scale
+        sign = rng.choice((1, -1))
+        got = QQ_Q.row_sum(acc, sign, entries, xs, {}, q, never_refused, divisor)
+        want = RingSpec.row_sum(QQ_Q, acc, sign, entries, xs, {}, q, never_refused, divisor)
+        assert got == want, (entries, q, sign, divisor)
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+        assert all(stored(c) for c in got.coeffs)
+        if divides and (type(q) is int or q.is_integral()):
+            assert got.is_integral()
+            integral += divisor != 1
+    assert integral > 20
 
 
 # -- the power routine ----------------------------------------------------------------
