@@ -332,7 +332,7 @@ def test_sparse_products_match_schoolbook_reference(nv, shape, routed):
         if trial == 1:  # integer coefficients only, negatives among them
             a = {e: Fraction(c.numerator) for e, c in a.items()}
             b = {e: -Fraction(c.numerator) for e, c in b.items()}
-        if trial == 2:  # b(v) = a(-v) on the shared terms: odd cross terms cancel
+        if trial == 2:  # b(v) = a(-v) where the shapes agree: odd cross terms cancel
             b = {e: -c if sum(e) % 2 else c for e, c in a.items()} if n_a == n_b else b
         pa, pb = mp(vars, a), mp(vars, b)
         got, route = routed(pa, pb)
