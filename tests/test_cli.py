@@ -98,6 +98,18 @@ def _inp(name):
         (("qwitt", "teichmuller", "--q", "2", _inp("witt_1to8_a.json")),
          "qwitt_teichmuller_q2_1to8.json"),
         (("teichmuller", _inp("witt_D4_z8.json")), "teichmuller_D4_z8.json"),
+        (("cyclic", "necklace", "mul", _inp("necklace_div12_a.json"),
+          _inp("necklace_div12_b.json")), "cyclic_necklace_mul_div12.json"),
+        (("cyclic", "aperiodic", "mul", _inp("aperiodic_div12_a.json"),
+          _inp("aperiodic_div12_b.json")), "cyclic_aperiodic_mul_div12.json"),
+        (("cyclic", "frobenius", "--r", "2", _inp("necklace_div12_a.json")),
+         "cyclic_necklace_frobenius_2_div12.json"),
+        (("qwitt", "mul", "--q", "2", _inp("necklace_1to8_a.json"), _inp("necklace_1to8_b.json")),
+         "qwitt_necklace_mul_q2_1to8.json"),
+        (("qwitt", "mul", "--q", "q", _inp("aperiodic_div6_qq_a.json"),
+          _inp("aperiodic_div6_qq_b.json")), "qwitt_aperiodic_mul_qq_div6.json"),
+        (("qwitt", "frobenius", "--q", "q", "--r", "2", _inp("necklace_div8_qq.json")),
+         "qwitt_necklace_frobenius_qq_2_div8.json"),
     ],
 )
 def test_golden_vector_outputs(argv, golden):
