@@ -12,8 +12,9 @@ container:
     Aperiodic  componentwise addition, index-weighted structure constants
     Ghost      componentwise everything (the product target of ghost maps)
 
-Every necklace and aperiodic product, here and in the cyclic and q models,
-is one loop (`_table_mul`) over a sparse table of structure constants.
+A necklace or aperiodic product on a group is one loop (`_table_mul`) over
+the sparse table of its double-coset structure constants; on a truncation
+set, in the cyclic and q models, it is the solve of the ghosts' product.
 
 Transports between the flavors:
 
@@ -228,9 +229,9 @@ def _flavor_op(op, x, y, witt_op, mul):
 
 
 def _table_mul(x, y, table):
-    """(x y)_k = sum of c x_i y_j over the entries (i, j, k): c of a sparse table;
-    c is an int, a Fraction (refused outside a Q-algebra unless integral) or
-    a payload of x's ring."""
+    """(x y)_k = sum of c x_i y_j over the entries (i, j, k): c of a group's
+    sparse structure-constant table; c is an int or a Fraction (refused
+    outside a Q-algebra unless integral)."""
     R = x.ring
     xs, ys = x.payloads(), y.payloads()
     out = [R.zero() for _ in xs]

@@ -280,13 +280,19 @@ def _qcontext(args):
 
 
 def _truncation(args, default=None):
+    """The q-model truncation set of --trunc-set or --trunc, else default; a
+    member above the q-model's bound is refused, and --trunc N before div(N)
+    factors N."""
     if getattr(args, "trunc_set", None) is not None:
         try:
             members = [int(p) for p in args.trunc_set.split(",")]
         except ValueError:
             raise SchemaError(f"--trunc-set must be a comma list of integers")
-        return cyclic.TruncationSet(members)
+        T = cyclic.TruncationSet(members)
+        cyclic.check_q_member(T.members[-1])
+        return T
     if getattr(args, "trunc", None) is not None:
+        cyclic.check_q_member(args.trunc)
         return cyclic.TruncationSet.div(args.trunc)
     if default is not None:
         return default
@@ -501,17 +507,11 @@ def cmd_qpoly(args):
 QUNIVERSAL_N_BOUND = 16
 
 
-def _quniversal_bound(n):
-    if n > QUNIVERSAL_N_BOUND:
-        raise DomainError(
-            f"truncation set member {n} exceeds supported bound {QUNIVERSAL_N_BOUND}")
-
-
 def cmd_quniversal(args):
-    if args.trunc_set is None and args.trunc is not None:
-        _quniversal_bound(args.trunc)  # before div(N) factors a large N
     T = _truncation(args)
-    _quniversal_bound(T.members[-1])
+    if T.members[-1] > QUNIVERSAL_N_BOUND:
+        raise DomainError(f"truncation set member {T.members[-1]} exceeds supported bound "
+                          f"{QUNIVERSAL_N_BOUND}")
     uni = qdeform.q_universal(T, args.op)
     _emit(
         {

@@ -9,10 +9,12 @@ order N component-for-component.
 The flavor dictionary matches the group-indexed module: Witt coordinates
 with ghost w_n = sum_{d|n} d a_d^{n/d}, the necklace ring with
 (x y)_n = sum_{[i,j]=n} (i,j) x_i y_j, and the aperiodic ring with the same
-sum without the gcd weight, each a constant table.  Frobenius operators
-are characterised by the ghost shift n -> rn; on those two flavors they are
-integer linear tables (so defined over every coefficient ring).
-Verschiebung reindexes by r.
+sum without the gcd weight.  Every operation is solved on a ghost table
+(`universal.GhostSystem`): a product is the solve of the pointwise product
+of the ghosts, and the Frobenius f_r, characterised by the ghost shift
+n -> rn, the solve of the shifted ghost.  On the necklace and aperiodic
+flavors those solves are integer linear maps, so they are defined over
+every coefficient ring.  Verschiebung reindexes by r.
 """
 from __future__ import annotations
 
@@ -29,11 +31,11 @@ from .burnside import (
     IndexedVector,
     _check_operands,
     _flavor_op,
-    _table_mul,
     theta,
     theta_inv,
 )
 from .errors import (
+    DomainError,
     NotBinomial,
     NotInImage,
     SchemaError,
@@ -209,9 +211,25 @@ def _require_components(x: CyclicVector):
 # ghosts
 
 
+# The q-model's ghost row at n raises q to the powers n/d - 1: at an integer
+# q an integer of up to n bits, at the indeterminate a shift by up to n
+# coefficients.  Up to this bound a member costs milliseconds (see the
+# README); a member such as 10^18 + 9 could never be formed, so the q-model
+# refuses a truncation set with a larger member before it builds a row.
+Q_MEMBER_BOUND = 10_000
+
+
+def check_q_member(n: int):
+    """Refuse a q-model truncation set member n above Q_MEMBER_BOUND."""
+    if n > Q_MEMBER_BOUND:
+        raise DomainError(f"truncation set member {n} exceeds the q-model bound {Q_MEMBER_BOUND}")
+
+
 @lru_cache(maxsize=None)
 def _ghost_table(T: TruncationSet, q: bool = False):
     """Ghost rows (d, d, n/d, n/d - 1 in the q-model else 0) of each n in T."""
+    if q:
+        check_q_member(T.members[-1])
     return tuple(
         tuple((T.position(d), d, n // d, n // d - 1 if q else 0) for d in T.divisors(n))
         for n in T
@@ -224,6 +242,31 @@ def _flavor_table(T: TruncationSet, q: bool, flavor: str):
     aperiodic one (weights d over the index d: 1), times q^(n/d - 1) in the
     q-model."""
     return linear_table(_ghost_table(T, q), T.members if flavor == APERIODIC else None)
+
+
+@lru_cache(maxsize=None)
+def _flavor_system(T: TruncationSet, q: bool, flavor: str, r: int | None = None):
+    """The ghost system of the necklace or aperiodic product over T or, given
+    r, of f_r: over {n : rn in T}, the ghost at n is the input's ghost at rn."""
+    table = _flavor_table(T, q, flavor)
+    if r is None:
+        return GhostSystem(T, T.members, table, "prod", q)
+    Tout = TruncationSet([n for n in T if r * n in T])
+    shift = (_flavor_table(Tout, q, flavor), [T.position(r * n) for n in Tout])
+    return GhostSystem(Tout, T.members, table, f"frob{r}", q, shift)
+
+
+def _flavor_apply(system, x, xs, q=None):
+    """system solved at the payloads xs of x's ring, as a vector of x's flavor;
+    q is the q-model's q (see `GhostSystem.apply`)."""
+    out = system.apply(x.ring, xs, q)
+    return CyclicVector.from_payloads(system.structure, x.flavor, x.ring, out)
+
+
+def _flavor_mul(x: CyclicVector, y: CyclicVector, q=None) -> CyclicVector:
+    """The necklace or aperiodic product: the solve of the ghosts' product."""
+    system = _flavor_system(x.truncation, q is not None, x.flavor)
+    return _flavor_apply(system, x, x.payloads() + y.payloads(), q)
 
 
 def cyc_witt_ghost(a: CyclicVector) -> CyclicVector:
@@ -297,25 +340,16 @@ def cyc_witt_op(op: str, a: CyclicVector, b: CyclicVector | None = None) -> Cycl
 # necklace / aperiodic operations
 
 
-@lru_cache(maxsize=None)
-def _mul_table(T: TruncationSet, flavor: str):
-    """The product constants {(i, j, n): c} over T (as positions): c = (i, j)
-    for the necklace flavor, 1 for the aperiodic one, wherever [i, j] = n."""
-    pos = T.position
-    return {(pos(i), pos(j), pos(n)): math.gcd(i, j) if flavor == NECKLACE else 1
-            for n in T for i in T.divisors(n) for j in T.divisors(n) if math.lcm(i, j) == n}
-
-
 def cyc_nr_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over lcm(i, j) = n of gcd(i, j) x_i y_j."""
     _check_operands("cyc_nr_mul", NECKLACE, "prod", x, y)
-    return _table_mul(_require_components(x), y, _mul_table(x.truncation, NECKLACE))
+    return _flavor_mul(_require_components(x), y)
 
 
 def cyc_ap_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over lcm(i, j) = n of x_i y_j, valid over every ring."""
     _check_operands("cyc_ap_mul", APERIODIC, "prod", x, y)
-    return _table_mul(_require_components(x), y, _mul_table(x.truncation, APERIODIC))
+    return _flavor_mul(_require_components(x), y)
 
 
 def cyc_nr_op(op: str, x: CyclicVector, y: CyclicVector | None = None) -> CyclicVector:
@@ -412,16 +446,6 @@ def _frobenius_universal(T: TruncationSet, r: int):
     return cu.truncation, cu
 
 
-@lru_cache(maxsize=None)
-def _frobenius_table(T: TruncationSet, r: int, flavor: str):
-    """f_r's linear rows over {n : rn in T}: x_d for each d with [r, d] = rn,
-    weighted (r, d) in the necklace flavor and 1 in the aperiodic one."""
-    return tuple(
-        tuple((T.position(d), math.gcd(r, d) if flavor == NECKLACE else 1, 1, 0)
-              for d in T.divisors(r * n) if math.lcm(r, d) == r * n)
-        for n in T if r * n in T)
-
-
 def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:
     """The operator with ghost behaviour n -> rn, on truncation {n : rn in T}."""
     if r < 1:
@@ -437,8 +461,7 @@ def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:
         Tout, cu = _frobenius_universal(T, r)
         out = cu.system.apply(R, x.payloads())
         return CyclicVector.from_payloads(Tout, WITT, R, out)
-    Tout = TruncationSet([n for n in T if r * n in T])
     if x.flavor == GHOST:
+        Tout = TruncationSet([n for n in T if r * n in T])
         return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
-    out = ghost_values(_frobenius_table(T, r, x.flavor), R, x.payloads())
-    return CyclicVector.from_payloads(Tout, x.flavor, R, out)
+    return _flavor_apply(_flavor_system(T, False, x.flavor, r), x, x.payloads())

@@ -1,16 +1,18 @@
 """q-deformed cyclic Witt/necklace/aperiodic rings and Artin-Hasse curves.
 
 Everything rests on the one-parameter formal group law
-F_q(X, Y) = X + Y - q X Y.  The divisor-lattice scalars zeta^q/mu^q produce
-the numerical polynomials P_{n,i,j}(q) deforming the necklace structure
-constants, tabulated once per truncation set, flavor and q like the
-Frobenius weights; the Witt-side operations solve the q-ghost system at
-their payloads, at a concrete integer q or the indeterminate.  Their
-universal polynomials, with numerical coefficients in Q[q] (q an extra
-variable), are derived once per truncation set by the same solve.
+F_q(X, Y) = X + Y - q X Y.  Every ring operation and Frobenius solves a
+q-ghost system at its payloads, at a concrete integer q or the
+indeterminate: the Witt flavor on the q-ghost table, the necklace and
+aperiodic flavors on its linear tables (`cyclic._flavor_system`).  The
+divisor-lattice scalars zeta^q/mu^q and the numerical polynomials
+P_{n,i,j}(q) that the solved products amount to are kept as scalars of their
+own (`qpoly`, the q-necklace polynomials, the checks).  The Witt
+operations' universal polynomials, with numerical coefficients in Q[q] (q an
+extra variable), are derived once per truncation set by the same solve.
 
 A QContext fixes q: a concrete integer works over every coefficient ring
-(structure constants are integers by numericality), while the indeterminate
+(the solves stay integral by numericality), while the indeterminate
 requires vectors over the Q[q] ring.  Quotient-ring images of the
 q-Teichmuller transport are kept in Witt coordinates (coord_form), exactly
 as the group-indexed module does, because componentwise reduction of the
@@ -31,7 +33,6 @@ from .burnside import (
     _strategy,
     _check_operands,
     _flavor_op,
-    _table_mul,
     theta,
     theta_inv,
 )
@@ -39,9 +40,13 @@ from .cyclic import (
     CyclicVector,
     TruncationSet,
     _dilate,
+    _flavor_apply,
+    _flavor_mul,
+    _flavor_system,
     _flavor_table,
     _ghost_table,
     _truncation_universal,
+    check_q_member,
     necklace_poly,
 )
 from .errors import (
@@ -313,40 +318,11 @@ def try_one(ctx: QContext, T: TruncationSet, R: RingSpec) -> CyclicVector | None
 # q-necklace / q-aperiodic multiplication
 
 
-def _at(c: QPolynomial, q):
-    """A numerical weight at q, or None where it vanishes: an int, or at the
-    indeterminate (None) c itself."""
-    if q is None:
-        return None if c.is_zero() else c
-    return c(q).numerator or None
-
-
-@lru_cache(maxsize=None)
-def _mul_table(T: TruncationSet, q, flavor: str):
-    """The product constants over T at q, as in `cyclic._mul_table`: (i, j) P_{n,i,j}
-    (necklace) or (n/[i, j]) P_{n,i,j} (aperiodic) wherever [i, j] | n; ints, or
-    Q[q] payloads at the indeterminate (None); zeros are dropped."""
-    table = {}
-    for n in T:
-        for i in T.divisors(n):
-            for j in T.divisors(n):
-                l = math.lcm(i, j)
-                if n % l == 0:
-                    w = n // l if flavor == APERIODIC else math.gcd(i, j)
-                    c = _at(p_poly(n, i, j) * w, q)
-                    if c is not None:
-                        table[T.position(i), T.position(j), T.position(n)] = c
-    return table
-
-
 def _q_flavor_op(ctx: QContext, op, x, y):
     """_flavor_op at ctx's q: the q-Witt operation for coordinate-backed vectors,
-    the product through the constant table at q."""
-    def mul(x, y):
-        ctx.q_payload(x.ring)  # at the indeterminate the constants are Q[q] payloads
-        return _table_mul(x, y, _mul_table(x.truncation, ctx.q, x.flavor))
-
-    return _flavor_op(op, x, y, lambda op, a, b: q_witt_op(ctx, op, a, b), mul)
+    the product as the solve of the q-ghosts' product."""
+    return _flavor_op(op, x, y, lambda op, a, b: q_witt_op(ctx, op, a, b),
+                      lambda x, y: _flavor_mul(x, y, _q_arg(ctx, x.ring)))
 
 
 def q_nr_mul(ctx: QContext, x: CyclicVector, y: CyclicVector) -> CyclicVector:
@@ -494,35 +470,6 @@ def _q_frobenius_universal(T: TruncationSet, r: int):
     return cu.truncation, cu
 
 
-@lru_cache(maxsize=None)
-def _frobenius_table(T: TruncationSet, r: int, q, flavor: str):
-    """f_r's linear rows over {n : rn in T} at q: x_d for each d | rn, weighted
-    r tau^q(rn/[r,d], rn/d), times n/d in the aperiodic flavor."""
-    rows = []
-    for n in T:
-        if r * n not in T:
-            continue
-        row = []
-        for d in T.divisors(r * n):
-            l = math.lcm(r, d)
-            c = tau_q(r * n // l, r * n // d) * r
-            if not c.is_numerical():
-                raise NumericalityViolation(
-                    f"{r} tau^q({r * n // l},{r * n // d}) is not numerical: {c.format()}"
-                )
-            if flavor == APERIODIC:
-                c = c * Fraction(n, d)
-                if not c.is_numerical():
-                    raise NumericalityViolation(
-                        f"aperiodic frobenius weight at ({r},{n},{d}) is not numerical"
-                    )
-            c = _at(c, q)
-            if c is not None:
-                row.append((T.position(d), c, 1, 0))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:
     """The operator with q-ghost behaviour n -> rn, on truncation {n : rn in T}."""
     if r < 1:
@@ -533,16 +480,14 @@ def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:
             f"frobenius({r}) needs {r} in the truncation set {list(T.members)}"
         )
     R = x.ring
-    Tout = TruncationSet([n for n in T if r * n in T])
     if x.flavor == GHOST:
+        Tout = TruncationSet([n for n in T if r * n in T])
         return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
     if x.flavor == WITT or x.coord_form:
         Tout, cu = _q_frobenius_universal(T, r)
         out = cu.system.apply(R, x.payloads(), _q_arg(ctx, R))
         return CyclicVector.from_payloads(Tout, x.flavor, R, out, x.coord_form)
-    ctx.q_payload(R)  # at the indeterminate the weights are Q[q] payloads
-    out = ghost_values(_frobenius_table(T, r, ctx.q, x.flavor), R, x.payloads())
-    return CyclicVector.from_payloads(Tout, x.flavor, R, out)
+    return _flavor_apply(_flavor_system(T, True, x.flavor, r), x, x.payloads(), _q_arg(ctx, R))
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +595,7 @@ def artin_hasse(ctx: QContext, a: CyclicVector) -> TruncatedCurve:
     R = a.ring
     qv = ctx.q_payload(R)
     N = max(a.truncation.members)
+    check_q_member(N)  # before a curve of N coefficients
     acc = [R.zero()] * N
     for n in a.truncation:
         p = a.component(n).payload

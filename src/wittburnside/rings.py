@@ -637,9 +637,9 @@ class RingSpec:
         divisor leaves no quotient in the ring.
 
         powers caches the powers of xs (see cached_power); q is an int or a
-        payload.  A weight is an int or a Fraction, or in the q-model at
-        symbolic q a Q[q] payload (a Frobenius weight).  A Fraction weight on
-        a non-zero power needs a Q-algebra; elsewhere refuse() is raised.
+        payload.  A weight is an int or a Fraction, never a payload.  A
+        Fraction weight on a non-zero power needs a Q-algebra; elsewhere
+        refuse() is raised.
         Each entry is added in turn with the payloads' own operators, so a
         residue is left unreduced.
         """
@@ -857,8 +857,6 @@ class QPolyRing(RingSpec):
                 p = p * q ** qpow
             elif qpow:
                 k = k * q ** qpow
-            if type(k) is QPolynomial:  # a Frobenius weight at symbolic q
-                p, k = k * p, 1
             cs = p.coeffs
             if len(out) < at + len(cs):
                 out.extend([0] * (at + len(cs) - len(out)))

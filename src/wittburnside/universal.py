@@ -15,8 +15,10 @@ between the models:
     q-deformed    d q^(n/d - 1) and n/d
 
 The sum, product and negation solve w(s) = w(a) + w(b), w(a) w(b) and
--w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a).  One triangular solve,
-`solve_triangular`, serves all of them: at the payloads of an operation
+-w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a).  On a truncation set
+the necklace and aperiodic products and Frobenius are such systems too, on
+the linear tables below.  One triangular solve, `solve_triangular`, serves
+all of them: at the payloads of an operation
 (over Z/m lifted to Z and reduced), and at the variables themselves for the
 universal polynomials.  Those are derived once per structure and operation,
 when first read (an operation reads only its system); their integral (in

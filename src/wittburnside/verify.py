@@ -227,6 +227,21 @@ def _componentwise(gx, gy, f):
     return tuple(f(u, v).payload for u, v in zip(gx.components, gy.components))
 
 
+def _lcm_product(x, y):
+    """The necklace or aperiodic product on a truncation set, term by term:
+    (x y)_n = sum over lcm(i, j) = n of x_i y_j, weighted gcd(i, j) in the
+    necklace flavor.  The library solves it on the ghosts instead."""
+    T = x.truncation
+    out = [RingValue.from_int(x.ring, 0) for _ in T]
+    for i in T:
+        for j in T:
+            n = math.lcm(i, j)
+            if n in T:
+                w = math.gcd(i, j) if x.flavor == NECKLACE else 1
+                out[T.position(n)] += x.component(i) * y.component(j) * w
+    return x.with_components(out)
+
+
 def _suite_ghosts(run):
     run.sanity("ghosts")
     rng = run.rng("ghosts")
@@ -278,20 +293,10 @@ def _suite_ghosts(run):
         )
         x = _rand_vec(T, NECKLACE, ZZ, rng)
         y = _rand_vec(T, NECKLACE, ZZ, rng)
-        gx, gy = cyc_ghost(x), cyc_ghost(y)
-        run.check(
-            f"{tag}/nr-mul",
-            cyc_ghost(cyc_nr_mul(x, y)).payloads(),
-            _componentwise(gx, gy, lambda u, v: u * v),
-        )
+        run.check(f"{tag}/nr-mul", cyc_nr_mul(x, y), _lcm_product(x, y))
         u = _rand_vec(T, APERIODIC, ZZ, rng)
         v = _rand_vec(T, APERIODIC, ZZ, rng)
-        gu, gv = cyc_ghost(u), cyc_ghost(v)
-        run.check(
-            f"{tag}/ap-mul",
-            cyc_ghost(cyc_ap_mul(u, v)).payloads(),
-            _componentwise(gu, gv, lambda s, w: s * w),
-        )
+        run.check(f"{tag}/ap-mul", cyc_ap_mul(u, v), _lcm_product(u, v))
 
 
 # --- suite: diagrams ---------------------------------------------------------
@@ -729,7 +734,7 @@ def _suite_cyclic_identities(run):
         run.check(
             f"{tag}/necklace",
             cyc_ghost_inv(prod, NECKLACE),
-            cyc_nr_mul(cyc_ghost_inv(a, NECKLACE), cyc_ghost_inv(b, NECKLACE)),
+            _lcm_product(cyc_ghost_inv(a, NECKLACE), cyc_ghost_inv(b, NECKLACE)),
         )
         ai = _rand_vec(T, GHOST, ZZ, rng)
         bi = _rand_vec(T, GHOST, ZZ, rng)
@@ -739,7 +744,7 @@ def _suite_cyclic_identities(run):
         run.check(
             f"{tag}/aperiodic",
             cyc_ghost_inv(prod_i, APERIODIC),
-            cyc_ap_mul(cyc_ghost_inv(ai, APERIODIC), cyc_ghost_inv(bi, APERIODIC)),
+            _lcm_product(cyc_ghost_inv(ai, APERIODIC), cyc_ghost_inv(bi, APERIODIC)),
         )
     # cross-model agreement with the group functors on cyclic groups
     for N in (2, 6, 12):

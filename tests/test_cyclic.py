@@ -22,6 +22,8 @@ from wittburnside.burnside import (
     wg_op,
     nr_op,
     ap_op,
+    res_ap,
+    res_nr,
     witt_f,
     witt_v,
 )
@@ -416,33 +418,48 @@ def group_and_trunc(N):
     return build_group(f"C{N}"), TruncationSet.div(N)
 
 
+# The group model's tables come from permutations and marks, the truncation
+# set's from divisors: on C_N, with each subgroup class matched to its index,
+# these compare two implementations of the same rings and operators.
+CROSS_RINGS = tuple(parse_ring(name) for name in ("Z", "Q", "Z/8", "ZPoly(x,y)"))
+
+
+def rand_payloads(R, T, rng):
+    if R.name.startswith("ZPoly"):
+        texts = [f"{rng.randint(-3, 3)}*x+{rng.randint(-2, 2)}*y+{rng.randint(-3, 3)}" for _ in T]
+    elif R is QQ:
+        texts = [f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}" for _ in T]
+    else:
+        texts = [str(rng.randint(-9, 9)) for _ in T]
+    return [R.parse_value(t) for t in texts]
+
+
+def both_models(G, T, flavor, R, payloads):
+    return (IndexedVector.from_payloads(G, flavor, R, payloads),
+            CyclicVector.from_payloads(T, flavor, R, payloads))
+
+
 def test_cyclic_matches_group_model_ops():
     rng = random.Random(12)
-    for N in (2, 4, 6, 12):
+    for N in (2, 4, 6, 8, 12, 24):
         G, T = group_and_trunc(N)
         indices = [c.index for c in subgroup_classes(G).classes]
         assert indices == list(T.members)
-        for _ in range(4):
-            xs = [rng.randint(-9, 9) for _ in T]
-            ys = [rng.randint(-9, 9) for _ in T]
-            gw = IndexedVector.from_ints(G, WITT, ZZ, xs)
-            hw = IndexedVector.from_ints(G, WITT, ZZ, ys)
-            cw = cvec(T, WITT, ZZ, xs)
-            dw = cvec(T, WITT, ZZ, ys)
-            assert wg_ghost(gw).payloads() == cyc_witt_ghost(cw).payloads()
-            for op in ("sum", "prod"):
-                assert wg_op(op, gw, hw).payloads() == cyc_witt_op(op, cw, dw).payloads()
-            assert wg_op("neg", gw).payloads() == cyc_witt_op("neg", cw).payloads()
-            gn = IndexedVector.from_ints(G, NECKLACE, ZZ, xs)
-            hn = IndexedVector.from_ints(G, NECKLACE, ZZ, ys)
-            cn = cvec(T, NECKLACE, ZZ, xs)
-            dn = cvec(T, NECKLACE, ZZ, ys)
-            assert nr_op("prod", gn, hn).payloads() == cyc_nr_mul(cn, dn).payloads()
-            ga = IndexedVector.from_ints(G, APERIODIC, ZZ, xs)
-            ha = IndexedVector.from_ints(G, APERIODIC, ZZ, ys)
-            ca = cvec(T, APERIODIC, ZZ, xs)
-            da = cvec(T, APERIODIC, ZZ, ys)
-            assert ap_op("prod", ga, ha).payloads() == cyc_ap_mul(ca, da).payloads()
+        for R in CROSS_RINGS:
+            for _ in range(4):
+                xs, ys = rand_payloads(R, T, rng), rand_payloads(R, T, rng)
+                gw, cw = both_models(G, T, WITT, R, xs)
+                hw, dw = both_models(G, T, WITT, R, ys)
+                assert wg_ghost(gw).payloads() == cyc_witt_ghost(cw).payloads()
+                for op in ("sum", "prod"):
+                    assert wg_op(op, gw, hw).payloads() == cyc_witt_op(op, cw, dw).payloads()
+                assert wg_op("neg", gw).payloads() == cyc_witt_op("neg", cw).payloads()
+                gn, cn = both_models(G, T, NECKLACE, R, xs)
+                hn, dn = both_models(G, T, NECKLACE, R, ys)
+                assert nr_op("prod", gn, hn).payloads() == cyc_nr_mul(cn, dn).payloads()
+                ga, ca = both_models(G, T, APERIODIC, R, xs)
+                ha, da = both_models(G, T, APERIODIC, R, ys)
+                assert ap_op("prod", ga, ha).payloads() == cyc_ap_mul(ca, da).payloads()
 
 
 def test_cyclic_matches_group_model_exponentials():
@@ -478,3 +495,15 @@ def test_cyclic_matches_group_model_operators():
             ag = IndexedVector.from_ints(G, WITT, ZZ, ys)
             cg = cvec(T, WITT, ZZ, ys)
             assert witt_f(G, ci, ag).payloads() == cyc_frobenius(r, cg).payloads()
+    # necklace and aperiodic restriction to the class of index r is f_r
+    checked = 0
+    for N in (4, 6, 8, 12, 24):
+        G, T = group_and_trunc(N)
+        for ci in range(1, len(subgroup_classes(G))):
+            r = subgroup_classes(G).classes[ci].index
+            for R in CROSS_RINGS:
+                for flavor, res in ((NECKLACE, res_nr), (APERIODIC, res_ap)):
+                    g, c = both_models(G, T, flavor, R, rand_payloads(R, T, rng))
+                    assert res(G, ci, g).payloads() == cyc_frobenius(r, c).payloads()
+                    checked += 1
+    assert checked == 160

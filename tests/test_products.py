@@ -1,11 +1,12 @@
 """Necklace/aperiodic products and Frobenius against their term-by-term loops.
 
-Every necklace and aperiodic product multiplies through one sparse constant
-table and every necklace/aperiodic Frobenius is a linear table run by
-`ghost_values`.  The reference here computes them as the library once did:
-the group model over `structure_constants(G).p` and `.a`, the cyclic model
-over lcm/gcd, the q-model with P_{n,i,j}(q) and r tau^q(rn/[r,d], rn/d)
-evaluated for every term on every call.  Results must agree exactly, and a
+On a group every necklace and aperiodic product multiplies through one
+sparse constant table; on a truncation set the products and the
+necklace/aperiodic Frobenius are ghost solves.  The reference here computes
+them term by term, as the library once did: the group model over
+`structure_constants(G).p` and `.a`, the cyclic model over lcm/gcd, the
+q-model with P_{n,i,j}(q) and r tau^q(rn/[r,d], rn/d) evaluated for every
+term on every call.  Results must agree exactly, and a
 refused input must raise the same exception class with the same message.
 All randomness is seeded.
 """

@@ -1,5 +1,8 @@
+import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -518,6 +521,113 @@ def test_q_frobenius_ring_hom():
         f = lambda v: q_frobenius(ctx, 2, v)
         assert f(q_witt_op(ctx, "sum", x, y)) == q_witt_op(ctx, "sum", f(x), f(y))
         assert f(q_witt_op(ctx, "prod", x, y)) == q_witt_op(ctx, "prod", f(x), f(y))
+
+
+def test_cold_q_products_and_frobenius_form_no_structure_scalars(monkeypatch):
+    # both are ghost solves: no P_{n,i,j}(q) or tau^q is formed, even cold
+    import wittburnside.qdeform as qdeform
+
+    def formed(*args):
+        raise AssertionError(f"a structure scalar was formed at {args}")
+
+    monkeypatch.setattr(qdeform, "p_poly", formed)
+    monkeypatch.setattr(qdeform, "tau_q", formed)
+    rng = random.Random(67)
+    T, ctx = TruncationSet.div(30), QContext(5)  # cached by no other test
+    for flavor, mul in ((NECKLACE, q_nr_mul), (APERIODIC, q_ap_mul)):
+        x = rand_vec(rng, T, ZZ, flavor)
+        y = rand_vec(rng, T, ZZ, flavor)
+        gx, gy = q_ghost(ctx, x), q_ghost(ctx, y)
+        assert q_ghost(ctx, mul(ctx, x, y)).payloads() == tuple(
+            u * v for u, v in zip(gx.payloads(), gy.payloads()))
+        for r in (2, 3, 5):
+            f = q_frobenius(ctx, r, x)
+            assert q_ghost(ctx, f).payloads() == tuple(gx.component(r * n).payload for n in f.truncation)
+
+
+# The child runs every q-model entry point on {1, 10^18 + 9} under a memory
+# limit: a regression that tries to form q^(10^18 + 8) then fails the test
+# instead of exhausting the machine's memory.
+_HUGE_MEMBER_CHILD = r"""
+import json, os, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from wittburnside.burnside import APERIODIC, NECKLACE, WITT
+from wittburnside.cli import main
+from wittburnside.cyclic import CyclicVector, TruncationSet
+from wittburnside.errors import DomainError
+from wittburnside.qdeform import QContext, q_ap_mul, q_frobenius, q_ghost, q_nr_mul, q_witt_op
+from wittburnside.rings import QQ_Q, ZZ
+
+big = 10 ** 18 + 9
+T = TruncationSet([1, big])
+
+
+def timed(name, call):
+    start = time.perf_counter()
+    try:
+        outcome = call()
+    except DomainError as exc:
+        outcome = str(exc)
+    print(json.dumps([name, outcome if type(outcome) in (int, str) else "returned",
+                      time.perf_counter() - start < 2.0]), flush=True)
+
+
+for q, R in ((2, ZZ), (None, QQ_Q)):
+    ctx = QContext(q)
+    vec = lambda flavor: CyclicVector.from_payloads(T, flavor, R, [R.from_int(2), R.from_int(3)])
+    timed(f"q_ghost/{q}", lambda: q_ghost(ctx, vec(NECKLACE)))
+    timed(f"q_witt_ghost/{q}", lambda: q_ghost(ctx, vec(WITT)))
+    timed(f"q_nr_mul/{q}", lambda: q_nr_mul(ctx, vec(NECKLACE), vec(NECKLACE)))
+    timed(f"q_ap_mul/{q}", lambda: q_ap_mul(ctx, vec(APERIODIC), vec(APERIODIC)))
+    timed(f"q_frobenius/{q}", lambda: q_frobenius(ctx, 1, vec(NECKLACE)))
+    timed(f"q_witt_frobenius/{q}", lambda: q_frobenius(ctx, big, vec(WITT)))
+    timed(f"q_witt_op/{q}", lambda: q_witt_op(ctx, "prod", vec(WITT), vec(WITT)))
+
+
+def write(name, **fields):
+    path = os.path.join(sys.argv[1], name)
+    with open(path, "w") as fh:
+        json.dump({"schema_version": 1, **fields}, fh)
+    return path
+
+
+def vector(name, flavor, ring):
+    return write(name, group={"cyclic_trunc": [1, big]}, labels=[1, big], flavor=flavor,
+                 ring=ring, components=["2", "3"])
+
+
+w, n = vector("w.json", "Witt", "Z"), vector("n.json", "Necklace", "Z")
+a = vector("a.json", "Aperiodic", "Q[q]")
+curve = write("curve.json", kind="curve", q=2, ring="Z", degree=3, coefficients=["1", "2", "3"])
+for argv in (
+    ["qwitt", "ghost", "--q", "2", n],
+    ["qwitt", "mul", "--q", "2", n, n],
+    ["qwitt", "mul", "--q", "q", a, a],
+    ["qwitt", "mul", "--q", "2", w, w],
+    ["qwitt", "frobenius", "--q", "q", "--r", "1", a],
+    ["qwitt", "tryone", "--q", "2", "--trunc", str(10 ** 18)],
+    ["qwitt", "tryone", "--q", "q", "--ring", "Q[q]", "--trunc-set", f"1,{big}"],
+    ["artinhasse", "--q", "2", w],
+    ["artinhasse", "--q", "2", "--inverse", "--trunc", str(10 ** 18), curve],
+    ["quniversal", "--op", "sum", "--trunc", str(10 ** 18)],
+):
+    timed(" ".join(argv[:2]), lambda: main(argv))
+"""
+
+
+def test_q_model_refuses_members_above_its_bound(tmp_path):
+    pytest.importorskip("resource")
+    proc = subprocess.run([sys.executable, "-c", _HUGE_MEMBER_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == 24
+    refusal = f"truncation set member {10 ** 18 + 9} exceeds the q-model bound 10000"
+    for name, outcome, fast in results[:14]:
+        assert (outcome, fast) == (refusal, True), name
+    for name, outcome, fast in results[14:]:
+        assert (outcome, fast) == (3, True), name  # the CLI's DomainError exit
+    assert proc.stderr.count("DomainError: truncation set member") == 10
 
 
 def test_q_frobenius_truncation_too_small():
