@@ -256,17 +256,13 @@ def _flavor_system(T: TruncationSet, q: bool, flavor: str, r: int | None = None)
     return GhostSystem(Tout, T.members, table, f"frob{r}", q, shift)
 
 
-def _flavor_apply(system, x, xs, q=None):
-    """system solved at the payloads xs of x's ring, as a vector of x's flavor;
-    q is the q-model's q (see `GhostSystem.apply`)."""
+def _flavor_solve(x: CyclicVector, y=None, r=None, q=None) -> CyclicVector:
+    """The necklace or aperiodic product x y or, given r, f_r(x), solved on the
+    ghosts; q is the q-model's q (see `GhostSystem.apply`), None outside it."""
+    system = _flavor_system(x.truncation, q is not None, x.flavor, r)
+    xs = x.payloads() + (y.payloads() if y is not None else ())
     out = system.apply(x.ring, xs, q)
     return CyclicVector.from_payloads(system.structure, x.flavor, x.ring, out)
-
-
-def _flavor_mul(x: CyclicVector, y: CyclicVector, q=None) -> CyclicVector:
-    """The necklace or aperiodic product: the solve of the ghosts' product."""
-    system = _flavor_system(x.truncation, q is not None, x.flavor)
-    return _flavor_apply(system, x, x.payloads() + y.payloads(), q)
 
 
 def cyc_witt_ghost(a: CyclicVector) -> CyclicVector:
@@ -343,13 +339,13 @@ def cyc_witt_op(op: str, a: CyclicVector, b: CyclicVector | None = None) -> Cycl
 def cyc_nr_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over lcm(i, j) = n of gcd(i, j) x_i y_j."""
     _check_operands("cyc_nr_mul", NECKLACE, "prod", x, y)
-    return _flavor_mul(_require_components(x), y)
+    return _flavor_solve(_require_components(x), y)
 
 
 def cyc_ap_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over lcm(i, j) = n of x_i y_j, valid over every ring."""
     _check_operands("cyc_ap_mul", APERIODIC, "prod", x, y)
-    return _flavor_mul(_require_components(x), y)
+    return _flavor_solve(_require_components(x), y)
 
 
 def cyc_nr_op(op: str, x: CyclicVector, y: CyclicVector | None = None) -> CyclicVector:
@@ -464,4 +460,4 @@ def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:
     if x.flavor == GHOST:
         Tout = TruncationSet([n for n in T if r * n in T])
         return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
-    return _flavor_apply(_flavor_system(T, False, x.flavor, r), x, x.payloads())
+    return _flavor_solve(x, r=r)

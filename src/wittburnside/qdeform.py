@@ -40,9 +40,7 @@ from .cyclic import (
     CyclicVector,
     TruncationSet,
     _dilate,
-    _flavor_apply,
-    _flavor_mul,
-    _flavor_system,
+    _flavor_solve,
     _flavor_table,
     _ghost_table,
     _truncation_universal,
@@ -322,7 +320,7 @@ def _q_flavor_op(ctx: QContext, op, x, y):
     """_flavor_op at ctx's q: the q-Witt operation for coordinate-backed vectors,
     the product as the solve of the q-ghosts' product."""
     return _flavor_op(op, x, y, lambda op, a, b: q_witt_op(ctx, op, a, b),
-                      lambda x, y: _flavor_mul(x, y, _q_arg(ctx, x.ring)))
+                      lambda x, y: _flavor_solve(x, y, q=_q_arg(ctx, x.ring)))
 
 
 def q_nr_mul(ctx: QContext, x: CyclicVector, y: CyclicVector) -> CyclicVector:
@@ -487,7 +485,7 @@ def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:
         Tout, cu = _q_frobenius_universal(T, r)
         out = cu.system.apply(R, x.payloads(), _q_arg(ctx, R))
         return CyclicVector.from_payloads(Tout, x.flavor, R, out, x.coord_form)
-    return _flavor_apply(_flavor_system(T, True, x.flavor, r), x, x.payloads(), _q_arg(ctx, R))
+    return _flavor_solve(x, r=r, q=_q_arg(ctx, R))
 
 
 # ---------------------------------------------------------------------------
