@@ -297,10 +297,11 @@ class GhostSystem:
         self.vars = ("q",) * q + avars + bvars
 
     def targets(self, R, xs, qv=None):
-        """Target ghost components at the payloads xs in R (a's, then b's)."""
+        """Target ghost components at the payloads xs in R (a's, then b's); qv
+        is the q-model's q, an int or a payload of R."""
+        if self.rows is not None:  # only the input rows the unknowns read
+            return ghost_values([self.table[i] for i in self.rows], R, xs, qv)
         ga = ghost_values(self.table, R, xs, qv)
-        if self.rows is not None:
-            return [ga[i] for i in self.rows]
         if self.op == "neg":
             return [-x for x in ga]
         gb = ghost_values(self.table, R, xs[len(self.table):], qv)
@@ -327,7 +328,7 @@ class GhostSystem:
         """
         if isinstance(R, ResidueRing):
             return [R.from_int(s) for s in self.apply(ZZ, xs, q, fail)]
-        want = self.targets(R, xs, R.from_int(q) if type(q) is int else q)
+        want = self.targets(R, xs, q)
         return solve_triangular(self.out_table, want, R, fail or (
             lambda u, R: IntegralityViolation(
                 f"{self.op} has fractional coefficients at {self._where(u)} over {R.name}")), q)
