@@ -9,12 +9,13 @@ order N component-for-component.
 The flavor dictionary matches the group-indexed module: Witt coordinates
 with ghost w_n = sum_{d|n} d a_d^{n/d}, the necklace ring with
 (x y)_n = sum_{[i,j]=n} (i,j) x_i y_j, and the aperiodic ring with the same
-sum without the gcd weight.  Every operation is solved on a ghost table
+sum without the gcd weight; both add componentwise.  The Witt operations
+and the necklace and aperiodic products are solved on ghost tables
 (`universal.GhostSystem`): a product is the solve of the pointwise product
-of the ghosts, and the Frobenius f_r, characterised by the ghost shift
-n -> rn, the solve of the shifted ghost.  On the necklace and aperiodic
-flavors those solves are integer linear maps, so they are defined over
-every coefficient ring.  Verschiebung reindexes by r.
+of the ghosts.  The Frobenius f_r, characterised by the ghost shift
+n -> rn, is the solve of the shifted ghost; on the necklace and aperiodic
+flavors it is an integer linear map, so defined over every coefficient
+ring.  Verschiebung reindexes by r.
 """
 from __future__ import annotations
 
