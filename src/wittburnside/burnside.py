@@ -36,10 +36,14 @@ Transports between the flavors:
 
 Every transport is determined by its ghost map (Dress-Siebeneicher), so each
 one is a triangular solve (`universal.solve_triangular`) on the ghost tables
-the Witt operations use, the necklace table being the Witt table with every
-exponent 1 and the aperiodic table that one over the index
-(`universal.linear_table`).  Induction, restriction and ghost_nu on an
-abelian group are linear tables too, run by `universal.ghost_values`.
+the Witt operations use (`universal.ghost_table`), the necklace table being
+the Witt table with every exponent 1 and the aperiodic table that one over
+the index (`universal.flavor_table`).  Induction, restriction and ghost_nu
+on an abelian group are linear tables too, run by `universal.ghost_values`.
+The ghost, its inverse and Teichmuller and its inverse are written once
+(`_ghost`, `_ghost_inv`, `_teichmuller`, `_teichmuller_inv`) for any index
+set, with the q-model's q as an optional argument; wg_ghost, cyc_ghost,
+q_ghost and the rest check the flavor and name the errors of their model.
 
 Coefficient strategy: over a Q-algebra every solve stays in the ring; over
 Z every division is exact (Z is a binomial ring, so that is a theorem, not
@@ -66,7 +70,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     ind_class_map,
-    marks_matrix,
     res_orbit_data,
     structure_constants,
     subgroup_classes,
@@ -74,23 +77,25 @@ from .groups import (
 )
 from .rings import RingSpec, RingValue, ZZ, parse_ring
 from .universal import (
+    APERIODIC,
+    GHOST,
     MEMO,
+    NECKLACE,
+    WITT,
     GhostSystem,
     UniversalSet,
     check_op,
     derive,
+    flavor_table,
+    ghost_table,
     ghost_values,
     index_labels,
     linear_table,
     rational_weight,
+    row_error,
     solve_triangular,
     subgroup_indices,
 )
-
-WITT = "Witt"
-NECKLACE = "Necklace"
-APERIODIC = "Aperiodic"
-GHOST = "Ghost"
 
 FLAVORS = (WITT, NECKLACE, APERIODIC, GHOST)
 
@@ -251,25 +256,6 @@ def _table_mul(x, y, table):
 
 
 @lru_cache(maxsize=None)
-def _ghost_table(G: FiniteGroup):
-    """Ghost rows (V, mark m(V, U), (G:U)/(G:V), 0) of each class U."""
-    ct = subgroup_classes(G)
-    zeta = marks_matrix(G).zeta
-    return tuple(
-        tuple((v, zeta.entry(v, u), ct.classes[u].index // ct.classes[v].index, 0)
-              for v in range(u + 1) if zeta.entry(v, u))
-        for u in range(len(ct))
-    )
-
-
-@lru_cache(maxsize=None)
-def _flavor_table(G: FiniteGroup, flavor: str):
-    """The ghost rows of the necklace flavor (the ghost table with every
-    exponent 1) or of the aperiodic one (each weight over the index (G:V))."""
-    return linear_table(_ghost_table(G), subgroup_indices(G) if flavor == APERIODIC else None)
-
-
-@lru_cache(maxsize=None)
 def _ind_table(G: FiniteGroup, ci: int, flavor: str):
     """Induction's rows over G's classes: each class of U = rep(ci) at the
     class it fuses to, weighted (G:U) in the aperiodic flavor."""
@@ -294,67 +280,63 @@ def _res_table(G: FiniteGroup, ci: int, flavor: str):
     return table if flavor == NECKLACE else linear_table(table, subgroup_indices(G))
 
 
-def _escaped(what: str, G: FiniteGroup):
-    """fail(u, R) of a solve on G's classes whose result must stay in R."""
-    labels = index_labels(G)
-    return lambda u, R: IntegralityViolation(f"{what} escaped {R.name} at class {labels[u]}")
+# The maps below serve the group, truncation-set and q models alike: q is the
+# q-model's q as a function of the ring solved in (`qdeform.QContext.ghost_q`),
+# None outside it, and is called only once a map knows that ring.
+
+
+def _expect(name: str, flavor: str, x: IndexedVector) -> IndexedVector:
+    """x, once it has the flavor that `name` expects."""
+    if x.flavor != flavor:
+        raise ValueError(f"{name} expects {'an' if flavor == APERIODIC else 'a'} {flavor} vector")
+    return x
+
+
+def _ghost(x: IndexedVector, q=None) -> IndexedVector:
+    """The ghost of a Witt, Necklace or Aperiodic vector; a coordinate-backed
+    vector takes its coordinates' Witt ghost."""
+    qm = q is not None
+    table = (ghost_table(x.index, qm) if x.flavor == WITT or x.coord_form
+             else flavor_table(x.index, x.flavor, qm))
+    # only the aperiodic table over a group has Fraction weights
+    out = ghost_values(table, x.ring, x.payloads(), q and q(x.ring), "aperiodic ghost")
+    return IndexedVector.from_payloads(x.index, GHOST, x.ring, out)
+
+
+def _ghost_inv(b: IndexedVector, index, flavor, fail, q=None) -> IndexedVector:
+    """The Necklace or Aperiodic vector on index whose ghost is b, solved in
+    b's ring; fail is a NotInImage message (see `row_error`) or fail(u, R)."""
+    if type(fail) is str:
+        fail = row_error(NotInImage, fail, index)
+    out = solve_triangular(flavor_table(index, flavor, q is not None), b.payloads(), b.ring,
+                           fail, q and q(b.ring))
+    return IndexedVector.from_payloads(index, flavor, b.ring, out)
 
 
 def wg_ghost(alpha: IndexedVector) -> IndexedVector:
     """Fixed-point ghost of a Witt vector: sums of marks times power maps."""
-    if alpha.flavor != WITT:
-        raise ValueError("wg_ghost expects a Witt vector")
-    out = ghost_values(_ghost_table(alpha.group), alpha.ring, alpha.payloads())
-    return IndexedVector.from_payloads(alpha.group, GHOST, alpha.ring, out)
+    return _ghost(_expect("wg_ghost", WITT, alpha))
 
 
 def nr_ghost(x: IndexedVector) -> IndexedVector:
     """Necklace ghost: transpose of the marks matrix applied to the components."""
-    if x.flavor != NECKLACE:
-        raise ValueError("nr_ghost expects a Necklace vector")
-    if x.coord_form:
-        return wg_ghost(x.retag(WITT, coord_form=False))
-    out = ghost_values(_flavor_table(x.group, NECKLACE), x.ring, x.payloads())
-    return IndexedVector.from_payloads(x.group, GHOST, x.ring, out)
+    return _ghost(_expect("nr_ghost", NECKLACE, x))
 
 
 def nr_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
     """Invert the necklace ghost by a triangular solve staying inside the ring."""
-    if b.flavor != GHOST:
-        raise ValueError("nr_ghost_inv expects a Ghost vector")
-    G = group or b.group
-    R = b.ring
-    labels = index_labels(G)
-    out = solve_triangular(
-        _flavor_table(G, NECKLACE), b.payloads(), R,
-        fail=lambda u, R: NotInImage(
-            f"ghost vector is not a necklace ghost over {R.name} at class {labels[u]}"),
-    )
-    return IndexedVector.from_payloads(G, NECKLACE, R, out)
+    return _ghost_inv(_expect("nr_ghost_inv", GHOST, b), group or b.group, NECKLACE,
+                      "ghost vector is not a necklace ghost over {ring} at {row}")
 
 
 def ap_ghost(x: IndexedVector) -> IndexedVector:
     """Aperiodic ghost: the necklace ghost with each class scaled by 1/(G:V)."""
-    if x.flavor != APERIODIC:
-        raise ValueError("ap_ghost expects an Aperiodic vector")
-    if x.coord_form:
-        return wg_ghost(x.retag(WITT, coord_form=False))
-    out = ghost_values(_flavor_table(x.group, APERIODIC), x.ring, x.payloads(),
-                       context="aperiodic ghost")
-    return IndexedVector.from_payloads(x.group, GHOST, x.ring, out)
+    return _ghost(_expect("ap_ghost", APERIODIC, x))
 
 
 def ap_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
-    if b.flavor != GHOST:
-        raise ValueError("ap_ghost_inv expects a Ghost vector")
-    G = group or b.group
-    labels = index_labels(G)
-    out = solve_triangular(
-        _flavor_table(G, APERIODIC), b.payloads(), b.ring,
-        fail=lambda u, R: NotInImage(
-            f"ghost vector is not an aperiodic ghost over {R.name} at class {labels[u]}"),
-    )
-    return IndexedVector.from_payloads(G, APERIODIC, b.ring, out)
+    return _ghost_inv(_expect("ap_ghost_inv", GHOST, b), group or b.group, APERIODIC,
+                      "ghost vector is not an aperiodic ghost over {ring} at {row}")
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +348,7 @@ _UNIVERSAL_CACHE = MEMO  # the one in-process memo of every model
 def derive_universal(G: FiniteGroup, op: str) -> UniversalSet:
     """Solve the ghost equations symbolically; coefficients must come out integral."""
     check_op(op)
-    return derive(G, op, lambda: GhostSystem(G, index_labels(G), _ghost_table(G), op))
+    return derive(G, op, lambda: GhostSystem(G, index_labels(G), ghost_table(G, False), op))
 
 
 def wg_op(op: str, a: IndexedVector, b: IndexedVector | None = None) -> IndexedVector:
@@ -416,11 +398,9 @@ def exp_S(G: FiniteGroup, r: RingValue) -> IndexedVector:
     return theta(exp_M(G, r))
 
 
-def teichmuller(alpha: IndexedVector) -> IndexedVector:
-    """Witt -> Necklace transport (a ring isomorphism onto its image): the
-    necklace ghost solve of the Witt ghost, nr_ghost_inv(wg_ghost(alpha))."""
-    if alpha.flavor != WITT:
-        raise ValueError("teichmuller expects a Witt vector")
+def _teichmuller(alpha: IndexedVector, what: str, q=None) -> IndexedVector:
+    """Witt -> Necklace, the necklace ghost solve of the Witt ghost; a row
+    leaving the ring raises IntegralityViolation "<what> escaped ..."."""
     R = alpha.ring
     strat = _strategy(R)
     if strat == "quotient":
@@ -430,34 +410,41 @@ def teichmuller(alpha: IndexedVector) -> IndexedVector:
         # torsion-free but not binomial: the image lives in the rationalisation
         alpha = alpha.map_ring(R.rationalized(), R.to_rationalized)
         R = alpha.ring
-    G = alpha.group
-    want = ghost_values(_ghost_table(G), R, alpha.payloads())
-    out = solve_triangular(_flavor_table(G, NECKLACE), want, R, fail=_escaped("teichmuller", G))
-    return IndexedVector.from_payloads(G, NECKLACE, R, out)
+    index = alpha.index
+    want = ghost_values(ghost_table(index, q is not None), R, alpha.payloads(), q and q(R))
+    fail = row_error(IntegralityViolation, what + " escaped {ring} at {row}", index)
+    out = solve_triangular(flavor_table(index, NECKLACE, q is not None), want, R, fail, q and q(R))
+    return IndexedVector.from_payloads(index, NECKLACE, R, out)
+
+
+def _teichmuller_inv(x: IndexedVector, refused: str, fail: str, q=None) -> IndexedVector:
+    """Necklace -> Witt, the Witt ghost solve of the necklace ghost.  Mod m
+    only a coordinate-backed vector inverts (else DomainError `refused`)."""
+    if x.coord_form:
+        return x.retag(WITT, coord_form=False)
+    R, index = x.ring, x.index
+    if _strategy(R) == "quotient":
+        raise DomainError(refused.format(ring=R.name))
+    want = ghost_values(flavor_table(index, NECKLACE, q is not None), R, x.payloads(), q and q(R))
+    out = solve_triangular(ghost_table(index, q is not None), want, R,
+                           row_error(NotInImage, fail, index), q and q(R))
+    return IndexedVector.from_payloads(index, WITT, R, out)
+
+
+def teichmuller(alpha: IndexedVector) -> IndexedVector:
+    """Witt -> Necklace transport (a ring isomorphism onto its image): the
+    necklace ghost solve of the Witt ghost, nr_ghost_inv(wg_ghost(alpha))."""
+    return _teichmuller(_expect("teichmuller", WITT, alpha), "teichmuller")
 
 
 def teichmuller_inv(x: IndexedVector) -> IndexedVector:
     """Recover Witt coordinates from a necklace vector in the teichmuller
     image: the Witt ghost solve of nr_ghost(x)."""
-    if x.flavor != NECKLACE:
-        raise ValueError("teichmuller_inv expects a Necklace vector")
-    if x.coord_form:
-        return x.retag(WITT, coord_form=False)
-    if _strategy(x.ring) == "quotient":
-        raise DomainError(
-            "component vectors over a residue ring have no canonical Witt "
-            "coordinates; only coordinate-backed vectors invert"
-        )
-    G = x.group
-    labels = index_labels(G)
-    want = ghost_values(_flavor_table(G, NECKLACE), x.ring, x.payloads())
-    out = solve_triangular(
-        _ghost_table(G), want, x.ring,
-        fail=lambda u, R: NotInImage(
-            f"vector is not a teichmuller image over {R.name} at class {labels[u]}"
-        ),
-    )
-    return IndexedVector.from_payloads(G, WITT, x.ring, out)
+    return _teichmuller_inv(
+        _expect("teichmuller_inv", NECKLACE, x),
+        "component vectors over a residue ring have no canonical Witt coordinates; "
+        "only coordinate-backed vectors invert",
+        "vector is not a teichmuller image over {ring} at {row}")
 
 
 def theta(x: IndexedVector) -> IndexedVector:
@@ -575,8 +562,8 @@ def _restriction_system(G: FiniteGroup, ci: int) -> GhostSystem:
     """witt_f's equations: U's ghost of the result at each class W of U is
     G's ghost of the input at the class W fuses to."""
     U = subgroup_group(G, ci)
-    shift = (_ghost_table(U), ind_class_map(G, ci))
-    return GhostSystem(U, index_labels(G), _ghost_table(G), "res", shift=shift)
+    shift = (ghost_table(U, False), ind_class_map(G, ci))
+    return GhostSystem(U, index_labels(G), ghost_table(G, False), "res", shift=shift)
 
 
 def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
@@ -592,8 +579,9 @@ def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
         return witt_v(G, ci, alpha.map_ring(ZZ, int)).map_ring(R, R.from_int)
     # over a ring that is not binomial the image lives in the rationalisation
     image = ind_nr(G, ci, teichmuller(alpha))
-    want = ghost_values(_flavor_table(G, NECKLACE), image.ring, image.payloads())
-    out = solve_triangular(_ghost_table(G), want, R, fail=_escaped("induced Witt vector", G))
+    want = ghost_values(flavor_table(G, NECKLACE, False), image.ring, image.payloads())
+    out = solve_triangular(ghost_table(G, False), want, R, row_error(
+        IntegralityViolation, "induced Witt vector escaped {ring} at {row}", G))
     return IndexedVector.from_payloads(G, WITT, R, out)
 
 
@@ -605,7 +593,8 @@ def witt_f(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
     if alpha.group != G:
         raise ValueError("vector is not indexed by the parent group's classes")
     system = _restriction_system(G, ci)
-    fail = _escaped("restricted Witt vector", system.structure)
+    fail = row_error(IntegralityViolation, "restricted Witt vector escaped {ring} at {row}",
+                     system.structure)
     out = system.apply(alpha.ring, alpha.payloads(), fail=fail)
     return IndexedVector.from_payloads(system.structure, WITT, alpha.ring, out)
 

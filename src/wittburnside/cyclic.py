@@ -16,6 +16,10 @@ of the ghosts.  The Frobenius f_r, characterised by the ghost shift
 n -> rn, is the solve of the shifted ghost; on the necklace and aperiodic
 flavors it is an integer linear map, so defined over every coefficient
 ring.  Verschiebung reindexes by r.
+
+The ghost maps, their inverses and the tables are the group module's
+(`burnside._ghost`, `universal.ghost_table`), and `_frobenius` serves the
+q-model too; the public names here check flavors and name their errors.
 """
 from __future__ import annotations
 
@@ -31,27 +35,29 @@ from .burnside import (
     WITT,
     IndexedVector,
     _check_operands,
+    _expect,
     _flavor_op,
+    _ghost,
+    _ghost_inv,
     theta,
     theta_inv,
 )
 from .errors import (
-    DomainError,
     NotBinomial,
-    NotInImage,
     SchemaError,
     TruncationTooSmall,
 )
 from .rings import RingSpec, RingValue, divisors, mobius
-from .universal import (
+from .universal import (  # Q_MEMBER_BOUND and check_q_member for the CLI
+    Q_MEMBER_BOUND,
     GhostSystem,
     UniversalSet,
     check_op,
+    check_q_member,
     derive,
-    ghost_values,
+    flavor_table,
+    ghost_table,
     index_labels,
-    linear_table,
-    solve_triangular,
 )
 
 
@@ -212,48 +218,15 @@ def _require_components(x: CyclicVector):
 # ghosts
 
 
-# The q-model's ghost row at n raises q to the powers n/d - 1: at an integer
-# q an integer of up to n bits, at the indeterminate a shift by up to n
-# coefficients.  Up to this bound a member costs milliseconds (see the
-# README); a member such as 10^18 + 9 could never be formed, so the q-model
-# refuses a truncation set with a larger member before it builds a row.
-Q_MEMBER_BOUND = 10_000
-
-
-def check_q_member(n: int):
-    """Refuse a q-model truncation set member n above Q_MEMBER_BOUND."""
-    if n > Q_MEMBER_BOUND:
-        raise DomainError(f"truncation set member {n} exceeds the q-model bound {Q_MEMBER_BOUND}")
-
-
-@lru_cache(maxsize=None)
-def _ghost_table(T: TruncationSet, q: bool = False):
-    """Ghost rows (d, d, n/d, n/d - 1 in the q-model else 0) of each n in T."""
-    if q:
-        check_q_member(T.members[-1])
-    return tuple(
-        tuple((T.position(d), d, n // d, n // d - 1 if q else 0) for d in T.divisors(n))
-        for n in T
-    )
-
-
-@lru_cache(maxsize=None)
-def _flavor_table(T: TruncationSet, q: bool, flavor: str):
-    """The ghost rows over T of the necklace flavor (weights d) or the
-    aperiodic one (weights d over the index d: 1), times q^(n/d - 1) in the
-    q-model."""
-    return linear_table(_ghost_table(T, q), T.members if flavor == APERIODIC else None)
-
-
 @lru_cache(maxsize=None)
 def _flavor_system(T: TruncationSet, q: bool, flavor: str, r: int | None = None):
     """The ghost system of the necklace or aperiodic product over T or, given
     r, of f_r: over {n : rn in T}, the ghost at n is the input's ghost at rn."""
-    table = _flavor_table(T, q, flavor)
+    table = flavor_table(T, flavor, q)
     if r is None:
         return GhostSystem(T, T.members, table, "prod", q)
     Tout = TruncationSet([n for n in T if r * n in T])
-    shift = (_flavor_table(Tout, q, flavor), [T.position(r * n) for n in Tout])
+    shift = (flavor_table(Tout, flavor, q), [T.position(r * n) for n in Tout])
     return GhostSystem(Tout, T.members, table, f"frob{r}", q, shift)
 
 
@@ -267,36 +240,23 @@ def _flavor_solve(x: CyclicVector, y=None, r=None, q=None) -> CyclicVector:
 
 
 def cyc_witt_ghost(a: CyclicVector) -> CyclicVector:
-    if a.flavor != WITT:
-        raise ValueError("cyc_witt_ghost expects a Witt vector")
-    out = ghost_values(_ghost_table(a.truncation), a.ring, a.payloads())
-    return CyclicVector.from_payloads(a.truncation, GHOST, a.ring, out)
+    return _ghost(_expect("cyc_witt_ghost", WITT, a))
 
 
 def cyc_ghost(x: CyclicVector) -> CyclicVector:
     """Ghost of any non-ghost flavor over the truncation set."""
-    _require_components(x)
-    if x.flavor == WITT:
-        return cyc_witt_ghost(x)
-    if x.flavor == GHOST:
+    if _require_components(x).flavor == GHOST:
         raise ValueError("vector is already a Ghost vector")
-    out = ghost_values(_flavor_table(x.truncation, False, x.flavor), x.ring, x.payloads())
-    return CyclicVector.from_payloads(x.truncation, GHOST, x.ring, out)
+    return _ghost(x)
 
 
 def cyc_ghost_inv(b: CyclicVector, flavor: str) -> CyclicVector:
     """Invert the necklace/aperiodic ghost by a triangular solve."""
-    if b.flavor != GHOST:
-        raise ValueError("cyc_ghost_inv expects a Ghost vector")
+    _expect("cyc_ghost_inv", GHOST, b)
     if flavor not in (NECKLACE, APERIODIC):
         raise ValueError("cyc_ghost_inv recovers Necklace or Aperiodic vectors")
-    T = b.truncation
-    out = solve_triangular(
-        _flavor_table(T, False, flavor), b.payloads(), b.ring,
-        fail=lambda u, R: NotInImage(
-            f"ghost vector is not a necklace ghost over {R.name} at index {T.members[u]}"),
-    )
-    return CyclicVector.from_payloads(T, flavor, b.ring, out)
+    return _ghost_inv(b, b.truncation, flavor,
+                      "ghost vector is not a necklace ghost over {ring} at {row}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +274,8 @@ def _truncation_universal(T: TruncationSet, op: str, q: bool = False, r: int | N
         shift, Tout = None, T
         if r is not None:
             Tout = TruncationSet([n for n in T if r * n in T])
-            shift = (_ghost_table(Tout, q), [T.position(r * n) for n in Tout])
-        return GhostSystem(Tout, index_labels(T), _ghost_table(T, q), tag if r else op, q, shift)
+            shift = (ghost_table(Tout, q), [T.position(r * n) for n in Tout])
+        return GhostSystem(Tout, index_labels(T), ghost_table(T, q), tag if r else op, q, shift)
 
     return derive(T, tag, system)
 
@@ -443,22 +403,29 @@ def _frobenius_universal(T: TruncationSet, r: int):
     return cu.truncation, cu
 
 
-def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:
-    """The operator with ghost behaviour n -> rn, on truncation {n : rn in T}."""
+def _frobenius(r: int, x: CyclicVector, q=None) -> CyclicVector:
+    """f_r, the operator with ghost behaviour n -> rn, on {n : rn in T}; q is
+    the q-model's q as a function of the ring (see `burnside._ghost`), None
+    in the classical model, which refuses coordinate-backed vectors."""
     if r < 1:
         raise ValueError("frobenius index must be positive")
-    _require_components(x)
-    T = x.truncation
+    if q is None:
+        _require_components(x)
+    T, R = x.truncation, x.ring
     if r not in T:
         raise TruncationTooSmall(
             f"frobenius({r}) needs {r} in the truncation set {list(T.members)}"
         )
-    R = x.ring
-    if x.flavor == WITT:
-        Tout, cu = _frobenius_universal(T, r)
-        out = cu.system.apply(R, x.payloads())
-        return CyclicVector.from_payloads(Tout, WITT, R, out)
     if x.flavor == GHOST:
         Tout = TruncationSet([n for n in T if r * n in T])
         return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
-    return _flavor_solve(x, r=r)
+    if x.flavor == WITT or x.coord_form:
+        cu = _truncation_universal(T, f"frob{r}", q is not None, r)
+        out = cu.system.apply(R, x.payloads(), q and q(R))
+        return CyclicVector.from_payloads(cu.truncation, x.flavor, R, out, x.coord_form)
+    return _flavor_solve(x, r=r, q=q and q(R))
+
+
+def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:
+    """The operator with ghost behaviour n -> rn, on truncation {n : rn in T}."""
+    return _frobenius(r, x)

@@ -10,6 +10,9 @@ P_{n,i,j}(q) that the solved products amount to are kept as scalars of their
 own (`qpoly`, the q-necklace polynomials, the checks).  The Witt
 operations' universal polynomials, with numerical coefficients in Q[q] (q an
 extra variable), are derived once per truncation set by the same solve.
+The q-ghost maps, the q-Teichmuller transport and f_r are the classical
+maps (`burnside._ghost`, `_teichmuller`, `cyclic._frobenius`) on the
+q-ghost tables, given `QContext.ghost_q`.
 
 A QContext fixes q: a concrete integer works over every coefficient ring
 (the solves stay integral by numericality), while the indeterminate
@@ -29,10 +32,13 @@ from .burnside import (
     GHOST,
     NECKLACE,
     WITT,
-    _is_binomial,
-    _strategy,
     _check_operands,
+    _expect,
     _flavor_op,
+    _ghost,
+    _ghost_inv,
+    _teichmuller,
+    _teichmuller_inv,
     theta,
     theta_inv,
 )
@@ -41,19 +47,14 @@ from .cyclic import (
     TruncationSet,
     _dilate,
     _flavor_solve,
-    _flavor_table,
-    _ghost_table,
+    _frobenius,
     _truncation_universal,
-    check_q_member,
     necklace_poly,
 )
 from .errors import (
-    DomainError,
-    IntegralityViolation,
     NotInImage,
     NumericalityViolation,
     SchemaError,
-    TruncationTooSmall,
 )
 from .rings import (
     QQ_Q,
@@ -68,7 +69,9 @@ from .rings import (
 from .universal import (
     UniversalSet,
     check_op,
-    ghost_values,
+    check_q_member,
+    ghost_table,
+    row_error,
     solve_triangular,
 )
 
@@ -106,6 +109,11 @@ class QContext:
                 raise SchemaError(f"indeterminate q requires the Q[q] ring, not {R.name}")
             return QPolynomial.variable()
         return R.from_int(self.q)
+
+    def ghost_q(self, R: RingSpec):
+        """The q that ghost rows over R are evaluated and solved at: the
+        integer q itself, or the indeterminate (in the Q[q] ring only)."""
+        return self.q_payload(R) if self.q is None else self.q
 
     def __repr__(self):
         return f"QContext(q={'q' if self.q is None else self.q})"
@@ -222,26 +230,14 @@ def p_poly(n: int, i: int, j: int) -> QPolynomial:
 
 def q_witt_ghost(ctx: QContext, a: CyclicVector) -> CyclicVector:
     """Phi^q_n(a) = sum_{d|n} d q^(n/d - 1) a_d^(n/d)."""
-    if a.flavor != WITT:
-        raise ValueError("q_witt_ghost expects a Witt vector")
-    R = a.ring
-    table = _ghost_table(a.truncation, True)
-    out = ghost_values(table, R, a.payloads(), ctx.q_payload(R))
-    return CyclicVector.from_payloads(a.truncation, GHOST, R, out)
+    return _ghost(_expect("q_witt_ghost", WITT, a), ctx.ghost_q)
 
 
 def q_ghost(ctx: QContext, x: CyclicVector) -> CyclicVector:
     """Ghost of any non-ghost flavor; coordinate-backed vectors use Phi^q."""
-    if x.flavor == WITT:
-        return q_witt_ghost(ctx, x)
     if x.flavor == GHOST:
         raise ValueError("vector is already a Ghost vector")
-    if x.coord_form:
-        return q_witt_ghost(ctx, x.retag(WITT, coord_form=False))
-    R = x.ring
-    table = _flavor_table(x.truncation, True, x.flavor)
-    out = ghost_values(table, R, x.payloads(), ctx.q_payload(R))
-    return CyclicVector.from_payloads(x.truncation, GHOST, R, out)
+    return _ghost(x, ctx.ghost_q)
 
 
 def q_ghost_inv(ctx: QContext, b: CyclicVector, flavor: str) -> CyclicVector:
@@ -250,19 +246,17 @@ def q_ghost_inv(ctx: QContext, b: CyclicVector, flavor: str) -> CyclicVector:
     The aperiodic rows have diagonal 1, so that inverse exists over every
     ring; the necklace rows divide by n.
     """
-    if b.flavor != GHOST:
-        raise ValueError("q_ghost_inv expects a Ghost vector")
+    _expect("q_ghost_inv", GHOST, b)
     if flavor not in (NECKLACE, APERIODIC):
         raise ValueError("q_ghost_inv recovers Necklace or Aperiodic vectors")
-    R, T = b.ring, b.truncation
+    T = b.truncation
 
     def fail(u, R):
         if isinstance(R, ResidueRing):
             return NotInImage(f"ghost vector has no necklace preimage over {R.name}")
         return NotInImage(f"ghost vector leaves {R.name} at index {T.members[u]}")
 
-    out = solve_triangular(_flavor_table(T, True, flavor), b.payloads(), R, fail, _q_arg(ctx, R))
-    return CyclicVector.from_payloads(T, flavor, R, out)
+    return _ghost_inv(b, T, flavor, fail, ctx.ghost_q)
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +276,10 @@ def q_universal(T: TruncationSet, op: str) -> UniversalSet:
     return _truncation_universal(T, op, q=True)
 
 
-def _q_arg(ctx: QContext, R: RingSpec):
-    """The q a ghost solve in R takes: ctx's integer q, or the indeterminate."""
-    qv = ctx.q_payload(R)  # the indeterminate lives in the Q[q] ring only
-    return qv if ctx.q is None else ctx.q
-
-
 def q_witt_op(ctx: QContext, op: str, a: CyclicVector, b: CyclicVector | None = None) -> CyclicVector:
     _check_operands("q_witt_op", WITT, op, a, b)
     env = a.payloads() + (b.payloads() if b is not None else ())
-    out = q_universal(a.truncation, op).system.apply(a.ring, env, _q_arg(ctx, a.ring))
+    out = q_universal(a.truncation, op).system.apply(a.ring, env, ctx.ghost_q(a.ring))
     return CyclicVector.from_payloads(a.truncation, WITT, a.ring, out)
 
 
@@ -303,10 +291,8 @@ def try_one(ctx: QContext, T: TruncationSet, R: RingSpec) -> CyclicVector | None
     """
     try:
         comps = solve_triangular(
-            _ghost_table(T, True), [R.one()] * len(T), R,
-            lambda u, R: NotInImage(f"no q-Witt identity over {R.name} at index {T.members[u]}"),
-            _q_arg(ctx, R),
-        )
+            ghost_table(T, True), [R.one()] * len(T), R,
+            row_error(NotInImage, "no q-Witt identity over {ring} at {row}", T), ctx.ghost_q(R))
     except NotInImage:
         return None
     return CyclicVector.from_payloads(T, WITT, R, comps)
@@ -320,7 +306,7 @@ def _q_flavor_op(ctx: QContext, op, x, y):
     """_flavor_op at ctx's q: the q-Witt operation for coordinate-backed vectors,
     the product as the solve of the q-ghosts' product."""
     return _flavor_op(op, x, y, lambda op, a, b: q_witt_op(ctx, op, a, b),
-                      lambda x, y: _flavor_solve(x, y, q=_q_arg(ctx, x.ring)))
+                      lambda x, y: _flavor_solve(x, y, q=ctx.ghost_q(x.ring)))
 
 
 def q_nr_mul(ctx: QContext, x: CyclicVector, y: CyclicVector) -> CyclicVector:
@@ -399,23 +385,7 @@ def q_teichmuller(ctx: QContext, a: CyclicVector) -> CyclicVector:
     polynomial ring, which is not binomial, is rationalised first; quotient
     rings keep Witt coordinates.
     """
-    if a.flavor != WITT:
-        raise ValueError("q_teichmuller expects a Witt vector")
-    R = a.ring
-    if _strategy(R) == "quotient":
-        return a.retag(NECKLACE, coord_form=True)
-    if not (R.is_qalgebra or _is_binomial(R)):
-        a = a.map_ring(R.rationalized(), R.to_rationalized)
-        R = a.ring
-    T = a.truncation
-    want = ghost_values(_ghost_table(T, True), R, a.payloads(), ctx.q_payload(R))
-    out = solve_triangular(
-        _flavor_table(T, True, NECKLACE), want, R,
-        lambda u, R: IntegralityViolation(
-            f"q-teichmuller escaped {R.name} at index {T.members[u]}"),
-        _q_arg(ctx, R),
-    )
-    return CyclicVector.from_payloads(T, NECKLACE, R, out)
+    return _teichmuller(_expect("q_teichmuller", WITT, a), "q-teichmuller", ctx.ghost_q)
 
 
 def q_teichmuller_inv(ctx: QContext, x: CyclicVector) -> CyclicVector:
@@ -424,25 +394,11 @@ def q_teichmuller_inv(ctx: QContext, x: CyclicVector) -> CyclicVector:
     Over a binomial ring such as Z every necklace vector has a preimage;
     over an integer polynomial ring a row leaving the ring raises NotInImage.
     """
-    if x.flavor != NECKLACE:
-        raise ValueError("q_teichmuller_inv expects a Necklace vector")
-    R = x.ring
-    if x.coord_form:
-        return x.retag(WITT, coord_form=False)
-    if _strategy(R) == "quotient":
-        raise DomainError(
-            f"componentwise Necklace vectors over {R.name} have no canonical "
-            "coordinate lift; only coordinate-backed images are invertible"
-        )
-    T = x.truncation
-    want = ghost_values(_flavor_table(T, True, NECKLACE), R, x.payloads(), ctx.q_payload(R))
-    out = solve_triangular(
-        _ghost_table(T, True), want, R,
-        lambda u, R: NotInImage(
-            f"vector has no q-Witt preimage over {R.name} at index {T.members[u]}"),
-        _q_arg(ctx, R),
-    )
-    return CyclicVector.from_payloads(T, WITT, R, out)
+    return _teichmuller_inv(
+        _expect("q_teichmuller_inv", NECKLACE, x),
+        "componentwise Necklace vectors over {ring} have no canonical coordinate lift; "
+        "only coordinate-backed images are invertible",
+        "vector has no q-Witt preimage over {ring} at {row}", ctx.ghost_q)
 
 
 def theta_q(x: CyclicVector) -> CyclicVector:
@@ -470,22 +426,7 @@ def _q_frobenius_universal(T: TruncationSet, r: int):
 
 def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:
     """The operator with q-ghost behaviour n -> rn, on truncation {n : rn in T}."""
-    if r < 1:
-        raise ValueError("frobenius index must be positive")
-    T = x.truncation
-    if r not in T:
-        raise TruncationTooSmall(
-            f"frobenius({r}) needs {r} in the truncation set {list(T.members)}"
-        )
-    R = x.ring
-    if x.flavor == GHOST:
-        Tout = TruncationSet([n for n in T if r * n in T])
-        return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
-    if x.flavor == WITT or x.coord_form:
-        Tout, cu = _q_frobenius_universal(T, r)
-        out = cu.system.apply(R, x.payloads(), _q_arg(ctx, R))
-        return CyclicVector.from_payloads(Tout, x.flavor, R, out, x.coord_form)
-    return _flavor_solve(x, r=r, q=_q_arg(ctx, R))
+    return _frobenius(r, x, ctx.ghost_q)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ row u lists the entries (v, weight, exponent, qpower) of
     w_u(x) = sum of weight * q^qpower * x_v^exponent,
 
 and ends with its diagonal entry (u, weight, 1, 0).  Only the tables differ
-between the models:
+between the models, and `ghost_table` builds every one of them:
 
     groups        marks m(V, U) and the index ratios (G:U)/(G:V)
     truncations   d and n/d for d | n
     q-deformed    d q^(n/d - 1) and n/d
+
+`flavor_table` derives the necklace and aperiodic tables from them (see
+below), and `row_name` names a row in the messages of every model.
 
 The sum, product and negation solve w(s) = w(a) + w(b), w(a) w(b) and
 -w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a).  On a truncation set
@@ -47,6 +50,7 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DomainError,
@@ -54,8 +58,13 @@ from .errors import (
     NonIntegralConstant,
     NumericalityViolation,
 )
-from .groups import FiniteGroup, subgroup_classes
+from .groups import FiniteGroup, marks_matrix, subgroup_classes
 from .rings import ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing, cached_power
+
+WITT = "Witt"
+NECKLACE = "Necklace"
+APERIODIC = "Aperiodic"
+GHOST = "Ghost"
 
 OPS = ("sum", "prod", "neg")
 FORMAT = "u2"  # on-disk format tag; part of every cache file name
@@ -84,6 +93,19 @@ def subgroup_indices(index):
     if isinstance(index, FiniteGroup):
         return tuple(c.index for c in subgroup_classes(index).classes)
     return index.members
+
+
+def row_name(index, u):
+    """Row u of an index set in a message: "class X" on a group, "index n" on
+    a truncation set."""
+    label = index_labels(index)[u]
+    return f"index {label}" if type(label) is int else f"class {label}"
+
+
+def row_error(error, text, index):
+    """fail(u, R) of a solve on index's rows: error(text), with {ring} the
+    name of R and {row} the row_name of u."""
+    return lambda u, R: error(text.format(ring=R.name, row=row_name(index, u)))
 
 
 class UniversalSet:
@@ -190,6 +212,57 @@ def linear_table(table, indices=None):
 
 def _quotient(a: int, b: int):
     return a // b if a % b == 0 else Fraction(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the ghost tables
+
+
+# The q-model's ghost row at n raises q to the powers n/d - 1: at an integer
+# q an integer of up to n bits, at the indeterminate a shift by up to n
+# coefficients.  Up to this bound a member costs milliseconds (see the
+# README); a member such as 10^18 + 9 could never be formed, so the q-model
+# refuses a truncation set with a larger member before it builds a row.
+Q_MEMBER_BOUND = 10_000
+
+
+def check_q_member(n: int):
+    """Refuse a q-model truncation set member n above Q_MEMBER_BOUND."""
+    if n > Q_MEMBER_BOUND:
+        raise DomainError(f"truncation set member {n} exceeds the q-model bound {Q_MEMBER_BOUND}")
+
+
+@lru_cache(maxsize=None)
+def ghost_table(index, q=False):
+    """The ghost rows of the Witt flavor over a group or a truncation set.
+
+    A group's class U has the rows (V, mark m(V, U), (G:U)/(G:V), 0); a
+    truncation set's member n has (d, d, n/d, 0) for d | n, with the q-power
+    n/d - 1 in the q-model (q true, truncation sets only).
+    """
+    if isinstance(index, FiniteGroup):
+        ct = subgroup_classes(index)
+        zeta = marks_matrix(index).zeta
+        return tuple(
+            tuple((v, zeta.entry(v, u), ct.classes[u].index // ct.classes[v].index, 0)
+                  for v in range(u + 1) if zeta.entry(v, u))
+            for u in range(len(ct))
+        )
+    if q:
+        check_q_member(index.members[-1])
+    return tuple(
+        tuple((index.position(d), d, n // d, n // d - 1 if q else 0) for d in index.divisors(n))
+        for n in index
+    )
+
+
+@lru_cache(maxsize=None)
+def flavor_table(index, flavor, q=False):
+    """The ghost rows of the necklace flavor (the ghost table with every
+    exponent 1) or of the aperiodic one (each weight over its subgroup's
+    index: (G:V), or d)."""
+    indices = subgroup_indices(index) if flavor == APERIODIC else None
+    return linear_table(ghost_table(index, q), indices)
 
 
 def rational_weight(R, f: Fraction, context: str):
@@ -334,8 +407,9 @@ class GhostSystem:
                 f"{self.op} has fractional coefficients at {self._where(u)} over {R.name}")), q)
 
     def _where(self, u):
-        label = index_labels(self.structure)[u]
-        return f"index {label}" if type(label) is int else f"class {label} of {self.structure.name}"
+        where = row_name(self.structure, u)
+        group = isinstance(self.structure, FiniteGroup)
+        return f"{where} of {self.structure.name}" if group else where
 
     def holds(self, polys) -> bool:
         """Does the ghost identity hold for `polys` at one fixed integer point?"""
