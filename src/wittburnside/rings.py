@@ -22,6 +22,7 @@ import re
 from fractions import Fraction
 
 from .errors import (
+    DomainError,
     NonExactDivision,
     NonInvertibleDiagonal,
     SchemaError,
@@ -120,10 +121,23 @@ def power(mul, base, n: int, one):
         base = mul(base, base)
 
 
+# The largest exponent a payload other than 0 and +-1 is raised to outside a
+# residue ring: a ghost row at a truncation set member n raises to powers up
+# to n, and 3^(10^18) could never be formed.
+POWER_BOUND = 10_000
+
+
 def cached_power(R, xs, v, e, cache):
-    """xs[v] ** e in R (e >= 1), by squarings and products that `cache` shares."""
+    """xs[v] ** e in R (e >= 1), by squarings and products that `cache` shares.
+
+    Outside a residue ring, which reduces its powers, an exponent above
+    POWER_BOUND is refused with DomainError unless xs[v] is 0 or +-1.
+    """
     p = cache.get((v, e))
     if p is None:
+        if e > POWER_BOUND and not isinstance(R, ResidueRing) and not any(
+                xs[v] == R.from_int(k) for k in (0, 1, -1)):
+            raise DomainError(f"exponent {e} exceeds the power bound {POWER_BOUND} over {R.name}")
         if e == 1:
             p = xs[v]
         elif e % 2:

@@ -59,7 +59,7 @@ from .errors import (
     NumericalityViolation,
 )
 from .groups import FiniteGroup, marks_matrix, subgroup_classes
-from .rings import ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing, cached_power
+from .rings import POWER_BOUND, ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing, cached_power
 
 WITT = "Witt"
 NECKLACE = "Necklace"
@@ -222,8 +222,11 @@ def _quotient(a: int, b: int):
 # q an integer of up to n bits, at the indeterminate a shift by up to n
 # coefficients.  Up to this bound a member costs milliseconds (see the
 # README); a member such as 10^18 + 9 could never be formed, so the q-model
-# refuses a truncation set with a larger member before it builds a row.
-Q_MEMBER_BOUND = 10_000
+# refuses a truncation set with a larger member before it builds a row.  It
+# is the bound on the powers of a payload too (`rings.cached_power`), which
+# the classical rows meet only where a payload other than 0 and +-1 is
+# raised to a member above it.
+Q_MEMBER_BOUND = POWER_BOUND
 
 
 def check_q_member(n: int):

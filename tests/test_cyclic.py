@@ -3,9 +3,13 @@
 Classical oracles (necklace counts, one-prime Witt polynomials, Frobenius
 formulas) were frozen by hand before the module was written.
 """
+import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -17,13 +21,13 @@ from wittburnside.burnside import (
     NECKLACE,
     WITT,
     IndexedVector,
-    exp_M,
-    wg_ghost,
-    wg_op,
-    nr_op,
     ap_op,
+    exp_M,
+    nr_op,
     res_ap,
     res_nr,
+    wg_ghost,
+    wg_op,
     witt_f,
     witt_v,
 )
@@ -150,6 +154,90 @@ def test_ghost_on_a_large_member_reads_divisors_off_the_set():
     x = CyclicVector.from_ints(TruncationSet([1, 10 ** 18 + 9]), NECKLACE, ZZ, [3, 5])
     assert [c.payload for c in cyc_ghost(x).components] == [3, 5000000000000000048]
     assert time.perf_counter() - start < 2.0
+
+
+# The child runs the classical Witt maps on {1, 10^18 + 9} under a memory
+# limit: forming 3^(10^18 + 9) then fails the test instead of exhausting the
+# machine's memory.  Payloads 0 and +-1, and Z/8, whose powers reduce, answer.
+_HUGE_POWER_CHILD = r"""
+import json, os, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from wittburnside.burnside import WITT
+from wittburnside.cli import main
+from wittburnside.cyclic import CyclicVector, TruncationSet, cyc_frobenius, cyc_witt_ghost, cyc_witt_op
+from wittburnside.errors import DomainError
+from wittburnside.rings import QQ, ZZ, parse_ring
+
+big = 10 ** 18 + 9
+T = TruncationSet([1, big])
+
+
+def timed(name, call):
+    start = time.perf_counter()
+    try:
+        out = call()
+        outcome = out if type(out) is int else [c.format() for c in out.components]
+    except DomainError as exc:
+        outcome = str(exc)
+    print(json.dumps([name, outcome, time.perf_counter() - start < 2.0]), flush=True)
+
+
+for R in (ZZ, QQ):
+    a = CyclicVector.from_ints(T, WITT, R, [3, 5])
+    timed(f"cyc_witt_ghost/{R.name}", lambda: cyc_witt_ghost(a))
+    timed(f"cyc_witt_op sum/{R.name}", lambda: cyc_witt_op("sum", a, a))
+    timed(f"cyc_witt_op prod/{R.name}", lambda: cyc_witt_op("prod", a, a))
+    timed(f"cyc_witt_op neg/{R.name}", lambda: cyc_witt_op("neg", a))
+    timed(f"cyc_frobenius/{R.name}", lambda: cyc_frobenius(big, a))
+
+path = os.path.join(sys.argv[1], "w.json")
+with open(path, "w") as fh:
+    json.dump({"schema_version": 1, "group": {"cyclic_trunc": [1, big]}, "labels": [1, big],
+               "flavor": "Witt", "ring": "Z", "components": ["3", "5"]}, fh)
+timed("cli cyclic ghost", lambda: main(["cyclic", "ghost", path]))
+timed("cli cyclic witt mul", lambda: main(["cyclic", "witt", "mul", path, path]))
+os.environ["WB_CACHE_DIR"] = sys.argv[1]  # the universal polynomials are solved at once
+timed("cli cyclic witt mul, cached", lambda: main(["cyclic", "witt", "mul", path, path]))
+
+vec = lambda R, xs: CyclicVector.from_ints(T, WITT, R, xs)
+Z8 = parse_ring("Z/8")
+timed("ghost/Z/8", lambda: cyc_witt_ghost(vec(Z8, [3, 5])))
+timed("witt_op prod/Z/8", lambda: cyc_witt_op("prod", vec(Z8, [1, 5]), vec(Z8, [0, 7])))
+timed("ghost/0", lambda: cyc_witt_ghost(vec(ZZ, [0, 5])))
+timed("ghost/1", lambda: cyc_witt_ghost(vec(ZZ, [1, 5])))
+timed("ghost/-1", lambda: cyc_witt_ghost(vec(QQ, [-1, 5])))
+timed("witt_op prod/+-1", lambda: cyc_witt_op("prod", vec(ZZ, [1, 5]), vec(ZZ, [-1, 7])))
+timed("witt_op neg/1", lambda: cyc_witt_op("neg", vec(ZZ, [1, 5])))
+timed("frobenius/-1", lambda: cyc_frobenius(big, vec(ZZ, [-1, 5])))
+"""
+
+
+def test_classical_witt_maps_refuse_powers_above_the_bound(tmp_path):
+    pytest.importorskip("resource")
+    env = {k: v for k, v in os.environ.items() if k != "WB_CACHE_DIR"}
+    proc = subprocess.run([sys.executable, "-c", _HUGE_POWER_CHILD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == 21
+    big = 10 ** 18 + 9
+    for (name, outcome, fast), ring in zip(results[:10], ["Z"] * 5 + ["Q"] * 5):
+        assert (outcome, fast) == (f"exponent {big} exceeds the power bound 10000 over {ring}",
+                                   True), name
+    for name, outcome, fast in results[10:13]:
+        assert (outcome, fast) == (3, True), name  # the CLI's DomainError exit
+    assert proc.stderr.count("exceeds the power bound 10000") == 3
+    assert [outcome for _, outcome, _ in results[13:]] == [
+        ["3", "0"],  # 3^N + 5N = 3 + 5 mod 8, N odd and 1 mod 8
+        ["0", "2"],  # (1 + 5N) 7N = N s_N, s_N = 7 + 35N = 42 mod 8
+        ["0", str(5 * big)],
+        ["1", str(1 + 5 * big)],
+        ["-1", str(-1 + 5 * big)],
+        ["-1", str(2 + 35 * big)],  # (1 + 5N) (-1 + 7N) = -1 + N s_N
+        ["-1", "-5"],
+        [str(-1 + 5 * big)],
+    ]
+    assert all(fast for _, _, fast in results[13:])
 
 
 def test_witt_ghost_examples():
