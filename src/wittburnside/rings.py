@@ -557,9 +557,16 @@ class MultiPoly:
         return f"MultiPoly({self.format()})"
 
 
+_VAR_POWER = re.compile(r"(-\s*)?([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?")
+# a '-' after a factor starts a negated term ("x - 1" is "x+-1"), but not in
+# a number's exponent ("1e-5")
+_TERM_MINUS = re.compile(r"(?<![0-9.][eE])(?<=[A-Za-z0-9_.])\s*-\s*")
+
+
 def _parse_poly_terms(text: str, vars: tuple[str, ...]):
-    """Parse '+'-joined monomials 'coef*v^e*...' into an exponent->coeff dict."""
-    text = text.strip()
+    """Parse signed monomials 'coef*v^e*...' into an exponent->coeff dict; a
+    '-' before a term or a factor is a sign ("-x", "x+-1", "x*-1")."""
+    text = _TERM_MINUS.sub("+-", text.strip())
     if text in ("0", ""):
         return {}
     index = {v: i for i, v in enumerate(vars)}
@@ -568,17 +575,17 @@ def _parse_poly_terms(text: str, vars: tuple[str, ...]):
         chunk = chunk.strip()
         if not chunk:
             raise SchemaError("empty monomial in polynomial value")
-        factors = chunk.split("*")
         coeff = Fraction(1)
         exps = [0] * len(vars)
         seen_coeff = False
-        for f in factors:
+        for f in chunk.split("*"):
             f = f.strip()
-            m = re.fullmatch(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?", f)
-            if m and m.group(1) in index:
-                exps[index[m.group(1)]] += int(m.group(2) or 1)
+            m = _VAR_POWER.fullmatch(f)
+            if m and m.group(2) in index:
+                exps[index[m.group(2)]] += int(m.group(3) or 1)
+                coeff = -coeff if m.group(1) else coeff
             elif not seen_coeff:
-                coeff = _parse_coeff(f)
+                coeff *= _parse_coeff(f)
                 seen_coeff = True
             else:
                 raise SchemaError(f"unknown factor {f!r} in polynomial value")

@@ -119,6 +119,33 @@ def test_multipoly_format_parse_round_trip():
     assert v == w
 
 
+@pytest.mark.parametrize("ring,text,plus_form", [
+    ("ZPoly(x,y)", "-x", "-1*x"),
+    ("ZPoly(x,y)", "x-1", "x+-1"),
+    ("ZPoly(x,y)", "-x^2", "-1*x^2"),
+    ("ZPoly(x,y)", "x - y*x", "x+-1*y*x"),
+    ("Q[q]", "-q^2", "-1*q^2"),
+    ("Q[q]", "q^3-2", "q^3+-2"),
+    ("Q[q]", "2*q-1", "2*q+-1"),
+    ("Q[q]", "q-1e-2", "q+-1/100"),
+])
+def test_minus_signs_in_polynomial_text(ring, text, plus_form):
+    spec = parse_ring(ring)
+    assert RingValue.parse(spec, text) == RingValue.parse(spec, plus_form)
+
+
+def test_polynomial_text_signs_keep_their_values():
+    xy, q = parse_ring("ZPoly(x,y)"), QQ_Q
+    x = MultiPoly.variable(("x", "y"), "x")
+    assert xy.parse_value("x+-1") == x - MultiPoly.constant(("x", "y"), 1)
+    assert xy.parse_value("x*-1") == -x
+    assert q.parse_value("-1/2*q") == QPolynomial([0, Fraction(-1, 2)])
+    assert q.parse_value("q^3+-2") == QPolynomial([-2, 0, 0, 1])
+    for bad in ("x+--1", "x-", "-", "x--1", "-*x"):
+        with pytest.raises(SchemaError):
+            xy.parse_value(bad)
+
+
 # -- ring specs ---------------------------------------------------------------
 
 
