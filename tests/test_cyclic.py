@@ -21,11 +21,17 @@ from wittburnside.burnside import (
     NECKLACE,
     WITT,
     IndexedVector,
+    ap_ghost,
+    ap_ghost_inv,
     ap_op,
     exp_M,
+    nr_ghost,
+    nr_ghost_inv,
     nr_op,
     res_ap,
     res_nr,
+    teichmuller,
+    teichmuller_inv,
     wg_ghost,
     wg_op,
     witt_f,
@@ -51,6 +57,7 @@ from wittburnside.cyclic import (
     necklace_poly,
 )
 from wittburnside.errors import (
+    DomainError,
     NotBinomial,
     NotInImage,
     NotInvertibleIndex,
@@ -58,6 +65,7 @@ from wittburnside.errors import (
     TruncationTooSmall,
 )
 from wittburnside.groups import build_group, subgroup_classes, subgroup_group
+from wittburnside.qdeform import QContext, q_teichmuller, q_teichmuller_inv
 from wittburnside.rings import QQ, RingValue, ZZ, divisors, mobius, parse_ring
 
 D12 = TruncationSet.div(12)
@@ -527,6 +535,17 @@ def both_models(G, T, flavor, R, payloads):
             CyclicVector.from_payloads(T, flavor, R, payloads))
 
 
+Q1 = QContext(1)  # the q-model at q = 1 is the classical one
+
+
+def outcome(f, *args):
+    """The payloads of f(*args), or the class of the DomainError it raises."""
+    try:
+        return f(*args).payloads()
+    except DomainError as exc:
+        return type(exc)
+
+
 def test_cyclic_matches_group_model_ops():
     rng = random.Random(12)
     for N in (2, 4, 6, 8, 12, 24):
@@ -548,6 +567,17 @@ def test_cyclic_matches_group_model_ops():
                 ga, ca = both_models(G, T, APERIODIC, R, xs)
                 ha, da = both_models(G, T, APERIODIC, R, ys)
                 assert ap_op("prod", ga, ha).payloads() == cyc_ap_mul(ca, da).payloads()
+                # the transports, wherever they are defined: the same payloads
+                # or the same error class
+                for (g, c), ghost, ghost_inv in (((gn, cn), nr_ghost, nr_ghost_inv),
+                                                 ((ga, ca), ap_ghost, ap_ghost_inv)):
+                    assert outcome(ghost, g) == outcome(cyc_ghost, c)
+                    for gb, cb in (both_models(G, T, GHOST, R, ys), (ghost(g), cyc_ghost(c))):
+                        assert outcome(ghost_inv, gb) == outcome(cyc_ghost_inv, cb, g.flavor)
+                assert outcome(teichmuller, gw) == outcome(q_teichmuller, Q1, cw)
+                assert outcome(teichmuller_inv, gn) == outcome(q_teichmuller_inv, Q1, cn)
+                gt, ct = teichmuller(gw), q_teichmuller(Q1, cw)
+                assert outcome(teichmuller_inv, gt) == outcome(q_teichmuller_inv, Q1, ct)
 
 
 def test_cyclic_matches_group_model_exponentials():
