@@ -305,9 +305,7 @@ def _ghost(x: IndexedVector, q=None) -> IndexedVector:
 
 def _ghost_inv(b: IndexedVector, index, flavor, fail, q=None) -> IndexedVector:
     """The Necklace or Aperiodic vector on index whose ghost is b, solved in
-    b's ring; fail is a NotInImage message (see `row_error`) or fail(u, R)."""
-    if type(fail) is str:
-        fail = row_error(NotInImage, fail, index)
+    b's ring; fail(u, R) is the error of a row u without a solution."""
     out = solve_triangular(flavor_table(index, flavor, q is not None), b.payloads(), b.ring,
                            fail, q and q(b.ring))
     return IndexedVector.from_payloads(index, flavor, b.ring, out)
@@ -325,8 +323,10 @@ def nr_ghost(x: IndexedVector) -> IndexedVector:
 
 def nr_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
     """Invert the necklace ghost by a triangular solve staying inside the ring."""
-    return _ghost_inv(_expect("nr_ghost_inv", GHOST, b), group or b.group, NECKLACE,
-                      "ghost vector is not a necklace ghost over {ring} at {row}")
+    _expect("nr_ghost_inv", GHOST, b)
+    G = group or b.group
+    return _ghost_inv(b, G, NECKLACE, row_error(
+        NotInImage, "ghost vector is not a necklace ghost over {ring} at {row}", G))
 
 
 def ap_ghost(x: IndexedVector) -> IndexedVector:
@@ -335,8 +335,10 @@ def ap_ghost(x: IndexedVector) -> IndexedVector:
 
 
 def ap_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
-    return _ghost_inv(_expect("ap_ghost_inv", GHOST, b), group or b.group, APERIODIC,
-                      "ghost vector is not an aperiodic ghost over {ring} at {row}")
+    _expect("ap_ghost_inv", GHOST, b)
+    G = group or b.group
+    return _ghost_inv(b, G, APERIODIC, row_error(
+        NotInImage, "ghost vector is not an aperiodic ghost over {ring} at {row}", G))
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +419,10 @@ def _teichmuller(alpha: IndexedVector, what: str, q=None) -> IndexedVector:
     return IndexedVector.from_payloads(index, NECKLACE, R, out)
 
 
-def _teichmuller_inv(x: IndexedVector, refused: str, fail: str, q=None) -> IndexedVector:
-    """Necklace -> Witt, the Witt ghost solve of the necklace ghost.  Mod m
-    only a coordinate-backed vector inverts (else DomainError `refused`)."""
+def _teichmuller_inv(x: IndexedVector, refused: str, text: str, q=None) -> IndexedVector:
+    """Necklace -> Witt, the Witt ghost solve of the necklace ghost; a row
+    without a solution raises NotInImage(text).  Mod m only a
+    coordinate-backed vector inverts (else DomainError `refused`)."""
     if x.coord_form:
         return x.retag(WITT, coord_form=False)
     R, index = x.ring, x.index
@@ -427,7 +430,7 @@ def _teichmuller_inv(x: IndexedVector, refused: str, fail: str, q=None) -> Index
         raise DomainError(refused.format(ring=R.name))
     want = ghost_values(flavor_table(index, NECKLACE, q is not None), R, x.payloads(), q and q(R))
     out = solve_triangular(ghost_table(index, q is not None), want, R,
-                           row_error(NotInImage, fail, index), q and q(R))
+                           row_error(NotInImage, text, index), q and q(R))
     return IndexedVector.from_payloads(index, WITT, R, out)
 
 

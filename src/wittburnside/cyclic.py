@@ -44,6 +44,7 @@ from .burnside import (
 )
 from .errors import (
     NotBinomial,
+    NotInImage,
     SchemaError,
     TruncationTooSmall,
 )
@@ -58,6 +59,7 @@ from .universal import (  # Q_MEMBER_BOUND and check_q_member for the CLI
     flavor_table,
     ghost_table,
     index_labels,
+    row_error,
 )
 
 
@@ -255,8 +257,9 @@ def cyc_ghost_inv(b: CyclicVector, flavor: str) -> CyclicVector:
     _expect("cyc_ghost_inv", GHOST, b)
     if flavor not in (NECKLACE, APERIODIC):
         raise ValueError("cyc_ghost_inv recovers Necklace or Aperiodic vectors")
-    return _ghost_inv(b, b.truncation, flavor,
-                      "ghost vector is not a necklace ghost over {ring} at {row}")
+    T = b.truncation
+    return _ghost_inv(b, T, flavor, row_error(
+        NotInImage, "ghost vector is not a necklace ghost over {ring} at {row}", T))
 
 
 # ---------------------------------------------------------------------------
