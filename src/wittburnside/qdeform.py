@@ -122,8 +122,7 @@ class QContext:
 def _int_scalar(ctx: QContext, R: RingSpec, p: QPolynomial, what: str):
     """Payload of a numerical Q[q]-scalar: an integer once q is an integer."""
     if ctx.q is None:
-        if R is not QQ_Q:
-            raise SchemaError(f"indeterminate q requires the Q[q] ring, not {R.name}")
+        ctx.q_payload(R)  # the indeterminate lives in the Q[q] ring only
         return p
     v = p(ctx.q)
     if v.denominator != 1:
@@ -134,8 +133,7 @@ def _int_scalar(ctx: QContext, R: RingSpec, p: QPolynomial, what: str):
 def _exact_scalar(ctx: QContext, R: RingSpec, p: QPolynomial):
     """Payload of an arbitrary Q[q]-scalar; fractions go through from_fraction."""
     if ctx.q is None:
-        if R is not QQ_Q:
-            raise SchemaError(f"indeterminate q requires the Q[q] ring, not {R.name}")
+        ctx.q_payload(R)  # the indeterminate lives in the Q[q] ring only
         return p
     v = p(ctx.q)
     if v.denominator == 1:

@@ -410,9 +410,8 @@ class GhostSystem:
                 f"{self.op} has fractional coefficients at {self._where(u)} over {R.name}")), q)
 
     def _where(self, u):
-        where = row_name(self.structure, u)
-        group = isinstance(self.structure, FiniteGroup)
-        return f"{where} of {self.structure.name}" if group else where
+        of = f" of {self.structure.name}" if isinstance(self.structure, FiniteGroup) else ""
+        return row_name(self.structure, u) + of
 
     def holds(self, polys) -> bool:
         """Does the ghost identity hold for `polys` at one fixed integer point?"""
