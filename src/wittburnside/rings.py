@@ -558,15 +558,16 @@ class MultiPoly:
 
 
 _VAR_POWER = re.compile(r"(-\s*)?([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?")
-# a '-' after a factor starts a negated term ("x - 1" is "x+-1"), but not in
-# a number's exponent ("1e-5")
-_TERM_MINUS = re.compile(r"(?<![0-9.][eE])(?<=[A-Za-z0-9_.])\s*-\s*")
+# a '-' after a variable or a whole number ("1e-5" is one) starts a negated
+# term: "x - 1" is "x+-1"
+_TERM_MINUS = re.compile(
+    r"([A-Za-z_][A-Za-z_0-9]*|(?:[0-9][0-9_]*\.?|\.[0-9])[0-9_]*(?:[eE]-[0-9_]+)?)(\s*-\s*)?")
 
 
 def _parse_poly_terms(text: str, vars: tuple[str, ...]):
     """Parse signed monomials 'coef*v^e*...' into an exponent->coeff dict; a
     '-' before a term or a factor is a sign ("-x", "x+-1", "x*-1")."""
-    text = _TERM_MINUS.sub("+-", text.strip())
+    text = _TERM_MINUS.sub(lambda m: m[1] + "+-" if m[2] else m[1], text.strip())
     if text in ("0", ""):
         return {}
     index = {v: i for i, v in enumerate(vars)}

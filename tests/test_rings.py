@@ -127,7 +127,9 @@ def test_multipoly_format_parse_round_trip():
     ("Q[q]", "-q^2", "-1*q^2"),
     ("Q[q]", "q^3-2", "q^3+-2"),
     ("Q[q]", "2*q-1", "2*q+-1"),
-    ("Q[q]", "q-1e-2", "q+-1/100"),
+    ("Q[q]", "q-1e-2", "q+-1/100"),  # the exponent's '-' is no term
+    ("Q[q]", "1e2-q", "100+-1*q"),
+    ("ZPoly(a1e)", "a1e-1", "a1e+-1"),  # a variable, not a number's exponent
 ])
 def test_minus_signs_in_polynomial_text(ring, text, plus_form):
     spec = parse_ring(ring)
