@@ -557,17 +557,17 @@ class MultiPoly:
         return f"MultiPoly({self.format()})"
 
 
-_VAR_POWER = re.compile(r"(-\s*)?([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?")
-# a '-' after a variable or a whole number ("1e-5" is one) starts a negated
-# term: "x - 1" is "x+-1"
-_TERM_MINUS = re.compile(
-    r"([A-Za-z_][A-Za-z_0-9]*|(?:[0-9][0-9_]*\.?|\.[0-9])[0-9_]*(?:[eE]-[0-9_]+)?)(\s*-\s*)?")
+# patterns for re's cache, compiled on first use rather than at every import
+_VAR_POWER = r"(-\s*)?([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?"
+# a '-' after a variable or a whole number ("1e-5" is one) starts a term
+_TERM_MINUS = (r"([A-Za-z_][A-Za-z_0-9]*|(?:[0-9][0-9_]*\.?|\.[0-9])[0-9_]*(?:[eE]-[0-9_]+)?)"
+               r"(\s*-\s*)?")
 
 
 def _parse_poly_terms(text: str, vars: tuple[str, ...]):
     """Parse signed monomials 'coef*v^e*...' into an exponent->coeff dict; a
     '-' before a term or a factor is a sign ("-x", "x+-1", "x*-1")."""
-    text = _TERM_MINUS.sub(lambda m: m[1] + "+-" if m[2] else m[1], text.strip())
+    text = re.sub(_TERM_MINUS, lambda m: m[1] + "+-" if m[2] else m[1], text.strip())
     if text in ("0", ""):
         return {}
     index = {v: i for i, v in enumerate(vars)}
@@ -581,7 +581,7 @@ def _parse_poly_terms(text: str, vars: tuple[str, ...]):
         seen_coeff = False
         for f in chunk.split("*"):
             f = f.strip()
-            m = _VAR_POWER.fullmatch(f)
+            m = re.fullmatch(_VAR_POWER, f)
             if m and m.group(2) in index:
                 exps[index[m.group(2)]] += int(m.group(3) or 1)
                 coeff = -coeff if m.group(1) else coeff
