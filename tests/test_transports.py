@@ -389,3 +389,37 @@ def test_linear_ghost_inverses_keep_their_results_and_messages(rname):
     ctx = QContext(2)
     assert (text(cyc_ghost_inv, g, NECKLACE), text(q_ghost_inv, ctx, g, NECKLACE),
             text(q_ghost_inv, ctx, g, APERIODIC), text(nr_ghost_inv, h)) == LINEAR_INVERSES[rname]
+
+
+def test_each_model_names_its_flavor_check():
+    # the ghost maps and transports share their bodies across the models; each
+    # public name still refuses a wrong flavor in its own words
+    import wittburnside.burnside as B
+    import wittburnside.cyclic as C
+    import wittburnside.qdeform as Q
+
+    G, T, ctx = build_group("S3"), TruncationSet.div(6), QContext(2)
+    on = {"group": G, "set": T}
+    cases = [
+        (B.wg_ghost, "group", (), NECKLACE, "wg_ghost expects a Witt vector"),
+        (B.nr_ghost, "group", (), WITT, "nr_ghost expects a Necklace vector"),
+        (B.ap_ghost, "group", (), WITT, "ap_ghost expects an Aperiodic vector"),
+        (B.nr_ghost_inv, "group", (), WITT, "nr_ghost_inv expects a Ghost vector"),
+        (B.ap_ghost_inv, "group", (), APERIODIC, "ap_ghost_inv expects a Ghost vector"),
+        (B.teichmuller, "group", (), GHOST, "teichmuller expects a Witt vector"),
+        (B.teichmuller_inv, "group", (), APERIODIC, "teichmuller_inv expects a Necklace vector"),
+        (C.cyc_witt_ghost, "set", (), GHOST, "cyc_witt_ghost expects a Witt vector"),
+        (C.cyc_ghost, "set", (), GHOST, "vector is already a Ghost vector"),
+        (C.cyc_ghost_inv, "set", (), WITT, "cyc_ghost_inv expects a Ghost vector"),
+        (Q.q_witt_ghost, "set", (ctx,), APERIODIC, "q_witt_ghost expects a Witt vector"),
+        (Q.q_ghost, "set", (ctx,), GHOST, "vector is already a Ghost vector"),
+        (Q.q_ghost_inv, "set", (ctx,), NECKLACE, "q_ghost_inv expects a Ghost vector"),
+        (Q.q_teichmuller, "set", (ctx,), NECKLACE, "q_teichmuller expects a Witt vector"),
+        (Q.q_teichmuller_inv, "set", (ctx,), WITT, "q_teichmuller_inv expects a Necklace vector"),
+    ]
+    for fn, index, head, flavor, message in cases:
+        x = IndexedVector.zero(on[index], flavor, ZZ)
+        tail = (NECKLACE,) if fn in (C.cyc_ghost_inv, Q.q_ghost_inv) else ()
+        with pytest.raises(ValueError) as err:
+            fn(*head, x, *tail)
+        assert str(err.value) == message, fn.__name__
