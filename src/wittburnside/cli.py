@@ -18,9 +18,10 @@ verb kind serve the group, `cyclic` and `qwitt` verbs alike.  A process
 pays only for the verb it runs.  It builds only that verb's parser (every
 verb's when the command line names none), while the top-level usage and
 errors still list every verb.  The truncation-set and q models and the
-verification suites run their module code only when a verb uses them.  An
-arithmetic verb never reads a WB_CACHE_DIR entry; only `universal`,
-`quniversal` and `verify` read the polynomials an entry holds.
+verification suites run their module code only when a verb uses them.  No
+verb reads a WB_CACHE_DIR entry: `universal`, `quniversal` and `verify`
+solve the polynomials they print or check, and a derivation only writes a
+missing entry (see `universal.derive`).
 All output is JSON with sorted keys; byte-for-byte deterministic given the
 inputs, flags and seed.  Exit codes: 0 success, 1 verification failures,
 2 schema/input errors, 3 domain errors (the message names the error class).

@@ -23,14 +23,13 @@ the necklace and aperiodic products and Frobenius are such systems too, on
 the linear tables below.  One triangular solve, `solve_triangular`, serves
 all of them: at the payloads of an operation
 (over Z/m lifted to Z and reduced), and at the variables themselves for the
-universal polynomials.  Those are derived once per structure and operation,
+universal polynomials.  Those are solved once per structure and operation,
 when first read (an operation reads only its system); their integral (in
 the q-model numerical) coefficients certify that the solve stays in the
-ring.  They are memoised in process and, when WB_CACHE_DIR is set, kept on
-disk.  An operation only makes sure its entry exists (solving and writing
-it if not) and never reads it; where the polynomials themselves are read
-(`universal`, `quniversal`, the integrality checks) an entry is used only
-after it passes validation, and a rejected one is solved and rewritten.
+ring.  They are memoised in process only.  When WB_CACHE_DIR is set, a
+memo miss also writes the polynomials to a missing entry there, as an
+export: nothing reads an entry back, since checking one soundly costs as
+much as the solve.
 
 The transports between the flavors solve on the same tables.  With every
 exponent 1 (`linear_table`) a table is the ghost of the necklace flavor;
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
@@ -59,7 +57,7 @@ from .errors import (
     NumericalityViolation,
 )
 from .groups import FiniteGroup, marks_matrix, subgroup_classes
-from .rings import POWER_BOUND, ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing, cached_power
+from .rings import POWER_BOUND, ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing
 
 WITT = "Witt"
 NECKLACE = "Necklace"
@@ -69,9 +67,6 @@ GHOST = "Ghost"
 OPS = ("sum", "prod", "neg")
 FORMAT = "u2"  # on-disk format tag; part of every cache file name
 MEMO: dict = {}  # (group or truncation set, op tag) -> UniversalSet
-
-_SPOT_Q = 2  # q at the ghost-identity spot check of a disk entry
-_FRACTION = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def check_op(op: str):
@@ -114,31 +109,23 @@ class UniversalSet:
     `structure` (the system's) is the group or truncation set whose index set
     labels polys (for a Frobenius, the set of n with r n in the input set).
     polys are MultiPoly in `vars`; in the q-model vars[0] is q itself.  They
-    are loaded on first access: from the disk entry at `path` if it passes
-    validation, else solved for (and written to `path`, if any).  An
-    operation reads only `system`.  Fractional coefficients and
-    non-numerical q-coefficients are refused.  `compiled` pairs each
-    monomial in the other variables,
-    given as ((var_index, exp), ...), with its coefficient: an int, or in the
-    q-model a numerical QPolynomial.
+    are solved for on first access; an operation reads only `system`.  The
+    integer solve refuses a fractional coefficient itself, and a
+    non-numerical q-coefficient is refused here.  `compiled` pairs each
+    monomial in the other variables, given as ((var_index, exp), ...), with
+    its coefficient: an int, or in the q-model a numerical QPolynomial.
     """
 
-    __slots__ = ("system", "path", "_polys")
+    __slots__ = ("system", "_polys")
 
-    def __init__(self, system, path=None):
+    def __init__(self, system):
         self.system = system
-        self.path = path
         self._polys = None
 
     @property
     def polys(self):
         if self._polys is None:
-            polys = _cache_read(self.path, self.system) if self.path else None
-            if polys is None:
-                polys = _certified(self.system, self.system.solve())
-                if self.path:
-                    _cache_write(self.path, self.vars, polys)
-            self._polys = polys
+            self._polys = _certified(self.system, self.system.solve())
         return self._polys
 
     structure = property(lambda self: self.system.structure)
@@ -156,15 +143,12 @@ class UniversalSet:
 
 
 def _certified(system, polys):
-    """polys as a tuple, once their coefficients are integral (numerical in
-    the q-model).  An integral solve reports a failing row itself; this
-    guards entries read from disk, and the q-model's coefficients."""
+    """polys as a tuple, once the q-model's coefficients are numerical (the
+    integer solve of the other models reports a failing row itself)."""
     polys = tuple(polys)
     if system.q:
         for p in polys:
             _compile_q(system.op, p)  # grouping by monomial checks numericality
-    elif not all(p.is_integral() for p in polys):
-        raise IntegralityViolation(f"universal {system.op} polynomial has fractional coefficients")
     return polys
 
 
@@ -182,21 +166,6 @@ def _compile_q(op, p: MultiPoly):
             raise NumericalityViolation(f"structure coefficient {poly.format()} is not numerical")
         out.append((poly, mono))
     return tuple(out)
-
-
-def evaluate(terms, R, payloads):
-    """One compiled polynomial at the given payloads, computed in R.
-
-    A coefficient is an int, or already an element of R.
-    """
-    cache = {}
-    total = R.zero()
-    for coeff, factors in terms:
-        term = R.from_int(coeff) if type(coeff) is int else coeff
-        for vi, e in factors:
-            term = R.mul(term, cached_power(R, payloads, vi, e, cache))
-        total = R.add(total, term)
-    return total
 
 
 def linear_table(table, indices=None):
@@ -413,17 +382,9 @@ class GhostSystem:
         of = f" of {self.structure.name}" if isinstance(self.structure, FiniteGroup) else ""
         return row_name(self.structure, u) + of
 
-    def holds(self, polys) -> bool:
-        """Does the ghost identity hold for `polys` at one fixed integer point?"""
-        point = list(range(3, 3 + len(self.vars) - self.q))
-        # numerical coefficients take integer values at the integer q
-        polys = [p.substitute_scalar("q", _SPOT_Q) for p in polys] if self.q else polys
-        # the ghost map is injective over Z: the identity holds iff the values solve it
-        return [evaluate(p.compiled(), ZZ, point) for p in polys] == self.apply(ZZ, point, _SPOT_Q)
-
 
 # ---------------------------------------------------------------------------
-# memo and disk cache
+# memo and disk export
 
 
 def derive(structure, tag, system) -> UniversalSet:
@@ -432,18 +393,18 @@ def derive(structure, tag, system) -> UniversalSet:
     Memoised under (structure, tag).  `system` is a callable returning the
     GhostSystem, called on a memo miss only; the result hands it back as
     `.system`, whose `apply` the operations evaluate by.  Its polynomials are
-    loaded on first access (see UniversalSet); with WB_CACHE_DIR set, a memo
-    miss only checks that the entry exists, and solves and writes it at
-    once if it does not.
+    solved on first access (see UniversalSet).  With WB_CACHE_DIR set, a memo
+    miss whose entry is missing solves them at once and writes the entry; an
+    existing entry is neither read nor rewritten.
     """
     key = (structure, tag)
     ups = MEMO.get(key)
     if ups is None:
         eqs = system()
+        ups = UniversalSet(eqs)
         path = _cache_path(structure, eqs.labels, tag)
-        ups = UniversalSet(eqs, path)
         if path and not os.path.exists(path):
-            ups.polys  # the first read solves and writes the entry
+            _cache_write(path, eqs.vars, ups.polys)
         MEMO[key] = ups
     return ups
 
@@ -464,39 +425,6 @@ def _cache_path(structure, labels, tag):
     kind, identity = ("cyc", labels) if type(labels[0]) is int else ("wg", structure.elements)
     digest = sha256(repr(identity).encode()).hexdigest()[:16]
     return os.path.join(root, f"{kind}-{digest}-{tag}-{FORMAT}.json")
-
-
-def _cache_read(path, system: GhostSystem):
-    """The polynomials of the validated entry at `path`, or None (missing or
-    rejected)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError, RecursionError):
-        return None
-    vars = system.vars
-    nv = len(vars)
-    # no universal exponent exceeds twice the largest ghost exponent and q-power
-    bound = 2 * max(max(e, k) for row in system.table for _, _, e, k in row) + 2
-    try:
-        if data["vars"] != list(vars) or len(data["polys"]) != len(system.out_table):
-            return None
-        polys = []
-        for terms in data["polys"]:
-            d = {}
-            for c, e in terms:
-                # a coefficient is a JSON integer or an "n/d" string
-                # a non-integer exponent fails when the spot check raises to it
-                if (type(c) is not int and not (type(c) is str and _FRACTION.fullmatch(c))
-                        or type(e) is not list or len(e) != nv
-                        or e and (min(e) < 0 or max(e) > bound)):
-                    return None
-                d[tuple(e)] = Fraction(c)
-            polys.append(MultiPoly(vars, d))
-        polys = _certified(system, polys)
-        return polys if system.holds(polys) else None
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, DomainError):
-        return None
 
 
 def _cache_write(path, vars, polys):

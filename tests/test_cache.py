@@ -1,8 +1,9 @@
-"""WB_CACHE_DIR: every disk entry is validated where it is read, and a
-rejected one is a miss.  An operation only writes a missing entry.
+"""WB_CACHE_DIR: a derivation writes a missing entry and never reads one.
 
-The CLI cases run in fresh processes, so the in-process memo cannot hide
-what a process reads from disk.
+Every universal set is solved in process, so a corrupted or tampered entry
+changes no output, and an existing entry is left as it is written.  The CLI
+cases run in fresh processes, so the in-process memo cannot hide what a
+process would read from disk.
 """
 import hashlib
 import json
@@ -20,7 +21,7 @@ from wittburnside import (
     q_universal,
 )
 from wittburnside.burnside import _UNIVERSAL_CACHE
-from wittburnside.qdeform import _q_frobenius_universal
+from wittburnside.cyclic import _truncation_universal
 from wittburnside.universal import index_labels
 
 
@@ -59,7 +60,7 @@ def cache(tmp_path, monkeypatch):
     _UNIVERSAL_CACHE.clear()
 
 
-def test_fractional_coefficient_is_rejected_and_rewritten(tmp_path):
+def test_fractional_coefficient_entry_is_never_read(tmp_path):
     cache = tmp_path / "cache"
     a = write_vec(tmp_path / "a.json", "C2", ["3", "5"], ["G", "1"])
     b = write_vec(tmp_path / "b.json", "C2", ["4", "-2"], ["G", "1"])
@@ -71,20 +72,19 @@ def test_fractional_coefficient_is_rejected_and_rewritten(tmp_path):
     data["polys"][1][0][0] = "1/2"
     path.write_text(json.dumps(data), encoding="utf-8")
     bad = path.read_bytes()
-    # arithmetic never reads an entry, so it neither trips over nor mends this one
+    # no verb reads an entry, so none trips over or mends this one
     second = run_cli(cache, "witt", "mul", a, b)
     assert second.returncode == 0, second.stderr
     assert second.stdout == first.stdout
     assert path.read_bytes() == bad
-    # the universal polynomials are read: the entry is rejected and rewritten
     forms = run_cli(cache, "universal", "--group", "C2", "--op", "prod")
     assert forms.returncode == 0, forms.stderr
     assert forms.stdout == run_cli(tmp_path / "fresh", "universal", "--group", "C2",
                                    "--op", "prod").stdout
-    assert path.read_bytes() == good
+    assert path.read_bytes() == bad != good
 
 
-def test_truncated_poly_list_is_rejected_and_rewritten(tmp_path):
+def test_truncated_poly_list_entry_is_never_read(tmp_path):
     cache = tmp_path / "cache"
     trunc = {"cyclic_trunc": [1, 2, 3, 6]}
     a = write_vec(tmp_path / "a.json", trunc, ["2", "-1", "3", "0"], [1, 2, 3, 6])
@@ -101,13 +101,13 @@ def test_truncated_poly_list_is_rejected_and_rewritten(tmp_path):
     assert second.returncode == 0, second.stderr
     assert second.stdout == first.stdout
     assert path.read_bytes() == bad
-    # a fresh process that reads the polynomials rejects and rewrites the entry
+    # a fresh process that reads the polynomials solves them and leaves the entry
     read = ("from wittburnside import TruncationSet, cyc_universal; "
             "print([p.format() for p in cyc_universal(TruncationSet.div(6), 'prod').polys])")
     forms = run_python(cache, read)
     assert forms.returncode == 0, forms.stderr
     assert forms.stdout == run_python(tmp_path / "fresh", read).stdout
-    assert path.read_bytes() == good
+    assert path.read_bytes() == bad != good
 
 
 def test_hit_writes_nothing_and_names_carry_the_format(cache):
@@ -127,13 +127,13 @@ def test_hit_writes_nothing_and_names_carry_the_format(cache):
 def corrupt_and_rederive(cache, derive, edit):
     good = derive()
     path = only_file(cache, lambda n: True)
-    original = path.read_bytes()
-    data = json.loads(original)
+    data = json.loads(path.read_bytes())
     path.write_text(edit(data), encoding="utf-8")
+    edited = path.read_bytes()
     _UNIVERSAL_CACHE.clear()
     again = derive()
     assert again.polys == good.polys
-    assert path.read_bytes() == original
+    assert path.read_bytes() == edited
 
 
 def bump_first_coefficient(data):
@@ -158,8 +158,8 @@ def test_cyclic_entry_rejections(cache, edit):
     corrupt_and_rederive(cache, lambda: cyc_universal(T, "sum"), edit)
 
 
-def test_q_entry_failing_the_ghost_spot_check(cache):
-    # a numerical but wrong q-coefficient only the ghost identity catches
+def test_q_entry_with_a_wrong_coefficient_is_never_read(cache):
+    # a numerical but wrong q-coefficient
     T = TruncationSet.div(4)
     corrupt_and_rederive(cache, lambda: q_universal(T, "prod"), bump_first_coefficient)
 
@@ -169,7 +169,52 @@ def test_q_entry_with_non_numerical_coefficient(cache):
         data["polys"][0][0][0] = "1/2"
         return json.dumps(data)
     T = TruncationSet.div(4)
-    corrupt_and_rederive(cache, lambda: _q_frobenius_universal(T, 2)[1], halve)
+    corrupt_and_rederive(cache, lambda: _truncation_universal(T, "frob2", True, 2), halve)
+
+
+def add_terms(poly, terms):
+    """poly (an entry's [coefficient, exponents] list) plus terms, merged by
+    exponents."""
+    coeffs = {tuple(e): c for c, e in poly}
+    for c, e in terms:
+        coeffs[tuple(e)] = coeffs.get(tuple(e), 0) + c
+    poly[:] = [[c, list(e)] for e, c in sorted(coeffs.items(), reverse=True) if c]
+
+
+def tamper_and_rerun(tmp_path, argv, edit):
+    """Run argv, edit the one entry it wrote, and run it again: the output is
+    a fresh solve's, and the entry keeps the edit."""
+    cache = tmp_path / "cache"
+    first = run_cli(cache, *argv)
+    assert first.returncode == 0, first.stderr
+    path = only_file(cache, lambda n: True)
+    data = json.loads(path.read_bytes())
+    edit(data)
+    path.write_text(json.dumps(data, sort_keys=True), encoding="utf-8")
+    tampered = path.read_bytes()
+    again = run_cli(cache, *argv)
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == first.stdout == run_cli(tmp_path / "fresh", *argv).stdout
+    assert path.read_bytes() == tampered
+
+
+def test_tampered_group_entry_changes_no_output(tmp_path):
+    # a_1 - 4 vanishes at the point (3, 4, 5, 6), where a one-point check of
+    # the ghost identity would evaluate the entry
+    def edit(data):
+        assert data["vars"] == ["a_G", "a_1", "b_G", "b_1"]
+        add_terms(data["polys"][0], [[1, [0, 1, 0, 0]], [-4, [0, 0, 0, 0]]])
+    tamper_and_rerun(tmp_path, ["universal", "--group", "C2", "--op", "sum"], edit)
+
+
+def test_tampered_q_entry_changes_no_output(tmp_path):
+    # (q - 2) a_1 vanishes at q = 2, where a check at an integer q would
+    # evaluate the entry
+    def edit(data):
+        assert data["vars"][:2] == ["q", "a_1"]
+        zero = [0] * len(data["vars"])
+        add_terms(data["polys"][-1], [[1, [1, 1] + zero[2:]], [-2, [0, 1] + zero[2:]]])
+    tamper_and_rerun(tmp_path, ["quniversal", "--op", "prod", "--trunc", "4"], edit)
 
 
 def test_unwritable_cache_dir_still_derives(tmp_path, monkeypatch):
