@@ -234,10 +234,11 @@ def _flavor_system(T: TruncationSet, q: bool, flavor: str, r: int | None = None)
 
 def _flavor_solve(x: CyclicVector, y=None, r=None, q=None) -> CyclicVector:
     """The necklace or aperiodic product x y or, given r, f_r(x), solved on the
-    ghosts; q is the q-model's q (see `GhostSystem.apply`), None outside it."""
+    ghosts; q is the q-model's q as a function of the ring, taken once the
+    table is built (as in `burnside._ghost`), None outside the q-model."""
     system = _flavor_system(x.truncation, q is not None, x.flavor, r)
     xs = x.payloads() + (y.payloads() if y is not None else ())
-    out = system.apply(x.ring, xs, q)
+    out = system.apply(x.ring, xs, q and q(x.ring))
     return CyclicVector.from_payloads(system.structure, x.flavor, x.ring, out)
 
 
@@ -426,7 +427,7 @@ def _frobenius(r: int, x: CyclicVector, q=None) -> CyclicVector:
         cu = _truncation_universal(T, f"frob{r}", q is not None, r)
         out = cu.system.apply(R, x.payloads(), q and q(R))
         return CyclicVector.from_payloads(cu.truncation, x.flavor, R, out, x.coord_form)
-    return _flavor_solve(x, r=r, q=q and q(R))
+    return _flavor_solve(x, r=r, q=q)
 
 
 def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:

@@ -304,7 +304,7 @@ def _q_flavor_op(ctx: QContext, op, x, y):
     """_flavor_op at ctx's q: the q-Witt operation for coordinate-backed vectors,
     the product as the solve of the q-ghosts' product."""
     return _flavor_op(op, x, y, lambda op, a, b: q_witt_op(ctx, op, a, b),
-                      lambda x, y: _flavor_solve(x, y, q=ctx.ghost_q(x.ring)))
+                      lambda x, y: _flavor_solve(x, y, q=ctx.ghost_q))
 
 
 def q_nr_mul(ctx: QContext, x: CyclicVector, y: CyclicVector) -> CyclicVector:

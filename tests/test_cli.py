@@ -532,6 +532,15 @@ def test_huge_truncation_members_exit_2_fast(capsys, tmp_path):
         assert code == 2 and "not divisor-closed" in err, err
 
 
+def test_indeterminate_q_over_z_on_a_huge_member_exits_3(capsys, tmp_path):
+    # the member bound is checked before the ring is asked for q
+    big = 10 ** 18 + 9
+    n = write_vec(tmp_path, "n.json", group={"cyclic_trunc": [1, big]}, flavor="Necklace",
+                  ring="Z", components=["2", "3"], labels=[1, big])
+    code, out, err = run_main(capsys, "qwitt", "mul", "--q", "q", n, n)
+    assert (code, out) == (3, "") and err.startswith("DomainError: truncation set member"), err
+
+
 def _input_doc(tmp_path, kind):
     """The file of one rejected-input case; every one is well formed JSON."""
     s3 = {"group": "S3", "labels": ["G", "3a", "2a", "1"], "components": ["1", "2", "3", "4"]}

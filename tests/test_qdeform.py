@@ -630,6 +630,32 @@ def test_q_model_refuses_members_above_its_bound(tmp_path):
     assert proc.stderr.count("DomainError: truncation set member") == 10
 
 
+def test_huge_member_is_refused_before_the_indeterminate_meets_its_ring():
+    # every q-model map builds its table, and checks the member bound, before
+    # it asks Z for the indeterminate q (which only Q[q] has)
+    big = 10 ** 18 + 9
+    T = TruncationSet([1, big])
+    ctx = QContext(None)
+
+    def vec(flavor):
+        return CyclicVector.from_payloads(T, flavor, ZZ, [2, 3])
+
+    calls = {
+        "q_ghost": lambda: q_ghost(ctx, vec(NECKLACE)),
+        "q_frobenius/Witt": lambda: q_frobenius(ctx, big, vec(WITT)),
+        "q_witt_op": lambda: q_witt_op(ctx, "prod", vec(WITT), vec(WITT)),
+        "q_teichmuller": lambda: q_teichmuller(ctx, vec(WITT)),
+        "q_ghost_inv": lambda: q_ghost_inv(ctx, vec(GHOST), NECKLACE),
+        "try_one": lambda: try_one(ctx, T, ZZ),
+        "q_frobenius/Necklace": lambda: q_frobenius(ctx, 1, vec(NECKLACE)),
+        "q_nr_mul": lambda: q_nr_mul(ctx, vec(NECKLACE), vec(NECKLACE)),
+        "q_ap_mul": lambda: q_ap_mul(ctx, vec(APERIODIC), vec(APERIODIC)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DomainError, match=f"^truncation set member {big} exceeds"):
+            call()
+
+
 def test_q_frobenius_truncation_too_small():
     ctx = QContext(2)
     with pytest.raises(TruncationTooSmall):
