@@ -20,9 +20,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotAGroup, OrderBoundExceeded, SchemaError
-from .rings import QQ, UniTriMatrix, ZZ
+from .rings import QQ, UniTriMatrix, ZZ, check_digits
 
 ORDER_BOUND = 24
+# A permutation lists every point up to the largest one named, so cycle
+# notation may name points up to this bound (a group on it builds in
+# milliseconds); "(1 999999999999)" is refused before anything is allocated.
+POINT_BOUND = 10_000
 
 
 def compose(p, q):
@@ -42,7 +46,8 @@ def identity_perm(deg):
 
 
 def parse_cycles(text: str, degree: int | None = None):
-    """One permutation from cycle notation like '(1 2 3)(4 5)', 1-indexed points."""
+    """One permutation from cycle notation like '(1 2 3)(4 5)', 1-indexed points
+    up to POINT_BOUND."""
     text = text.strip()
     cycles = re.findall(r"\(([^()]*)\)", text)
     if not cycles and text not in ("", "()"):
@@ -57,6 +62,8 @@ def parse_cycles(text: str, degree: int | None = None):
             raise SchemaError(f"bad cycle {c!r}") from exc
         if any(n < 1 for n in nums) or len(set(nums)) != len(nums):
             raise SchemaError(f"bad cycle {c!r}")
+        if max(nums, default=0) > POINT_BOUND:
+            raise SchemaError(f"cycle point {max(nums)} exceeds the point bound {POINT_BOUND}")
         parsed.append(nums)
         points.extend(nums)
     deg = degree or (max(points) if points else 1)
@@ -178,7 +185,7 @@ def build_group(descriptor: str) -> "FiniteGroup":
     text = descriptor.strip()
     m = re.fullmatch(r"C(\d+)", text)
     if m:
-        n = int(m.group(1))
+        n = int(check_digits(m.group(1), "group size"))
         if n < 1 or n > ORDER_BOUND:
             raise OrderBoundExceeded(n, ORDER_BOUND)
         if n == 1:
@@ -187,7 +194,7 @@ def build_group(descriptor: str) -> "FiniteGroup":
         return closure([gen], name=text)
     m = re.fullmatch(r"D(\d+)", text)
     if m:
-        n = int(m.group(1))
+        n = int(check_digits(m.group(1), "group size"))
         if n < 2 or 2 * n > ORDER_BOUND:
             raise OrderBoundExceeded(2 * max(n, 1), ORDER_BOUND)
         rot = tuple((i + 1) % n for i in range(n))
@@ -195,7 +202,7 @@ def build_group(descriptor: str) -> "FiniteGroup":
         return closure([rot, refl], name=text)
     m = re.fullmatch(r"S(\d+)", text)
     if m:
-        n = int(m.group(1))
+        n = int(check_digits(m.group(1), "group size"))
         if n < 1 or n > 4:
             raise SchemaError("symmetric groups are supported up to S4")
         if n == 1:

@@ -311,15 +311,41 @@ class QPolynomial:
         return f"QPolynomial({self.format()})"
 
 
+# CPython converts an int of at most 4,300 digits to or from text unless
+# PYTHONINTMAXSTRDIGITS says otherwise; the library applies that bound itself,
+# so whether a number reads or prints does not depend on the setting.  Number
+# text with more digits, or with a decimal exponent above the bound (1e9999999
+# takes seconds to form), is refused before it is read; a number beyond the
+# bound is refused where it would be printed.
+DIGIT_BOUND = 4300
+_DIGIT_CEILING = 10 ** DIGIT_BOUND
+
+
+def check_digits(text: str, what: str) -> str:
+    """text, unless its digits or its decimal exponent exceed DIGIT_BOUND."""
+    exp = re.search(r"[eE][-+]?([\d_]+)", text)
+    exp = exp[1].replace("_", "").lstrip("0") if exp else ""
+    if (len(exp) > len(str(DIGIT_BOUND)) or exp and int(exp) > DIGIT_BOUND
+            or len(text) > DIGIT_BOUND and sum(map(str.isdecimal, text)) > DIGIT_BOUND):
+        raise SchemaError(f"{what} {text[:40]!r} exceeds the digit bound {DIGIT_BOUND}")
+    return text
+
+
+def _format_int(n: int) -> str:
+    if -_DIGIT_CEILING < n < _DIGIT_CEILING:
+        return str(n)
+    raise DomainError(f"a number of more than {DIGIT_BOUND} digits has no text form")
+
+
 def _format_coeff(c: Fraction) -> str:
     if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+        return _format_int(c.numerator)
+    return f"{_format_int(c.numerator)}/{_format_int(c.denominator)}"
 
 
 def _parse_coeff(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return Fraction(check_digits(text, "coefficient"))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad coefficient {text!r}") from exc
 
@@ -583,7 +609,7 @@ def _parse_poly_terms(text: str, vars: tuple[str, ...]):
             f = f.strip()
             m = re.fullmatch(_VAR_POWER, f)
             if m and m.group(2) in index:
-                exps[index[m.group(2)]] += int(m.group(3) or 1)
+                exps[index[m.group(2)]] += int(check_digits(m.group(3) or "1", "exponent"))
                 coeff = -coeff if m.group(1) else coeff
             elif not seen_coeff:
                 coeff *= _parse_coeff(f)
@@ -720,12 +746,12 @@ class IntegerRing(RingSpec):
 
     def parse_value(self, text):
         try:
-            return int(text.strip())
+            return int(check_digits(text.strip(), "integer"))
         except ValueError as exc:
             raise SchemaError(f"bad integer {text!r}") from exc
 
     def format_value(self, a):
-        return str(a)
+        return _format_int(a)
 
     def rationalized(self):
         return QQ
@@ -767,7 +793,7 @@ class RationalRing(RingSpec):
 
     def parse_value(self, text):
         try:
-            return Fraction(text.strip())
+            return Fraction(check_digits(text.strip(), "rational"))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational {text!r}") from exc
 
@@ -815,12 +841,17 @@ class ResidueRing(RingSpec):
 
     def parse_value(self, text):
         try:
-            return int(text.strip()) % self.modulus
+            return int(check_digits(text.strip(), "residue")) % self.modulus
         except ValueError as exc:
             raise SchemaError(f"bad residue {text!r}") from exc
 
     def format_value(self, a):
         return str(a % self.modulus)
+
+
+# A Q[q] value is dense: one parsed at this degree takes about 0.3 s and
+# 8 MB, and "q^99999999999" would exhaust the memory.
+Q_DEGREE_BOUND = 1_000_000
 
 
 class QPolyRing(RingSpec):
@@ -893,7 +924,10 @@ class QPolyRing(RingSpec):
         coeffs = {}
         for (e,), c in terms.items():
             coeffs[e] = coeffs.get(e, Fraction(0)) + c
-        out = [Fraction(0)] * (max(coeffs, default=0) + 1)
+        top = max(coeffs, default=0)
+        if top > Q_DEGREE_BOUND:  # before a dense list of top + 1 coefficients
+            raise SchemaError(f"degree {top} in q exceeds the bound {Q_DEGREE_BOUND}")
+        out = [Fraction(0)] * (top + 1)
         for e, c in coeffs.items():
             out[e] = c
         return QPolynomial(out)
@@ -1015,7 +1049,7 @@ def parse_ring(text: str) -> RingSpec:
         return QQ_Q
     m = re.fullmatch(r"Z/(\d+)", text)
     if m:
-        return ResidueRing(int(m.group(1)))
+        return ResidueRing(int(check_digits(m.group(1), "modulus")))
     m = re.fullmatch(r"(ZPoly|QPoly)\(([^)]*)\)", text)
     if m:
         vars = tuple(v.strip() for v in m.group(2).split(",") if v.strip())

@@ -532,6 +532,31 @@ def test_huge_truncation_members_exit_2_fast(capsys, tmp_path):
         assert code == 2 and "not divisor-closed" in err, err
 
 
+def test_numbers_beyond_the_digit_bound_exit_2_or_3(capsys, tmp_path):
+    # a_1^16 = 10^4800 has no text form; 1e5000 and 1e9999999 are refused as text
+    div16 = [1, 2, 4, 8, 16]
+    big = write_vec(tmp_path, "big.json", group={"cyclic_trunc": div16}, flavor="Witt", ring="Z",
+                    components=["1" + "0" * 300, "0", "0", "0", "0"], labels=div16)
+    code, out, err = run_main(capsys, "cyclic", "ghost", big)
+    assert (code, out) == (3, "") and err.startswith("DomainError: a number of more than 4300"), err
+    for text in ("1e5000", "1e9999999"):
+        q = c2vec(tmp_path, "q.json", "Witt", [text, "0"], ring="Q")
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "ghost", q)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "") and "exceeds the digit bound 4300" in err, err
+    fine = c2vec(tmp_path, "fine.json", "Witt", ["0", "1e4000"], ring="Q")
+    code, out, err = run_main(capsys, "witt", "neg", fine)
+    assert code == 0 and json.loads(out)["components"] == ["0", "-1" + "0" * 4000], err
+
+
+def test_large_cycle_point_exits_2(capsys, tmp_path):
+    a = write_vec(tmp_path, "a.json", group="(1 999999999999)", flavor="Witt", ring="Z",
+                  components=["3", "5"], labels=["G", "1"])
+    code, out, err = run_main(capsys, "ghost", a)
+    assert (code, out) == (2, "") and "exceeds the point bound 10000" in err, err
+
+
 def test_indeterminate_q_over_z_on_a_huge_member_exits_3(capsys, tmp_path):
     # the member bound is checked before the ring is asked for q
     big = 10 ** 18 + 9

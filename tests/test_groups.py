@@ -11,6 +11,7 @@ import pytest
 
 from wittburnside.errors import OrderBoundExceeded, SchemaError
 from wittburnside.groups import (
+    POINT_BOUND,
     build_group,
     closure,
     compose,
@@ -34,6 +35,17 @@ def test_parse_cycles():
     assert parse_cycles("(1 3)", degree=4) == (2, 1, 0, 3)
     with pytest.raises(SchemaError):
         parse_cycles("(1 1)")
+
+
+def test_cycle_points_are_bounded():
+    # a permutation lists every point up to the largest, so a large point is
+    # refused before anything is allocated
+    assert parse_cycles(f"(1 {POINT_BOUND})")[0] == POINT_BOUND - 1
+    for text in ("(1 999999999999)", f"(1,{POINT_BOUND + 1})", f"(1 2)({POINT_BOUND + 1} 3)"):
+        with pytest.raises(SchemaError, match=f"exceeds the point bound {POINT_BOUND}$"):
+            parse_cycles(text)
+        with pytest.raises(SchemaError, match="point bound"):
+            build_group(text)
 
 
 def test_builtin_orders_and_commutativity():

@@ -1,11 +1,15 @@
 """Scalar layer: divisor/mobius oracles, polynomial algebra, triangular inversion."""
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from wittburnside.errors import NonExactDivision, NonInvertibleDiagonal, SchemaError
+from wittburnside.errors import DomainError, NonExactDivision, NonInvertibleDiagonal, SchemaError
 from wittburnside.rings import (
+    DIGIT_BOUND,
+    Q_DEGREE_BOUND,
     MultiPoly,
     QPolynomial,
     RingValue,
@@ -206,6 +210,68 @@ def _random_value(spec, rng):
     for _ in range(rng.randint(0, 3)):
         terms[(rng.randint(0, 3), rng.randint(0, 3))] = Fraction(rng.randint(-9, 9))
     return RingValue(spec, MultiPoly(spec.vars, terms))
+
+
+@pytest.fixture(params=[None, 0], ids=["default-limit", "no-limit"])
+def int_str_limit(request):
+    """Run under CPython's default int/str digit limit, and with none at all:
+    the library's own bound must decide either way."""
+    if request.param is None:
+        yield
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+LONG = "1" * (DIGIT_BOUND + 1)
+
+
+@pytest.mark.parametrize("ring,text", [
+    ("Q", "1e5000"),
+    ("Q", "-1E-5000"),
+    ("Q", "1e9999999"),
+    ("Q", "225E65893\u06636"),  # an Arabic-Indic digit three in the exponent
+    ("Q", LONG),
+    ("Z", LONG),
+    ("Z/7", LONG),
+    ("Q[q]", "1e5000*q"),
+    ("QPoly(x)", "x+1e-9999999"),
+    ("ZPoly(x)", "x^" + LONG),
+], ids=["Q-1e5000", "Q-1E-5000", "Q-1e9999999", "Q-arabic-indic-exponent", "Q-long", "Z-long",
+        "Z/7-long", "Q[q]-1e5000", "QPoly-1e-9999999", "ZPoly-long-exponent"])
+def test_number_text_beyond_the_digit_bound_is_refused_at_once(int_str_limit, ring, text):
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match=f"exceeds the digit bound {DIGIT_BOUND}"):
+        RingValue.parse(parse_ring(ring), text)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_numbers_beyond_the_digit_bound_have_no_text_form(int_str_limit):
+    big = 10 ** DIGIT_BOUND  # the least number of DIGIT_BOUND + 1 digits
+    x = ("x",)
+    for spec, payload in ((ZZ, big), (ZZ, -big), (QQ, Fraction(1, big)), (QQ, Fraction(-big, 7)),
+                          (QQ_Q, QPolynomial([0, big])),
+                          (parse_ring("ZPoly(x)"), MultiPoly.constant(x, big))):
+        with pytest.raises(DomainError, match=f"more than {DIGIT_BOUND} digits"):
+            spec.format_value(payload)
+    assert ZZ.format_value(1 - big) == "-" + "9" * DIGIT_BOUND
+    assert RingValue.parse(QQ, "1e4000").format() == "1" + "0" * 4000
+    assert RingValue.parse(ZZ, "9" * DIGIT_BOUND).payload == big - 1
+    with pytest.raises(SchemaError, match="digit bound"):
+        parse_ring("Z/" + "7" * (DIGIT_BOUND + 1))
+
+
+def test_q_degree_is_bounded_before_the_dense_list():
+    assert QQ_Q.parse_value("q^3-1").coeffs == (-1, 0, 0, 1)
+    for text in (f"q^{Q_DEGREE_BOUND + 1}", "1+q^99999999999"):
+        with pytest.raises(SchemaError, match=f"exceeds the bound {Q_DEGREE_BOUND}$"):
+            QQ_Q.parse_value(text)
 
 
 def test_ringvalue_guards_mixed_rings():
