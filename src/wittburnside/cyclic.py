@@ -401,12 +401,6 @@ def _dilate(r: int, x: CyclicVector) -> CyclicVector:
     return x.with_components(out)
 
 
-def _frobenius_universal(T: TruncationSet, r: int):
-    """Integer polynomials for f_r on Witt coordinates, via the ghost shift."""
-    cu = _truncation_universal(T, f"frob{r}", r=r)
-    return cu.truncation, cu
-
-
 def _frobenius(r: int, x: CyclicVector, q=None) -> CyclicVector:
     """f_r, the operator with ghost behaviour n -> rn, on {n : rn in T}; q is
     the q-model's q as a function of the ring (see `burnside._ghost`), None

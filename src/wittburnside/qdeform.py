@@ -77,26 +77,19 @@ from .universal import (
 
 
 class QContext:
-    """Chosen q (an integer, or None for the indeterminate) plus size hints.
+    """Chosen q: an integer, or None for the indeterminate.  The vector and
+    curve operations read sizes off their operands."""
 
-    truncation/degree are optional conveniences carried for the CLI; the
-    vector/curve operations read sizes off their operands.
-    """
+    __slots__ = ("q",)
 
-    __slots__ = ("q", "truncation", "degree")
-
-    def __init__(self, q, truncation=None, degree=None):
+    def __init__(self, q):
         if isinstance(q, str):
             if q.strip() != "q":
                 raise SchemaError(f"q must be an integer or the letter q, not {q!r}")
             q = None
         if q is not None and not isinstance(q, int):
             raise SchemaError("q must be an integer or the indeterminate")
-        if degree is not None and degree < 1:
-            raise SchemaError("curve degree bound must be at least 1")
         self.q = q
-        self.truncation = truncation
-        self.degree = degree
 
     @property
     def symbolic(self) -> bool:
@@ -415,11 +408,6 @@ def theta_q_inv(y: CyclicVector) -> CyclicVector:
 def q_verschiebung(r: int, x: CyclicVector) -> CyclicVector:
     """Index dilation, independent of q; aperiodic components pick up r."""
     return _dilate(r, x)
-
-
-def _q_frobenius_universal(T: TruncationSet, r: int):
-    cu = _truncation_universal(T, f"frob{r}", q=True, r=r)
-    return cu.truncation, cu
 
 
 def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:

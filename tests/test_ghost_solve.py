@@ -15,7 +15,7 @@ from wittburnside.burnside import NECKLACE, WITT, IndexedVector, derive_universa
 from wittburnside.cyclic import (
     CyclicVector,
     TruncationSet,
-    _frobenius_universal,
+    _truncation_universal,
     cyc_frobenius,
     cyc_universal,
     cyc_witt_op,
@@ -23,7 +23,6 @@ from wittburnside.cyclic import (
 from wittburnside.groups import build_group, subgroup_classes
 from wittburnside.qdeform import (
     QContext,
-    _q_frobenius_universal,
     q_frobenius,
     q_nr_op,
     q_teichmuller,
@@ -128,9 +127,9 @@ def test_cyclic_witt_ops_and_frobenius_match(tname, rname):
             assert list(cyc_witt_op(op, a, b).payloads()) == want
         assert list(cyc_witt_op("neg", a).payloads()) == reference(cyc_universal(T, "neg"), R, xs)
         for r in (2, 3):
-            Tout, fu = _frobenius_universal(T, r)
+            fu = _truncation_universal(T, f"frob{r}", False, r)
             got = cyc_frobenius(r, a)
-            assert got.truncation == Tout
+            assert got.truncation == fu.structure
             assert list(got.payloads()) == reference(fu, R, xs)
 
 
@@ -153,7 +152,7 @@ def test_q_witt_ops_and_frobenius_match_at_integer_q(tname, rname, q):
         want = reference(q_universal(T, "neg"), R, xs, q)
         assert list(q_witt_op(ctx, "neg", a).payloads()) == want
         for r in (2, 3):
-            Tout, fu = _q_frobenius_universal(T, r)
+            fu = _truncation_universal(T, f"frob{r}", True, r)
             assert list(q_frobenius(ctx, r, a).payloads()) == reference(fu, R, xs, q)
 
 
@@ -172,9 +171,9 @@ def test_q_ops_on_coordinate_backed_necklace_vectors_match(q):
     assert got.coord_form
     assert list(got.payloads()) == reference(q_universal(T, "prod"), R, xs + ys, q)
     for r in (2, 3):
-        Tout, fu = _q_frobenius_universal(T, r)
+        fu = _truncation_universal(T, f"frob{r}", True, r)
         got = q_frobenius(ctx, r, x)
-        assert got.coord_form and got.truncation == Tout
+        assert got.coord_form and got.truncation == fu.structure
         assert list(got.payloads()) == reference(fu, R, xs, q)
 
 
@@ -192,7 +191,7 @@ def test_q_witt_ops_and_frobenius_match_at_indeterminate_q(tname):
         assert list(q_witt_op(ctx, op, a, b).payloads()) == want
     assert list(q_witt_op(ctx, "neg", a).payloads()) == reference(q_universal(T, "neg"), QQ_Q, xs)
     for r in (2, 3):
-        Tout, fu = _q_frobenius_universal(T, r)
+        fu = _truncation_universal(T, f"frob{r}", True, r)
         assert list(q_frobenius(ctx, r, a).payloads()) == reference(fu, QQ_Q, xs)
 
 

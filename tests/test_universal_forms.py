@@ -15,13 +15,13 @@ from wittburnside.burnside import WITT, IndexedVector, derive_universal, wg_ghos
 from wittburnside.cyclic import (
     CyclicVector,
     TruncationSet,
-    _frobenius_universal,
+    _truncation_universal,
     cyc_universal,
     cyc_witt_ghost,
     cyc_witt_op,
 )
 from wittburnside.groups import build_group, subgroup_classes
-from wittburnside.qdeform import _q_frobenius_universal, q_universal
+from wittburnside.qdeform import q_universal
 from wittburnside.rings import ZZ
 
 DIGESTS = {
@@ -97,8 +97,7 @@ def derived(key):
     T = TRUNCATIONS[rest[0]]
     op = rest[1]
     if op.startswith("frob"):
-        frobenius = _frobenius_universal if head == "cyc" else _q_frobenius_universal
-        return frobenius(T, int(op[4:]))[1]
+        return _truncation_universal(T, op, head != "cyc", int(op[4:]))
     return (cyc_universal if head == "cyc" else q_universal)(T, op)
 
 
