@@ -575,7 +575,7 @@ class MultiPoly:
             factors = [_format_coeff(c)]
             for name, k in zip(self.vars, e):
                 if k:
-                    factors.append(f"{name}^{k}")
+                    factors.append(f"{name}^{_format_int(k)}")
             parts.append("*".join(factors))
         return "+".join(parts)
 

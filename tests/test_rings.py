@@ -257,7 +257,8 @@ def test_numbers_beyond_the_digit_bound_have_no_text_form(int_str_limit):
     x = ("x",)
     for spec, payload in ((ZZ, big), (ZZ, -big), (QQ, Fraction(1, big)), (QQ, Fraction(-big, 7)),
                           (QQ_Q, QPolynomial([0, big])),
-                          (parse_ring("ZPoly(x)"), MultiPoly.constant(x, big))):
+                          (parse_ring("ZPoly(x)"), MultiPoly.constant(x, big)),
+                          (parse_ring("ZPoly(x)"), MultiPoly(x, {(big,): 1}))):
         with pytest.raises(DomainError, match=f"more than {DIGIT_BOUND} digits"):
             spec.format_value(payload)
     assert ZZ.format_value(1 - big) == "-" + "9" * DIGIT_BOUND
