@@ -12,9 +12,12 @@ container:
     Aperiodic  componentwise addition, index-weighted structure constants
     Ghost      componentwise everything (the product target of ghost maps)
 
-A necklace or aperiodic product on a group is one loop (`_table_mul`) over
-the sparse table of its double-coset structure constants; on a truncation
-set, in the cyclic and q models, it is the solve of the ghosts' product.
+A necklace or aperiodic product, on a group as on a truncation set, is the
+solve of the ghosts' pointwise product on the flavor's ghost table
+(`_flavor_mul`): the product that makes the ghost map a ring homomorphism.
+Only an aperiodic product outside a Q-algebra on a group with a subgroup
+that is not normal, whose table has Fraction weights, is one loop
+(`_table_mul`) over the group's index-weighted double-coset constants.
 
 Transports between the flavors:
 
@@ -217,9 +220,10 @@ def _check_operands(name, flavor, op, x, y=None):
         raise ValueError("operands live in different index sets/rings/flavors/forms")
 
 
-def _flavor_op(op, x, y, witt_op, mul):
+def _flavor_op(op, x, y, witt_op, q=None):
     """A Necklace/Aperiodic ring operation: sum and neg componentwise, prod by
-    mul(x, y); a coordinate-backed vector applies witt_op to its coordinates."""
+    `_flavor_mul` (q as there); a coordinate-backed vector applies witt_op to
+    its coordinates."""
     if x.coord_form:
         out = witt_op(op, x.retag(WITT, coord_form=False),
                       y.retag(WITT, coord_form=False) if y is not None else None)
@@ -230,25 +234,65 @@ def _flavor_op(op, x, y, witt_op, mul):
         return x.with_components([c + d for c, d in zip(x.components, y.components)])
     if op != "prod":
         raise ValueError(f"unknown op {op!r}")
-    return mul(x, y)
+    return _flavor_mul(x, y, q)
 
 
-def _table_mul(x, y, table):
-    """(x y)_k = sum of c x_i y_j over the entries (i, j, k): c of a group's
-    sparse structure-constant table; c is an int or a Fraction (refused
-    outside a Q-algebra unless integral)."""
+@lru_cache(maxsize=None)
+def _flavor_system(index, q: bool, flavor: str, r: int | None = None) -> GhostSystem:
+    """The ghost system of the necklace or aperiodic product on a group or a
+    truncation set T or, given r (truncation sets only), of f_r: over
+    {n : rn in T}, the ghost at n is the input's ghost at rn."""
+    table, labels = flavor_table(index, flavor, q), index_labels(index)
+    if r is None:
+        return GhostSystem(index, labels, table, "prod", q)
+    # type(index) is `cyclic.TruncationSet`, which this module cannot import
+    Tout = type(index)([n for n in index if r * n in index])
+    shift = (flavor_table(Tout, flavor, q), [index.position(r * n) for n in Tout])
+    return GhostSystem(Tout, labels, table, f"frob{r}", q, shift)
+
+
+def _flavor_solve(x: IndexedVector, y=None, r=None, q=None) -> IndexedVector:
+    """The necklace or aperiodic product x y or, given r, f_r(x), solved on the
+    ghosts; q is the q-model's q as a function of the ring, taken once the
+    table is built (as in `_ghost`), None outside the q-model."""
+    system = _flavor_system(x.index, q is not None, x.flavor, r)
+    xs = x.payloads() + (y.payloads() if y is not None else ())
+    out = system.apply(x.ring, xs, q and q(x.ring))
+    return IndexedVector.from_payloads(system.structure, x.flavor, x.ring, out)
+
+
+@lru_cache(maxsize=None)
+def _fractional(index) -> bool:
+    """Has the classical aperiodic table of index a Fraction weight?  Only a
+    group with a subgroup that is not normal has one."""
+    return any(type(w) is Fraction for row in flavor_table(index, APERIODIC)
+               for _, w, _, _ in row)
+
+
+def _flavor_mul(x: IndexedVector, y: IndexedVector, q=None) -> IndexedVector:
+    """The necklace or aperiodic product on any index set: the solve of the
+    ghosts' product (q as in `_flavor_solve`).  Only an aperiodic product
+    whose table has a Fraction weight, outside a Q-algebra, runs the loop over
+    the structure constants, which refuses a fractional constant on two
+    non-zero components (NonIntegralConstant)."""
+    if x.flavor == APERIODIC and not x.ring.is_qalgebra and _fractional(x.index):
+        return _table_mul(x, y)
+    return _flavor_solve(x, y, q=q)
+
+
+def _table_mul(x, y):
+    """The aperiodic product on a group, (x y)_k = sum of c x_i y_j over the
+    entries (i, j, k): c of its sparse table of index-weighted double-coset
+    constants; a Fraction c is refused outside a Q-algebra unless integral."""
     R = x.ring
     xs, ys = x.payloads(), y.payloads()
     out = [R.zero() for _ in xs]
-    for (i, j, k), c in table.items():
+    for (i, j, k), c in structure_constants(x.group).a.items():
         if R.is_zero(xs[i]) or R.is_zero(ys[j]):
             continue
-        if type(c) is Fraction:
-            c = rational_weight(R, c, "aperiodic product")
-        term = R.mul(xs[i], ys[j])
-        # an int scales every payload; R.add reduces it in Z/m
-        out[k] = R.add(out[k], c * term if type(c) is int else R.mul(c, term))
-    return IndexedVector.from_payloads(x.index, x.flavor, R, out)
+        c = rational_weight(R, c, "aperiodic product")
+        out[k] = R.add(out[k], R.mul(c, R.mul(xs[i], ys[j])))
+    return IndexedVector.from_payloads(x.index, APERIODIC, R, out)
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +410,19 @@ def wg_op(op: str, a: IndexedVector, b: IndexedVector | None = None) -> IndexedV
 
 
 def nr_op(op: str, x: IndexedVector, y: IndexedVector | None = None) -> IndexedVector:
-    """Necklace ring operation; multiplication uses the double-coset constants."""
+    """Necklace ring operation; the product is the solve of the ghosts'
+    product on the necklace table, over every ring (Z/m lifted to Z)."""
     _check_operands("nr_op", NECKLACE, op, x, y)
-    return _flavor_op(op, x, y, wg_op,
-                      lambda x, y: _table_mul(x, y, structure_constants(x.group).p))
+    return _flavor_op(op, x, y, wg_op)
 
 
 def ap_op(op: str, x: IndexedVector, y: IndexedVector | None = None) -> IndexedVector:
-    """Aperiodic ring operation; constants are index-weighted double-coset counts."""
+    """Aperiodic ring operation; the product is the solve of the ghosts'
+    product on the aperiodic table, except outside a Q-algebra on a group
+    with a subgroup that is not normal, where it sums the index-weighted
+    double-coset constants (see `_flavor_mul`)."""
     _check_operands("ap_op", APERIODIC, op, x, y)
-    return _flavor_op(op, x, y, wg_op,
-                      lambda x, y: _table_mul(x, y, structure_constants(x.group).a))
+    return _flavor_op(op, x, y, wg_op)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,8 @@ def _load(path):
         raise SchemaError(f"cannot read {path}: {e}")
     except ValueError as e:
         raise SchemaError(f"{path} is not valid JSON: {e}")
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise SchemaError(f"{path} nests JSON deeper than the decoder can read")
     if not isinstance(doc, dict) or doc.get("schema_version") != 1:
         raise SchemaError(f"{path}: expected a schema_version 1 document")
     return doc

@@ -17,8 +17,9 @@ n -> rn, is the solve of the shifted ghost; on the necklace and aperiodic
 flavors it is an integer linear map, so defined over every coefficient
 ring.  Verschiebung reindexes by r.
 
-The ghost maps, their inverses and the tables are the group module's
-(`burnside._ghost`, `universal.ghost_table`), and `_frobenius` serves the
+The ghost maps, their inverses, the product and Frobenius solves and the
+tables are the group module's (`burnside._ghost`, `_flavor_mul`,
+`_flavor_solve`, `universal.ghost_table`), and `_frobenius` serves the
 q-model too; the public names here check flavors and name their errors.
 """
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .burnside import (
     APERIODIC,
@@ -36,7 +36,9 @@ from .burnside import (
     IndexedVector,
     _check_operands,
     _expect,
+    _flavor_mul,
     _flavor_op,
+    _flavor_solve,
     _ghost,
     _ghost_inv,
     theta,
@@ -56,7 +58,6 @@ from .universal import (  # Q_MEMBER_BOUND and check_q_member for the CLI
     check_op,
     check_q_member,
     derive,
-    flavor_table,
     ghost_table,
     index_labels,
     row_error,
@@ -69,7 +70,7 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Exact primality; in time independent of sqrt(n) below 3.3e24."""
+    """Exact primality of n below _MR_EXACT_BELOW."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -88,9 +89,7 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    # a strong probable prime to every base: proven prime below the bound,
-    # decided by trial division above it
-    return n < _MR_EXACT_BELOW or divisors(n) == (1, n)
+    return True  # a strong probable prime to every base, so prime below the bound
 
 
 def _factor(n: int) -> int:
@@ -136,10 +135,17 @@ def _missing_divisor(n: int, members, have) -> int | None:
         if m not in have:
             return m
         return None if n // m in have else n // m
-    if _is_prime(n):
-        return None
     # no member up to sqrt(n) divides n, so a member factor d is above sqrt(n)
     # and then n/d, below it, is missing
+    if n >= _MR_EXACT_BELOW:
+        # else n is closed only if prime, which _is_prime decides below the bound only
+        d = next((d for d in members[1:] if d < n and n % d == 0), None)
+        if d is None:
+            raise SchemaError(f"truncation set member {n} has no smaller member above 1 "
+                              f"dividing it; such a member must be below {_MR_EXACT_BELOW}")
+        return n // d
+    if _is_prime(n):
+        return None
     d = _factor(n)
     return n // d if d in have else d
 
@@ -220,28 +226,6 @@ def _require_components(x: CyclicVector):
 # ghosts
 
 
-@lru_cache(maxsize=None)
-def _flavor_system(T: TruncationSet, q: bool, flavor: str, r: int | None = None):
-    """The ghost system of the necklace or aperiodic product over T or, given
-    r, of f_r: over {n : rn in T}, the ghost at n is the input's ghost at rn."""
-    table = flavor_table(T, flavor, q)
-    if r is None:
-        return GhostSystem(T, T.members, table, "prod", q)
-    Tout = TruncationSet([n for n in T if r * n in T])
-    shift = (flavor_table(Tout, flavor, q), [T.position(r * n) for n in Tout])
-    return GhostSystem(Tout, T.members, table, f"frob{r}", q, shift)
-
-
-def _flavor_solve(x: CyclicVector, y=None, r=None, q=None) -> CyclicVector:
-    """The necklace or aperiodic product x y or, given r, f_r(x), solved on the
-    ghosts; q is the q-model's q as a function of the ring, taken once the
-    table is built (as in `burnside._ghost`), None outside the q-model."""
-    system = _flavor_system(x.truncation, q is not None, x.flavor, r)
-    xs = x.payloads() + (y.payloads() if y is not None else ())
-    out = system.apply(x.ring, xs, q and q(x.ring))
-    return CyclicVector.from_payloads(system.structure, x.flavor, x.ring, out)
-
-
 def cyc_witt_ghost(a: CyclicVector) -> CyclicVector:
     return _ghost(_expect("cyc_witt_ghost", WITT, a))
 
@@ -304,23 +288,23 @@ def cyc_witt_op(op: str, a: CyclicVector, b: CyclicVector | None = None) -> Cycl
 def cyc_nr_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over lcm(i, j) = n of gcd(i, j) x_i y_j."""
     _check_operands("cyc_nr_mul", NECKLACE, "prod", x, y)
-    return _flavor_solve(_require_components(x), y)
+    return _flavor_mul(_require_components(x), y)
 
 
 def cyc_ap_mul(x: CyclicVector, y: CyclicVector) -> CyclicVector:
     """(x y)_n = sum over lcm(i, j) = n of x_i y_j, valid over every ring."""
     _check_operands("cyc_ap_mul", APERIODIC, "prod", x, y)
-    return _flavor_solve(_require_components(x), y)
+    return _flavor_mul(_require_components(x), y)
 
 
 def cyc_nr_op(op: str, x: CyclicVector, y: CyclicVector | None = None) -> CyclicVector:
     _check_operands("cyc_nr_op", NECKLACE, op, x, y)
-    return _flavor_op(op, _require_components(x), y, None, cyc_nr_mul)
+    return _flavor_op(op, _require_components(x), y, None)
 
 
 def cyc_ap_op(op: str, x: CyclicVector, y: CyclicVector | None = None) -> CyclicVector:
     _check_operands("cyc_ap_op", APERIODIC, op, x, y)
-    return _flavor_op(op, _require_components(x), y, None, cyc_ap_mul)
+    return _flavor_op(op, _require_components(x), y, None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Everything rests on the one-parameter formal group law
 F_q(X, Y) = X + Y - q X Y.  Every ring operation and Frobenius solves a
 q-ghost system at its payloads, at a concrete integer q or the
 indeterminate: the Witt flavor on the q-ghost table, the necklace and
-aperiodic flavors on its linear tables (`cyclic._flavor_system`).  The
+aperiodic flavors on its linear tables (`burnside._flavor_system`).  The
 divisor-lattice scalars zeta^q/mu^q and the numerical polynomials
 P_{n,i,j}(q) that the solved products amount to are kept as scalars of their
 own (`qpoly`, the q-necklace polynomials, the checks).  The Witt
@@ -46,7 +46,6 @@ from .cyclic import (
     CyclicVector,
     TruncationSet,
     _dilate,
-    _flavor_solve,
     _frobenius,
     _truncation_universal,
     necklace_poly,
@@ -296,8 +295,7 @@ def try_one(ctx: QContext, T: TruncationSet, R: RingSpec) -> CyclicVector | None
 def _q_flavor_op(ctx: QContext, op, x, y):
     """_flavor_op at ctx's q: the q-Witt operation for coordinate-backed vectors,
     the product as the solve of the q-ghosts' product."""
-    return _flavor_op(op, x, y, lambda op, a, b: q_witt_op(ctx, op, a, b),
-                      lambda x, y: _flavor_solve(x, y, q=ctx.ghost_q))
+    return _flavor_op(op, x, y, lambda op, a, b: q_witt_op(ctx, op, a, b), ctx.ghost_q)
 
 
 def q_nr_mul(ctx: QContext, x: CyclicVector, y: CyclicVector) -> CyclicVector:

@@ -18,9 +18,9 @@ between the models, and `ghost_table` builds every one of them:
 below), and `row_name` names a row in the messages of every model.
 
 The sum, product and negation solve w(s) = w(a) + w(b), w(a) w(b) and
--w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a).  On a truncation set
-the necklace and aperiodic products and Frobenius are such systems too, on
-the linear tables below.  One triangular solve, `solve_triangular`, serves
+-w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a).  The necklace and
+aperiodic products, and on a truncation set their Frobenius, are such
+systems too, on the linear tables below.  One triangular solve, `solve_triangular`, serves
 all of them: at the payloads of an operation
 (over Z/m lifted to Z and reduced), and at the variables themselves for the
 universal polynomials.  Those are solved once per structure and operation,

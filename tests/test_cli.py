@@ -5,6 +5,7 @@ values (C2/S3 marks, the classical Witt product forms, the q-weighted
 divisor-lattice polynomials checked at q = 1) before being frozen.
 """
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -216,6 +217,25 @@ def test_necklace_mul_one_hot(capsys, tmp_path):
     code, out, _ = run_main(capsys, "necklace", "mul", a, a)
     assert code == 0
     assert json.loads(out)["components"] == ["0", "2"]
+
+
+def test_group_flavor_products_write_no_cache_entry(tmp_path):
+    # a product is a ghost solve (or the constant loop), never a derivation;
+    # over Z the S3 aperiodic square meets a fractional constant (exit 3)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    labels = ["G", "3a", "2a", "1"]
+    calls = [("necklace", _inp("necklace_S3_a.json"), _inp("necklace_S3_b.json"), 0)]
+    for ring, comps, code in (("Q", ["1/2", "2", "-1", "3"], 0), ("Z", ["1", "2", "-1", "3"], 3)):
+        ap = write_vec(tmp_path, f"ap_{ring}.json", group="S3", flavor="Aperiodic", ring=ring,
+                       components=comps, labels=labels)
+        calls.append(("aperiodic", ap, ap, code))
+    for family, a, b, code in calls:
+        proc = subprocess.run([sys.executable, "-m", "wittburnside", family, "mul", a, b],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, WB_CACHE_DIR=str(cache)))
+        assert proc.returncode == code, proc.stderr
+        assert os.listdir(cache) == [], (family, a)
 
 
 def test_ghost_of_one_hot_at_G(capsys, tmp_path):
@@ -530,6 +550,17 @@ def test_huge_truncation_members_exit_2_fast(capsys, tmp_path):
         code, _, err = run_main(capsys, *argv)
         assert time.perf_counter() - start < 2.0
         assert code == 2 and "not divisor-closed" in err, err
+
+
+def test_prime_member_beyond_the_primality_bound_exits_2_fast(capsys, tmp_path):
+    # 2^89 - 1 is prime, but above 3.3e24 no fast test here proves it
+    p = 2 ** 89 - 1
+    cyc = write_vec(tmp_path, "cyc.json", group={"cyclic_trunc": [1, p]}, flavor="Witt",
+                    ring="Z", components=["2", "-1"], labels=[1, p])
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, "cyclic", "ghost", cyc)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "") and "no smaller member above 1 dividing it" in err, err
 
 
 def test_numbers_beyond_the_digit_bound_exit_2_or_3(capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""Seeded fuzzing of the text parsers: ring values, ring specs, group descriptors.
+"""Seeded fuzzing of the text parsers (ring values, ring specs, group descriptors)
+and of the vector loader's nesting depth.
 
 Every input must parse, or fail with SchemaError or DomainError, and each
 must do so within a time budget: a parser that accepts text it then takes
@@ -10,6 +11,7 @@ import time
 
 import pytest
 
+from wittburnside.cli import main
 from wittburnside.errors import DomainError, SchemaError
 from wittburnside.groups import build_group
 from wittburnside.rings import RingValue, parse_ring
@@ -66,3 +68,16 @@ def test_random_inputs_parse_or_are_refused_in_time(name, parse):
     outcomes = {check(parse, text) for text in random_inputs(f"fuzz:{name}", COUNT)}
     # some inputs parse and some do not, or only a parser's first check ran
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000,
+                                  '{"schema_version": 1, "group": {"cyclic_trunc": '
+                                  + "[" * 100_000 + "]" * 100_000 + "}}"],
+                         ids=("open", "closed", "in a document"))
+def test_deeply_nested_json_is_refused(tmp_path, capsys, text):
+    # the JSON decoder recurses once per level, so a deep document cannot be read
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (("ghost", str(path)), ("cyclic", "ghost", str(path))):
+        assert main(list(argv)) == 2
+        assert "nests JSON deeper than the decoder can read" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 """Necklace/aperiodic products and Frobenius against their term-by-term loops.
 
-On a group every necklace and aperiodic product multiplies through one
-sparse constant table; on a truncation set the products and the
-necklace/aperiodic Frobenius are ghost solves.  The reference here computes
+Every necklace and aperiodic product, and on a truncation set the
+necklace/aperiodic Frobenius, is a ghost solve; only the aperiodic product
+outside a Q-algebra on a group with a subgroup that is not normal sums a
+sparse constant table.  The reference here computes
 them term by term, as the library once did: the group model over
 `structure_constants(G).p` and `.a`, the cyclic model over lcm/gcd, the
 q-model with P_{n,i,j}(q) and r tau^q(rn/[r,d], rn/d) evaluated for every
@@ -338,3 +339,50 @@ def test_q_tables_at_q_0_and_1_are_never_the_classical_ones(q):
         assert got == (ref_q_mul(ctx, x, y), {r: ref_q_frobenius(ctx, r, x) for r in (2, 3)})
         if q == 0:
             assert got[0] != classical[0] and got[1] != classical[1]
+
+
+# --- the group products' ghost route ---------------------------------------------
+
+# a product on the ghost route never builds `structure_constants`; only the
+# aperiodic product outside a Q-algebra on a group with a subgroup that is not
+# normal keeps the loop over them
+INTEGRAL_APERIODIC = ("C6", "C12", "Q8")
+
+
+@pytest.mark.parametrize("gname", GROUPS)
+def test_group_products_over_z9_and_at_zero_and_one(gname):
+    G = build_group(gname)
+    rng = random.Random(f"z9:{gname}")
+    for flavor, ref in ((NECKLACE, ref_nr_mul), (APERIODIC, ref_ap_mul)):
+        op = nr_op if flavor == NECKLACE else ap_op
+        R = parse_ring("Z/9")
+        for _ in range(3):
+            x, y = draw(G, flavor, R, rng), draw(G, flavor, R, rng)
+            assert outcome(op, "prod", x, y) == outcome(ref, x, y)
+        for rname in RINGS + ("Z/9",):
+            R = parse_ring(rname)
+            x = draw(G, flavor, R, rng)
+            zero, one = IndexedVector.zero(G, flavor, R), IndexedVector.one(G, flavor, R)
+            for a, b, want in ((x, zero, zero), (zero, x, zero), (x, one, x), (one, x, x)):
+                got = op("prod", a, b)
+                assert got == ref(a, b) == want
+
+
+def test_ghost_route_products_build_no_structure_constants():
+    rng = random.Random("no-structure-constants")
+    structure_constants.cache_clear()
+    for gname in GROUPS:
+        G = build_group(gname)
+        for rname in RINGS + ("Z/9",):
+            R = parse_ring(rname)
+            x, y = draw(G, NECKLACE, R, rng), draw(G, NECKLACE, R, rng)
+            nr_op("prod", x, y)
+            if R.is_qalgebra or (R is ZZ and gname in INTEGRAL_APERIODIC):
+                u, v = draw(G, APERIODIC, R, rng), draw(G, APERIODIC, R, rng)
+                ap_op("prod", u, v)
+    assert structure_constants.cache_info().misses == 0
+    # the one case left to the loop
+    S3 = build_group("S3")
+    zero = IndexedVector.zero(S3, APERIODIC, ZZ)
+    ap_op("prod", zero, zero)
+    assert structure_constants.cache_info().misses == 1
