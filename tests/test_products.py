@@ -353,19 +353,17 @@ INTEGRAL_APERIODIC = ("C6", "C12", "Q8")
 def test_group_products_over_z9_and_at_zero_and_one(gname):
     G = build_group(gname)
     rng = random.Random(f"z9:{gname}")
-    for flavor, ref in ((NECKLACE, ref_nr_mul), (APERIODIC, ref_ap_mul)):
-        op = nr_op if flavor == NECKLACE else ap_op
-        R = parse_ring("Z/9")
+    for flavor, op, ref in ((NECKLACE, nr_op, ref_nr_mul), (APERIODIC, ap_op, ref_ap_mul)):
+        Z9 = parse_ring("Z/9")
         for _ in range(3):
-            x, y = draw(G, flavor, R, rng), draw(G, flavor, R, rng)
+            x, y = draw(G, flavor, Z9, rng), draw(G, flavor, Z9, rng)
             assert outcome(op, "prod", x, y) == outcome(ref, x, y)
         for rname in RINGS + ("Z/9",):
             R = parse_ring(rname)
             x = draw(G, flavor, R, rng)
             zero, one = IndexedVector.zero(G, flavor, R), IndexedVector.one(G, flavor, R)
             for a, b, want in ((x, zero, zero), (zero, x, zero), (x, one, x), (one, x, x)):
-                got = op("prod", a, b)
-                assert got == ref(a, b) == want
+                assert op("prod", a, b) == ref(a, b) == want
 
 
 def test_ghost_route_products_build_no_structure_constants():
