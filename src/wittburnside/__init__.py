@@ -23,8 +23,8 @@ from importlib import import_module
 _EXPORTS = {
     "errors": ("DomainError", "SchemaError"),
     "rings": (
-        "MultiPoly", "QPolynomial", "RingSpec", "RingValue", "UniTriMatrix", "divisors",
-        "is_integral", "is_numerical", "mobius", "parse_ring",
+        "MultiPoly", "QPolynomial", "RingSpec", "RingValue", "divisors", "is_integral",
+        "is_numerical", "mobius", "parse_ring",
     ),
     "groups": (
         "FiniteGroup", "build_group", "marks_matrix", "structure_constants",
@@ -44,12 +44,12 @@ _EXPORTS = {
         "cyc_witt_ghost", "cyc_witt_op", "necklace_poly",
     ),
     "qdeform": (
-        "QContext", "QMatrixData", "QUniversal", "TruncatedCurve", "artin_hasse",
-        "artin_hasse_inv", "curve_add", "curve_mul", "curve_neg", "p_poly", "q_ap_mul",
-        "q_ap_op", "q_aperiodic_poly", "q_frobenius", "q_ghost", "q_ghost_inv",
-        "q_necklace_poly", "q_nr_mul", "q_nr_op", "q_teichmuller", "q_teichmuller_inv",
-        "q_universal", "q_verschiebung", "q_witt_ghost", "q_witt_op", "tau_q", "theta_q",
-        "theta_q_inv", "try_one", "zeta_mu_q",
+        "QContext", "QUniversal", "TruncatedCurve", "artin_hasse", "artin_hasse_inv",
+        "curve_add", "curve_mul", "curve_neg", "p_poly", "q_ap_mul", "q_ap_op",
+        "q_aperiodic_poly", "q_frobenius", "q_ghost", "q_ghost_inv", "q_necklace_poly",
+        "q_nr_mul", "q_nr_op", "q_teichmuller", "q_teichmuller_inv", "q_universal",
+        "q_verschiebung", "q_witt_ghost", "q_witt_op", "tau_q", "theta_q", "theta_q_inv",
+        "try_one", "zeta_mu_q",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -59,7 +59,7 @@ from .burnside import (
     witt_f,
     witt_v,
 )
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, excerpt
 from .groups import FiniteGroup, build_group, marks_matrix, subgroup_classes, subgroup_group
 from .rings import RingValue, divisors, parse_ring
 from .universal import index_labels
@@ -121,7 +121,7 @@ def _parse_components(doc, ring, path):
         try:
             out.append(RingValue.parse(ring, str(c)))
         except (ValueError, KeyError, SchemaError) as e:
-            raise SchemaError(f"{path}: component {c!r} does not parse in {ring.name}: {e}")
+            raise SchemaError(f"{path}: component {excerpt(c)} does not parse in {ring.name}: {e}")
     return out
 
 
@@ -139,7 +139,7 @@ def _check_ring(doc, ring_flag, path):
 def _check_flavor(doc, path, allowed):
     flavor = doc.get("flavor")
     if flavor not in (WITT, NECKLACE, APERIODIC, GHOST):
-        raise SchemaError(f"{path}: unknown flavor {flavor!r}")
+        raise SchemaError(f"{path}: unknown flavor {excerpt(flavor)}")
     if allowed is not None and flavor not in allowed:
         raise SchemaError(
             f"{path}: flavor {flavor} not usable here (expected {'/'.join(allowed)})"
@@ -175,7 +175,7 @@ def _read_vector(path, model, ring_flag=None, allowed=None, index=None, ctx=None
         if index is None:
             index = _build_group(gf)
         elif gf != index.name:
-            raise SchemaError(f"{path}: group {gf!r} does not match expected {index.name}")
+            raise SchemaError(f"{path}: group {excerpt(gf)} does not match expected {index.name}")
         order = "the class order"
     else:
         if not (isinstance(gf, dict) and "cyclic_trunc" in gf):
@@ -194,7 +194,7 @@ def _read_vector(path, model, ring_flag=None, allowed=None, index=None, ctx=None
         raise SchemaError(f"{path}: expected {len(labels)} components")
     coord_form = doc.get("coord_form", False)
     if type(coord_form) is not bool:
-        raise SchemaError(f"{path}: coord_form must be true or false, not {coord_form!r}")
+        raise SchemaError(f"{path}: coord_form must be true or false, not {excerpt(coord_form)}")
     if coord_form and flavor not in (NECKLACE, APERIODIC):
         raise SchemaError(f"{path}: coord_form applies to Necklace/Aperiodic vectors only")
     if coord_form and model == "cyclic":
@@ -220,7 +220,7 @@ def _recorded_q(doc, path):
         raise SchemaError(f"{path}: a coordinate-backed qwitt vector must record its q")
     q = doc["q"]
     if q != "q" and type(q) is not int:
-        raise SchemaError(f'{path}: q must be an integer or "q", not {q!r}')
+        raise SchemaError(f'{path}: q must be an integer or "q", not {excerpt(q)}')
     return None if q == "q" else q
 
 
@@ -268,7 +268,7 @@ def _read_curve(path, ring_flag=None):
         try:
             vals.append(RingValue.parse(ring, str(c)))
         except (ValueError, KeyError, SchemaError) as e:
-            raise SchemaError(f"{path}: coefficient {c!r} does not parse: {e}")
+            raise SchemaError(f"{path}: coefficient {excerpt(c)} does not parse: {e}")
     return qdeform.TruncatedCurve(ring, vals)
 
 
@@ -279,7 +279,7 @@ def _qcontext(args):
     try:
         return qdeform.QContext(int(raw))
     except ValueError:
-        raise SchemaError(f"--q must be an integer or the symbol q, got {raw!r}")
+        raise SchemaError(f"--q must be an integer or the symbol q, got {excerpt(raw)}")
 
 
 def _truncation(args, default=None):

@@ -49,6 +49,7 @@ from .errors import (
     NotInImage,
     SchemaError,
     TruncationTooSmall,
+    excerpt,
 )
 from .rings import RingSpec, RingValue, divisors, mobius
 from .universal import (  # Q_MEMBER_BOUND and check_q_member for the CLI
@@ -161,7 +162,8 @@ class TruncationSet:
         except TypeError:
             ms = None
         if ms is None or not all(type(n) is int for n in ms):
-            raise SchemaError(f"truncation set must be a collection of integers, not {members!r}")
+            raise SchemaError(
+                f"truncation set must be a collection of integers, not {excerpt(members)}")
         if not ms or ms[0] < 1:
             raise SchemaError("truncation set must contain positive integers")
         if 1 not in ms:

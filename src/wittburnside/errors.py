@@ -14,10 +14,11 @@ class SchemaError(Exception):
     """Malformed textual input: ring specs, vector files, group descriptors."""
 
 
-class NonInvertibleDiagonal(DomainError):
-    def __init__(self, label):
-        super().__init__(f"triangular matrix has non-invertible diagonal entry at {label!r}")
-        self.label = label
+def excerpt(value, limit=80) -> str:
+    """repr(value) as an error message quotes it: cut to limit characters,
+    naming its full length, so that no input floods the message."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 class NonExactDivision(DomainError):

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import NotAGroup, OrderBoundExceeded, SchemaError
-from .rings import QQ, UniTriMatrix, ZZ, check_digits
+from .errors import NotAGroup, OrderBoundExceeded, SchemaError, excerpt
+from .rings import QQ, check_digits
 
 ORDER_BOUND = 24
 # A permutation lists every point up to the largest one named, so cycle
@@ -51,7 +51,7 @@ def parse_cycles(text: str, degree: int | None = None):
     text = text.strip()
     cycles = re.findall(r"\(([^()]*)\)", text)
     if not cycles and text not in ("", "()"):
-        raise SchemaError(f"bad cycle notation {text!r}")
+        raise SchemaError(f"bad cycle notation {excerpt(text)}")
     points = []
     parsed = []
     for c in cycles:
@@ -59,9 +59,9 @@ def parse_cycles(text: str, degree: int | None = None):
         try:
             nums = [int(s) for s in entries]
         except ValueError as exc:
-            raise SchemaError(f"bad cycle {c!r}") from exc
+            raise SchemaError(f"bad cycle {excerpt(c)}") from exc
         if any(n < 1 for n in nums) or len(set(nums)) != len(nums):
-            raise SchemaError(f"bad cycle {c!r}")
+            raise SchemaError(f"bad cycle {excerpt(c)}")
         if max(nums, default=0) > POINT_BOUND:
             raise SchemaError(f"cycle point {max(nums)} exceeds the point bound {POINT_BOUND}")
         parsed.append(nums)
@@ -220,7 +220,7 @@ def build_group(descriptor: str) -> "FiniteGroup":
         gens = [g + tuple(range(len(g), deg)) for g in gens]
         # named by the descriptor itself, so documents over the group read back
         return closure(gens, name=text)
-    raise SchemaError(f"unknown group descriptor {descriptor!r}")
+    raise SchemaError(f"unknown group descriptor {excerpt(descriptor)}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ class SubgroupClassTable:
         for i, c in enumerate(self.classes):
             if c.label == label:
                 return i
-        raise SchemaError(f"no subgroup class labelled {label!r} in {self.group.name}")
+        raise SchemaError(f"no subgroup class labelled {excerpt(label)} in {self.group.name}")
 
 
 def _subgroup_closure(G, seed):
@@ -370,34 +370,47 @@ def mark(G: FiniteGroup, U: frozenset, V: frozenset) -> int:
     return hits // len(V)
 
 
+class Rows:
+    """A square table held as row tuples."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(row) for row in rows)
+
+    def entry(self, i: int, j: int):
+        return self.rows[i][j]
+
+
 class MarksMatrix:
-    """Table of marks zeta(V, W) = (fixed points of W on G/V) and its inverse."""
+    """Table of marks zeta(V, W) = (fixed points of W on G/V) and its inverse.
 
-    __slots__ = ("table", "zeta", "mobius")
+    The Mobius inverse is solved when first read, so the group arithmetic
+    never pays for it: the necklace ghost table's rows are the columns of
+    zeta, and row k of the inverse is the solve of the unit ghost e_k.
+    """
 
-    def __init__(self, table, zeta, mobius):
+    def __init__(self, table, zeta):
         self.table = table
         self.zeta = zeta
-        self.mobius = mobius
+
+    @cached_property
+    def mobius(self) -> Rows:
+        from .universal import ghost_table, linear_table, solve_triangular  # imports groups
+
+        ghost = linear_table(ghost_table(self.table.group))
+        units = ([QQ.one() if u == k else QQ.zero() for u in range(len(ghost))]
+                 for k in range(len(ghost)))
+        # no fail callback: over Q each row divides by its positive diagonal mark
+        return Rows(solve_triangular(ghost, e, QQ, None) for e in units)
 
 
 @lru_cache(maxsize=None)
 def marks_matrix(G: FiniteGroup) -> MarksMatrix:
     ct = subgroup_classes(G)
-    labels = ct.labels()
-    n = len(ct)
-    rows = []
-    for i in range(n):
-        V = ct.classes[i].rep
-        row = []
-        for j in range(n):
-            W = ct.classes[j].rep
-            row.append(mark(G, W, V) if j >= i else 0)
-        rows.append(row)
-    zeta = UniTriMatrix(labels, ZZ, rows)
-    qrows = [[Fraction(x) for x in row] for row in rows]
-    mob = UniTriMatrix(labels, QQ, qrows).invert()
-    return MarksMatrix(ct, zeta, mob)
+    reps = [c.rep for c in ct.classes]
+    return MarksMatrix(ct, Rows([mark(G, W, V) if j >= i else 0 for j, W in enumerate(reps)]
+                                for i, V in enumerate(reps)))
 
 
 def subconjugate(G: FiniteGroup, i: int, j: int) -> bool:

@@ -5,14 +5,15 @@ F_q(X, Y) = X + Y - q X Y.  Every ring operation and Frobenius solves a
 q-ghost system at its payloads, at a concrete integer q or the
 indeterminate: the Witt flavor on the q-ghost table, the necklace and
 aperiodic flavors on its linear tables (`burnside._flavor_system`).  The
-divisor-lattice scalars zeta^q/mu^q and the numerical polynomials
-P_{n,i,j}(q) that the solved products amount to are kept as scalars of their
-own (`qpoly`, the q-necklace polynomials, the checks).  The Witt
-operations' universal polynomials, with numerical coefficients in Q[q] (q an
-extra variable), are derived once per truncation set by the same solve.
-The q-ghost maps, the q-Teichmuller transport and f_r are the classical
-maps (`burnside._ghost`, `_teichmuller`, `cyclic._frobenius`) on the
-q-ghost tables, given `QContext.ghost_q`.
+divisor-lattice scalars zeta^q and mu^q, which depend on d2/d1 alone (mu^q
+is the Dirichlet inverse of zeta^q, `zeta_mu_q`), and the numerical
+polynomials P_{n,i,j}(q) that the solved products amount to are kept as
+scalars of their own (`qpoly`, the q-necklace polynomials, the checks).
+The Witt operations' universal polynomials, with numerical coefficients in
+Q[q] (q an extra variable), are derived once per truncation set by the
+same solve.  The q-ghost maps, the q-Teichmuller transport and f_r are the
+classical maps (`burnside._ghost`, `_teichmuller`, `cyclic._frobenius`) on
+the q-ghost tables, given `QContext.ghost_q`.
 
 A QContext fixes q: a concrete integer works over every coefficient ring
 (the solves stay integral by numericality), while the indeterminate
@@ -54,6 +55,7 @@ from .errors import (
     NotInImage,
     NumericalityViolation,
     SchemaError,
+    excerpt,
 )
 from .rings import (
     QQ_Q,
@@ -61,7 +63,6 @@ from .rings import (
     ResidueRing,
     RingSpec,
     RingValue,
-    UniTriMatrix,
     divisors,
     mobius,
 )
@@ -84,7 +85,7 @@ class QContext:
     def __init__(self, q):
         if isinstance(q, str):
             if q.strip() != "q":
-                raise SchemaError(f"q must be an integer or the letter q, not {q!r}")
+                raise SchemaError(f"q must be an integer or the letter q, not {excerpt(q)}")
             q = None
         if q is not None and not isinstance(q, int):
             raise SchemaError("q must be an integer or the indeterminate")
@@ -137,41 +138,19 @@ def _exact_scalar(ctx: QContext, R: RingSpec, p: QPolynomial):
 # divisor-lattice scalars: zeta^q, mu^q, tau^q, P_{n,i,j}
 
 
-class QMatrixData:
-    """zeta^q and its exact inverse mu^q on the divisor lattice D(n)."""
-
-    __slots__ = ("n", "labels", "zeta", "mu")
-
-    def __init__(self, n, labels, zeta, mu):
-        self.n = n
-        self.labels = labels
-        self.zeta = zeta
-        self.mu = mu
-
-    def zeta_entry(self, d1: int, d2: int) -> QPolynomial:
-        return self.zeta.entry(self.labels.index(d1), self.labels.index(d2))
-
-    def mu_entry(self, d1: int, d2: int) -> QPolynomial:
-        return self.mu.entry(self.labels.index(d1), self.labels.index(d2))
-
-
 @lru_cache(maxsize=None)
-def zeta_mu_q(n: int) -> QMatrixData:
-    """zeta^q(d1,d2) = (d1/d2) q^(d2/d1 - 1) on D(n), inverted exactly."""
-    if n < 1:
+def zeta_mu_q(k: int) -> tuple[QPolynomial, QPolynomial]:
+    """(zeta^q(k), mu^q(k)): zeta^q(d1, d2) = (d1/d2) q^(d2/d1 - 1) on D(n) and
+    its inverse mu^q(d1, d2) depend only on k = d2/d1.  mu^q is the Dirichlet
+    inverse of k -> q^(k-1)/k: mu^q(1) = 1 and, for k > 1,
+    mu^q(k) = -sum_{d | k, d < k} mu^q(d) (d/k) q^(k/d - 1)."""
+    if k < 1:
         raise ValueError("lattice index must be positive")
-    labels = divisors(n)
-    rows = []
-    for d1 in labels:
-        row = []
-        for d2 in labels:
-            if d2 % d1 == 0:
-                row.append(QPolynomial.monomial(Fraction(d1, d2), d2 // d1 - 1))
-            else:
-                row.append(QPolynomial())
-        rows.append(row)
-    zeta = UniTriMatrix(labels, QQ_Q, rows)
-    return QMatrixData(n, labels, zeta, zeta.invert())
+    zeta = QPolynomial.monomial(Fraction(1, k), k - 1)
+    if k == 1:
+        return zeta, zeta
+    return zeta, -sum((zeta_mu_q(d)[1] * QPolynomial.monomial(Fraction(d, k), k // d - 1)
+                       for d in divisors(k)[:-1]), QPolynomial())
 
 
 @lru_cache(maxsize=None)
@@ -179,10 +158,9 @@ def tau_q(i: int, n: int) -> QPolynomial:
     """tau^q(i, n) = sum_{d|i} mu^q(1, d) zeta^q(d, n), for i | n."""
     if n % i != 0:
         raise ValueError(f"tau^q({i}, {n}) needs {i} | {n}")
-    data = zeta_mu_q(n)
     acc = QPolynomial()
     for d in divisors(i):
-        acc = acc + data.mu_entry(1, d) * data.zeta_entry(d, n)
+        acc = acc + zeta_mu_q(d)[1] * zeta_mu_q(n // d)[0]
     return acc
 
 
@@ -340,10 +318,9 @@ def q_necklace_poly(ctx: QContext, r: RingValue, n: int) -> RingValue:
         raise ValueError("necklace index must be positive")
     R = r.spec
     if R.is_qalgebra:
-        data = zeta_mu_q(n)
         s = R.zero()
         for d in divisors(n):
-            c = data.mu_entry(d, n) * QPolynomial.monomial(Fraction(1, d), d - 1)
+            c = zeta_mu_q(n // d)[1] * zeta_mu_q(d)[0]
             if c.is_zero():
                 continue
             s = R.add(s, R.mul(_exact_scalar(ctx, R, c), R.pow(r.payload, d)))

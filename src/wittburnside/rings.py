@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rings of coefficients and triangular linear algebra.
+"""Exact scalar arithmetic: the rings of coefficients.
 
 Every computation in this package is exact.  Supported coefficient rings:
 
@@ -24,8 +24,8 @@ from fractions import Fraction
 from .errors import (
     DomainError,
     NonExactDivision,
-    NonInvertibleDiagonal,
     SchemaError,
+    excerpt,
 )
 
 
@@ -347,7 +347,7 @@ def _parse_coeff(text: str) -> Fraction:
     try:
         return Fraction(check_digits(text, "coefficient"))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad coefficient {text!r}") from exc
+        raise SchemaError(f"bad coefficient {excerpt(text)}") from exc
 
 
 class MultiPoly:
@@ -615,7 +615,7 @@ def _parse_poly_terms(text: str, vars: tuple[str, ...]):
                 coeff *= _parse_coeff(f)
                 seen_coeff = True
             else:
-                raise SchemaError(f"unknown factor {f!r} in polynomial value")
+                raise SchemaError(f"unknown factor {excerpt(f)} in polynomial value")
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return terms
@@ -748,7 +748,7 @@ class IntegerRing(RingSpec):
         try:
             return int(check_digits(text.strip(), "integer"))
         except ValueError as exc:
-            raise SchemaError(f"bad integer {text!r}") from exc
+            raise SchemaError(f"bad integer {excerpt(text)}") from exc
 
     def format_value(self, a):
         return _format_int(a)
@@ -795,7 +795,7 @@ class RationalRing(RingSpec):
         try:
             return Fraction(check_digits(text.strip(), "rational"))
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational {text!r}") from exc
+            raise SchemaError(f"bad rational {excerpt(text)}") from exc
 
     def format_value(self, a):
         return _format_coeff(a)
@@ -843,7 +843,7 @@ class ResidueRing(RingSpec):
         try:
             return int(check_digits(text.strip(), "residue")) % self.modulus
         except ValueError as exc:
-            raise SchemaError(f"bad residue {text!r}") from exc
+            raise SchemaError(f"bad residue {excerpt(text)}") from exc
 
     def format_value(self, a):
         return str(a % self.modulus)
@@ -945,7 +945,7 @@ class PolyRing(RingSpec):
             raise SchemaError("polynomial ring needs distinct variable names")
         for v in vars:
             if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", v):
-                raise SchemaError(f"bad variable name {v!r}")
+                raise SchemaError(f"bad variable name {excerpt(v)}")
         self.vars = vars
         self.rational = rational
         base = "QPoly" if rational else "ZPoly"
@@ -1054,7 +1054,7 @@ def parse_ring(text: str) -> RingSpec:
     if m:
         vars = tuple(v.strip() for v in m.group(2).split(",") if v.strip())
         return PolyRing(vars, rational=(m.group(1) == "QPoly"))
-    raise SchemaError(f"unknown ring spec {text!r}")
+    raise SchemaError(f"unknown ring spec {excerpt(text)}")
 
 
 class RingValue:
@@ -1148,90 +1148,3 @@ def is_numerical(p) -> bool:
     if isinstance(p, QPolynomial):
         return p.is_numerical()
     raise TypeError("is_numerical expects a QPolynomial")
-
-
-class UniTriMatrix:
-    """Square upper-triangular matrix over a RingSpec, indexed by labels.
-
-    Row/column order is the label order; entries strictly below the diagonal
-    must be zero.  Inversion is exact back-substitution and demands each
-    diagonal entry be invertible in the ring.
-    """
-
-    __slots__ = ("labels", "ring", "rows")
-
-    def __init__(self, labels, ring: RingSpec, rows):
-        self.labels = tuple(labels)
-        self.ring = ring
-        n = len(self.labels)
-        rs = tuple(tuple(row) for row in rows)
-        if len(rs) != n or any(len(r) != n for r in rs):
-            raise ValueError("matrix shape does not match labels")
-        for i in range(n):
-            for j in range(i):
-                if not ring.is_zero(rs[i][j]):
-                    raise ValueError("matrix is not upper triangular")
-        self.rows = rs
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
-    def size(self) -> int:
-        return len(self.labels)
-
-    @classmethod
-    def identity(cls, labels, ring):
-        n = len(labels)
-        return cls(
-            labels,
-            ring,
-            [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)],
-        )
-
-    def mul(self, other: "UniTriMatrix") -> "UniTriMatrix":
-        if self.labels != other.labels or self.ring != other.ring:
-            raise ValueError("matrix shapes/rings differ")
-        R = self.ring
-        n = self.size()
-        out = [[R.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(i, n):
-                a = self.rows[i][k]
-                if R.is_zero(a):
-                    continue
-                for j in range(k, n):
-                    b = other.rows[k][j]
-                    if R.is_zero(b):
-                        continue
-                    out[i][j] = R.add(out[i][j], R.mul(a, b))
-        return UniTriMatrix(self.labels, R, out)
-
-    def invert(self) -> "UniTriMatrix":
-        R = self.ring
-        n = self.size()
-        inv = [[R.zero()] * n for _ in range(n)]
-        diag_inv = []
-        for i in range(n):
-            d = R.try_div(R.one(), self.rows[i][i])
-            if d is None:
-                raise NonInvertibleDiagonal(self.labels[i])
-            diag_inv.append(d)
-            inv[i][i] = d
-        for j in range(n):
-            for i in range(j - 1, -1, -1):
-                s = R.zero()
-                for k in range(i + 1, j + 1):
-                    s = R.add(s, R.mul(self.rows[i][k], inv[k][j]))
-                inv[i][j] = R.neg(R.mul(diag_inv[i], s))
-        return UniTriMatrix(self.labels, R, inv)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniTriMatrix)
-            and self.labels == other.labels
-            and self.ring == other.ring
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return f"UniTriMatrix(labels={self.labels}, ring={self.ring.name})"

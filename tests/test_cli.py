@@ -63,6 +63,8 @@ def c2vec(tmp_path, name, flavor, components, ring="Z", **extra):
         (("group", "info", "--group", "S3"), "group_info_S3.json"),
         (("universal", "--group", "C2", "--op", "prod"), "universal_C2_prod.json"),
         (("qpoly", "P", "--n", "6"), "qpoly_P_6.json"),
+        (("group", "info", "--group", "S4"), "group_info_S4.json"),
+        (("group", "info", "--group", "D12"), "group_info_D12.json"),
     ],
 )
 def test_golden_outputs(argv, golden):

@@ -6,6 +6,7 @@ must do so within a time budget: a parser that accepts text it then takes
 seconds to read (such as an exponent of ten million digits' worth) fails
 here as surely as one that lets another exception escape.  Stdlib only.
 """
+import json
 import random
 import time
 
@@ -81,3 +82,24 @@ def test_deeply_nested_json_is_refused(tmp_path, capsys, text):
     for argv in (("ghost", str(path)), ("cyclic", "ghost", str(path))):
         assert main(list(argv)) == 2
         assert "nests JSON deeper than the decoder can read" in capsys.readouterr().err
+
+
+def nested(depth):
+    component = "1"
+    for _ in range(depth):
+        component = [component]
+    return component
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("component", ["1" * 200_000, "x" * 200_000, nested(900)],
+                         ids=("long number", "long word", "nested 900 deep"))
+def test_an_unreadable_component_is_quoted_in_an_excerpt(tmp_path, capsys, ring, component):
+    # the message names the component, but never echoes all of it
+    doc = {"schema_version": 1, "group": "C2", "flavor": "Witt", "ring": ring,
+           "labels": ["G", "1"], "components": [component, "0"]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["ghost", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "does not parse" in err and len(err.encode()) < 1024, err[:2000]

@@ -386,9 +386,9 @@ def test_try_div_is_exact():
 
 @pytest.mark.parametrize("name", ("ZPoly(x,y)", "QPoly(x,y)"))
 def test_try_div_by_an_integer_constant_equals_the_inverse_scaling(name):
-    # the quotient the solves, theta_inv and UniTriMatrix.invert read: equal,
-    # in value and stored type, to the product with 1/d, and None over ZPoly
-    # exactly when that product has a fractional coefficient
+    # the quotient the solves and theta_inv read: equal, in value and stored
+    # type, to the product with 1/d, and None over ZPoly exactly when that
+    # product has a fractional coefficient
     R = parse_ring(name)
     rng = random.Random(f"try_div:{name}")
     polys = [R.zero(), R.one(), R.from_int(-12)]

@@ -425,6 +425,19 @@ def test_aperiodic_restriction_names_constants_in_input_order(gname):
                 same(res_ap, ref_res_ap, G, ci, x)
 
 
+@pytest.mark.parametrize("gname", GROUPS + ("D12",))
+def test_mobius_table_inverts_the_marks(gname):
+    # the Mobius table, solved row by row on the necklace ghost table, is the
+    # inverse of the table of marks on both sides
+    mm = marks_matrix(build_group(gname))
+    n = len(mm.zeta.rows)
+    for i in range(n):
+        for k in range(n):
+            left = sum(mm.mobius.entry(i, j) * mm.zeta.entry(j, k) for j in range(n))
+            right = sum(mm.zeta.entry(i, j) * mm.mobius.entry(j, k) for j in range(n))
+            assert left == right == (i == k), (gname, i, k)
+
+
 # --- cyclic model ----------------------------------------------------------------
 
 

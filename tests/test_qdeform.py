@@ -63,6 +63,7 @@ from wittburnside.rings import (
     QPolynomial,
     RingValue,
     divisors,
+    mobius,
     parse_ring,
 )
 
@@ -97,19 +98,26 @@ def mq_vector(ctx, x, T, R):
 
 
 def test_zeta_mu_frozen():
-    data = zeta_mu_q(2)
-    assert data.zeta_entry(1, 1) == QP.constant(1)
-    assert data.zeta_entry(2, 2) == QP.constant(1)
-    assert data.zeta_entry(1, 2) == QP([0, Fraction(1, 2)])
-    assert data.mu_entry(1, 2) == QP([0, Fraction(-1, 2)])
-    d6 = zeta_mu_q(6)
-    assert d6.zeta_entry(2, 6) == QP([0, 0, Fraction(1, 3)])  # (2/6) q^2
-    # mu is the exact inverse: (zeta * mu) = identity on labels
-    prod = d6.zeta.mul(d6.mu)
-    for i in range(prod.size()):
-        for j in range(prod.size()):
-            expect = QP.constant(1) if i == j else QP()
-            assert prod.entry(i, j) == expect
+    assert zeta_mu_q(1) == (QP.constant(1), QP.constant(1))
+    assert zeta_mu_q(2) == (QP([0, Fraction(1, 2)]), QP([0, Fraction(-1, 2)]))
+    assert zeta_mu_q(3)[0] == QP([0, 0, Fraction(1, 3)])  # zeta^q(2, 6) = (2/6) q^2
+    # by hand from the recurrence: -q^3/4 + q^2/4 and -q^5/6 + q^3/3
+    assert zeta_mu_q(4)[1] == QP([0, 0, Fraction(1, 4), Fraction(-1, 4)])
+    assert zeta_mu_q(6)[1] == QP([0, 0, 0, Fraction(1, 3), 0, Fraction(-1, 6)])
+    # at q = 1, zeta^q is 1/k, whose Dirichlet inverse is mobius(k)/k
+    for k in range(1, 61):
+        assert zeta_mu_q(k)[1](1) == Fraction(mobius(k), k), k
+    # the lattice matrices zeta^q(d1, d2) and mu^q(d1, d2) on D(12) are inverse
+    D = divisors(12)
+    for d1 in D:
+        for d3 in D:
+            total = QP()
+            for d2 in D:
+                if d2 % d1 == 0 and d3 % d2 == 0:
+                    total = total + zeta_mu_q(d2 // d1)[0] * zeta_mu_q(d3 // d2)[1]
+            assert total == (QP.constant(1) if d1 == d3 else QP()), (d1, d3)
+    with pytest.raises(ValueError):
+        zeta_mu_q(0)
 
 
 def test_tau_frozen():

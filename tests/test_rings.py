@@ -1,4 +1,4 @@
-"""Scalar layer: divisor/mobius oracles, polynomial algebra, triangular inversion."""
+"""Scalar layer: divisor/mobius oracles and polynomial algebra."""
 import random
 import sys
 import time
@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from wittburnside.errors import DomainError, NonExactDivision, NonInvertibleDiagonal, SchemaError
+from wittburnside.errors import DomainError, NonExactDivision, SchemaError
 from wittburnside.rings import (
     DIGIT_BOUND,
     Q_DEGREE_BOUND,
     MultiPoly,
     QPolynomial,
     RingValue,
-    UniTriMatrix,
     ZZ,
     QQ,
     QQ_Q,
@@ -281,49 +280,3 @@ def test_ringvalue_guards_mixed_rings():
     with pytest.raises(ValueError):
         a + b
     assert is_integral(a)
-
-
-# -- UniTriMatrix -------------------------------------------------------------
-
-
-def test_unitriangular_hand_inverse_2x2():
-    # [[1, 1], [0, 2]] over Q inverts to [[1, -1/2], [0, 1/2]]
-    M = UniTriMatrix(("G", "1"), QQ, [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(2)]])
-    W = M.invert()
-    assert W.rows == ((Fraction(1), Fraction(-1, 2)), (Fraction(0), Fraction(1, 2)))
-    assert M.mul(W) == UniTriMatrix.identity(("G", "1"), QQ)
-
-
-def test_unitriangular_random_inverse_round_trip():
-    rng = random.Random(5)
-    labels = tuple("abcdef")
-    for _ in range(20):
-        rows = []
-        for i in range(6):
-            row = [Fraction(0)] * i + [Fraction(rng.randint(1, 9))]
-            row += [Fraction(rng.randint(-9, 9)) for _ in range(5 - i)]
-            rows.append(row)
-        M = UniTriMatrix(labels, QQ, rows)
-        assert M.mul(M.invert()) == UniTriMatrix.identity(labels, QQ)
-        assert M.invert().mul(M) == UniTriMatrix.identity(labels, QQ)
-
-
-def test_unitriangular_integer_diagonal_failure():
-    M = UniTriMatrix(("u", "v"), ZZ, [[1, 3], [0, 2]])
-    with pytest.raises(NonInvertibleDiagonal) as info:
-        M.invert()
-    assert info.value.label == "v"
-
-
-def test_unitriangular_rejects_lower_entries():
-    with pytest.raises(ValueError):
-        UniTriMatrix(("u", "v"), ZZ, [[1, 0], [5, 1]])
-
-
-def test_unitriangular_over_qpoly_ring():
-    q = QPolynomial.variable()
-    one = QPolynomial.constant(1)
-    M = UniTriMatrix(("1", "2"), QQ_Q, [[one, q * Fraction(1, 2)], [QPolynomial(), one]])
-    W = M.invert()
-    assert W.entry(0, 1) == q * Fraction(-1, 2)
-    assert M.mul(W) == UniTriMatrix.identity(("1", "2"), QQ_Q)
