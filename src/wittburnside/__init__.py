@@ -38,14 +38,14 @@ _EXPORTS = {
         "teichmuller_inv", "theta", "theta_inv", "wg_ghost", "wg_op", "witt_f", "witt_v",
     ),
     "cyclic": (
-        "CyclicUniversal", "CyclicVector", "TruncationSet", "aperiodic_poly", "cyc_ap_mul",
-        "cyc_ap_op", "cyc_frobenius", "cyc_ghost", "cyc_ghost_inv", "cyc_nr_mul",
-        "cyc_nr_op", "cyc_theta", "cyc_theta_inv", "cyc_universal", "cyc_verschiebung",
+        "CyclicVector", "TruncationSet", "aperiodic_poly", "cyc_ap_mul", "cyc_ap_op",
+        "cyc_frobenius", "cyc_ghost", "cyc_ghost_inv", "cyc_nr_mul", "cyc_nr_op",
+        "cyc_theta", "cyc_theta_inv", "cyc_universal", "cyc_verschiebung",
         "cyc_witt_ghost", "cyc_witt_op", "necklace_poly",
     ),
     "qdeform": (
-        "QContext", "QUniversal", "TruncatedCurve", "artin_hasse", "artin_hasse_inv",
-        "curve_add", "curve_mul", "curve_neg", "p_poly", "q_ap_mul", "q_ap_op",
+        "QContext", "TruncatedCurve", "artin_hasse", "artin_hasse_inv", "curve_add",
+        "curve_mul", "curve_neg", "p_poly", "q_ap_mul", "q_ap_op",
         "q_aperiodic_poly", "q_frobenius", "q_ghost", "q_ghost_inv", "q_necklace_poly",
         "q_nr_mul", "q_nr_op", "q_teichmuller", "q_teichmuller_inv", "q_universal",
         "q_verschiebung", "q_witt_ghost", "q_witt_op", "tau_q", "theta_q", "theta_q_inv",

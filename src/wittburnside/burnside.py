@@ -78,18 +78,17 @@ from .groups import (
     subgroup_classes,
     subgroup_group,
 )
-from .rings import RingSpec, RingValue, ZZ, parse_ring
+from .rings import ZZ, ResidueRing, RingSpec, RingValue, parse_ring
 from .universal import (
     APERIODIC,
     GHOST,
-    MEMO,
     NECKLACE,
     WITT,
     GhostSystem,
-    UniversalSet,
     check_op,
     derive,
     flavor_table,
+    frobenius_shift,
     ghost_table,
     ghost_values,
     index_labels,
@@ -196,14 +195,6 @@ class IndexedVector:
         return f"<{self.flavor}{tag} over {self.ring.name} on {self.index!r} [{vals}]>"
 
 
-def _strategy(ring: RingSpec) -> str:
-    if ring.is_qalgebra:
-        return "qalgebra"
-    if ring.name.startswith("Z/"):
-        return "quotient"
-    return "torsionfree"
-
-
 def _is_binomial(ring: RingSpec) -> bool:
     # rings where exponential sums of the lattice are guaranteed integral
     return ring == ZZ
@@ -237,28 +228,27 @@ def _flavor_op(op, x, y, witt_op, q=None):
     return _flavor_mul(x, y, q)
 
 
+def _solve(system: GhostSystem, x: IndexedVector, y=None, q=None, fail=None) -> IndexedVector:
+    """The operation of `system` at x (and y), solved on the ghosts: a vector
+    on the system's structure with x's flavor, ring and form.  q is the
+    q-model's q as a function of the ring, None outside the q-model, and is
+    taken only here, once the caller has built the system's table (as in
+    `_ghost`); fail is as in `GhostSystem.apply`."""
+    xs = x.payloads() + (y.payloads() if y is not None else ())
+    out = system.apply(x.ring, xs, q and q(x.ring), fail)
+    return IndexedVector.from_payloads(system.structure, x.flavor, x.ring, out, x.coord_form)
+
+
 @lru_cache(maxsize=None)
 def _flavor_system(index, q: bool, flavor: str, r: int | None = None) -> GhostSystem:
     """The ghost system of the necklace or aperiodic product on a group or a
     truncation set T or, given r (truncation sets only), of f_r: over
     {n : rn in T}, the ghost at n is the input's ghost at rn."""
-    table, labels = flavor_table(index, flavor, q), index_labels(index)
+    table = flavor_table(index, flavor, q)
     if r is None:
-        return GhostSystem(index, labels, table, "prod", q)
-    # type(index) is `cyclic.TruncationSet`, which this module cannot import
-    Tout = type(index)([n for n in index if r * n in index])
-    shift = (flavor_table(Tout, flavor, q), [index.position(r * n) for n in Tout])
-    return GhostSystem(Tout, labels, table, f"frob{r}", q, shift)
-
-
-def _flavor_solve(x: IndexedVector, y=None, r=None, q=None) -> IndexedVector:
-    """The necklace or aperiodic product x y or, given r, f_r(x), solved on the
-    ghosts; q is the q-model's q as a function of the ring, taken once the
-    table is built (as in `_ghost`), None outside the q-model."""
-    system = _flavor_system(x.index, q is not None, x.flavor, r)
-    xs = x.payloads() + (y.payloads() if y is not None else ())
-    out = system.apply(x.ring, xs, q and q(x.ring))
-    return IndexedVector.from_payloads(system.structure, x.flavor, x.ring, out)
+        return GhostSystem(index, table, "prod", q)
+    return GhostSystem(index, table, f"frob{r}", q,
+                       frobenius_shift(index, r, lambda T: flavor_table(T, flavor, q)))
 
 
 @lru_cache(maxsize=None)
@@ -271,13 +261,13 @@ def _fractional(index) -> bool:
 
 def _flavor_mul(x: IndexedVector, y: IndexedVector, q=None) -> IndexedVector:
     """The necklace or aperiodic product on any index set: the solve of the
-    ghosts' product (q as in `_flavor_solve`).  Only an aperiodic product
+    ghosts' product (q as in `_solve`).  Only an aperiodic product
     whose table has a Fraction weight, outside a Q-algebra, runs the loop over
     the structure constants, which refuses a fractional constant on two
     non-zero components (NonIntegralConstant)."""
     if x.flavor == APERIODIC and not x.ring.is_qalgebra and _fractional(x.index):
         return _table_mul(x, y)
-    return _flavor_solve(x, y, q=q)
+    return _solve(_flavor_system(x.index, q is not None, x.flavor), x, y, q)
 
 
 def _table_mul(x, y):
@@ -388,21 +378,17 @@ def ap_ghost_inv(b: IndexedVector, group=None) -> IndexedVector:
 # ---------------------------------------------------------------------------
 # the Witt flavor: universal polynomials and the ring operations
 
-_UNIVERSAL_CACHE = MEMO  # the one in-process memo of every model
-
-
-def derive_universal(G: FiniteGroup, op: str) -> UniversalSet:
-    """Solve the ghost equations symbolically; coefficients must come out integral."""
+def derive_universal(G: FiniteGroup, op: str) -> GhostSystem:
+    """The memoised ghost system of op on G; its polynomials, solved when
+    first read, must come out integral."""
     check_op(op)
-    return derive(G, op, lambda: GhostSystem(G, index_labels(G), ghost_table(G, False), op))
+    return derive(G, op, lambda: GhostSystem(G, ghost_table(G, False), op))
 
 
 def wg_op(op: str, a: IndexedVector, b: IndexedVector | None = None) -> IndexedVector:
     """Witt-flavor ring operation, solved on the ghost table."""
     _check_operands("wg_op", WITT, op, a, b)
-    env = a.payloads() + (b.payloads() if b is not None else ())
-    out = derive_universal(a.group, op).system.apply(a.ring, env)
-    return IndexedVector.from_payloads(a.group, WITT, a.ring, out)
+    return _solve(derive_universal(a.group, op), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +436,10 @@ def _teichmuller(alpha: IndexedVector, what: str, q=None) -> IndexedVector:
     """Witt -> Necklace, the necklace ghost solve of the Witt ghost; a row
     leaving the ring raises IntegralityViolation "<what> escaped ..."."""
     R = alpha.ring
-    strat = _strategy(R)
-    if strat == "quotient":
+    if isinstance(R, ResidueRing):
         # no canonical component form exists mod m; carry Witt coordinates
         return alpha.retag(NECKLACE, coord_form=True)
-    if strat == "torsionfree" and not _is_binomial(R):
+    if not (R.is_qalgebra or _is_binomial(R)):
         # torsion-free but not binomial: the image lives in the rationalisation
         alpha = alpha.map_ring(R.rationalized(), R.to_rationalized)
         R = alpha.ring
@@ -472,7 +457,7 @@ def _teichmuller_inv(x: IndexedVector, refused: str, text: str, q=None) -> Index
     if x.coord_form:
         return x.retag(WITT, coord_form=False)
     R, index = x.ring, x.index
-    if _strategy(R) == "quotient":
+    if isinstance(R, ResidueRing):
         raise DomainError(refused.format(ring=R.name))
     want = ghost_values(flavor_table(index, NECKLACE, q is not None), R, x.payloads(), q and q(R))
     out = solve_triangular(ghost_table(index, q is not None), want, R,
@@ -611,8 +596,8 @@ def _restriction_system(G: FiniteGroup, ci: int) -> GhostSystem:
     """witt_f's equations: U's ghost of the result at each class W of U is
     G's ghost of the input at the class W fuses to."""
     U = subgroup_group(G, ci)
-    shift = (ghost_table(U, False), ind_class_map(G, ci))
-    return GhostSystem(U, index_labels(G), ghost_table(G, False), "res", shift=shift)
+    shift = (U, ghost_table(U, False), ind_class_map(G, ci))
+    return GhostSystem(G, ghost_table(G, False), "res", shift=shift)
 
 
 def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
@@ -623,7 +608,7 @@ def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
     if alpha.flavor != WITT:
         raise ValueError("witt_v expects a Witt vector")
     R = alpha.ring
-    if _strategy(R) == "quotient":
+    if isinstance(R, ResidueRing):
         # necklace coordinates need a torsion-free ring: solve over Z, then reduce
         return witt_v(G, ci, alpha.map_ring(ZZ, int)).map_ring(R, R.from_int)
     # over a ring that is not binomial the image lives in the rationalisation
@@ -642,10 +627,8 @@ def witt_f(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
     if alpha.group != G:
         raise ValueError("vector is not indexed by the parent group's classes")
     system = _restriction_system(G, ci)
-    fail = row_error(IntegralityViolation, "restricted Witt vector escaped {ring} at {row}",
-                     system.structure)
-    out = system.apply(alpha.ring, alpha.payloads(), fail=fail)
-    return IndexedVector.from_payloads(system.structure, WITT, alpha.ring, out)
+    return _solve(system, alpha, fail=row_error(
+        IntegralityViolation, "restricted Witt vector escaped {ring} at {row}", system.structure))
 
 
 def ghost_nu(G: FiniteGroup, ci: int, b: IndexedVector) -> IndexedVector:
@@ -660,12 +643,11 @@ def ghost_nu(G: FiniteGroup, ci: int, b: IndexedVector) -> IndexedVector:
     R = b.ring
     ct = subgroup_classes(G)
     U = subgroup_group(G, ci)
-    if R.is_qalgebra:
-        return nr_ghost(ind_nr(G, ci, nr_ghost_inv(b, group=U)))
-    if _strategy(R) == "quotient":
+    if isinstance(R, ResidueRing):
         raise NonIntegralConstant(
             "ghost-level induction over a residue ring needs an abelian group"
         )
+    # a Q-algebra is its own rationalisation, and every payload pulls back
     vec = b.map_ring(R.rationalized(), R.to_rationalized)
     res = nr_ghost(ind_nr(G, ci, nr_ghost_inv(vec, group=U)))
     out = []
@@ -697,7 +679,7 @@ def delta_membership(x: IndexedVector, target: RingSpec) -> bool:
     a ring with the rationalisation of x's ring (else DomainError)?"""
     if x.flavor != NECKLACE:
         raise ValueError("delta_membership expects a Necklace vector")
-    if _strategy(x.ring) == "quotient":
+    if isinstance(x.ring, ResidueRing):
         raise DomainError("membership testing needs a torsion-free coefficient ring")
     Rq = x.ring.rationalized()
     if target.rationalized() != Rq:

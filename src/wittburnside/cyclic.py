@@ -18,9 +18,9 @@ flavors it is an integer linear map, so defined over every coefficient
 ring.  Verschiebung reindexes by r.
 
 The ghost maps, their inverses, the product and Frobenius solves and the
-tables are the group module's (`burnside._ghost`, `_flavor_mul`,
-`_flavor_solve`, `universal.ghost_table`), and `_frobenius` serves the
-q-model too; the public names here check flavors and name their errors.
+tables are the group module's (`burnside._ghost`, `_flavor_mul`, `_solve`,
+`universal.ghost_table`), and `_frobenius` serves the q-model too; the
+public names here check flavors and name their errors.
 """
 from __future__ import annotations
 
@@ -38,9 +38,10 @@ from .burnside import (
     _expect,
     _flavor_mul,
     _flavor_op,
-    _flavor_solve,
+    _flavor_system,
     _ghost,
     _ghost_inv,
+    _solve,
     theta,
     theta_inv,
 )
@@ -55,12 +56,11 @@ from .rings import RingSpec, RingValue, divisors, mobius
 from .universal import (  # Q_MEMBER_BOUND and check_q_member for the CLI
     Q_MEMBER_BOUND,
     GhostSystem,
-    UniversalSet,
     check_op,
     check_q_member,
     derive,
+    frobenius_shift,
     ghost_table,
-    index_labels,
     row_error,
 )
 
@@ -253,34 +253,29 @@ def cyc_ghost_inv(b: CyclicVector, flavor: str) -> CyclicVector:
 # universal polynomials and the Witt operations
 
 
-CyclicUniversal = UniversalSet
-
-
-def _truncation_universal(T: TruncationSet, op: str, q: bool = False, r: int | None = None):
-    """The universal set of a ring op over T, or with r (op "frob<r>") of f_r."""
+def _truncation_universal(T: TruncationSet, op: str, q: bool = False,
+                          r: int | None = None) -> GhostSystem:
+    """The memoised system of a ring op over T, or with r (op "frob<r>") of f_r."""
     tag = ("q" if q else "") + op
 
     def system():
-        shift, Tout = None, T
-        if r is not None:
-            Tout = TruncationSet([n for n in T if r * n in T])
-            shift = (ghost_table(Tout, q), [T.position(r * n) for n in Tout])
-        return GhostSystem(Tout, index_labels(T), ghost_table(T, q), tag if r else op, q, shift)
+        # the shift's table is built, and its members checked, first
+        shift = frobenius_shift(T, r, lambda S: ghost_table(S, q)) if r else None
+        return GhostSystem(T, ghost_table(T, q), tag if r else op, q, shift)
 
     return derive(T, tag, system)
 
 
-def cyc_universal(T: TruncationSet, op: str) -> UniversalSet:
-    """Integer universal polynomials for one truncated-Witt ring operation."""
+def cyc_universal(T: TruncationSet, op: str) -> GhostSystem:
+    """The ghost system of one truncated-Witt ring operation; its
+    polynomials, solved when first read, have integer coefficients."""
     check_op(op)
     return _truncation_universal(T, op)
 
 
 def cyc_witt_op(op: str, a: CyclicVector, b: CyclicVector | None = None) -> CyclicVector:
     _check_operands("cyc_witt_op", WITT, op, a, b)
-    env = a.payloads() + (b.payloads() if b is not None else ())
-    out = cyc_universal(a.truncation, op).system.apply(a.ring, env)
-    return CyclicVector.from_payloads(a.truncation, WITT, a.ring, out)
+    return _solve(cyc_universal(a.truncation, op), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +399,10 @@ def _frobenius(r: int, x: CyclicVector, q=None) -> CyclicVector:
         Tout = TruncationSet([n for n in T if r * n in T])
         return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
     if x.flavor == WITT or x.coord_form:
-        cu = _truncation_universal(T, f"frob{r}", q is not None, r)
-        out = cu.system.apply(R, x.payloads(), q and q(R))
-        return CyclicVector.from_payloads(cu.truncation, x.flavor, R, out, x.coord_form)
-    return _flavor_solve(x, r=r, q=q)
+        system = _truncation_universal(T, f"frob{r}", q is not None, r)
+    else:
+        system = _flavor_system(T, q is not None, x.flavor, r)
+    return _solve(system, x, q=q)
 
 
 def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:

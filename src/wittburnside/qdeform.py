@@ -17,7 +17,8 @@ the q-ghost tables, given `QContext.ghost_q`.
 
 A QContext fixes q: a concrete integer works over every coefficient ring
 (the solves stay integral by numericality), while the indeterminate
-requires vectors over the Q[q] ring.  Quotient-ring images of the
+requires vectors over the Q[q] ring, and its Witt product a truncation set
+with no member above Q_SYMBOLIC_PROD_BOUND.  Quotient-ring images of the
 q-Teichmuller transport are kept in Witt coordinates (coord_form), exactly
 as the group-indexed module does, because componentwise reduction of the
 transport is not well defined mod m.
@@ -38,6 +39,7 @@ from .burnside import (
     _flavor_op,
     _ghost,
     _ghost_inv,
+    _solve,
     _teichmuller,
     _teichmuller_inv,
     theta,
@@ -52,6 +54,7 @@ from .cyclic import (
     necklace_poly,
 )
 from .errors import (
+    DomainError,
     NotInImage,
     NumericalityViolation,
     SchemaError,
@@ -67,7 +70,7 @@ from .rings import (
     mobius,
 )
 from .universal import (
-    UniversalSet,
+    GhostSystem,
     check_op,
     check_q_member,
     ghost_table,
@@ -90,10 +93,6 @@ class QContext:
         if q is not None and not isinstance(q, int):
             raise SchemaError("q must be an integer or the indeterminate")
         self.q = q
-
-    @property
-    def symbolic(self) -> bool:
-        return self.q is None
 
     def q_payload(self, R: RingSpec):
         """The element q of R; the indeterminate only lives in Q[q]."""
@@ -235,20 +234,35 @@ def q_ghost_inv(ctx: QContext, b: CyclicVector, flavor: str) -> CyclicVector:
 # numericality is what keeps the operations' q-ghost solve at an integer q,
 # and at Z/m payloads lifted to Z, inside Z.
 
-QUniversal = UniversalSet
 
-
-def q_universal(T: TruncationSet, op: str) -> UniversalSet:
-    """Universal q-Witt operation polynomials with numerical coefficients."""
+def q_universal(T: TruncationSet, op: str) -> GhostSystem:
+    """The q-ghost system of one q-Witt ring operation; its polynomials,
+    solved when first read, have numerical coefficients."""
     check_op(op)
     return _truncation_universal(T, op, q=True)
 
 
+# The product at the indeterminate q solves in Q[q] payloads whose degrees
+# grow with the members, at a cost that grows steeply with the largest one:
+# with components alternating 3 and 1/2, 0.6-0.7 s on 1..128 (the costliest
+# set with that largest member; 0.85 s through the CLI), 0.8-1.4 s on
+# 1..160, 4-5 s on 1..240 and over 30 s on div(720), on one Intel Xeon
+# vCPU.  Above this bound it is refused.
+Q_SYMBOLIC_PROD_BOUND = 128
+
+
 def q_witt_op(ctx: QContext, op: str, a: CyclicVector, b: CyclicVector | None = None) -> CyclicVector:
     _check_operands("q_witt_op", WITT, op, a, b)
-    env = a.payloads() + (b.payloads() if b is not None else ())
-    out = q_universal(a.truncation, op).system.apply(a.ring, env, ctx.ghost_q(a.ring))
-    return CyclicVector.from_payloads(a.truncation, WITT, a.ring, out)
+    T = a.truncation
+
+    def q(R):  # the ring's q, then the bound, once the table is built
+        qv = ctx.ghost_q(R)
+        if ctx.q is None and op == "prod" and T.members[-1] > Q_SYMBOLIC_PROD_BOUND:
+            raise DomainError(f"truncation set member {T.members[-1]} exceeds the bound "
+                              f"{Q_SYMBOLIC_PROD_BOUND} of the product at the indeterminate q")
+        return qv
+
+    return _solve(q_universal(T, op), a, b, q)
 
 
 def try_one(ctx: QContext, T: TruncationSet, R: RingSpec) -> CyclicVector | None:

@@ -869,9 +869,6 @@ class QPolyRing(RingSpec):
     def from_fraction(self, fr):
         return QPolynomial.constant(fr)
 
-    def q(self):
-        return QPolynomial.variable()
-
     def add(self, a, b):
         return a + b
 

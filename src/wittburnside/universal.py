@@ -18,18 +18,19 @@ between the models, and `ghost_table` builds every one of them:
 below), and `row_name` names a row in the messages of every model.
 
 The sum, product and negation solve w(s) = w(a) + w(b), w(a) w(b) and
--w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a).  The necklace and
-aperiodic products, and on a truncation set their Frobenius, are such
-systems too, on the linear tables below.  One triangular solve, `solve_triangular`, serves
-all of them: at the payloads of an operation
-(over Z/m lifted to Z and reduced), and at the variables themselves for the
-universal polynomials.  Those are solved once per structure and operation,
-when first read (an operation reads only its system); their integral (in
-the q-model numerical) coefficients certify that the solve stays in the
-ring.  They are memoised in process only.  When WB_CACHE_DIR is set, a
-memo miss also writes the polynomials to a missing entry there, as an
-export: nothing reads an entry back, since checking one soundly costs as
-much as the solve.
+-w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a) (`frobenius_shift`).
+The necklace and aperiodic products, and on a truncation set their
+Frobenius, are such systems too, on the linear tables below.  Each is one
+`GhostSystem`, and one triangular solve, `solve_triangular`, serves all of
+them: at the payloads of an operation (over Z/m lifted to Z and reduced),
+and at the variables themselves for the universal polynomials.  Those are
+solved once per structure and operation, when first read (an operation
+only applies its system); their integral (in the q-model numerical)
+coefficients certify that the solve stays in the ring.  The Witt
+operations' systems are memoised in process only.  When WB_CACHE_DIR is
+set, a memo miss also writes the polynomials to a missing entry there, as
+an export: nothing reads an entry back, since checking one soundly costs
+as much as the solve.
 
 The transports between the flavors solve on the same tables.  With every
 exponent 1 (`linear_table`) a table is the ghost of the necklace flavor;
@@ -66,7 +67,7 @@ GHOST = "Ghost"
 
 OPS = ("sum", "prod", "neg")
 FORMAT = "u2"  # on-disk format tag; part of every cache file name
-MEMO: dict = {}  # (group or truncation set, op tag) -> UniversalSet
+MEMO: dict = {}  # (group or truncation set, op tag) -> GhostSystem
 
 
 def check_op(op: str):
@@ -101,55 +102,6 @@ def row_error(error, text, index):
     """fail(u, R) of a solve on index's rows: error(text), with {ring} the
     name of R and {row} the row_name of u."""
     return lambda u, R: error(text.format(ring=R.name, row=row_name(index, u)))
-
-
-class UniversalSet:
-    """Universal polynomials of one operation: the solution of a GhostSystem.
-
-    `structure` (the system's) is the group or truncation set whose index set
-    labels polys (for a Frobenius, the set of n with r n in the input set).
-    polys are MultiPoly in `vars`; in the q-model vars[0] is q itself.  They
-    are solved for on first access; an operation reads only `system`.  The
-    integer solve refuses a fractional coefficient itself, and a
-    non-numerical q-coefficient is refused here.  `compiled` pairs each
-    monomial in the other variables, given as ((var_index, exp), ...), with
-    its coefficient: an int, or in the q-model a numerical QPolynomial.
-    """
-
-    __slots__ = ("system", "_polys")
-
-    def __init__(self, system):
-        self.system = system
-        self._polys = None
-
-    @property
-    def polys(self):
-        if self._polys is None:
-            self._polys = _certified(self.system, self.system.solve())
-        return self._polys
-
-    structure = property(lambda self: self.system.structure)
-    op = property(lambda self: self.system.op)
-    vars = property(lambda self: self.system.vars)
-    # the names the group and the truncation-set models read structure by
-    group = structure
-    truncation = structure
-
-    @property
-    def compiled(self):
-        if self.system.q:
-            return tuple(_compile_q(self.op, p) for p in self.polys)
-        return tuple(p.compiled() for p in self.polys)
-
-
-def _certified(system, polys):
-    """polys as a tuple, once the q-model's coefficients are numerical (the
-    integer solve of the other models reports a failing row itself)."""
-    polys = tuple(polys)
-    if system.q:
-        for p in polys:
-            _compile_q(system.op, p)  # grouping by monomial checks numericality
-    return polys
 
 
 def _compile_q(op, p: MultiPoly):
@@ -321,25 +273,54 @@ def solve_triangular(table, want, R, fail, q=None):
 
 
 class GhostSystem:
-    """The equations w(s) = target(a, b) of one operation.
+    """The equations w(s) = target(a, b) of one operation, and their solution.
 
-    `table` gives the ghost of the inputs, labelled by `labels` (the
-    index_labels of the input index set).  A Frobenius passes `shift`, a pair
-    (table of the unknowns' index set, input row whose ghost each unknown's
-    ghost equals); the ring operations solve over the input index set itself.
-    `structure` indexes the solution, as in UniversalSet.
+    `table` is the ghost table of the input index set `index` (a group or a
+    truncation set), whose labels name the variables.  A Frobenius or a
+    restriction passes `shift`, a triple (the unknowns' index set, its table,
+    the input row whose ghost each unknown's ghost equals); the ring
+    operations solve over `index` itself.  `structure`, read also by the
+    names `group` and `truncation`, is the index set of the solution.
+
+    An operation evaluates `apply` at its payloads.  `polys` are the
+    universal polynomials, MultiPoly in `vars` (in the q-model vars[0] is q
+    itself): `apply` at the variables, solved on first read.  The integer
+    solve refuses a fractional coefficient itself, and a non-numerical
+    q-coefficient is refused there.  `compiled` pairs each monomial in the
+    other variables, given as ((var_index, exp), ...), with its coefficient:
+    an int, or in the q-model a numerical QPolynomial.
     """
 
-    def __init__(self, structure, labels, table, op, q=False, shift=None):
-        self.structure = structure
-        self.labels = labels
+    def __init__(self, index, table, op, q=False, shift=None):
+        self.labels = index_labels(index)
         self.table = table
         self.op = op
         self.q = q
-        self.out_table, self.rows = shift if shift else (table, None)
-        avars = tuple(f"a_{l}" for l in labels)
-        bvars = tuple(f"b_{l}" for l in labels) if op in ("sum", "prod") else ()
+        self.structure, self.out_table, self.rows = shift or (index, table, None)
+        avars = tuple(f"a_{l}" for l in self.labels)
+        bvars = tuple(f"b_{l}" for l in self.labels) if op in ("sum", "prod") else ()
         self.vars = ("q",) * q + avars + bvars
+        self._polys = None
+
+    group = truncation = property(lambda self: self.structure)
+
+    @property
+    def polys(self):
+        if self._polys is None:
+            R = PolyRing(self.vars, rational=bool(self.q))
+            gens = [R.variable(v) for v in self.vars]
+            polys = tuple(self.apply(R, gens[self.q:], gens[0] if self.q else None))
+            if self.q:
+                for p in polys:
+                    _compile_q(self.op, p)  # grouping by monomial checks numericality
+            self._polys = polys
+        return self._polys
+
+    @property
+    def compiled(self):
+        if self.q:
+            return tuple(_compile_q(self.op, p) for p in self.polys)
+        return tuple(p.compiled() for p in self.polys)
 
     def targets(self, R, xs, qv=None):
         """Target ghost components at the payloads xs in R (a's, then b's); qv
@@ -354,13 +335,6 @@ class GhostSystem:
             return [x + y for x, y in zip(ga, gb)]
         return [x * y for x, y in zip(ga, gb)]
 
-    def solve(self):
-        """The universal polynomials: the solve at the variables themselves."""
-        # q-model coefficients are only numerical; UniversalSet checks them
-        R = PolyRing(self.vars, rational=bool(self.q))
-        gens = [R.variable(v) for v in self.vars]
-        return self.apply(R, gens[self.q:], gens[0] if self.q else None)
-
     def apply(self, R, xs, q=None, fail=None):
         """The operation at payloads xs in R (a's, then b's), by the ghost route.
 
@@ -371,42 +345,48 @@ class GhostSystem:
         the ring R solved in (Z for a residue ring); by default an
         IntegralityViolation naming the operation.
         """
-        if isinstance(R, ResidueRing):
-            return [R.from_int(s) for s in self.apply(ZZ, xs, q, fail)]
-        want = self.targets(R, xs, q)
-        return solve_triangular(self.out_table, want, R, fail or (
+        S = ZZ if isinstance(R, ResidueRing) else R
+        out = solve_triangular(self.out_table, self.targets(S, xs, q), S, fail or (
             lambda u, R: IntegralityViolation(
                 f"{self.op} has fractional coefficients at {self._where(u)} over {R.name}")), q)
+        return [R.from_int(s) for s in out] if S is not R else out
 
     def _where(self, u):
         of = f" of {self.structure.name}" if isinstance(self.structure, FiniteGroup) else ""
         return row_name(self.structure, u) + of
 
 
+def frobenius_shift(T, r, table_of):
+    """The shift of f_r on a truncation set T: the set {n : rn in T}, its
+    table `table_of(set)`, and the input row rn that each of its members n
+    reads."""
+    # type(T) is `cyclic.TruncationSet`, which imports this module
+    Tout = type(T)([n for n in T if r * n in T])
+    return Tout, table_of(Tout), [T.position(r * n) for n in Tout]
+
+
 # ---------------------------------------------------------------------------
 # memo and disk export
 
 
-def derive(structure, tag, system) -> UniversalSet:
+def derive(structure, tag, system) -> GhostSystem:
     """Operation `tag` over a group or truncation set.
 
     Memoised under (structure, tag).  `system` is a callable returning the
-    GhostSystem, called on a memo miss only; the result hands it back as
-    `.system`, whose `apply` the operations evaluate by.  Its polynomials are
-    solved on first access (see UniversalSet).  With WB_CACHE_DIR set, a memo
-    miss whose entry is missing solves them at once and writes the entry; an
-    existing entry is neither read nor rewritten.
+    GhostSystem, called on a memo miss only.  Its polynomials are solved on
+    first read (see GhostSystem).  With WB_CACHE_DIR set, a memo miss whose
+    entry is missing solves them at once and writes the entry; an existing
+    entry is neither read nor rewritten.
     """
     key = (structure, tag)
-    ups = MEMO.get(key)
-    if ups is None:
+    eqs = MEMO.get(key)
+    if eqs is None:
         eqs = system()
-        ups = UniversalSet(eqs)
         path = _cache_path(structure, eqs.labels, tag)
         if path and not os.path.exists(path):
-            _cache_write(path, eqs.vars, ups.polys)
-        MEMO[key] = ups
-    return ups
+            _cache_write(path, eqs.vars, eqs.polys)
+        MEMO[key] = eqs
+    return eqs
 
 
 def _cache_path(structure, labels, tag):

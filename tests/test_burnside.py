@@ -15,7 +15,6 @@ from wittburnside.burnside import (
     NECKLACE,
     WITT,
     IndexedVector,
-    _UNIVERSAL_CACHE,
     ap_ghost,
     ap_ghost_inv,
     ap_op,
@@ -52,6 +51,7 @@ from wittburnside.errors import (
 )
 from wittburnside.groups import build_group, subgroup_classes, subgroup_group
 from wittburnside.rings import QQ, RingValue, ZZ, parse_ring
+from wittburnside.universal import MEMO
 
 C2 = build_group("C2")
 C4 = build_group("C4")
@@ -104,16 +104,16 @@ def test_universal_top_class_is_plain_ring_op():
 def test_universal_disk_cache_round_trip(tmp_path):
     os.environ["WB_CACHE_DIR"] = str(tmp_path)
     try:
-        _UNIVERSAL_CACHE.clear()
+        MEMO.clear()
         first = derive_universal(C4, "prod")
         assert os.listdir(tmp_path)
-        _UNIVERSAL_CACHE.clear()
+        MEMO.clear()
         second = derive_universal(C4, "prod")
         assert first.vars == second.vars
         assert first.polys == second.polys
     finally:
         del os.environ["WB_CACHE_DIR"]
-        _UNIVERSAL_CACHE.clear()
+        MEMO.clear()
 
 
 # --- ghosts ----------------------------------------------------------------

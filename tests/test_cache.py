@@ -20,9 +20,8 @@ from wittburnside import (
     derive_universal,
     q_universal,
 )
-from wittburnside.burnside import _UNIVERSAL_CACHE
 from wittburnside.cyclic import _truncation_universal
-from wittburnside.universal import index_labels
+from wittburnside.universal import MEMO, index_labels
 
 
 def run_cli(cache, *argv):
@@ -55,9 +54,9 @@ def only_file(cache, pattern):
 def cache(tmp_path, monkeypatch):
     root = tmp_path / "cache"
     monkeypatch.setenv("WB_CACHE_DIR", str(root))
-    _UNIVERSAL_CACHE.clear()
+    MEMO.clear()
     yield root
-    _UNIVERSAL_CACHE.clear()
+    MEMO.clear()
 
 
 def test_fractional_coefficient_entry_is_never_read(tmp_path):
@@ -117,7 +116,7 @@ def test_hit_writes_nothing_and_names_carry_the_format(cache):
     names = sorted(os.listdir(cache))
     assert len(names) == 1 and names[0].endswith(f"-{FORMAT}.json")
     before = (cache / names[0]).stat().st_mtime_ns
-    _UNIVERSAL_CACHE.clear()
+    MEMO.clear()
     second = derive_universal(build_group("C4"), "prod")
     assert second.polys == first.polys and second is not first
     assert sorted(os.listdir(cache)) == names
@@ -130,7 +129,7 @@ def corrupt_and_rederive(cache, derive, edit):
     data = json.loads(path.read_bytes())
     path.write_text(edit(data), encoding="utf-8")
     edited = path.read_bytes()
-    _UNIVERSAL_CACHE.clear()
+    MEMO.clear()
     again = derive()
     assert again.polys == good.polys
     assert path.read_bytes() == edited
@@ -221,11 +220,11 @@ def test_unwritable_cache_dir_still_derives(tmp_path, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
     monkeypatch.setenv("WB_CACHE_DIR", str(blocker / "sub"))
-    _UNIVERSAL_CACHE.clear()
+    MEMO.clear()
     try:
         assert derive_universal(build_group("C2"), "sum").polys
     finally:
-        _UNIVERSAL_CACHE.clear()
+        MEMO.clear()
 
 
 # the name and sha256 of the entry each derivation writes; the q entry has

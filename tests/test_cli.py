@@ -15,6 +15,8 @@ import pytest
 
 from wittburnside.cli import QPOLY_N_BOUND, QUNIVERSAL_N_BOUND, main
 from wittburnside.errors import SchemaError
+from wittburnside.qdeform import Q_SYMBOLIC_PROD_BOUND
+from wittburnside.rings import divisors
 from wittburnside.verify import run_suite
 
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
@@ -65,6 +67,7 @@ def c2vec(tmp_path, name, flavor, components, ring="Z", **extra):
         (("qpoly", "P", "--n", "6"), "qpoly_P_6.json"),
         (("group", "info", "--group", "S4"), "group_info_S4.json"),
         (("group", "info", "--group", "D12"), "group_info_D12.json"),
+        (("quniversal", "--op", "prod", "--trunc", "6"), "quniversal_prod_6.json"),
     ],
 )
 def test_golden_outputs(argv, golden):
@@ -174,6 +177,20 @@ def test_quniversal_beyond_its_bound_exits_3(capsys):
     assert time.perf_counter() - start < 2.0
     code, out, _ = run_main(capsys, "quniversal", "--op", "neg", "--trunc", str(QUNIVERSAL_N_BOUND))
     assert code == 0 and json.loads(out)["trunc"][-1] == QUNIVERSAL_N_BOUND
+
+
+def test_symbolic_q_product_beyond_its_bound_exits_3_at_once(tmp_path):
+    # the product solve on div(720) at the indeterminate q takes over 30 s;
+    # the bound refuses it before the solve
+    members = divisors(720)
+    a = write_vec(tmp_path, "a.json", group={"cyclic_trunc": members}, labels=members,
+                  flavor="Witt", ring="Q[q]",
+                  components=["3" if i % 2 == 0 else "1/2" for i in range(len(members))])
+    proc = subprocess.run([sys.executable, "-m", "wittburnside", "qwitt", "mul", "--q", "q", a, a],
+                          capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (f"DomainError: truncation set member 720 exceeds the bound "
+                           f"{Q_SYMBOLIC_PROD_BOUND} of the product at the indeterminate q\n")
 
 
 def test_flavor_mismatch_exits_2(capsys, tmp_path):

@@ -56,7 +56,7 @@ def evaluate(terms, R, payloads):
 def reference(ups, R, payloads, q=None):
     """ups's polynomials evaluated term by term in R at the payloads."""
     terms = ups.compiled
-    if ups.system.q and q is not None:
+    if ups.q and q is not None:
         # a numerical coefficient is an integer at the integer q itself
         terms = [[(c(q).numerator, mono) for c, mono in t] for t in terms]
     return [evaluate(t, R, payloads) for t in terms]

@@ -14,9 +14,8 @@ import sys
 import wittburnside
 
 PUBLIC = (
-    "APERIODIC", "CyclicUniversal", "CyclicVector", "DomainError", "FiniteGroup", "GHOST",
-    "IndexedVector", "MultiPoly", "NECKLACE", "QContext", "QPolynomial", "QUniversal",
-    "RingSpec", "RingValue", "SchemaError", "TruncatedCurve", "TruncationSet", "WITT",
+    "APERIODIC", "CyclicVector", "DomainError", "FiniteGroup", "GHOST", "IndexedVector",
+    "MultiPoly", "NECKLACE", "QContext", "QPolynomial", "RingSpec", "RingValue", "SchemaError", "TruncatedCurve", "TruncationSet", "WITT",
     "ap_ghost", "ap_ghost_inv", "ap_op", "aperiodic_poly",
     "artin_hasse", "artin_hasse_inv", "build_group", "curve_add", "curve_mul", "curve_neg",
     "cyc_ap_mul", "cyc_ap_op", "cyc_frobenius", "cyc_ghost", "cyc_ghost_inv", "cyc_nr_mul",

@@ -23,7 +23,6 @@ from wittburnside.burnside import (
     NECKLACE,
     WITT,
     IndexedVector,
-    _strategy,
     ap_ghost,
     ap_ghost_inv,
     ghost_nu,
@@ -56,11 +55,18 @@ from wittburnside.groups import (
     subgroup_classes,
     subgroup_group,
 )
-from wittburnside.rings import ZZ, parse_ring
+from wittburnside.rings import ZZ, ResidueRing, parse_ring
 
 GROUPS = ("C2", "C6", "S3", "D4", "Q8", "C12", "D6", "S4")
 RINGS = ("Z", "Q", "Z/8", "Z/9", "ZPoly(x,y)", "QPoly(x,y)")
 TRUNCATIONS = {"div12": TruncationSet.div(12), "1..12": TruncationSet(range(1, 13))}
+
+
+def _strategy(R):
+    """The reference's class of a coefficient ring."""
+    if R.is_qalgebra:
+        return "qalgebra"
+    return "quotient" if isinstance(R, ResidueRing) else "torsionfree"
 
 
 # --- the reference: the term-by-term loops -------------------------------------

@@ -30,6 +30,7 @@ from wittburnside.errors import (
     TruncationTooSmall,
 )
 from wittburnside.qdeform import (
+    Q_SYMBOLIC_PROD_BOUND,
     QContext,
     TruncatedCurve,
     artin_hasse,
@@ -636,6 +637,32 @@ def test_q_model_refuses_members_above_its_bound(tmp_path):
     for name, outcome, fast in results[14:]:
         assert (outcome, fast) == (3, True), name  # the CLI's DomainError exit
     assert proc.stderr.count("DomainError: truncation set member") == 10
+
+
+def test_symbolic_q_product_is_bounded_after_the_ring_check():
+    ctx = QContext(None)
+
+    def vec(T, R=QQ_Q):
+        return CyclicVector.from_payloads(T, WITT, R, [R.from_int(3)] * len(T))
+
+    a = vec(TruncationSet.div(Q_SYMBOLIC_PROD_BOUND))
+    ghost = q_witt_ghost(ctx, a).payloads()
+    prod = q_witt_op(ctx, "prod", a, a)
+    assert q_witt_ghost(ctx, prod).payloads() == tuple(g * g for g in ghost)
+    over = TruncationSet.div(Q_SYMBOLIC_PROD_BOUND + 1)
+    with pytest.raises(DomainError, match=f"^truncation set member {over.members[-1]} exceeds "
+                                          f"the bound {Q_SYMBOLIC_PROD_BOUND} of the product"):
+        q_witt_op(ctx, "prod", vec(over), vec(over))
+    # the sum, the negation and an integer q stay accepted
+    q_witt_op(ctx, "sum", vec(over), vec(over))
+    q_witt_op(ctx, "neg", vec(over))
+    q_witt_op(QContext(2), "prod", vec(over, ZZ), vec(over, ZZ))
+    # the refusals that come first keep their class and message
+    with pytest.raises(SchemaError, match="requires the Q\\[q\\] ring"):
+        q_witt_op(ctx, "prod", vec(over, ZZ), vec(over, ZZ))
+    huge = TruncationSet([1, 10007])
+    with pytest.raises(DomainError, match="^truncation set member 10007 exceeds the q-model"):
+        q_witt_op(ctx, "prod", vec(huge), vec(huge))
 
 
 def test_huge_member_is_refused_before_the_indeterminate_meets_its_ring():

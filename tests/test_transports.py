@@ -22,7 +22,6 @@ from wittburnside.burnside import (
     WITT,
     IndexedVector,
     _is_binomial,
-    _strategy,
     exp_M,
     ind_nr,
     nr_ghost_inv,
@@ -48,12 +47,19 @@ from wittburnside.qdeform import (
     q_teichmuller,
     q_teichmuller_inv,
 )
-from wittburnside.rings import QQ_Q, ZZ, RingValue, divisors, parse_ring
+from wittburnside.rings import QQ_Q, ZZ, ResidueRing, RingValue, divisors, parse_ring
 
 GROUPS = ("C6", "S3", "D4", "Q8", "C12", "D6", "S4")
 RINGS = ("Z", "Q", "Z/8", "ZPoly(x,y)", "QPoly(x,y)")
 TRUNCATIONS = {"div12": TruncationSet.div(12), "1..12": TruncationSet(range(1, 13))}
 QS = (-1, 0, 2, 3, None)
+
+
+def _strategy(R):
+    """The reference's class of a coefficient ring."""
+    if R.is_qalgebra:
+        return "qalgebra"
+    return "quotient" if isinstance(R, ResidueRing) else "torsionfree"
 
 
 # --- the reference: lattice exponentials -------------------------------------

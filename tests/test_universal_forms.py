@@ -106,6 +106,29 @@ def test_universal_forms_are_unchanged(key):
     assert digest(derived(key)) == DIGESTS[key]
 
 
+def test_derivations_return_their_memoised_system():
+    # each call returns the one memoised system, which names its structure,
+    # operation and variables; the benchmark reads these names
+    C2 = build_group("C2")
+    ups = derive_universal(C2, "prod")
+    assert derive_universal(C2, "prod") is ups
+    assert (ups.group, ups.structure, ups.op) == (C2, C2, "prod")
+    assert ups.vars == ("a_G", "a_1", "b_G", "b_1")
+    assert [p.format() for p in ups.polys] == [
+        "1*a_G^1*b_G^1", "1*a_G^2*b_1^1+1*a_1^1*b_G^2+2*a_1^1*b_1^1"]
+    T = TRUNCATIONS["div6"]
+    for derive, q in ((cyc_universal, False), (q_universal, True)):
+        ups = derive(T, "neg")
+        assert derive(T, "neg") is ups
+        assert ups.truncation.members == (1, 2, 3, 6) and ups.group == T and ups.op == "neg"
+        assert ups.vars == ("q",) * q + ("a_1", "a_2", "a_3", "a_6")
+        assert len(ups.polys) == 4 and digest(ups) == DIGESTS[f"{'q' if q else 'cyc'}/div6/neg"]
+    frob = _truncation_universal(T, "frob2", True, 2)
+    assert _truncation_universal(T, "frob2", True, 2) is frob
+    assert frob.truncation.members == (1, 3) and frob.op == "qfrob2"
+    assert frob.vars == ("q", "a_1", "a_2", "a_3", "a_6") and len(frob.polys) == 2
+
+
 def test_s4_witt_sum_and_prod_are_ghost_homomorphic():
     G = build_group("S4")
     k = len(subgroup_classes(G))
