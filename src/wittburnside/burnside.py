@@ -530,61 +530,51 @@ def _require_subgroup_vector(G, ci, x):
     return U
 
 
-def _on_coordinates(witt_map, G, ci, x):
-    """ind/res of a coordinate-backed vector: witt_v/witt_f on its coordinates.
+def _induce(name: str, flavor: str, G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
+    """ind of a Necklace or Aperiodic vector on U = rep(ci) to G; a
+    coordinate-backed vector takes witt_v of its coordinates (the necklace maps
+    commute with teichmuller and the aperiodic ones with gamma, so this is the
+    plain map wherever both apply)."""
+    _require_subgroup_vector(G, ci, x)
+    _expect(name, flavor, x)
+    if x.coord_form:
+        return witt_v(G, ci, x.retag(WITT, coord_form=False)).retag(flavor, coord_form=True)
+    out = ghost_values(_ind_table(G, ci, flavor), x.ring, x.payloads())
+    return IndexedVector.from_payloads(G, flavor, x.ring, out)
 
-    The necklace maps commute with teichmuller and the aperiodic ones with
-    gamma, so this is the plain map wherever both apply.
-    """
-    out = witt_map(G, ci, x.retag(WITT, coord_form=False))
-    return out.retag(x.flavor, coord_form=True)
+
+def _restrict(name: str, flavor: str, G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
+    """res of a Necklace or Aperiodic vector on G to U = rep(ci); a
+    coordinate-backed vector takes witt_f of its coordinates (as in `_induce`)."""
+    _expect(name, flavor, x)
+    if x.group != G:
+        raise ValueError("vector is not indexed by the parent group's classes")
+    if x.coord_form:
+        return witt_f(G, ci, x.retag(WITT, coord_form=False)).retag(flavor, coord_form=True)
+    # only the aperiodic table has Fraction weights
+    out = ghost_values(_res_table(G, ci, flavor), x.ring, x.payloads(),
+                       context="aperiodic restriction")
+    return IndexedVector.from_payloads(subgroup_group(G, ci), flavor, x.ring, out)
 
 
 def ind_nr(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
     """Necklace induction: push classes of the subgroup along class fusion."""
-    _require_subgroup_vector(G, ci, x)
-    if x.flavor != NECKLACE:
-        raise ValueError("ind_nr expects a Necklace vector")
-    if x.coord_form:
-        return _on_coordinates(witt_v, G, ci, x)
-    out = ghost_values(_ind_table(G, ci, NECKLACE), x.ring, x.payloads())
-    return IndexedVector.from_payloads(G, NECKLACE, x.ring, out)
+    return _induce("ind_nr", NECKLACE, G, ci, x)
 
 
 def ind_ap(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
     """Aperiodic induction: fusion weighted by the subgroup's index."""
-    _require_subgroup_vector(G, ci, x)
-    if x.flavor != APERIODIC:
-        raise ValueError("ind_ap expects an Aperiodic vector")
-    if x.coord_form:
-        return _on_coordinates(witt_v, G, ci, x)
-    out = ghost_values(_ind_table(G, ci, APERIODIC), x.ring, x.payloads())
-    return IndexedVector.from_payloads(G, APERIODIC, x.ring, out)
+    return _induce("ind_ap", APERIODIC, G, ci, x)
 
 
 def res_nr(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
     """Necklace restriction: orbit counts of the subgroup acting on each G/V."""
-    if x.flavor != NECKLACE:
-        raise ValueError("res_nr expects a Necklace vector")
-    if x.group != G:
-        raise ValueError("vector is not indexed by the parent group's classes")
-    if x.coord_form:
-        return _on_coordinates(witt_f, G, ci, x)
-    out = ghost_values(_res_table(G, ci, NECKLACE), x.ring, x.payloads())
-    return IndexedVector.from_payloads(subgroup_group(G, ci), NECKLACE, x.ring, out)
+    return _restrict("res_nr", NECKLACE, G, ci, x)
 
 
 def res_ap(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
     """Aperiodic restriction: orbits weighted by (U:W)/(G:V)."""
-    if x.flavor != APERIODIC:
-        raise ValueError("res_ap expects an Aperiodic vector")
-    if x.group != G:
-        raise ValueError("vector is not indexed by the parent group's classes")
-    if x.coord_form:
-        return _on_coordinates(witt_f, G, ci, x)
-    out = ghost_values(_res_table(G, ci, APERIODIC), x.ring, x.payloads(),
-                       context="aperiodic restriction")
-    return IndexedVector.from_payloads(subgroup_group(G, ci), APERIODIC, x.ring, out)
+    return _restrict("res_ap", APERIODIC, G, ci, x)
 
 
 # ---------------------------------------------------------------------------

@@ -545,6 +545,10 @@ def cmd_artinhasse(args):
     ctx = _qcontext(args)
     if args.inverse:
         curve = _read_curve(args.input, args.ring)
+        if args.trunc is None and args.trunc_set is None:
+            # artin_hasse_inv's checks, before the default set 1..degree is built
+            ctx.q_payload(curve.ring)
+            qdeform.check_curve_degree(curve.degree)
         T = _truncation(args, cyclic.TruncationSet(range(1, curve.degree + 1)))
         if curve.degree != T.members[-1]:
             raise SchemaError(

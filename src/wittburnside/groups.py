@@ -186,7 +186,10 @@ def build_group(descriptor: str) -> "FiniteGroup":
     m = re.fullmatch(r"C(\d+)", text)
     if m:
         n = int(check_digits(m.group(1), "group size"))
-        if n < 1 or n > ORDER_BOUND:
+        if n < 1:
+            raise SchemaError(f"no group {excerpt(text)}: cyclic groups run from C1 "
+                              f"to C{ORDER_BOUND}")
+        if n > ORDER_BOUND:
             raise OrderBoundExceeded(n, ORDER_BOUND)
         if n == 1:
             return closure([identity_perm(1)], name="C1")
@@ -195,8 +198,11 @@ def build_group(descriptor: str) -> "FiniteGroup":
     m = re.fullmatch(r"D(\d+)", text)
     if m:
         n = int(check_digits(m.group(1), "group size"))
-        if n < 2 or 2 * n > ORDER_BOUND:
-            raise OrderBoundExceeded(2 * max(n, 1), ORDER_BOUND)
+        if n < 2:
+            raise SchemaError(f"no group {excerpt(text)}: dihedral groups run from D2 "
+                              f"to D{ORDER_BOUND // 2}")
+        if 2 * n > ORDER_BOUND:
+            raise OrderBoundExceeded(2 * n, ORDER_BOUND)
         rot = tuple((i + 1) % n for i in range(n))
         refl = tuple((n - i) % n for i in range(n))
         return closure([rot, refl], name=text)
@@ -204,7 +210,7 @@ def build_group(descriptor: str) -> "FiniteGroup":
     if m:
         n = int(check_digits(m.group(1), "group size"))
         if n < 1 or n > 4:
-            raise SchemaError("symmetric groups are supported up to S4")
+            raise SchemaError(f"no group {excerpt(text)}: symmetric groups run from S1 to S4")
         if n == 1:
             return closure([identity_perm(1)], name="S1")
         cyc = tuple((i + 1) % n for i in range(n))
@@ -419,6 +425,24 @@ def subconjugate(G: FiniteGroup, i: int, j: int) -> bool:
     return j <= i and mm.zeta.entry(j, i) > 0
 
 
+def _double_coset_walk(G: FiniteGroup, U: frozenset, V: frozenset):
+    """Each double coset U g V from its least element g, as (g, the stabilizer
+    U meet gVg^-1 of the point gV of G/V, the double coset's size)."""
+    seen = [False] * G.order
+    for g in range(G.order):
+        if seen[g]:
+            continue
+        block = set()
+        for u in U:
+            ug = G.table[u][g]
+            for v in V:
+                block.add(G.table[ug][v])
+        for x in block:
+            seen[x] = True
+        gi = G.inv[g]
+        yield g, frozenset(u for u in U if G.table[G.table[gi][u]][g] in V), len(block)
+
+
 @lru_cache(maxsize=None)
 def double_cosets(G: FiniteGroup, ci: int, cj: int):
     """Double cosets V g W for the class reps, as (g, stabilizer class, size).
@@ -427,24 +451,8 @@ def double_cosets(G: FiniteGroup, ci: int, cj: int):
     position in the subgroup class table.
     """
     ct = subgroup_classes(G)
-    V = ct.classes[ci].rep
-    W = ct.classes[cj].rep
-    seen = [False] * G.order
-    out = []
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        block = set()
-        for v in V:
-            vg = G.table[v][g]
-            for w in W:
-                block.add(G.table[vg][w])
-        for x in block:
-            seen[x] = True
-        gi = G.inv[g]
-        z = frozenset(v for v in V if G.table[G.table[gi][v]][g] in W)
-        out.append((g, ct.class_of[z], len(block)))
-    return tuple(out)
+    return tuple((g, ct.class_of[z], size) for g, z, size
+                 in _double_coset_walk(G, ct.classes[ci].rep, ct.classes[cj].rep))
 
 
 class StructureConstants:
@@ -515,46 +523,14 @@ def res_orbit_data(G: FiniteGroup, ci: int, cj: int):
 
     Returns ((u_class, multiplicity), ...) counting U-orbits whose point
     stabilizer U meet gVg^-1 falls in the given class of the class table
-    of U as a group.
+    of U as a group.  The U-orbits on G/V are the double cosets U g V.
     """
     ct = subgroup_classes(G)
-    U = ct.classes[ci].rep
-    V = ct.classes[cj].rep
     Ug = subgroup_group(G, ci)
     ut = subgroup_classes(Ug)
-    emb = _embed_indices(G, Ug)
-    back = {g: u for u, g in enumerate(emb)}
-
-    coset_id = [-1] * G.order
-    for g in range(G.order):
-        if coset_id[g] >= 0:
-            continue
-        members = {G.table[g][v] for v in V}
-        mid = min(members)
-        for x in members:
-            coset_id[x] = mid
-
-    seen = set()
+    back = {g: u for u, g in enumerate(_embed_indices(G, Ug))}
     counts = {}
-    for g in range(G.order):
-        c = coset_id[g]
-        if c in seen:
-            continue
-        orbit = set()
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            if x in orbit:
-                continue
-            orbit.add(x)
-            for u in U:
-                y = coset_id[G.table[u][x]]
-                if y not in orbit:
-                    stack.append(y)
-        seen |= orbit
-        gi = G.inv[g]
-        stab = frozenset(u for u in U if G.table[G.table[gi][u]][g] in V)
-        stab_u = frozenset(back[x] for x in stab)
-        k = ut.class_of[stab_u]
+    for _g, stab, _size in _double_coset_walk(G, ct.classes[ci].rep, ct.classes[cj].rep):
+        k = ut.class_of[frozenset(back[x] for x in stab)]
         counts[k] = counts.get(k, 0) + 1
     return tuple(sorted(counts.items()))

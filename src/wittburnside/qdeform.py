@@ -18,7 +18,8 @@ the q-ghost tables, given `QContext.ghost_q`.
 A QContext fixes q: a concrete integer works over every coefficient ring
 (the solves stay integral by numericality), while the indeterminate
 requires vectors over the Q[q] ring, and its Witt product a truncation set
-with no member above Q_SYMBOLIC_PROD_BOUND.  Quotient-ring images of the
+with no member above Q_SYMBOLIC_PROD_BOUND (its sum, negation and Witt
+Frobenius, above Q_SYMBOLIC_BOUND).  Quotient-ring images of the
 q-Teichmuller transport are kept in Witt coordinates (coord_form), exactly
 as the group-indexed module does, because componentwise reduction of the
 transport is not well defined mod m.
@@ -72,7 +73,6 @@ from .rings import (
 from .universal import (
     GhostSystem,
     check_op,
-    check_q_member,
     ghost_table,
     row_error,
     solve_triangular,
@@ -242,27 +242,37 @@ def q_universal(T: TruncationSet, op: str) -> GhostSystem:
     return _truncation_universal(T, op, q=True)
 
 
-# The product at the indeterminate q solves in Q[q] payloads whose degrees
-# grow with the members, at a cost that grows steeply with the largest one:
-# with components alternating 3 and 1/2, 0.6-0.7 s on 1..128 (the costliest
-# set with that largest member; 0.85 s through the CLI), 0.8-1.4 s on
-# 1..160, 4-5 s on 1..240 and over 30 s on div(720), on one Intel Xeon
-# vCPU.  Above this bound it is refused.
+# At the indeterminate q the Witt operations solve in Q[q] payloads whose
+# degrees grow with the members, at a cost that grows steeply with the largest
+# one.  With components alternating 3 and 1/2, on one Intel Xeon vCPU: the
+# product takes 0.6-0.7 s on 1..128 (the costliest set with that largest
+# member; 0.85 s through the CLI), 0.8-1.4 s on 1..160, 4-5 s on 1..240 and
+# over 30 s on div(720); the sum, the negation and the Witt Frobenius f_2
+# take 0.7-1.0 s on 1..256 and 1.7-2.1 s on 1..320.  Above these bounds they
+# are refused.
 Q_SYMBOLIC_PROD_BOUND = 128
+Q_SYMBOLIC_BOUND = 256
+
+
+def _bounded_q(ctx: QContext, T: TruncationSet, what: str, bound: int):
+    """ctx.ghost_q, which at the indeterminate then refuses a truncation set T
+    with a member above bound: after the ring check, once the table is built."""
+    def q(R):
+        qv = ctx.ghost_q(R)
+        if ctx.q is None and T.members[-1] > bound:
+            raise DomainError(f"truncation set member {T.members[-1]} exceeds the bound "
+                              f"{bound} of the {what} at the indeterminate q")
+        return qv
+
+    return q
 
 
 def q_witt_op(ctx: QContext, op: str, a: CyclicVector, b: CyclicVector | None = None) -> CyclicVector:
     _check_operands("q_witt_op", WITT, op, a, b)
-    T = a.truncation
-
-    def q(R):  # the ring's q, then the bound, once the table is built
-        qv = ctx.ghost_q(R)
-        if ctx.q is None and op == "prod" and T.members[-1] > Q_SYMBOLIC_PROD_BOUND:
-            raise DomainError(f"truncation set member {T.members[-1]} exceeds the bound "
-                              f"{Q_SYMBOLIC_PROD_BOUND} of the product at the indeterminate q")
-        return qv
-
-    return _solve(q_universal(T, op), a, b, q)
+    system = q_universal(a.truncation, op)  # refuses an unknown op
+    what, bound = {"sum": ("sum", Q_SYMBOLIC_BOUND), "neg": ("negation", Q_SYMBOLIC_BOUND),
+                   "prod": ("product", Q_SYMBOLIC_PROD_BOUND)}[op]
+    return _solve(system, a, b, _bounded_q(ctx, a.truncation, what, bound))
 
 
 def try_one(ctx: QContext, T: TruncationSet, R: RingSpec) -> CyclicVector | None:
@@ -401,7 +411,9 @@ def q_verschiebung(r: int, x: CyclicVector) -> CyclicVector:
 
 def q_frobenius(ctx: QContext, r: int, x: CyclicVector) -> CyclicVector:
     """The operator with q-ghost behaviour n -> rn, on truncation {n : rn in T}."""
-    return _frobenius(r, x, ctx.ghost_q)
+    if x.flavor != WITT:
+        return _frobenius(r, x, ctx.ghost_q)
+    return _frobenius(r, x, _bounded_q(ctx, x.truncation, "Witt Frobenius", Q_SYMBOLIC_BOUND))
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +514,21 @@ def curve_neg(ctx: QContext, c: TruncatedCurve) -> TruncatedCurve:
     return TruncatedCurve.from_payloads(R, iota)
 
 
+# An Artin-Hasse fold F_q-adds a monomial per member into a curve of N
+# coefficients, each addition O(N^2) products of payloads that grow with N.
+# On 1..128, on one Intel Xeon vCPU: 0.1 s with every component 1 at q = 2,
+# 0.9-1.2 s at the indeterminate q, and 1.6-1.8 s with components alternating
+# 3 and 1/2 over Q at q = 2 and over Q[q]; 1..192 takes 3.6-3.9 s at the
+# indeterminate.  Both directions refuse a larger degree.
+CURVE_DEGREE_BOUND = 128
+
+
+def check_curve_degree(N: int):
+    if N > CURVE_DEGREE_BOUND:
+        raise DomainError(f"truncation set member {N} exceeds the bound {CURVE_DEGREE_BOUND} "
+                          f"of the Artin-Hasse curves")
+
+
 def artin_hasse(ctx: QContext, a: CyclicVector) -> TruncatedCurve:
     """H^q(a) = F_q-sum of the monomial curves a_n t^n, truncated at max(T)."""
     if a.flavor != WITT:
@@ -509,7 +536,7 @@ def artin_hasse(ctx: QContext, a: CyclicVector) -> TruncatedCurve:
     R = a.ring
     qv = ctx.q_payload(R)
     N = max(a.truncation.members)
-    check_q_member(N)  # before a curve of N coefficients
+    check_curve_degree(N)  # before a curve of N coefficients
     acc = [R.zero()] * N
     for n in a.truncation:
         p = a.component(n).payload
@@ -522,22 +549,27 @@ def artin_hasse(ctx: QContext, a: CyclicVector) -> TruncatedCurve:
 
 
 def artin_hasse_inv(ctx: QContext, c: TruncatedCurve, T: TruncationSet) -> CyclicVector:
-    """Peel Witt components off a curve; verifies the curve is in the image."""
+    """Peel Witt components off a curve in one fold: a_n is c_n less the
+    coefficient at t^n of the F_q-sum so far, to which a_n t^n is then added;
+    the curve is in the image when that sum ends equal to it."""
     R = c.ring
     N = max(T.members)
     if c.degree != N:
         raise ValueError(f"curve degree {c.degree} does not match max(T) = {N}")
+    qv = ctx.q_payload(R)
+    check_curve_degree(N)
+    acc = [R.zero()] * N
     payloads = []
-    for pos, n in enumerate(T):
-        partial = CyclicVector.from_payloads(
-            T, WITT, R, payloads + [R.zero()] * (len(T) - pos)
-        )
-        h = artin_hasse(ctx, partial)
-        payloads.append(R.add(c.coefficient(n).payload, R.neg(h.coefficient(n).payload)))
-    result = CyclicVector.from_payloads(T, WITT, R, payloads)
-    if artin_hasse(ctx, result) != c:
+    for n in T:
+        p = R.add(c.coefficient(n).payload, R.neg(acc[n - 1]))
+        payloads.append(p)
+        if not R.is_zero(p):
+            mono = [R.zero()] * N
+            mono[n - 1] = p
+            acc = _f_add(R, qv, acc, mono)
+    if TruncatedCurve.from_payloads(R, acc) != c:
         raise NotInImage("curve is not an Artin-Hasse image on this truncation set")
-    return result
+    return CyclicVector.from_payloads(T, WITT, R, payloads)
 
 
 def curve_mul(ctx: QContext, c1: TruncatedCurve, c2: TruncatedCurve) -> TruncatedCurve:

@@ -657,17 +657,18 @@ class RingSpec:
             return self.from_int(fr.numerator)
         raise NonExactDivision(f"{fr} has no image in {self.name}")
 
+    # the payload's own operators; a residue ring reduces after each
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def pow(self, a, n: int):
         return power(self.mul, a, n, self.one())
@@ -729,15 +730,6 @@ class IntegerRing(RingSpec):
     def from_int(self, n):
         return int(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def try_div(self, a, b):
         if b == 0:
             return None
@@ -776,15 +768,6 @@ class RationalRing(RingSpec):
 
     def from_fraction(self, fr):
         return _as_fraction(fr)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def try_div(self, a, b):
         if b == 0:
@@ -868,15 +851,6 @@ class QPolyRing(RingSpec):
 
     def from_fraction(self, fr):
         return QPolynomial.constant(fr)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def try_div(self, a, b):
         if b.is_zero():
@@ -967,15 +941,6 @@ class PolyRing(RingSpec):
 
     def variable(self, name):
         return MultiPoly.variable(self.vars, name)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def try_div(self, a, b):
         # supports only the scalar divisions the solvers need

@@ -58,7 +58,7 @@ from .errors import (
     NumericalityViolation,
 )
 from .groups import FiniteGroup, marks_matrix, subgroup_classes
-from .rings import POWER_BOUND, ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing
+from .rings import POWER_BOUND, ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing, _ratio
 
 WITT = "Witt"
 NECKLACE = "Necklace"
@@ -126,13 +126,9 @@ def linear_table(table, indices=None):
     is divided by the index of its entry's subgroup: the ghost of the
     aperiodic flavor, since theta scales each component by that index.  A
     quotient stays an int where it is integral and is a Fraction elsewhere."""
-    return tuple(tuple((v, weight if indices is None else _quotient(weight, indices[v]), 1, qpow)
+    return tuple(tuple((v, weight if indices is None else _ratio(weight, indices[v]), 1, qpow)
                        for v, weight, _, qpow in row)
                  for row in table)
-
-
-def _quotient(a: int, b: int):
-    return a // b if a % b == 0 else Fraction(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ import time
 import pytest
 
 from wittburnside.cli import QPOLY_N_BOUND, QUNIVERSAL_N_BOUND, main
-from wittburnside.errors import SchemaError
-from wittburnside.qdeform import Q_SYMBOLIC_PROD_BOUND
+from wittburnside.errors import DomainError, SchemaError
+from wittburnside.qdeform import CURVE_DEGREE_BOUND, Q_SYMBOLIC_PROD_BOUND
 from wittburnside.rings import divisors
-from wittburnside.verify import run_suite
+from wittburnside.verify import SIZE_BOUND, run_suite
 
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
 
@@ -137,6 +137,15 @@ def test_unknown_group_exits_2(capsys):
     code, _, err = run_main(capsys, "group", "info", "--group", "X9")
     assert code == 2
     assert "SchemaError" in err
+
+
+def test_named_group_outside_its_family_exits_2(capsys):
+    # it once exited 3 with "group order 0 exceeds supported bound 24"
+    code, out, err = run_main(capsys, "group", "info", "--group", "C0")
+    assert (code, out, err) == (
+        2, "", "SchemaError: no group 'C0': cyclic groups run from C1 to C24\n")
+    code, _, err = run_main(capsys, "group", "info", "--group", "C25")
+    assert (code, err) == (3, "OrderBoundExceeded: group order 25 exceeds supported bound 24\n")
 
 
 def test_ring_flag_disagreement_exits_2(capsys, tmp_path):
@@ -404,6 +413,27 @@ def test_artinhasse_file_round_trip(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["components"] == ["2", "-1", "3", "0"]
+
+
+def test_artinhasse_inverse_refuses_a_long_curve_before_its_default_set(capsys, tmp_path):
+    # the default set 1..degree took about 5 s to build at degree 60000, and
+    # minutes at 200000, before the degree was refused
+    def curve(degree, ring="Z"):
+        return write_vec(tmp_path, f"c{degree}{ring}.json", kind="curve", q=2, ring=ring,
+                         degree=degree, coefficients=["0"] * degree)
+
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, "artinhasse", "--q", "2", "--inverse", curve(60000))
+    assert (code, out) == (3, "")
+    assert err == (f"DomainError: truncation set member 60000 exceeds the bound "
+                   f"{CURVE_DEGREE_BOUND} of the Artin-Hasse curves\n")
+    assert time.perf_counter() - start < 2.0
+    # the ring check still comes first, as in the library
+    code, _, err = run_main(capsys, "artinhasse", "--q", "q", "--inverse", curve(200))
+    assert code == 2 and "requires the Q[q] ring" in err
+    code, out, _ = run_main(capsys, "artinhasse", "--q", "q", "--inverse",
+                            curve(CURVE_DEGREE_BOUND, "Q[q]"))
+    assert code == 0 and json.loads(out)["components"] == ["0"] * CURVE_DEGREE_BOUND
 
 
 def test_coord_form_travels_through_files(capsys, tmp_path):
@@ -696,6 +726,17 @@ def test_verify_size_must_be_positive(capsys, size):
     # it once ran size 1 silently and exited 0
     code, out, err = run_main(capsys, "verify", "--suite", "diagrams", "--size", size)
     assert (code, out, err) == (2, "", "SchemaError: --size must be a positive integer\n")
+
+
+def test_verify_size_above_its_bound_exits_3(capsys):
+    # the cases grow linearly with --size, so 100000000 never ended
+    code, out, err = run_main(capsys, "verify", "--suite", "diagrams", "--size", "100000000")
+    assert (code, out, err) == (
+        3, "", f"DomainError: --size 100000000 exceeds supported bound {SIZE_BOUND}\n")
+    with pytest.raises(DomainError, match=f"^--size {SIZE_BOUND + 1} exceeds supported bound"):
+        run_suite("diagrams", 7, SIZE_BOUND + 1)
+    assert run_suite("qpolys", 7, SIZE_BOUND)["failures"] == []
+    assert run_suite("diagrams", 7, 2)["failures"] == []
 
 
 @pytest.mark.parametrize("size", [0, -5])

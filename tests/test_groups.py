@@ -76,6 +76,21 @@ def test_custom_generators_and_bound():
         build_group("(1 2 3 4 5), (1 2)")  # S5
 
 
+@pytest.mark.parametrize("name, family", [
+    ("C0", "cyclic groups run from C1 to C24"),
+    ("C00", "cyclic groups run from C1 to C24"),
+    ("D0", "dihedral groups run from D2 to D12"),
+    ("D1", "dihedral groups run from D2 to D12"),
+    ("S0", "symmetric groups run from S1 to S4"),
+    ("S5", "symmetric groups run from S1 to S4"),
+])
+def test_named_group_outside_its_family_is_malformed(name, family):
+    # C0, D0 and D1 were once refused as orders above the bound, and S0 as
+    # "supported up to S4"
+    with pytest.raises(SchemaError, match=f"^no group '{name}': {family}$"):
+        build_group(name)
+
+
 def brute_subgroups(G):
     """Independent oracle: filter all subsets containing the identity (small G only)."""
     found = set()
@@ -315,6 +330,38 @@ def test_res_orbit_data_s3():
                 m * (Ug.order // ut.classes[w].order) for (w, m) in res_orbit_data(G, ci, cj)
             )
             assert total == ct.classes[cj].index
+
+
+def brute_res_orbit_data(G, ci, cj):
+    """U-orbits on the cosets gV, V = rep(cj), under left multiplication by
+    U = rep(ci), each counted at the class of its point stabilizer in the
+    class table of U as a group."""
+    ct = subgroup_classes(G)
+    U, V = ct.classes[ci].rep, ct.classes[cj].rep
+    Ug = subgroup_group(G, ci)
+    ut = subgroup_classes(Ug)
+    in_u = {G.elements[x]: x for x in U}
+    u_index = {in_u[p]: k for k, p in enumerate(Ug.elements)}
+    cosets = {frozenset(G.table[g][v] for v in V) for g in range(G.order)}
+    counts = {}
+    while cosets:
+        point = min(cosets, key=sorted)
+        orbit = {frozenset(G.table[u][x] for x in point) for u in U}
+        cosets -= orbit
+        stab = frozenset(u_index[u] for u in U
+                         if frozenset(G.table[u][x] for x in point) == point)
+        k = ut.class_of[stab]
+        counts[k] = counts.get(k, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "D4", "D6", "Q8", "C12", "(1 2 3)(4 5), (1 2)"])
+def test_res_orbit_data_against_coset_orbits(name):
+    G = build_group(name)
+    n = len(subgroup_classes(G))
+    for ci in range(n):
+        for cj in range(n):
+            assert res_orbit_data(G, ci, cj) == brute_res_orbit_data(G, ci, cj), (ci, cj)
 
 
 def test_ind_class_map_s3():

@@ -30,6 +30,8 @@ from wittburnside.errors import (
     TruncationTooSmall,
 )
 from wittburnside.qdeform import (
+    CURVE_DEGREE_BOUND,
+    Q_SYMBOLIC_BOUND,
     Q_SYMBOLIC_PROD_BOUND,
     QContext,
     TruncatedCurve,
@@ -665,6 +667,40 @@ def test_symbolic_q_product_is_bounded_after_the_ring_check():
         q_witt_op(ctx, "prod", vec(huge), vec(huge))
 
 
+def test_symbolic_q_sum_negation_and_frobenius_are_bounded_after_the_ring_check():
+    ctx = QContext(None)
+
+    def vec(T, R=QQ_Q, flavor=WITT):
+        return CyclicVector.from_payloads(T, flavor, R, [R.from_int(3)] * len(T))
+
+    a = vec(TruncationSet.div(Q_SYMBOLIC_BOUND))
+    ghost = q_witt_ghost(ctx, a).payloads()
+    assert q_witt_ghost(ctx, q_witt_op(ctx, "sum", a, a)).payloads() == tuple(g + g for g in ghost)
+    assert q_witt_ghost(ctx, q_witt_op(ctx, "neg", a)).payloads() == tuple(-g for g in ghost)
+    f = q_frobenius(ctx, 2, a)
+    assert q_witt_ghost(ctx, f).payloads() == tuple(
+        q_witt_ghost(ctx, a).component(2 * n).payload for n in f.truncation)
+    over = TruncationSet.div(Q_SYMBOLIC_BOUND + 2)  # 258 = 2 * 3 * 43
+    refusal = f"^truncation set member 258 exceeds the bound {Q_SYMBOLIC_BOUND} of the "
+    with pytest.raises(DomainError, match=refusal + "sum at the indeterminate q$"):
+        q_witt_op(ctx, "sum", vec(over), vec(over))
+    with pytest.raises(DomainError, match=refusal + "negation at the indeterminate q$"):
+        q_witt_op(ctx, "neg", vec(over))
+    with pytest.raises(DomainError, match=refusal + "Witt Frobenius at the indeterminate q$"):
+        q_frobenius(ctx, 2, vec(over))
+    # an integer q and the linear Frobenius stay accepted
+    q_witt_op(QContext(2), "sum", vec(over, ZZ), vec(over, ZZ))
+    q_frobenius(QContext(2), 2, vec(over, ZZ))
+    q_frobenius(ctx, 2, vec(over, flavor=NECKLACE))
+    # the refusals that come first keep their class and message
+    with pytest.raises(SchemaError, match="requires the Q\\[q\\] ring"):
+        q_witt_op(ctx, "neg", vec(over, ZZ))
+    with pytest.raises(SchemaError, match="requires the Q\\[q\\] ring"):
+        q_frobenius(ctx, 2, vec(over, ZZ))
+    with pytest.raises(ValueError, match="^op must be one of"):
+        q_witt_op(ctx, "div", vec(over), vec(over))
+
+
 def test_huge_member_is_refused_before_the_indeterminate_meets_its_ring():
     # every q-model map builds its table, and checks the member bound, before
     # it asks Z for the indeterminate q (which only Q[q] has)
@@ -786,6 +822,82 @@ def test_curve_group_and_product():
         lhs = curve_mul(ctx, ca, curve_add(ctx, cb, cc))
         rhs = curve_add(ctx, curve_mul(ctx, ca, cb), curve_mul(ctx, ca, cc))
         assert lhs == rhs
+
+
+def _peeled_by_refolding(ctx, c, T):
+    """The reference for artin_hasse_inv: each component peeled off a fresh
+    Artin-Hasse fold of those before it, and one more fold to verify."""
+    R = c.ring
+    N = max(T.members)
+    if c.degree != N:
+        raise ValueError(f"curve degree {c.degree} does not match max(T) = {N}")
+    payloads = []
+    for pos, n in enumerate(T):
+        partial = CyclicVector.from_payloads(T, WITT, R, payloads + [R.zero()] * (len(T) - pos))
+        h = artin_hasse(ctx, partial)
+        payloads.append(R.add(c.coefficient(n).payload, R.neg(h.coefficient(n).payload)))
+    result = CyclicVector.from_payloads(T, WITT, R, payloads)
+    if artin_hasse(ctx, result) != c:
+        raise NotInImage("curve is not an Artin-Hasse image on this truncation set")
+    return result
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, DomainError, SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+def test_artin_hasse_inv_matches_the_refolding_peel():
+    rng = random.Random(89)
+    draws = {
+        ZZ: lambda: rng.randint(-4, 4),
+        QQ: lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        Z8: lambda: rng.randrange(8),
+        QQ_Q: lambda: QP([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for _ in range(rng.randint(0, 3))]),
+    }
+    sets = (TruncationSet(range(1, 7)), D4, D6, TruncationSet([1, 2, 3, 6]), TruncationSet([1, 3, 5]))
+    kinds = {}
+    for q in (-1, 0, 1, 2, "q"):
+        ctx = QContext(q)
+        for R, draw in draws.items():
+            for T in sets:
+                N = T.members[-1]
+                curves = [TruncatedCurve.from_payloads(R, [draw() for _ in range(k)])
+                          for k in (N, N, N + 1)]
+                try:
+                    curves.append(artin_hasse(ctx, CyclicVector.from_payloads(
+                        T, WITT, R, [draw() for _ in T])))
+                except SchemaError:  # the indeterminate outside Q[q]
+                    pass
+                for c in curves:
+                    got = _outcome(lambda: artin_hasse_inv(ctx, c, T))
+                    assert got == _outcome(lambda: _peeled_by_refolding(ctx, c, T)), (q, R, T, c)
+                    kind = got[0].__name__ if type(got) is tuple else "vector"
+                    kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"vector", "NotInImage", "ValueError", "SchemaError"}, kinds
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_artin_hasse_curves_are_bounded():
+    ctx = QContext(2)
+    T = TruncationSet(range(1, CURVE_DEGREE_BOUND + 1))
+    a = wvec(T, [1] * len(T))
+    assert artin_hasse_inv(ctx, artin_hasse(ctx, a), T) == a
+    over = TruncationSet(range(1, CURVE_DEGREE_BOUND + 2))
+    refusal = (f"^truncation set member {CURVE_DEGREE_BOUND + 1} exceeds the bound "
+               f"{CURVE_DEGREE_BOUND} of the Artin-Hasse curves$")
+    with pytest.raises(DomainError, match=refusal):
+        artin_hasse(ctx, wvec(over, [1] * len(over)))
+    with pytest.raises(DomainError, match=refusal):
+        artin_hasse_inv(ctx, TruncatedCurve.from_ints(ZZ, [1] * len(over)), over)
+    # the refusals that come first keep their class and message
+    with pytest.raises(SchemaError, match="requires the Q\\[q\\] ring"):
+        artin_hasse(QContext(None), wvec(over, [1] * len(over)))
+    with pytest.raises(ValueError, match="^curve degree 2 does not match"):
+        artin_hasse_inv(ctx, TruncatedCurve.from_ints(ZZ, [1, 1]), over)
 
 
 def test_qcontext_validation():
