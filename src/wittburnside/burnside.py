@@ -42,7 +42,7 @@ one is a triangular solve (`universal.solve_triangular`) on the ghost tables
 the Witt operations use (`universal.ghost_table`), the necklace table being
 the Witt table with every exponent 1 and the aperiodic table that one over
 the index (`universal.flavor_table`).  Induction, restriction and ghost_nu
-on an abelian group are linear tables too, run by `universal.ghost_values`.
+are linear tables too, run by `universal.ghost_values`.
 The ghost, its inverse and Teichmuller and its inverse are written once
 (`_ghost`, `_ghost_inv`, `_teichmuller`, `_teichmuller_inv`) for any index
 set, with the q-model's q as an optional argument; wg_ghost, cyc_ghost,
@@ -78,7 +78,7 @@ from .groups import (
     subgroup_classes,
     subgroup_group,
 )
-from .rings import ZZ, ResidueRing, RingSpec, RingValue, parse_ring
+from .rings import QQ, ZZ, ResidueRing, RingSpec, RingValue, parse_ring
 from .universal import (
     APERIODIC,
     GHOST,
@@ -95,6 +95,7 @@ from .universal import (
     linear_table,
     rational_weight,
     row_error,
+    row_name,
     solve_triangular,
     subgroup_indices,
 )
@@ -114,17 +115,19 @@ class IndexedVector:
     __slots__ = ("index", "flavor", "ring", "components", "coord_form")
 
     def __init__(self, index, flavor, ring, components, coord_form=False):
+        self._init(index, flavor, ring, tuple(components), coord_form)
+        for c in self.components:
+            if not isinstance(c, RingValue) or (c.spec is not ring and c.spec != ring):
+                raise ValueError("components must be RingValues over the declared ring")
+
+    def _init(self, index, flavor, ring, comps, coord_form):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
         if coord_form and flavor not in (NECKLACE, APERIODIC):
             raise ValueError("coordinate form applies to Necklace/Aperiodic flavors only")
-        comps = tuple(components)
         n = len(index_labels(index))
         if len(comps) != n:
             raise ValueError(f"expected {n} components on {index!r}, got {len(comps)}")
-        for c in comps:
-            if not isinstance(c, RingValue) or c.spec != ring:
-                raise ValueError("components must be RingValues over the declared ring")
         self.index = index
         self.flavor = flavor
         self.ring = ring
@@ -135,7 +138,10 @@ class IndexedVector:
 
     @classmethod
     def from_payloads(cls, index, flavor, ring, payloads, coord_form=False):
-        return cls(index, flavor, ring, [RingValue(ring, p) for p in payloads], coord_form)
+        # every component is a RingValue over ring by construction: no re-check
+        self = cls.__new__(cls)
+        self._init(index, flavor, ring, tuple(RingValue(ring, p) for p in payloads), coord_form)
+        return self
 
     @classmethod
     def from_ints(cls, index, flavor, ring, ints, coord_form=False):
@@ -591,21 +597,20 @@ def _restriction_system(G: FiniteGroup, ci: int) -> GhostSystem:
 
 
 def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
-    """Verschiebung-type map on Witt coordinates: the Witt solve on G of the
-    induced ghost nr_ghost(ind_nr(teichmuller(alpha))), which is
-    ghost_nu(G, ci, wg_ghost(alpha))."""
+    """Verschiebung-type map on Witt coordinates: the Witt solve on G of
+    ghost_nu(G, ci, wg_ghost(alpha)), the ghost of the induced necklace
+    vector ind_nr(teichmuller(alpha))."""
     _require_subgroup_vector(G, ci, alpha)
     if alpha.flavor != WITT:
         raise ValueError("witt_v expects a Witt vector")
     R = alpha.ring
     if isinstance(R, ResidueRing):
-        # necklace coordinates need a torsion-free ring: solve over Z, then reduce
+        # the solve divides: solve over Z, then reduce
         return witt_v(G, ci, alpha.map_ring(ZZ, int)).map_ring(R, R.from_int)
-    # over a ring that is not binomial the image lives in the rationalisation
-    image = ind_nr(G, ci, teichmuller(alpha))
-    want = ghost_values(flavor_table(G, NECKLACE, False), image.ring, image.payloads())
-    out = solve_triangular(ghost_table(G, False), want, R, row_error(
-        IntegralityViolation, "induced Witt vector escaped {ring} at {row}", G))
+    ghost = ghost_values(ghost_table(alpha.group, False), R, alpha.payloads())
+    out = solve_triangular(ghost_table(G, False), ghost_values(_nu_table(G, ci), R, ghost), R,
+                           row_error(IntegralityViolation,
+                                     "induced Witt vector escaped {ring} at {row}", G))
     return IndexedVector.from_payloads(G, WITT, R, out)
 
 
@@ -621,34 +626,37 @@ def witt_f(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
         IntegralityViolation, "restricted Witt vector escaped {ring} at {row}", system.structure))
 
 
+@lru_cache(maxsize=None)
+def _nu_table(G: FiniteGroup, ci: int):
+    """ghost_nu's rows over G's classes V: (W, count, 1, 0) for each class W
+    of U = rep(ci), count the number of cosets gU fixed by V with g^-1 V g in
+    W.  Column W is the Q-linear nr_ghost(ind_nr(nr_ghost_inv(e_W))) at U's
+    unit ghost e_W; an entry that is not an integer raises."""
+    U = subgroup_group(G, ci)
+    k = len(subgroup_classes(U))
+    cols = []
+    for w in range(k):  # the composite at e_W over Q; _induce is ind_nr's body
+        e_w = IndexedVector.from_ints(U, GHOST, QQ, [int(v == w) for v in range(k)])
+        cols.append(nr_ghost(_induce("ind_nr", NECKLACE, G, ci, nr_ghost_inv(e_w))).payloads())
+    rows = []
+    for v in range(len(subgroup_classes(G))):
+        if any(col[v].denominator != 1 for col in cols):
+            raise IntegralityViolation(f"ghost-level induction is not integral at {row_name(G, v)}")
+        rows.append(tuple((w, col[v].numerator, 1, 0) for w, col in enumerate(cols) if col[v]))
+    return tuple(rows)
+
+
 def ghost_nu(G: FiniteGroup, ci: int, b: IndexedVector) -> IndexedVector:
-    """Ghost-level companion of induction."""
+    """Ghost-level companion of induction: the integer table `_nu_table`."""
     _require_subgroup_vector(G, ci, b)
     if b.flavor != GHOST:
         raise ValueError("ghost_nu expects a Ghost vector")
-    if G.is_abelian():
-        # fusion is injective, so the map is aperiodic induction, in any ring
-        out = ghost_values(_ind_table(G, ci, APERIODIC), b.ring, b.payloads())
-        return IndexedVector.from_payloads(G, GHOST, b.ring, out)
-    R = b.ring
-    ct = subgroup_classes(G)
-    U = subgroup_group(G, ci)
-    if isinstance(R, ResidueRing):
+    if isinstance(b.ring, ResidueRing) and not G.is_abelian():
         raise NonIntegralConstant(
             "ghost-level induction over a residue ring needs an abelian group"
         )
-    # a Q-algebra is its own rationalisation, and every payload pulls back
-    vec = b.map_ring(R.rationalized(), R.to_rationalized)
-    res = nr_ghost(ind_nr(G, ci, nr_ghost_inv(vec, group=U)))
-    out = []
-    for p, cls in zip(res.payloads(), ct.classes):
-        w = R.from_rationalized(p)
-        if w is None:
-            raise NotInImage(
-                f"ghost induction leaves {R.name} at class {cls.label}"
-            )
-        out.append(w)
-    return IndexedVector.from_payloads(G, GHOST, R, out)
+    out = ghost_values(_nu_table(G, ci), b.ring, b.payloads())
+    return IndexedVector.from_payloads(G, GHOST, b.ring, out)
 
 
 def ghost_F(G: FiniteGroup, ci: int, c: IndexedVector) -> IndexedVector:

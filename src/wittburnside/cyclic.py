@@ -121,7 +121,7 @@ def _missing_divisor(n: int, members, have) -> int | None:
     cofactor is its smallest prime factor.
     """
     m = n
-    for p in members[1:]:
+    for p in itertools.islice(members, 1, None):
         if p * p > m:
             break
         if m % p == 0:
@@ -140,7 +140,7 @@ def _missing_divisor(n: int, members, have) -> int | None:
     # and then n/d, below it, is missing
     if n >= _MR_EXACT_BELOW:
         # else n is closed only if prime, which _is_prime decides below the bound only
-        d = next((d for d in members[1:] if d < n and n % d == 0), None)
+        d = next((d for d in itertools.islice(members, 1, None) if d < n and n % d == 0), None)
         if d is None:
             raise SchemaError(f"truncation set member {n} has no smaller member above 1 "
                               f"dividing it; such a member must be below {_MR_EXACT_BELOW}")

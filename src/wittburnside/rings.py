@@ -128,7 +128,9 @@ POWER_BOUND = 10_000
 
 
 def cached_power(R, xs, v, e, cache):
-    """xs[v] ** e in R (e >= 1), by squarings and products that `cache` shares.
+    """xs[v] ** e in R (e >= 1), memoised in `cache`: one built-in power for
+    an int or Fraction payload, and for a polynomial squarings and products
+    that `cache` shares.
 
     Outside a residue ring, which reduces its powers, an exponent above
     POWER_BOUND is refused with DomainError unless xs[v] is 0 or +-1.
@@ -138,7 +140,11 @@ def cached_power(R, xs, v, e, cache):
         if e > POWER_BOUND and not isinstance(R, ResidueRing) and not any(
                 xs[v] == R.from_int(k) for k in (0, 1, -1)):
             raise DomainError(f"exponent {e} exceeds the power bound {POWER_BOUND} over {R.name}")
-        if e == 1:
+        if isinstance(R, ResidueRing):
+            p = pow(xs[v], e, R.modulus)
+        elif type(xs[v]) in (int, Fraction):
+            p = xs[v] ** e
+        elif e == 1:
             p = xs[v]
         elif e % 2:
             p = R.mul(cached_power(R, xs, v, e - 1, cache), xs[v])

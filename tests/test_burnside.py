@@ -496,3 +496,53 @@ def test_ghost_nu_residue_nonabelian_rejected():
 def test_nr_ghost_inv_not_in_image():
     with pytest.raises(NotInImage):
         nr_ghost_inv(vec(C2, GHOST, ZZ, [0, 1]), group=C2)
+
+
+# --- the vector type ---------------------------------------------------------
+
+
+def test_indexed_vector_refuses_malformed_components():
+    one = RingValue(ZZ, 1)
+    foreign = "^components must be RingValues over the declared ring$"
+    with pytest.raises(ValueError, match=foreign):
+        IndexedVector(C2, WITT, ZZ, [one, RingValue(QQ, Fraction(1))])
+    with pytest.raises(ValueError, match=foreign):
+        IndexedVector(C2, WITT, Z8, [RingValue(parse_ring("Z/4"), 1)] * 2)
+    with pytest.raises(ValueError, match=foreign):
+        IndexedVector(C2, WITT, ZZ, [one, 1])  # a bare payload
+    with pytest.raises(ValueError, match=r"^expected 2 components on .*, got 3$"):
+        IndexedVector(C2, WITT, ZZ, [one] * 3)
+    with pytest.raises(ValueError, match="^unknown flavor 'Burnside'$"):
+        IndexedVector(C2, "Burnside", ZZ, [one] * 2)
+    # an equal ring that is another object is the declared ring
+    assert IndexedVector(C2, WITT, Z8, [RingValue(parse_ring("Z/8"), 3)] * 2).payloads() == (3, 3)
+
+
+def test_from_payloads_keeps_the_shape_checks():
+    with pytest.raises(ValueError, match="^unknown flavor 'Burnside'$"):
+        IndexedVector.from_payloads(C2, "Burnside", ZZ, [1, 1])
+    with pytest.raises(ValueError, match="^coordinate form applies to Necklace/Aperiodic"):
+        IndexedVector.from_payloads(C2, WITT, ZZ, [1, 1], coord_form=True)
+    with pytest.raises(ValueError, match=r"^expected 2 components on .*, got 1$"):
+        IndexedVector.from_payloads(C2, WITT, ZZ, [1])
+
+
+@pytest.mark.parametrize("flavor", (WITT, NECKLACE, APERIODIC, GHOST))
+def test_from_payloads_equals_the_checked_constructor(flavor):
+    from wittburnside.cyclic import TruncationSet
+
+    zpoly = parse_ring("ZPoly(x,y)")
+    cases = (
+        (S3, ZZ, [3, 0, -1, 2]),
+        (S3, QQ, [Fraction(1, 2), Fraction(0), Fraction(-3), Fraction(7, 3)]),
+        (D4, Z8, [1, 7, 0, 3, 5, 2, 6, 4]),
+        (C2, zpoly, [zpoly.parse_value("x+2*y"), zpoly.zero()]),
+        (TruncationSet.div(6), ZZ, [1, -2, 3, 0]),
+    )
+    for index, ring, payloads in cases:
+        for cf in (False, True) if flavor in (NECKLACE, APERIODIC) else (False,):
+            fast = IndexedVector.from_payloads(index, flavor, ring, payloads, cf)
+            full = IndexedVector(index, flavor, ring, [RingValue(ring, p) for p in payloads], cf)
+            assert fast == full and repr(fast) == repr(full)
+            assert fast.coord_form is full.coord_form is cf
+            assert type(fast.components) is tuple

@@ -17,12 +17,15 @@ from fractions import Fraction
 
 import pytest
 
+from wittburnside import burnside
 from wittburnside.burnside import (
     APERIODIC,
     GHOST,
     NECKLACE,
     WITT,
     IndexedVector,
+    _ind_table,
+    _nu_table,
     ap_ghost,
     ap_ghost_inv,
     ghost_nu,
@@ -33,6 +36,7 @@ from wittburnside.burnside import (
     res_ap,
     res_nr,
     teichmuller,
+    teichmuller_inv,
     theta,
     theta_inv,
     wg_ghost,
@@ -442,6 +446,55 @@ def test_mobius_table_inverts_the_marks(gname):
             left = sum(mm.mobius.entry(i, j) * mm.zeta.entry(j, k) for j in range(n))
             right = sum(mm.zeta.entry(i, j) * mm.mobius.entry(j, k) for j in range(n))
             assert left == right == (i == k), (gname, i, k)
+
+
+ABELIAN = tuple(f"C{n}" for n in range(1, 25)) + ("D2",)
+
+
+@pytest.mark.parametrize("gname", GROUPS + ("D12", "C24"))
+def test_nu_table_weights_are_positive_ints(gname):
+    G = build_group(gname)
+    for ci in range(len(subgroup_classes(G))):
+        table = _nu_table(G, ci)
+        assert len(table) == len(subgroup_classes(G))
+        for row in table:
+            for w, count, exp, qpow in row:
+                assert type(count) is int and count > 0 and (exp, qpow) == (1, 0), (gname, ci, row)
+
+
+@pytest.mark.parametrize("gname", ABELIAN)
+def test_nu_table_on_an_abelian_group_is_aperiodic_induction(gname):
+    # fusion is injective on an abelian group, so ghost_nu scales by (G:U)
+    G = build_group(gname)
+    for ci in range(len(subgroup_classes(G))):
+        assert _nu_table(G, ci) == _ind_table(G, ci, APERIODIC), (gname, ci)
+
+
+def former_witt_v(G, ci, alpha):
+    """witt_v by its former route: the Witt coordinates of the induced
+    teichmuller image, over Z/m lifted to Z and reduced."""
+    R = alpha.ring
+    if isinstance(R, ResidueRing):
+        return former_witt_v(G, ci, alpha.map_ring(ZZ, int)).map_ring(R, R.from_int)
+    return teichmuller_inv(ind_nr(G, ci, teichmuller(alpha))).map_ring(R, R.from_rationalized)
+
+
+@pytest.mark.parametrize("gname", ("S3", "D4", "D6", "S4"))
+def test_witt_v_solves_without_teichmuller_or_induction(gname, monkeypatch):
+    G = build_group(gname)
+    rng = random.Random(f"witt_v:{gname}")
+    cases = [(ci, draw(subgroup_group(G, ci), WITT, parse_ring(rname), rng))
+             for rname in ("Z", "Q", "ZPoly(x,y)", "Z/8")
+             for ci in range(len(subgroup_classes(G)))]
+    want = [former_witt_v(G, ci, a) for ci, a in cases]
+
+    def refuse(*args):
+        raise AssertionError("witt_v went through teichmuller or ind_nr")
+
+    monkeypatch.setattr(burnside, "teichmuller", refuse)
+    monkeypatch.setattr(burnside, "ind_nr", refuse)
+    burnside._nu_table.cache_clear()  # the table is built under the patch too
+    assert [witt_v(G, ci, a) for ci, a in cases] == want
 
 
 # --- cyclic model ----------------------------------------------------------------
