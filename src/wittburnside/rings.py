@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -241,10 +242,17 @@ class QPolynomial:
             return QPolynomial()
         # integer products over each operand's common denominator
         da, xs = _over_common_denominator(self.coeffs)
-        db, ys = _over_common_denominator(other.coeffs)
+        db, ys = (da, xs) if self is other else _over_common_denominator(other.coeffs)
         out = [0] * (len(xs) + len(ys) - 1)
         for i, a in enumerate(xs):
-            if a:
+            if not a:
+                continue
+            if self is other:  # a square: a*a, then 2ab over the later b
+                out[2 * i] += a * a
+                a += a
+                for j, b in enumerate(xs[i + 1:], 2 * i + 1):
+                    out[j] += a * b
+            else:
                 for j, b in enumerate(ys, i):
                     out[j] += a * b
         den = da * db
@@ -453,6 +461,10 @@ class MultiPoly:
         # adds exponent tuples, which costs the least set-up; a larger sparse
         # one packs its exponents into ints, whose one int add per pair wins
         # once the pairs outweigh packing and unpacking the terms.
+        # A square (a is b, as power and cached_power call it) visits each
+        # unordered pair once, the pairs i <= j in the full product's order;
+        # every exponent first occurs at such a pair, so the terms keep the
+        # order of the full product.
         pairs = len(a) * len(b)
         if pairs >= 34:
             top_a, top_b = list(map(max, zip(*a))), list(map(max, zip(*b)))
@@ -462,12 +474,21 @@ class MultiPoly:
             return self._packed(other, dims)
         da, xs = _over_common_denominator(a.values())
         db, ys = (da, xs) if a is b else _over_common_denominator(b.values())
-        pb = list(zip(b, ys))
+        pa = list(zip(a, xs))
+        pb = pa if a is b else list(zip(b, ys))
         out = {}
         get = out.get
         add = operator.add
-        for e, x in zip(a, xs):
-            for f, y in pb:
+        i = 0
+        for e, x in pa:
+            row = pb
+            if pa is pb:  # a square: x*x, then 2x*y over the later terms y
+                i += 1
+                k = tuple(map(add, e, e))
+                out[k] = get(k, 0) + x * x
+                x += x
+                row = pa[i:]
+            for f, y in row:
                 k = tuple(map(add, e, f))
                 out[k] = get(k, 0) + x * y
         den = da * db
@@ -483,13 +504,21 @@ class MultiPoly:
         width = (max(dims, default=1) - 1).bit_length()
         shifts = [width * i for i in range(len(self.vars))]
         da, xs = _over_common_denominator(a.values())
-        db, ys = _over_common_denominator(b.values())
-        pb = [(sum(map(operator.lshift, e, shifts)), y) for e, y in zip(b, ys)]
+        db, ys = (da, xs) if a is b else _over_common_denominator(b.values())
+        pa = [(sum(map(operator.lshift, e, shifts)), x) for e, x in zip(a, xs)]
+        pb = pa if a is b else [(sum(map(operator.lshift, e, shifts)), y) for e, y in zip(b, ys)]
         out = {}
         get = out.get
-        for e, x in zip(a, xs):
-            ka = sum(map(operator.lshift, e, shifts))
-            for kb, y in pb:
+        i = 0
+        for ka, x in pa:
+            row = pb
+            if pa is pb:  # a square, as in __mul__
+                i += 1
+                k = ka + ka
+                out[k] = get(k, 0) + x * x
+                x += x
+                row = pa[i:]
+            for kb, y in row:
                 k = ka + kb
                 out[k] = get(k, 0) + x * y
         mask = (1 << width) - 1
@@ -509,7 +538,9 @@ class MultiPoly:
         n-byte digits of one integer, offset by half = 2^(8n-1) while packed
         and unpacked; half exceeds every product coefficient's absolute value,
         at most min(n_a, n_b) max|x| max|y|.  One big-int multiply (a square
-        for a * a) then computes every coefficient.
+        for a * a) then computes every coefficient.  A digit of at most 8
+        bytes is widened to 1, 2, 4 or 8, so that the product reads back as
+        an array of machine integers; a wider one is read slice by slice.
         """
         strides = []
         size = 1
@@ -521,6 +552,8 @@ class MultiPoly:
         db, ys = (da, xs) if self is other else _over_common_denominator(other.terms.values())
         bound = min(len(xs), len(ys)) * max(map(abs, xs)) * max(map(abs, ys))
         n = bound.bit_length() // 8 + 1
+        if n <= 8:  # a digit of 1, 2, 4 or 8 bytes reads back as a machine integer
+            n = 1 << (n - 1).bit_length()
         half = 1 << (8 * n - 1)
         digit = half.to_bytes(n, "little")
 
@@ -534,10 +567,22 @@ class MultiPoly:
 
         packed = pack(self.terms, xs, top_a)
         product = packed * (packed if self is other else pack(other.terms, ys, top_b))
-        raw = (product + int.from_bytes(digit * size, "little")).to_bytes(n * size, "little")
+        offsets = int.from_bytes(digit * size, "little")
         den = da * db
+        slots = itertools.product(*map(range, dims))
+        if n <= 8:
+            # each offset digit c + half, xor half, is c in two's complement
+            raw = ((product + offsets) ^ offsets).to_bytes(n * size, sys.byteorder)
+            cs = memoryview(raw).cast("bhiq"[n.bit_length() - 1])
+            if sys.byteorder == "big":  # the last slot came first
+                cs = cs[::-1]
+            values = filter(None, cs)
+            if den != 1:
+                values = (_ratio(c, den) for c in values)
+            return MultiPoly._of(self.vars, dict(zip(itertools.compress(slots, cs), values)))
+        raw = (product + offsets).to_bytes(n * size, "little")
         terms = {}
-        for e, i in zip(itertools.product(*map(range, dims)), range(0, n * size, n)):
+        for e, i in zip(slots, range(0, n * size, n)):
             s = raw[i:i + n]
             if s != digit:
                 c = int.from_bytes(s, "little") - half

@@ -528,3 +528,102 @@ def test_power_edge_cases():
     with pytest.raises(ValueError):
         MultiPoly.variable(("x",), "x") ** -1
     assert power(lambda a, b: a * b, 3, 5, 1) == 243
+
+
+# -- squares and the word-at-a-time read-back ------------------------------------
+
+
+def same_terms(p, q):
+    """p and q hold the same terms in the same order, with the same stored types."""
+    assert list(p.terms.items()) == list(q.terms.items())
+    assert [type(c) for c in p.terms.values()] == [type(c) for c in q.terms.values()]
+
+
+@pytest.mark.parametrize("nv", (1, 2, 3))
+@pytest.mark.parametrize("route", ("tuples", "packed", "dense"))
+def test_a_square_matches_the_product_with_an_equal_copy(nv, route, routed):
+    # p * p visits each unordered pair of terms once; it must give the terms
+    # of p * copy(p), which visits every pair, in the same order
+    rng = random.Random(f"square:{nv}:{route}")
+    vars = tuple("xyz"[:nv])
+    for trial in range(4):
+        if route == "dense":  # trial 3 has digits wider than 8 bytes
+            a = rand_dense(rng, nv, (12, 5, 3)[nv - 1], big=trial == 3)
+        else:
+            a = rand_sparse(rng, nv, 5 if route == "tuples" else 9, 60)
+        if trial == 1:  # integer coefficients only
+            a = {e: Fraction(c.numerator) for e, c in a.items()}
+        pa = mp(vars, a)
+        got, taken = routed(pa, pa)
+        assert taken == route
+        check_mp(got, ref_mul(a, a))
+        want, taken = routed(pa, MultiPoly(vars, pa.terms))
+        assert taken == route
+        same_terms(got, want)
+        same_terms(pa ** 2, want)
+
+
+def test_a_qpolynomial_square_matches_the_product_with_an_equal_copy():
+    rng = random.Random("qsquare")
+    for _ in range(40):
+        a = rand_coeffs(rng)
+        pa = QPolynomial(a)
+        got, want = pa * pa, pa * QPolynomial(a)
+        check_qp(got, ref_qmul(a, a))
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+# (digit bytes, m, X, Y): m * X * Y is the largest coefficient that digit
+# holds, 2^(8n-1) - 1, except at 4 bytes, where 2^31 - 1 is prime and no
+# product of operands of two terms or more reaches it, so it is 2^31 - 2
+WORD_EXTREMES = (
+    (1, 127, 1, 1),
+    (2, 7, 31, 151),
+    (4, 9, 4774, 49981),
+    (8, 7, 21870289, 60247241209),
+)
+
+
+@pytest.mark.parametrize("n, m, X, Y", WORD_EXTREMES, ids=lambda v: str(v))
+def test_kronecker_read_back_at_each_digit_width(n, m, X, Y, kronecker_calls):
+    # a = X (1 + x + ... + x^(m-1)) and b = Y (sum_{j<L} x^j (1 - y^2) + y - xy):
+    # the slots x^k y^0 for m-1 <= k < L reach +m X Y, the slots x^k y^2
+    # reach -m X Y, and the slots x^k y for 1 <= k < m cancel to zero.
+    # The coefficient bound min(n_a, n_b) max|x| max|y| is m X Y, whose
+    # bit length picks a digit of n bytes.
+    top = m * X * Y
+    assert top.bit_length() == 8 * n - 1
+    L = m + 1
+    vars = ("x", "y")
+    a = {(i, 0): Fraction(X) for i in range(m)}
+    b = {(j, t): Fraction(s * Y) for j in range(L) for t, s in ((0, 1), (2, -1))}
+    b.update({(0, 1): Fraction(Y), (1, 1): Fraction(-Y)})
+    for scale_a, scale_b in ((1, 1), (1, -1), (Fraction(1, 3), Fraction(1, 5))):
+        sa = {e: c * scale_a for e, c in a.items()}
+        sb = {e: c * scale_b for e, c in b.items()}
+        pa, pb = mp(vars, sa), mp(vars, sb)
+        got = pa * pb
+        want = ref_mul(sa, sb)
+        check_mp(got, want)
+        scale = scale_a * scale_b
+        assert got.terms[m - 1, 0] == top * scale and got.terms[m - 1, 2] == -top * scale
+        assert not any((k, 1) in got.terms for k in range(1, m))
+        assert (0, 1) in got.terms and (m, 1) in got.terms
+        same_terms(pb * pa, got)  # both in slot order
+    assert kronecker_calls == [2] * 6
+
+
+@pytest.mark.parametrize("nv", (1, 2, 3))
+def test_a_dense_qpoly_product_with_a_denominator(nv, kronecker_calls):
+    # each product coefficient is an integer over the operands' common
+    # denominators, stored as an int where the denominator divides it
+    rng = random.Random(f"ratio:{nv}")
+    vars = tuple("xyz"[:nv])
+    deg = (12, 4, 2)[nv - 1]
+    for _ in range(3):
+        a, b = rand_dense(rng, nv, deg), rand_dense(rng, nv, deg)
+        got = mp(vars, a) * mp(vars, b)
+        check_mp(got, ref_mul(a, b))
+        assert {type(c) for c in got.terms.values()} == {int, Fraction}
+        check_mp(mp(vars, a) ** 2, ref_mul(a, a))
+    assert kronecker_calls == [nv] * 6
