@@ -247,14 +247,12 @@ class QPolynomial:
         for i, a in enumerate(xs):
             if not a:
                 continue
+            row, at = ys, i
             if self is other:  # a square: a*a, then 2ab over the later b
                 out[2 * i] += a * a
-                a += a
-                for j, b in enumerate(xs[i + 1:], 2 * i + 1):
-                    out[j] += a * b
-            else:
-                for j, b in enumerate(ys, i):
-                    out[j] += a * b
+                a, row, at = a + a, xs[i + 1:], 2 * i + 1
+            for j, b in enumerate(row, at):
+                out[j] += a * b
         den = da * db
         return QPolynomial(out if den == 1 else [_ratio(c, den) for c in out])
 
