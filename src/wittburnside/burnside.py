@@ -86,9 +86,8 @@ from .universal import (
     WITT,
     GhostSystem,
     check_op,
-    derive,
     flavor_table,
-    frobenius_shift,
+    ghost_system,
     ghost_table,
     ghost_values,
     index_labels,
@@ -246,18 +245,6 @@ def _solve(system: GhostSystem, x: IndexedVector, y=None, q=None, fail=None) -> 
 
 
 @lru_cache(maxsize=None)
-def _flavor_system(index, q: bool, flavor: str, r: int | None = None) -> GhostSystem:
-    """The ghost system of the necklace or aperiodic product on a group or a
-    truncation set T or, given r (truncation sets only), of f_r: over
-    {n : rn in T}, the ghost at n is the input's ghost at rn."""
-    table = flavor_table(index, flavor, q)
-    if r is None:
-        return GhostSystem(index, table, "prod", q)
-    return GhostSystem(index, table, f"frob{r}", q,
-                       frobenius_shift(index, r, lambda T: flavor_table(T, flavor, q)))
-
-
-@lru_cache(maxsize=None)
 def _fractional(index) -> bool:
     """Has the classical aperiodic table of index a Fraction weight?  Only a
     group with a subgroup that is not normal has one."""
@@ -273,7 +260,7 @@ def _flavor_mul(x: IndexedVector, y: IndexedVector, q=None) -> IndexedVector:
     non-zero components (NonIntegralConstant)."""
     if x.flavor == APERIODIC and not x.ring.is_qalgebra and _fractional(x.index):
         return _table_mul(x, y)
-    return _solve(_flavor_system(x.index, q is not None, x.flavor), x, y, q)
+    return _solve(ghost_system(x.index, "prod", x.flavor, q is not None, None), x, y, q)
 
 
 def _table_mul(x, y):
@@ -388,7 +375,7 @@ def derive_universal(G: FiniteGroup, op: str) -> GhostSystem:
     """The memoised ghost system of op on G; its polynomials, solved when
     first read, must come out integral."""
     check_op(op)
-    return derive(G, op, lambda: GhostSystem(G, ghost_table(G, False), op))
+    return ghost_system(G, op, WITT, False, None)
 
 
 def wg_op(op: str, a: IndexedVector, b: IndexedVector | None = None) -> IndexedVector:

@@ -21,7 +21,7 @@ errors still list every verb.  The truncation-set and q models and the
 verification suites run their module code only when a verb uses them.  No
 verb reads a WB_CACHE_DIR entry: `universal`, `quniversal` and `verify`
 solve the polynomials they print or check, and a derivation only writes a
-missing entry (see `universal.derive`).
+missing entry (see `universal.ghost_system`).
 All output is JSON with sorted keys; byte-for-byte deterministic given the
 inputs, flags and seed.  Exit codes: 0 success, 1 verification failures,
 2 schema/input errors, 3 domain errors (the message names the error class).

@@ -19,8 +19,9 @@ ring.  Verschiebung reindexes by r.
 
 The ghost maps, their inverses, the product and Frobenius solves and the
 tables are the group module's (`burnside._ghost`, `_flavor_mul`, `_solve`,
-`universal.ghost_table`), and `_frobenius` serves the q-model too; the
-public names here check flavors and name their errors.
+`universal.ghost_table`); every system, the Frobenius' among them, is
+built and memoised by `universal.ghost_system`, and `_frobenius` serves the
+q-model too; the public names here check flavors and name their errors.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from .burnside import (
     _expect,
     _flavor_mul,
     _flavor_op,
-    _flavor_system,
     _ghost,
     _ghost_inv,
     _solve,
@@ -58,9 +58,7 @@ from .universal import (  # Q_MEMBER_BOUND and check_q_member for the CLI
     GhostSystem,
     check_op,
     check_q_member,
-    derive,
-    frobenius_shift,
-    ghost_table,
+    ghost_system,
     row_error,
 )
 
@@ -253,24 +251,11 @@ def cyc_ghost_inv(b: CyclicVector, flavor: str) -> CyclicVector:
 # universal polynomials and the Witt operations
 
 
-def _truncation_universal(T: TruncationSet, op: str, q: bool = False,
-                          r: int | None = None) -> GhostSystem:
-    """The memoised system of a ring op over T, or with r (op "frob<r>") of f_r."""
-    tag = ("q" if q else "") + op
-
-    def system():
-        # the shift's table is built, and its members checked, first
-        shift = frobenius_shift(T, r, lambda S: ghost_table(S, q)) if r else None
-        return GhostSystem(T, ghost_table(T, q), tag if r else op, q, shift)
-
-    return derive(T, tag, system)
-
-
 def cyc_universal(T: TruncationSet, op: str) -> GhostSystem:
     """The ghost system of one truncated-Witt ring operation; its
     polynomials, solved when first read, have integer coefficients."""
     check_op(op)
-    return _truncation_universal(T, op)
+    return ghost_system(T, op, WITT, False, None)
 
 
 def cyc_witt_op(op: str, a: CyclicVector, b: CyclicVector | None = None) -> CyclicVector:
@@ -398,11 +383,8 @@ def _frobenius(r: int, x: CyclicVector, q=None) -> CyclicVector:
     if x.flavor == GHOST:
         Tout = TruncationSet([n for n in T if r * n in T])
         return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
-    if x.flavor == WITT or x.coord_form:
-        system = _truncation_universal(T, f"frob{r}", q is not None, r)
-    else:
-        system = _flavor_system(T, q is not None, x.flavor, r)
-    return _solve(system, x, q=q)
+    flavor = WITT if x.coord_form else x.flavor
+    return _solve(ghost_system(T, f"frob{r}", flavor, q is not None, r), x, q=q)
 
 
 def cyc_frobenius(r: int, x: CyclicVector) -> CyclicVector:

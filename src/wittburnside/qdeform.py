@@ -4,11 +4,12 @@ Everything rests on the one-parameter formal group law
 F_q(X, Y) = X + Y - q X Y.  Every ring operation and Frobenius solves a
 q-ghost system at its payloads, at a concrete integer q or the
 indeterminate: the Witt flavor on the q-ghost table, the necklace and
-aperiodic flavors on its linear tables (`burnside._flavor_system`).  The
-divisor-lattice scalars zeta^q and mu^q, which depend on d2/d1 alone (mu^q
-is the Dirichlet inverse of zeta^q, `zeta_mu_q`), and the numerical
-polynomials P_{n,i,j}(q) that the solved products amount to are kept as
-scalars of their own (`qpoly`, the q-necklace polynomials, the checks).
+aperiodic flavors on its linear tables, each system built once
+(`universal.ghost_system`).  The divisor-lattice scalars zeta^q and mu^q,
+which depend on d2/d1 alone (mu^q is the Dirichlet inverse of zeta^q,
+`zeta_mu_q`), and the numerical polynomials P_{n,i,j}(q) that the solved
+products amount to are kept as scalars of their own (`qpoly`, the
+q-necklace polynomials, the checks).
 The Witt operations' universal polynomials, with numerical coefficients in
 Q[q] (q an extra variable), are derived once per truncation set by the
 same solve.  The q-ghost maps, the q-Teichmuller transport and f_r are the
@@ -51,7 +52,6 @@ from .cyclic import (
     TruncationSet,
     _dilate,
     _frobenius,
-    _truncation_universal,
     necklace_poly,
 )
 from .errors import (
@@ -73,6 +73,7 @@ from .rings import (
 from .universal import (
     GhostSystem,
     check_op,
+    ghost_system,
     ghost_table,
     row_error,
     solve_triangular,
@@ -111,25 +112,17 @@ class QContext:
         return f"QContext(q={'q' if self.q is None else self.q})"
 
 
-def _int_scalar(ctx: QContext, R: RingSpec, p: QPolynomial, what: str):
-    """Payload of a numerical Q[q]-scalar: an integer once q is an integer."""
-    if ctx.q is None:
-        ctx.q_payload(R)  # the indeterminate lives in the Q[q] ring only
-        return p
-    v = p(ctx.q)
-    if v.denominator != 1:
-        raise NumericalityViolation(f"{what} evaluates to {v} at q={ctx.q}")
-    return R.from_int(v.numerator)
-
-
-def _exact_scalar(ctx: QContext, R: RingSpec, p: QPolynomial):
-    """Payload of an arbitrary Q[q]-scalar; fractions go through from_fraction."""
+def _q_scalar(ctx: QContext, R: RingSpec, p: QPolynomial, what=None):
+    """Payload of a Q[q]-scalar p at ctx's q.  A value that is not an integer
+    goes through from_fraction or, given `what`, is refused as non-numerical."""
     if ctx.q is None:
         ctx.q_payload(R)  # the indeterminate lives in the Q[q] ring only
         return p
     v = p(ctx.q)
     if v.denominator == 1:
         return R.from_int(v.numerator)
+    if what is not None:
+        raise NumericalityViolation(f"{what} evaluates to {v} at q={ctx.q}")
     return R.from_fraction(v)
 
 
@@ -239,7 +232,7 @@ def q_universal(T: TruncationSet, op: str) -> GhostSystem:
     """The q-ghost system of one q-Witt ring operation; its polynomials,
     solved when first read, have numerical coefficients."""
     check_op(op)
-    return _truncation_universal(T, op, q=True)
+    return ghost_system(T, op, WITT, True, None)
 
 
 # At the indeterminate q the Witt operations solve in Q[q] payloads whose
@@ -347,7 +340,7 @@ def q_necklace_poly(ctx: QContext, r: RingValue, n: int) -> RingValue:
             c = zeta_mu_q(n // d)[1] * zeta_mu_q(d)[0]
             if c.is_zero():
                 continue
-            s = R.add(s, R.mul(_exact_scalar(ctx, R, c), R.pow(r.payload, d)))
+            s = R.add(s, R.mul(_q_scalar(ctx, R, c), R.pow(r.payload, d)))
         return RingValue(R, s)
     s = R.zero()
     for d in divisors(n):
@@ -357,7 +350,7 @@ def q_necklace_poly(ctx: QContext, r: RingValue, n: int) -> RingValue:
         if not c.is_numerical():
             raise NumericalityViolation(f"{d} tau^q({n // d},{n}) is not numerical")
         m = necklace_poly(r, d)
-        s = R.add(s, R.mul(_int_scalar(ctx, R, c, "exponential weight"), m.payload))
+        s = R.add(s, R.mul(_q_scalar(ctx, R, c, "exponential weight"), m.payload))
     return RingValue(R, s)
 
 

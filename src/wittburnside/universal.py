@@ -18,19 +18,19 @@ between the models, and `ghost_table` builds every one of them:
 below), and `row_name` names a row in the messages of every model.
 
 The sum, product and negation solve w(s) = w(a) + w(b), w(a) w(b) and
--w(a); a Frobenius solves w_u(s) = w_{shift[u]}(a) (`frobenius_shift`).
+-w(a); a Frobenius f_r on a truncation set solves w_n(s) = w_{rn}(a).
 The necklace and aperiodic products, and on a truncation set their
 Frobenius, are such systems too, on the linear tables below.  Each is one
-`GhostSystem`, and one triangular solve, `solve_triangular`, serves all of
-them: at the payloads of an operation (over Z/m lifted to Z and reduced),
-and at the variables themselves for the universal polynomials.  Those are
-solved once per structure and operation, when first read (an operation
-only applies its system); their integral (in the q-model numerical)
-coefficients certify that the solve stays in the ring.  The Witt
-operations' systems are memoised in process only.  When WB_CACHE_DIR is
-set, a memo miss also writes the polynomials to a missing entry there, as
-an export: nothing reads an entry back, since checking one soundly costs
-as much as the solve.
+`GhostSystem`, built and memoised in process by `ghost_system`, and one
+triangular solve, `solve_triangular`, serves all of them: at the payloads
+of an operation (over Z/m lifted to Z and reduced), and at the variables
+themselves for the universal polynomials.  Those are solved once per
+structure and operation, when first read (an operation only applies its
+system); their integral (in the q-model numerical) coefficients certify
+that the solve stays in the ring.  When WB_CACHE_DIR is set, a memo miss
+of a Witt-flavor system also writes its polynomials to a missing entry
+there, as an export: nothing reads an entry back, since checking one
+soundly costs as much as the solve.
 
 The transports between the flavors solve on the same tables.  With every
 exponent 1 (`linear_table`) a table is the ghost of the necklace flavor;
@@ -67,7 +67,6 @@ GHOST = "Ghost"
 
 OPS = ("sum", "prod", "neg")
 FORMAT = "u2"  # on-disk format tag; part of every cache file name
-MEMO: dict = {}  # (group or truncation set, op tag) -> GhostSystem
 
 
 def check_op(op: str):
@@ -352,37 +351,41 @@ class GhostSystem:
         return row_name(self.structure, u) + of
 
 
-def frobenius_shift(T, r, table_of):
-    """The shift of f_r on a truncation set T: the set {n : rn in T}, its
-    table `table_of(set)`, and the input row rn that each of its members n
-    reads."""
-    # type(T) is `cyclic.TruncationSet`, which imports this module
-    Tout = type(T)([n for n in T if r * n in T])
-    return Tout, table_of(Tout), [T.position(r * n) for n in Tout]
+@lru_cache(maxsize=None)
+def ghost_system(index, op, flavor, q, r) -> GhostSystem:
+    """The memoised ghost system of `op` in `flavor` over a group or a
+    truncation set, in the q-model when q is true.
+
+    A ring operation passes r None; f_r on a truncation set T passes op
+    "frob<r>" and r, and solves over {n : rn in T}, reading the input row rn
+    at each of its members n.  The input set's table is built, and its
+    members checked against the q-model bound, before the shift's.  Call it
+    with all five arguments positional: lru_cache keys a keyword call apart.
+
+    The tag is op, prefixed with "q" in the q-model; a Frobenius system
+    carries it as its op ("qfrob2").  Only the Witt flavor exports: with
+    WB_CACHE_DIR set, a memo miss whose entry is missing solves the
+    polynomials at once and writes the entry under the tag; an existing
+    entry is neither read nor rewritten.
+    """
+    def table_of(S):
+        return ghost_table(S, q) if flavor == WITT else flavor_table(S, flavor, q)
+
+    tag = "q" * q + op
+    table, shift = table_of(index), None
+    if r is not None:
+        # type(index) is `cyclic.TruncationSet`, which imports this module
+        out = type(index)([n for n in index if r * n in index])
+        shift = out, table_of(out), [index.position(r * n) for n in out]
+    system = GhostSystem(index, table, tag if r else op, q, shift)
+    path = _cache_path(index, system.labels, tag) if flavor == WITT else None
+    if path and not os.path.exists(path):
+        _cache_write(path, system.vars, system.polys)
+    return system
 
 
 # ---------------------------------------------------------------------------
-# memo and disk export
-
-
-def derive(structure, tag, system) -> GhostSystem:
-    """Operation `tag` over a group or truncation set.
-
-    Memoised under (structure, tag).  `system` is a callable returning the
-    GhostSystem, called on a memo miss only.  Its polynomials are solved on
-    first read (see GhostSystem).  With WB_CACHE_DIR set, a memo miss whose
-    entry is missing solves them at once and writes the entry; an existing
-    entry is neither read nor rewritten.
-    """
-    key = (structure, tag)
-    eqs = MEMO.get(key)
-    if eqs is None:
-        eqs = system()
-        path = _cache_path(structure, eqs.labels, tag)
-        if path and not os.path.exists(path):
-            _cache_write(path, eqs.vars, eqs.polys)
-        MEMO[key] = eqs
-    return eqs
+# disk export
 
 
 def _cache_path(structure, labels, tag):

@@ -14,14 +14,18 @@ import sys
 import pytest
 
 from wittburnside import (
+    IndexedVector,
+    QContext,
     TruncationSet,
     build_group,
+    cyc_frobenius,
     cyc_universal,
     derive_universal,
+    q_frobenius,
     q_universal,
 )
-from wittburnside.cyclic import _truncation_universal
-from wittburnside.universal import MEMO, index_labels
+from wittburnside.rings import ZZ
+from wittburnside.universal import WITT, ghost_system, index_labels
 
 
 def run_cli(cache, *argv):
@@ -54,9 +58,9 @@ def only_file(cache, pattern):
 def cache(tmp_path, monkeypatch):
     root = tmp_path / "cache"
     monkeypatch.setenv("WB_CACHE_DIR", str(root))
-    MEMO.clear()
+    ghost_system.cache_clear()
     yield root
-    MEMO.clear()
+    ghost_system.cache_clear()
 
 
 def test_fractional_coefficient_entry_is_never_read(tmp_path):
@@ -116,7 +120,7 @@ def test_hit_writes_nothing_and_names_carry_the_format(cache):
     names = sorted(os.listdir(cache))
     assert len(names) == 1 and names[0].endswith(f"-{FORMAT}.json")
     before = (cache / names[0]).stat().st_mtime_ns
-    MEMO.clear()
+    ghost_system.cache_clear()
     second = derive_universal(build_group("C4"), "prod")
     assert second.polys == first.polys and second is not first
     assert sorted(os.listdir(cache)) == names
@@ -129,7 +133,7 @@ def corrupt_and_rederive(cache, derive, edit):
     data = json.loads(path.read_bytes())
     path.write_text(edit(data), encoding="utf-8")
     edited = path.read_bytes()
-    MEMO.clear()
+    ghost_system.cache_clear()
     again = derive()
     assert again.polys == good.polys
     assert path.read_bytes() == edited
@@ -168,7 +172,7 @@ def test_q_entry_with_non_numerical_coefficient(cache):
         data["polys"][0][0][0] = "1/2"
         return json.dumps(data)
     T = TruncationSet.div(4)
-    corrupt_and_rederive(cache, lambda: _truncation_universal(T, "frob2", True, 2), halve)
+    corrupt_and_rederive(cache, lambda: ghost_system(T, "frob2", WITT, True, 2), halve)
 
 
 def add_terms(poly, terms):
@@ -220,14 +224,18 @@ def test_unwritable_cache_dir_still_derives(tmp_path, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
     monkeypatch.setenv("WB_CACHE_DIR", str(blocker / "sub"))
-    MEMO.clear()
+    ghost_system.cache_clear()
     try:
         assert derive_universal(build_group("C2"), "sum").polys
     finally:
-        MEMO.clear()
+        ghost_system.cache_clear()
 
 
-# the name and sha256 of the entry each derivation writes; the q entry has
+def witt_div6():
+    return IndexedVector.from_ints(TruncationSet.div(6), WITT, ZZ, [1, 2, 3, 4])
+
+
+# the name and sha256 of the entry each derivation writes; the q entries have
 # "n/d" coefficient strings
 ENTRIES = [
     (lambda: derive_universal(build_group("C4"), "prod"), "wg-031f409039ede13a-prod-u2.json",
@@ -236,10 +244,15 @@ ENTRIES = [
      "d2a9224bdb74e113bd64fe49734e67c77755697f9fa6e8dc93d2fbce661f980f"),
     (lambda: q_universal(TruncationSet.div(6), "prod"), "cyc-188a55c6ac41b9a9-qprod-u2.json",
      "a68b2375ac6d69d7cade3db27c529ca5af6ca6321a708b4f7365d81db5c49113"),
+    (lambda: cyc_frobenius(2, witt_div6()), "cyc-188a55c6ac41b9a9-frob2-u2.json",
+     "9d420bceb04a44e8e81dfa71a7c3c23747d5a07c556ec77db4f0f1050cc9abb1"),
+    (lambda: q_frobenius(QContext(2), 2, witt_div6()), "cyc-188a55c6ac41b9a9-qfrob2-u2.json",
+     "066fc645dafa13bdea0d5f15b681e31f5ddd7421f9801aa06bf36d9a11505643"),
 ]
 
 
-@pytest.mark.parametrize("derive,name,digest", ENTRIES, ids=["C4-prod", "div6-sum", "q-div6-prod"])
+@pytest.mark.parametrize("derive,name,digest", ENTRIES,
+                         ids=["C4-prod", "div6-sum", "q-div6-prod", "div6-frob2", "q-div6-frob2"])
 def test_entry_bytes_are_pinned(cache, derive, name, digest):
     derive()
     path = only_file(cache, lambda n: True)

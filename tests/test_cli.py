@@ -249,21 +249,33 @@ def test_necklace_mul_one_hot(capsys, tmp_path):
 
 def test_group_flavor_products_write_no_cache_entry(tmp_path):
     # a product is a ghost solve (or the constant loop), never a derivation;
-    # over Z the S3 aperiodic square meets a fractional constant (exit 3)
+    # over Z the S3 aperiodic square meets a fractional constant (exit 3).  On
+    # a truncation set the necklace and aperiodic products and Frobenius, also
+    # in the q-model, are ghost solves too
     cache = tmp_path / "cache"
     cache.mkdir()
     labels = ["G", "3a", "2a", "1"]
-    calls = [("necklace", _inp("necklace_S3_a.json"), _inp("necklace_S3_b.json"), 0)]
+    calls = [(["necklace", "mul", _inp("necklace_S3_a.json"), _inp("necklace_S3_b.json")], 0)]
     for ring, comps, code in (("Q", ["1/2", "2", "-1", "3"], 0), ("Z", ["1", "2", "-1", "3"], 3)):
         ap = write_vec(tmp_path, f"ap_{ring}.json", group="S3", flavor="Aperiodic", ring=ring,
                        components=comps, labels=labels)
-        calls.append(("aperiodic", ap, ap, code))
-    for family, a, b, code in calls:
-        proc = subprocess.run([sys.executable, "-m", "wittburnside", family, "mul", a, b],
+        calls.append((["aperiodic", "mul", ap, ap], code))
+    div6 = {"group": {"cyclic_trunc": [1, 2, 3, 6]}, "labels": [1, 2, 3, 6], "ring": "Z",
+            "components": ["2", "-1", "3", "1"]}
+    nr = write_vec(tmp_path, "nr_div6.json", flavor="Necklace", **div6)
+    ap = write_vec(tmp_path, "ap_div6.json", flavor="Aperiodic", **div6)
+    calls += [
+        (["cyclic", "necklace", "mul", nr, nr], 0),
+        (["cyclic", "frobenius", "--r", "2", ap], 0),
+        (["qwitt", "mul", "--q", "2", nr, nr], 0),
+        (["qwitt", "frobenius", "--q", "q", "--r", "2", _inp("aperiodic_div6_qq_a.json")], 0),
+    ]
+    for argv, code in calls:
+        proc = subprocess.run([sys.executable, "-m", "wittburnside", *argv],
                               capture_output=True, text=True,
                               env=dict(os.environ, WB_CACHE_DIR=str(cache)))
         assert proc.returncode == code, proc.stderr
-        assert os.listdir(cache) == [], (family, a)
+        assert os.listdir(cache) == [], argv
 
 
 def test_ghost_of_one_hot_at_G(capsys, tmp_path):

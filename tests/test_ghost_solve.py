@@ -15,7 +15,6 @@ from wittburnside.burnside import NECKLACE, WITT, IndexedVector, derive_universa
 from wittburnside.cyclic import (
     CyclicVector,
     TruncationSet,
-    _truncation_universal,
     cyc_frobenius,
     cyc_universal,
     cyc_witt_op,
@@ -30,7 +29,7 @@ from wittburnside.qdeform import (
     q_witt_op,
 )
 from wittburnside.rings import QQ_Q, ZZ, parse_ring
-from wittburnside.universal import MEMO
+from wittburnside.universal import ghost_system
 
 GROUPS = ("C6", "S3", "D4", "Q8", "C12", "D6")
 RINGS = ("Z", "Q", "Z/8", "ZPoly(x,y)", "QPoly(x,y)")
@@ -127,7 +126,7 @@ def test_cyclic_witt_ops_and_frobenius_match(tname, rname):
             assert list(cyc_witt_op(op, a, b).payloads()) == want
         assert list(cyc_witt_op("neg", a).payloads()) == reference(cyc_universal(T, "neg"), R, xs)
         for r in (2, 3):
-            fu = _truncation_universal(T, f"frob{r}", False, r)
+            fu = ghost_system(T, f"frob{r}", WITT, False, r)
             got = cyc_frobenius(r, a)
             assert got.truncation == fu.structure
             assert list(got.payloads()) == reference(fu, R, xs)
@@ -152,7 +151,7 @@ def test_q_witt_ops_and_frobenius_match_at_integer_q(tname, rname, q):
         want = reference(q_universal(T, "neg"), R, xs, q)
         assert list(q_witt_op(ctx, "neg", a).payloads()) == want
         for r in (2, 3):
-            fu = _truncation_universal(T, f"frob{r}", True, r)
+            fu = ghost_system(T, f"frob{r}", WITT, True, r)
             assert list(q_frobenius(ctx, r, a).payloads()) == reference(fu, R, xs, q)
 
 
@@ -171,7 +170,7 @@ def test_q_ops_on_coordinate_backed_necklace_vectors_match(q):
     assert got.coord_form
     assert list(got.payloads()) == reference(q_universal(T, "prod"), R, xs + ys, q)
     for r in (2, 3):
-        fu = _truncation_universal(T, f"frob{r}", True, r)
+        fu = ghost_system(T, f"frob{r}", WITT, True, r)
         got = q_frobenius(ctx, r, x)
         assert got.coord_form and got.truncation == fu.structure
         assert list(got.payloads()) == reference(fu, R, xs, q)
@@ -191,7 +190,7 @@ def test_q_witt_ops_and_frobenius_match_at_indeterminate_q(tname):
         assert list(q_witt_op(ctx, op, a, b).payloads()) == want
     assert list(q_witt_op(ctx, "neg", a).payloads()) == reference(q_universal(T, "neg"), QQ_Q, xs)
     for r in (2, 3):
-        fu = _truncation_universal(T, f"frob{r}", True, r)
+        fu = ghost_system(T, f"frob{r}", WITT, True, r)
         assert list(q_frobenius(ctx, r, a).payloads()) == reference(fu, QQ_Q, xs)
 
 
@@ -200,10 +199,10 @@ def test_operations_leave_the_universal_polynomials_unsolved(monkeypatch):
     # when read, so a process that only computes holds none of them
     monkeypatch.delenv("WB_CACHE_DIR", raising=False)
     G = build_group("D6")
-    monkeypatch.delitem(MEMO, (G, "prod"), raising=False)
+    ghost_system.cache_clear()
     a = IndexedVector.from_ints(G, WITT, parse_ring("Z"), range(len(subgroup_classes(G))))
     wg_op("prod", a, a)
-    ups = MEMO[(G, "prod")]
+    ups = ghost_system(G, "prod", WITT, False, None)
     assert ups._polys is None
     assert list(wg_op("prod", a, a).payloads()) == reference(ups, ZZ, list(a.payloads()) * 2)
     assert ups._polys is not None

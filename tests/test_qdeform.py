@@ -11,7 +11,6 @@ from wittburnside.burnside import APERIODIC, GHOST, NECKLACE, WITT
 from wittburnside.cyclic import (
     CyclicVector,
     TruncationSet,
-    _truncation_universal,
     cyc_ap_mul,
     cyc_frobenius,
     cyc_ghost,
@@ -69,6 +68,7 @@ from wittburnside.rings import (
     mobius,
     parse_ring,
 )
+from wittburnside.universal import ghost_system
 
 QP = QPolynomial
 D2 = TruncationSet.div(2)
@@ -500,7 +500,7 @@ def test_q_frobenius_identity_at_one():
 
 
 def test_q_frobenius_frozen_div4():
-    cu = _truncation_universal(D4, "frob2", True, 2)
+    cu = ghost_system(D4, "frob2", WITT, True, 2)
     assert cu.structure.members == (1, 2)
     assert [p.format() for p in cu.polys] == [
         "1*q^1*a_1^2+2*a_2^1",
@@ -699,6 +699,18 @@ def test_symbolic_q_sum_negation_and_frobenius_are_bounded_after_the_ring_check(
         q_frobenius(ctx, 2, vec(over, ZZ))
     with pytest.raises(ValueError, match="^op must be one of"):
         q_witt_op(ctx, "div", vec(over), vec(over))
+
+
+@pytest.mark.parametrize("q,R", [(2, ZZ), (None, QQ_Q)], ids=["q=2", "q=q"])
+@pytest.mark.parametrize("flavor", [WITT, NECKLACE, APERIODIC])
+def test_frobenius_names_the_largest_member_above_the_q_model_bound(q, R, flavor):
+    # f_2 reads {1, 10007} of {1, 2, 10007, 20014}; every flavor builds the
+    # input set's table first, so each names the set's own largest member
+    T = TruncationSet([1, 2, 10007, 20014])
+    x = CyclicVector.from_payloads(T, flavor, R, [R.from_int(3)] * len(T))
+    with pytest.raises(DomainError) as err:
+        q_frobenius(QContext(q), 2, x)
+    assert str(err.value) == "truncation set member 20014 exceeds the q-model bound 10000"
 
 
 def test_huge_member_is_refused_before_the_indeterminate_meets_its_ring():

@@ -15,7 +15,6 @@ from wittburnside.burnside import WITT, IndexedVector, derive_universal, wg_ghos
 from wittburnside.cyclic import (
     CyclicVector,
     TruncationSet,
-    _truncation_universal,
     cyc_universal,
     cyc_witt_ghost,
     cyc_witt_op,
@@ -23,6 +22,7 @@ from wittburnside.cyclic import (
 from wittburnside.groups import build_group, subgroup_classes
 from wittburnside.qdeform import q_universal
 from wittburnside.rings import ZZ
+from wittburnside.universal import ghost_system
 
 DIGESTS = {
     'C2/sum': '88191d055c00bb99',
@@ -97,7 +97,7 @@ def derived(key):
     T = TRUNCATIONS[rest[0]]
     op = rest[1]
     if op.startswith("frob"):
-        return _truncation_universal(T, op, head != "cyc", int(op[4:]))
+        return ghost_system(T, op, WITT, head != "cyc", int(op[4:]))
     return (cyc_universal if head == "cyc" else q_universal)(T, op)
 
 
@@ -123,8 +123,8 @@ def test_derivations_return_their_memoised_system():
         assert ups.truncation.members == (1, 2, 3, 6) and ups.group == T and ups.op == "neg"
         assert ups.vars == ("q",) * q + ("a_1", "a_2", "a_3", "a_6")
         assert len(ups.polys) == 4 and digest(ups) == DIGESTS[f"{'q' if q else 'cyc'}/div6/neg"]
-    frob = _truncation_universal(T, "frob2", True, 2)
-    assert _truncation_universal(T, "frob2", True, 2) is frob
+    frob = ghost_system(T, "frob2", WITT, True, 2)
+    assert ghost_system(T, "frob2", WITT, True, 2) is frob
     assert frob.truncation.members == (1, 3) and frob.op == "qfrob2"
     assert frob.vars == ("q", "a_1", "a_2", "a_3", "a_6") and len(frob.polys) == 2
 
