@@ -24,12 +24,15 @@ solve the polynomials they print or check, and a derivation only writes a
 missing entry (see `universal.ghost_system`).
 All output is JSON with sorted keys; byte-for-byte deterministic given the
 inputs, flags and seed.  Exit codes: 0 success, 1 verification failures,
-2 schema/input errors, 3 domain errors (the message names the error class).
+2 schema/input errors, 3 domain errors (the message names the error class),
+4 the output could not be written (a full device, a closed stdout, a pipe
+with no reader).
 """
 import argparse
 import importlib.util
 import json
 import math
+import os
 import sys
 from functools import partial
 
@@ -91,7 +94,11 @@ _RING_FLAVORS = (WITT, NECKLACE, APERIODIC)
 
 
 def _emit(doc):
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out = sys.stdout
+    if out is None:  # the process started with its stdout closed
+        raise OSError("standard output is closed")
+    out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out.flush()
 
 
 # --- vector file I/O ---------------------------------------------------------
@@ -778,6 +785,13 @@ def main(argv=None):
     except DomainError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except OSError as e:  # reading an input or a cache entry raises no OSError: the output failed
+        print(f"OSError: {e}", file=sys.stderr)
+        if sys.stdout is not None and sys.stdout is sys.__stdout__:
+            # the Python docs' recipe for SIGPIPE: what stdout still buffers
+            # goes to devnull, so the flush at exit cannot fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
 
 
 if __name__ == "__main__":
