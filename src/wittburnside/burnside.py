@@ -92,7 +92,7 @@ from .universal import (
     ghost_values,
     index_labels,
     linear_table,
-    rational_weight,
+    refused_constant,
     row_error,
     row_name,
     solve_triangular,
@@ -109,44 +109,50 @@ class IndexedVector:
     TruncationSet (one per member); `group` and `truncation` are read-only
     names of it.  coord_form marks a Necklace/Aperiodic vector stored through
     its Witt coordinates (the residue-ring presentation of the transports).
+    A vector holds the payloads of its components; `components` builds their
+    RingValues when read.
     """
 
-    __slots__ = ("index", "flavor", "ring", "components", "coord_form")
+    __slots__ = ("index", "flavor", "ring", "_payloads", "coord_form")
 
     def __init__(self, index, flavor, ring, components, coord_form=False):
-        self._init(index, flavor, ring, tuple(components), coord_form)
-        for c in self.components:
+        comps = tuple(components)
+        self._init(index, flavor, ring, comps, coord_form)  # the shape checks first
+        for c in comps:
             if not isinstance(c, RingValue) or (c.spec is not ring and c.spec != ring):
                 raise ValueError("components must be RingValues over the declared ring")
+        self._payloads = tuple(c.payload for c in comps)
 
-    def _init(self, index, flavor, ring, comps, coord_form):
+    def _init(self, index, flavor, ring, payloads, coord_form):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
         if coord_form and flavor not in (NECKLACE, APERIODIC):
             raise ValueError("coordinate form applies to Necklace/Aperiodic flavors only")
         n = len(index_labels(index))
-        if len(comps) != n:
-            raise ValueError(f"expected {n} components on {index!r}, got {len(comps)}")
+        if len(payloads) != n:
+            raise ValueError(f"expected {n} components on {index!r}, got {len(payloads)}")
         self.index = index
         self.flavor = flavor
         self.ring = ring
-        self.components = comps
+        self._payloads = payloads
         self.coord_form = bool(coord_form)
 
     group = truncation = property(lambda self: self.index)
 
+    @property
+    def components(self):
+        return tuple(RingValue(self.ring, p) for p in self._payloads)
+
     @classmethod
     def from_payloads(cls, index, flavor, ring, payloads, coord_form=False):
-        # every component is a RingValue over ring by construction: no re-check
+        # the library's own payloads are elements of ring: no re-check
         self = cls.__new__(cls)
-        self._init(index, flavor, ring, tuple(RingValue(ring, p) for p in payloads), coord_form)
+        self._init(index, flavor, ring, tuple(payloads), coord_form)
         return self
 
     @classmethod
     def from_ints(cls, index, flavor, ring, ints, coord_form=False):
-        return cls(
-            index, flavor, ring, [RingValue.from_int(ring, n) for n in ints], coord_form
-        )
+        return cls.from_payloads(index, flavor, ring, map(ring.from_int, ints), coord_form)
 
     @classmethod
     def zero(cls, index, flavor, ring):
@@ -158,31 +164,26 @@ class IndexedVector:
         return cls.from_ints(index, flavor, ring, [1] + [0] * (len(index_labels(index)) - 1))
 
     def payloads(self):
-        return tuple(c.payload for c in self.components)
+        return self._payloads
 
     def labels(self):
         return index_labels(self.index)
 
     def component(self, n: int):
         """The component at the member n of a truncation set."""
-        return self.components[self.index.position(n)]
+        return RingValue(self.ring, self._payloads[self.index.position(n)])
 
     def retag(self, flavor, coord_form=None):
         cf = self.coord_form if coord_form is None else coord_form
-        return IndexedVector(self.index, flavor, self.ring, self.components, cf)
+        return IndexedVector.from_payloads(self.index, flavor, self.ring, self._payloads, cf)
 
     def with_components(self, components):
         return IndexedVector(self.index, self.flavor, self.ring, components, self.coord_form)
 
     def map_ring(self, target: RingSpec, fn):
         """Componentwise morphism into another ring (fn acts on payloads)."""
-        return IndexedVector(
-            self.index,
-            self.flavor,
-            target,
-            [RingValue(target, fn(c.payload)) for c in self.components],
-            self.coord_form,
-        )
+        return IndexedVector.from_payloads(
+            self.index, self.flavor, target, map(fn, self._payloads), self.coord_form)
 
     def __eq__(self, other):
         return (
@@ -191,11 +192,11 @@ class IndexedVector:
             and self.flavor == other.flavor
             and self.ring == other.ring
             and self.coord_form == other.coord_form
-            and self.components == other.components
+            and self._payloads == other._payloads
         )
 
     def __repr__(self):
-        vals = ", ".join(c.format() for c in self.components)
+        vals = ", ".join(map(self.ring.format_value, self._payloads))
         tag = "#coords" if self.coord_form else ""
         return f"<{self.flavor}{tag} over {self.ring.name} on {self.index!r} [{vals}]>"
 
@@ -224,10 +225,10 @@ def _flavor_op(op, x, y, witt_op, q=None):
         out = witt_op(op, x.retag(WITT, coord_form=False),
                       y.retag(WITT, coord_form=False) if y is not None else None)
         return out.retag(x.flavor, coord_form=True)
-    if op == "neg":
-        return x.with_components([-c for c in x.components])
-    if op == "sum":
-        return x.with_components([c + d for c, d in zip(x.components, y.components)])
+    if op in ("neg", "sum"):
+        R = x.ring
+        out = map(R.neg, x.payloads()) if op == "neg" else map(R.add, x.payloads(), y.payloads())
+        return IndexedVector.from_payloads(x.index, x.flavor, R, out)
     if op != "prod":
         raise ValueError(f"unknown op {op!r}")
     return _flavor_mul(x, y, q)
@@ -266,15 +267,17 @@ def _flavor_mul(x: IndexedVector, y: IndexedVector, q=None) -> IndexedVector:
 def _table_mul(x, y):
     """The aperiodic product on a group, (x y)_k = sum of c x_i y_j over the
     entries (i, j, k): c of its sparse table of index-weighted double-coset
-    constants; a Fraction c is refused outside a Q-algebra unless integral."""
+    constants.  It runs outside a Q-algebra only, so a c that is not an
+    integer is refused."""
     R = x.ring
     xs, ys = x.payloads(), y.payloads()
     out = [R.zero() for _ in xs]
     for (i, j, k), c in structure_constants(x.group).a.items():
         if R.is_zero(xs[i]) or R.is_zero(ys[j]):
             continue
-        c = rational_weight(R, c, "aperiodic product")
-        out[k] = R.add(out[k], R.mul(c, R.mul(xs[i], ys[j])))
+        if c.denominator != 1:
+            raise refused_constant(R, c, "aperiodic product")
+        out[k] = R.add(out[k], R.mul(R.from_int(c.numerator), R.mul(xs[i], ys[j])))
     return IndexedVector.from_payloads(x.index, APERIODIC, R, out)
 
 
@@ -477,9 +480,7 @@ def teichmuller_inv(x: IndexedVector) -> IndexedVector:
 def theta(x: IndexedVector) -> IndexedVector:
     """Necklace -> Aperiodic: scale each component by its subgroup's index,
     (G:V) or n; a coordinate-backed vector is only retagged."""
-    if x.flavor != NECKLACE:
-        raise ValueError("theta expects a Necklace vector")
-    if x.coord_form:
+    if _expect("theta", NECKLACE, x).coord_form:
         return x.retag(APERIODIC)
     R = x.ring
     out = [R.mul(R.from_int(i), p) for i, p in zip(subgroup_indices(x.index), x.payloads())]
@@ -487,9 +488,7 @@ def theta(x: IndexedVector) -> IndexedVector:
 
 
 def theta_inv(y: IndexedVector) -> IndexedVector:
-    if y.flavor != APERIODIC:
-        raise ValueError("theta_inv expects an Aperiodic vector")
-    if y.coord_form:
+    if _expect("theta_inv", APERIODIC, y).coord_form:
         return y.retag(NECKLACE)
     R = y.ring
     out = []
@@ -523,6 +522,12 @@ def _require_subgroup_vector(G, ci, x):
     return U
 
 
+def _require_parent_vector(G, x):
+    if x.group != G:
+        raise ValueError("vector is not indexed by the parent group's classes")
+    return x
+
+
 def _induce(name: str, flavor: str, G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
     """ind of a Necklace or Aperiodic vector on U = rep(ci) to G; a
     coordinate-backed vector takes witt_v of its coordinates (the necklace maps
@@ -539,10 +544,7 @@ def _induce(name: str, flavor: str, G: FiniteGroup, ci: int, x: IndexedVector) -
 def _restrict(name: str, flavor: str, G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
     """res of a Necklace or Aperiodic vector on G to U = rep(ci); a
     coordinate-backed vector takes witt_f of its coordinates (as in `_induce`)."""
-    _expect(name, flavor, x)
-    if x.group != G:
-        raise ValueError("vector is not indexed by the parent group's classes")
-    if x.coord_form:
+    if _require_parent_vector(G, _expect(name, flavor, x)).coord_form:
         return witt_f(G, ci, x.retag(WITT, coord_form=False)).retag(flavor, coord_form=True)
     # only the aperiodic table has Fraction weights
     out = ghost_values(_res_table(G, ci, flavor), x.ring, x.payloads(),
@@ -588,9 +590,7 @@ def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
     ghost_nu(G, ci, wg_ghost(alpha)), the ghost of the induced necklace
     vector ind_nr(teichmuller(alpha))."""
     _require_subgroup_vector(G, ci, alpha)
-    if alpha.flavor != WITT:
-        raise ValueError("witt_v expects a Witt vector")
-    R = alpha.ring
+    R = _expect("witt_v", WITT, alpha).ring
     if isinstance(R, ResidueRing):
         # the solve divides: solve over Z, then reduce
         return witt_v(G, ci, alpha.map_ring(ZZ, int)).map_ring(R, R.from_int)
@@ -604,10 +604,7 @@ def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
 def witt_f(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
     """Frobenius-type map on Witt coordinates: the solve on U's ghost table of
     the restricted ghost (over Z/m lifted to Z and reduced)."""
-    if alpha.flavor != WITT:
-        raise ValueError("witt_f expects a Witt vector")
-    if alpha.group != G:
-        raise ValueError("vector is not indexed by the parent group's classes")
+    _require_parent_vector(G, _expect("witt_f", WITT, alpha))
     system = _restriction_system(G, ci)
     return _solve(system, alpha, fail=row_error(
         IntegralityViolation, "restricted Witt vector escaped {ring} at {row}", system.structure))
@@ -636,8 +633,7 @@ def _nu_table(G: FiniteGroup, ci: int):
 def ghost_nu(G: FiniteGroup, ci: int, b: IndexedVector) -> IndexedVector:
     """Ghost-level companion of induction: the integer table `_nu_table`."""
     _require_subgroup_vector(G, ci, b)
-    if b.flavor != GHOST:
-        raise ValueError("ghost_nu expects a Ghost vector")
+    _expect("ghost_nu", GHOST, b)
     if isinstance(b.ring, ResidueRing) and not G.is_abelian():
         raise NonIntegralConstant(
             "ghost-level induction over a residue ring needs an abelian group"
@@ -648,33 +644,22 @@ def ghost_nu(G: FiniteGroup, ci: int, b: IndexedVector) -> IndexedVector:
 
 def ghost_F(G: FiniteGroup, ci: int, c: IndexedVector) -> IndexedVector:
     """Ghost-level companion of restriction: read off along class fusion."""
-    if c.flavor != GHOST:
-        raise ValueError("ghost_F expects a Ghost vector")
-    if c.group != G:
-        raise ValueError("vector is not indexed by the parent group's classes")
-    U = subgroup_group(G, ci)
-    R = c.ring
-    fuse = ind_class_map(G, ci)
-    out = [c.payloads()[w] for w in fuse]
-    return IndexedVector.from_payloads(U, GHOST, R, out)
+    ps = _require_parent_vector(G, _expect("ghost_F", GHOST, c)).payloads()
+    return IndexedVector.from_payloads(subgroup_group(G, ci), GHOST, c.ring,
+                                       [ps[w] for w in ind_class_map(G, ci)])
 
 
 def delta_membership(x: IndexedVector, target: RingSpec) -> bool:
     """Does a rational necklace vector have Witt coordinates inside `target`,
     a ring with the rationalisation of x's ring (else DomainError)?"""
-    if x.flavor != NECKLACE:
-        raise ValueError("delta_membership expects a Necklace vector")
-    if isinstance(x.ring, ResidueRing):
+    if isinstance(_expect("delta_membership", NECKLACE, x).ring, ResidueRing):
         raise DomainError("membership testing needs a torsion-free coefficient ring")
     Rq = x.ring.rationalized()
     if target.rationalized() != Rq:
         raise DomainError(f"membership in {target.name} needs a ring whose rationalisation "
                           f"is {Rq.name}, like that of {x.ring.name}")
-    vec = x.map_ring(Rq, x.ring.to_rationalized)
-    try:
-        alpha = teichmuller_inv(vec)
-    except NotInImage:
-        return False
+    # every Witt-table row over Rq divides by a positive integer mark
+    alpha = teichmuller_inv(x.map_ring(Rq, x.ring.to_rationalized))
     return all(target.from_rationalized(p) is not None for p in alpha.payloads())
 
 

@@ -93,12 +93,26 @@ _FAMILY = {"witt": WITT, "necklace": NECKLACE, "aperiodic": APERIODIC}
 _RING_FLAVORS = (WITT, NECKLACE, APERIODIC)
 
 
-def _emit(doc):
+def _write(text):
     out = sys.stdout
     if out is None:  # the process started with its stdout closed
         raise OSError("standard output is closed")
-    out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out.write(text)
     out.flush()
+
+
+def _emit(doc):
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose help raises the OSError of a failed write
+    (argparse's own swallows it); its sub-parsers are of the same class."""
+
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
+        _write(self.format_help())
 
 
 # --- vector file I/O ---------------------------------------------------------
@@ -126,7 +140,7 @@ def _parse_components(doc, ring, path):
     out = []
     for c in comps:
         try:
-            out.append(RingValue.parse(ring, str(c)))
+            out.append(ring.parse_value(str(c)))
         except (ValueError, KeyError, SchemaError) as e:
             raise SchemaError(f"{path}: component {excerpt(c)} does not parse in {ring.name}: {e}")
     return out
@@ -214,7 +228,7 @@ def _read_vector(path, model, ring_flag=None, allowed=None, index=None, ctx=None
             raise SchemaError(
                 f"{path}: the vector was made at q = {_q_text(q)}, not at --q {_q_text(ctx.q)}"
             )
-    return IndexedVector(index, flavor, ring, comps, coord_form)
+    return IndexedVector.from_payloads(index, flavor, ring, comps, coord_form)
 
 
 def _q_text(q):
@@ -766,7 +780,7 @@ _VERBS = {
 def _parser(argv=()):
     """The parser of argv: at each level only the verb argv names is built
     (see _verbs)."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="wittburnside",
         description="Exact Witt-Burnside / necklace / aperiodic ring arithmetic.",
     )
@@ -776,8 +790,8 @@ def _parser(argv=()):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv).parse_args(argv)
     try:
+        args = _parser(argv).parse_args(argv)  # --help writes to stdout
         return args.fn(args)
     except SchemaError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

@@ -354,17 +354,16 @@ def _dilate(r: int, x: CyclicVector) -> CyclicVector:
         raise ValueError("verschiebung index must be positive")
     if x.flavor == GHOST:
         raise ValueError("verschiebung acts on Witt/Necklace/Aperiodic vectors")
-    R = x.ring
+    T, R, ps = x.truncation, x.ring, x.payloads()
     out = []
-    for n in x.truncation:
+    for n in T:
         if n % r == 0:
-            p = x.component(n // r).payload
-            if x.flavor == APERIODIC and not x.coord_form:
-                p = R.mul(R.from_int(r), p)
-            out.append(RingValue(R, p))
+            p = ps[T.position(n // r)]
+            out.append(R.mul(R.from_int(r), p) if x.flavor == APERIODIC and not x.coord_form
+                       else p)
         else:
-            out.append(RingValue(R, R.zero()))
-    return x.with_components(out)
+            out.append(R.zero())
+    return CyclicVector.from_payloads(T, x.flavor, R, out, x.coord_form)
 
 
 def _frobenius(r: int, x: CyclicVector, q=None) -> CyclicVector:
@@ -382,7 +381,8 @@ def _frobenius(r: int, x: CyclicVector, q=None) -> CyclicVector:
         )
     if x.flavor == GHOST:
         Tout = TruncationSet([n for n in T if r * n in T])
-        return CyclicVector(Tout, GHOST, R, [x.component(r * n) for n in Tout])
+        ps = x.payloads()
+        return CyclicVector.from_payloads(Tout, GHOST, R, [ps[T.position(r * n)] for n in Tout])
     flavor = WITT if x.coord_form else x.flavor
     return _solve(ghost_system(T, f"frob{r}", flavor, q is not None, r), x, q=q)
 

@@ -280,18 +280,17 @@ class SubgroupClassTable:
 
 
 def _subgroup_closure(G, seed):
-    ident = G.identity
-    seen = set(seed) | {ident}
-    frontier = list(seen)
+    """The subgroup generated by seed: {e} closed under right products by the
+    seed (in a finite group every inverse is a power)."""
+    seen = {G.identity}
+    frontier = [G.identity]
     while frontier:
-        nxt = []
-        for a in frontier:
-            for b in seen.copy():
-                for c in (G.table[a][b], G.table[b][a]):
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-        frontier = nxt
+        a = frontier.pop()
+        for s in seed:
+            c = G.table[a][s]
+            if c not in seen:
+                seen.add(c)
+                frontier.append(c)
     return frozenset(seen)
 
 
@@ -348,14 +347,13 @@ def subgroup_classes(G: FiniteGroup) -> SubgroupClassTable:
             k = seen_order_counts.get(order, 0)
             seen_order_counts[order] = k + 1
             label = f"{order}{chr(ord('a') + k)}"
-        normalizer = [g for g in range(G.order) if _conjugate_set(G, rep, g) == rep]
         classes.append(
             SubgroupClass(
                 label=label,
                 rep=rep,
                 order=order,
                 index=index,
-                normalizer_index=G.order // len(normalizer),
+                normalizer_index=len(orbit),  # orbit-stabilizer: (G : N_G(rep))
                 conjugates=orbit,
             )
         )

@@ -366,9 +366,12 @@ def q_teichmuller(ctx: QContext, a: CyclicVector) -> CyclicVector:
 
     Over Z every division is exact (the M^q are numerical); an integer
     polynomial ring, which is not binomial, is rationalised first; quotient
-    rings keep Witt coordinates.
+    rings keep Witt coordinates, and there refuse the indeterminate q, which
+    no table asks for, as every other q-map does.
     """
-    return _teichmuller(_expect("q_teichmuller", WITT, a), "q-teichmuller", ctx.ghost_q)
+    if isinstance(_expect("q_teichmuller", WITT, a).ring, ResidueRing):
+        ctx.q_payload(a.ring)
+    return _teichmuller(a, "q-teichmuller", ctx.ghost_q)
 
 
 def q_teichmuller_inv(ctx: QContext, x: CyclicVector) -> CyclicVector:
@@ -376,9 +379,12 @@ def q_teichmuller_inv(ctx: QContext, x: CyclicVector) -> CyclicVector:
 
     Over a binomial ring such as Z every necklace vector has a preimage;
     over an integer polynomial ring a row leaving the ring raises NotInImage.
+    A quotient ring refuses the indeterminate q, as in `q_teichmuller`.
     """
+    if isinstance(_expect("q_teichmuller_inv", NECKLACE, x).ring, ResidueRing):
+        ctx.q_payload(x.ring)
     return _teichmuller_inv(
-        _expect("q_teichmuller_inv", NECKLACE, x),
+        x,
         "componentwise Necklace vectors over {ring} have no canonical coordinate lift; "
         "only coordinate-backed images are invertible",
         "vector has no q-Witt preimage over {ring} at {row}", ctx.ghost_q)
@@ -524,15 +530,12 @@ def check_curve_degree(N: int):
 
 def artin_hasse(ctx: QContext, a: CyclicVector) -> TruncatedCurve:
     """H^q(a) = F_q-sum of the monomial curves a_n t^n, truncated at max(T)."""
-    if a.flavor != WITT:
-        raise ValueError("artin_hasse expects a Witt vector")
-    R = a.ring
+    R = _expect("artin_hasse", WITT, a).ring
     qv = ctx.q_payload(R)
     N = max(a.truncation.members)
     check_curve_degree(N)  # before a curve of N coefficients
     acc = [R.zero()] * N
-    for n in a.truncation:
-        p = a.component(n).payload
+    for n, p in zip(a.truncation, a.payloads()):
         if R.is_zero(p):
             continue
         mono = [R.zero()] * N

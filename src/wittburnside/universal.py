@@ -184,17 +184,8 @@ def flavor_table(index, flavor, q=False):
     return linear_table(ghost_table(index, q), indices)
 
 
-def rational_weight(R, f: Fraction, context: str):
-    """The payload of a rational weight f in R.  Outside a Q-algebra only an
-    integral f has one; any other is refused, naming the caller's context."""
-    if f.denominator == 1:
-        return R.from_int(f.numerator)
-    if R.is_qalgebra:
-        return R.from_fraction(f)
-    raise _refused(R, f, context)
-
-
-def _refused(R, f, context):
+def refused_constant(R, f, context):
+    """The refusal of a rational constant f in R, naming the caller's context."""
     return NonIntegralConstant(f"{context}: constant {f} needs rational coefficients in {R.name}")
 
 
@@ -216,7 +207,7 @@ def ghost_values(table, R, xs, qv=None, context=None):
     zero = R.zero()
 
     def refuse():
-        return _refused(R, _first_fraction(table, R, xs), context)
+        return refused_constant(R, _first_fraction(table, R, xs), context)
 
     out = [R.row_sum(zero, 1, row, xs, cache, qv, refuse) for row in table]
     return [R.from_int(s) for s in out] if isinstance(R, ResidueRing) else out

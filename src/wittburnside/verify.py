@@ -618,17 +618,13 @@ def _suite_qrings(run):
     m6, m2, m3, m12 = mq(6), mq(2), mq(3), mq(12)
     prod23 = q_nr_mul(ctx2, m2, m3)
     run.check("qrings/witness/M6-vs-M2M3", (m6.payloads()[1], prod23.payloads()[1]), (30, 66))
-    doubled = prod23.with_components(
-        [RingValue(QQ, 2 * c.payload) for c in prod23.components]
-    )
+    doubled = prod23.map_ring(QQ, lambda p: 2 * p)
     run.check("qrings/witness/corrected-identity", m12, doubled)
     for t in range(run.size):
         x0 = Fraction(rng.randint(-5, 5))
         y0 = Fraction(rng.randint(-5, 5))
         got = q_nr_mul(ctx2, mq(x0), mq(y0))
-        scaled = got.with_components(
-            [RingValue(QQ, 2 * c.payload) for c in got.components]
-        )
+        scaled = got.map_ring(QQ, lambda p: 2 * p)
         run.check(f"qrings/corrected-identity/{t}", mq(2 * x0 * y0), scaled)
     # the q-deformed unit exists over Z exactly when solvable: q odd on div(2)
     run.check("qrings/try-one/q2-over-Z", try_one(ctx2, T2, ZZ), None)
@@ -662,7 +658,7 @@ def _suite_artinhasse(run):
                 a = _rand_vec(T8, WITT, R, rng, lo, hi)
                 c = artin_hasse(ctx, a)
                 run.check(f"{tag}/roundtrip", artin_hasse_inv(ctx, c, T8), a)
-                x1, x2, x3, x4 = (a.components[k].payload for k in range(4))
+                x1, x2, x3, x4 = a.payloads()[:4]
                 run.check(f"{tag}/t1", c.coefficient(1).payload, x1)
                 run.check(f"{tag}/t3", c.coefficient(3).payload, x3 - q0 * x1 * x2)
                 run.check(f"{tag}/t4", c.coefficient(4).payload, x4 - q0 * x1 * x3)

@@ -327,6 +327,16 @@ def test_delta_reduce_well_defined_on_products():
         assert direct == reduced
 
 
+def test_delta_reduce_of_an_aperiodic_vector_keeps_its_witt_coordinates():
+    a = vec(S3, WITT, ZZ, [1, -2, 3, 5])
+    got = delta_reduce(gamma(a), 8)
+    assert got.flavor == APERIODIC and got.coord_form and got.ring == Z8
+    assert got.payloads() == (1, 6, 3, 5)
+    assert theta(delta_reduce(teichmuller(a), 8)) == got
+    with pytest.raises(ValueError, match="^delta_reduce expects a Necklace or Aperiodic vector$"):
+        delta_reduce(a, 8)
+
+
 def test_delta_membership():
     t = teichmuller(vec(S3, WITT, ZZ, [1, -2, 3, 5])).map_ring(QQ, Fraction)
     assert delta_membership(t, ZZ)

@@ -484,8 +484,9 @@ def test_coordinate_backed_qwitt_document_records_its_q(capsys, tmp_path):
     for argv in (("qwitt", "theta"), ("qwitt", "verschiebung", "--r", "2")):
         code, out, err = run_main(capsys, *argv, tau)
         assert code == 0 and json.loads(out)["q"] == 2, err
-    _, sym = _qcoords(tmp_path, capsys, "q")
-    assert json.loads(pathlib.Path(sym).read_text())["q"] == "q"
+    # the indeterminate q lives in Q[q] only, so over Z/8 the map refuses it
+    code, out, err = run_main(capsys, "qwitt", "teichmuller", "--q", "q", str(tmp_path / "w.json"))
+    assert code == 2 and "requires the Q[q] ring, not Z/8" in err and out == "", err
     # two operands made at different q
     _, tau3 = _qcoords(tmp_path, capsys, "3")
     code, out, err = run_main(capsys, "qwitt", "mul", "--q", "2", tau, tau3)

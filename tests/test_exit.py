@@ -94,3 +94,15 @@ def test_a_pipe_with_no_reader_exits_4(unbuffered):
     finally:
         os.close(write)
     one_line_oserror(proc, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_help_on_a_full_device_exits_4(unbuffered):
+    # argparse's own help swallows the OSError of its write: this exited 0
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = python("-m", "wittburnside", "--help", stdout=full, env=env)
+    one_line_oserror(proc, "[Errno 28] No space left on device")

@@ -41,6 +41,7 @@ from wittburnside.qdeform import (
     curve_neg,
     p_poly,
     q_ap_mul,
+    q_aperiodic_poly,
     q_frobenius,
     q_ghost,
     q_ghost_inv,
@@ -364,6 +365,24 @@ def test_mq_frozen_and_cross_path():
                 if q0 != 0 or True:
                     over_z = q_necklace_poly(ctx, RingValue.from_int(ZZ, r), n)
                     assert Fraction(over_z.payload) == over_q.payload
+
+
+def test_sq_is_n_times_mq_and_the_classical_scalar_at_q_1():
+    from wittburnside.cyclic import aperiodic_poly
+
+    # S^q(x, 2) = 2 M^q(x, 2): at the constant payload 7 gives 42 q
+    s = q_aperiodic_poly(QContext(None), RingValue(QQ_Q, QP.constant(7)), 2)
+    assert s == RingValue(QQ_Q, QP([0, 42]))
+    for ctx, R in ((QContext(2), ZZ), (QContext(3), QQ), (QContext(None), QQ_Q)):
+        for r in range(-3, 4):
+            x = RingValue.from_int(R, r)
+            for n in (1, 2, 3, 4, 6, 12):
+                assert q_aperiodic_poly(ctx, x, n) == q_necklace_poly(ctx, x, n) * n
+    for R in (ZZ, QQ):
+        for r in range(-3, 4):
+            x = RingValue.from_int(R, r)
+            for n in (1, 2, 3, 4, 6, 12):
+                assert q_aperiodic_poly(QContext(1), x, n) == aperiodic_poly(x, n)
 
 
 def test_mq_nonmultiplicative_witness_and_corrected_identity():
