@@ -33,16 +33,18 @@ Transports between the flavors:
     theta       Necklace  -> Aperiodic componentwise scaling by the index
                                        (G:V), or n on a truncation set
     gamma       Witt      -> Aperiodic theta after teichmuller
-    witt_f      Witt on G -> Witt on U the Witt solve on U of the restricted
-                                       ghost (a shifted ghost system)
+    witt_f      Witt on G -> Witt on U the Witt solve on U of G's ghost read
+                                       off along class fusion (ghost_F)
     witt_v      Witt on U -> Witt on G the Witt solve on G of ghost_nu
 
 Every transport is determined by its ghost map (Dress-Siebeneicher), so each
-one is a triangular solve (`universal.solve_triangular`) on the ghost tables
-the Witt operations use (`universal.ghost_table`), the necklace table being
-the Witt table with every exponent 1 and the aperiodic table that one over
-the index (`universal.flavor_table`).  Induction, restriction and ghost_nu
-are linear tables too, run by `universal.ghost_values`.
+one is a ghost (`_ghost`), an optional linear map of ghosts, and the
+triangular solve of a ghost (`_ghost_inv`, the one caller of
+`universal.solve_triangular` here) on the ghost tables the Witt operations
+use (`universal.ghost_table`), the necklace table being the Witt table with
+every exponent 1 and the aperiodic table that one over the index
+(`universal.flavor_table`).  Induction, restriction and ghost_nu are linear
+tables too, run by `universal.ghost_values`.
 The ghost, its inverse and Teichmuller and its inverse are written once
 (`_ghost`, `_ghost_inv`, `_teichmuller`, `_teichmuller_inv`) for any index
 set, with the q-model's q as an optional argument; wg_ghost, cyc_ghost,
@@ -234,14 +236,14 @@ def _flavor_op(op, x, y, witt_op, q=None):
     return _flavor_mul(x, y, q)
 
 
-def _solve(system: GhostSystem, x: IndexedVector, y=None, q=None, fail=None) -> IndexedVector:
+def _solve(system: GhostSystem, x: IndexedVector, y=None, q=None) -> IndexedVector:
     """The operation of `system` at x (and y), solved on the ghosts: a vector
     on the system's structure with x's flavor, ring and form.  q is the
     q-model's q as a function of the ring, None outside the q-model, and is
     taken only here, once the caller has built the system's table (as in
-    `_ghost`); fail is as in `GhostSystem.apply`."""
+    `_ghost`)."""
     xs = x.payloads() + (y.payloads() if y is not None else ())
-    out = system.apply(x.ring, xs, q and q(x.ring), fail)
+    out = system.apply(x.ring, xs, q and q(x.ring))
     return IndexedVector.from_payloads(system.structure, x.flavor, x.ring, out, x.coord_form)
 
 
@@ -325,17 +327,15 @@ def _expect(name: str, flavor: str, x: IndexedVector) -> IndexedVector:
 def _ghost(x: IndexedVector, q=None) -> IndexedVector:
     """The ghost of a Witt, Necklace or Aperiodic vector; a coordinate-backed
     vector takes its coordinates' Witt ghost."""
-    qm = q is not None
-    table = (ghost_table(x.index, qm) if x.flavor == WITT or x.coord_form
-             else flavor_table(x.index, x.flavor, qm))
+    table = flavor_table(x.index, WITT if x.coord_form else x.flavor, q is not None)
     # only the aperiodic table over a group has Fraction weights
     out = ghost_values(table, x.ring, x.payloads(), q and q(x.ring), "aperiodic ghost")
     return IndexedVector.from_payloads(x.index, GHOST, x.ring, out)
 
 
 def _ghost_inv(b: IndexedVector, index, flavor, fail, q=None) -> IndexedVector:
-    """The Necklace or Aperiodic vector on index whose ghost is b, solved in
-    b's ring; fail(u, R) is the error of a row u without a solution."""
+    """The Witt, Necklace or Aperiodic vector on index whose ghost is b,
+    solved in b's ring; fail(u, R) is the error of a row u without a solution."""
     out = solve_triangular(flavor_table(index, flavor, q is not None), b.payloads(), b.ring,
                            fail, q and q(b.ring))
     return IndexedVector.from_payloads(index, flavor, b.ring, out)
@@ -438,12 +438,8 @@ def _teichmuller(alpha: IndexedVector, what: str, q=None) -> IndexedVector:
     if not (R.is_qalgebra or _is_binomial(R)):
         # torsion-free but not binomial: the image lives in the rationalisation
         alpha = alpha.map_ring(R.rationalized(), R.to_rationalized)
-        R = alpha.ring
-    index = alpha.index
-    want = ghost_values(ghost_table(index, q is not None), R, alpha.payloads(), q and q(R))
-    fail = row_error(IntegralityViolation, what + " escaped {ring} at {row}", index)
-    out = solve_triangular(flavor_table(index, NECKLACE, q is not None), want, R, fail, q and q(R))
-    return IndexedVector.from_payloads(index, NECKLACE, R, out)
+    return _ghost_inv(_ghost(alpha, q), alpha.index, NECKLACE, row_error(
+        IntegralityViolation, what + " escaped {ring} at {row}", alpha.index), q)
 
 
 def _teichmuller_inv(x: IndexedVector, refused: str, text: str, q=None) -> IndexedVector:
@@ -452,13 +448,9 @@ def _teichmuller_inv(x: IndexedVector, refused: str, text: str, q=None) -> Index
     coordinate-backed vector inverts (else DomainError `refused`)."""
     if x.coord_form:
         return x.retag(WITT, coord_form=False)
-    R, index = x.ring, x.index
-    if isinstance(R, ResidueRing):
-        raise DomainError(refused.format(ring=R.name))
-    want = ghost_values(flavor_table(index, NECKLACE, q is not None), R, x.payloads(), q and q(R))
-    out = solve_triangular(ghost_table(index, q is not None), want, R,
-                           row_error(NotInImage, text, index), q and q(R))
-    return IndexedVector.from_payloads(index, WITT, R, out)
+    if isinstance(x.ring, ResidueRing):
+        raise DomainError(refused.format(ring=x.ring.name))
+    return _ghost_inv(_ghost(x, q), x.index, WITT, row_error(NotInImage, text, x.index), q)
 
 
 def teichmuller(alpha: IndexedVector) -> IndexedVector:
@@ -506,8 +498,6 @@ def gamma(alpha: IndexedVector) -> IndexedVector:
 
 
 def gamma_inv(y: IndexedVector) -> IndexedVector:
-    if y.coord_form:
-        return y.retag(WITT, coord_form=False)
     return teichmuller_inv(theta_inv(y))
 
 
@@ -576,15 +566,6 @@ def res_ap(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
 # Frobenius/Verschiebung on Witt coordinates, ghost-level companions
 
 
-@lru_cache(maxsize=None)
-def _restriction_system(G: FiniteGroup, ci: int) -> GhostSystem:
-    """witt_f's equations: U's ghost of the result at each class W of U is
-    G's ghost of the input at the class W fuses to."""
-    U = subgroup_group(G, ci)
-    shift = (U, ghost_table(U, False), ind_class_map(G, ci))
-    return GhostSystem(G, ghost_table(G, False), "res", shift=shift)
-
-
 def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
     """Verschiebung-type map on Witt coordinates: the Witt solve on G of
     ghost_nu(G, ci, wg_ghost(alpha)), the ghost of the induced necklace
@@ -594,20 +575,22 @@ def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
     if isinstance(R, ResidueRing):
         # the solve divides: solve over Z, then reduce
         return witt_v(G, ci, alpha.map_ring(ZZ, int)).map_ring(R, R.from_int)
-    ghost = ghost_values(ghost_table(alpha.group, False), R, alpha.payloads())
-    out = solve_triangular(ghost_table(G, False), ghost_values(_nu_table(G, ci), R, ghost), R,
-                           row_error(IntegralityViolation,
-                                     "induced Witt vector escaped {ring} at {row}", G))
-    return IndexedVector.from_payloads(G, WITT, R, out)
+    return _ghost_inv(ghost_nu(G, ci, _ghost(alpha)), G, WITT, row_error(
+        IntegralityViolation, "induced Witt vector escaped {ring} at {row}", G))
 
 
 def witt_f(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
-    """Frobenius-type map on Witt coordinates: the solve on U's ghost table of
-    the restricted ghost (over Z/m lifted to Z and reduced)."""
-    _require_parent_vector(G, _expect("witt_f", WITT, alpha))
-    system = _restriction_system(G, ci)
-    return _solve(system, alpha, fail=row_error(
-        IntegralityViolation, "restricted Witt vector escaped {ring} at {row}", system.structure))
+    """Frobenius-type map on Witt coordinates: the Witt solve on U = rep(ci)
+    of ghost_F(G, ci, wg_ghost(alpha)), G's ghost read off along class fusion
+    (over Z/m lifted to Z and reduced)."""
+    R = _require_parent_vector(G, _expect("witt_f", WITT, alpha)).ring
+    if isinstance(R, ResidueRing):
+        return witt_f(G, ci, alpha.map_ring(ZZ, int)).map_ring(R, R.from_int)
+    U, table = subgroup_group(G, ci), ghost_table(G, False)
+    # G's ghost only at the rows that U's classes fuse to
+    ghost = ghost_values([table[k] for k in ind_class_map(G, ci)], R, alpha.payloads())
+    return _ghost_inv(IndexedVector.from_payloads(U, GHOST, R, ghost), U, WITT, row_error(
+        IntegralityViolation, "restricted Witt vector escaped {ring} at {row}", U))
 
 
 @lru_cache(maxsize=None)

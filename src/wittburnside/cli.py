@@ -184,7 +184,8 @@ def _read_vector(path, model, ring_flag=None, allowed=None, index=None, ctx=None
     (a second operand's, or the subgroup or ambient group of ind/res).  A
     coordinate-backed qwitt document must record the q it was made at, and
     a recorded q must be ctx's: Witt coordinates read at another q would
-    name another necklace vector.
+    name another necklace vector.  A recorded indeterminate q needs the Q[q]
+    ring, as every q-map does.
     """
     doc = _load(path)
     gf = doc.get("group")
@@ -224,6 +225,8 @@ def _read_vector(path, model, ring_flag=None, allowed=None, index=None, ctx=None
         )
     if model == "qwitt" and (coord_form or "q" in doc):
         q = _recorded_q(doc, path)
+        if q is None:  # the indeterminate lives in the Q[q] ring only
+            qdeform.QContext(None).q_payload(ring)
         if ctx is not None and q != ctx.q:
             raise SchemaError(
                 f"{path}: the vector was made at q = {_q_text(q)}, not at --q {_q_text(ctx.q)}"

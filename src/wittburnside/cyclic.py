@@ -307,10 +307,8 @@ def necklace_poly(r: RingValue, n: int) -> RingValue:
     if n < 1:
         raise ValueError("necklace index must be positive")
     R = r.spec
-    if R.is_qalgebra:
-        return RingValue(R, _necklace_fraction(r.payload, n, R))
     Rq = R.rationalized()
-    if Rq == R:
+    if not Rq.is_qalgebra:
         raise NotBinomial(f"necklace scalars over {R.name} have no canonical value")
     val = _necklace_fraction(R.to_rationalized(r.payload), n, Rq)
     back = R.from_rationalized(val)

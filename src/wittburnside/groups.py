@@ -112,14 +112,11 @@ class FiniteGroup:
         self.table = tuple(table)
         self.inv = tuple(inv)
         self.identity = index[ident]
-        self._hash = hash(elems)
+        self._hash = hash((name, elems))
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
@@ -131,7 +128,10 @@ class FiniteGroup:
         return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
 
     def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and self.elements == other.elements
+        # the name is part of the identity: every memo keyed on a group then
+        # returns results that name the group they were asked for
+        return (isinstance(other, FiniteGroup) and self.name == other.name
+                and self.elements == other.elements)
 
     def __hash__(self):
         return self._hash

@@ -74,9 +74,7 @@ from .universal import (
     GhostSystem,
     check_op,
     ghost_system,
-    ghost_table,
     row_error,
-    solve_triangular,
 )
 
 
@@ -112,18 +110,16 @@ class QContext:
         return f"QContext(q={'q' if self.q is None else self.q})"
 
 
-def _q_scalar(ctx: QContext, R: RingSpec, p: QPolynomial, what=None):
-    """Payload of a Q[q]-scalar p at ctx's q.  A value that is not an integer
-    goes through from_fraction or, given `what`, is refused as non-numerical."""
+def _q_scalar(ctx: QContext, R: RingSpec, p: QPolynomial, what: str):
+    """Payload of a Q[q]-scalar p at ctx's q; a value that is not an integer
+    is refused as non-numerical, naming `what`."""
     if ctx.q is None:
         ctx.q_payload(R)  # the indeterminate lives in the Q[q] ring only
         return p
     v = p(ctx.q)
-    if v.denominator == 1:
-        return R.from_int(v.numerator)
-    if what is not None:
+    if v.denominator != 1:
         raise NumericalityViolation(f"{what} evaluates to {v} at q={ctx.q}")
-    return R.from_fraction(v)
+    return R.from_int(v.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +270,12 @@ def try_one(ctx: QContext, T: TruncationSet, R: RingSpec) -> CyclicVector | None
     Solves sum_{d|n} d q^(n/d-1) a_d^(n/d) = 1 on the q-ghost table; each
     row needs an exact division by n, so the identity may be absent (None).
     """
+    one = CyclicVector.from_payloads(T, GHOST, R, [R.one()] * len(T))
     try:
-        comps = solve_triangular(
-            ghost_table(T, True), [R.one()] * len(T), R,
-            row_error(NotInImage, "no q-Witt identity over {ring} at {row}", T), ctx.ghost_q(R))
+        return _ghost_inv(one, T, WITT, row_error(
+            NotInImage, "no q-Witt identity over {ring} at {row}", T), ctx.ghost_q)
     except NotInImage:
         return None
-    return CyclicVector.from_payloads(T, WITT, R, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -324,24 +319,14 @@ def q_ap_op(ctx: QContext, op: str, x: CyclicVector, y: CyclicVector | None = No
 
 
 def q_necklace_poly(ctx: QContext, r: RingValue, n: int) -> RingValue:
-    """M^q(x, n) = sum_{d|n} mu^q(d, n) q^(d-1)/d x^d.
-
-    Over a Q-algebra the defining sum applies directly; over a binomial ring
-    the numerical rewriting M^q(x,n) = sum_d (d tau^q(n/d, n)) M(x, d) keeps
-    every term in the ring.  Anything else inherits NotBinomial from the
-    classical necklace scalar.
+    """M^q(x, n) = sum_{d|n} mu^q(d, n) q^(d-1)/d x^d, by its numerical
+    rewriting M^q(x, n) = sum_{d|n} (d tau^q(n/d, n)) M(x, d), which is exact
+    over every ring with the classical necklace scalars M(x, d): a Q-algebra
+    or a binomial ring.  Anything else inherits NotBinomial from M(x, d).
     """
     if n < 1:
         raise ValueError("necklace index must be positive")
     R = r.spec
-    if R.is_qalgebra:
-        s = R.zero()
-        for d in divisors(n):
-            c = zeta_mu_q(n // d)[1] * zeta_mu_q(d)[0]
-            if c.is_zero():
-                continue
-            s = R.add(s, R.mul(_q_scalar(ctx, R, c), R.pow(r.payload, d)))
-        return RingValue(R, s)
     s = R.zero()
     for d in divisors(n):
         c = tau_q(n // d, n) * d

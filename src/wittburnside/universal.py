@@ -103,7 +103,7 @@ def row_error(error, text, index):
     return lambda u, R: error(text.format(ring=R.name, row=row_name(index, u)))
 
 
-def _compile_q(op, p: MultiPoly):
+def _compile_q(p: MultiPoly):
     """Group a poly in ("q", x_1, ...) by x-monomial; coefficients must be numerical."""
     groups: dict = {}
     for e, c in p.terms.items():
@@ -177,9 +177,12 @@ def ghost_table(index, q=False):
 
 @lru_cache(maxsize=None)
 def flavor_table(index, flavor, q=False):
-    """The ghost rows of the necklace flavor (the ghost table with every
-    exponent 1) or of the aperiodic one (each weight over its subgroup's
-    index: (G:V), or d)."""
+    """The ghost rows of flavor: the ghost table itself for the Witt flavor,
+    the ghost table with every exponent 1 for the necklace flavor, and that
+    one with each weight over its subgroup's index ((G:V), or d) for the
+    aperiodic flavor."""
+    if flavor == WITT:
+        return ghost_table(index, q)
     indices = subgroup_indices(index) if flavor == APERIODIC else None
     return linear_table(ghost_table(index, q), indices)
 
@@ -262,11 +265,11 @@ class GhostSystem:
     """The equations w(s) = target(a, b) of one operation, and their solution.
 
     `table` is the ghost table of the input index set `index` (a group or a
-    truncation set), whose labels name the variables.  A Frobenius or a
-    restriction passes `shift`, a triple (the unknowns' index set, its table,
-    the input row whose ghost each unknown's ghost equals); the ring
-    operations solve over `index` itself.  `structure`, read also by the
-    names `group` and `truncation`, is the index set of the solution.
+    truncation set), whose labels name the variables.  Only a Frobenius
+    passes `shift`, a triple (the unknowns' index set, its table, the input
+    row whose ghost each unknown's ghost equals); the ring operations solve
+    over `index` itself.  `structure`, read also by the names `group` and
+    `truncation`, is the index set of the solution.
 
     An operation evaluates `apply` at its payloads.  `polys` are the
     universal polynomials, MultiPoly in `vars` (in the q-model vars[0] is q
@@ -298,14 +301,14 @@ class GhostSystem:
             polys = tuple(self.apply(R, gens[self.q:], gens[0] if self.q else None))
             if self.q:
                 for p in polys:
-                    _compile_q(self.op, p)  # grouping by monomial checks numericality
+                    _compile_q(p)  # grouping by monomial checks numericality
             self._polys = polys
         return self._polys
 
     @property
     def compiled(self):
         if self.q:
-            return tuple(_compile_q(self.op, p) for p in self.polys)
+            return tuple(_compile_q(p) for p in self.polys)
         return tuple(p.compiled() for p in self.polys)
 
     def targets(self, R, xs, qv=None):
@@ -321,20 +324,19 @@ class GhostSystem:
             return [x + y for x, y in zip(ga, gb)]
         return [x * y for x, y in zip(ga, gb)]
 
-    def apply(self, R, xs, q=None, fail=None):
+    def apply(self, R, xs, q=None):
         """The operation at payloads xs in R (a's, then b's), by the ghost route.
 
         q is the q-model's q: an int, or the indeterminate as a payload of R.
         A residue ring's payloads are lifted to Z, solved with the integer q
         itself and reduced; the integral (numerical) universal polynomials
-        make that exact.  fail(u, R) is the exception for a row u that leaves
-        the ring R solved in (Z for a residue ring); by default an
-        IntegralityViolation naming the operation.
+        make that exact.  A row that leaves the ring solved in (Z for a
+        residue ring) raises an IntegralityViolation naming the operation.
         """
         S = ZZ if isinstance(R, ResidueRing) else R
-        out = solve_triangular(self.out_table, self.targets(S, xs, q), S, fail or (
-            lambda u, R: IntegralityViolation(
-                f"{self.op} has fractional coefficients at {self._where(u)} over {R.name}")), q)
+        out = solve_triangular(self.out_table, self.targets(S, xs, q), S, lambda u, R:
+                               IntegralityViolation(f"{self.op} has fractional coefficients at "
+                                                    f"{self._where(u)} over {R.name}"), q)
         return [R.from_int(s) for s in out] if S is not R else out
 
     def _where(self, u):
@@ -359,15 +361,12 @@ def ghost_system(index, op, flavor, q, r) -> GhostSystem:
     polynomials at once and writes the entry under the tag; an existing
     entry is neither read nor rewritten.
     """
-    def table_of(S):
-        return ghost_table(S, q) if flavor == WITT else flavor_table(S, flavor, q)
-
     tag = "q" * q + op
-    table, shift = table_of(index), None
+    table, shift = flavor_table(index, flavor, q), None
     if r is not None:
         # type(index) is `cyclic.TruncationSet`, which imports this module
         out = type(index)([n for n in index if r * n in index])
-        shift = out, table_of(out), [index.position(r * n) for n in out]
+        shift = out, flavor_table(out, flavor, q), [index.position(r * n) for n in out]
     system = GhostSystem(index, table, tag if r else op, q, shift)
     path = _cache_path(index, system.labels, tag) if flavor == WITT else None
     if path and not os.path.exists(path):
@@ -390,8 +389,9 @@ def _cache_path(structure, labels, tag):
     except ImportError:  # renamed _sha2 in Python 3.12
         from hashlib import sha256
 
-    # named by what equality compares: a truncation set's members (its integer
-    # labels), a group's elements
+    # named by a truncation set's members (its integer labels) or a group's
+    # elements: the names of one group share its entry, as they share its
+    # polynomials
     kind, identity = ("cyc", labels) if type(labels[0]) is int else ("wg", structure.elements)
     digest = sha256(repr(identity).encode()).hexdigest()[:16]
     return os.path.join(root, f"{kind}-{digest}-{tag}-{FORMAT}.json")

@@ -516,6 +516,19 @@ def test_coordinate_backed_qwitt_document_without_a_valid_q_exits_2(capsys, tmp_
     assert code == 2 and "SchemaError" in err and "q" in err and out == "", err
 
 
+@pytest.mark.parametrize("argv", [("qwitt", "theta"), ("qwitt", "verschiebung", "--r", "2")])
+def test_coordinate_backed_qwitt_document_at_the_indeterminate_q_needs_q_ring(capsys, tmp_path,
+                                                                            argv):
+    # the CLI writes no such document over Z/8; a hand-written one once passed
+    # through the verbs that take no --q with exit 0
+    doc, _ = _qcoords(tmp_path, capsys)
+    doc["q"] = "q"
+    path = write_vec(tmp_path, "qq.json", **doc)
+    code, out, err = run_main(capsys, *argv, path)
+    assert code == 2 and "SchemaError" in err and out == "", err
+    assert "indeterminate q requires the Q[q] ring, not Z/8" in err
+
+
 def test_subgroup_document_round_trips_through_ghost(capsys, tmp_path):
     a = write_vec(
         tmp_path,
@@ -592,6 +605,21 @@ def test_cycle_notation_documents_round_trip(capsys, tmp_path):
     c2 = c2vec(tmp_path, "c2.json", "Witt", ["3", "5"])
     code, want, _ = run_main(capsys, "witt", "add", c2, c2)
     assert code == 0 and json.loads(out)["components"] == json.loads(want)["components"]
+
+
+def test_each_output_names_its_own_group_whatever_ran_before(capsys, tmp_path):
+    # "(1 2)" and "C2" are one permutation group under two names; the memos
+    # keyed on groups once answered the later name with the earlier one, in
+    # one process, so both orders run here
+    for name in ("(1 2)", "C2", "(1 2)"):
+        docs = {flavor: write_vec(tmp_path, f"{flavor}.json", group=name, flavor=flavor, ring="Z",
+                                  components=["3", "5"], labels=["G", "1"])
+                for flavor in ("Witt", "Necklace")}
+        for argv, group in ((("witt", "neg", docs["Witt"]), name),
+                            (("necklace", "mul", docs["Necklace"], docs["Necklace"]), name),
+                            (("res", "--group", name, "--class", "1", docs["Witt"]), name + ".1")):
+            code, out, err = run_main(capsys, *argv)
+            assert code == 0 and json.loads(out)["group"] == group, (argv, err)
 
 
 def test_huge_truncation_members_exit_2_fast(capsys, tmp_path):

@@ -367,6 +367,34 @@ def test_mq_frozen_and_cross_path():
                     assert Fraction(over_z.payload) == over_q.payload
 
 
+def ref_q_necklace(q, R, x, n):
+    """M^q(x, n) by its defining sum over d | n of mu^q(d, n) q^(d-1)/d x^d,
+    at an integer q, or at the indeterminate (None) over Q[q]."""
+    s = R.zero()
+    for d in divisors(n):
+        c = zeta_mu_q(n // d)[1] * QP.monomial(Fraction(1, d), d - 1)
+        s = R.add(s, R.mul(c if q is None else R.from_fraction(c(q)), R.pow(x, d)))
+    return s
+
+
+def test_mq_matches_its_defining_sum_over_q_algebras():
+    # q_necklace_poly computes the numerical rewriting sum_d d tau^q(n/d, n)
+    # M(x, d) over every ring; the defining sum is its independent oracle
+    QXY = parse_ring("QPoly(x,y)")
+    cases = [(QQ, [QQ.from_int(r) for r in range(-3, 4)] + [Fraction(1, 2), Fraction(-5, 3)]),
+             (QXY, [QXY.parse_value(t) for t in ("x", "x+-1*y", "1/2*x*y+3", "-2")])]
+    for q in SMALL_Q:
+        for R, xs in cases:
+            for x in xs:
+                for n in range(1, 13):
+                    got = q_necklace_poly(QContext(q), RingValue(R, x), n).payload
+                    assert got == ref_q_necklace(q, R, x, n), (q, R.name, x, n)
+    for x in (QP.constant(7), QP([1, 1]), QP([Fraction(-1, 2), 0, 3]), QP.variable()):
+        for n in range(1, 13):
+            got = q_necklace_poly(QContext(None), RingValue(QQ_Q, x), n).payload
+            assert got == ref_q_necklace(None, QQ_Q, x, n), (x, n)
+
+
 def test_sq_is_n_times_mq_and_the_classical_scalar_at_q_1():
     from wittburnside.cyclic import aperiodic_poly
 

@@ -23,11 +23,13 @@ from wittburnside.burnside import (
     IndexedVector,
     _is_binomial,
     exp_M,
+    gamma_inv,
     ind_nr,
     nr_ghost_inv,
     res_nr,
     teichmuller,
     teichmuller_inv,
+    theta_inv,
     witt_f,
     witt_v,
 )
@@ -429,3 +431,15 @@ def test_each_model_names_its_flavor_check():
         with pytest.raises(ValueError) as err:
             fn(*head, x, *tail)
         assert str(err.value) == message, fn.__name__
+
+
+def test_gamma_inv_refuses_a_coordinate_backed_necklace_vector():
+    # gamma_inv is teichmuller_inv after theta_inv, whose flavor check applies
+    # to a coordinate-backed vector too; it once returned its coordinates
+    x = teichmuller(IndexedVector.from_ints(build_group("S3"), WITT, ResidueRing(8), [3, 5, 1, 2]))
+    assert x.coord_form and x.flavor == NECKLACE
+    with pytest.raises(ValueError) as want:
+        theta_inv(x)
+    with pytest.raises(ValueError) as got:
+        gamma_inv(x)
+    assert str(got.value) == str(want.value) == "theta_inv expects an Aperiodic vector"
