@@ -26,9 +26,10 @@ All output is JSON with sorted keys; byte-for-byte deterministic given the
 inputs, flags and seed.  Exit codes: 0 success, 1 verification failures,
 2 schema/input errors, 3 domain errors (the message names the error class),
 4 the output could not be written (a full device, a closed stdout, a pipe
-with no reader).
+with no reader).  The entry point `run` flushes the output, then os._exits.
 """
 import argparse
+import contextlib
 import importlib.util
 import json
 import math
@@ -811,5 +812,23 @@ def main(argv=None):
         return 4
 
 
+def run():
+    """The process entry point: main, a flush of the output, then os._exit (no teardown)."""
+    try:
+        code = main()
+    except SystemExit as e:  # argparse's usage errors and --help
+        code = e.code
+        if code is not None and not isinstance(code, int):  # as sys.exit: print it, exit 1
+            code = print(code, file=sys.stderr) or 1
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # a closed stream is None
+        try:
+            stream.flush()
+        except OSError as e:  # what stayed buffered could not be written
+            code = 4
+            with contextlib.suppress(OSError):  # stderr may be what failed
+                print(f"OSError: {e}", file=sys.stderr)
+    os._exit(code or 0)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

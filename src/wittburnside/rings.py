@@ -104,6 +104,14 @@ def _over_common_denominator(coeffs):
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
+def _horner(nums, x):
+    """sum of nums[i] * x^i, by Horner's rule."""
+    acc = 0
+    for c in reversed(nums):
+        acc = acc * x + c
+    return acc
+
+
 def power(mul, base, n: int, one):
     """base ** n by square-and-multiply, where mul(a, b) is the product.
 
@@ -285,11 +293,8 @@ class QPolynomial:
 
     def __call__(self, x) -> Fraction:
         # Horner over the common denominator: integer arithmetic at an integer x
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        num = 0
-        for c in reversed(self.coeffs):
-            num = num * x + c.numerator * (den // c.denominator)
-        return Fraction(num, den)
+        den, nums = _over_common_denominator(self.coeffs)
+        return Fraction(_horner(nums, x), den)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -299,11 +304,12 @@ class QPolynomial:
 
         An integral polynomial does at once.  Otherwise integer values at
         degree+1 consecutive integers force integrality everywhere (finite
-        differences), so only those points are tested.
+        differences), so only those points are tested, over one common denominator.
         """
         if self.is_integral():
             return True
-        return all(self(k).denominator == 1 for k in range(self.degree + 2))
+        den, nums = _over_common_denominator(self.coeffs)
+        return not any(_horner(nums, k) % den for k in range(self.degree + 2))
 
     def format(self, var: str = "q") -> str:
         if self.is_zero():

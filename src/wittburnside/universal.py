@@ -105,14 +105,13 @@ def row_error(error, text, index):
 
 def _compile_q(p: MultiPoly):
     """Group a poly in ("q", x_1, ...) by x-monomial; coefficients must be numerical."""
-    groups: dict = {}
+    groups: dict = {}  # x-monomial -> {power of q: coefficient}
     for e, c in p.terms.items():
         mono = tuple((i - 1, ee) for i, ee in enumerate(e) if i > 0 and ee)
-        groups[mono] = groups.get(mono, QPolynomial()) + QPolynomial.monomial(c, e[0])
+        groups.setdefault(mono, {})[e[0]] = c
     out = []
-    for mono, poly in sorted(groups.items()):
-        if poly.is_zero():
-            continue
+    for mono, coeffs in sorted(groups.items()):
+        poly = QPolynomial([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
         if not poly.is_numerical():
             raise NumericalityViolation(f"structure coefficient {poly.format()} is not numerical")
         out.append((poly, mono))

@@ -1,10 +1,13 @@
-"""How a CLI process ends: the collector policy, and a failed write of the output.
+"""How a CLI process ends, and a failed write of the output.
 
-Only the entry point `python -m wittburnside` freezes the collector, at
-exit, so that CPython's finalizing collections skip what the process built;
-the library, and `cli.main` called in process, keep the default collector.
-An output that cannot be written ends the process with one line on stderr
-and exit 4, never a traceback or exit 1 (which a failing `verify` means).
+The entry point (`cli.run`, which `python -m wittburnside` and the
+`wittburnside` script call) runs `cli.main`, flushes stdout and stderr and
+ends the process with `os._exit`, so the interpreter's teardown never runs:
+the process prints what `cli.main` prints in process and exits with its
+code.  The library, and `cli.main` called in process, keep the default
+collector.  An output that cannot be written ends the process with one line
+on stderr and exit 4, never a traceback or exit 1 (which a failing `verify`
+means).
 """
 import gc
 import importlib
@@ -42,17 +45,34 @@ def test_the_library_keeps_the_default_collector(capsys):
 
 
 @pytest.mark.parametrize("argv,code", ARGVS.items(), ids=[" ".join(argv) for argv in ARGVS])
-def test_the_entry_point_freezes_the_collector_at_exit(argv, code):
-    # atexit runs its handlers last in, first out: one registered before the
-    # entry point runs after the entry point's freeze
-    program = ("import atexit, gc, runpy, sys\n"
-               "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
-               f"sys.argv = ['wittburnside', *{argv!r}]\n"
-               "runpy.run_module('wittburnside', run_name='__main__', alter_sys=True)\n")
-    proc = python("-c", program, stdout=subprocess.DEVNULL)
+def test_the_entry_point_exits_with_what_main_prints_and_returns(argv, code, capsys):
+    try:
+        assert main(list(argv)) == code
+    except SystemExit as e:  # argparse's usage error
+        assert e.code == code
+    want = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "wittburnside", *argv], capture_output=True)
     assert proc.returncode == code, proc.stderr
-    word, count = proc.stderr.splitlines()[-1].split()
-    assert word == "frozen" and int(count) > 0
+    assert proc.stdout == want.out.encode()
+    assert proc.stderr.decode() == want.err
+
+
+def run_with_main(body, **kwargs):
+    """`cli.run` in a fresh interpreter, with `cli.main` replaced by body's."""
+    program = f"import sys\nfrom wittburnside import cli\ndef main():\n    {body}\ncli.main = main\ncli.run()\n"
+    return python("-c", program, **kwargs)
+
+
+def test_the_entry_point_reads_a_non_int_exit_code_as_sys_exit_does():
+    proc = run_with_main("sys.exit('no such input')", stdout=subprocess.DEVNULL)
+    assert proc.returncode == 1 and proc.stderr == "no such input\n"
+    assert run_with_main("sys.exit()", stdout=subprocess.DEVNULL).returncode == 0
+
+
+def test_an_exception_from_main_still_prints_its_traceback():
+    proc = run_with_main("raise KeyError('x')", stdout=subprocess.DEVNULL)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and proc.stderr.endswith("KeyError: 'x'\n")
 
 
 # --- a failed write of the output ------------------------------------------------
@@ -105,4 +125,13 @@ def test_help_on_a_full_device_exits_4(unbuffered):
         env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = python("-m", "wittburnside", "--help", stdout=full, env=env)
+    one_line_oserror(proc, "[Errno 28] No space left on device")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_failed_final_flush_exits_4():
+    # main returns 0 with its output still buffered; the flush before exit fails
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = run_with_main("return sys.stdout.write('{}') and 0", stdout=full, env=env)
     one_line_oserror(proc, "[Errno 28] No space left on device")

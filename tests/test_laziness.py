@@ -85,13 +85,15 @@ def test_a_name_loads_its_module_and_what_that_imports():
 
 def run_cli(*argv):
     """The modules whose code ran in `python -m wittburnside ARGV`, run in a
-    fresh interpreter."""
-    code = ("import runpy\n"
+    fresh interpreter, as the entry point calls os._exit."""
+    code = ("import os, runpy\n"
             f"sys.argv = ['wittburnside', *{argv!r}]\n"
-            "try:\n"
-            "    runpy.run_module('wittburnside', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as e:\n"
-            "    assert e.code == 0, e.code")
+            "def exit_at_once(code, _exit=os._exit):\n"
+            "    assert code == 0, code\n"
+            f"    print({RAN}, flush=True)\n"
+            "    _exit(code)\n"
+            "os._exit = exit_at_once\n"
+            "runpy.run_module('wittburnside', run_name='__main__', alter_sys=True)")
     return fresh(code)
 
 

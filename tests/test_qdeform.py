@@ -204,6 +204,19 @@ def test_q_universal_coefficients_numerical_div12():
             assert all(c.denominator == 1 for p in cu.polys for c in p.terms.values())
 
 
+def test_q_universal_compiles_as_the_termwise_sum():
+    # each x-monomial's QPolynomial is the sum of its terms' q-monomials, in
+    # the order of the sorted monomials
+    for T in (TruncationSet(range(1, 9)), D12, TruncationSet.div(6)):
+        uni = q_universal(T, "prod")
+        for p, compiled in zip(uni.polys, uni.compiled):
+            want = {}
+            for e, c in p.terms.items():
+                mono = tuple((i - 1, ee) for i, ee in enumerate(e) if i > 0 and ee)
+                want[mono] = want.get(mono, QPolynomial()) + QPolynomial.monomial(c, e[0])
+            assert compiled == tuple((poly, mono) for mono, poly in sorted(want.items()))
+
+
 def test_q_universal_q1_equals_classical():
     for op in ("sum", "prod", "neg"):
         qcu = q_universal(D12, op)

@@ -97,6 +97,41 @@ def test_numericality_binomial_polynomial():
     assert all(integral(k).denominator == 1 for k in range(-5, 6))
 
 
+def numerical_by_fraction(p):
+    """The former definition, kept as the reference: a Fraction value at each
+    of the degree+2 points 0, 1, ..., degree+1."""
+    if all(Fraction(c).denominator == 1 for c in p.coeffs):
+        return True
+    return all(sum(Fraction(c) * k ** i for i, c in enumerate(p.coeffs)).denominator == 1
+               for k in range(p.degree + 2))
+
+
+def test_numericality_agrees_with_evaluation_by_fraction():
+    # integer combinations of the binomial polynomials C(q, i) are numerical;
+    # a small rational perturbation mostly is not, and a fraction of C(q, i)
+    # is an integer at 0, ..., i - 1 and not at i
+    rng = random.Random(26)
+    q = QPolynomial.variable()
+    binomials = [QPolynomial.constant(1)]
+    for i in range(1, 12):
+        binomials.append(binomials[-1] * (q - QPolynomial.constant(i - 1)) * Fraction(1, i))
+    seen = set()
+    for _ in range(400):
+        p = QPolynomial()
+        for b in rng.sample(binomials, rng.randint(1, 5)):
+            p = p + b * rng.randint(-9, 9)
+        r = rng.random()
+        if r < 0.3:
+            p = p + QPolynomial.monomial(Fraction(rng.randint(-5, 5), rng.choice((2, 3, 4, 6, 12))),
+                                         rng.randint(0, 11))
+        elif r < 0.6:
+            p = p + rng.choice(binomials) * Fraction(rng.randint(1, 5), rng.choice((2, 3, 5)))
+        want = numerical_by_fraction(p)
+        assert p.is_numerical() == want, p
+        seen.add((p.is_integral(), want))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
 # -- MultiPoly ---------------------------------------------------------------
 
 
