@@ -298,17 +298,15 @@ class GhostSystem:
             R = PolyRing(self.vars, rational=bool(self.q))
             gens = [R.variable(v) for v in self.vars]
             polys = tuple(self.apply(R, gens[self.q:], gens[0] if self.q else None))
-            if self.q:
-                for p in polys:
-                    _compile_q(p)  # grouping by monomial checks numericality
+            # grouping by monomial checks numericality; `compiled` returns it
+            self._compiled = tuple(map(_compile_q, polys)) if self.q else None
             self._polys = polys
         return self._polys
 
     @property
     def compiled(self):
-        if self.q:
-            return tuple(_compile_q(p) for p in self.polys)
-        return tuple(p.compiled() for p in self.polys)
+        polys = self.polys
+        return self._compiled if self.q else tuple(p.compiled() for p in polys)
 
     def targets(self, R, xs, qv=None):
         """Target ghost components at the payloads xs in R (a's, then b's); qv

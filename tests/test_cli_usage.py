@@ -5,7 +5,10 @@ Every parser's `--help`, every parser path given with no further arguments
 through `main()` at a fixed terminal width.  Their stdout, stderr and exit
 code are pinned in tests/goldens/cli_usage.json; argparse's layout changes
 between Python minor versions, so the goldens hold for the version that
-recorded them.  To re-record after a deliberate change to the parser:
+recorded them.  The parse without argparse (`cli._match`) must give
+argparse's namespace on every leaf command line and leave seeded near
+misses to argparse; those tests run on every Python version.  To re-record
+after a deliberate change to the parser:
 
     PYTHONPATH=src python tests/test_cli_usage.py
 """
@@ -13,11 +16,12 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import sys
 
 import pytest
 
-from wittburnside.cli import _parser, main
+from wittburnside.cli import _match, _parser, main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "goldens" / "cli_usage.json"
 COLUMNS = "80"
@@ -129,7 +133,85 @@ def test_every_leaf_parser_has_a_command_line():
 
 @pytest.mark.parametrize("argv", LEAVES, ids=" ".join)
 def test_verb_parser_parses_like_the_full_one(argv):
-    assert vars(_parser(argv).parse_args(argv)) == vars(_parser().parse_args(argv))
+    full = vars(_parser().parse_args(argv))
+    assert vars(_parser(argv).parse_args(argv)) == full
+    matched = _match(argv)  # the parse without argparse, when it takes argv
+    assert matched is None or vars(matched) == full
+
+
+def test_the_fast_parse_takes_every_plain_leaf_command_line():
+    # a value that starts with "-" is argparse's to read: its rule for
+    # negative numbers differs between Python versions
+    assert [argv for argv in LEAVES if _match(argv) is None] == [
+        ("qwitt", "neg", "--q", "-1", "a.json")]
+
+
+# --- near misses: what the fast parse must leave to argparse ---------------------
+
+FLAGS = ("--inverse", "--inject-fault")
+# option values: negative, not an int, outside every choice, int() forms
+VALUES = ("-1", "-q", "0", "x", "1.5", "1_0", " 7 ", "\u0663", "", "Bogus", "witt", "1" * 4400)
+
+
+def _items(argv):
+    """The verb words of a leaf argv, and its options (each with its value,
+    if any) and positionals, as lists."""
+    path, items = list(_path(argv)), []
+    rest = list(argv[len(path):])
+    while rest:
+        word = rest.pop(0)
+        items.append([word, rest.pop(0)] if word.startswith("--") and word not in FLAGS
+                     else [word])
+    return path, items
+
+
+def _near_miss(rng):
+    path, items = _items(rng.choice(LEAVES))
+    options = [item for item in items if item[0].startswith("--")]
+    valued = [item for item in items if len(item) == 2]
+    kind = rng.choice(("abbreviate", "joined", "repeat", "value", "drop", "extra",
+                       "interleave", "help", "verb"))
+    if kind == "abbreviate" and options:
+        option = rng.choice(options)
+        option[0] = option[0][:rng.randint(3, max(3, len(option[0]) - 1))]
+    elif kind == "joined" and valued:
+        option = rng.choice(valued)
+        option[:] = ["=".join(option)]
+    elif kind == "repeat" and options:
+        items.insert(rng.randint(0, len(items)), list(rng.choice(options)))
+    elif kind == "value" and valued:
+        rng.choice(valued)[1] = rng.choice(VALUES)
+    elif kind == "drop" and items:
+        items.pop(rng.randrange(len(items)))
+    elif kind == "extra":
+        items.insert(rng.randint(0, len(items)), ["x.json"])
+    elif kind == "interleave":  # most leaves take --ring, and some two positionals
+        items += [] if ["--ring"] in [item[:1] for item in items] else [["--ring", "Z"]]
+        rng.shuffle(items)
+    elif kind == "verb":
+        depth = rng.randrange(len(path))
+        path[depth] = rng.choice((path[depth][:-1], path[depth].capitalize(), "bogus"))
+    argv = path + [word for item in items for word in item]
+    if kind == "help":  # at any depth, and the end of options
+        argv.insert(rng.randint(0, len(argv)), rng.choice(("-h", "--help", "--")))
+    return tuple(argv)
+
+
+def test_near_misses_are_left_to_argparse(capsys):
+    # a command line argparse refuses gets no namespace from the fast parse,
+    # and one it takes gets argparse's namespace or none
+    rng, outcomes = random.Random("near-miss"), set()
+    for argv in dict.fromkeys(_near_miss(rng) for _ in range(600)):
+        try:
+            want = vars(_parser(argv).parse_args(argv))
+        except SystemExit:
+            want = None
+        got = _match(argv)
+        assert got is None or vars(got) == want, argv
+        outcomes.add((want is None, got is None))
+    capsys.readouterr()  # argparse's help and usage errors
+    # refused, parsed by both, and parsed by argparse alone each occurred
+    assert outcomes == {(True, True), (False, False), (False, True)}
 
 
 def _help(ap, argv):

@@ -8,6 +8,7 @@ wittburnside` runs none, and a CLI verb only the models it computes in.
 import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -83,18 +84,19 @@ def test_a_name_loads_its_module_and_what_that_imports():
                                                             "wittburnside.rings"]
 
 
-def run_cli(*argv):
-    """The modules whose code ran in `python -m wittburnside ARGV`, run in a
-    fresh interpreter, as the entry point calls os._exit."""
-    code = ("import os, runpy\n"
-            f"sys.argv = ['wittburnside', *{argv!r}]\n"
-            "def exit_at_once(code, _exit=os._exit):\n"
-            "    assert code == 0, code\n"
-            f"    print({RAN}, flush=True)\n"
-            "    _exit(code)\n"
-            "os._exit = exit_at_once\n"
-            "runpy.run_module('wittburnside', run_name='__main__', alter_sys=True)")
-    return fresh(code)
+def run_cli(*argv, code=0, report=RAN):
+    """What report reads (the modules whose code ran) in `python -m
+    wittburnside ARGV`, run in a fresh interpreter, as the entry point calls
+    os._exit, which must be with code."""
+    script = ("import os, runpy\n"
+              f"sys.argv = ['wittburnside', *{argv!r}]\n"
+              "def exit_at_once(code, _exit=os._exit):\n"
+              f"    assert code == {code!r}, code\n"
+              f"    print({report}, flush=True)\n"
+              "    _exit(0)\n"
+              "os._exit = exit_at_once\n"
+              "runpy.run_module('wittburnside', run_name='__main__', alter_sys=True)")
+    return fresh(script)
 
 
 def test_group_verbs_load_no_other_model(tmp_path):
@@ -112,3 +114,23 @@ def test_group_verbs_load_no_other_model(tmp_path):
 def test_a_q_verb_loads_the_q_model_but_not_verify():
     ran = run_cli("quniversal", "--op", "neg", "--trunc", "2")
     assert "wittburnside.qdeform" in ran and "wittburnside.verify" not in ran
+
+
+# the standard-library modules that parsing with argparse loads
+ARGPARSE = ("argparse", "gettext", "locale")
+LOADED = f"sorted(n for n in {ARGPARSE!r} if n in sys.modules)"
+GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
+
+
+def test_a_plain_command_line_is_parsed_without_argparse():
+    a, b = (str(GOLDENS / "inputs" / f"witt_D4_{x}.json") for x in "ab")
+    for argv in (("group", "info", "--group", "C6"), ("witt", "mul", a, b),
+                 ("quniversal", "--op", "neg", "--trunc", "2")):
+        assert run_cli(*argv, report=LOADED) == [], argv
+
+
+def test_help_and_usage_errors_still_load_argparse():
+    cases = json.loads((GOLDENS / "cli_usage.json").read_text(encoding="utf-8"))["cases"]
+    for argv in (("witt", "--help"), ("witt", "mul")):
+        code = cases[" ".join(argv)]["code"]
+        assert "argparse" in run_cli(*argv, code=code, report=LOADED), argv
