@@ -475,7 +475,7 @@ def cmd_universal(args):
 
 def _operator_index(args):
     if args.r < 1:
-        raise SchemaError(f"--r must be a positive integer, got {args.r}")
+        raise SchemaError(f"--r must be a positive integer, got {excerpt(args.r)}")
     return args.r
 
 
@@ -504,7 +504,7 @@ def cmd_qpoly(args):
     if n < 1:
         raise SchemaError("--n must be a positive integer")
     if n > QPOLY_N_BOUND:
-        raise DomainError(f"--n {n} exceeds supported bound {QPOLY_N_BOUND}")
+        raise DomainError(f"--n {excerpt(n)} exceeds supported bound {QPOLY_N_BOUND}")
     if args.kind == "P":
         polys = {}
         for i in divisors(n):
@@ -533,7 +533,7 @@ QUNIVERSAL_N_BOUND = 16
 def cmd_quniversal(args):
     T = _truncation(args)
     if T.members[-1] > QUNIVERSAL_N_BOUND:
-        raise DomainError(f"truncation set member {T.members[-1]} exceeds supported bound "
+        raise DomainError(f"truncation set member {excerpt(T.members[-1])} exceeds supported bound "
                           f"{QUNIVERSAL_N_BOUND}")
     uni = qdeform.q_universal(T, args.op)
     _emit(
@@ -666,7 +666,7 @@ def _universal_verb(p, rest):
 
 
 def _operator_verb(p, rest, operator, model):
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=p.integer, required=True)
     _add_vector_io(p, False)
     p.set_defaults(fn=cmd_operator, operator=operator, model=model)
 
@@ -684,13 +684,13 @@ def _cyclic_verb(p, rest):
 
 def _qpoly_verb(p, rest):
     p.add_argument("kind", choices=("P", "tau"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=p.integer, required=True)
     p.set_defaults(fn=cmd_qpoly)
 
 
 def _quniversal_verb(p, rest):
     p.add_argument("--op", required=True, choices=("sum", "prod", "neg"))
-    p.add_argument("--trunc", type=int)
+    p.add_argument("--trunc", type=p.integer)
     p.add_argument("--trunc-set")
     p.set_defaults(fn=cmd_quniversal)
 
@@ -738,7 +738,7 @@ def _qwitt_frobenius(p, rest):
 
 def _qwitt_tryone(p, rest):
     p.add_argument("--q", required=True)
-    p.add_argument("--trunc", type=int)
+    p.add_argument("--trunc", type=p.integer)
     p.add_argument("--trunc-set")
     p.add_argument("--ring", default="Z")
     p.set_defaults(fn=cmd_qwitt_tryone)
@@ -747,7 +747,7 @@ def _qwitt_tryone(p, rest):
 def _artinhasse_verb(p, rest):
     p.add_argument("--q", required=True)
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--trunc", type=int)
+    p.add_argument("--trunc", type=p.integer)
     p.add_argument("--trunc-set")
     _add_vector_io(p, False)
     p.set_defaults(fn=cmd_artinhasse)
@@ -755,8 +755,8 @@ def _artinhasse_verb(p, rest):
 
 def _verify_verb(p, rest):
     p.add_argument("--suite", default="all", choices=verify.SUITES + ("all",))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=1)
+    p.add_argument("--seed", type=p.integer, default=0)
+    p.add_argument("--size", type=p.integer, default=1)
     p.add_argument("--inject-fault", action="store_true", help=p.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
 
@@ -793,6 +793,15 @@ def _parser(argv=()):
 
         SUPPRESS = argparse.SUPPRESS  # a help text that argparse checks by identity
 
+        @staticmethod
+        def integer(text):
+            """int(text), the type of the integer options; a refusal quotes
+            text as argparse's own does, cut by excerpt."""
+            try:
+                return int(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}") from None
+
         def print_help(self, file=None):
             if file is not None:
                 return super().print_help(file)
@@ -813,6 +822,7 @@ class _Spec:
     records a sub-verb."""
 
     SUPPRESS = None  # help texts are argparse's alone
+    integer = int  # a refusal leaves the command line to argparse
 
     def __init__(self):
         self.options, self.positionals, self.values = {}, [], {}

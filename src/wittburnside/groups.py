@@ -63,7 +63,8 @@ def parse_cycles(text: str, degree: int | None = None):
         if any(n < 1 for n in nums) or len(set(nums)) != len(nums):
             raise SchemaError(f"bad cycle {excerpt(c)}")
         if max(nums, default=0) > POINT_BOUND:
-            raise SchemaError(f"cycle point {max(nums)} exceeds the point bound {POINT_BOUND}")
+            raise SchemaError(
+                f"cycle point {excerpt(max(nums))} exceeds the point bound {POINT_BOUND}")
         parsed.append(nums)
         points.extend(nums)
     deg = degree or (max(points) if points else 1)

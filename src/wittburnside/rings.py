@@ -137,31 +137,117 @@ POWER_BOUND = 10_000
 
 
 def cached_power(R, xs, v, e, cache):
-    """xs[v] ** e in R (e >= 1), memoised in `cache`: one built-in power for
-    an int or Fraction payload, and for a polynomial squarings and products
-    that `cache` shares.
+    """xs[v] ** e in R (e >= 1), memoised in `cache`.
+
+    An int or Fraction payload takes one built-in power, and a residue one
+    pow(x, e, m).  A polynomial's power is one big-int power by Kronecker
+    substitution (its `_power`), except where its exponent box is too
+    sparse for one integer, as in the many-variable universal solves: there
+    it is squarings and products that `cache` shares.
 
     Outside a residue ring, which reduces its powers, an exponent above
     POWER_BOUND is refused with DomainError unless xs[v] is 0 or +-1.
     """
     p = cache.get((v, e))
     if p is None:
+        x = xs[v]
         if e > POWER_BOUND and not isinstance(R, ResidueRing) and not any(
-                xs[v] == R.from_int(k) for k in (0, 1, -1)):
+                x == R.from_int(k) for k in (0, 1, -1)):
             raise DomainError(f"exponent {e} exceeds the power bound {POWER_BOUND} over {R.name}")
         if isinstance(R, ResidueRing):
-            p = pow(xs[v], e, R.modulus)
-        elif type(xs[v]) in (int, Fraction):
-            p = xs[v] ** e
+            p = pow(x, e, R.modulus)
+        elif type(x) in (int, Fraction):
+            p = x ** e
         elif e == 1:
-            p = xs[v]
-        elif e % 2:
-            p = R.mul(cached_power(R, xs, v, e - 1, cache), xs[v])
-        else:
-            h = cached_power(R, xs, v, e // 2, cache)
-            p = R.mul(h, h)
+            p = x
+        elif (p := x._power(e)) is None:  # a sparse box: the shared chain
+            if e % 2:
+                p = R.mul(cached_power(R, xs, v, e - 1, cache), x)
+            else:
+                h = cached_power(R, xs, v, e // 2, cache)
+                p = R.mul(h, h)
         cache[v, e] = p
     return p
+
+
+def _strides(dims):
+    """The place value of each variable's exponent in the box `dims`, the
+    last variable fastest: a monomial's slot is its mixed-radix index, so
+    slots add as exponents do."""
+    strides = []
+    size = 1
+    for d in reversed(dims):
+        strides.append(size)
+        size *= d
+    strides.reverse()
+    return strides
+
+
+def _digit_bytes(bound: int) -> int:
+    """The bytes n of a balanced digit, offset by half = 2^(8n-1), that
+    holds every integer of absolute value at most bound.  An n of at most 8
+    is widened to 1, 2, 4 or 8, so that the digits read back as machine
+    integers."""
+    n = bound.bit_length() // 8 + 1
+    return 1 << (n - 1).bit_length() if n <= 8 else n
+
+
+def _offsets(n: int, count: int) -> int:
+    """half = 2^(8n-1) in each of count n-byte digits."""
+    return int.from_bytes((1 << (8 * n - 1)).to_bytes(n, "little") * count, "little")
+
+
+def _pack(slots, cs, count: int, n: int) -> int:
+    """The sum of c * 2^(8 n s) over the slots s and integers c, each
+    |c| < 2^(8n-1), in count n-byte digits.  A machine-width digit is stored
+    through a typed memoryview as a two's-complement integer, which XOR-ing
+    the offsets in turns into c + half; a wider one is written as c + half,
+    byte by byte."""
+    offsets = _offsets(n, count)
+    if n <= 8:
+        buf = bytearray(n * count)
+        digits = memoryview(buf).cast("bhiq"[n.bit_length() - 1])
+        if sys.byteorder == "big":  # the last slot comes first
+            digits = digits[::-1]
+        for s, c in zip(slots, cs):
+            digits[s] = c
+        return (int.from_bytes(buf, sys.byteorder) ^ offsets) - offsets
+    half = 1 << (8 * n - 1)
+    buf = bytearray(offsets.to_bytes(n * count, "little"))
+    for s, c in zip(slots, cs):
+        buf[s * n:s * n + n] = (c + half).to_bytes(n, "little")
+    return int.from_bytes(buf, "little") - offsets
+
+
+def _unpack(value: int, n: int, size: int):
+    """The size balanced n-byte digits of value, lowest first: the inverse
+    of _pack.  Adding the offsets makes each digit c + half; a machine-width
+    one, XOR-ed with half, is c in two's complement, and one memoryview.cast
+    reads them all; a wider one is read one byte slice at a time."""
+    offsets = _offsets(n, size)
+    if n <= 8:
+        raw = ((value + offsets) ^ offsets).to_bytes(n * size, sys.byteorder)
+        cs = memoryview(raw).cast("bhiq"[n.bit_length() - 1])
+        return cs[::-1] if sys.byteorder == "big" else cs  # the last slot came first
+    half = 1 << (8 * n - 1)
+    raw = (value + offsets).to_bytes(n * size, "little")
+    return [int.from_bytes(raw[i:i + n], "little") - half for i in range(0, n * size, n)]
+
+
+def _kronecker_pays(box: int, nvars: int, terms: int, e: int, n: int) -> bool:
+    """Whether p ** e, for p of `terms` terms in nvars variables packed in
+    n-byte digits, is cheaper by Kronecker substitution than by the chain.
+
+    Kronecker substitution costs about one unit per slot of the power's
+    exponent box, per variable of the slot's exponent tuple and per machine
+    word of its digit, plus 16.  The chain's work grows with the terms of
+    p ** e, at most C(terms + e - 1, e), the multisets of e of p's terms;
+    one such term weighs 16 units (fitted to the powers of symbolic-mix and
+    of the universal solves, and to random ones in 1-4 variables up to
+    e = 24).  So a dense power in few variables packs, and a sparse one in
+    many variables takes the chain.
+    """
+    return box * nvars * -(-n // 8) + 16 <= 16 * math.comb(terms + e - 1, e)
 
 
 def _divide_terms(terms, d: int, rational: bool):
@@ -266,8 +352,24 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
+    def _power(self, e: int):
+        """self ** e (e >= 2) by Kronecker substitution, or None for the
+        zero polynomial: the integer coefficients over their common
+        denominator packed once, one big-int power, and e * degree + 1
+        digits read back once over den^e."""
+        if e < 2 or not self.coeffs:
+            return None
+        den, xs = _over_common_denominator(self.coeffs)
+        n = _digit_bytes(sum(map(abs, xs)) ** e)
+        cs = _unpack(_pack(range(len(xs)), xs, len(xs), n) ** e, n, e * self.degree + 1)
+        if den == 1:
+            return QPolynomial(cs)
+        den **= e
+        return QPolynomial([_ratio(c, den) for c in cs])
+
     def __pow__(self, n: int):
-        return power(operator.mul, self, n, QPolynomial.constant(1))
+        p = self._power(n)
+        return power(operator.mul, self, n, QPolynomial.constant(1)) if p is None else p
 
     def divexact(self, other) -> "QPolynomial":
         """Exact polynomial division; raises NonExactDivision on a remainder."""
@@ -536,67 +638,68 @@ class MultiPoly:
     def _kronecker(self, other, dims, top_a, top_b):
         """The product of dense operands by Kronecker substitution (Harvey 2009).
 
-        A monomial's slot is its mixed-radix index in the product's exponent
-        box `dims` (last variable fastest), so slots add as exponents do.  Each
-        operand's integer coefficients over their common denominator become
-        n-byte digits of one integer, offset by half = 2^(8n-1) while packed
-        and unpacked; half exceeds every product coefficient's absolute value,
-        at most min(n_a, n_b) max|x| max|y|.  One big-int multiply (a square
-        for a * a) then computes every coefficient.  A digit of at most 8
-        bytes is widened to 1, 2, 4 or 8, so that the product reads back as
-        an array of machine integers; a wider one is read slice by slice.
+        Each operand's integer coefficients over their common denominator
+        become the balanced digits of one integer (see _pack), at each
+        monomial's slot in the product's exponent box `dims`.  A digit holds
+        every product coefficient, of absolute value at most
+        min(n_a, n_b) max|x| max|y|.  One big-int multiply (a square for
+        a * a) then computes every coefficient.
         """
-        strides = []
-        size = 1
-        for d in reversed(dims):
-            strides.append(size)
-            size *= d
-        strides.reverse()
+        strides = _strides(dims)
         da, xs = _over_common_denominator(self.terms.values())
         db, ys = (da, xs) if self is other else _over_common_denominator(other.terms.values())
-        bound = min(len(xs), len(ys)) * max(map(abs, xs)) * max(map(abs, ys))
-        n = bound.bit_length() // 8 + 1
-        if n <= 8:  # a digit of 1, 2, 4 or 8 bytes reads back as a machine integer
-            n = 1 << (n - 1).bit_length()
-        half = 1 << (8 * n - 1)
-        digit = half.to_bytes(n, "little")
+        n = _digit_bytes(min(len(xs), len(ys)) * max(map(abs, xs)) * max(map(abs, ys)))
 
         def pack(terms, cs, top):
-            slots = sum(map(operator.mul, top, strides)) + 1
-            buf = bytearray(digit * slots)
-            for e, c in zip(terms, cs):
-                i = sum(map(operator.mul, e, strides)) * n
-                buf[i:i + n] = (c + half).to_bytes(n, "little")
-            return int.from_bytes(buf, "little") - int.from_bytes(digit * slots, "little")
+            slots = [sum(map(operator.mul, e, strides)) for e in terms]
+            return _pack(slots, cs, sum(map(operator.mul, top, strides)) + 1, n)
 
         packed = pack(self.terms, xs, top_a)
         product = packed * (packed if self is other else pack(other.terms, ys, top_b))
-        offsets = int.from_bytes(digit * size, "little")
-        den = da * db
-        slots = itertools.product(*map(range, dims))
-        if n <= 8:
-            # each offset digit c + half, xor half, is c in two's complement
-            raw = ((product + offsets) ^ offsets).to_bytes(n * size, sys.byteorder)
-            cs = memoryview(raw).cast("bhiq"[n.bit_length() - 1])
-            if sys.byteorder == "big":  # the last slot came first
-                cs = cs[::-1]
-            values = filter(None, cs)
-            if den != 1:
-                values = (_ratio(c, den) for c in values)
-            return MultiPoly._of(self.vars, dict(zip(itertools.compress(slots, cs), values)))
-        raw = (product + offsets).to_bytes(n * size, "little")
-        terms = {}
-        for e, i in zip(slots, range(0, n * size, n)):
-            s = raw[i:i + n]
-            if s != digit:
-                c = int.from_bytes(s, "little") - half
-                terms[e] = c if den == 1 else _ratio(c, den)
-        return MultiPoly._of(self.vars, terms)
+        return self._from_digits(product, dims, n, da * db)
+
+    def _from_digits(self, value, dims, n, den):
+        """The polynomial whose coefficients, times den, are the n-byte
+        balanced digits of value at the slots of the exponent box `dims`."""
+        cs = _unpack(value, n, math.prod(dims))
+        slots = itertools.compress(itertools.product(*map(range, dims)), cs)
+        values = filter(None, cs)
+        if den != 1:
+            values = (_ratio(c, den) for c in values)
+        return MultiPoly._of(self.vars, dict(zip(slots, values)))
+
+    def _power(self, e: int):
+        """self ** e (e >= 2) by Kronecker substitution, or None for the zero
+        polynomial or a power whose exponent box is too sparse for it (see
+        _kronecker_pays).  A monomial's power is its coefficient's.
+
+        The integer coefficients over their common denominator are packed
+        once, in the box of e * deg_i + 1 slots per variable, with digits
+        wide enough for their 1-norm to the e; one big-int power computes
+        every coefficient, which is read back once over den^e.
+        """
+        a = self.terms
+        if e < 2 or not a:
+            return None
+        if len(a) == 1:
+            (k, c), = a.items()
+            return MultiPoly._of(self.vars, {tuple(d * e for d in k): c ** e})
+        top = list(map(max, zip(*a)))
+        dims = [e * d + 1 for d in top]
+        den, xs = _over_common_denominator(a.values())
+        n = _digit_bytes(sum(map(abs, xs)) ** e)
+        if not _kronecker_pays(math.prod(dims), len(dims), len(a), e, n):
+            return None
+        strides = _strides(dims)
+        slots = [sum(map(operator.mul, k, strides)) for k in a]
+        packed = _pack(slots, xs, sum(map(operator.mul, top, strides)) + 1, n)
+        return self._from_digits(packed ** e, dims, n, den ** e)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return power(operator.mul, self, n, MultiPoly.constant(self.vars, 1))
+        p = self._power(n)
+        return power(operator.mul, self, n, MultiPoly.constant(self.vars, 1)) if p is None else p
 
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.terms.values())
@@ -952,7 +1055,7 @@ class QPolyRing(RingSpec):
             coeffs[e] = coeffs.get(e, Fraction(0)) + c
         top = max(coeffs, default=0)
         if top > Q_DEGREE_BOUND:  # before a dense list of top + 1 coefficients
-            raise SchemaError(f"degree {top} in q exceeds the bound {Q_DEGREE_BOUND}")
+            raise SchemaError(f"degree {excerpt(top)} in q exceeds the bound {Q_DEGREE_BOUND}")
         out = [Fraction(0)] * (top + 1)
         for e, c in coeffs.items():
             out[e] = c

@@ -56,6 +56,7 @@ from .errors import (
     IntegralityViolation,
     NonIntegralConstant,
     NumericalityViolation,
+    excerpt,
 )
 from .groups import FiniteGroup, marks_matrix, subgroup_classes
 from .rings import POWER_BOUND, ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing, _ratio
@@ -147,7 +148,8 @@ Q_MEMBER_BOUND = POWER_BOUND
 def check_q_member(n: int):
     """Refuse a q-model truncation set member n above Q_MEMBER_BOUND."""
     if n > Q_MEMBER_BOUND:
-        raise DomainError(f"truncation set member {n} exceeds the q-model bound {Q_MEMBER_BOUND}")
+        raise DomainError(
+            f"truncation set member {excerpt(n)} exceeds the q-model bound {Q_MEMBER_BOUND}")
 
 
 @lru_cache(maxsize=None)

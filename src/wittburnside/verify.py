@@ -58,7 +58,7 @@ from .cyclic import (
     cyc_witt_op,
     necklace_poly,
 )
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, excerpt
 from .groups import build_group, subgroup_classes, subgroup_group
 from .qdeform import (
     QContext,
@@ -837,7 +837,7 @@ def run_suite(suite, seed=0, size=1, inject_fault=False):
     if size < 1:
         raise SchemaError("--size must be a positive integer")
     if size > SIZE_BOUND:
-        raise DomainError(f"--size {size} exceeds supported bound {SIZE_BOUND}")
+        raise DomainError(f"--size {excerpt(size)} exceeds supported bound {SIZE_BOUND}")
     if suite != "all" and suite not in _SUITE_FNS:
         raise SchemaError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
     t0 = time.perf_counter()

@@ -116,6 +116,11 @@ def _inp(name):
           _inp("aperiodic_div6_qq_b.json")), "qwitt_aperiodic_mul_qq_div6.json"),
         (("qwitt", "frobenius", "--q", "q", "--r", "2", _inp("necklace_div8_qq.json")),
          "qwitt_necklace_frobenius_qq_2_div8.json"),
+        # vectors of bivariate polynomials, whose ghost rows raise them to powers
+        (("witt", "mul", _inp("witt_S3_zpoly_a.json"), _inp("witt_S3_zpoly_b.json")),
+         "witt_mul_S3_zpoly.json"),
+        (("cyclic", "witt", "mul", _inp("witt_1to8_qpoly_a.json"), _inp("witt_1to8_qpoly_b.json")),
+         "cyclic_witt_mul_qpoly_1to8.json"),
     ],
 )
 def test_golden_vector_outputs(argv, golden):

@@ -177,4 +177,45 @@ def test_integer_flags_exit_0_2_or_3_in_time(flag, capsys):
             assert code in (0, 2, 3), argv
         elapsed = time.perf_counter() - start
         assert elapsed < FLAG_BUDGET_S, f"{' '.join(argv)[:200]} took {elapsed:.2f} s"
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # an over-long value is quoted in an excerpt, as a document's is
+        assert len(err.encode()) < 1024, err[:2000]
+
+
+LONG = "9" * 4000  # digits int() still reads
+NINES = "9" * 80
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (("cyclic", "frobenius", "--r", "-" + LONG, WITT_DIV12), 2,
+     f"SchemaError: --r must be a positive integer, got -{NINES[1:]}... (4001 characters)\n"),
+    (("qpoly", "tau", "--n", LONG), 3,
+     f"DomainError: --n {NINES}... (4000 characters) exceeds supported bound 120\n"),
+    (("quniversal", "--op", "neg", "--trunc", LONG), 3,
+     f"DomainError: truncation set member {NINES}... (4000 characters) exceeds the q-model "
+     f"bound 10000\n"),
+    (("verify", "--suite", "ghosts", "--size", LONG), 3,
+     f"DomainError: --size {NINES}... (4000 characters) exceeds supported bound 64\n"),
+    (("cyclic", "frobenius", "--r", "1" + LONG * 2, WITT_DIV12), 2,
+     f"error: argument --r: invalid int value: '1{NINES[2:]}... (8003 characters)\n"),
+], ids=("--r", "--n", "--trunc", "--size", "--r beyond int()"))
+def test_an_over_long_integer_flag_is_quoted_in_an_excerpt(argv, code, text, capsys):
+    try:
+        assert main(list(argv)) == code
+    except SystemExit as e:  # argparse's usage error
+        assert e.code == code
+    err = capsys.readouterr().err
+    assert err.endswith(text)
+    assert len(err.encode()) < 1024, err[:2000]
+
+
+@pytest.mark.parametrize("parse, text", [
+    (lambda text: RingValue.parse(parse_ring("Q[q]"), text), "q^" + LONG),
+    (build_group, "(1 " + LONG + ")"),
+], ids=("q degree", "cycle point"))
+def test_an_over_long_number_in_a_parse_error_is_cut(parse, text):
+    with pytest.raises(SchemaError) as exc:
+        parse(text)
+    assert f"{NINES}... (4000 characters)" in str(exc.value)
+    assert len(str(exc.value)) < 1024

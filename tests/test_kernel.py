@@ -9,21 +9,27 @@ packed-exponent loop for sparse ones.  The one-pass row sums of the
 polynomial rings and of Q[q] must equal the per-entry loop the scalar
 rings run, and a polynomial ring's exact division by an integer constant
 the product with that constant's inverse.  The shared power
-routine squares only while bits of the exponent remain.
+routine squares only while bits of the exponent remain, and a power by
+Kronecker substitution, or by the chain where its box is too sparse,
+equals that routine's.
 """
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from wittburnside.errors import NonIntegralConstant
+from wittburnside import rings
+from wittburnside.errors import DomainError, NonIntegralConstant
 from wittburnside.rings import (
+    POWER_BOUND,
     QQ,
     QQ_Q,
     MultiPoly,
     QPolynomial,
     RingSpec,
+    cached_power,
     parse_ring,
     power,
 )
@@ -539,6 +545,12 @@ def same_terms(p, q):
     assert [type(c) for c in p.terms.values()] == [type(c) for c in q.terms.values()]
 
 
+def same_values(p, q):
+    """p and q hold the same terms, with the same stored types, in any order."""
+    assert p.terms == q.terms
+    assert {e: type(c) for e, c in p.terms.items()} == {e: type(c) for e, c in q.terms.items()}
+
+
 @pytest.mark.parametrize("nv", (1, 2, 3))
 @pytest.mark.parametrize("route", ("tuples", "packed", "dense"))
 def test_a_square_matches_the_product_with_an_equal_copy(nv, route, routed):
@@ -560,7 +572,8 @@ def test_a_square_matches_the_product_with_an_equal_copy(nv, route, routed):
         want, taken = routed(pa, MultiPoly(vars, pa.terms))
         assert taken == route
         same_terms(got, want)
-        same_terms(pa ** 2, want)
+        # a power by Kronecker substitution fills its terms in slot order
+        same_values(pa ** 2, want)
 
 
 def test_a_qpolynomial_square_matches_the_product_with_an_equal_copy():
@@ -614,7 +627,7 @@ def test_kronecker_read_back_at_each_digit_width(n, m, X, Y, kronecker_calls):
 
 
 @pytest.mark.parametrize("nv", (1, 2, 3))
-def test_a_dense_qpoly_product_with_a_denominator(nv, kronecker_calls):
+def test_a_dense_qpoly_product_with_a_denominator(nv, kronecker_calls, kronecker_powers):
     # each product coefficient is an integer over the operands' common
     # denominators, stored as an int where the denominator divides it
     rng = random.Random(f"ratio:{nv}")
@@ -625,5 +638,140 @@ def test_a_dense_qpoly_product_with_a_denominator(nv, kronecker_calls):
         got = mp(vars, a) * mp(vars, b)
         check_mp(got, ref_mul(a, b))
         assert {type(c) for c in got.terms.values()} == {int, Fraction}
-        check_mp(mp(vars, a) ** 2, ref_mul(a, a))
+        pa = mp(vars, a)
+        check_mp(pa * pa, ref_mul(a, a))  # a square on the dense product route
+        check_mp(pa ** 2, ref_mul(a, a))  # and as a power
     assert kronecker_calls == [nv] * 6
+    assert kronecker_powers[0] == ["MultiPoly"] * 3
+
+
+# -- powers by Kronecker substitution ---------------------------------------------
+
+
+@pytest.fixture
+def kronecker_powers(monkeypatch):
+    """Counts the powers MultiPoly._power and QPolynomial._power form
+    themselves, by payload type, and the digit widths they pack."""
+    calls, widths = [], []
+    for cls in (MultiPoly, QPolynomial):
+        def counted(self, e, _method=cls._power, _name=cls.__name__):
+            p = _method(self, e)
+            if p is not None:
+                calls.append(_name)
+            return p
+
+        monkeypatch.setattr(cls, "_power", counted)
+    digit_bytes = rings._digit_bytes
+
+    def recorded(bound):
+        widths.append(digit_bytes(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(rings, "_digit_bytes", recorded)
+    return calls, widths
+
+
+def chain_power(p, e):
+    """p ** e as the square-and-multiply chain of products forms it."""
+    one = QPolynomial.constant(1) if type(p) is QPolynomial else MultiPoly.constant(p.vars, 1)
+    return power(operator.mul, p, e, one)
+
+
+def check_power(p, e, R):
+    """p ** e and cached_power equal the chain, coefficient types and all."""
+    want = chain_power(p, e)
+    got = [p ** e] + ([cached_power(R, [p], 0, e, {})] if e else [])
+    for g in got:
+        assert g == want, (p, e)
+        if type(p) is QPolynomial:
+            assert [type(c) for c in g.coeffs] == [type(c) for c in want.coeffs]
+        else:
+            same_values(g, want)
+            assert all(stored(c) for c in g.terms.values())
+
+
+def rand_power_coeff(rng, kind):
+    """A non-zero int, negative-or-positive int, or Fraction coefficient."""
+    if kind == "int":
+        return rng.randint(1, 9)
+    if kind == "negative":
+        return rng.randint(-9, 9) or -1
+    return Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 6))
+
+
+def rand_power_base(rng, nv, kind):
+    """A small polynomial's terms: 2 to 4 monomials of degree at most 2 in
+    each variable."""
+    return {tuple(rng.randint(0, 2) for _ in range(nv)): rand_power_coeff(rng, kind)
+            for _ in range(rng.randint(2, 4))}
+
+
+@pytest.mark.parametrize("nv", (1, 2, 3))
+@pytest.mark.parametrize("kind", ("int", "negative", "fraction"))
+def test_a_power_equals_the_chain(nv, kind, kronecker_powers):
+    rng = random.Random(f"power:{nv}:{kind}")
+    vars = tuple("xyz"[:nv])
+    R = parse_ring(f"QPoly({','.join(vars)})")
+    x = (1,) + (0,) * (nv - 1)
+    shapes = {"zero": {}, "constant": {(0,) * nv: 3 if kind == "int" else Fraction(-2, 3)},
+              "monomial": {x: -2 if kind == "negative" else 1}}
+    for e in range(25):
+        shapes["random"] = rand_power_base(rng, nv, kind)
+        # every monomial of degree at most 1 in each variable, while the
+        # chain that checks it stays cheap
+        shapes["dense"] = {} if e > 24 // nv else {
+            m: rand_power_coeff(rng, kind) for m in itertools.product((0, 1), repeat=nv)}
+        for terms in shapes.values():
+            p = MultiPoly(vars, terms)
+            check_power(p, e, R)
+            if nv == 1:  # the same coefficients as a polynomial in q
+                q = QPolynomial([terms.get((i,), 0) for i in range(3)])
+                check_power(q, e, QQ_Q)
+    calls = kronecker_powers[0]
+    assert calls.count("MultiPoly") >= 10
+    assert calls.count("QPolynomial") >= (100 if nv == 1 else 0)
+
+
+# (digit bytes, a, e): the coefficients of (a + x)^e are packed in digits of
+# the width that the bound (|a| + 1)^e picks; at 2, 4 and 8 bytes a^e, the
+# constant term, uses the digit's top bit below its sign
+POWER_WIDTHS = ((1, 2, 4), (2, 12, 4), (4, 214, 4), (8, 55107, 4), (26, 10 ** 10, 6))
+
+
+@pytest.mark.parametrize("n, a, e", POWER_WIDTHS, ids=lambda v: str(v))
+def test_a_power_reads_back_at_each_digit_width(n, a, e, kronecker_powers):
+    calls, widths = kronecker_powers
+    assert n == 1 or 8 * n - 1 >= (a ** e).bit_length() >= min(8 * n - 1, 63)
+    R = parse_ring("QPoly(x)")
+    for b, c in ((a, 1), (-a, 1), (Fraction(a, 3), Fraction(1, 3))):
+        p = MultiPoly(("x",), {(0,): b, (1,): c})
+        check_power(p, e, R)
+        assert p ** e == MultiPoly(("x",), ref_pow(p.terms, e, 1))
+        check_power(QPolynomial([b, c]), e, QQ_Q)
+    assert calls == ["MultiPoly"] * 3 + ["QPolynomial"] * 2 + ["MultiPoly"] * 3 + [
+        "QPolynomial"] * 2 + ["MultiPoly"] * 3 + ["QPolynomial"] * 2
+    assert set(widths) == {n}
+
+
+def test_a_sparse_power_in_many_variables_takes_the_chain(kronecker_powers):
+    # x1 + ... + x6 to the 4th: a box of 5^6 slots for 126 terms
+    vars = tuple(f"x{i}" for i in range(1, 7))
+    p = MultiPoly(vars, {tuple(int(i == j) for j in range(6)): 1 for i in range(6)})
+    assert p._power(4) is None
+    check_power(p, 4, parse_ring(f"ZPoly({','.join(vars)})"))
+    assert len((p ** 4).terms) == 126
+    assert kronecker_powers[0] == []
+
+
+def test_an_exponent_above_the_power_bound_is_refused_before_any_power(monkeypatch):
+    def formed(*args):
+        raise AssertionError("a power was formed")
+
+    for cls in (MultiPoly, QPolynomial):
+        monkeypatch.setattr(cls, "_power", formed)
+    monkeypatch.setattr(rings, "power", formed)
+    R = parse_ring("ZPoly(x,y)")
+    xy = MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): 1})
+    for ring, x in ((R, xy), (QQ_Q, QPolynomial([1, 1])), (QQ, Fraction(3, 2))):
+        with pytest.raises(DomainError, match="power bound"):
+            cached_power(ring, [x], 0, POWER_BOUND + 1, {})
