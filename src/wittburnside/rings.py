@@ -115,19 +115,21 @@ def _horner(nums, x):
 def power(mul, base, n: int, one):
     """base ** n by square-and-multiply, where mul(a, b) is the product.
 
-    Squares only while bits of n remain: n.bit_length() - 1 squarings and
-    popcount(n) - 1 further products; n == 0 gives `one` without a product.
+    The bits of n are read from the top: n.bit_length() - 1 squarings and
+    popcount(n) - 1 further products, each by base itself, so a sparse
+    polynomial's large partial powers are only ever squared.  n == 0 gives
+    `one` without a product.
     """
     if n < 0:
         raise ValueError("negative exponent")
-    result = None
-    while True:
-        if n & 1:
-            result = base if result is None else mul(result, base)
-        n >>= 1
-        if not n:
-            return one if result is None else result
-        base = mul(base, base)
+    if not n:
+        return one
+    result = base
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
 
 
 # The largest exponent a payload other than 0 and +-1 is raised to outside a
@@ -137,13 +139,9 @@ POWER_BOUND = 10_000
 
 
 def cached_power(R, xs, v, e, cache):
-    """xs[v] ** e in R (e >= 1), memoised in `cache`.
-
-    An int or Fraction payload takes one built-in power, and a residue one
-    pow(x, e, m).  A polynomial's power is one big-int power by Kronecker
-    substitution (its `_power`), except where its exponent box is too
-    sparse for one integer, as in the many-variable universal solves: there
-    it is squarings and products that `cache` shares.
+    """xs[v] ** e in R (e >= 1), memoised in `cache`: the payload's own
+    power, pow(x, e, m) in a residue ring.  A polynomial picks its own
+    method (see MultiPoly.__pow__ and QPolynomial.__pow__).
 
     Outside a residue ring, which reduces its powers, an exponent above
     POWER_BOUND is refused with DomainError unless xs[v] is 0 or +-1.
@@ -151,21 +149,12 @@ def cached_power(R, xs, v, e, cache):
     p = cache.get((v, e))
     if p is None:
         x = xs[v]
-        if e > POWER_BOUND and not isinstance(R, ResidueRing) and not any(
-                x == R.from_int(k) for k in (0, 1, -1)):
-            raise DomainError(f"exponent {e} exceeds the power bound {POWER_BOUND} over {R.name}")
         if isinstance(R, ResidueRing):
             p = pow(x, e, R.modulus)
-        elif type(x) in (int, Fraction):
+        elif e > POWER_BOUND and not any(x == R.from_int(k) for k in (0, 1, -1)):
+            raise DomainError(f"exponent {e} exceeds the power bound {POWER_BOUND} over {R.name}")
+        else:
             p = x ** e
-        elif e == 1:
-            p = x
-        elif (p := x._power(e)) is None:  # a sparse box: the shared chain
-            if e % 2:
-                p = R.mul(cached_power(R, xs, v, e - 1, cache), x)
-            else:
-                h = cached_power(R, xs, v, e // 2, cache)
-                p = R.mul(h, h)
         cache[v, e] = p
     return p
 
@@ -336,16 +325,12 @@ class QPolynomial:
             return QPolynomial()
         # integer products over each operand's common denominator
         da, xs = _over_common_denominator(self.coeffs)
-        db, ys = (da, xs) if self is other else _over_common_denominator(other.coeffs)
+        db, ys = _over_common_denominator(other.coeffs)
         out = [0] * (len(xs) + len(ys) - 1)
         for i, a in enumerate(xs):
             if not a:
                 continue
-            row, at = ys, i
-            if self is other:  # a square: a*a, then 2ab over the later b
-                out[2 * i] += a * a
-                a, row, at = a + a, xs[i + 1:], 2 * i + 1
-            for j, b in enumerate(row, at):
+            for j, b in enumerate(ys, i):
                 out[j] += a * b
         den = da * db
         return QPolynomial(out if den == 1 else [_ratio(c, den) for c in out])
@@ -353,12 +338,9 @@ class QPolynomial:
     __rmul__ = __mul__
 
     def _power(self, e: int):
-        """self ** e (e >= 2) by Kronecker substitution, or None for the
-        zero polynomial: the integer coefficients over their common
-        denominator packed once, one big-int power, and e * degree + 1
-        digits read back once over den^e."""
-        if e < 2 or not self.coeffs:
-            return None
+        """self ** e (e >= 2, self not zero) by Kronecker substitution: the
+        integer coefficients over their common denominator packed once, one
+        big-int power, and e * degree + 1 digits read back once over den^e."""
         den, xs = _over_common_denominator(self.coeffs)
         n = _digit_bytes(sum(map(abs, xs)) ** e)
         cs = _unpack(_pack(range(len(xs)), xs, len(xs), n) ** e, n, e * self.degree + 1)
@@ -368,8 +350,13 @@ class QPolynomial:
         return QPolynomial([_ratio(c, den) for c in cs])
 
     def __pow__(self, n: int):
-        p = self._power(n)
-        return power(operator.mul, self, n, QPolynomial.constant(1)) if p is None else p
+        if n < 0:
+            raise ValueError("negative exponent")
+        if n == 0:
+            return QPolynomial.constant(1)
+        if n == 1 or not self.coeffs:
+            return self
+        return self._power(n)
 
     def divexact(self, other) -> "QPolynomial":
         """Exact polynomial division; raises NonExactDivision on a remainder."""
@@ -559,53 +546,27 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return MultiPoly._of(self.vars, {})
-        # Three routes.  Kronecker substitution pays off once the operands'
-        # monomial pairs exceed 1.5 times the product's exponent box, whose
-        # slots its unpacking visits, plus 32 for its fixed cost (measured on
-        # 1-3 variables, degrees 1-24): 3 * box + 64 <= 2 * pairs.  No box
-        # meets that below 34 pairs, so a smaller product skips sizing it and
-        # adds exponent tuples, which costs the least set-up; a larger sparse
-        # one packs its exponents into ints, whose one int add per pair wins
-        # once the pairs outweigh packing and unpacking the terms.
-        # A square (a is b, as power and cached_power call it) visits each
-        # unordered pair once, the pairs i <= j in the full product's order;
-        # every exponent first occurs at such a pair, so the terms keep the
-        # order of the full product.
-        pairs = len(a) * len(b)
-        if pairs >= 34:
-            top_a, top_b = list(map(max, zip(*a))), list(map(max, zip(*b)))
-            dims = [x + y + 1 for x, y in zip(top_a, top_b)]
-            if 3 * math.prod(dims) + 64 <= 2 * pairs:
-                return self._kronecker(other, dims, top_a, top_b)
-            return self._packed(other, dims)
-        da, xs = _over_common_denominator(a.values())
-        db, ys = (da, xs) if a is b else _over_common_denominator(b.values())
-        pa = list(zip(a, xs))
-        pb = pa if a is b else list(zip(b, ys))
-        out = {}
-        get = out.get
-        add = operator.add
-        i = 0
-        for e, x in pa:
-            row = pb
-            if pa is pb:  # a square: x*x, then 2x*y over the later terms y
-                i += 1
-                k = tuple(map(add, e, e))
-                out[k] = get(k, 0) + x * x
-                x += x
-                row = pa[i:]
-            for f, y in row:
-                k = tuple(map(add, e, f))
-                out[k] = get(k, 0) + x * y
-        den = da * db
-        return MultiPoly._of(
-            self.vars, {k: c if den == 1 else _ratio(c, den) for k, c in out.items() if c})
+        # Kronecker substitution pays off once the operands' monomial pairs
+        # exceed 1.5 times the product's exponent box, whose slots its
+        # unpacking visits, plus 32 for its fixed cost (measured on 1-3
+        # variables, degrees 1-24): 3 * box + 64 <= 2 * pairs.  Every other
+        # product takes the packed-exponent loop.
+        top_a, top_b = list(map(max, zip(*a))), list(map(max, zip(*b)))
+        dims = [x + y + 1 for x, y in zip(top_a, top_b)]
+        if 3 * math.prod(dims) + 64 <= 2 * len(a) * len(b):
+            return self._kronecker(other, dims, top_a, top_b)
+        return self._packed(other, dims)
 
     def _packed(self, other, dims):
-        """The product of sparse operands of 34 pairs or more: each exponent
-        tuple packed into one int, one bit field per variable wide enough for
-        the product's exponents `dims`, so a monomial product is one int add
-        (Monagan-Pearce packed exponents)."""
+        """The product of sparse operands: each exponent tuple packed into
+        one int, one bit field per variable wide enough for the product's
+        exponents `dims`, so a monomial product is one int add
+        (Monagan-Pearce packed exponents).
+
+        A square (a is b, as `power` forms it) visits each unordered pair
+        once, the pairs i <= j in the full product's order; every exponent
+        first occurs at such a pair, so the terms keep the order of the
+        full product."""
         a, b = self.terms, other.terms
         width = (max(dims, default=1) - 1).bit_length()
         shifts = [width * i for i in range(len(self.vars))]
@@ -618,7 +579,7 @@ class MultiPoly:
         i = 0
         for ka, x in pa:
             row = pb
-            if pa is pb:  # a square, as in __mul__
+            if pa is pb:  # a square: x*x, then 2x*y over the later terms y
                 i += 1
                 k = ka + ka
                 out[k] = get(k, 0) + x * x

@@ -2,16 +2,15 @@
 
 MultiPoly and QPolynomial store an integral coefficient as an int and keep
 a Fraction only for a non-integral one; their products, sums and powers
-must equal the reference on seeded random inputs, on each of the three
-product routes: a loop over exponent tuples below 34 monomial pairs, and
-from there Kronecker substitution for dense operands and the
-packed-exponent loop for sparse ones.  The one-pass row sums of the
-polynomial rings and of Q[q] must equal the per-entry loop the scalar
-rings run, and a polynomial ring's exact division by an integer constant
-the product with that constant's inverse.  The shared power
-routine squares only while bits of the exponent remain, and a power by
-Kronecker substitution, or by the chain where its box is too sparse,
-equals that routine's.
+must equal the reference on seeded random inputs, on each of the two
+product routes: Kronecker substitution for dense operands and the
+packed-exponent loop for every other product, small ones included.  The
+one-pass row sums of the polynomial rings and of Q[q] must equal the
+per-entry loop the scalar rings run, and a polynomial ring's exact
+division by an integer constant the product with that constant's
+inverse.  The shared power routine squares only while bits of the
+exponent remain, and a power by Kronecker substitution, or by the chain
+where its box is too sparse, equals that routine's.
 """
 import itertools
 import operator
@@ -192,8 +191,8 @@ def kronecker_calls(monkeypatch):
 
 @pytest.fixture
 def routed(monkeypatch):
-    """routed(a, b) is (a * b, the route it took): "dense", "packed", or
-    "tuples" when neither of those methods ran."""
+    """routed(a, b) is (a * b, the route it took): "dense" or "packed".
+    A product of two non-zero polynomials must run exactly one of them."""
     taken = []
     for name, route in (("_kronecker", "dense"), ("_packed", "packed")):
         def counted(self, *args, _method=getattr(MultiPoly, name), _route=route):
@@ -205,8 +204,8 @@ def routed(monkeypatch):
     def product(a, b):
         before = len(taken)
         got = a * b
-        assert len(taken) <= before + 1
-        return got, taken[before] if len(taken) > before else "tuples"
+        assert len(taken) == before + 1, "the product ran no route, or two"
+        return got, taken[before]
 
     return product
 
@@ -322,7 +321,8 @@ def rand_sparse(rng, nv, n, top):
     return terms
 
 
-# (n_a, n_b): 33 pairs, one short of the cut, then 34 and more
+# (n_a, n_b): from 33 to 81 pairs, with one to 34 terms a side; every shape
+# takes the packed loop
 SPARSE_SHAPES = ((3, 11), (1, 33), (11, 3), (2, 17), (34, 1), (6, 6), (9, 9))
 
 
@@ -332,7 +332,6 @@ def test_sparse_products_match_schoolbook_reference(nv, shape, routed):
     rng = random.Random(f"sparse:{nv}:{shape}")
     vars = tuple(f"v{i}" for i in range(nv))
     n_a, n_b = shape
-    want_route = "tuples" if n_a * n_b < 34 else "packed"
     for trial in range(4):
         a, b = rand_sparse(rng, nv, n_a, 60), rand_sparse(rng, nv, n_b, 60)
         if trial == 1:  # integer coefficients only, negatives among them
@@ -343,22 +342,22 @@ def test_sparse_products_match_schoolbook_reference(nv, shape, routed):
         pa, pb = mp(vars, a), mp(vars, b)
         got, route = routed(pa, pb)
         check_mp(got, ref_mul(a, b))
-        assert route == want_route
+        assert route == "packed"
         got, route = routed(pb, pa)
         check_mp(got, ref_mul(a, b))
-        assert route == want_route
-    # a * a: the packed route from 6 terms (36 pairs), the tuple route below
+        assert route == "packed"
+    # a * a: 25 and 36 pairs, both packed
     for n in (5, 6):
         a = rand_sparse(rng, nv, n, 60)
         pa = mp(vars, a)
         got, route = routed(pa, pa)
         check_mp(got, ref_mul(a, a))
-        assert route == ("tuples" if n * n < 34 else "packed")
+        assert route == "packed"
 
 
 @pytest.mark.parametrize("nv", (1, 2, 3, 6, 17))
 def test_sparse_products_that_cancel(nv, routed):
-    # (u - v)(u + v) = u^2 - v^2 on both sides of the cut; the cross terms
+    # (u - v)(u + v) = u^2 - v^2 from 4 to 100 pairs; the cross terms
     # cancel to zero and must leave no stored zero behind
     rng = random.Random(f"cancel:{nv}")
     vars = tuple(f"v{i}" for i in range(nv))
@@ -368,7 +367,7 @@ def test_sparse_products_that_cancel(nv, routed):
         pu, pv = mp(vars, u), mp(vars, v)
         got, route = routed(pu - pv, pu + pv)
         check_mp(got, ref_add(ref_mul(u, u), {e: -c for e, c in ref_mul(v, v).items()}))
-        assert route == ("tuples" if (2 * n) ** 2 < 34 else "packed")
+        assert route == "packed"
         x = mp(vars, {e: c * 10 ** 30 for e, c in u.items()})
         got, _ = routed(x, -x)
         check_mp(got, {e: -c for e, c in ref_mul(x.terms, x.terms).items()})
@@ -509,11 +508,12 @@ class CountingRing(RingSpec):
         return 0
 
     def mul(self, a, b):
-        # the accumulated low bits stay below the current square, so a == b
-        # only for a squaring
+        # a == b only for a squaring; every other product must be by the
+        # base itself (1), so a sparse power's partial powers are only squared
         if a == b:
             self.squarings += 1
         else:
+            assert b == 1, "a product of two partial powers"
             self.products += 1
         return a + b
 
@@ -531,8 +531,13 @@ def test_power_edge_cases():
     assert R.pow(1, 0) == 0 and R.squarings == R.products == 0
     with pytest.raises(ValueError):
         R.pow(1, -1)
-    with pytest.raises(ValueError):
-        MultiPoly.variable(("x",), "x") ** -1
+    for p in (MultiPoly.variable(("x",), "x"), QPolynomial.variable()):
+        with pytest.raises(ValueError):
+            p ** -1
+    p = QPolynomial([Fraction(1, 2), -3])
+    assert QPolynomial() ** 0 == p ** 0 == QPolynomial.constant(1)
+    assert p ** 1 == p
+    assert QPolynomial() ** 1 == QPolynomial() ** 5 == QPolynomial()
     assert power(lambda a, b: a * b, 3, 5, 1) == 243
 
 
@@ -552,17 +557,21 @@ def same_values(p, q):
 
 
 @pytest.mark.parametrize("nv", (1, 2, 3))
-@pytest.mark.parametrize("route", ("tuples", "packed", "dense"))
-def test_a_square_matches_the_product_with_an_equal_copy(nv, route, routed):
+@pytest.mark.parametrize("case", ("tuples", "packed", "dense"))
+def test_a_square_matches_the_product_with_an_equal_copy(nv, case, routed):
     # p * p visits each unordered pair of terms once; it must give the terms
-    # of p * copy(p), which visits every pair, in the same order
-    rng = random.Random(f"square:{nv}:{route}")
+    # of p * copy(p), which visits every pair, in the same order.  "tuples"
+    # names sparse operands of 5 terms (25 pairs), below the size where a
+    # loop over exponent tuples once took over; they too take the packed loop
+    rng = random.Random(f"square:{nv}:{case}")
     vars = tuple("xyz"[:nv])
+    route = "dense" if case == "dense" else "packed"
+    size = {"dense": (12, 5, 3)[nv - 1], "packed": 9, "tuples": 5}[case]
     for trial in range(4):
-        if route == "dense":  # trial 3 has digits wider than 8 bytes
-            a = rand_dense(rng, nv, (12, 5, 3)[nv - 1], big=trial == 3)
+        if case == "dense":  # trial 3 has digits wider than 8 bytes
+            a = rand_dense(rng, nv, size, big=trial == 3)
         else:
-            a = rand_sparse(rng, nv, 5 if route == "tuples" else 9, 60)
+            a = rand_sparse(rng, nv, size, 60)
         if trial == 1:  # integer coefficients only
             a = {e: Fraction(c.numerator) for e, c in a.items()}
         pa = mp(vars, a)
