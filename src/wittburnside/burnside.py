@@ -80,7 +80,7 @@ from .groups import (
     subgroup_classes,
     subgroup_group,
 )
-from .rings import QQ, ZZ, ResidueRing, RingSpec, RingValue, parse_ring
+from .rings import ZZ, ResidueRing, RingSpec, RingValue, parse_ring
 from .universal import (
     APERIODIC,
     GHOST,
@@ -96,7 +96,6 @@ from .universal import (
     linear_table,
     refused_constant,
     row_error,
-    row_name,
     solve_triangular,
     subgroup_indices,
 )
@@ -597,24 +596,18 @@ def witt_f(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
 def _nu_table(G: FiniteGroup, ci: int):
     """ghost_nu's rows over G's classes V: (W, count, 1, 0) for each class W
     of U = rep(ci), count the number of cosets gU fixed by V with g^-1 V g in
-    W.  Column W is the Q-linear nr_ghost(ind_nr(nr_ghost_inv(e_W))) at U's
-    unit ghost e_W; an entry that is not an integer raises."""
-    U = subgroup_group(G, ci)
-    k = len(subgroup_classes(U))
-    cols = []
-    for w in range(k):  # the composite at e_W over Q; _induce is ind_nr's body
-        e_w = IndexedVector.from_ints(U, GHOST, QQ, [int(v == w) for v in range(k)])
-        cols.append(nr_ghost(_induce("ind_nr", NECKLACE, G, ci, nr_ghost_inv(e_w))).payloads())
-    rows = []
-    for v in range(len(subgroup_classes(G))):
-        if any(col[v].denominator != 1 for col in cols):
-            raise IntegralityViolation(f"ghost-level induction is not integral at {row_name(G, v)}")
-        rows.append(tuple((w, col[v].numerator, 1, 0) for w, col in enumerate(cols) if col[v]))
-    return tuple(rows)
+    W (Dress-Siebeneicher).  These are the U-orbits U g^-1 V on G/V whose
+    stabilizer U meet g^-1 V g is all of g^-1 V g, so the row of V keeps
+    `res_orbit_data`'s counts at the classes W of V's order."""
+    u_classes = subgroup_classes(subgroup_group(G, ci)).classes
+    return tuple(tuple((w, m, 1, 0) for w, m in res_orbit_data(G, ci, v)
+                       if u_classes[w].order == cv.order)
+                 for v, cv in enumerate(subgroup_classes(G).classes))
 
 
 def ghost_nu(G: FiniteGroup, ci: int, b: IndexedVector) -> IndexedVector:
-    """Ghost-level companion of induction: the integer table `_nu_table`."""
+    """Ghost-level companion of induction, nu(b)(V) = sum of b(g^-1 V g) over
+    the cosets gU that V fixes: the orbit-count table `_nu_table`."""
     _require_subgroup_vector(G, ci, b)
     _expect("ghost_nu", GHOST, b)
     if isinstance(b.ring, ResidueRing) and not G.is_abelian():

@@ -148,7 +148,7 @@ def _check_ring(doc, ring_flag, path):
         raise SchemaError(f"{path}: missing ring name")
     if ring_flag is not None and ring_flag != name:
         raise SchemaError(
-            f"{path}: --ring {ring_flag} disagrees with the file's ring {name}"
+            f"{path}: --ring {excerpt(ring_flag)} disagrees with the file's ring {excerpt(name)}"
         )
     return parse_ring(name)
 
@@ -224,9 +224,8 @@ def _read_vector(path, model, ring_flag=None, allowed=None, index=None, ctx=None
         if q is None:  # the indeterminate lives in the Q[q] ring only
             qdeform.QContext(None).q_payload(ring)
         if ctx is not None and q != ctx.q:
-            raise SchemaError(
-                f"{path}: the vector was made at q = {_q_text(q)}, not at --q {_q_text(ctx.q)}"
-            )
+            made, asked = ("q" if v is None else excerpt(v) for v in (q, ctx.q))
+            raise SchemaError(f"{path}: the vector was made at q = {made}, not at --q {asked}")
     return IndexedVector.from_payloads(index, flavor, ring, comps, coord_form)
 
 

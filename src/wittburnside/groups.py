@@ -11,6 +11,13 @@ frozensets of element indices.  Everything downstream consumes:
   constants of the necklace and aperiodic multiplications,
 * orbit data for restrictions and the class fusion map for inductions.
 
+Every orbit count is read off one enumeration, `_double_coset_walk`: the
+U-orbits on G/V are the double cosets U g V, each with its point
+stabilizer.  A mark counts the orbits of one point, the structure constants
+and restriction count orbits by stabilizer class, and ghost-level induction
+(`burnside._nu_table`) keeps restriction's orbits whose stabilizer is a
+whole conjugate of V.
+
 The supported order bound is 24; everything here is brute force within it.
 """
 from __future__ import annotations
@@ -365,14 +372,23 @@ def subgroup_classes(G: FiniteGroup) -> SubgroupClassTable:
     return SubgroupClassTable(G, tuple(classes), class_of)
 
 
-def mark(G: FiniteGroup, U: frozenset, V: frozenset) -> int:
-    """Number of cosets gV fixed by every element of U, i.e. with U <= gVg^-1."""
-    hits = 0
+def _double_coset_walk(G: FiniteGroup, U: frozenset, V: frozenset):
+    """Each double coset U g V from its least element g, as (g, the stabilizer
+    U meet gVg^-1 of the point gV of G/V, the double coset's size): the
+    U-orbits on G/V, which every orbit count of this module reads."""
+    seen = [False] * G.order
     for g in range(G.order):
+        if seen[g]:
+            continue
+        block = set()
+        for u in U:
+            ug = G.table[u][g]
+            for v in V:
+                block.add(G.table[ug][v])
+        for x in block:
+            seen[x] = True
         gi = G.inv[g]
-        if all(G.table[G.table[gi][u]][g] in V for u in U):
-            hits += 1
-    return hits // len(V)
+        yield g, frozenset(u for u in U if G.table[G.table[gi][u]][g] in V), len(block)
 
 
 class Rows:
@@ -389,6 +405,8 @@ class Rows:
 
 class MarksMatrix:
     """Table of marks zeta(V, W) = (fixed points of W on G/V) and its inverse.
+
+    A mark counts the one-point W-orbits on G/V of the double-coset walk.
 
     The Mobius inverse is solved when first read, so the group arithmetic
     never pays for it: the necklace ghost table's rows are the columns of
@@ -414,32 +432,16 @@ class MarksMatrix:
 def marks_matrix(G: FiniteGroup) -> MarksMatrix:
     ct = subgroup_classes(G)
     reps = [c.rep for c in ct.classes]
-    return MarksMatrix(ct, Rows([mark(G, W, V) if j >= i else 0 for j, W in enumerate(reps)]
-                                for i, V in enumerate(reps)))
+    # a one-point orbit W g V is one whose stabilizer is W itself
+    return MarksMatrix(ct, Rows(
+        [sum(len(stab) == len(W) for _g, stab, _size in _double_coset_walk(G, W, V))
+         if j >= i else 0 for j, W in enumerate(reps)] for i, V in enumerate(reps)))
 
 
 def subconjugate(G: FiniteGroup, i: int, j: int) -> bool:
     """Class i embeds in a conjugate of class j (positions in the class table)."""
     mm = marks_matrix(G)
     return j <= i and mm.zeta.entry(j, i) > 0
-
-
-def _double_coset_walk(G: FiniteGroup, U: frozenset, V: frozenset):
-    """Each double coset U g V from its least element g, as (g, the stabilizer
-    U meet gVg^-1 of the point gV of G/V, the double coset's size)."""
-    seen = [False] * G.order
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        block = set()
-        for u in U:
-            ug = G.table[u][g]
-            for v in V:
-                block.add(G.table[ug][v])
-        for x in block:
-            seen[x] = True
-        gi = G.inv[g]
-        yield g, frozenset(u for u in U if G.table[G.table[gi][u]][g] in V), len(block)
 
 
 @lru_cache(maxsize=None)

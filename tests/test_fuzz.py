@@ -1,5 +1,6 @@
 """Seeded fuzzing of the text parsers (ring values, ring specs, group descriptors),
-of the vector loader's nesting depth and of the CLI's integer flags.
+of the vector loader's nesting depth, of the CLI's integer flags and of whole
+vector and curve documents.
 
 Every input must parse, or fail with SchemaError or DomainError, and each
 must do so within a time budget: a parser that accepts text it then takes
@@ -219,3 +220,96 @@ def test_an_over_long_number_in_a_parse_error_is_cut(parse, text):
         parse(text)
     assert f"{NINES}... (4000 characters)" in str(exc.value)
     assert len(str(exc.value)) < 1024
+
+
+# --- whole documents ---------------------------------------------------------
+
+# one valid document of each kind, and the command lines that read it (M is
+# the mutated document, V the valid one)
+DOCUMENTS = {
+    "group Witt over Z": (
+        {"schema_version": 1, "group": "S3", "flavor": "Witt", "ring": "Z",
+         "labels": ["G", "3a", "2a", "1"], "components": ["1", "-2", "0", "3"]},
+        (("witt", "neg", "--ring", "Z", "M"),)),
+    "cyclic Necklace over Q": (
+        {"schema_version": 1, "group": {"cyclic_trunc": [1, 2, 3, 6]}, "flavor": "Necklace",
+         "ring": "Q", "labels": [1, 2, 3, 6], "components": ["1", "-1/2", "3", "0"]},
+        (("cyclic", "necklace", "add", "M", "V"), ("cyclic", "necklace", "add", "V", "M"),
+         ("qwitt", "add", "--q", "2", "M", "V"), ("qwitt", "theta", "M"))),
+    "qwitt coordinate-backed Necklace over Z/8": (
+        {"schema_version": 1, "group": {"cyclic_trunc": [1, 2, 3, 4]}, "flavor": "Necklace",
+         "ring": "Z/8", "labels": [1, 2, 3, 4], "components": ["1", "2", "3", "4"],
+         "coord_form": True, "q": 2},
+        (("qwitt", "add", "--q", "2", "M", "V"), ("qwitt", "add", "--q", "2", "V", "M"),
+         ("qwitt", "theta", "M"))),
+    "curve over Q[q]": (
+        {"schema_version": 1, "kind": "curve", "q": "q", "ring": "Q[q]", "degree": 4,
+         "coefficients": ["1", "1*q^1", "-1*q^2+1/2", "-1/2*q^1"]},
+        (("artinhasse", "--q", "q", "--inverse", "M"),)),
+}
+# the values a key's value is replaced with: every JSON type, and the huge ones
+VALUES = (None, True, False, 7, int("7" * 4000), 1.5, "x" * 100_000, [1, 2], {"a": 1})
+DOC_BUDGET_S = 1.0  # per command line; every case here takes well under 0.1 s
+
+
+def _edit(doc, path, value=None, drop=False):
+    """doc with the value at path (a tuple of keys) replaced, or dropped."""
+    doc = json.loads(json.dumps(doc))
+    *outer, key = path
+    target = doc
+    for k in outer:
+        target = target[k]
+    if drop:
+        del target[key]
+    else:
+        target[key] = value
+    return doc
+
+
+def document_mutants(doc, rng):
+    """Each key dropped or its value replaced (a nested object's keys too),
+    lists one entry short or long, a q on a document that records none and
+    coord_form on a cyclic one; then seeded pairs of these."""
+    paths = [(k,) for k in doc] + [(k, j) for k in doc if isinstance(doc[k], dict)
+                                   for j in doc[k]]
+    out = [_edit(doc, p, drop=True) for p in paths]
+    out += [_edit(doc, p, v) for p in paths for v in VALUES]
+    for key in ("labels", "components", "coefficients"):
+        if key in doc:
+            out += [_edit(doc, (key,), doc[key][:-1]), _edit(doc, (key,), doc[key] + doc[key][:1])]
+    if "q" not in doc:
+        out += [_edit(doc, ("q",), q) for q in (2, "q")]
+    if isinstance(doc.get("group"), dict) and "coord_form" not in doc:
+        out.append(_edit(doc, ("coord_form",), True))
+    singles = list(out)
+    for _ in range(40):
+        a, b = rng.sample(singles, 2)
+        out.append({**a, **{k: v for k, v in b.items() if k not in a or a[k] == doc.get(k)}})
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+def test_a_mutated_document_exits_0_2_or_3_in_time(kind, tmp_path, capsys):
+    doc, commands = DOCUMENTS[kind]
+    valid = tmp_path / "valid.json"
+    valid.write_text(json.dumps(doc), encoding="utf-8")
+    mutated = tmp_path / "mutated.json"
+    paths = {"M": str(mutated), "V": str(valid)}
+    for command in commands:  # the unmutated document runs through every verb
+        assert main([str(valid) if w in paths else w for w in command]) == 0, command
+    capsys.readouterr()
+    codes = set()
+    for mutant in document_mutants(doc, random.Random(f"documents:{kind}")):
+        mutated.write_text(json.dumps(mutant), encoding="utf-8")
+        for command in commands:
+            start = time.perf_counter()
+            code = main([paths.get(w, w) for w in command])
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err
+            shown = f"{' '.join(command)} with M = {json.dumps(mutant)[:300]}"
+            assert code in (0, 2, 3), shown
+            assert elapsed < DOC_BUDGET_S, f"{shown} took {elapsed:.2f} s"
+            # a refusal quotes an over-long value in an excerpt
+            assert len(err.encode()) < 1024, (shown, err[:300])
+            codes.add(code)
+    assert {0, 2} <= codes  # some mutants are still valid, most are refused

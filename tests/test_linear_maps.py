@@ -462,6 +462,35 @@ def test_nu_table_weights_are_positive_ints(gname):
                 assert type(count) is int and count > 0 and (exp, qpow) == (1, 0), (gname, ci, row)
 
 
+NAMED = (tuple(f"C{n}" for n in range(1, 25)) + tuple(f"D{n}" for n in range(2, 13))
+         + ("S1", "S2", "S3", "S4", "Q8"))
+# A4, C3 wr C2, S3 x C2, C7 : C3 and S4, given by generators in cycle notation
+CYCLE_NOTATION = ("(1 2 3), (1 2)(3 4)", "(1 2 3), (1 4)(2 5)(3 6)", "(1 2 3), (1 2), (4 5)",
+                  "(1 2 3 4 5 6 7), (2 3 5)(4 7 6)", "(1 2 3 4), (1 2)")
+
+
+def composite_nu_table(G, ci):
+    """ghost_nu's table as the rational composite nr_ghost(ind_nr(nr_ghost_inv(e_W)))
+    at each unit ghost e_W of U = rep(ci): column W, with its zero entries left out."""
+    U = subgroup_group(G, ci)
+    k = len(subgroup_classes(U))
+    cols = []
+    for w in range(k):
+        e_w = IndexedVector.from_ints(U, GHOST, parse_ring("Q"), [int(v == w) for v in range(k)])
+        cols.append(nr_ghost(ind_nr(G, ci, nr_ghost_inv(e_w))).payloads())
+    return tuple(tuple((w, col[v], 1, 0) for w, col in enumerate(cols) if col[v])
+                 for v in range(len(subgroup_classes(G))))
+
+
+@pytest.mark.parametrize("gname", NAMED + CYCLE_NOTATION)
+def test_nu_table_counts_what_the_composite_of_the_transports_gives(gname):
+    # the orbit count of ghost-level induction against its definition through
+    # the necklace ghost and induction, solved over Q
+    G = build_group(gname)
+    for ci in range(len(subgroup_classes(G))):
+        assert _nu_table(G, ci) == composite_nu_table(G, ci), (gname, ci)
+
+
 @pytest.mark.parametrize("gname", ABELIAN)
 def test_nu_table_on_an_abelian_group_is_aperiodic_induction(gname):
     # fusion is injective on an abelian group, so ghost_nu scales by (G:U)
