@@ -223,6 +223,16 @@ def _unpack(value: int, n: int, size: int):
     return [int.from_bytes(raw[i:i + n], "little") - half for i in range(0, n * size, n)]
 
 
+def _slot_terms(cs, dims, den=1):
+    """{exponents: c / den} over the non-zero digits cs of the exponent box
+    `dims`, in slot order: the terms of a polynomial read back by _unpack."""
+    slots = itertools.compress(itertools.product(*map(range, dims)), cs)
+    values = filter(None, cs)
+    if den != 1:
+        values = (_ratio(c, den) for c in values)
+    return dict(zip(slots, values))
+
+
 def _kronecker_pays(box: int, nvars: int, terms: int, e: int, n: int) -> bool:
     """Whether p ** e, for p of `terms` terms in nvars variables packed in
     n-byte digits, is cheaper by Kronecker substitution than by the chain.
@@ -622,12 +632,7 @@ class MultiPoly:
     def _from_digits(self, value, dims, n, den):
         """The polynomial whose coefficients, times den, are the n-byte
         balanced digits of value at the slots of the exponent box `dims`."""
-        cs = _unpack(value, n, math.prod(dims))
-        slots = itertools.compress(itertools.product(*map(range, dims)), cs)
-        values = filter(None, cs)
-        if den != 1:
-            values = (_ratio(c, den) for c in values)
-        return MultiPoly._of(self.vars, dict(zip(slots, values)))
+        return MultiPoly._of(self.vars, _slot_terms(_unpack(value, n, math.prod(dims)), dims, den))
 
     def _power(self, e: int):
         """self ** e (e >= 2) by Kronecker substitution, or None for the zero

@@ -30,7 +30,10 @@ system); their integral (in the q-model numerical) coefficients certify
 that the solve stays in the ring.  When WB_CACHE_DIR is set, a memo miss
 of a Witt-flavor system also writes its polynomials to a missing entry
 there, as an export: nothing reads an entry back, since checking one
-soundly costs as much as the solve.
+soundly costs as much as the solve.  Integer polynomial payloads are solved
+over Z too, at one point that packs each payload into one integer
+(`GhostSystem._at_point`), where their sizes say that pays (`_point_room`);
+the universal polynomials keep the polynomial route.
 
 The transports between the flavors solve on the same tables.  With every
 exponent 1 (`linear_table`) a table is the ghost of the necklace flavor;
@@ -46,6 +49,8 @@ naming the caller's context) and `solve_triangular` raises its caller's
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 import tempfile
 from fractions import Fraction
@@ -59,7 +64,20 @@ from .errors import (
     excerpt,
 )
 from .groups import FiniteGroup, marks_matrix, subgroup_classes
-from .rings import POWER_BOUND, ZZ, MultiPoly, PolyRing, QPolynomial, ResidueRing, _ratio
+from .rings import (
+    POWER_BOUND,
+    ZZ,
+    MultiPoly,
+    PolyRing,
+    QPolynomial,
+    ResidueRing,
+    _digit_bytes,
+    _pack,
+    _ratio,
+    _slot_terms,
+    _strides,
+    _unpack,
+)
 
 WITT = "Witt"
 NECKLACE = "Necklace"
@@ -262,6 +280,26 @@ def solve_triangular(table, want, R, fail, q=None):
 # the ghost equations of one operation
 
 
+POINT_BYTES = 6144
+
+
+def _point_room(box: int, nvars: int) -> int:
+    """The widest digit, in bytes, at which a solve whose rows fit an
+    exponent box of `box` slots in nvars variables is cheaper over Z at one
+    point than over the polynomials (0: at none).
+
+    The point route's big-integer work grows with the packed bytes, box * n;
+    the polynomial route's with the terms the rows hold, at most about
+    box / nvars! for rows of bounded total degree.  So the point route pays
+    while box * n * nvars! <= POINT_BYTES: a dense box in one variable
+    packs, while one in three or more variables, whose corners the rows
+    never fill, keeps the polynomials (fitted to random rows in 1-4
+    variables on groups and truncation sets, and to the symbolic-mix keys;
+    see the README).
+    """
+    return POINT_BYTES // (box * math.factorial(nvars))
+
+
 class GhostSystem:
     """The equations w(s) = target(a, b) of one operation, and their solution.
 
@@ -274,9 +312,9 @@ class GhostSystem:
 
     An operation evaluates `apply` at its payloads.  `polys` are the
     universal polynomials, MultiPoly in `vars` (in the q-model vars[0] is q
-    itself): `apply` at the variables, solved on first read.  The integer
-    solve refuses a fractional coefficient itself, and a non-numerical
-    q-coefficient is refused there.  `compiled` pairs each monomial in the
+    itself): the polynomial route `_solve` at the variables, solved on
+    first read.  The integer solve refuses a fractional coefficient itself,
+    and a non-numerical q-coefficient is refused there.  `compiled` pairs each monomial in the
     other variables, given as ((var_index, exp), ...), with its coefficient:
     an int, or in the q-model a numerical QPolynomial.
     """
@@ -291,6 +329,25 @@ class GhostSystem:
         bvars = tuple(f"b_{l}" for l in self.labels) if op in ("sum", "prod") else ()
         self.vars = ("q",) * q + avars + bvars
         self._polys = None
+        # the point route (`_at_point`) needs positive int weights, and
+        # exponents that `cached_power` admits; decided once, from the tables
+        rows = self.table if self.rows is None else [self.table[i] for i in self.rows]
+        entries = [t for row in (*rows, *self.out_table) for t in row]
+        self._pointwise = (max(e for _, _, e, _ in entries) <= POWER_BOUND
+                           and all(type(w) is int and w > 0 for _, w, _, _ in entries))
+        if self._pointwise:
+            # reach[u]: the largest factor by which the degree of row u enters
+            # a row of the solve, a product of exponents along the rows, found
+            # from the last row back; spread[v]: the largest by which payload
+            # v's degree enters a row, and at least 1, since it is packed
+            reach = [1] * len(self.out_table)
+            for u in reversed(range(len(self.out_table))):
+                for v, _, e, _ in self.out_table[u][:-1]:
+                    reach[v] = max(reach[v], e * reach[u])
+            self._spread = [1] * len(self.table)
+            for w, row in enumerate(rows):
+                for v, _, e, _ in row:
+                    self._spread[v] = max(self._spread[v], e * reach[w])
 
     group = truncation = property(lambda self: self.structure)
 
@@ -299,7 +356,7 @@ class GhostSystem:
         if self._polys is None:
             R = PolyRing(self.vars, rational=bool(self.q))
             gens = [R.variable(v) for v in self.vars]
-            polys = tuple(self.apply(R, gens[self.q:], gens[0] if self.q else None))
+            polys = tuple(self._solve(R, gens[self.q:], gens[0] if self.q else None))
             # grouping by monomial checks numericality; `compiled` returns it
             self._compiled = tuple(map(_compile_q, polys)) if self.q else None
             self._polys = polys
@@ -329,14 +386,126 @@ class GhostSystem:
         q is the q-model's q: an int, or the indeterminate as a payload of R.
         A residue ring's payloads are lifted to Z, solved with the integer q
         itself and reduced; the integral (numerical) universal polynomials
-        make that exact.  A row that leaves the ring solved in (Z for a
-        residue ring) raises an IntegralityViolation naming the operation.
+        make that exact.  Integer polynomial payloads at an int or no q are
+        solved over Z at one point where that pays (`_at_point`).  A row
+        that leaves the ring solved in (Z for a residue ring) raises an
+        IntegralityViolation naming the operation.
         """
+        if self._pointwise and isinstance(R, PolyRing) and (q is None or type(q) is int):
+            out = self._at_point(R, xs, q)
+            if out is not None:
+                return out
+        return self._solve(R, xs, q)
+
+    def _solve(self, R, xs, q):
+        """`apply` by the ring's own arithmetic: the route of the universal
+        polynomials and of every payload `_at_point` leaves."""
         S = ZZ if isinstance(R, ResidueRing) else R
-        out = solve_triangular(self.out_table, self.targets(S, xs, q), S, lambda u, R:
-                               IntegralityViolation(f"{self.op} has fractional coefficients at "
-                                                    f"{self._where(u)} over {R.name}"), q)
+        out = solve_triangular(self.out_table, self.targets(S, xs, q), S, self._fail, q)
         return [R.from_int(s) for s in out] if S is not R else out
+
+    def _fail(self, u, R):
+        return IntegralityViolation(
+            f"{self.op} has fractional coefficients at {self._where(u)} over {R.name}")
+
+    def _norms(self, ns, q, limit):
+        """Bounds of the 1-norms of the solve's rows before their division by
+        the diagonal weight, from the 1-norms ns of the payloads: ||pq|| <=
+        ||p|| ||q|| and ||p^e|| <= ||p||^e, with |q|^qpow; None once a bound
+        passes 2^limit."""
+        aq = abs(q or 0)
+
+        def row_sum(row, ys, acc=0):
+            for v, w, e, qp in row:
+                y = ys[v]
+                if y:
+                    if (y.bit_length() - 1) * e > limit:
+                        raise OverflowError
+                    acc += w * aq ** qp * y ** e
+            return acc
+
+        try:
+            if self.rows is not None:
+                want = [row_sum(self.table[i], ns) for i in self.rows]
+            else:
+                want = [row_sum(row, ns) for row in self.table]
+                if self.op != "neg":
+                    gb = [row_sum(row, ns[len(self.table):]) for row in self.table]
+                    want = list(map(operator.add if self.op == "sum" else operator.mul, want, gb))
+            solved, before = [], []
+            for row, acc in zip(self.out_table, want):
+                acc = row_sum(row[:-1], solved, acc)
+                if acc.bit_length() > limit:
+                    return None
+                before.append(acc)
+                solved.append(acc // row[-1][1])
+        except OverflowError:
+            return None
+        return before
+
+    def _at_point(self, R, xs, q):
+        """`apply` at integer polynomial payloads xs, solved over Z at one
+        point, or None where the route does not pay or (over QPoly) a row
+        has a non-integral quotient.
+
+        The operation is a ring functor's, so it commutes with evaluation at
+        x_i = 2^(8 n s_i), s_i the stride of x_i in an exponent box: a ring
+        map, one-to-one on the polynomials whose degrees fit the box and
+        whose coefficients fit n-byte balanced digits.  From the payloads'
+        sizes alone, each row before its division by the diagonal weight is
+        bounded in degree per variable (deg_i(p^e) = e deg_i(p), through the
+        factors `_spread` of the tables) and in 1-norm (`_norms`); box and
+        digits are sized to hold them and the payloads, and `_point_room`
+        decides.  Each payload is packed once (`rings._pack`), the targets
+        and the rows are solved over Z, and each row is divided and read
+        back once (`rings._unpack`): d divides every coefficient of a row
+        exactly when it divides the row's integer and d times each digit of
+        the quotient fits a digit (balanced digits are unique).  A row it
+        does not divide raises fail(u) over ZPoly, and leaves the solve to
+        the polynomial route over QPoly.
+        """
+        if R.rational and not all(map(MultiPoly.is_integral, xs)):
+            return None
+        flat = (0,) * len(R.vars)
+        degs = [tuple(map(max, zip(*x.terms))) if x.terms else flat for x in xs]
+        spread, k = self._spread, len(self.table)
+
+        def top(degs):
+            return [max(map(operator.mul, spread, col)) for col in zip(*degs)]
+
+        dims = top(degs[:k])
+        if len(xs) > k:  # the product's degrees add; the sum's are at most these
+            dims = list(map(operator.add if self.op == "prod" else max, dims, top(degs[k:])))
+        dims = [d + 1 for d in dims]
+        box = math.prod(dims)
+        room = _point_room(box, len(dims))
+        if not room:
+            return None
+        norms = [sum(map(abs, x.terms.values())) for x in xs]
+        before = self._norms(norms, q, 8 * room)
+        if before is None:
+            return None
+        n = _digit_bytes(max(before + norms))
+        if n > room:
+            return None
+        strides = _strides(dims)
+        points = []
+        for x in xs:
+            slots = [sum(map(operator.mul, e, strides)) for e in x.terms]
+            points.append(_pack(slots, x.terms.values(), max(slots, default=0) + 1, n))
+        solved, out, powers = [], [], {}
+        half = 1 << 8 * n - 1  # a digit c has -half <= c < half
+        for u, (row, acc) in enumerate(zip(self.out_table, self.targets(ZZ, points, q))):
+            d = row[-1][1]
+            acc, r = divmod(ZZ.row_sum(acc, -1, row[:-1], solved, powers, q, None), d)
+            cs = _unpack(acc, n, box)
+            if r or d != 1 and not (-half <= d * min(cs) and d * max(cs) < half):
+                if R.rational:
+                    return None
+                raise self._fail(u, R)
+            solved.append(acc)
+            out.append(MultiPoly._of(R.vars, _slot_terms(cs, dims)))
+        return out
 
     def _where(self, u):
         of = f" of {self.structure.name}" if isinstance(self.structure, FiniteGroup) else ""

@@ -875,6 +875,50 @@ def test_artin_hasse_divisor_truncation():
         artin_hasse_inv(ctx, bad, D4)
 
 
+def fold_reference(ctx, R, T, payloads, N):
+    """The F_q-sum of the monomial curves a_n t^n by `curve_add`, degree N."""
+    acc = TruncatedCurve.from_payloads(R, [R.zero()] * N)
+    for n, p in zip(T, payloads):
+        mono = [R.zero()] * N
+        mono[n - 1] = p
+        acc = curve_add(ctx, acc, TruncatedCurve.from_payloads(R, mono))
+    return acc
+
+
+@pytest.mark.parametrize("ring,q", [
+    ("Z", 2), ("Z", -1), ("Q", 3), ("Z/8", 2), ("ZPoly(x,y)", 2), ("Q[q]", 2), ("Q[q]", None)])
+def test_artin_hasse_folds_match_curve_add(ring, q):
+    """Both in-place folds against curve_add: H^q(a) is the F_q-sum of the
+    a_n t^n, and on 1..N, where every curve is an image, H^q^-1(c) is the
+    vector whose sum is c."""
+    R = parse_ring(ring)
+    ctx = QContext(q)
+    rng = random.Random(f"fold:{ring}:{q}")
+
+    def value():
+        if ring == "ZPoly(x,y)":
+            x, y = R.variable("x"), R.variable("y")
+            c = [rng.randint(-3, 3) for _ in range(3)]
+            return x * c[0] + y * y * c[1] + R.from_int(c[2])
+        if ring == "Q[q]":
+            return QP([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)])
+        if ring == "Q":
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return R.from_int(rng.randint(-3, 3))
+
+    for T in (TruncationSet(range(1, 9)), D12, TruncationSet([1, 3, 5, 15])):
+        N = max(T.members)
+        for _ in range(3):
+            a = CyclicVector.from_payloads(T, WITT, R, [value() for _ in T])
+            c = artin_hasse(ctx, a)
+            assert c == fold_reference(ctx, R, T, a.payloads(), N)
+            assert artin_hasse_inv(ctx, c, T) == a
+    T = TruncationSet(range(1, 9))
+    for _ in range(3):
+        c = TruncatedCurve.from_payloads(R, [value() for _ in T])
+        assert fold_reference(ctx, R, T, artin_hasse_inv(ctx, c, T).payloads(), 8) == c
+
+
 def test_curve_group_and_product():
     ctx = QContext(2)
     T = TruncationSet(range(1, 7))
