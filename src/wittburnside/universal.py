@@ -314,9 +314,9 @@ class GhostSystem:
     universal polynomials, MultiPoly in `vars` (in the q-model vars[0] is q
     itself): the polynomial route `_solve` at the variables, solved on
     first read.  The integer solve refuses a fractional coefficient itself,
-    and a non-numerical q-coefficient is refused there.  `compiled` pairs each monomial in the
-    other variables, given as ((var_index, exp), ...), with its coefficient:
-    an int, or in the q-model a numerical QPolynomial.
+    and a non-numerical q-coefficient is refused there.  `compiled` pairs
+    each monomial in the other variables, given as ((var_index, exp), ...),
+    with its coefficient: an int, or in the q-model a numerical QPolynomial.
     """
 
     def __init__(self, index, table, op, q=False, shift=None):

@@ -145,6 +145,19 @@ def test_zero_constant_and_wide_payloads():
         assert routed(system, R, [x * (BIG - 1) + R.from_int(BIG * 3 + c) for c in range(k)])
 
 
+def test_digits_as_wide_as_the_bound():
+    """Monomial payloads meet the 1-norm bound exactly: the product of
+    +-3.1e9 x and 3.1e9 y has absolute value between 2^63 and 2^64, so its
+    digit takes 9 bytes, where half the bound would give 8."""
+    system = ghost_system(TruncationSet([1]), "prod", WITT, False, None)
+    R = PolyRing(("x", "y"), rational=False)
+    x, y = R.variable("x"), R.variable("y")
+    c = 3_100_000_000
+    for s in (1, -1):
+        assert routed(system, R, [x * (s * c), y * c])
+        assert system.apply(R, [x * (s * c), y * c]) == [x * y * (s * c * c)]
+
+
 def test_a_row_that_is_not_integral():
     """A row whose diagonal weight does not divide it: over ZPoly both routes
     refuse it naming the row, over QPoly the point route leaves the solve to
