@@ -38,13 +38,16 @@ Transports between the flavors:
     witt_v      Witt on U -> Witt on G the Witt solve on G of ghost_nu
 
 Every transport is determined by its ghost map (Dress-Siebeneicher), so each
-one is a ghost (`_ghost`), an optional linear map of ghosts, and the
-triangular solve of a ghost (`_ghost_inv`, the one caller of
-`universal.solve_triangular` here) on the ghost tables the Witt operations
-use (`universal.ghost_table`), the necklace table being the Witt table with
+one solves, on the ghost tables the Witt operations use
+(`universal.ghost_table`), the necklace table being the Witt table with
 every exponent 1 and the aperiodic table that one over the index
-(`universal.flavor_table`).  Induction, restriction and ghost_nu are linear
-tables too, run by `universal.ghost_values`.
+(`universal.flavor_table`), for the ghost of its input, read off along an
+optional linear map.  Teichmuller and its inverse, witt_v and witt_f are
+each one memoised `universal.GhostSystem` (`_transport_system`,
+`_witt_v_system`, `_witt_f_system`) applied as a ring operation is
+(`_solve`), so polynomial payloads reach its point route; the inverse
+ghosts solve a given ghost (`_ghost_inv`).  Induction, restriction and
+ghost_nu are linear tables too, run by `universal.ghost_values`.
 The ghost, its inverse and Teichmuller and its inverse are written once
 (`_ghost`, `_ghost_inv`, `_teichmuller`, `_teichmuller_inv`) for any index
 set, with the q-model's q as an optional argument; wg_ghost, cyc_ghost,
@@ -235,15 +238,16 @@ def _flavor_op(op, x, y, witt_op, q=None):
     return _flavor_mul(x, y, q)
 
 
-def _solve(system: GhostSystem, x: IndexedVector, y=None, q=None) -> IndexedVector:
+def _solve(system: GhostSystem, x: IndexedVector, y=None, q=None, flavor=None) -> IndexedVector:
     """The operation of `system` at x (and y), solved on the ghosts: a vector
-    on the system's structure with x's flavor, ring and form.  q is the
-    q-model's q as a function of the ring, None outside the q-model, and is
-    taken only here, once the caller has built the system's table (as in
-    `_ghost`)."""
+    on the system's structure with x's ring and form, and x's flavor unless
+    a transport names its own.  q is the q-model's q as a function of the
+    ring, None outside the q-model, and is taken only here, once the caller
+    has built the system's table (as in `_ghost`)."""
     xs = x.payloads() + (y.payloads() if y is not None else ())
     out = system.apply(x.ring, xs, q and q(x.ring))
-    return IndexedVector.from_payloads(system.structure, x.flavor, x.ring, out, x.coord_form)
+    return IndexedVector.from_payloads(system.structure, flavor or x.flavor, x.ring, out,
+                                       x.coord_form)
 
 
 @lru_cache(maxsize=None)
@@ -427,6 +431,17 @@ def exp_S(G: FiniteGroup, r: RingValue) -> IndexedVector:
     return theta(exp_M(G, r))
 
 
+@lru_cache(maxsize=None)
+def _transport_system(index, source, target, q, error, text) -> GhostSystem:
+    """The memoised system of a transport on index, in the q-model when q is
+    true: the `target` flavor's solve of the `source` flavor's ghost, row by
+    row; a row without a solution raises error(text) (see `row_error`)."""
+    table = flavor_table(index, source, q)
+    shift = index, flavor_table(index, target, q), range(len(table))
+    return GhostSystem(index, table, f"{source}->{target}", q, shift,
+                       row_error(error, text, index))
+
+
 def _teichmuller(alpha: IndexedVector, what: str, q=None) -> IndexedVector:
     """Witt -> Necklace, the necklace ghost solve of the Witt ghost; a row
     leaving the ring raises IntegralityViolation "<what> escaped ..."."""
@@ -437,8 +452,9 @@ def _teichmuller(alpha: IndexedVector, what: str, q=None) -> IndexedVector:
     if not (R.is_qalgebra or _is_binomial(R)):
         # torsion-free but not binomial: the image lives in the rationalisation
         alpha = alpha.map_ring(R.rationalized(), R.to_rationalized)
-    return _ghost_inv(_ghost(alpha, q), alpha.index, NECKLACE, row_error(
-        IntegralityViolation, what + " escaped {ring} at {row}", alpha.index), q)
+    system = _transport_system(alpha.index, WITT, NECKLACE, q is not None,
+                               IntegralityViolation, what + " escaped {ring} at {row}")
+    return _solve(system, alpha, q=q, flavor=NECKLACE)
 
 
 def _teichmuller_inv(x: IndexedVector, refused: str, text: str, q=None) -> IndexedVector:
@@ -449,7 +465,8 @@ def _teichmuller_inv(x: IndexedVector, refused: str, text: str, q=None) -> Index
         return x.retag(WITT, coord_form=False)
     if isinstance(x.ring, ResidueRing):
         raise DomainError(refused.format(ring=x.ring.name))
-    return _ghost_inv(_ghost(x, q), x.index, WITT, row_error(NotInImage, text, x.index), q)
+    system = _transport_system(x.index, NECKLACE, WITT, q is not None, NotInImage, text)
+    return _solve(system, x, q=q, flavor=WITT)
 
 
 def teichmuller(alpha: IndexedVector) -> IndexedVector:
@@ -565,31 +582,52 @@ def res_ap(G: FiniteGroup, ci: int, x: IndexedVector) -> IndexedVector:
 # Frobenius/Verschiebung on Witt coordinates, ghost-level companions
 
 
+@lru_cache(maxsize=None)
+def _witt_v_system(G: FiniteGroup, ci: int) -> GhostSystem:
+    """witt_v's system: ghost_nu's rows folded into U's Witt table, so row V
+    reads m times U's ghost row W for each (W, m, 1, 0) of `_nu_table`'s
+    row V, and the unknowns solve G's Witt table."""
+    U = subgroup_group(G, ci)
+    witt = ghost_table(U)
+    table = []
+    for row in _nu_table(G, ci):
+        weights = {}  # (payload, exponent) -> weight, in the order first met
+        for w, m, _, _ in row:
+            for v, weight, e, _ in witt[w]:
+                weights[v, e] = weights.get((v, e), 0) + m * weight
+        table.append(tuple((v, weight, e, 0) for (v, e), weight in weights.items()))
+    table = tuple(table)
+    return GhostSystem(U, table, "witt_v", False, (G, ghost_table(G), range(len(table))),
+                       row_error(IntegralityViolation,
+                                 "induced Witt vector escaped {ring} at {row}", G))
+
+
+@lru_cache(maxsize=None)
+def _witt_f_system(G: FiniteGroup, ci: int) -> GhostSystem:
+    """witt_f's system: G's Witt rows at the classes that U's classes fuse
+    to, solved on U's Witt table (the shift form of a Frobenius)."""
+    U = subgroup_group(G, ci)
+    return GhostSystem(G, ghost_table(G), "witt_f", False,
+                       (U, ghost_table(U), ind_class_map(G, ci)),
+                       row_error(IntegralityViolation,
+                                 "restricted Witt vector escaped {ring} at {row}", U))
+
+
 def witt_v(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
     """Verschiebung-type map on Witt coordinates: the Witt solve on G of
     ghost_nu(G, ci, wg_ghost(alpha)), the ghost of the induced necklace
-    vector ind_nr(teichmuller(alpha))."""
+    vector ind_nr(teichmuller(alpha)) (over Z/m lifted to Z and reduced)."""
     _require_subgroup_vector(G, ci, alpha)
-    R = _expect("witt_v", WITT, alpha).ring
-    if isinstance(R, ResidueRing):
-        # the solve divides: solve over Z, then reduce
-        return witt_v(G, ci, alpha.map_ring(ZZ, int)).map_ring(R, R.from_int)
-    return _ghost_inv(ghost_nu(G, ci, _ghost(alpha)), G, WITT, row_error(
-        IntegralityViolation, "induced Witt vector escaped {ring} at {row}", G))
+    _expect("witt_v", WITT, alpha)
+    return _solve(_witt_v_system(G, ci), alpha)
 
 
 def witt_f(G: FiniteGroup, ci: int, alpha: IndexedVector) -> IndexedVector:
     """Frobenius-type map on Witt coordinates: the Witt solve on U = rep(ci)
     of ghost_F(G, ci, wg_ghost(alpha)), G's ghost read off along class fusion
     (over Z/m lifted to Z and reduced)."""
-    R = _require_parent_vector(G, _expect("witt_f", WITT, alpha)).ring
-    if isinstance(R, ResidueRing):
-        return witt_f(G, ci, alpha.map_ring(ZZ, int)).map_ring(R, R.from_int)
-    U, table = subgroup_group(G, ci), ghost_table(G, False)
-    # G's ghost only at the rows that U's classes fuse to
-    ghost = ghost_values([table[k] for k in ind_class_map(G, ci)], R, alpha.payloads())
-    return _ghost_inv(IndexedVector.from_payloads(U, GHOST, R, ghost), U, WITT, row_error(
-        IntegralityViolation, "restricted Witt vector escaped {ring} at {row}", U))
+    _require_parent_vector(G, _expect("witt_f", WITT, alpha))
+    return _solve(_witt_f_system(G, ci), alpha)
 
 
 @lru_cache(maxsize=None)

@@ -30,10 +30,11 @@ system); their integral (in the q-model numerical) coefficients certify
 that the solve stays in the ring.  When WB_CACHE_DIR is set, a memo miss
 of a Witt-flavor system also writes its polynomials to a missing entry
 there, as an export: nothing reads an entry back, since checking one
-soundly costs as much as the solve.  Integer polynomial payloads are solved
-over Z too, at one point that packs each payload into one integer
+soundly costs as much as the solve.  Polynomial payloads are solved over Z
+too, at one point that packs each payload into one integer
 (`GhostSystem._at_point`), where their sizes say that pays (`_point_room`);
-the universal polynomials keep the polynomial route.
+over QPoly a row whose quotient is not integral carries one integer
+denominator.  The universal polynomials keep the polynomial route.
 
 The transports between the flavors solve on the same tables.  With every
 exponent 1 (`linear_table`) a table is the ghost of the necklace flavor;
@@ -44,7 +45,9 @@ weight stays an int where that quotient is integral and is a Fraction
 elsewhere.  A Fraction weight scales by its image in a Q-algebra; outside
 one `ghost_values` refuses it on a non-zero payload (NonIntegralConstant,
 naming the caller's context) and `solve_triangular` raises its caller's
-`fail` for the row.
+`fail` for the row.  Teichmuller and its inverse, witt_v and witt_f are
+GhostSystems of one input table and the rows they read (`burnside`
+memoises them); they export nothing.
 """
 from __future__ import annotations
 
@@ -54,7 +57,7 @@ import operator
 import os
 import tempfile
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     DomainError,
@@ -72,11 +75,13 @@ from .rings import (
     QPolynomial,
     ResidueRing,
     _digit_bytes,
+    _over_common_denominator,
     _pack,
     _ratio,
     _slot_terms,
     _strides,
     _unpack,
+    cached_power,
 )
 
 WITT = "Witt"
@@ -300,15 +305,33 @@ def _point_room(box: int, nvars: int) -> int:
     return POINT_BYTES // (box * math.factorial(nvars))
 
 
+def _scaled_sum(entries, nums, dens, powers, q):
+    """One row's terms at one point over one denominator: (s, L), L the lcm
+    of dens[v]^e over the entries (v, w, e, qpow) at a non-zero nums[v], and
+    s = L times the sum of w q^qpow (nums[v] / dens[v])^e.  powers caches
+    the powers of nums (see `cached_power`)."""
+    L = math.lcm(*[dens[v] ** e for v, _, e, _ in entries if nums[v]])
+    s = 0
+    for v, w, e, qp in entries:
+        x = nums[v]
+        if x:
+            p = x if e == 1 else cached_power(ZZ, nums, v, e, powers)
+            s += L // dens[v] ** e * (w * q ** qp if qp else w) * p
+    return s, L
+
+
 class GhostSystem:
     """The equations w(s) = target(a, b) of one operation, and their solution.
 
     `table` is the ghost table of the input index set `index` (a group or a
-    truncation set), whose labels name the variables.  Only a Frobenius
-    passes `shift`, a triple (the unknowns' index set, its table, the input
-    row whose ghost each unknown's ghost equals); the ring operations solve
-    over `index` itself.  `structure`, read also by the names `group` and
-    `truncation`, is the index set of the solution.
+    truncation set), whose labels name the variables.  A linear map passes
+    `shift`, a triple (the unknowns' index set, its table, the input row
+    whose ghost each unknown's ghost equals): a Frobenius, a transport
+    between the flavors, witt_v and witt_f.  The ring operations solve over
+    `index` itself.  `structure`, read also by the names `group` and
+    `truncation`, is the index set of the solution.  fail(u, R) is the
+    error of a row u without a solution in R: by default an
+    IntegralityViolation naming the operation.
 
     An operation evaluates `apply` at its payloads.  `polys` are the
     universal polynomials, MultiPoly in `vars` (in the q-model vars[0] is q
@@ -319,37 +342,49 @@ class GhostSystem:
     with its coefficient: an int, or in the q-model a numerical QPolynomial.
     """
 
-    def __init__(self, index, table, op, q=False, shift=None):
+    def __init__(self, index, table, op, q=False, shift=None, fail=None):
         self.labels = index_labels(index)
         self.table = table
         self.op = op
         self.q = q
-        self.structure, self.out_table, self.rows = shift or (index, table, None)
+        self.structure, self.out_table, rows = shift or (index, table, None)
+        # the input rows a linear map reads, one per unknown
+        self.rows = None if rows is None else tuple(table[i] for i in rows)
+        if fail is not None:
+            self._fail = fail
         avars = tuple(f"a_{l}" for l in self.labels)
         bvars = tuple(f"b_{l}" for l in self.labels) if op in ("sum", "prod") else ()
         self.vars = ("q",) * q + avars + bvars
         self._polys = None
-        # the point route (`_at_point`) needs positive int weights, and
-        # exponents that `cached_power` admits; decided once, from the tables
-        rows = self.table if self.rows is None else [self.table[i] for i in self.rows]
-        entries = [t for row in (*rows, *self.out_table) for t in row]
-        self._pointwise = (max(e for _, _, e, _ in entries) <= POWER_BOUND
-                           and all(type(w) is int and w > 0 for _, w, _, _ in entries))
-        if self._pointwise:
-            # reach[u]: the largest factor by which the degree of row u enters
-            # a row of the solve, a product of exponents along the rows, found
-            # from the last row back; spread[v]: the largest by which payload
-            # v's degree enters a row, and at least 1, since it is packed
-            reach = [1] * len(self.out_table)
-            for u in reversed(range(len(self.out_table))):
-                for v, _, e, _ in self.out_table[u][:-1]:
-                    reach[v] = max(reach[v], e * reach[u])
-            self._spread = [1] * len(self.table)
-            for w, row in enumerate(rows):
-                for v, _, e, _ in row:
-                    self._spread[v] = max(self._spread[v], e * reach[w])
 
     group = truncation = property(lambda self: self.structure)
+
+    @cached_property
+    def _spread(self):
+        """spread[v]: the largest factor by which payload v's degree enters a
+        row of the solve, and at least 1, since it is packed; None where the
+        point route (`_at_point`) cannot take the system, which needs
+        positive int weights and exponents that `cached_power` admits.
+        Decided once, from the tables, on the first polynomial payloads."""
+        rows = self.table if self.rows is None else self.rows
+        entries = [t for row in (*rows, *self.out_table) for t in row]
+        if not (max(e for _, _, e, _ in entries) <= POWER_BOUND
+                and all(type(w) is int and w > 0 for _, w, _, _ in entries)):
+            return None
+        # reach[u]: the largest factor by which the degree of row u enters a
+        # row of the solve, a product of exponents along the rows, found from
+        # the last row back
+        reach = [1] * len(self.out_table)
+        for u in reversed(range(len(self.out_table))):
+            for v, _, e, _ in self.out_table[u][:-1]:
+                reach[v] = max(reach[v], e * reach[u])
+        spread = [1] * len(self.table)
+        for w, row in enumerate(rows):
+            for v, _, e, _ in row:
+                spread[v] = max(spread[v], e * reach[w])
+        return spread
+
+    _pointwise = property(lambda self: self._spread is not None)
 
     @property
     def polys(self):
@@ -371,7 +406,7 @@ class GhostSystem:
         """Target ghost components at the payloads xs in R (a's, then b's); qv
         is the q-model's q, an int or a payload of R."""
         if self.rows is not None:  # only the input rows the unknowns read
-            return ghost_values([self.table[i] for i in self.rows], R, xs, qv)
+            return ghost_values(self.rows, R, xs, qv)
         ga = ghost_values(self.table, R, xs, qv)
         if self.op == "neg":
             return [-x for x in ga]
@@ -386,12 +421,11 @@ class GhostSystem:
         q is the q-model's q: an int, or the indeterminate as a payload of R.
         A residue ring's payloads are lifted to Z, solved with the integer q
         itself and reduced; the integral (numerical) universal polynomials
-        make that exact.  Integer polynomial payloads at an int or no q are
-        solved over Z at one point where that pays (`_at_point`).  A row
-        that leaves the ring solved in (Z for a residue ring) raises an
-        IntegralityViolation naming the operation.
+        make that exact.  Polynomial payloads at an int or no q are solved
+        over Z at one point where that pays (`_at_point`).  A row that
+        leaves the ring solved in (Z for a residue ring) raises fail(u, R).
         """
-        if self._pointwise and isinstance(R, PolyRing) and (q is None or type(q) is int):
+        if isinstance(R, PolyRing) and (q is None or type(q) is int) and self._pointwise:
             out = self._at_point(R, xs, q)
             if out is not None:
                 return out
@@ -408,11 +442,13 @@ class GhostSystem:
         return IntegralityViolation(
             f"{self.op} has fractional coefficients at {self._where(u)} over {R.name}")
 
-    def _norms(self, ns, q, limit):
+    def _norms(self, ns, q, limit, ceil=False):
         """Bounds of the 1-norms of the solve's rows before their division by
-        the diagonal weight, from the 1-norms ns of the payloads: ||pq|| <=
-        ||p|| ||q|| and ||p^e|| <= ||p||^e, with |q|^qpow; None once a bound
-        passes 2^limit."""
+        the diagonal weight, from bounds ns of the payloads' 1-norms: ||pq||
+        <= ||p|| ||q|| and ||p^e|| <= ||p||^e, with |q|^qpow; None once a
+        bound passes 2^limit.  A solved row is bounded by its bound over the
+        diagonal weight, rounded down for an integral row and up (ceil) for
+        one that may be rational."""
         aq = abs(q or 0)
 
         def row_sum(row, ys, acc=0):
@@ -426,7 +462,7 @@ class GhostSystem:
 
         try:
             if self.rows is not None:
-                want = [row_sum(self.table[i], ns) for i in self.rows]
+                want = [row_sum(row, ns) for row in self.rows]
             else:
                 want = [row_sum(row, ns) for row in self.table]
                 if self.op != "neg":
@@ -438,15 +474,35 @@ class GhostSystem:
                 if acc.bit_length() > limit:
                     return None
                 before.append(acc)
-                solved.append(acc // row[-1][1])
+                solved.append(-(-acc // row[-1][1]) if ceil else acc // row[-1][1])
         except OverflowError:
             return None
         return before
 
+    def _scaled_targets(self, points, dens, q):
+        """The target ghost components at packed payloads over denominators
+        dens, each as (s, L): L the lcm of its terms' denominators and s the
+        component times L (`_scaled_sum`)."""
+        if self.rows is not None:
+            powers = {}
+            return [_scaled_sum(row, points, dens, powers, q) for row in self.rows]
+        k = len(self.table)
+        pa, pb = {}, {}
+        ga = [_scaled_sum(row, points, dens, pa, q) for row in self.table]
+        if self.op == "neg":
+            return [(-s, L) for s, L in ga]
+        gb = [_scaled_sum(row, points[k:], dens[k:], pb, q) for row in self.table]
+        if self.op == "prod":
+            return [(sa * sb, La * Lb) for (sa, La), (sb, Lb) in zip(ga, gb)]
+        out = []
+        for (sa, La), (sb, Lb) in zip(ga, gb):
+            L = math.lcm(La, Lb)
+            out.append((sa * (L // La) + sb * (L // Lb), L))
+        return out
+
     def _at_point(self, R, xs, q):
-        """`apply` at integer polynomial payloads xs, solved over Z at one
-        point, or None where the route does not pay or (over QPoly) a row
-        has a non-integral quotient.
+        """`apply` at polynomial payloads xs, solved over Z at one point, or
+        None where the route does not pay.
 
         The operation is a ring functor's, so it commutes with evaluation at
         x_i = 2^(8 n s_i), s_i the stride of x_i in an exponent box: a ring
@@ -456,16 +512,15 @@ class GhostSystem:
         bounded in degree per variable (deg_i(p^e) = e deg_i(p), through the
         factors `_spread` of the tables) and in 1-norm (`_norms`); box and
         digits are sized to hold them and the payloads, and `_point_room`
-        decides.  Each payload is packed once (`rings._pack`), the targets
-        and the rows are solved over Z, and each row is divided and read
-        back once (`rings._unpack`): d divides every coefficient of a row
-        exactly when it divides the row's integer and d times each digit of
-        the quotient fits a digit (balanced digits are unique).  A row it
-        does not divide raises fail(u) over ZPoly, and leaves the solve to
-        the polynomial route over QPoly.
+        decides.  `_point_solve` then solves at the point.
+
+        Over QPoly a payload is packed as its numerator over the lcm of its
+        coefficients' denominators, and a row may carry a denominator L d
+        (see `_point_solve`), which multiplies its bound by L.  Where that
+        passes the digits, the solve runs once more with digits sized for
+        the largest denominators the rows can reach (`_widest`), or leaves
+        the solve to the polynomial route where those do not pay.
         """
-        if R.rational and not all(map(MultiPoly.is_integral, xs)):
-            return None
         flat = (0,) * len(R.vars)
         degs = [tuple(map(max, zip(*x.terms))) if x.terms else flat for x in xs]
         spread, k = self._spread, len(self.table)
@@ -477,34 +532,108 @@ class GhostSystem:
         if len(xs) > k:  # the product's degrees add; the sum's are at most these
             dims = list(map(operator.add if self.op == "prod" else max, dims, top(degs[k:])))
         dims = [d + 1 for d in dims]
-        box = math.prod(dims)
-        room = _point_room(box, len(dims))
+        room = _point_room(math.prod(dims), len(dims))
         if not room:
             return None
-        norms = [sum(map(abs, x.terms.values())) for x in xs]
-        before = self._norms(norms, q, 8 * room)
+        values = [x.terms.values() for x in xs]
+        dens = None
+        if R.rational:
+            over = [_over_common_denominator(list(cs)) for cs in values]
+            if any(den != 1 for den, _ in over):
+                dens, values = zip(*over)
+        norms = [sum(map(abs, cs)) for cs in values]
+        # a payload's norm is at most its numerator's over its denominator
+        before = self._norms(norms if dens is None else [-(-m // d) for m, d in zip(norms, dens)],
+                             q, 8 * room, R.rational)
         if before is None:
             return None
         n = _digit_bytes(max(before + norms))
         if n > room:
             return None
+        out = self._point_solve(R, xs, values, dens, q, dims, n, before)
+        if out is None:
+            wide = self._widest(norms, dens, q, before, 8 * room)
+            n = room + 1 if wide is None else _digit_bytes(max([wide] + norms))
+            if n <= room:
+                out = self._point_solve(R, xs, values, dens, q, dims, n, before)
+        return out
+
+    def _widest(self, norms, dens, q, before, limit):
+        """The largest bound of a row's integer in `_point_solve` when every
+        row carries its whole denominator L d, or None once it passes
+        2^limit: each L is the lcm of the target's denominator and the
+        d-multiplied L of the rows it reads, raised to their exponents, so
+        it is a multiple of any L the solve meets."""
+        if dens is None:
+            scale = [1] * len(self.out_table)
+        else:  # the denominators of the targets do not depend on the digits
+            scale = [L for _, L in self._scaled_targets(norms, dens, q)]
+        wide, whole = 0, []
+        for row, L, b in zip(self.out_table, scale, before):
+            if any(whole[v].bit_length() * e > limit for v, _, e, _ in row[:-1]):
+                return None
+            L = math.lcm(L, *[whole[v] ** e for v, _, e, _ in row[:-1]])
+            wide = max(wide, L * b)
+            whole.append(L * row[-1][1])
+        return wide if wide.bit_length() <= limit else None
+
+    def _point_solve(self, R, xs, values, dens, q, dims, n, before):
+        """The solve at the point, in n-byte digits; None where a row's bound
+        passes them.
+
+        Each payload is packed once (`rings._pack`), the targets and the rows
+        are solved over Z, and each row is divided and read back once
+        (`rings._unpack`): d divides every coefficient of a row exactly when
+        it divides the row's integer and d times each digit of the quotient
+        fits a digit (balanced digits are unique).  A row it does not divide
+        raises fail(u) over ZPoly.
+
+        Over QPoly such a row carries one integer denominator instead, and
+        so does every row after it that reads a payload with one: a row's
+        integer is its terms over the lcm L of their denominators, each
+        raised to its exponent (`_scaled_sum`).  That integer is read back
+        undivided and its coefficients taken over L d; the rows that read it
+        take it over L d cut by its common factor with the coefficients.
+        """
+        box = math.prod(dims)
         strides = _strides(dims)
         points = []
-        for x in xs:
+        for x, cs in zip(xs, values):
             slots = [sum(map(operator.mul, e, strides)) for e in x.terms]
-            points.append(_pack(slots, x.terms.values(), max(slots, default=0) + 1, n))
-        solved, out, powers = [], [], {}
+            points.append(_pack(slots, cs, max(slots, default=0) + 1, n))
+        if dens is None:
+            want, scale = self.targets(ZZ, points, q), None
+        else:
+            want, scale = zip(*self._scaled_targets(points, dens, q))
+        solved, sdens, out, powers = [], [], [], {}
         half = 1 << 8 * n - 1  # a digit c has -half <= c < half
-        for u, (row, acc) in enumerate(zip(self.out_table, self.targets(ZZ, points, q))):
-            d = row[-1][1]
-            acc, r = divmod(ZZ.row_sum(acc, -1, row[:-1], solved, powers, q, None), d)
-            cs = _unpack(acc, n, box)
-            if r or d != 1 and not (-half <= d * min(cs) and d * max(cs) < half):
-                if R.rational:
+        for u, (row, acc) in enumerate(zip(self.out_table, want)):
+            d, entries = row[-1][1], row[:-1]
+            if scale is None:
+                acc, r = divmod(ZZ.row_sum(acc, -1, entries, solved, powers, q, None), d)
+                cs = _unpack(acc, n, box)
+                if not (r or d != 1 and not (-half <= d * min(cs) and d * max(cs) < half)):
+                    solved.append(acc)
+                    sdens.append(1)
+                    out.append(MultiPoly._of(R.vars, _slot_terms(cs, dims)))
+                    continue
+                if not R.rational:
+                    raise self._fail(u, R)
+                acc, L = acc * d + r, 1
+                # the rows from here on may read this row's denominator
+                scale = [1] * len(self.out_table)
+            else:
+                s, Ls = _scaled_sum(entries, solved, sdens, powers, q)
+                L = math.lcm(scale[u], Ls)
+                if L * before[u] >= half:
                     return None
-                raise self._fail(u, R)
-            solved.append(acc)
-            out.append(MultiPoly._of(R.vars, _slot_terms(cs, dims)))
+                acc = acc * (L // scale[u]) - s * (L // Ls)
+            den = L * d
+            cs = _unpack(acc, n, box)
+            g = math.gcd(den, *cs)
+            solved.append(acc // g)
+            sdens.append(den // g)
+            out.append(MultiPoly._of(R.vars, _slot_terms(cs, dims, den)))
         return out
 
     def _where(self, u):

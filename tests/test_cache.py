@@ -231,6 +231,36 @@ def test_unwritable_cache_dir_still_derives(tmp_path, monkeypatch):
         ghost_system.cache_clear()
 
 
+INPUTS = os.path.join(os.path.dirname(__file__), "goldens", "inputs")
+
+
+def test_transports_and_witt_v_f_write_no_entry(tmp_path):
+    # the transports, witt_v and witt_f solve memoised ghost systems that
+    # are not ring operations: none of them exports
+    cache = tmp_path / "cache"
+    witt = os.path.join(INPUTS, "witt_S3_zpoly_a.json")
+    necklace = os.path.join(INPUTS, "necklace_S3_a.json")
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"schema_version": 1, "group": "S3.3a", "flavor": "Witt",
+                               "ring": "ZPoly(x,y)", "components": ["x+1", "2*y-3"],
+                               "labels": ["G", "1"]}), encoding="utf-8")
+    calls = [
+        ("teichmuller", witt), ("teichmuller", "--inverse", necklace), ("theta", necklace),
+        ("ind", "--group", "S3", "--class", "3a", str(sub)),
+        ("res", "--group", "S3", "--class", "3a", witt),
+        ("ind", "--group", "S3", "--class", "2a", write_vec(
+            tmp_path / "c2.json", "S3.2a", ["4", "-3"], ["G", "1"])),
+        ("res", "--group", "S3", "--class", "2a", necklace),
+        ("qwitt", "teichmuller", "--q", "2", os.path.join(INPUTS, "witt_1to8_a.json")),
+        ("qwitt", "teichmuller", "--q", "2", "--inverse",
+         os.path.join(INPUTS, "necklace_1to8_a.json")),
+    ]
+    for argv in calls:
+        proc = run_cli(cache, *argv)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert not os.path.exists(cache) or os.listdir(cache) == [], argv
+
+
 def witt_div6():
     return IndexedVector.from_ints(TruncationSet.div(6), WITT, ZZ, [1, 2, 3, 4])
 

@@ -242,6 +242,29 @@ def test_verify_pass_and_fault_exits(capsys):
     assert report["failures"][0]["case"] == "diagrams/sanity/identity-ghost"
 
 
+def test_verify_reports_every_case_when_the_engine_refuses(capsys, monkeypatch):
+    # a refusal inside a case once ended the run with exit 3 and no report;
+    # now it is that case's failure, and every other case still runs
+    from wittburnside import verify
+    from wittburnside.errors import IntegralityViolation
+
+    clean = run_suite("indres", 7)
+
+    def refuse(G, ci, alpha):
+        raise IntegralityViolation("induced Witt vector escaped Z at class 1")
+
+    monkeypatch.setattr(verify, "witt_v", refuse)
+    code, out, _ = run_main(capsys, "verify", "--suite", "indres", "--seed", "7")
+    assert code == 1
+    report = json.loads(out)
+    assert report["cases_run"] == clean["cases_run"]
+    uses = ("/ind-tau", "/ind-gamma", "/verschiebung-additive", "/ghost-of-v")
+    assert {f["case"].rsplit("/", 1)[1] for f in report["failures"]} == {u[1:] for u in uses}
+    assert all(f == {"case": f["case"], "error": "IntegralityViolation",
+                     "message": "'induced Witt vector escaped Z at class 1'"}
+               for f in report["failures"])
+
+
 # --- compute verbs through files -----------------------------------------------
 
 

@@ -1,22 +1,35 @@
 """The point route of `GhostSystem.apply` against the polynomial route.
 
-Over ZPoly, and over QPoly at integer coefficients, `apply` solves an
-operation over Z at one point where `universal._point_room` says that pays
-(`GhostSystem._at_point`); `GhostSystem._solve` is the polynomial route
-itself.  Both must give the same polynomials and the same refusals, on every
-table the route takes: the Witt, necklace and aperiodic tables of groups and
-truncation sets, their Frobenius, and the q-model's at an integer q.  Inputs
-are seeded, and each test checks that the route ran, so that a rule that
-sent everything back could not pass unnoticed.
+Over ZPoly and QPoly `apply` solves an operation over Z at one point where
+`universal._point_room` says that pays (`GhostSystem._at_point`), and over
+QPoly a row that needs a denominator carries one; `GhostSystem._solve` is
+the polynomial route itself.  Both must give the same polynomials and the
+same refusals, on every table the route takes: the Witt, necklace and
+aperiodic tables of groups and truncation sets, their Frobenius, the
+q-model's at an integer q, and the transports, witt_v and witt_f, compared
+through their public maps with the route forced off.  Inputs are seeded,
+and each test checks that the route ran, so that a rule that sent
+everything back could not pass unnoticed.
 """
 import random
+from fractions import Fraction
 
 import pytest
 
-from wittburnside.cyclic import TruncationSet
-from wittburnside.errors import DomainError, IntegralityViolation
-from wittburnside.groups import build_group
-from wittburnside.qdeform import q_universal
+from wittburnside.burnside import (
+    IndexedVector,
+    _transport_system,
+    gamma,
+    gamma_inv,
+    teichmuller,
+    teichmuller_inv,
+    witt_f,
+    witt_v,
+)
+from wittburnside.cyclic import CyclicVector, TruncationSet
+from wittburnside.errors import DomainError, IntegralityViolation, NotInImage
+from wittburnside.groups import build_group, subgroup_classes, subgroup_group
+from wittburnside.qdeform import QContext, q_teichmuller, q_teichmuller_inv, q_universal
 from wittburnside.rings import MultiPoly, PolyRing
 from wittburnside.universal import (
     APERIODIC,
@@ -26,6 +39,7 @@ from wittburnside.universal import (
     GhostSystem,
     flavor_table,
     ghost_system,
+    index_labels,
 )
 
 GROUPS = ("C1", "C2", "C3", "C4", "S3", "C6", "D4", "Q8", "C12", "D6", "S4")
@@ -160,8 +174,8 @@ def test_digits_as_wide_as_the_bound():
 
 def test_a_row_that_is_not_integral():
     """A row whose diagonal weight does not divide it: over ZPoly both routes
-    refuse it naming the row, over QPoly the point route leaves the solve to
-    the polynomial route, which divides."""
+    refuse it naming the row, over QPoly the point route carries the row's
+    denominator and gives the polynomial route's quotient."""
     T = TruncationSet([1, 2])
     # w_1 = x_1, w_2 = x_1^2 + 3 x_2: the sum's second row is
     # a_2 + b_2 - 2 a_1 b_1 / 3
@@ -177,8 +191,8 @@ def test_a_row_that_is_not_integral():
                                                            "at index 2 over ZPoly"):
                 system._at_point(R, xs, None)
         else:
-            assert system._at_point(R, xs, None) is None
-        assert routed(system, R, xs) is (R is Z)
+            assert system._at_point(R, xs, None) == [x + R.one(), x * R.from_fraction(Fraction(-2, 3))]
+        assert routed(system, R, xs)
     assert system.apply(Q, [Q.variable("x"), Q.zero(), Q.from_int(3), Q.zero()], None) == [
         Q.variable("x") + Q.from_int(3), Q.variable("x") * -2]
 
@@ -195,3 +209,161 @@ def test_universal_derivations_keep_the_polynomial_route(monkeypatch):
     for system in fresh:
         assert system.polys
     assert q_universal(T, "prod").polys == fresh[2].polys
+
+
+# --- the transports, witt_v and witt_f through their public maps -------------
+
+ZXY, QXY = PolyRing(("x", "y"), rational=False), PolyRing(("x", "y"), rational=True)
+DENOMINATORS = (2, 3, 4, 6, 2 ** 64 + 13)
+MAP_GROUPS = ("C1", "C6", "S3", "D4", "Q8", "D6", "S4")
+KINDS = ("zero", "constant", "integral", "rational")
+
+
+def map_payload(rng, R, kind, degree):
+    """A payload of one kind: 0, a constant, or a constant and up to two terms
+    of degree up to `degree` per variable, with integer coefficients or (over
+    QPoly) coefficients over the DENOMINATORS."""
+    def c():
+        den = rng.choice(DENOMINATORS) if kind == "rational" and rng.random() < 0.7 else 1
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), den)
+
+    if kind == "zero" or kind != "constant" and rng.random() < 0.1:
+        return R.zero()
+    terms = {(0, 0): c()}
+    if kind != "constant":
+        for _ in range(rng.randint(1, 2)):
+            e = (rng.randint(0, degree), rng.randint(0, degree))
+            terms[e] = terms.get(e, 0) + c()
+    return MultiPoly(R.vars, terms)
+
+
+def forced(monkeypatch, f, *args):
+    """(point, polynomial): f's outcomes with the point route allowed, and
+    forced off; point is None when the route solved or refused at no
+    system."""
+    ran = []
+    at_point = GhostSystem._at_point
+
+    def counted(self, R, xs, q):
+        ran.append(True)  # a refusal has run the route
+        out = at_point(self, R, xs, q)
+        ran[-1] = out is not None
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(GhostSystem, "_at_point", counted)
+        got = outcome(f, *args)
+    with monkeypatch.context() as m:
+        m.setattr(GhostSystem, "_at_point", lambda self, R, xs, q: None)
+        want = outcome(f, *args)
+    return (got if any(ran) else None), want
+
+
+def same(got, want):
+    """The same vector, and the same format() bytes, or the same refusal."""
+    assert got == want
+    if not isinstance(want, tuple):
+        assert [c.format() for c in got.components] == [c.format() for c in want.components]
+
+
+def vector(rng, index, flavor, R, kind, degree, cls=IndexedVector):
+    return cls.from_payloads(index, flavor, R, [map_payload(rng, R, kind, degree)
+                                                for _ in index_labels(index)])
+
+
+def group_cases(G, fam):
+    """(function of a vector, the vector's index and flavor) for each map
+    case on G: every subgroup class but G for witt_v and witt_f, at most
+    four of them."""
+    if fam in ("witt_v", "witt_f"):
+        classes = range(1, len(subgroup_classes(G))) or [0]
+        for ci in list(classes)[:4]:
+            if fam == "witt_v":
+                yield (lambda x, ci=ci: witt_v(G, ci, x)), subgroup_group(G, ci), WITT
+            else:
+                yield (lambda x, ci=ci: witt_f(G, ci, x)), G, WITT
+        return
+    source = {"teichmuller": WITT, "teichmuller_inv": NECKLACE, "gamma": WITT,
+              "gamma_inv": APERIODIC}[fam]
+    yield {"teichmuller": teichmuller, "teichmuller_inv": teichmuller_inv, "gamma": gamma,
+           "gamma_inv": gamma_inv}[fam], G, source
+
+
+@pytest.mark.parametrize("name", MAP_GROUPS)
+@pytest.mark.parametrize("fam", ("teichmuller", "teichmuller_inv", "gamma", "gamma_inv",
+                                 "witt_v", "witt_f"))
+def test_group_maps(monkeypatch, fam, name):
+    rng = random.Random(f"maps:{fam}:{name}")
+    G = build_group(name)
+    # the largest groups raise payloads to powers up to 12 and 24: linear
+    # payloads keep the polynomial route cheap
+    degree = 1 if name in ("D6", "S4") else 2
+    taken = 0
+    for R in (ZXY, QXY):
+        for kind in KINDS[:3] if R is ZXY else KINDS:
+            for f, index, flavor in group_cases(G, fam):
+                got, want = forced(monkeypatch, f, vector(rng, index, flavor, R, kind, degree))
+                if got is not None:
+                    same(got, want)
+                    taken += 1
+    assert taken
+
+
+@pytest.mark.parametrize("tname", ("1..8", "div12"))
+@pytest.mark.parametrize("q", (2, -1))
+@pytest.mark.parametrize("inverse", (False, True), ids=("q_teichmuller", "q_teichmuller_inv"))
+def test_q_transports(monkeypatch, tname, q, inverse):
+    rng = random.Random(f"maps:q{q}:{tname}:{inverse}")
+    T = TRUNCATIONS[tname] if tname in TRUNCATIONS else TruncationSet(range(1, 9))
+    ctx = QContext(q)
+    f = q_teichmuller_inv if inverse else q_teichmuller
+    taken = 0
+    for R in (ZXY, QXY):
+        for kind in KINDS[:3] if R is ZXY else KINDS:
+            for _ in range(2):
+                x = vector(rng, T, NECKLACE if inverse else WITT, R, kind, 1, CyclicVector)
+                got, want = forced(monkeypatch, f, ctx, x)
+                if got is not None:
+                    same(got, want)
+                    taken += 1
+    assert taken
+
+
+@pytest.mark.parametrize("name", ("C6", "S3", "D4"))
+def test_refusals_over_zpoly_name_the_same_row(monkeypatch, name):
+    """A necklace vector outside the Teichmuller image over ZPoly, and an
+    aperiodic one outside gamma's: the point route refuses it with the
+    polynomial route's exception and text, naming the same row."""
+    G = build_group(name)
+    x = ZXY.variable("x")
+    k = len(subgroup_classes(G))
+    # x at G and 0 elsewhere: the row of the next class divides x - x^2 by
+    # its diagonal mark, which does not divide it
+    outside = IndexedVector.from_payloads(G, NECKLACE, ZXY, [x] + [ZXY.zero()] * (k - 1))
+    got, want = forced(monkeypatch, teichmuller_inv, outside)
+    assert got is not None and got == want
+    assert want[0] is NotInImage
+    assert want[1].startswith("vector is not a teichmuller image over ZPoly(x,y) at class ")
+    ap = IndexedVector.from_payloads(G, APERIODIC, ZXY, outside.payloads())
+    got, want = forced(monkeypatch, gamma_inv, ap)
+    assert got == want and want[0] is NotInImage
+
+
+def test_rational_rows_read_back_over_their_denominators():
+    """Non-integral payloads over QPoly take the route, as do the rows of
+    the Teichmuller image that need a denominator; a denominator above 2^64
+    comes back exactly."""
+    G = build_group("S3")
+    big = 2 ** 64 + 13
+    x, y = QXY.variable("x"), QXY.variable("y")
+    c = QXY.from_fraction
+    alpha = IndexedVector.from_payloads(
+        G, WITT, QXY, [x * c(Fraction(1, 2)), y * c(Fraction(5, big)), c(Fraction(1, 3)),
+                       x * y * c(Fraction(3, 4)) + c(Fraction(1, 6))])
+    system = _transport_system(G, WITT, NECKLACE, False, IntegralityViolation,
+                               "teichmuller escaped {ring} at {row}")
+    assert system._at_point(QXY, alpha.payloads(), None) is not None
+    tau = teichmuller(alpha)
+    assert teichmuller_inv(tau) == alpha
+    assert any(type(c) is Fraction and c.denominator % big == 0
+               for p in tau.payloads() for c in p.terms.values())
