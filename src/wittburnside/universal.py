@@ -309,14 +309,24 @@ def _scaled_sum(entries, nums, dens, powers, q):
     """One row's terms at one point over one denominator: (s, L), L the lcm
     of dens[v]^e over the entries (v, w, e, qpow) at a non-zero nums[v], and
     s = L times the sum of w q^qpow (nums[v] / dens[v])^e.  powers caches
-    the powers of nums (see `cached_power`)."""
-    L = math.lcm(*[dens[v] ** e for v, _, e, _ in entries if nums[v]])
-    s = 0
+    the powers of nums (see `cached_power`).  L grows as the entries are
+    read, so a row of integers is summed as it is."""
+    s, L = 0, 1
     for v, w, e, qp in entries:
         x = nums[v]
         if x:
             p = x if e == 1 else cached_power(ZZ, nums, v, e, powers)
-            s += L // dens[v] ** e * (w * q ** qp if qp else w) * p
+            k = w * q ** qp if qp else w
+            D = dens[v]
+            if D != 1:
+                D **= e
+                if L % D:
+                    M = math.lcm(L, D)
+                    s *= M // L
+                    L = M
+            if L != 1:
+                k *= L // D
+            s += k * p
     return s, L
 
 
@@ -324,7 +334,10 @@ class GhostSystem:
     """The equations w(s) = target(a, b) of one operation, and their solution.
 
     `table` is the ghost table of the input index set `index` (a group or a
-    truncation set), whose labels name the variables.  A linear map passes
+    truncation set), whose labels name the variables, one per payload (a's,
+    and b's for a sum or product).  witt_v passes other rows over U's
+    payloads, one per class of G, so rows and payloads may differ in
+    number.  A linear map passes
     `shift`, a triple (the unknowns' index set, its table, the input row
     whose ghost each unknown's ghost equals): a Frobenius, a transport
     between the flavors, witt_v and witt_f.  The ring operations solve over
@@ -378,7 +391,7 @@ class GhostSystem:
         for u in reversed(range(len(self.out_table))):
             for v, _, e, _ in self.out_table[u][:-1]:
                 reach[v] = max(reach[v], e * reach[u])
-        spread = [1] * len(self.table)
+        spread = [1] * len(self.labels)  # one per payload
         for w, row in enumerate(rows):
             for v, _, e, _ in row:
                 spread[v] = max(spread[v], e * reach[w])
@@ -402,18 +415,34 @@ class GhostSystem:
         polys = self.polys
         return self._compiled if self.q else tuple(p.compiled() for p in polys)
 
-    def targets(self, R, xs, qv=None):
+    def targets(self, R, xs, qv=None, dens=None):
         """Target ghost components at the payloads xs in R (a's, then b's); qv
-        is the q-model's q, an int or a payload of R."""
+        is the q-model's q, an int or a payload of R.  At the point (R is ZZ)
+        xs are numerators over the denominators dens, and each component is
+        a pair (s, L): L the lcm of its terms' denominators and s the
+        component times L (`_scaled_sum`)."""
+        def ghosts(rows, ys, ds):
+            if ds is None:
+                return ghost_values(rows, R, ys, qv)
+            powers = {}
+            return [_scaled_sum(row, ys, ds, powers, qv) for row in rows]
+
         if self.rows is not None:  # only the input rows the unknowns read
-            return ghost_values(self.rows, R, xs, qv)
-        ga = ghost_values(self.table, R, xs, qv)
+            return ghosts(self.rows, xs, dens)
+        ga = ghosts(self.table, xs, dens)
         if self.op == "neg":
-            return [-x for x in ga]
-        gb = ghost_values(self.table, R, xs[len(self.table):], qv)
-        if self.op == "sum":
-            return [x + y for x, y in zip(ga, gb)]
-        return [x * y for x, y in zip(ga, gb)]
+            return [-x for x in ga] if dens is None else [(-s, L) for s, L in ga]
+        k = len(self.labels)
+        gb = ghosts(self.table, xs[k:], dens and dens[k:])
+        if dens is None:
+            return list(map(operator.add if self.op == "sum" else operator.mul, ga, gb))
+        if self.op == "prod":
+            return [(sa * sb, La * Lb) for (sa, La), (sb, Lb) in zip(ga, gb)]
+        out = []
+        for (sa, La), (sb, Lb) in zip(ga, gb):
+            L = math.lcm(La, Lb)
+            out.append((sa * (L // La) + sb * (L // Lb), L))
+        return out
 
     def apply(self, R, xs, q=None):
         """The operation at payloads xs in R (a's, then b's), by the ghost route.
@@ -466,7 +495,7 @@ class GhostSystem:
             else:
                 want = [row_sum(row, ns) for row in self.table]
                 if self.op != "neg":
-                    gb = [row_sum(row, ns[len(self.table):]) for row in self.table]
+                    gb = [row_sum(row, ns[len(self.labels):]) for row in self.table]
                     want = list(map(operator.add if self.op == "sum" else operator.mul, want, gb))
             solved, before = [], []
             for row, acc in zip(self.out_table, want):
@@ -478,27 +507,6 @@ class GhostSystem:
         except OverflowError:
             return None
         return before
-
-    def _scaled_targets(self, points, dens, q):
-        """The target ghost components at packed payloads over denominators
-        dens, each as (s, L): L the lcm of its terms' denominators and s the
-        component times L (`_scaled_sum`)."""
-        if self.rows is not None:
-            powers = {}
-            return [_scaled_sum(row, points, dens, powers, q) for row in self.rows]
-        k = len(self.table)
-        pa, pb = {}, {}
-        ga = [_scaled_sum(row, points, dens, pa, q) for row in self.table]
-        if self.op == "neg":
-            return [(-s, L) for s, L in ga]
-        gb = [_scaled_sum(row, points[k:], dens[k:], pb, q) for row in self.table]
-        if self.op == "prod":
-            return [(sa * sb, La * Lb) for (sa, La), (sb, Lb) in zip(ga, gb)]
-        out = []
-        for (sa, La), (sb, Lb) in zip(ga, gb):
-            L = math.lcm(La, Lb)
-            out.append((sa * (L // La) + sb * (L // Lb), L))
-        return out
 
     def _at_point(self, R, xs, q):
         """`apply` at polynomial payloads xs, solved over Z at one point, or
@@ -523,7 +531,7 @@ class GhostSystem:
         """
         flat = (0,) * len(R.vars)
         degs = [tuple(map(max, zip(*x.terms))) if x.terms else flat for x in xs]
-        spread, k = self._spread, len(self.table)
+        spread, k = self._spread, len(self.labels)  # the a-payloads' count
 
         def top(degs):
             return [max(map(operator.mul, spread, col)) for col in zip(*degs)]
@@ -536,15 +544,14 @@ class GhostSystem:
         if not room:
             return None
         values = [x.terms.values() for x in xs]
-        dens = None
+        dens = [1] * len(xs)
         if R.rational:
             over = [_over_common_denominator(list(cs)) for cs in values]
             if any(den != 1 for den, _ in over):
                 dens, values = zip(*over)
         norms = [sum(map(abs, cs)) for cs in values]
         # a payload's norm is at most its numerator's over its denominator
-        before = self._norms(norms if dens is None else [-(-m // d) for m, d in zip(norms, dens)],
-                             q, 8 * room, R.rational)
+        before = self._norms([-(-m // d) for m, d in zip(norms, dens)], q, 8 * room, R.rational)
         if before is None:
             return None
         n = _digit_bytes(max(before + norms))
@@ -564,10 +571,8 @@ class GhostSystem:
         2^limit: each L is the lcm of the target's denominator and the
         d-multiplied L of the rows it reads, raised to their exponents, so
         it is a multiple of any L the solve meets."""
-        if dens is None:
-            scale = [1] * len(self.out_table)
-        else:  # the denominators of the targets do not depend on the digits
-            scale = [L for _, L in self._scaled_targets(norms, dens, q)]
+        # the denominators of the targets do not depend on the digits
+        scale = [L for _, L in self.targets(ZZ, norms, q, dens)]
         wide, whole = 0, []
         for row, L, b in zip(self.out_table, scale, before):
             if any(whole[v].bit_length() * e > limit for v, _, e, _ in row[:-1]):
@@ -588,12 +593,13 @@ class GhostSystem:
         fits a digit (balanced digits are unique).  A row it does not divide
         raises fail(u) over ZPoly.
 
-        Over QPoly such a row carries one integer denominator instead, and
-        so does every row after it that reads a payload with one: a row's
-        integer is its terms over the lcm L of their denominators, each
-        raised to its exponent (`_scaled_sum`).  That integer is read back
-        undivided and its coefficients taken over L d; the rows that read it
-        take it over L d cut by its common factor with the coefficients.
+        Over QPoly such a row carries one integer denominator instead, as
+        does every row whose terms have one: a row's integer is its terms
+        over the lcm L of their denominators, each raised to its exponent
+        (`_scaled_sum`), and a row with L = 1 is divided as over ZPoly.
+        Otherwise that integer is read back undivided and its coefficients
+        taken over L d; the rows that read it take it over L d cut by its
+        common factor with the coefficients.
         """
         box = math.prod(dims)
         strides = _strides(dims)
@@ -601,33 +607,30 @@ class GhostSystem:
         for x, cs in zip(xs, values):
             slots = [sum(map(operator.mul, e, strides)) for e in x.terms]
             points.append(_pack(slots, cs, max(slots, default=0) + 1, n))
-        if dens is None:
-            want, scale = self.targets(ZZ, points, q), None
-        else:
-            want, scale = zip(*self._scaled_targets(points, dens, q))
+        want = self.targets(ZZ, points, q, dens)
         solved, sdens, out, powers = [], [], [], {}
         half = 1 << 8 * n - 1  # a digit c has -half <= c < half
-        for u, (row, acc) in enumerate(zip(self.out_table, want)):
+        for u, (row, (acc, Lt)) in enumerate(zip(self.out_table, want)):
             d, entries = row[-1][1], row[:-1]
-            if scale is None:
-                acc, r = divmod(ZZ.row_sum(acc, -1, entries, solved, powers, q, None), d)
-                cs = _unpack(acc, n, box)
-                if not (r or d != 1 and not (-half <= d * min(cs) and d * max(cs) < half)):
-                    solved.append(acc)
-                    sdens.append(1)
-                    out.append(MultiPoly._of(R.vars, _slot_terms(cs, dims)))
-                    continue
+            s, Ls = _scaled_sum(entries, solved, sdens, powers, q)
+            L = math.lcm(Lt, Ls)
+            if L == 1:
+                acc -= s
+                quo, r = divmod(acc, d)
+                if not r:
+                    cs = _unpack(quo, n, box)
+                    if d == 1 or -half <= d * min(cs) and d * max(cs) < half:
+                        solved.append(quo)
+                        sdens.append(1)
+                        out.append(MultiPoly._of(R.vars, _slot_terms(cs, dims)))
+                        continue
                 if not R.rational:
                     raise self._fail(u, R)
-                acc, L = acc * d + r, 1
-                # the rows from here on may read this row's denominator
-                scale = [1] * len(self.out_table)
+            elif L * before[u] >= half:
+                return None
             else:
-                s, Ls = _scaled_sum(entries, solved, sdens, powers, q)
-                L = math.lcm(scale[u], Ls)
-                if L * before[u] >= half:
-                    return None
-                acc = acc * (L // scale[u]) - s * (L // Ls)
+                acc = acc * (L // Lt) - s * (L // Ls)
+            # the row is read back undivided, over L d
             den = L * d
             cs = _unpack(acc, n, box)
             g = math.gcd(den, *cs)
