@@ -15,6 +15,7 @@ use at API boundaries.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -72,9 +73,13 @@ def _as_fraction(x) -> Fraction:
 
 
 def _exact(x):
-    """x as a stored coefficient: an int when integral, else a Fraction."""
+    """x as a stored coefficient: an int when integral, else a Fraction.
+    The exact types come first; an exact Fraction's slots are read without
+    its numerator and denominator properties."""
     if type(x) is int:
         return x
+    if type(x) is Fraction:
+        return x._numerator if x._denominator == 1 else x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
@@ -141,7 +146,10 @@ POWER_BOUND = 10_000
 def cached_power(R, xs, v, e, cache):
     """xs[v] ** e in R (e >= 1), memoised in `cache`: the payload's own
     power, pow(x, e, m) in a residue ring.  A polynomial picks its own
-    method (see MultiPoly.__pow__ and QPolynomial.__pow__).
+    method (see MultiPoly.__pow__ and QPolynomial.__pow__).  The scalar
+    rows raise each power afresh; the packed integers of the point route
+    come here only for a power whose half is not cached, since
+    `universal._packed_power` squares that half.
 
     Outside a residue ring, which reduces its powers, an exponent above
     POWER_BOUND is refused with DomainError unless xs[v] is 0 or +-1.
@@ -181,8 +189,10 @@ def _digit_bytes(bound: int) -> int:
     return 1 << (n - 1).bit_length() if n <= 8 else n
 
 
+@functools.lru_cache(maxsize=64)
 def _offsets(n: int, count: int) -> int:
-    """half = 2^(8n-1) in each of count n-byte digits."""
+    """half = 2^(8n-1) in each of count n-byte digits; the few digit widths
+    and box sizes of a solve recur, so the last 64 are kept."""
     return int.from_bytes((1 << (8 * n - 1)).to_bytes(n, "little") * count, "little")
 
 
@@ -481,10 +491,15 @@ class MultiPoly:
         self.vars = tuple(vars)
         clean = {}
         if terms:
+            # _exact inline for the exact types, and a tuple key kept as it is
             for exps, c in terms.items():
-                c = _exact(c)
+                if type(c) is Fraction:
+                    if c._denominator == 1:
+                        c = c._numerator
+                elif type(c) is not int:
+                    c = _exact(c)
                 if c:
-                    clean[tuple(exps)] = c
+                    clean[exps if type(exps) is tuple else tuple(exps)] = c
         self.terms = clean
 
     @classmethod

@@ -293,29 +293,50 @@ def _point_room(box: int, nvars: int) -> int:
     exponent box of `box` slots in nvars variables is cheaper over Z at one
     point than over the polynomials (0: at none).
 
-    The point route's big-integer work grows with the packed bytes, box * n;
-    the polynomial route's with the terms the rows hold, at most about
-    box / nvars! for rows of bounded total degree.  So the point route pays
-    while box * n * nvars! <= POINT_BYTES: a dense box in one variable
-    packs, while one in three or more variables, whose corners the rows
-    never fill, keeps the polynomials (fitted to random rows in 1-4
-    variables on groups and truncation sets, and to the symbolic-mix keys;
-    see the README).
+    The point route's big-integer work grows with the packed bytes, box * n,
+    where a digit wider than a machine word counts as whole words, since
+    `rings._pack` and `rings._unpack` handle it one byte slice at a time.
+    The polynomial route's work grows with the terms the rows hold.  In one
+    and two variables the two cross at the same packed bytes, once an even
+    power squares its half (`_packed_power`); from three variables on, the
+    rows leave the box's corners empty and hold about box / nvars! terms.
+    So the point route runs while box * n is at most POINT_BYTES, over
+    nvars! from three variables on (fitted to random rows in 1-4 variables
+    on groups and truncation sets, and to the symbolic-mix keys; see the
+    README).
     """
-    return POINT_BYTES // (box * math.factorial(nvars))
+    room = POINT_BYTES // (box * (math.factorial(nvars) if nvars > 2 else 1))
+    return room if room < 8 else room - room % 8
+
+
+def _packed_power(nums, v, e, powers):
+    """nums[v] ** e (e >= 2) for packed integers, memoised in `powers` as
+    `cached_power` memoises it, and refused above POWER_BOUND as it is.
+
+    The ghost rows raise a payload along the divisor lattice, x_d^(n/d) or
+    x_V^((G:U)/(G:V)), so one solve asks for x^2, x^4, x^6 and x^12 of the
+    same payload: an even power whose half is cached is that half squared,
+    and any other is x ** e."""
+    p = powers.get((v, e))
+    if p is None:
+        half = None if e & 1 or e > POWER_BOUND else powers.get((v, e >> 1))
+        if half is None:
+            return cached_power(ZZ, nums, v, e, powers)
+        p = powers[v, e] = half * half
+    return p
 
 
 def _scaled_sum(entries, nums, dens, powers, q):
     """One row's terms at one point over one denominator: (s, L), L the lcm
     of dens[v]^e over the entries (v, w, e, qpow) at a non-zero nums[v], and
     s = L times the sum of w q^qpow (nums[v] / dens[v])^e.  powers caches
-    the powers of nums (see `cached_power`).  L grows as the entries are
+    the powers of nums (see `_packed_power`).  L grows as the entries are
     read, so a row of integers is summed as it is."""
     s, L = 0, 1
     for v, w, e, qp in entries:
         x = nums[v]
         if x:
-            p = x if e == 1 else cached_power(ZZ, nums, v, e, powers)
+            p = x if e == 1 else _packed_power(nums, v, e, powers)
             k = w * q ** qp if qp else w
             D = dens[v]
             if D != 1:
@@ -527,7 +548,8 @@ class GhostSystem:
         (see `_point_solve`), which multiplies its bound by L.  Where that
         passes the digits, the solve runs once more with digits sized for
         the largest denominators the rows can reach (`_widest`), or leaves
-        the solve to the polynomial route where those do not pay.
+        the solve to the polynomial route where those do not pay; a target
+        whose own denominator passes them skips the first solve.
         """
         flat = (0,) * len(R.vars)
         degs = [tuple(map(max, zip(*x.terms))) if x.terms else flat for x in xs]
@@ -557,22 +579,25 @@ class GhostSystem:
         n = _digit_bytes(max(before + norms))
         if n > room:
             return None
-        out = self._point_solve(R, xs, values, dens, q, dims, n, before)
+        # the denominators of the targets do not depend on the digits; one
+        # that passes them with its row's bound fails the first solve
+        scale = [L for _, L in self.targets(ZZ, norms, q, dens)] if max(dens) > 1 else None
+        out = None
+        if scale is None or all((L * b).bit_length() < 8 * n for L, b in zip(scale, before)):
+            out = self._point_solve(R, xs, values, dens, q, dims, n, before)
         if out is None:
-            wide = self._widest(norms, dens, q, before, 8 * room)
+            wide = self._widest(scale or [1] * len(before), before, 8 * room)
             n = room + 1 if wide is None else _digit_bytes(max([wide] + norms))
             if n <= room:
                 out = self._point_solve(R, xs, values, dens, q, dims, n, before)
         return out
 
-    def _widest(self, norms, dens, q, before, limit):
+    def _widest(self, scale, before, limit):
         """The largest bound of a row's integer in `_point_solve` when every
         row carries its whole denominator L d, or None once it passes
-        2^limit: each L is the lcm of the target's denominator and the
-        d-multiplied L of the rows it reads, raised to their exponents, so
-        it is a multiple of any L the solve meets."""
-        # the denominators of the targets do not depend on the digits
-        scale = [L for _, L in self.targets(ZZ, norms, q, dens)]
+        2^limit: each L is the lcm of the target's denominator (scale) and
+        the d-multiplied L of the rows it reads, raised to their exponents,
+        so it is a multiple of any L the solve meets."""
         wide, whole = 0, []
         for row, L, b in zip(self.out_table, scale, before):
             if any(whole[v].bit_length() * e > limit for v, _, e, _ in row[:-1]):

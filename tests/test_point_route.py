@@ -11,6 +11,7 @@ through their public maps with the route forced off.  Inputs are seeded,
 and each test checks that the route ran, so that a rule that sent
 everything back could not pass unnoticed.
 """
+import math
 import random
 from fractions import Fraction
 
@@ -30,13 +31,16 @@ from wittburnside.cyclic import CyclicVector, TruncationSet
 from wittburnside.errors import DomainError, IntegralityViolation, NotInImage
 from wittburnside.groups import build_group, subgroup_classes, subgroup_group
 from wittburnside.qdeform import QContext, q_teichmuller, q_teichmuller_inv, q_universal
-from wittburnside.rings import MultiPoly, PolyRing
+from wittburnside.rings import POWER_BOUND, ZZ, MultiPoly, PolyRing, cached_power
 from wittburnside.universal import (
     APERIODIC,
     NECKLACE,
     OPS,
+    POINT_BYTES,
     WITT,
     GhostSystem,
+    _packed_power,
+    _point_room,
     flavor_table,
     ghost_system,
     index_labels,
@@ -370,3 +374,153 @@ def test_rational_rows_read_back_over_their_denominators():
     assert teichmuller_inv(tau) == alpha
     assert any(type(c) is Fraction and c.denominator % big == 0
                for p in tau.payloads() for c in p.terms.values())
+
+
+# --- powers at the point, and the boxes the size rule admits -----------------
+
+
+def test_a_packed_power_squares_its_cached_half():
+    """`_packed_power` is x ** e at every e in 2..24, for signed integers up to
+    300 bits, whether the powers below e are cached or not; an even power is
+    its cached half squared, and an odd one does not read the cache."""
+    rng = random.Random("point:powers")
+    for _ in range(30):
+        x = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 300))
+        chained = {}
+        for e in range(2, 25):
+            assert _packed_power([x], 0, e, chained) == x ** e
+            assert _packed_power([x], 0, e, {}) == x ** e
+        assert chained == {(0, e): x ** e for e in range(2, 25)}
+    assert _packed_power([3], 0, 6, {(0, 3): 5}) == 25
+    assert _packed_power([3], 0, 7, {(0, 3): 5}) == 3 ** 7
+
+
+def test_a_packed_power_above_the_bound_is_refused_as_cached_power_refuses_it():
+    e = POWER_BOUND + 2
+    for x in (2, -3, 2 ** 70):
+        want = outcome(cached_power, ZZ, [x], 0, e, {})
+        assert want[0] is DomainError
+        for powers in ({}, {(0, e // 2): x ** (e // 2)}):
+            assert outcome(_packed_power, [x], 0, e, powers) == want
+    for x in (0, 1, -1):
+        for powers in ({}, {(0, e // 2): x ** (e // 2)}):
+            assert _packed_power([x], 0, e, powers) == x ** e
+
+
+def symbolic_payload(rng, R, share=0.6, low=1):
+    """A payload drawn as the symbolic-mix benchmark draws one: a constant and,
+    for each variable with probability `share`, one term of degree low..2."""
+    k = len(R.vars)
+    terms = {(0,) * k: rng.choice((-1, 1)) * rng.randint(1, 9)}
+    for i in range(k):
+        if rng.random() < share:
+            terms[tuple(rng.randint(low, 2) if j == i else 0 for j in range(k))] = rng.choice(
+                (-2, -1, 1, 2, 3))
+    return MultiPoly(R.vars, terms)
+
+
+def square_payload(rng, R):
+    """A symbolic-mix payload at its widest: a constant, x^2 and y^2."""
+    return symbolic_payload(rng, R, 1, 2)
+
+
+def packed(monkeypatch, system, R, xs):
+    """(box, digit bytes) of the point solve at xs, or None where the size
+    rule kept the polynomial route."""
+    seen = []
+    solve = GhostSystem._point_solve
+
+    def spy(self, R, xs, values, dens, q, dims, n, before):
+        seen.append((math.prod(dims), n))
+        return solve(self, R, xs, values, dens, q, dims, n, before)
+
+    with monkeypatch.context() as m:
+        m.setattr(GhostSystem, "_point_solve", spy)
+        out = system._at_point(R, xs, None)
+    return None if out is None else seen[-1]
+
+
+def refit_system(where, op):
+    if where in ("D4", "C6", "Q8"):
+        return ghost_system(build_group(where), op, WITT, False, None)
+    T = TRUNCATIONS[where]
+    if op.startswith("frob"):
+        return ghost_system(T, op, WITT, False, int(op[4:]))
+    return ghost_system(T, op, WITT, False, None)
+
+
+@pytest.mark.parametrize("where, op, R, draw", [
+    ("D4", "prod", QXY, symbolic_payload), ("C6", "prod", QXY, symbolic_payload),
+    ("div12", "sum", ZXY, square_payload), ("div12", "frob2", ZXY, square_payload),
+    ("div12", "frob3", ZXY, square_payload)],
+    ids=("D4-prod-QPoly", "C6-prod-QPoly", "div12-sum", "div12-frob2", "div12-frob3"))
+def test_two_variable_boxes_the_point_route_now_takes(monkeypatch, where, op, R, draw):
+    """Two-variable boxes of machine-width digits past POINT_BYTES / 2! packed
+    bytes, which the nvars! rule kept on the polynomial route, take the point
+    route and give the polynomial route's polynomials and format() bytes."""
+    rng = random.Random(f"point:refit:{where}:{op}")
+    system = refit_system(where, op)
+    arity = 2 if op in ("sum", "prod") else 1
+    newly = 0
+    for _ in range(12):
+        xs = [draw(rng, R) for _ in range(arity * len(system.labels))]
+        got = packed(monkeypatch, system, R, xs)
+        want = system._solve(R, xs, None)
+        assert system.apply(R, xs, None) == want
+        if got is not None:
+            out = system._at_point(R, xs, None)
+            assert out == want
+            assert [p.format() for p in out] == [p.format() for p in want]
+            box, n = got
+            newly += n <= 8 and box * n * 2 > POINT_BYTES
+    assert newly
+
+
+@pytest.mark.parametrize("where, op, R, draw", [
+    ("div12", "prod", ZXY, symbolic_payload),
+    ("Q8", "sum", PolyRing(("x", "y", "z"), rational=False), payload)],
+    ids=("div12-prod", "Q8-sum-xyz"))
+def test_boxes_that_lose_at_the_point_keep_the_polynomial_route(monkeypatch, where, op, R, draw):
+    """The div(12) product at symbolic-mix shapes (about 12-17 kB packed, in
+    9-11 byte digits) and the Q8 sum over ZPoly(x,y,z) take longer at the
+    point even with the halving chain: the size rule declines them."""
+    rng = random.Random(f"point:declined:{where}:{op}")
+    system = refit_system(where, op)
+    declined = 0
+    for _ in range(8):
+        xs = [draw(rng, R) for _ in range(2 * len(system.labels))]
+        if packed(monkeypatch, system, R, xs) is None:
+            declined += 1
+            assert system.apply(R, xs, None) == system._solve(R, xs, None)
+    assert declined >= 6
+
+
+def test_a_first_solve_that_a_target_denominator_fails_is_skipped(monkeypatch):
+    """x/2^20 times y/3 on {1}: the target's denominator 3 * 2^20 passes the
+    1-byte digits that the numerators need, so the only solve is the one in
+    digits wide enough for it."""
+    system = GhostSystem(TruncationSet([1]), (((0, 1, 1, 0),),), "prod")
+    x, y, c = QXY.variable("x"), QXY.variable("y"), QXY.from_fraction
+    xs = [x * c(Fraction(1, 2 ** 20)), y * c(Fraction(1, 3))]
+    digits = []
+    solve = GhostSystem._point_solve
+
+    def spy(self, R, xs, values, dens, q, dims, n, before):
+        digits.append(n)
+        return solve(self, R, xs, values, dens, q, dims, n, before)
+
+    monkeypatch.setattr(GhostSystem, "_point_solve", spy)
+    assert system._at_point(QXY, xs, None) == system._solve(QXY, xs, None) == [
+        x * y * c(Fraction(1, 3 * 2 ** 20))]
+    assert digits == [4]
+
+
+def test_the_size_rule():
+    """box * n <= POINT_BYTES in one and two variables, over nvars! from
+    three on; a digit wider than a machine word counts as whole words."""
+    assert _point_room(768, 1) == _point_room(768, 2) == 8
+    assert _point_room(769, 2) == 7 and _point_room(128, 3) == 8 and _point_room(32, 4) == 8
+    assert _point_room(129, 3) == 7 and _point_room(33, 4) == 7
+    # 6144 // 361 is 17: a 9- to 16-byte digit fits, a 17-byte one does not
+    assert _point_room(361, 2) == 16
+    assert _point_room(6145, 1) == 0
