@@ -83,7 +83,7 @@ from .groups import (
     subgroup_classes,
     subgroup_group,
 )
-from .rings import ZZ, ResidueRing, RingSpec, RingValue, parse_ring
+from .rings import ZZ, PolyRing, QPolyRing, ResidueRing, RingSpec, RingValue, parse_ring
 from .universal import (
     APERIODIC,
     GHOST,
@@ -327,13 +327,30 @@ def _expect(name: str, flavor: str, x: IndexedVector) -> IndexedVector:
     return x
 
 
+@lru_cache(maxsize=None)
+def _witt_ghost_system(index, q) -> GhostSystem:
+    """The Witt ghost on index as a system whose unknowns' table is the
+    identity, so that polynomial payloads sum its rows at the point."""
+    table = ghost_table(index, q)
+    identity = tuple(((u, 1, 1, 0),) for u in range(len(table)))
+    return GhostSystem(index, table, "ghost", q, (index, identity, range(len(table))))
+
+
 def _ghost(x: IndexedVector, q=None) -> IndexedVector:
     """The ghost of a Witt, Necklace or Aperiodic vector; a coordinate-backed
-    vector takes its coordinates' Witt ghost."""
-    table = flavor_table(x.index, WITT if x.coord_form else x.flavor, q is not None)
-    # only the aperiodic table over a group has Fraction weights
-    out = ghost_values(table, x.ring, x.payloads(), q and q(x.ring), "aperiodic ghost")
-    return IndexedVector.from_payloads(x.index, GHOST, x.ring, out)
+    vector takes its coordinates' Witt ghost.  Over polynomial payloads the
+    Witt ghost's rows are summed at the point where that pays
+    (`_witt_ghost_system`); the linear ghosts are cheap sums either way."""
+    flavor, R = WITT if x.coord_form else x.flavor, x.ring
+    # the table, which checks a q-model member, is built before q meets R
+    table = flavor_table(x.index, flavor, q is not None)
+    qv = q and q(R)
+    if flavor == WITT and isinstance(R, (PolyRing, QPolyRing)):
+        out = _witt_ghost_system(x.index, q is not None).apply(R, x.payloads(), qv)
+    else:
+        # only the aperiodic table over a group has Fraction weights
+        out = ghost_values(table, R, x.payloads(), qv, "aperiodic ghost")
+    return IndexedVector.from_payloads(x.index, GHOST, R, out)
 
 
 def _ghost_inv(b: IndexedVector, index, flavor, fail, q=None) -> IndexedVector:

@@ -14,7 +14,9 @@ The Witt operations' universal polynomials, with numerical coefficients in
 Q[q] (q an extra variable), are derived once per truncation set by the
 same solve.  The q-ghost maps, the q-Teichmuller transport and f_r are the
 classical maps (`burnside._ghost`, `_teichmuller`, `cyclic._frobenius`) on
-the q-ghost tables, given `QContext.ghost_q`.
+the q-ghost tables, given `QContext.ghost_q`.  Over Q[q] each of these
+solves is made at one point where that pays (`GhostSystem._at_point`): at
+the indeterminate q that point's one variable is q itself.
 
 A QContext fixes q: a concrete integer works over every coefficient ring
 (the solves stay integral by numericality), while the indeterminate
@@ -234,11 +236,14 @@ def q_universal(T: TruncationSet, op: str) -> GhostSystem:
 # At the indeterminate q the Witt operations solve in Q[q] payloads whose
 # degrees grow with the members, at a cost that grows steeply with the largest
 # one.  With components alternating 3 and 1/2, on one Intel Xeon vCPU: the
-# product takes 0.6-0.7 s on 1..128 (the costliest set with that largest
+# product takes 0.4-0.75 s on 1..128 (the costliest set with that largest
 # member; 0.85 s through the CLI), 0.8-1.4 s on 1..160, 4-5 s on 1..240 and
-# over 30 s on div(720); the sum, the negation and the Witt Frobenius f_2
-# take 0.7-1.0 s on 1..256 and 1.7-2.1 s on 1..320.  Above these bounds they
-# are refused.
+# over 30 s on div(720); the sum takes 0.9-1.5 s, the negation 0.7-1.1 s and
+# the Witt Frobenius f_2 0.5-0.9 s on 1..256, and 1.7-2.1 s on 1..320.  These
+# sizes pass the point route's room, so they keep the polynomial route, and
+# the per-row degree and 1-norm bounds that size a point solve at the
+# indeterminate (`GhostSystem._q_top`, `_norms`) would bound a work budget
+# too.  Above these bounds they are refused.
 Q_SYMBOLIC_PROD_BOUND = 128
 Q_SYMBOLIC_BOUND = 256
 

@@ -298,6 +298,13 @@ class QPolynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _of(cls, coeffs):
+        """Wrap a tuple of stored coefficients whose last one is not zero."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def constant(cls, c):
         return cls((c,))
 

@@ -30,11 +30,14 @@ system); their integral (in the q-model numerical) coefficients certify
 that the solve stays in the ring.  When WB_CACHE_DIR is set, a memo miss
 of a Witt-flavor system also writes its polynomials to a missing entry
 there, as an export: nothing reads an entry back, since checking one
-soundly costs as much as the solve.  Polynomial payloads are solved over Z
-too, at one point that packs each payload into one integer
-(`GhostSystem._at_point`), where their sizes say that pays (`_point_room`);
-over QPoly a row whose quotient is not integral carries one integer
-denominator.  The universal polynomials keep the polynomial route.
+soundly costs as much as the solve.  Polynomial payloads (ZPoly, QPoly and
+Q[q], at an integer q or, over Q[q], at the indeterminate q, whose powers
+are then shifts) are solved over Z too, at one point that packs each
+payload into one integer (`GhostSystem._at_point`), where their sizes say
+that pays (`_point_room`, `_sparse`); over a Q-algebra a row whose quotient
+is not integral carries one integer denominator, and so may a Fraction
+weight.  The universal polynomials, and over ZPoly a table with a Fraction
+weight, keep the polynomial route.
 
 The transports between the flavors solve on the same tables.  With every
 exponent 1 (`linear_table`) a table is the ghost of the necklace flavor;
@@ -47,7 +50,9 @@ one `ghost_values` refuses it on a non-zero payload (NonIntegralConstant,
 naming the caller's context) and `solve_triangular` raises its caller's
 `fail` for the row.  Teichmuller and its inverse, witt_v and witt_f are
 GhostSystems of one input table and the rows they read (`burnside`
-memoises them); they export nothing.
+memoises them); they export nothing.  So is the Witt ghost of polynomial
+payloads, whose unknowns' table is the identity, so that its rows are
+summed at the point.
 """
 from __future__ import annotations
 
@@ -73,6 +78,7 @@ from .rings import (
     MultiPoly,
     PolyRing,
     QPolynomial,
+    QPolyRing,
     ResidueRing,
     _digit_bytes,
     _over_common_denominator,
@@ -326,29 +332,69 @@ def _packed_power(nums, v, e, powers):
     return p
 
 
-def _scaled_sum(entries, nums, dens, powers, q):
+def _scaled_sum(entries, nums, dens, powers, q, shift=0):
     """One row's terms at one point over one denominator: (s, L), L the lcm
-    of dens[v]^e over the entries (v, w, e, qpow) at a non-zero nums[v], and
-    s = L times the sum of w q^qpow (nums[v] / dens[v])^e.  powers caches
-    the powers of nums (see `_packed_power`).  L grows as the entries are
-    read, so a row of integers is summed as it is."""
+    of the denominators of w / dens[v]^e over the entries (v, w, e, qpow) at
+    a non-zero nums[v], and s = L times the sum of w q^qpow (nums[v] /
+    dens[v])^e.  powers caches the powers of nums (see `_packed_power`).  q
+    is an int, or with a non-zero `shift` the indeterminate q at the point,
+    2^shift, whose powers are shifts.  L grows as the entries are read, so a
+    row of integers is summed as it is."""
     s, L = 0, 1
     for v, w, e, qp in entries:
         x = nums[v]
         if x:
             p = x if e == 1 else _packed_power(nums, v, e, powers)
-            k = w * q ** qp if qp else w
             D = dens[v]
-            if D != 1:
-                D **= e
+            if D != 1 or type(w) is not int:
+                if D != 1:
+                    D **= e
+                if type(w) is not int:  # a Fraction
+                    D *= w.denominator
+                    w = w.numerator
                 if L % D:
                     M = math.lcm(L, D)
                     s *= M // L
                     L = M
             if L != 1:
-                k *= L // D
-            s += k * p
+                w *= L // D
+            if not qp:
+                s += w * p
+            elif shift:
+                s += w * p << shift * qp
+            else:
+                s += w * q ** qp * p
     return s, L
+
+
+def _q_payload(cs, den=1):
+    """The Q[q] payload whose coefficients, times den, are the digits cs, up
+    to the last non-zero one."""
+    top = len(cs)
+    while top and not cs[top - 1]:
+        top -= 1
+    cs = cs[:top]
+    return QPolynomial._of(tuple(cs) if den == 1 else tuple(_ratio(c, den) for c in cs))
+
+
+def _sparse(xs, degs):
+    """Whether MultiPoly payloads xs, of degrees degs per variable, fill
+    their own exponent boxes too sparsely for the point route: with fewer
+    than one term per 16 slots, over the non-zero payloads.  The powers and
+    products of sparse payloads stay as sparse, and the polynomial route's
+    work grows with their terms where the point route's grows with the box;
+    a term weighs 16 slots, as in `rings._kronecker_pays`.  `_at_point` asks
+    only of a box too large for 8-byte digits (over 768 slots in one or two
+    variables): a smaller one costs little at the point, and the check
+    itself would cost the small solves a few per cent."""
+    if (max(map(max, degs)) + 1) ** len(degs[0]) <= 16:
+        return False  # no payload's box holds more than 16 slots
+    terms = slots = 0
+    for x, ds in zip(xs, degs):
+        if x.terms:
+            terms += len(x.terms)
+            slots += math.prod(d + 1 for d in ds)
+    return slots > 16 * terms
 
 
 class GhostSystem:
@@ -374,6 +420,10 @@ class GhostSystem:
     and a non-numerical q-coefficient is refused there.  `compiled` pairs
     each monomial in the other variables, given as ((var_index, exp), ...),
     with its coefficient: an int, or in the q-model a numerical QPolynomial.
+    `apply` solves polynomial payloads at one point where that pays
+    (`_at_point`): every table whose weights are positive, with Fraction
+    weights over a Q-algebra only, at no q, an int q or the indeterminate q
+    of Q[q].
     """
 
     def __init__(self, index, table, op, q=False, shift=None, fail=None):
@@ -398,13 +448,16 @@ class GhostSystem:
         """spread[v]: the largest factor by which payload v's degree enters a
         row of the solve, and at least 1, since it is packed; None where the
         point route (`_at_point`) cannot take the system, which needs
-        positive int weights and exponents that `cached_power` admits.
-        Decided once, from the tables, on the first polynomial payloads."""
+        positive weights and exponents that `cached_power` admits.  A
+        Fraction weight is taken over a Q-algebra only: `_integral` says
+        whether every weight is an int.  Decided once, from the tables, on
+        the first polynomial payloads."""
         rows = self.table if self.rows is None else self.rows
         entries = [t for row in (*rows, *self.out_table) for t in row]
         if not (max(e for _, _, e, _ in entries) <= POWER_BOUND
-                and all(type(w) is int and w > 0 for _, w, _, _ in entries)):
+                and all(w > 0 for _, w, _, _ in entries)):
             return None
+        self._integral = all(type(w) is int for _, w, _, _ in entries)
         # reach[u]: the largest factor by which the degree of row u enters a
         # row of the solve, a product of exponents along the rows, found from
         # the last row back
@@ -419,6 +472,13 @@ class GhostSystem:
         return spread
 
     _pointwise = property(lambda self: self._spread is not None)
+
+    @cached_property
+    def _solve_rows(self):
+        """Each row of the unknowns' table at the point: its entries before
+        the diagonal, and the diagonal weight's numerator and denominator."""
+        return tuple((row[:-1], row[-1][1].numerator, row[-1][1].denominator)
+                     for row in self.out_table)
 
     @property
     def polys(self):
@@ -436,17 +496,18 @@ class GhostSystem:
         polys = self.polys
         return self._compiled if self.q else tuple(p.compiled() for p in polys)
 
-    def targets(self, R, xs, qv=None, dens=None):
+    def targets(self, R, xs, qv=None, dens=None, shift=0):
         """Target ghost components at the payloads xs in R (a's, then b's); qv
         is the q-model's q, an int or a payload of R.  At the point (R is ZZ)
         xs are numerators over the denominators dens, and each component is
         a pair (s, L): L the lcm of its terms' denominators and s the
-        component times L (`_scaled_sum`)."""
+        component times L (`_scaled_sum`, where a non-zero shift makes q the
+        indeterminate at the point)."""
         def ghosts(rows, ys, ds):
             if ds is None:
                 return ghost_values(rows, R, ys, qv)
             powers = {}
-            return [_scaled_sum(row, ys, ds, powers, qv) for row in rows]
+            return [_scaled_sum(row, ys, ds, powers, qv, shift) for row in rows]
 
         if self.rows is not None:  # only the input rows the unknowns read
             return ghosts(self.rows, xs, dens)
@@ -471,11 +532,11 @@ class GhostSystem:
         q is the q-model's q: an int, or the indeterminate as a payload of R.
         A residue ring's payloads are lifted to Z, solved with the integer q
         itself and reduced; the integral (numerical) universal polynomials
-        make that exact.  Polynomial payloads at an int or no q are solved
-        over Z at one point where that pays (`_at_point`).  A row that
+        make that exact.  Polynomial payloads, over ZPoly, QPoly or Q[q], are
+        solved over Z at one point where that pays (`_at_point`).  A row that
         leaves the ring solved in (Z for a residue ring) raises fail(u, R).
         """
-        if isinstance(R, PolyRing) and (q is None or type(q) is int) and self._pointwise:
+        if isinstance(R, (PolyRing, QPolyRing)) and self._pointwise:
             out = self._at_point(R, xs, q)
             if out is not None:
                 return out
@@ -496,9 +557,11 @@ class GhostSystem:
         """Bounds of the 1-norms of the solve's rows before their division by
         the diagonal weight, from bounds ns of the payloads' 1-norms: ||pq||
         <= ||p|| ||q|| and ||p^e|| <= ||p||^e, with |q|^qpow; None once a
-        bound passes 2^limit.  A solved row is bounded by its bound over the
-        diagonal weight, rounded down for an integral row and up (ceil) for
-        one that may be rational."""
+        bound passes 2^limit.  A Fraction diagonal's row is bounded times
+        the diagonal's denominator, which `_point_solve` multiplies in, and
+        a row with Fraction weights is rounded up.  A solved row is bounded
+        by its bound over the diagonal weight's numerator, rounded down for
+        an integral row and up (ceil) for one that may be rational."""
         aq = abs(q or 0)
 
         def row_sum(row, ys, acc=0):
@@ -519,61 +582,119 @@ class GhostSystem:
                     gb = [row_sum(row, ns[len(self.labels):]) for row in self.table]
                     want = list(map(operator.add if self.op == "sum" else operator.mul, want, gb))
             solved, before = [], []
-            for row, acc in zip(self.out_table, want):
-                acc = row_sum(row[:-1], solved, acc)
+            for (entries, d, b), acc in zip(self._solve_rows, want):
+                acc = row_sum(entries, solved, acc)
+                if not self._integral:  # a Fraction weight's row, rounded up
+                    acc = math.ceil(acc * b)
                 if acc.bit_length() > limit:
                     return None
                 before.append(acc)
-                solved.append(-(-acc // row[-1][1]) if ceil else acc // row[-1][1])
+                solved.append(-(-acc // d) if ceil else acc // d)
         except OverflowError:
             return None
         return before
 
-    def _at_point(self, R, xs, q):
-        """`apply` at polynomial payloads xs, solved over Z at one point, or
-        None where the route does not pay.
-
-        The operation is a ring functor's, so it commutes with evaluation at
-        x_i = 2^(8 n s_i), s_i the stride of x_i in an exponent box: a ring
-        map, one-to-one on the polynomials whose degrees fit the box and
-        whose coefficients fit n-byte balanced digits.  From the payloads'
-        sizes alone, each row before its division by the diagonal weight is
-        bounded in degree per variable (deg_i(p^e) = e deg_i(p), through the
-        factors `_spread` of the tables) and in 1-norm (`_norms`); box and
-        digits are sized to hold them and the payloads, and `_point_room`
-        decides.  `_point_solve` then solves at the point.
-
-        Over QPoly a payload is packed as its numerator over the lcm of its
-        coefficients' denominators, and a row may carry a denominator L d
-        (see `_point_solve`), which multiplies its bound by L.  Where that
-        passes the digits, the solve runs once more with digits sized for
-        the largest denominators the rows can reach (`_widest`), or leaves
-        the solve to the polynomial route where those do not pay; a target
-        whose own denominator passes them skips the first solve.
-        """
-        flat = (0,) * len(R.vars)
-        degs = [tuple(map(max, zip(*x.terms))) if x.terms else flat for x in xs]
+    def _dims(self, degs):
+        """The exponent box of the solve's rows from the payloads' degrees
+        per variable: deg_i(p^e) = e deg_i(p), through the factors `_spread`;
+        a product's degrees add, a sum's are at most the larger."""
         spread, k = self._spread, len(self.labels)  # the a-payloads' count
 
         def top(degs):
             return [max(map(operator.mul, spread, col)) for col in zip(*degs)]
 
         dims = top(degs[:k])
-        if len(xs) > k:  # the product's degrees add; the sum's are at most these
+        if len(degs) > k:
             dims = list(map(operator.add if self.op == "prod" else max, dims, top(degs[k:])))
-        dims = [d + 1 for d in dims]
-        room = _point_room(math.prod(dims), len(dims))
-        if not room:
+        return [d + 1 for d in dims]
+
+    def _q_top(self, degs):
+        """The largest degree of a payload or of a row of the solve at the
+        indeterminate q, from the payloads' degrees in q (-1 for zero): an
+        entry (v, w, e, qpow) reaches qpow + e deg(v), row by row."""
+        def top(row, ds, t=-1):
+            for v, _, e, qp in row:
+                if ds[v] >= 0 and qp + e * ds[v] > t:
+                    t = qp + e * ds[v]
+            return t
+
+        if self.rows is not None:
+            want = [top(row, degs) for row in self.rows]
+        else:
+            want = [top(row, degs) for row in self.table]
+            if self.op != "neg":
+                gb = [top(row, degs[len(self.labels):]) for row in self.table]
+                want = ([a + b if a >= 0 and b >= 0 else -1 for a, b in zip(want, gb)]
+                        if self.op == "prod" else list(map(max, want, gb)))
+        solved = []
+        for row, t in zip(self.out_table, want):
+            solved.append(top(row[:-1], solved, t))
+        return max(0, *degs, *solved)
+
+    def _at_point(self, R, xs, q):
+        """`apply` at polynomial payloads xs, solved over Z at one point, or
+        None where the route does not take the ring, q or the tables, or
+        does not pay.
+
+        The operation is a ring functor's, so it commutes with evaluation at
+        x_i = 2^(8 n s_i), s_i the stride of x_i in an exponent box: a ring
+        map, one-to-one on the polynomials whose degrees fit the box and
+        whose coefficients fit n-byte balanced digits.  Over Q[q] the one
+        variable is q; at the indeterminate q the q of the tables is that
+        variable too, so a q-power is a shift.  From the payloads' sizes
+        alone, each row before its division by the diagonal weight is
+        bounded in degree per variable (`_dims`, or at the indeterminate the
+        per-row `_q_top`, which counts the q-powers) and in 1-norm
+        (`_norms`, with |q| = 1 at the indeterminate); box and digits are
+        sized to hold them and the payloads, and `_point_room` decides, as
+        does `_sparse` for MultiPoly payloads in a box too large for 8-byte
+        digits, before any norm is formed.  `_point_solve` then solves at
+        the point.
+
+        Over a Q-algebra a payload is packed as its numerator over the lcm
+        of its coefficients' denominators, and a row may carry a denominator
+        L d (see `_point_solve`), which multiplies its bound by L.  Where
+        that passes the digits, the solve runs once more with digits sized
+        for the largest denominators the rows can reach (`_widest`), or
+        leaves the solve to the polynomial route where those do not pay; a
+        target whose own denominator passes them skips the first solve.
+        Over ZPoly a Fraction weight keeps the polynomial route, and its
+        refusals.
+        """
+        if self._spread is None or not (R.is_qalgebra or self._integral):
             return None
-        values = [x.terms.values() for x in xs]
+        var = False
+        if q is not None and type(q) is not int:
+            # the indeterminate, in Q[q] only; another payload q is a
+            # universal derivation's
+            var = type(q) is QPolynomial and q.coeffs == (0, 1) and type(R) is QPolyRing
+            if not var:
+                return None
+        if type(R) is QPolyRing:
+            values = [x.coeffs for x in xs]
+            if var:
+                dims = [self._q_top([len(cs) - 1 for cs in values]) + 1]
+            else:
+                dims = self._dims([(max(len(cs) - 1, 0),) for cs in values])
+        else:
+            flat = (0,) * len(R.vars)
+            degs = [tuple(map(max, zip(*x.terms))) if x.terms else flat for x in xs]
+            dims = self._dims(degs)
+            values = [x.terms.values() for x in xs]
+        box = math.prod(dims)
+        room = _point_room(box, len(dims))
+        if not room or room < 8 and type(R) is PolyRing and _sparse(xs, degs):
+            return None
         dens = [1] * len(xs)
-        if R.rational:
+        if R.is_qalgebra:
             over = [_over_common_denominator(list(cs)) for cs in values]
             if any(den != 1 for den, _ in over):
                 dens, values = zip(*over)
         norms = [sum(map(abs, cs)) for cs in values]
+        qn = 1 if var else q
         # a payload's norm is at most its numerator's over its denominator
-        before = self._norms([-(-m // d) for m, d in zip(norms, dens)], q, 8 * room, R.rational)
+        before = self._norms([-(-m // d) for m, d in zip(norms, dens)], qn, 8 * room,
+                             R.is_qalgebra)
         if before is None:
             return None
         n = _digit_bytes(max(before + norms))
@@ -581,7 +702,9 @@ class GhostSystem:
             return None
         # the denominators of the targets do not depend on the digits; one
         # that passes them with its row's bound fails the first solve
-        scale = [L for _, L in self.targets(ZZ, norms, q, dens)] if max(dens) > 1 else None
+        scale = None
+        if max(dens) > 1 or not self._integral:
+            scale = [L for _, L in self.targets(ZZ, norms, qn, dens)]
         out = None
         if scale is None or all((L * b).bit_length() < 8 * n for L, b in zip(scale, before)):
             out = self._point_solve(R, xs, values, dens, q, dims, n, before)
@@ -596,15 +719,17 @@ class GhostSystem:
         """The largest bound of a row's integer in `_point_solve` when every
         row carries its whole denominator L d, or None once it passes
         2^limit: each L is the lcm of the target's denominator (scale) and
-        the d-multiplied L of the rows it reads, raised to their exponents,
-        so it is a multiple of any L the solve meets."""
+        of the d-multiplied L of the rows it reads, raised to their
+        exponents, times their weights' denominators, so it is a multiple of
+        any L the solve meets; d is the diagonal weight's numerator."""
         wide, whole = 0, []
         for row, L, b in zip(self.out_table, scale, before):
             if any(whole[v].bit_length() * e > limit for v, _, e, _ in row[:-1]):
                 return None
-            L = math.lcm(L, *[whole[v] ** e for v, _, e, _ in row[:-1]])
+            # an int weight's denominator is 1, and its numerator itself
+            L = math.lcm(L, *[whole[v] ** e * w.denominator for v, w, e, _ in row[:-1]])
             wide = max(wide, L * b)
-            whole.append(L * row[-1][1])
+            whole.append(L * row[-1][1].numerator)
         return wide if wide.bit_length() <= limit else None
 
     def _point_solve(self, R, xs, values, dens, q, dims, n, before):
@@ -613,55 +738,68 @@ class GhostSystem:
 
         Each payload is packed once (`rings._pack`), the targets and the rows
         are solved over Z, and each row is divided and read back once
-        (`rings._unpack`): d divides every coefficient of a row exactly when
-        it divides the row's integer and d times each digit of the quotient
-        fits a digit (balanced digits are unique).  A row it does not divide
-        raises fail(u) over ZPoly.
+        (`rings._unpack`): d divides every coefficient of a row
+        exactly when it divides the row's integer and d times each digit of
+        the quotient fits a digit (balanced digits are unique).  A row it
+        does not divide raises fail(u) over ZPoly.  A Fraction diagonal
+        weight a/b multiplies its row by b, and a is the d it divides by.
 
-        Over QPoly such a row carries one integer denominator instead, as
-        does every row whose terms have one: a row's integer is its terms
-        over the lcm L of their denominators, each raised to its exponent
-        (`_scaled_sum`), and a row with L = 1 is divided as over ZPoly.
-        Otherwise that integer is read back undivided and its coefficients
-        taken over L d; the rows that read it take it over L d cut by its
-        common factor with the coefficients.
+        Over a Q-algebra such a row carries one integer denominator instead,
+        as does every row whose terms have one: a row's integer is its terms
+        over the lcm L of their denominators, each payload's raised to its
+        exponent and times its weight's (`_scaled_sum`), and a row with
+        L = 1 is divided as over ZPoly.  Otherwise that integer is read back
+        undivided and its coefficients taken over L d; the rows that read it
+        take it over L d cut by its common factor with the coefficients.
         """
         box = math.prod(dims)
-        strides = _strides(dims)
-        points = []
-        for x, cs in zip(xs, values):
-            slots = [sum(map(operator.mul, e, strides)) for e in x.terms]
-            points.append(_pack(slots, cs, max(slots, default=0) + 1, n))
-        want = self.targets(ZZ, points, q, dens)
+        shift = 0
+        if type(q) is QPolynomial:  # the indeterminate: q^k is a shift by k slots
+            q, shift = None, 8 * n
+        dense = type(R) is QPolyRing
+        if dense:
+            points = [_pack(range(len(cs)), cs, len(cs), n) for cs in values]
+        else:
+            strides = _strides(dims)
+            points = []
+            for x, cs in zip(xs, values):
+                slots = [sum(map(operator.mul, e, strides)) for e in x.terms]
+                points.append(_pack(slots, cs, max(slots, default=0) + 1, n))
+        want = self.targets(ZZ, points, q, dens, shift)
         solved, sdens, out, powers = [], [], [], {}
         half = 1 << 8 * n - 1  # a digit c has -half <= c < half
-        for u, (row, (acc, Lt)) in enumerate(zip(self.out_table, want)):
-            d, entries = row[-1][1], row[:-1]
-            s, Ls = _scaled_sum(entries, solved, sdens, powers, q)
+        for u, ((entries, d, b), (acc, Lt)) in enumerate(zip(self._solve_rows, want)):
+            s, Ls = _scaled_sum(entries, solved, sdens, powers, q, shift)
             L = math.lcm(Lt, Ls)
             if L == 1:
                 acc -= s
+                if b != 1:
+                    acc *= b
                 quo, r = divmod(acc, d)
                 if not r:
                     cs = _unpack(quo, n, box)
                     if d == 1 or -half <= d * min(cs) and d * max(cs) < half:
                         solved.append(quo)
                         sdens.append(1)
-                        out.append(MultiPoly._of(R.vars, _slot_terms(cs, dims)))
+                        out.append(_q_payload(cs) if dense else
+                                   MultiPoly._of(R.vars, _slot_terms(cs, dims)))
                         continue
-                if not R.rational:
+                if not R.is_qalgebra:
                     raise self._fail(u, R)
             elif L * before[u] >= half:
                 return None
             else:
                 acc = acc * (L // Lt) - s * (L // Ls)
+                if b != 1:
+                    acc *= b
             # the row is read back undivided, over L d
             den = L * d
             cs = _unpack(acc, n, box)
             g = math.gcd(den, *cs)
             solved.append(acc // g)
             sdens.append(den // g)
-            out.append(MultiPoly._of(R.vars, _slot_terms(cs, dims, den)))
+            out.append(_q_payload(cs, den) if dense else
+                       MultiPoly._of(R.vars, _slot_terms(cs, dims, den)))
         return out
 
     def _where(self, u):

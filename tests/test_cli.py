@@ -121,6 +121,9 @@ def _inp(name):
          "witt_mul_S3_zpoly.json"),
         (("cyclic", "witt", "mul", _inp("witt_1to8_qpoly_a.json"), _inp("witt_1to8_qpoly_b.json")),
          "cyclic_witt_mul_qpoly_1to8.json"),
+        # an aperiodic table with Fraction weights, over rational coefficients
+        (("aperiodic", "mul", _inp("aperiodic_S3_qpoly_a.json"), _inp("aperiodic_S3_qpoly_b.json")),
+         "aperiodic_mul_S3_qpoly.json"),
     ],
 )
 def test_golden_vector_outputs(argv, golden):

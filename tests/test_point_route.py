@@ -6,10 +6,12 @@ QPoly a row that needs a denominator carries one; `GhostSystem._solve` is
 the polynomial route itself.  Both must give the same polynomials and the
 same refusals, on every table the route takes: the Witt, necklace and
 aperiodic tables of groups and truncation sets, their Frobenius, the
-q-model's at an integer q, and the transports, witt_v and witt_f, compared
-through their public maps with the route forced off.  Inputs are seeded,
-and each test checks that the route ran, so that a rule that sent
-everything back could not pass unnoticed.
+q-model's at an integer q and over Q[q] at the indeterminate, the
+aperiodic products whose tables have Fraction weights, the Witt ghost, and
+the transports, witt_v and witt_f, compared through their public maps with
+the route forced off.  Inputs are seeded, and each test checks that the
+route ran, so that a rule that sent everything back could not pass
+unnoticed.
 """
 import math
 import random
@@ -17,26 +19,55 @@ from fractions import Fraction
 
 import pytest
 
+from wittburnside import universal
 from wittburnside.burnside import (
     IndexedVector,
+    _ghost,
     _transport_system,
+    ap_ghost,
+    ap_op,
     gamma,
     gamma_inv,
+    nr_ghost,
     teichmuller,
     teichmuller_inv,
     witt_f,
+    wg_ghost,
     witt_v,
 )
-from wittburnside.cyclic import CyclicVector, TruncationSet
-from wittburnside.errors import DomainError, IntegralityViolation, NotInImage
-from wittburnside.groups import build_group, subgroup_classes, subgroup_group
-from wittburnside.qdeform import QContext, q_teichmuller, q_teichmuller_inv, q_universal
-from wittburnside.rings import POWER_BOUND, ZZ, MultiPoly, PolyRing, cached_power
+from wittburnside.cyclic import CyclicVector, TruncationSet, cyc_ghost, cyc_witt_ghost
+from wittburnside.errors import (
+    DomainError,
+    IntegralityViolation,
+    NonIntegralConstant,
+    NotInImage,
+)
+from wittburnside.groups import FiniteGroup, build_group, subgroup_classes, subgroup_group
+from wittburnside.qdeform import (
+    QContext,
+    q_ap_mul,
+    q_frobenius,
+    q_nr_mul,
+    q_teichmuller,
+    q_teichmuller_inv,
+    q_universal,
+    q_witt_op,
+)
+from wittburnside.rings import (
+    POWER_BOUND,
+    QQ_Q,
+    ZZ,
+    MultiPoly,
+    PolyRing,
+    QPolynomial,
+    cached_power,
+)
 from wittburnside.universal import (
     APERIODIC,
     NECKLACE,
     OPS,
     POINT_BYTES,
+    GHOST,
     WITT,
     GhostSystem,
     _packed_power,
@@ -524,3 +555,187 @@ def test_the_size_rule():
     # 6144 // 361 is 17: a 9- to 16-byte digit fits, a 17-byte one does not
     assert _point_room(361, 2) == 16
     assert _point_room(6145, 1) == 0
+
+
+def test_sparse_payloads_keep_the_polynomial_route(monkeypatch):
+    """A one-variable product on {1, 2} of Witt vectors (constant, two terms
+    of degree up to 1,500): the rows' box of up to 3,001 slots leaves room
+    for 2-byte digits, which the rows fit, so the size rule alone takes the
+    point route, where this shape ran 3.1 times slower; the payloads hold
+    6 terms in about 3,000 slots, and the sparse rule declines the box
+    before any norm is formed."""
+    rng = random.Random("point:sparse")
+    system = ghost_system(TruncationSet([1, 2]), "prod", WITT, False, None)
+    R = PolyRing(("x",), rational=False)
+    norms = []
+    real = GhostSystem._norms
+
+    def spy(self, *args):
+        norms.append(True)
+        return real(self, *args)
+
+    for _ in range(4):
+        xs = []
+        for _ in range(2):
+            xs += [R.from_int(rng.randint(1, 9)),
+                   MultiPoly(R.vars, {(rng.randint(700, 1500),): 3, (rng.randint(1, 699),): -2})]
+        xs = [xs[0], xs[2], xs[1], xs[3]]  # a's, then b's
+        with monkeypatch.context() as m:
+            m.setattr(universal, "_sparse", lambda xs, degs: False)
+            assert system._at_point(R, xs, None) == system._solve(R, xs, None)
+        with monkeypatch.context() as m:
+            m.setattr(GhostSystem, "_norms", spy)
+            assert system._at_point(R, xs, None) is None
+        assert system.apply(R, xs, None) == system._solve(R, xs, None)
+    assert not norms
+
+
+# --- the q-layer over Q[q], at the indeterminate q and at an integer q ------
+
+
+Q_SETS = {"div6": TruncationSet.div(6), "1..8": TruncationSet(range(1, 9)),
+          "div12": TruncationSet.div(12), "1..16": TruncationSet(range(1, 17))}
+Q_FAMS = ("sum", "prod", "neg", "teichmuller", "teichmuller_inv", "frob2", "frob3",
+          "nr_mul", "ap_mul")
+
+
+def q_payload(rng, kind, degree=2):
+    """A Q[q] payload of one kind: 0, a constant, or a constant and up to
+    `degree` more coefficients, integers or (rational) over the DENOMINATORS."""
+    def c():
+        den = rng.choice(DENOMINATORS) if kind == "rational" and rng.random() < 0.7 else 1
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), den)
+
+    if kind == "zero":
+        return QPolynomial()
+    if kind == "constant":
+        return QPolynomial([c()])
+    return QPolynomial([c()] + [c() if rng.random() < 0.6 else 0 for _ in range(degree)])
+
+
+def q_case(rng, fam, ctx, T, kind):
+    """(function, arguments) of one Q[q] map case on T."""
+    def vec(flavor):
+        return CyclicVector.from_payloads(T, flavor, QQ_Q, [q_payload(rng, kind) for _ in T])
+
+    if fam in OPS:
+        return q_witt_op, (ctx, fam, vec(WITT)) + ((vec(WITT),) if fam != "neg" else ())
+    if fam == "teichmuller":
+        return q_teichmuller, (ctx, vec(WITT))
+    if fam == "teichmuller_inv":
+        return q_teichmuller_inv, (ctx, vec(NECKLACE))
+    if fam.startswith("frob"):
+        return q_frobenius, (ctx, int(fam[4:]), vec(WITT if rng.random() < 0.7 else NECKLACE))
+    if fam == "nr_mul":
+        return q_nr_mul, (ctx, vec(NECKLACE), vec(NECKLACE))
+    return q_ap_mul, (ctx, vec(APERIODIC), vec(APERIODIC))
+
+
+@pytest.mark.parametrize("tname", sorted(Q_SETS))
+@pytest.mark.parametrize("q", ("q", 2, -1))
+@pytest.mark.parametrize("fam", Q_FAMS)
+def test_q_maps_over_qq(monkeypatch, fam, q, tname):
+    """The q-Witt operations, the q-transports, f_2 and f_3, and the q-necklace
+    and q-aperiodic products over Q[q]: at the indeterminate q, where a
+    q-power is a shift at the point, and at q = 2 and -1."""
+    rng = random.Random(f"qq:{fam}:{q}:{tname}")
+    ctx, T = QContext(q), Q_SETS[tname]
+    taken = 0
+    for kind in KINDS:
+        for _ in range(2):
+            f, args = q_case(rng, fam, ctx, T, kind)
+            got, want = forced(monkeypatch, f, *args)
+            if got is not None:
+                same(got, want)
+                taken += 1
+    assert taken
+
+
+def test_the_q_power_is_counted_in_the_degree_bound():
+    """At the indeterminate q the Witt ghost row at n holds q^(n/d - 1)
+    a_d^(n/d): with constant payloads every row's degree is its q-powers
+    alone, so a bound without them would be a box of one slot."""
+    T = TruncationSet(range(1, 9))
+    ctx = QContext("q")
+    a = CyclicVector.from_payloads(T, WITT, QQ_Q, [QPolynomial([k + 2]) for k in range(8)])
+    system = q_universal(T, "neg")
+    qv = ctx.ghost_q(QQ_Q)
+    assert system._q_top([0] * 8) == 7
+    out = system._at_point(QQ_Q, a.payloads(), qv)
+    assert out is not None and out == system._solve(QQ_Q, a.payloads(), qv)
+    assert max(p.degree for p in out) > 0
+    assert q_witt_op(ctx, "neg", a).payloads() == tuple(out)
+
+
+# --- aperiodic products whose tables have Fraction weights --------------------
+
+
+FRACTION_GROUPS = ("S3", "D4", "D6", "S4", A4xC2)
+
+
+@pytest.mark.parametrize("name", FRACTION_GROUPS)
+def test_aperiodic_products_with_fraction_weights(monkeypatch, name):
+    """Over QPoly(x,y) the aperiodic product on a group with a non-normal
+    subgroup takes the point route: each Fraction weight's denominator joins
+    its row's, and a Fraction diagonal scales its row.  Over ZPoly the
+    product keeps its loop and its refusal, class and text."""
+    rng = random.Random(f"fractions:{name}")
+    G = build_group(name)
+    system = ghost_system(G, "prod", APERIODIC, False, None)
+    assert system._pointwise and not system._integral
+    assert any(type(row[-1][1]) is Fraction for row in system.out_table)
+    taken = 0
+    for kind in KINDS:
+        for _ in range(3):
+            x, y = (vector(rng, G, APERIODIC, QXY, kind, 2) for _ in range(2))
+            got, want = forced(monkeypatch, ap_op, "prod", x, y)
+            if got is not None:
+                same(got, want)
+                taken += 1
+    assert taken
+    x = ZXY.variable("x")
+    k = len(subgroup_classes(G))
+    a = IndexedVector.from_payloads(G, APERIODIC, ZXY, [x] * k)
+    got, want = forced(monkeypatch, ap_op, "prod", a, a)
+    assert got is None and want[0] is NonIntegralConstant
+    assert want[1].startswith("aperiodic product: constant ")
+    assert want[1].endswith(" needs rational coefficients in ZPoly(x,y)")
+    # the system itself, applied over ZPoly, leaves the point route too
+    assert system._at_point(ZXY, a.payloads() * 2, None) is None
+
+
+# --- the Witt ghost ------------------------------------------------------------
+
+
+GHOST_INDEXES = [(name, build_group) for name in GROUPS] + [
+    (name, TRUNCATIONS.__getitem__) for name in sorted(TRUNCATIONS)]
+
+
+@pytest.mark.parametrize("name, build", GHOST_INDEXES, ids=[n for n, _ in GHOST_INDEXES])
+def test_witt_ghosts(monkeypatch, name, build):
+    """wg_ghost, and the ghost of a coordinate-backed necklace vector, sum the
+    Witt ghost's rows at the point; the linear ghosts stay off it."""
+    rng = random.Random(f"ghost:{name}")
+    index = build(name)
+    group = isinstance(index, FiniteGroup)
+    witt_ghost = wg_ghost if group else cyc_witt_ghost
+    linear = ((NECKLACE, nr_ghost), (APERIODIC, ap_ghost)) if group else (
+        (NECKLACE, cyc_ghost), (APERIODIC, cyc_ghost))
+    # powers up to 24 on S4 and 32 on 1..32: linear payloads keep the
+    # polynomial route cheap there
+    degree = 1 if len(index_labels(index)) > 8 else 2
+    taken = 0
+    for R in (ZXY, QXY):
+        for kind in KINDS[:3] if R is ZXY else KINDS:
+            a = vector(rng, index, WITT, R, kind, degree)
+            for f, x in ((witt_ghost, a), (_ghost, a.retag(NECKLACE, coord_form=True))):
+                got, want = forced(monkeypatch, f, x)
+                if got is not None:
+                    same(got, want)
+                    assert want.flavor == GHOST and not want.coord_form
+                    taken += 1
+            for flavor, f in linear:
+                x = vector(rng, index, flavor, QXY, kind, degree)
+                got, want = forced(monkeypatch, f, x)
+                assert got is None and want == f(x)
+    assert taken
